@@ -32,7 +32,7 @@
  * order, and reports at most one finding per word (the first in
  * canonical order). RaceReport::describe() is therefore byte-identical
  * across the serial DES replayer and the chunk-parallel replayer at
- * any DELOREAN_JOBS, window and shard setting — which the detector
+ * any DELOREAN_JOBS and window setting — which the detector
  * tests assert literally.
  */
 

@@ -65,7 +65,6 @@ struct BulkConfig
     Cycle commitArbitration = 30;       ///< arbiter round trip
     unsigned maxConcurrentCommits = 4;
     unsigned simultaneousChunks = 2;    ///< in-flight chunks per proc
-    unsigned numArbiters = 1;
     unsigned numDirectories = 1;
     /// After this many squashes of the same chunk, halve its target
     /// size (BulkSC repeated-collision back-off, Section 4.2.3).

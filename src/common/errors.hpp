@@ -62,8 +62,8 @@ class BitstreamExhausted : public RecordingFormatError
 
 /**
  * A user-supplied configuration is invalid before any recording
- * exists: an out-of-range shard (arbiter) count, a processor count
- * the address layout cannot host, and similar construction-time
+ * exists: a processor count the address layout cannot host, an
+ * infeasible ring budget, and similar construction-time
  * rejections. Distinct from RecordingFormatError, which covers
  * malformed *serialized* data — the fault-injection contract depends
  * on the loader raising only RecordingFormatError.

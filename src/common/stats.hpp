@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics helpers: scalar counters, averages and a
- * fixed-bucket histogram. No global registry; modules own their stats
- * and expose them through accessors.
+ * Lightweight statistics helpers: running averages and a geometric
+ * mean. No global registry; modules own their stats and expose them
+ * through accessors.
  */
 
 #ifndef DELOREAN_COMMON_STATS_HPP_
@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string>
+#include <limits>
 #include <vector>
 
 namespace delorean
@@ -63,36 +63,6 @@ geometricMean(const std::vector<double> &values)
         log_sum += std::log(v);
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
-
-/** Histogram with uniform buckets over [lo, hi); out-of-range clamps. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, unsigned buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {
-    }
-
-    void
-    add(double sample)
-    {
-        const double span = hi_ - lo_;
-        long idx = static_cast<long>((sample - lo_) / span
-                                     * static_cast<double>(counts_.size()));
-        idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-        ++counts_[static_cast<std::size_t>(idx)];
-        ++total_;
-    }
-
-    std::uint64_t total() const { return total_; }
-    const std::vector<std::uint64_t> &counts() const { return counts_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
 
 } // namespace delorean
 

@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstddef>
@@ -52,11 +51,6 @@ ChunkEngine::ChunkEngine(const Workload &workload,
       procs_(n_)
 {
     assert(workload.numProcs() == n_);
-    shards_ = machine_.bulk.numArbiters;
-    if (shards_ < 1 || shards_ > 64 || (shards_ & (shards_ - 1)) != 0)
-        throw ConfigError("numArbiters must be a power of two in "
-                          "[1, 64], got "
-                          + std::to_string(shards_));
     if (n_ < 1 || n_ > 64)
         throw ConfigError("numProcs must be in [1, 64], got "
                           + std::to_string(n_));
@@ -126,19 +120,7 @@ ChunkEngine::record()
             n_, mode_.stratifyChunksPerProc);
     }
 
-    const unsigned slots = machine_.bulk.maxConcurrentCommits;
-    slot_busy_until_.assign(slots, 0);
-    if (shards_ > 1 && mode_.mode != ExecMode::kPicoLog) {
-        // Sharded arbiter hierarchy: one slot pool per address shard
-        // plus the root arbiter's single cross-shard slot. The flat PI
-        // log then records each commit's shard mask, turning the log
-        // into a partial order (PicoLog keeps the token-serialized
-        // global pool — its commit order is predefined, not logged).
-        shard_slot_busy_.assign(shards_, std::vector<Cycle>(slots, 0));
-        root_slot_busy_ = 0;
-        if (opts_.logging && !stratifier_)
-            rec.pi.enableMasks(shards_);
-    }
+    slot_busy_until_.assign(machine_.bulk.maxConcurrentCommits, 0);
 
     for (ProcId p = 0; p < n_; ++p)
         tryStartChunk(p, 0);
@@ -194,24 +176,10 @@ ChunkEngine::replay(const Recording &prior)
             computeStrataCanonicalOrder(prior.strata, n_));
 
     if (mode_.mode != ExecMode::kPicoLog) {
-        if (prior.stratified()) {
+        if (prior.stratified())
             strata_cursor_ = std::make_unique<StrataCursor>(prior.strata, n_);
-        } else if (prior.pi.hasMasks() && opts_.honorPartialOrder
-                   && !opts_.startCheckpoint && !opts_.stopCheckpoint) {
-            // Partial-order replay: honor exactly the recorded
-            // per-shard orders plus per-processor program order.
-            // Interval replay stays on the total-order cursor — its
-            // checkpoint-aligned GCC arithmetic needs the log's own
-            // linearization, which is always a valid schedule.
-            po_cursor_ = std::make_unique<PartialOrderCursor>(
-                prior.pi, n_, prior.machine.bulk.numArbiters);
-            // Out-of-order retires fill the fingerprint positionally
-            // so it stays byte-identical to an in-order replay's.
-            fp_.commits.resize(po_cursor_->chunkEntryCount());
-            po_fp_pos_.assign(n_, 0);
-        } else {
+        else
             pi_cursor_ = std::make_unique<PiLogCursor>(prior.pi);
-        }
     }
 
     cs_lookup_.resize(n_);
@@ -485,6 +453,14 @@ ChunkEngine::tryStartChunk(ProcId p, Cycle now)
     ProcState &ps = procs_[p];
     if (ps.finished || ps.restart.has_value() || ps.blockedOnOverflow)
         return;
+    // The finish test comes before the stop cap below: a processor
+    // whose program ends inside a bounded interval must still be
+    // marked finished, or PicoLog's round-robin waits on it forever.
+    if (workload_.program().done(ps.ctx) && ps.pendingRemainder == 0) {
+        if (ps.inflight.empty())
+            ps.finished = true;
+        return;
+    }
     // Bounded replay: never build a chunk that commits at or after
     // the stop checkpoint — its CS/interrupt/IO records may lie in
     // segments the archive reader deliberately did not decode.
@@ -495,11 +471,6 @@ ChunkEngine::tryStartChunk(ProcId p, Cycle now)
     if (!ps.inflight.empty()
         && ps.inflight.back()->state == ChunkState::kExecuting)
         return;
-    if (workload_.program().done(ps.ctx) && ps.pendingRemainder == 0) {
-        if (ps.inflight.empty())
-            ps.finished = true;
-        return;
-    }
     if (ps.inflight.size() >= machine_.bulk.simultaneousChunks) {
         if (!ps.stalled) {
             ps.stalled = true;
@@ -1076,14 +1047,6 @@ ChunkEngine::rebuildProcUnion(ProcId p)
 unsigned
 ChunkEngine::freeSlots(Cycle now) const
 {
-    if (shardedRecord()) {
-        unsigned free = 0;
-        for (const auto &pool : shard_slot_busy_)
-            for (const Cycle busy : pool)
-                if (busy <= now)
-                    ++free;
-        return free;
-    }
     unsigned free = 0;
     for (const Cycle busy : slot_busy_until_)
         if (busy <= now)
@@ -1094,75 +1057,20 @@ ChunkEngine::freeSlots(Cycle now) const
 unsigned
 ChunkEngine::busySlots(Cycle now) const
 {
-    const unsigned total =
-        shardedRecord()
-            ? shards_ * machine_.bulk.maxConcurrentCommits
-            : static_cast<unsigned>(slot_busy_until_.size());
-    return total - freeSlots(now);
-}
-
-std::uint64_t
-ChunkEngine::chunkShardMask(EngineChunk &c) const
-{
-    ChunkExtra &x = c.extra;
-    if (!x.shardMaskValid) {
-        std::uint64_t m = 0;
-        for (const Addr line : x.linesRead)
-            m |= 1ull << Signature::shardOf(line, shards_);
-        for (const Addr line : x.linesWritten)
-            m |= 1ull << Signature::shardOf(line, shards_);
-        // A chunk touching no lines conflicts with nothing; park it in
-        // shard 0 so every logged mask is non-empty.
-        x.shardMask = m == 0 ? 1 : m;
-        x.shardMaskValid = true;
-    }
-    return x.shardMask;
-}
-
-std::uint64_t
-ChunkEngine::dmaShardMask(const DmaTransfer &xfer) const
-{
-    std::uint64_t m = 0;
-    for (const Addr word : xfer.wordAddrs)
-        m |= 1ull << Signature::shardOf(lineOf(word), shards_);
-    return m == 0 ? 1 : m;
-}
-
-bool
-ChunkEngine::canOccupyShards(std::uint64_t mask, Cycle now) const
-{
-    if (std::popcount(mask) > 1 && root_slot_busy_ > now)
-        return false;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-        const auto &pool =
-            shard_slot_busy_[static_cast<unsigned>(std::countr_zero(m))];
-        bool free = false;
-        for (const Cycle busy : pool)
-            if (busy <= now) {
-                free = true;
-                break;
-            }
-        if (!free)
-            return false;
-    }
-    return true;
+    return static_cast<unsigned>(slot_busy_until_.size())
+           - freeSlots(now);
 }
 
 void
-ChunkEngine::occupyShards(std::uint64_t mask, Cycle now, Cycle occupancy)
+ChunkEngine::occupySlot(Cycle now, Cycle occupancy)
 {
-    if (std::popcount(mask) > 1)
-        root_slot_busy_ = now + occupancy;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-        auto &pool =
-            shard_slot_busy_[static_cast<unsigned>(std::countr_zero(m))];
-        for (Cycle &busy : pool)
-            if (busy <= now) {
-                busy = now + occupancy;
-                break;
-            }
+    for (auto &busy : slot_busy_until_) {
+        if (busy <= now) {
+            busy = now + occupancy;
+            schedule(busy, EvKind::kCommitFinish, 0, 0);
+            break;
+        }
     }
-    schedule(now + occupancy, EvKind::kCommitFinish, 0, 0);
 }
 
 ChunkEngine::EngineChunk *
@@ -1216,8 +1124,6 @@ ChunkEngine::dmaDueForReplay() const
         return gcc_ == prior_->dma.slotAt(dma_replay_idx_);
     if (strata_cursor_)
         return strata_cursor_->isDmaSlot();
-    if (po_cursor_)
-        return po_cursor_->dmaReady();
     return !pi_cursor_->atEnd() && pi_cursor_->peek() == kDmaProcId;
 }
 
@@ -1243,7 +1149,7 @@ ChunkEngine::checkDma(Cycle)
 }
 
 ChunkEngine::EngineChunk *
-ChunkEngine::pickCandidate(Cycle now, ProcId &out_proc)
+ChunkEngine::pickCandidate(ProcId &out_proc)
 {
     // A split logical chunk must finish before anything else commits.
     for (ProcId p = 0; p < n_; ++p) {
@@ -1259,18 +1165,11 @@ ChunkEngine::pickCandidate(Cycle now, ProcId &out_proc)
 
     if (!opts_.replay) {
         // Record, Order&Size / OrderOnly: FCFS over arrived requests.
-        // Under the sharded hierarchy the FCFS winner is the oldest
-        // request whose shard slots are free — younger shard-disjoint
-        // requests bypass an older one blocked on a busy shard, which
-        // is exactly the concurrency the shard arbiters add.
         EngineChunk *best = nullptr;
         ProcId best_p = 0;
         for (ProcId p = 0; p < n_; ++p) {
             EngineChunk *c = oldestReady(p);
             if (!c)
-                continue;
-            if (shardedRecord()
-                && !canOccupyShards(chunkShardMask(*c), now))
                 continue;
             if (!best || c->extra.requestTime < best->extra.requestTime) {
                 best = c;
@@ -1315,27 +1214,6 @@ ChunkEngine::pickCandidate(Cycle now, ProcId &out_proc)
         return best;
     }
 
-    if (po_cursor_) {
-        // Partial-order replay: any processor whose next logged entry
-        // is enabled (head of its program order and of every shard
-        // order its mask names) may commit; FCFS among them.
-        EngineChunk *best = nullptr;
-        ProcId best_p = 0;
-        for (ProcId p = 0; p < n_; ++p) {
-            if (!po_cursor_->procReady(p))
-                continue;
-            EngineChunk *c = oldestReady(p);
-            if (c
-                && (!best
-                    || c->extra.requestTime < best->extra.requestTime)) {
-                best = c;
-                best_p = p;
-            }
-        }
-        out_proc = best_p;
-        return best;
-    }
-
     // Replay with a plain PI log: strictly the recorded order.
     if (pi_cursor_->atEnd())
         return nullptr;
@@ -1362,15 +1240,12 @@ ChunkEngine::arbiterProcess(Cycle now)
     }
 
     while (freeSlots(now) > 0 && !stopped_) {
-        if (dmaIsNext(now)
-            && (!shardedRecord()
-                || canOccupyShards(dmaShardMask(dma_pending_.front()),
-                                   now))) {
+        if (dmaIsNext(now)) {
             grantDma(now);
             continue;
         }
         ProcId p = 0;
-        EngineChunk *c = pickCandidate(now, p);
+        EngineChunk *c = pickCandidate(p);
         if (!c)
             break;
         grantChunk(p, now);
@@ -1402,25 +1277,8 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     // Occupy a commit slot. During replay the (virtualized) arbiter
     // serializes commits and each occupies it for the full raised
     // arbitration latency (Section 6.2.1).
-    const Cycle occupancy = opts_.replay
-                                ? arbLatency() + commitLatency()
-                                : commitLatency();
-    if (shardedRecord()) {
-        const std::uint64_t mask = chunkShardMask(c);
-        occupyShards(mask, now, occupancy);
-        if (std::popcount(mask) > 1)
-            ++stats_.crossShardCommits;
-        else
-            ++stats_.shardLocalCommits;
-    } else {
-        for (auto &busy : slot_busy_until_) {
-            if (busy <= now) {
-                busy = now + occupancy;
-                schedule(busy, EvKind::kCommitFinish, 0, 0);
-                break;
-            }
-        }
-    }
+    occupySlot(now, opts_.replay ? arbLatency() + commitLatency()
+                                 : commitLatency());
     stats_.readyProcsAtCommit.add(static_cast<double>(countReadyProcs()));
     stats_.parallelCommits.add(static_cast<double>(busySlots(now)));
     if (opts_.replay) {
@@ -1454,8 +1312,6 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
                     s.unionWith(c.sigs.write);
                     stratifier_->onCommit(p, s);
                 }
-            } else if (rec_->pi.hasMasks()) {
-                rec_->pi.appendWithMask(p, chunkShardMask(c));
             } else {
                 rec_->pi.append(p);
             }
@@ -1485,42 +1341,20 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     if (opts_.replay) {
         if (!c.extra.continuation && mode_.mode != ExecMode::kPicoLog
             && !strata_cursor_) {
-            if (po_cursor_) {
-                // Consume p's next entry under the partial order; the
-                // grant was issued against procReady(p), but a corrupt
-                // log must fail loudly, not desynchronize.
-                if (!po_cursor_->procReady(p))
-                    throw ReplayError(
-                        "partial-order PI log violated: proc "
-                        + std::to_string(p)
-                        + " committed with its next entry disabled");
-                const std::size_t low = po_cursor_->lowWatermark();
-                const std::size_t entry = po_cursor_->consumeProc(p);
-                po_fp_pos_[p] = po_cursor_->chunkPosOf(entry);
-                ps.obsPos = entry;
-                if (entry != low)
-                    ++stats_.poRelaxedRetires;
-                if (std::popcount(prior_->pi.maskAt(entry)) > 1)
-                    ++stats_.crossShardCommits;
-                else
-                    ++stats_.shardLocalCommits;
-            } else {
-                // The grant was issued against peek() == p and nothing
-                // else consumes the cursor in between, but a corrupted
-                // log must fail loudly rather than silently
-                // desynchronize.
-                if (pi_cursor_->atEnd())
-                    throw ReplayLogExhausted(
-                        "PI log ended before all chunks committed");
-                const ProcId logged = pi_cursor_->next();
-                if (logged != p)
-                    throw ReplayError(
-                        "PI log order violated at entry "
-                        + std::to_string(pi_cursor_->position() - 1)
-                        + ": log says proc " + std::to_string(logged)
-                        + ", committing proc " + std::to_string(p));
-                ps.obsPos = pi_cursor_->position() - 1;
-            }
+            // The grant was issued against peek() == p and nothing
+            // else consumes the cursor in between, but a corrupted
+            // log must fail loudly rather than silently desynchronize.
+            if (pi_cursor_->atEnd())
+                throw ReplayLogExhausted(
+                    "PI log ended before all chunks committed");
+            const ProcId logged = pi_cursor_->next();
+            if (logged != p)
+                throw ReplayError(
+                    "PI log order violated at entry "
+                    + std::to_string(pi_cursor_->position() - 1)
+                    + ": log says proc " + std::to_string(logged)
+                    + ", committing proc " + std::to_string(p));
+            ps.obsPos = pi_cursor_->position() - 1;
         }
         if (final_piece) {
             if (strata_cursor_)
@@ -1558,17 +1392,13 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     }
 
     if (final_piece) {
-        const CommitRecord commit{p, c.seq, ps.partialSize + c.size,
-                                  c.endCtx.acc};
-        if (po_cursor_)
-            fp_.commits[po_fp_pos_[p]] = commit;
-        else
-            fp_.commits.push_back(commit);
+        fp_.commits.push_back(CommitRecord{
+            p, c.seq, ps.partialSize + c.size, c.endCtx.acc});
         if (observing) {
-            // Canonical commit position: the consumed PI entry index
-            // (flat and partial-order cursors), the current global
-            // commit count (PicoLog retires in GCC order by
-            // construction), or the precomputed strata linearization
+            // Canonical commit position: the consumed PI entry index,
+            // the current global commit count (PicoLog retires in GCC
+            // order by construction), or the precomputed strata
+            // linearization
             // (a stratified replay's intra-stratum order is timing-
             // dependent, so the log fixes the canonical one).
             std::uint64_t pos;
@@ -1637,9 +1467,6 @@ ChunkEngine::grantDma(Cycle now)
             if (mode_.mode != ExecMode::kPicoLog) {
                 if (stratifier_)
                     stratifier_->onDmaCommit();
-                else if (rec_->pi.hasMasks())
-                    rec_->pi.appendWithMask(kDmaProcId,
-                                            dmaShardMask(xfer));
                 else
                     rec_->pi.append(kDmaProcId);
             }
@@ -1660,8 +1487,6 @@ ChunkEngine::grantDma(Cycle now)
                     obs_pos =
                         strata_order_->dmaPos[dma_replay_idx_ - 1];
                 }
-            } else if (po_cursor_) {
-                obs_pos = po_cursor_->consumeProc(kDmaProcId);
             } else {
                 pi_cursor_->next();
                 obs_pos = pi_cursor_->position() - 1;
@@ -1673,25 +1498,8 @@ ChunkEngine::grantDma(Cycle now)
     }
 
     // Occupy a commit slot (see grantChunk for replay occupancy).
-    const Cycle occupancy = opts_.replay
-                                ? arbLatency() + commitLatency()
-                                : commitLatency();
-    if (shardedRecord()) {
-        const std::uint64_t mask = dmaShardMask(xfer);
-        occupyShards(mask, now, occupancy);
-        if (std::popcount(mask) > 1)
-            ++stats_.crossShardCommits;
-        else
-            ++stats_.shardLocalCommits;
-    } else {
-        for (auto &busy : slot_busy_until_) {
-            if (busy <= now) {
-                busy = now + occupancy;
-                schedule(busy, EvKind::kCommitFinish, 0, 0);
-                break;
-            }
-        }
-    }
+    occupySlot(now, opts_.replay ? arbLatency() + commitLatency()
+                                 : commitLatency());
     if (opts_.replay) {
         stats_.replayWindowOccupancy.add(
             static_cast<double>(busySlots(now)));

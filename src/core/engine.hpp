@@ -81,15 +81,6 @@ struct EngineOptions
     /// changing the architectural retire order, so the replayed
     /// fingerprint is identical at any width.
     unsigned replayWindow = 1;
-    /// Replay only: when the recording carries per-entry shard masks
-    /// (format v2, numArbiters > 1), retire chunks under the recorded
-    /// *partial* order — per-shard sequence plus per-processor program
-    /// order — instead of the logged total order. false forces the
-    /// classic total-order cursor (the log's entry sequence is always
-    /// a valid linearization of its own partial order, so both
-    /// replays produce byte-identical fingerprints). Interval replay
-    /// (startCheckpoint/stopCheckpoint) always uses total order.
-    bool honorPartialOrder = true;
     ReplayPerturbation perturb;
     /// Event-budget override; 0 keeps the default safety valve. The
     /// validation layer shrinks this so a corrupted log that parks
@@ -208,10 +199,6 @@ class ChunkEngine
         bool requestArrived = false;
         Cycle requestTime = kNoCycle;
         bool remainderAfter = false; ///< replay split: pieces follow
-        /// Shard mask over the chunk's exact read/write line sets,
-        /// computed lazily at arbitration (sharded record only).
-        std::uint64_t shardMask = 0;
-        bool shardMaskValid = false;
         /// Chunks touch tens of lines, so flat sorted-vector sets beat
         /// hashing on every access and recycle their storage.
         FlatSet<Addr> linesWritten;
@@ -242,8 +229,6 @@ class ChunkEngine
             extra.requestArrived = false;
             extra.requestTime = kNoCycle;
             extra.remainderAfter = false;
-            extra.shardMask = 0;
-            extra.shardMaskValid = false;
             extra.linesWritten.clear();
             extra.linesRead.clear();
             extra.fills.clear();
@@ -283,8 +268,7 @@ class ChunkEngine
         std::vector<MemAccess> pendingTrace;
         /// Observer replay: canonical commit position of the logical
         /// chunk being committed, captured when its PI entry is
-        /// consumed (first piece) for the flat and partial-order
-        /// cursors.
+        /// consumed (first piece) for the flat cursor.
         std::uint64_t obsPos = 0;
     };
 
@@ -371,13 +355,15 @@ class ChunkEngine
     // ----- arbiter -------------------------------------------------------
     void arbiterProcess(Cycle now);
     EngineChunk *oldestReady(ProcId p);
-    EngineChunk *pickCandidate(Cycle now, ProcId &out_proc);
+    EngineChunk *pickCandidate(ProcId &out_proc);
     void grantChunk(ProcId p, Cycle now);
     void grantDma(Cycle now);
     bool dmaDueForReplay() const;
     void checkDma(Cycle now);
     unsigned freeSlots(Cycle now) const;
     unsigned busySlots(Cycle now) const;
+    /// Occupy a free commit slot for @p occupancy cycles.
+    void occupySlot(Cycle now, Cycle occupancy);
     void onTokenArrive(ProcId p, Cycle now);
     void tokenTry(Cycle now);
     void passToken(ProcId p, Cycle now);
@@ -385,21 +371,6 @@ class ChunkEngine
     bool anyMustContinue() const;
     unsigned countReadyProcs() const;
     bool allFinished() const;
-
-    // ----- sharded arbiter hierarchy -------------------------------------
-    /// True when this record run commits through per-shard arbiters
-    /// (numArbiters > 1; PicoLog keeps its token-serialized pool).
-    bool shardedRecord() const { return !shard_slot_busy_.empty(); }
-    /// Shard mask of a chunk's exact read/write line sets (cached).
-    std::uint64_t chunkShardMask(EngineChunk &c) const;
-    /// Shard mask of a DMA transfer's written lines.
-    std::uint64_t dmaShardMask(const DmaTransfer &xfer) const;
-    /// Can a commit with @p mask occupy its shard slots now? A
-    /// single-shard commit needs one free slot in its home shard; a
-    /// cross-shard commit additionally serializes through the root
-    /// arbiter and needs a slot in every member shard.
-    bool canOccupyShards(std::uint64_t mask, Cycle now) const;
-    void occupyShards(std::uint64_t mask, Cycle now, Cycle occupancy);
 
     // ----- configuration / state ----------------------------------------
     const Workload &workload_;
@@ -431,13 +402,6 @@ class ChunkEngine
 
     // arbiter
     std::vector<Cycle> slot_busy_until_;
-    /// Sharded record: per-shard commit-slot pools (numArbiters > 1,
-    /// non-PicoLog). Empty = single global arbiter (slot_busy_until_).
-    std::vector<std::vector<Cycle>> shard_slot_busy_;
-    /// Sharded record: the thin root arbiter's single slot, occupied
-    /// by cross-shard commits for their occupancy duration.
-    Cycle root_slot_busy_ = 0;
-    unsigned shards_ = 1; ///< machine_.bulk.numArbiters
     std::uint64_t gcc_ = 0; ///< global (logical) chunk commit count
     /// Replay: set when gcc_ reaches opts_.stopCheckpoint->gcc; the
     /// event loop exits instead of draining to program end.
@@ -468,13 +432,6 @@ class ChunkEngine
     const Recording *prior_ = nullptr;
     std::unique_ptr<Stratifier> stratifier_;
     std::unique_ptr<PiLogCursor> pi_cursor_;
-    /// Partial-order replay over a masked (v2) PI log; replaces
-    /// pi_cursor_ when active. Null in all other configurations.
-    std::unique_ptr<PartialOrderCursor> po_cursor_;
-    /// Partial-order replay: fingerprint slot of the PI entry each
-    /// processor most recently consumed, so split chunks write their
-    /// CommitRecord positionally at the final piece.
-    std::vector<std::size_t> po_fp_pos_;
     std::unique_ptr<StrataCursor> strata_cursor_;
     std::size_t dma_replay_idx_ = 0;
     /// Replay observer plumbing: re-sequencing hub plus, for

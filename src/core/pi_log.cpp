@@ -1,6 +1,5 @@
 #include "core/pi_log.hpp"
 
-#include <bit>
 #include <cassert>
 
 namespace delorean
@@ -41,101 +40,10 @@ PiLog::append(ProcId proc)
     packed_.write(code, entry_bits_);
 }
 
-void
-PiLog::enableMasks(unsigned shard_count)
-{
-    assert(entries_.empty());
-    assert(shard_count >= 1 && shard_count <= 64);
-    mask_bits_ = shard_count;
-}
-
-void
-PiLog::appendWithMask(ProcId proc, std::uint64_t shard_mask)
-{
-    assert(hasMasks());
-    append(proc);
-    masks_.push_back(shard_mask);
-    if (mask_bits_ >= 64) {
-        packed_.write(static_cast<std::uint32_t>(shard_mask), 32);
-        packed_.write(static_cast<std::uint32_t>(shard_mask >> 32), 32);
-    } else if (mask_bits_ > 32) {
-        packed_.write(static_cast<std::uint32_t>(shard_mask), 32);
-        packed_.write(static_cast<std::uint32_t>(shard_mask >> 32),
-                      mask_bits_ - 32);
-    } else {
-        packed_.write(static_cast<std::uint32_t>(shard_mask), mask_bits_);
-    }
-}
-
 const std::vector<std::uint8_t> &
 PiLog::packedBytes() const
 {
     return packed_.bytes();
-}
-
-PartialOrderCursor::PartialOrderCursor(const PiLog &log,
-                                       unsigned num_procs,
-                                       unsigned shards)
-    : log_(&log), num_procs_(num_procs), shards_(shards),
-      proc_queue_(num_procs + 1), proc_head_(num_procs + 1, 0),
-      shard_queue_(shards), shard_head_(shards, 0)
-{
-    assert(log.hasMasks());
-    chunk_pos_.resize(log.entryCount());
-    consumed_flag_.assign(log.entryCount(), false);
-    for (std::size_t i = 0; i < log.entryCount(); ++i) {
-        const ProcId p = log.entryAt(i);
-        const std::uint32_t idx = static_cast<std::uint32_t>(i);
-        proc_queue_[queueOf(p)].push_back(idx);
-        std::uint64_t mask = log.maskAt(i);
-        while (mask != 0) {
-            const unsigned s =
-                static_cast<unsigned>(std::countr_zero(mask));
-            assert(s < shards_);
-            shard_queue_[s].push_back(idx);
-            mask &= mask - 1;
-        }
-        chunk_pos_[i] = static_cast<std::uint32_t>(chunk_entries_);
-        if (p != kDmaProcId)
-            ++chunk_entries_;
-    }
-}
-
-bool
-PartialOrderCursor::procReady(ProcId proc) const
-{
-    const unsigned q = queueOf(proc);
-    if (proc_head_[q] >= proc_queue_[q].size())
-        return false;
-    const std::uint32_t i = proc_queue_[q][proc_head_[q]];
-    std::uint64_t mask = log_->maskAt(i);
-    while (mask != 0) {
-        const unsigned s = static_cast<unsigned>(std::countr_zero(mask));
-        if (shard_head_[s] >= shard_queue_[s].size()
-            || shard_queue_[s][shard_head_[s]] != i)
-            return false;
-        mask &= mask - 1;
-    }
-    return true;
-}
-
-std::size_t
-PartialOrderCursor::consumeProc(ProcId proc)
-{
-    assert(procReady(proc));
-    const unsigned q = queueOf(proc);
-    const std::uint32_t i = proc_queue_[q][proc_head_[q]++];
-    std::uint64_t mask = log_->maskAt(i);
-    while (mask != 0) {
-        const unsigned s = static_cast<unsigned>(std::countr_zero(mask));
-        ++shard_head_[s];
-        mask &= mask - 1;
-    }
-    ++consumed_;
-    consumed_flag_[i] = true;
-    while (low_ < consumed_flag_.size() && consumed_flag_[low_])
-        ++low_;
-    return i;
 }
 
 } // namespace delorean

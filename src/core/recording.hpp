@@ -67,17 +67,6 @@ struct EngineStats
     std::uint64_t sigFilterDeactivations = 0;
     /// Same-cycle arbiter wakeups merged into one drain pass.
     std::uint64_t arbiterWakeupsCoalesced = 0;
-
-    // --- sharded arbiter hierarchy (numArbiters > 1) --------------------
-    /// Commits whose shard mask named a single shard — granted by that
-    /// shard's arbiter alone.
-    std::uint64_t shardLocalCommits = 0;
-    /// Commits spanning shards — serialized through the root arbiter.
-    std::uint64_t crossShardCommits = 0;
-    /// Partial-order replay: grants that consumed a PI entry other
-    /// than the smallest unconsumed one — retires the recorded edges
-    /// permitted but a total-order replay would have stalled on.
-    std::uint64_t poRelaxedRetires = 0;
     /// 64-bit accumulator spills across the PI and CS log writers.
     std::uint64_t logWordFlushes = 0;
 

@@ -19,10 +19,9 @@
  *    dense 0-based global sequence over chunk and DMA commits that is
  *    a pure function of the recording (PI/strata log linearization),
  *    never of replay timing. Out-of-order retirement (the parallel
- *    replayer's OCC pipeline, partial-order shard relaxation, strata
- *    reordering) is buffered and re-sequenced by ObserverHub, so an
- *    observer sees a byte-identical event stream at any DELOREAN_JOBS,
- *    commit-window size and shard count.
+ *    replayer's OCC pipeline, strata reordering) is buffered and
+ *    re-sequenced by ObserverHub, so an observer sees a byte-identical
+ *    event stream at any DELOREAN_JOBS and commit-window size.
  *  - Callbacks run on the replay coordinator thread; observers need no
  *    locking of their own.
  *  - The observer is borrowed, never owned: it must outlive the

@@ -29,10 +29,10 @@ namespace
 {
 
 constexpr std::uint64_t kMagic = 0x44654C6F5265634Full; // "DeLoRecO"
-/// v2 (sharded arbitration): numArbiters joins the machine header and
-/// the PI section gains a has-masks flag plus optional per-entry shard
-/// masks. v1 total-order recordings still load (numArbiters = 1, no
-/// mask section).
+/// v2 adds two constant fields: the machine header's arbiter count
+/// (always 1) and, after the PI entries, a has-masks flag (always 0).
+/// Loaders reject any other value. v1 recordings lack both and still
+/// load.
 constexpr std::uint32_t kVersion = 2;
 
 /** Throw RecordingFormatError unless cond; @p what names the field. */
@@ -70,10 +70,6 @@ validateConfigs(const MachineConfig &m, const ModeConfig &mode)
             "simultaneousChunks outside [1, 1024]");
     require(m.bulk.collisionBackoffThreshold >= 1,
             "collisionBackoffThreshold must be at least 1");
-    require(m.bulk.numArbiters >= 1 && m.bulk.numArbiters <= 64
-                && (m.bulk.numArbiters & (m.bulk.numArbiters - 1)) == 0,
-            "numArbiters " + std::to_string(m.bulk.numArbiters)
-                + " is not a power of two in [1, 64]");
 
     require(mode.mode == ExecMode::kOrderAndSize
                 || mode.mode == ExecMode::kOrderOnly
@@ -123,22 +119,6 @@ validateRecording(const Recording &rec)
         require(p < n || p == kDmaProcId,
                 "PI entry " + std::to_string(i) + " names proc "
                     + std::to_string(p));
-    }
-    if (rec.pi.hasMasks()) {
-        const unsigned shards = rec.machine.bulk.numArbiters;
-        require(shards >= 2,
-                "PI log carries shard masks but the machine has a "
-                "single arbiter");
-        for (std::size_t i = 0; i < rec.pi.entryCount(); ++i) {
-            const std::uint64_t mask = rec.pi.maskAt(i);
-            require(mask != 0,
-                    "PI entry " + std::to_string(i)
-                        + " has an empty shard mask");
-            require(shards == 64 || mask < (1ull << shards),
-                    "PI entry " + std::to_string(i)
-                        + " names a shard outside the "
-                        + std::to_string(shards) + "-arbiter hierarchy");
-        }
     }
 
     for (std::size_t i = 0; i < rec.strata.size(); ++i) {
@@ -214,14 +194,11 @@ saveRecording(const Recording &rec, std::ostream &out)
     putU64(out, rec.workloadSeed);
     putU64(out, rec.iterationsPercent);
 
-    // PI log: entries, then the v2 partial-order mask section.
+    // PI log: entries, then the v2 has-masks flag (always 0).
     putU64(out, rec.pi.entryCount());
     for (std::size_t i = 0; i < rec.pi.entryCount(); ++i)
         putU64(out, rec.pi.entryAt(i));
-    putU64(out, rec.pi.hasMasks() ? 1 : 0);
-    if (rec.pi.hasMasks())
-        for (std::size_t i = 0; i < rec.pi.entryCount(); ++i)
-            putU64(out, rec.pi.maskAt(i));
+    putU64(out, 0);
 
     // Strata.
     putU64(out, rec.strata.size());
@@ -332,45 +309,18 @@ loadRecording(std::istream &in)
 
     rec.pi = PiLog(rec.machine.numProcs);
     const std::uint64_t pi_count = getU64(in);
-    std::vector<ProcId> pi_entries;
-    // Clamped reserve: pi_count is unvalidated stream data, so a
-    // corrupt count must hit the truncation check in the read loop,
-    // not a bad_alloc here.
-    pi_entries.reserve(
-        std::min<std::uint64_t>(pi_count, 1u << 20));
     for (std::uint64_t i = 0; i < pi_count; ++i) {
         const ProcId p = static_cast<ProcId>(getU64(in));
         require(p < rec.machine.numProcs || p == kDmaProcId,
                 "PI entry " + std::to_string(i) + " names proc "
                     + std::to_string(p));
-        pi_entries.push_back(p);
+        rec.pi.append(p);
     }
-    std::uint64_t has_masks = 0;
     if (!legacy_v1) {
-        has_masks = getU64(in);
-        require(has_masks <= 1, "PI mask flag is not 0 or 1");
-    }
-    if (has_masks != 0) {
-        const unsigned shards = rec.machine.bulk.numArbiters;
-        require(shards >= 2,
-                "PI log carries shard masks but the machine has a "
-                "single arbiter");
-        rec.pi.enableMasks(shards);
-        for (std::uint64_t i = 0; i < pi_count; ++i) {
-            const std::uint64_t mask = getU64(in);
-            require(mask != 0,
-                    "PI entry " + std::to_string(i)
-                        + " has an empty shard mask");
-            require(shards == 64 || mask < (1ull << shards),
-                    "PI entry " + std::to_string(i)
-                        + " names a shard outside the "
-                        + std::to_string(shards)
-                        + "-arbiter hierarchy");
-            rec.pi.appendWithMask(pi_entries[i], mask);
-        }
-    } else {
-        for (const ProcId p : pi_entries)
-            rec.pi.append(p);
+        const std::uint64_t has_masks = getU64(in);
+        require(has_masks == 0,
+                "PI has-masks flag " + std::to_string(has_masks)
+                    + " is not 0");
     }
 
     const std::uint64_t strata_count = getU64(in);

@@ -81,8 +81,18 @@ static_assert(std::is_trivially_copyable_v<ThreadContext>,
 inline void
 putContext(std::ostream &out, const ThreadContext &ctx)
 {
+    // The image includes ThreadContext's padding bytes, whose content
+    // depends on how the compiler built the object (sanitizer builds
+    // leave stack garbage there). Zero them so the bytes on disk are a
+    // function of the context's fields alone.
+    ThreadContext image = ctx;
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_clear_padding)
+    __builtin_clear_padding(&image);
+#endif
+#endif
     char buf[sizeof(ThreadContext)];
-    std::memcpy(buf, &ctx, sizeof(ThreadContext));
+    std::memcpy(buf, &image, sizeof(ThreadContext));
     out.write(buf, sizeof(ThreadContext));
 }
 
@@ -124,7 +134,11 @@ getMode(std::istream &in)
     return mode;
 }
 
-/** Machine header: 12 u64 fields since format v2 (numArbiters last). */
+/**
+ * Machine header: 12 u64 fields since format v2. The 12th is the
+ * arbiter count, always 1 (one arbiter serializes every commit);
+ * getMachine rejects any other value.
+ */
 inline void
 putMachine(std::ostream &out, const MachineConfig &m)
 {
@@ -139,13 +153,10 @@ putMachine(std::ostream &out, const MachineConfig &m)
     putU64(out, m.bulk.simultaneousChunks);
     putU64(out, m.bulk.collisionBackoffThreshold);
     putU64(out, m.bulk.exactDisambiguation ? 1 : 0);
-    putU64(out, m.bulk.numArbiters);
+    putU64(out, 1); // arbiter count
 }
 
-/**
- * @param legacy_v1 parse the 11-field v1 header, which predates the
- *        sharded arbiter hierarchy; numArbiters reads as 1.
- */
+/** @param legacy_v1 parse the 11-field v1 header (no arbiter count). */
 inline MachineConfig
 getMachine(std::istream &in, bool legacy_v1 = false)
 {
@@ -162,8 +173,13 @@ getMachine(std::istream &in, bool legacy_v1 = false)
     m.bulk.collisionBackoffThreshold =
         static_cast<unsigned>(getU64(in));
     m.bulk.exactDisambiguation = getU64(in) != 0;
-    m.bulk.numArbiters = legacy_v1 ? 1
-                                   : static_cast<unsigned>(getU64(in));
+    if (!legacy_v1) {
+        const std::uint64_t arbiters = getU64(in);
+        if (arbiters != 1)
+            throw RecordingFormatError("arbiter count "
+                                       + std::to_string(arbiters)
+                                       + " is not 1");
+    }
     return m;
 }
 

@@ -306,23 +306,6 @@ class SignatureT
         return true;
     }
 
-    /**
-     * Address-shard index of @p line for the sharded arbiter
-     * hierarchy: the bank-0 signature hash truncated to the shard
-     * count. @p shards must be a power of two in [1, 64]. Keying the
-     * shard off the same permutation family as the signature banks
-     * keeps shard membership consistent with what the signatures
-     * encode: two lines that could alias in bank 0 land in the same
-     * shard.
-     */
-    static unsigned
-    shardOf(Addr line, unsigned shards)
-    {
-        return static_cast<unsigned>(
-            mix64((line >> kShifts[0]) * 0x9E3779B97F4A7C15ull)
-            & (shards - 1));
-    }
-
   private:
 #if DELOREAN_SIG_SIMD
     /// 128-bit lanes: the baseline vector width on both x86-64 (SSE2)

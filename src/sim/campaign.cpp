@@ -256,7 +256,9 @@ recordJobKey(const RecordJob &job)
     appendField(key, m.bulk.commitArbitration);
     appendField(key, m.bulk.maxConcurrentCommits);
     appendField(key, m.bulk.simultaneousChunks);
-    appendField(key, m.bulk.numArbiters);
+    // The single arbiter: the field stays so keys, and the serve
+    // ledger ids hashed from them, are unchanged.
+    appendField(key, 1);
     appendField(key, m.bulk.numDirectories);
     appendField(key, m.bulk.collisionBackoffThreshold);
     appendField(key, m.bulk.exactDisambiguation);

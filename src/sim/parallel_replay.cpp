@@ -223,13 +223,9 @@ ParallelReplayer::replay(const Recording &rec,
 
     std::unique_ptr<PiLogCursor> pi;
     std::unique_ptr<StrataCursor> strata;
-    std::unique_ptr<PartialOrderCursor> po;
     if (!pico) {
         if (rec.stratified())
             strata = std::make_unique<StrataCursor>(rec.strata, n);
-        else if (rec.pi.hasMasks() && opts_.honorPartialOrder)
-            po = std::make_unique<PartialOrderCursor>(
-                rec.pi, n, rec.machine.bulk.numArbiters);
         else
             pi = std::make_unique<PiLogCursor>(rec.pi);
     }
@@ -253,12 +249,6 @@ ParallelReplayer::replay(const Recording &rec,
     std::atomic<std::uint64_t> executed{0};
     EngineStats stats;
     ExecutionFingerprint fp;
-    // Partial-order retirement is out-of-order w.r.t. the log's entry
-    // sequence, so commits land positionally: pre-size the commit
-    // stream and write each record at the commit position its log
-    // entry occupies among non-DMA entries.
-    if (po)
-        fp.commits.resize(po->chunkEntryCount());
 
     const auto allFinished = [&] {
         for (const ProcReplay &pr : procs)
@@ -286,17 +276,6 @@ ParallelReplayer::replay(const Recording &rec,
         } else if (strata) {
             for (ProcId p = 0; p < n; ++p)
                 if (strata->remainingFor(p) > 0)
-                    push(p);
-            for (ProcId p = 0; p < n; ++p)
-                push(p);
-        } else if (po) {
-            // Enabled heads first (they can retire as soon as their
-            // bodies finish), then processors with any entries left.
-            for (ProcId p = 0; p < n; ++p)
-                if (po->procReady(p))
-                    push(p);
-            for (ProcId p = 0; p < n; ++p)
-                if (po->procHasEntries(p))
                     push(p);
             for (ProcId p = 0; p < n; ++p)
                 push(p);
@@ -330,11 +309,8 @@ ParallelReplayer::replay(const Recording &rec,
             hub.dmaRetired(obs_pos, xfer);
     };
 
-    // @p fp_pos: commit position for partial-order retirement (writes
-    // into the pre-sized stream); SIZE_MAX appends in retire order.
     // @p obs_pos: canonical commit position for the observer.
-    const auto retireChunk = [&](ProcId p, std::size_t fp_pos,
-                                 std::uint64_t obs_pos) {
+    const auto retireChunk = [&](ProcId p, std::uint64_t obs_pos) {
         ProcReplay &pr = procs[p];
         ChunkBody &b = pr.pending;
         // Value-based read validation: a body that executed against a
@@ -354,11 +330,7 @@ ParallelReplayer::replay(const Recording &rec,
         }
         for (const auto &[word, value] : b.writes)
             mem.store(word, value);
-        const CommitRecord commit{p, b.seq, b.size, b.endCtx.acc};
-        if (fp_pos != static_cast<std::size_t>(-1))
-            fp.commits[fp_pos] = commit;
-        else
-            fp.commits.push_back(commit);
+        fp.commits.push_back(CommitRecord{p, b.seq, b.size, b.endCtx.acc});
         stats.retiredInstrs += b.size;
         ++stats.committedChunks;
         pr.ctx = b.endCtx;
@@ -390,7 +362,7 @@ ParallelReplayer::replay(const Recording &rec,
                     rr = (rr + 1) % n;
                 if (procs[rr].finished || !readyBody(rr))
                     break;
-                retireChunk(rr, static_cast<std::size_t>(-1), gcc);
+                retireChunk(rr, gcc);
                 rr = (rr + 1) % n;
                 ++gcc;
                 any = true;
@@ -438,38 +410,9 @@ ParallelReplayer::replay(const Recording &rec,
                             + " than were committed");
                     obs_pos = strata_order->chunkPos[p][seq];
                 }
-                retireChunk(p, static_cast<std::size_t>(-1), obs_pos);
+                retireChunk(p, obs_pos);
                 strata->consume(p);
                 any = true;
-                continue;
-            }
-            if (po) {
-                if (po->atEnd())
-                    break;
-                if (po->dmaReady()) {
-                    const std::size_t entry =
-                        po->consumeProc(kDmaProcId);
-                    applyDma(entry);
-                    any = true;
-                    continue;
-                }
-                // Retire every enabled head whose body is ready; each
-                // consumption can enable further entries, so sweep
-                // until a full pass retires nothing.
-                bool did = false;
-                for (ProcId p = 0; p < n; ++p) {
-                    if (!po->procReady(p) || !readyBody(p))
-                        continue;
-                    const std::size_t low = po->lowWatermark();
-                    const std::size_t entry = po->consumeProc(p);
-                    if (entry != low)
-                        ++stats.poRelaxedRetires;
-                    retireChunk(p, po->chunkPosOf(entry), entry);
-                    did = true;
-                    any = true;
-                }
-                if (!did)
-                    break;
                 continue;
             }
             if (pi->atEnd())
@@ -487,8 +430,7 @@ ParallelReplayer::replay(const Recording &rec,
                                   + std::to_string(n));
             if (!readyBody(e))
                 break;
-            retireChunk(e, static_cast<std::size_t>(-1),
-                        pi->position());
+            retireChunk(e, pi->position());
             pi->next();
             any = true;
         }

@@ -50,17 +50,10 @@ struct ParallelReplayOptions
     /// Executed-instruction budget; 0 derives one from the recording
     /// so a corrupted log fails with ReplayBudgetExceeded promptly.
     std::uint64_t maxInstrs = 0;
-    /// For v2 partial-order recordings (PI shard masks), retire under
-    /// exactly the recorded per-shard + program-order constraints
-    /// instead of the logged total order. The fingerprint is filled
-    /// positionally, so it stays byte-identical to a total-order
-    /// replay. False forces the classic total-order cursor (the log's
-    /// entry sequence is always a valid linearization).
-    bool honorPartialOrder = true;
     /// Replay-time analysis plugin (see core/replay_observer.hpp).
     /// Borrowed, never owned; callbacks are re-sequenced into
     /// canonical commit order on the coordinator thread, so the event
-    /// stream is byte-identical at any jobs/window/shard setting.
+    /// stream is byte-identical at any jobs/window setting.
     ReplayObserver *observer = nullptr;
 };
 

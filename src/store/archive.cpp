@@ -38,8 +38,9 @@ namespace
 constexpr std::uint64_t kArchiveMagic = 0x766372416F4C6544ull;  // "DeLoArcv"
 constexpr std::uint64_t kSegmentMagic = 0x2E6765536F4C6544ull;  // "DeLoSeg."
 constexpr std::uint64_t kArchiveEndMagic = 0x5A6372416F4C6544ull; // "DeLoArcZ"
-// v2: machine footer carries bulk.numArbiters (12 u64s) and PI slices
-// carry an optional shard-mask section for partial-order recordings.
+// v2: the machine footer carries an arbiter count (12 u64s, the last
+// always 1) and every PI slice a has-masks flag (always 0). Readers
+// reject any other value.
 constexpr std::uint64_t kArchiveVersion = 2;
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kSegmentHeaderBytes = 40;
@@ -137,12 +138,9 @@ buildSegmentPayload(const Recording &rec, const Boundary &lo,
         pi_hi = std::min<std::uint64_t>(hi.gcc, rec.pi.entryCount());
     }
     put(pi_hi - pi_lo);
-    put(rec.pi.hasMasks() ? 1 : 0);
+    put(0); // has-masks flag
     for (std::uint64_t i = pi_lo; i < pi_hi; ++i)
         put(rec.pi.entryAt(i));
-    if (rec.pi.hasMasks())
-        for (std::uint64_t i = pi_lo; i < pi_hi; ++i)
-            put(rec.pi.maskAt(i));
 
     // Strata slice.
     put(hi.strataIdx - lo.strataIdx);
@@ -235,13 +233,8 @@ advanceScratchLogs(const Recording &rec, const Boundary &prev,
     if (!rec.stratified() && rec.mode.mode != ExecMode::kPicoLog) {
         for (std::uint64_t g = prev.gcc;
              g < std::min<std::uint64_t>(cur.gcc, rec.pi.entryCount());
-             ++g) {
-            if (rec.pi.hasMasks())
-                scratch_pi.appendWithMask(rec.pi.entryAt(g),
-                                          rec.pi.maskAt(g));
-            else
-                scratch_pi.append(rec.pi.entryAt(g));
-        }
+             ++g)
+            scratch_pi.append(rec.pi.entryAt(g));
     }
     for (ProcId p = 0; p < n; ++p)
         for (const CsEntry &e : rec.cs[p].entries())
@@ -318,17 +311,13 @@ parseSegmentPayload(const std::vector<std::uint8_t> &raw, unsigned n)
         std::ios::binary);
     SegmentSlice s;
     const std::uint64_t pi_count = getU64(in);
-    const std::uint64_t pi_masked = getU64(in);
-    if (pi_masked > 1)
-        throw RecordingFormatError("PI mask flag "
-                                   + std::to_string(pi_masked)
-                                   + " is not a boolean");
-    s.piHasMasks = pi_masked != 0;
+    const std::uint64_t has_masks = getU64(in);
+    if (has_masks != 0)
+        throw RecordingFormatError("PI has-masks flag "
+                                   + std::to_string(has_masks)
+                                   + " is not 0");
     for (std::uint64_t i = 0; i < pi_count; ++i)
         s.pi.push_back(static_cast<ProcId>(getU64(in)));
-    if (s.piHasMasks)
-        for (std::uint64_t i = 0; i < pi_count; ++i)
-            s.piMasks.push_back(getU64(in));
     const std::uint64_t strata_count = getU64(in);
     for (std::uint64_t i = 0; i < strata_count; ++i) {
         Stratum st;
@@ -537,8 +526,6 @@ ArchiveWriter::write(const Recording &rec)
     // Exact per-proc log write-pointer positions at each boundary:
     // scratch logs replicate the recorder's variable-width packing.
     PiLog scratch_pi(n);
-    if (rec.pi.hasMasks())
-        scratch_pi.enableMasks(rec.pi.maskBits());
     std::vector<CsLog> scratch_cs(n, CsLog(rec.mode));
     const unsigned strata_counter_bits =
         rec.stratified()
@@ -749,8 +736,6 @@ struct StreamingArchiveWriter::Impl
             return;
         n = rec.machine.numProcs;
         scratch_pi = PiLog(n);
-        if (rec.pi.hasMasks())
-            scratch_pi.enableMasks(rec.pi.maskBits());
         scratch_cs.assign(n, CsLog(rec.mode));
         strata_counter_bits =
             rec.stratified()
@@ -1290,41 +1275,15 @@ skeletonRecording(const MachineConfig &machine, const ModeConfig &mode,
 
 void
 appendSlice(Recording &rec, const SegmentSlice &slice,
-            std::vector<std::uint64_t> &io_base, std::size_t segment,
-            bool use_masks)
+            std::vector<std::uint64_t> &io_base, std::size_t segment)
 {
     const unsigned n = rec.machine.numProcs;
-    const bool masked = use_masks && slice.piHasMasks;
-    if (masked && !rec.pi.hasMasks()) {
-        if (rec.pi.entryCount() != 0)
-            throw ArchiveError(ArchiveSection::kSegment, segment,
-                               "PI mask section appears mid-stream");
-        if (rec.machine.bulk.numArbiters < 2)
-            throw ArchiveError(ArchiveSection::kSegment, segment,
-                               "PI masks present with a single arbiter");
-        rec.pi.enableMasks(rec.machine.bulk.numArbiters);
-    }
-    if (use_masks && !slice.piHasMasks && rec.pi.hasMasks()
-        && !slice.pi.empty())
-        throw ArchiveError(ArchiveSection::kSegment, segment,
-                           "PI mask section ends mid-stream");
-    for (std::size_t i = 0; i < slice.pi.size(); ++i) {
-        const ProcId p = slice.pi[i];
+    for (const ProcId p : slice.pi) {
         if (p >= n && p != kDmaProcId)
             throw ArchiveError(ArchiveSection::kSegment, segment,
                                "PI entry names proc "
                                    + std::to_string(p));
-        if (masked) {
-            const std::uint64_t mask = slice.piMasks[i];
-            const unsigned shards = rec.machine.bulk.numArbiters;
-            if (mask == 0
-                || (shards < 64 && mask >= (1ull << shards)))
-                throw ArchiveError(ArchiveSection::kSegment, segment,
-                                   "PI shard mask out of range");
-            rec.pi.appendWithMask(p, mask);
-        } else {
-            rec.pi.append(p);
-        }
+        rec.pi.append(p);
     }
     for (const Stratum &s : slice.strata)
         rec.strata.push_back(s);
@@ -1424,8 +1383,7 @@ ArchiveReader::readAll() const
         for (std::size_t i = 0; i < count; ++i) {
             if (errors[i])
                 std::rethrow_exception(errors[i]);
-            appendSlice(rec, slices[i], io_base, i,
-                        /*use_masks=*/true);
+            appendSlice(rec, slices[i], io_base, i);
             slices[i] = SegmentSlice(); // free as we go
             if (segments_[i].hasCheckpoint)
                 rec.checkpoints.push_back(segments_[i].checkpoint);
@@ -1491,8 +1449,7 @@ ArchiveReader::readInterval(std::size_t from, std::size_t to) const
         for (std::size_t k = 0; k < count; ++k) {
             if (errors[k])
                 std::rethrow_exception(errors[k]);
-            appendSlice(rec, slices[k], io_base, first + k,
-                        /*use_masks=*/false);
+            appendSlice(rec, slices[k], io_base, first + k);
             slices[k] = SegmentSlice();
         }
     }

@@ -71,8 +71,6 @@ std::string buildSegmentPayload(const Recording &rec, const Boundary &lo,
 struct SegmentSlice
 {
     std::vector<ProcId> pi;
-    bool piHasMasks = false;
-    std::vector<std::uint64_t> piMasks;
     std::vector<Stratum> strata;
     std::vector<std::vector<CsEntry>> cs;
     std::vector<std::vector<InterruptRecord>> interrupts;
@@ -115,18 +113,10 @@ Recording skeletonRecording(const MachineConfig &machine,
                             const std::string &app, std::uint64_t seed,
                             unsigned iterations);
 
-/**
- * Append one decoded segment slice onto @p rec's logs.
- *
- * @param use_masks keep the slice's shard masks (whole-container
- *        reads). Interval reads pass false: their synthetic PI prefix
- *        is maskless, so the reconstructed interval degrades to a
- *        total-order PI log — interval replay is always total-order
- *        anyway.
- */
+/** Append one decoded segment slice onto @p rec's logs. */
 void appendSlice(Recording &rec, const SegmentSlice &slice,
                  std::vector<std::uint64_t> &io_base,
-                 std::size_t segment, bool use_masks);
+                 std::size_t segment);
 
 /**
  * Append the synthetic pre-interval prefix implied by @p start onto a

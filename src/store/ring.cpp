@@ -1202,8 +1202,7 @@ RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
         for (std::size_t k = 0; k < count; ++k) {
             if (errors[k])
                 std::rethrow_exception(errors[k]);
-            appendSlice(rec, slices[k], io_base, lo + k,
-                        /*use_masks=*/false);
+            appendSlice(rec, slices[k], io_base, lo + k);
             slices[k] = SegmentSlice();
         }
     }
@@ -1252,8 +1251,7 @@ RingArchiveReader::readAll() const
         for (std::size_t i = 0; i < count; ++i) {
             if (errors[i])
                 std::rethrow_exception(errors[i]);
-            appendSlice(rec, slices[i], io_base, i,
-                        /*use_masks=*/true);
+            appendSlice(rec, slices[i], io_base, i);
             slices[i] = SegmentSlice();
             if (i + 1 < count)
                 rec.checkpoints.push_back(

@@ -96,7 +96,6 @@ runOne(const DifferentialJob &job, const std::string &label,
 
     MachineConfig machine;
     machine.numProcs = job.numProcs;
-    machine.bulk.numArbiters = job.shards;
 
     Recording loaded;
     try {
@@ -335,35 +334,6 @@ runOne(const DifferentialJob &job, const std::string &label,
         run.parallelMatchesSerial = agreesWithSerial(
             check.outcome.fingerprint, par.outcome.fingerprint,
             run.stratified, job.localizerPeriod);
-
-    // Legs 4+5 (v2 partial-order recordings only): pin the serial
-    // engine and the chunk-parallel replayer to the logged total
-    // order. Both legs above retired under the recorded partial
-    // order; the total-order replays must describe the byte-identical
-    // execution, or the relaxation changed observable behavior.
-    if (loaded.pi.hasMasks()) {
-        run.partialOrder = true;
-        ReplayCheckOptions topts = opts;
-        topts.honorPartialOrder = false;
-        const ReplayCheckResult total = checkedReplay(loaded, topts);
-        ParallelReplayOptions tpopts = popts;
-        tpopts.honorPartialOrder = false;
-        const ReplayCheckResult ptotal =
-            checkedParallelReplay(loaded, tpopts, fopts);
-        run.totalOrderReplayOk = total.ok && ptotal.ok;
-        if (!total.ok)
-            run.parallelReport = total.report;
-        else if (!ptotal.ok)
-            run.parallelReport = ptotal.report;
-        run.partialMatchesTotal =
-            total.replayRan && ptotal.replayRan
-            && agreesWithSerial(check.outcome.fingerprint,
-                                total.outcome.fingerprint, false,
-                                job.localizerPeriod)
-            && agreesWithSerial(check.outcome.fingerprint,
-                                ptotal.outcome.fingerprint, false,
-                                job.localizerPeriod);
-    }
     return run;
 }
 
@@ -402,11 +372,6 @@ DifferentialResult::describe() const
             << (r.parallelReplayOk && r.parallelMatchesSerial
                     ? "ok"
                     : "DIVERGED");
-        if (r.partialOrder)
-            out << " po-vs-total="
-                << (r.totalOrderReplayOk && r.partialMatchesTotal
-                        ? "ok"
-                        : "DIVERGED");
         if (r.archiveCheckpoints != 0 || r.archiveRoundTripIdentical)
             out << " archive="
                 << (r.archiveRoundTripIdentical && r.archiveIntervalsOk
@@ -484,20 +449,6 @@ DifferentialChecker::check(const DifferentialJob &job) const
         else if (!r.parallelMatchesSerial)
             fail(r.label + ": chunk-parallel replay fingerprint "
                  "differs from serial replay");
-        if (job.shards > 1 && !r.stratified
-            && r.mode.mode != ExecMode::kPicoLog && !r.partialOrder)
-            fail(r.label + ": sharded record run produced no PI "
-                 "shard masks");
-        if (r.partialOrder) {
-            if (!r.totalOrderReplayOk)
-                fail(r.label + ": total-order replay of the "
-                     "partial-order recording diverged ("
-                     + divergenceKindName(r.parallelReport.kind) + ": "
-                     + r.parallelReport.message + ")");
-            else if (!r.partialMatchesTotal)
-                fail(r.label + ": partial-order and total-order "
-                     "replays produced different fingerprints");
-        }
         if (job.checkpointPeriod != 0) {
             if (!r.archiveRoundTripIdentical)
                 fail(r.label + ": archive readAll() not "

@@ -87,13 +87,6 @@ struct DifferentialJob
     /// byte-match the batch archive's. 0 disables both container leg
     /// families.
     std::uint64_t checkpointPeriod = 40;
-    /// Arbiter shard count (MachineConfig::bulk.numArbiters). Above 1
-    /// the flat-PI runs record shard masks (format v2 partial order)
-    /// and two extra legs pin the serial and chunk-parallel replays to
-    /// the logged total order, asserting the partial-order replays
-    /// produce byte-identical fingerprints. Must be a power of two in
-    /// [1, 64].
-    unsigned shards = 1;
 };
 
 /** One (mode, PI-flavor) recording + checked replay. */
@@ -150,16 +143,6 @@ struct DifferentialRun
     bool ringEvictedWindowOk = false;
     /// Segments the tight-budget ring evicted.
     std::uint64_t ringEvicted = 0;
-    /// True when the recording carries PI shard masks (job.shards > 1
-    /// and a flat-PI mode), enabling the total-order legs below.
-    bool partialOrder = false;
-    /// Serial + chunk-parallel replays pinned to the logged total
-    /// order (honorPartialOrder = false) both succeeded.
-    bool totalOrderReplayOk = false;
-    /// Both total-order replays produced fingerprints (and interval
-    /// fingerprints) byte-identical to the partial-order serial
-    /// replay's.
-    bool partialMatchesTotal = false;
     DivergenceReport report; ///< failure detail when !replayOk
     DivergenceReport parallelReport; ///< ditto for the parallel legs
     LogSizeReport sizes;

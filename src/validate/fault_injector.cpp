@@ -1,7 +1,6 @@
 #include "validate/fault_injector.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -38,85 +37,9 @@ mutationKindName(MutationKind kind)
         return "reorder-words";
       case MutationKind::kHeaderCorrupt:
         return "header-corrupt";
-      case MutationKind::kEdgeDrop:
-        return "edge-drop";
-      case MutationKind::kShardSeqSwap:
-        return "shard-seq-swap";
-      case MutationKind::kDanglingShard:
-        return "dangling-shard";
     }
     return "unknown";
 }
-
-namespace
-{
-
-std::uint64_t
-strU64At(const std::string &bytes, std::size_t offset)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes[offset + i]))
-             << (8 * i);
-    return v;
-}
-
-void
-strPutU64At(std::string &bytes, std::size_t offset, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes[offset + i] = static_cast<char>(v >> (8 * i));
-}
-
-/** Where one recording's PI shard-mask section sits. */
-struct MaskSection
-{
-    std::size_t base = 0;      ///< byte offset of the first mask word
-    std::uint64_t count = 0;   ///< PI entry count (== mask count)
-    unsigned shards = 1;       ///< machine numArbiters
-};
-
-/**
- * Locate the v2 shard-mask section in a serialized recording by
- * walking the fixed header layout: magic + version + machine(12) +
- * mode(7) u64s, appName string, seed, iterations, PI count, PI
- * entries, has-masks flag, masks. Returns nullopt for v1 streams,
- * total-order v2 streams, and anything too short to hold the walk.
- */
-std::optional<MaskSection>
-findMaskSection(const std::string &bytes)
-{
-    constexpr std::size_t kHeaderU64s = 21;
-    if (bytes.size() < kHeaderU64s * 8 + 8)
-        return std::nullopt;
-    if (strU64At(bytes, 8) != 2) // recording format version
-        return std::nullopt;
-    MaskSection sec;
-    // numArbiters is the machine header's 12th field (offset 16 + 11*8).
-    sec.shards = static_cast<unsigned>(strU64At(bytes, 104));
-    const std::uint64_t name_len = strU64At(bytes, kHeaderU64s * 8);
-    if (name_len > bytes.size())
-        return std::nullopt;
-    // seed + iterations follow the name; then the PI count.
-    const std::size_t pi_count_off =
-        kHeaderU64s * 8 + 8 + static_cast<std::size_t>(name_len) + 16;
-    if (pi_count_off + 8 > bytes.size())
-        return std::nullopt;
-    sec.count = strU64At(bytes, pi_count_off);
-    const std::size_t flag_off =
-        pi_count_off + 8 + static_cast<std::size_t>(sec.count) * 8;
-    if (flag_off + 8 > bytes.size()
-        || strU64At(bytes, flag_off) != 1)
-        return std::nullopt;
-    sec.base = flag_off + 8;
-    if (sec.base + static_cast<std::size_t>(sec.count) * 8
-        > bytes.size())
-        return std::nullopt;
-    return sec;
-}
-
-} // namespace
 
 const char *
 mutantOutcomeName(MutantOutcome outcome)
@@ -186,65 +109,6 @@ mutateSerialized(const std::string &bytes, MutationKind kind,
             std::min<std::uint64_t>(size, 21 * 8);
         out[rng.below(header)] =
             static_cast<char>(rng.next() & 0xFF);
-        break;
-      }
-      case MutationKind::kEdgeDrop: {
-        const auto sec = findMaskSection(out);
-        if (!sec || sec->count == 0)
-            break;
-        const std::size_t off =
-            sec->base
-            + static_cast<std::size_t>(rng.below(sec->count)) * 8;
-        std::uint64_t mask = strU64At(out, off);
-        if (mask == 0)
-            break;
-        // Clear a random set bit: the ordering edges through that
-        // shard's arbiter vanish. An emptied mask must be rejected at
-        // load; a still-valid one must replay identically or surface
-        // as a localized divergence / typed replay error.
-        unsigned nth =
-            static_cast<unsigned>(rng.below(std::popcount(mask)));
-        std::uint64_t m = mask;
-        while (nth--)
-            m &= m - 1;
-        mask &= ~(m & ~(m - 1));
-        strPutU64At(out, off, mask);
-        break;
-      }
-      case MutationKind::kShardSeqSwap: {
-        const auto sec = findMaskSection(out);
-        if (!sec || sec->count < 2)
-            break;
-        const std::uint64_t a = rng.below(sec->count);
-        std::uint64_t b = rng.below(sec->count);
-        if (a == b)
-            b = (b + 1) % sec->count;
-        // Each mask stays individually valid, but the entries change
-        // shard queues — the per-shard sequences the masks encode no
-        // longer match the order the entries were actually granted.
-        const std::size_t oa =
-            sec->base + static_cast<std::size_t>(a) * 8;
-        const std::size_t ob =
-            sec->base + static_cast<std::size_t>(b) * 8;
-        const std::uint64_t ma = strU64At(out, oa);
-        strPutU64At(out, oa, strU64At(out, ob));
-        strPutU64At(out, ob, ma);
-        break;
-      }
-      case MutationKind::kDanglingShard: {
-        const auto sec = findMaskSection(out);
-        if (!sec || sec->count == 0 || sec->shards >= 64)
-            break;
-        const std::size_t off =
-            sec->base
-            + static_cast<std::size_t>(rng.below(sec->count)) * 8;
-        // Name a shard outside the hierarchy; the loader's mask range
-        // check must reject this.
-        const std::uint64_t mask =
-            strU64At(out, off)
-            | (1ull << (sec->shards
-                        + rng.below(64 - sec->shards)));
-        strPutU64At(out, off, mask);
         break;
       }
     }

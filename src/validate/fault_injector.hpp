@@ -41,15 +41,9 @@ enum class MutationKind : std::uint8_t
     kDuplicateWord, ///< duplicate a random aligned 8-byte record word
     kReorderWords,  ///< swap two random aligned 8-byte record words
     kHeaderCorrupt, ///< scribble on the magic/version/config header
-    // Partial-order (v2 shard mask) mutations. On a total-order
-    // recording — no mask section — these return the stream unchanged,
-    // which classifies as kReplayedIdentically.
-    kEdgeDrop,      ///< clear one shard bit in one entry's mask
-    kShardSeqSwap,  ///< swap the shard masks of two PI entries
-    kDanglingShard, ///< set a shard bit outside the arbiter hierarchy
 };
 
-constexpr unsigned kMutationKinds = 8;
+constexpr unsigned kMutationKinds = 5;
 
 /** Short printable name of a mutation kind. */
 const char *mutationKindName(MutationKind kind);

@@ -128,7 +128,6 @@ checkedReplay(const Recording &rec, const ReplayCheckOptions &opts)
     eopts.envSeed = opts.envSeed;
     eopts.perturb = opts.perturb;
     eopts.replayWindow = std::max(1u, opts.replayWindow);
-    eopts.honorPartialOrder = opts.honorPartialOrder;
     eopts.maxEvents =
         opts.maxEvents
             ? opts.maxEvents

@@ -46,11 +46,6 @@ struct ReplayCheckOptions
     /// derived event budget scales with this so a stalled parallel
     /// replay still fails in milliseconds.
     unsigned replayWindow = 1;
-    /// EngineOptions::honorPartialOrder: replay v2 shard-masked PI
-    /// logs under the recorded partial order. False pins the replay to
-    /// the logged total order (always valid). Differential legs toggle
-    /// this to assert the two produce byte-identical fingerprints.
-    bool honorPartialOrder = true;
 
     static constexpr std::size_t kFullRun =
         static_cast<std::size_t>(-1);

@@ -83,12 +83,10 @@ TEST(FaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
 {
     // Detector leg of the sweep: the same no-crash/no-hang contract
     // with the happens-before race detector attached to every replay.
-    // The base recording seeds races (fft~r2) and records through 4
-    // arbiter shards, so the detector is live on every surviving
-    // mutant and the mask mutation kinds have a mask section to hit.
+    // The base recording seeds races (fft~r2), so the detector is live
+    // on every surviving mutant.
     MachineConfig machine;
     machine.numProcs = 4;
-    machine.bulk.numArbiters = 4;
     const Workload workload("fft~r2", machine.numProcs, kSeed,
                             WorkloadScale{10});
     const Recording rec =

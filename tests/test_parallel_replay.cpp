@@ -13,6 +13,7 @@
 #include <atomic>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/delorean.hpp"
@@ -48,10 +49,11 @@ allConfigs()
 }
 
 Recording
-recordOne(const ModeConfig &mode, const char *app = "fft")
+recordOne(const ModeConfig &mode, const char *app = "fft",
+          unsigned procs = 4)
 {
-    Workload w(app, 4, 7, WorkloadScale::tiny());
-    return Recorder(mode, machine()).record(w, 1);
+    Workload w(app, procs, 7, WorkloadScale::tiny());
+    return Recorder(mode, machine(procs)).record(w, 1);
 }
 
 /// Fingerprint comparison rule: exact for flat logs, per-processor
@@ -233,6 +235,23 @@ TEST(ParallelReplay, ChunkParallelMatchesSerialAcrossJobsAndWindows)
             }
         }
     }
+}
+
+TEST(ParallelReplay, SixteenCoreReplayMatchesSerial)
+{
+    // 16 simulated cores: record, then verify both replay paths
+    // reproduce the execution byte-identically.
+    const Recording rec = recordOne(ModeConfig::orderOnly(), "lu", 16);
+    const ReplayCheckResult serial = checkedReplay(rec, {});
+    ASSERT_TRUE(serial.ok) << serial.report.describe();
+
+    ParallelReplayOptions popts;
+    popts.window = 16;
+    popts.jobs = 4;
+    const ReplayCheckResult par = checkedParallelReplay(rec, popts);
+    ASSERT_TRUE(par.ok) << par.report.describe();
+    EXPECT_TRUE(serial.outcome.fingerprint.matchesExact(
+        par.outcome.fingerprint));
 }
 
 TEST(ParallelReplay, ChunkParallelReplaysIoHeavyApp)

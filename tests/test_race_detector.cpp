@@ -6,8 +6,7 @@
  * manifest detection with zero false positives on the stock
  * applications, and the headline determinism matrix — byte-identical
  * race reports from the serial DES replayer, the windowed replay
- * arbiter and the chunk-parallel replayer at jobs {1,2,4} and shard
- * counts {1,4}.
+ * arbiter and the chunk-parallel replayer at jobs {1,2,4}.
  */
 
 #include <gtest/gtest.h>
@@ -31,21 +30,13 @@ namespace delorean
 namespace
 {
 
-MachineConfig
-machine(unsigned procs = 4, unsigned shards = 1)
+Recording
+recordOne(const ModeConfig &mode, const char *app)
 {
     MachineConfig m;
-    m.numProcs = procs;
-    m.bulk.numArbiters = shards;
-    return m;
-}
-
-Recording
-recordOne(const ModeConfig &mode, const char *app, unsigned procs = 4,
-          unsigned shards = 1)
-{
-    Workload w(app, procs, 7, WorkloadScale::tiny());
-    return Recorder(mode, machine(procs, shards)).record(w, 1);
+    m.numProcs = 4;
+    Workload w(app, m.numProcs, 7, WorkloadScale::tiny());
+    return Recorder(mode, m).record(w, 1);
 }
 
 /** The four (mode, PI-flavor) configurations under test. */
@@ -317,48 +308,38 @@ TEST(RaceDetector, IntervalReplayWithDetectorIsRejected)
 // Determinism matrix: byte-identical reports everywhere
 // ---------------------------------------------------------------------
 
-TEST(RaceDetector, ReportsByteIdenticalAcrossReplayersJobsAndShards)
+TEST(RaceDetector, ReportsByteIdenticalAcrossReplayersAndJobs)
 {
-    for (const unsigned shards : {1u, 4u}) {
-        const Recording rec = recordOne(ModeConfig::orderOnly(),
-                                        "radix~r2", 4, shards);
-        EXPECT_EQ(rec.pi.hasMasks(), shards > 1);
+    const Recording rec =
+        recordOne(ModeConfig::orderOnly(), "radix~r2");
 
-        ReplayCheckOptions serial_opts;
-        serial_opts.detectRaces = true;
-        const ReplayCheckResult serial =
-            checkedReplay(rec, serial_opts);
-        ASSERT_TRUE(serial.ok)
-            << "shards " << shards << ": "
-            << serial.report.describe();
-        const std::string reference = serial.races.describe();
-        ASSERT_FALSE(serial.races.findings.empty());
+    ReplayCheckOptions serial_opts;
+    serial_opts.detectRaces = true;
+    const ReplayCheckResult serial = checkedReplay(rec, serial_opts);
+    ASSERT_TRUE(serial.ok) << serial.report.describe();
+    const std::string reference = serial.races.describe();
+    ASSERT_FALSE(serial.races.findings.empty());
 
-        // Windowed replay arbiter (serial engine, lookahead > 1).
-        ReplayCheckOptions windowed_opts;
-        windowed_opts.detectRaces = true;
-        windowed_opts.replayWindow = 8;
-        const ReplayCheckResult windowed =
-            checkedReplay(rec, windowed_opts);
-        ASSERT_TRUE(windowed.ok) << "shards " << shards;
-        EXPECT_EQ(windowed.races.describe(), reference)
-            << "windowed arbiter, shards " << shards;
+    // Windowed replay arbiter (serial engine, lookahead > 1).
+    ReplayCheckOptions windowed_opts;
+    windowed_opts.detectRaces = true;
+    windowed_opts.replayWindow = 8;
+    const ReplayCheckResult windowed = checkedReplay(rec, windowed_opts);
+    ASSERT_TRUE(windowed.ok);
+    EXPECT_EQ(windowed.races.describe(), reference) << "windowed arbiter";
 
-        // Chunk-parallel replayer across worker counts.
-        for (const unsigned jobs : {1u, 2u, 4u}) {
-            ParallelReplayOptions popts;
-            popts.jobs = jobs;
-            popts.window = 8;
-            ReplayCheckOptions opts;
-            opts.detectRaces = true;
-            const ReplayCheckResult par =
-                checkedParallelReplay(rec, popts, opts);
-            ASSERT_TRUE(par.ok)
-                << "jobs " << jobs << " shards " << shards << ": "
-                << par.report.describe();
-            EXPECT_EQ(par.races.describe(), reference)
-                << "jobs " << jobs << " shards " << shards;
-        }
+    // Chunk-parallel replayer across worker counts.
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        ParallelReplayOptions popts;
+        popts.jobs = jobs;
+        popts.window = 8;
+        ReplayCheckOptions opts;
+        opts.detectRaces = true;
+        const ReplayCheckResult par =
+            checkedParallelReplay(rec, popts, opts);
+        ASSERT_TRUE(par.ok) << "jobs " << jobs << ": "
+                            << par.report.describe();
+        EXPECT_EQ(par.races.describe(), reference) << "jobs " << jobs;
     }
 }
 

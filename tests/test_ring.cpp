@@ -14,9 +14,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "compress/lz77.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
+#include "store/crc32.hpp"
 #include "store/ring.hpp"
 #include "trace/app_profile.hpp"
 
@@ -111,6 +113,145 @@ newestSegmentPath(const std::string &dir)
             best = entry.path().string();
     }
     return best;
+}
+
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+}
+
+void
+writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint64_t
+u64At(const std::vector<std::uint8_t> &bytes, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(bytes[off + i]) << (8 * i);
+    return v;
+}
+
+void
+putU64At(std::vector<std::uint8_t> &bytes, std::size_t off,
+         std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Recompute the CRC of a ring.meta / ring.index file's raw blob. */
+void
+resealBlobFile(std::vector<std::uint8_t> &bytes)
+{
+    putU64At(bytes, 32, crc32(bytes.data() + 40, bytes.size() - 40));
+}
+
+/** Cleanly closed 4-segment OrderOnly ring of fft in @p dir. */
+void
+writeSmallRing(const std::string &dir)
+{
+    RingOptions opts;
+    opts.budgetBytes = 1u << 30;
+    opts.checkpointPeriod = 20;
+    RingArchiveWriter writer(dir, opts);
+    const Recording rec =
+        record(ModeConfig::orderOnly(), "fft", 20, &writer);
+    writer.close(rec);
+}
+
+/** Run @p fn and expect an ArchiveError whose text names @p what. */
+template <typename Fn>
+void
+expectArchiveErrorNaming(Fn fn, const std::string &what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no error raised; expected '" << what << "'";
+    } catch (const ArchiveError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Ring, RejectsArbiterCountOtherThanOne)
+{
+    const std::string dir = ringDir("arbiters");
+    writeSmallRing(dir);
+    // ring.meta: 40-byte preamble, then the raw meta blob, which opens
+    // with the 12-u64 machine header (the arbiter count last).
+    std::vector<std::uint8_t> meta = readFile(dir + "/ring.meta");
+    ASSERT_EQ(u64At(meta, 40 + 88), 1u);
+    putU64At(meta, 40 + 88, 2);
+    resealBlobFile(meta);
+    writeFile(dir + "/ring.meta", meta);
+    expectArchiveErrorNaming([&dir] { RingArchiveReader::open(dir); },
+                             "arbiter count 2 is not 1");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Ring, RejectsSegmentHasMasksFlag)
+{
+    const std::string dir = ringDir("has_masks");
+    writeSmallRing(dir);
+
+    // Re-encode segment 1 with its PI slice's has-masks flag (the
+    // payload's second u64) set to 1. Segment file: 48-byte preamble
+    // (header blob compressed size at 32, its CRC at 40), the header
+    // blob (ending in the payload's raw size, compressed size and
+    // CRC), the checkpoint blobs, then the payload.
+    const std::string seg1 = dir + "/seg-000000000001";
+    const std::vector<std::uint8_t> file = readFile(seg1);
+    const Lz77 codec;
+    const std::size_t hcomp = u64At(file, 32);
+    std::vector<std::uint8_t> header =
+        codec.decompress(file.data() + 48, hcomp);
+    const std::uint64_t pcomp = u64At(header, header.size() - 16);
+    const std::size_t payload_off = file.size() - pcomp;
+    std::vector<std::uint8_t> raw =
+        codec.decompress(file.data() + payload_off, pcomp);
+    ASSERT_EQ(u64At(raw, 8), 0u);
+    putU64At(raw, 8, 1);
+    const std::vector<std::uint8_t> payload = codec.compress(raw);
+    putU64At(header, header.size() - 16, payload.size());
+    putU64At(header, header.size() - 8,
+             crc32(payload.data(), payload.size()));
+    const std::vector<std::uint8_t> hblob = codec.compress(header);
+
+    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
+    putU64At(out, 32, hblob.size());
+    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
+    out.insert(out.end(), hblob.begin(), hblob.end());
+    out.insert(out.end(),
+               file.begin() + static_cast<long>(48 + hcomp),
+               file.begin() + static_cast<long>(payload_off));
+    out.insert(out.end(), payload.begin(), payload.end());
+    writeFile(seg1, out);
+
+    // Keep the clean-close index consistent: ring.index's raw blob is
+    // the clean flag, the live count, then (id, bytes) per segment.
+    std::vector<std::uint8_t> index = readFile(dir + "/ring.index");
+    ASSERT_EQ(u64At(index, 40 + 32), 1u);
+    putU64At(index, 40 + 40, out.size());
+    resealBlobFile(index);
+    writeFile(dir + "/ring.index", index);
+
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    ASSERT_TRUE(ring.recovery().clean);
+    expectArchiveErrorNaming([&ring] { ring.readAll(); },
+                             "has-masks flag 1 is not 0");
+    expectArchiveErrorNaming([&ring] { ring.readInterval(0, 1); },
+                             "has-masks flag 1 is not 0");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Ring, OptionsRejectInfeasibleConfigs)

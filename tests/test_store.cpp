@@ -12,9 +12,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/errors.hpp"
+#include "compress/lz77.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
+#include "store/crc32.hpp"
 #include "trace/app_profile.hpp"
 
 namespace delorean
@@ -234,6 +237,170 @@ TEST(Store, BoundedIntervalReplayBetweenCheckpoints)
     // Exactly the chunk commits between the two checkpoint GCCs.
     EXPECT_EQ(out.fingerprint.commits.size(),
               rec.checkpoints[2].gcc - rec.checkpoints[0].gcc);
+}
+
+TEST(Store, PicoLogBoundedIntervalsAllReplay)
+{
+    // PicoLog's replay round-robin skips only processors marked
+    // finished, so a processor whose program ends inside a bounded
+    // interval must still be marked finished at the stop cap, or the
+    // round-robin waits on it forever. Every bounded interval of a few
+    // 8-processor archives must replay deterministically.
+    for (const char *app : {"radix~r2", "fft", "barnes", "ocean"}) {
+        Workload w(app, 8, 1, WorkloadScale{5});
+        Recorder recorder(ModeConfig::picoLog(), machine(8));
+        const Recording rec = recorder.record(w, 1, true, {}, 25);
+        ASSERT_GE(rec.checkpoints.size(), 2u) << app;
+
+        const ArchiveReader reader =
+            ArchiveReader::fromBytes(archiveBytes(rec));
+        Replayer replayer;
+        for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {
+            for (std::size_t j = i + 1; j < reader.checkpointCount();
+                 ++j) {
+                const Recording view = reader.readInterval(i, j);
+                const ReplayOutcome out = replayer.replayInterval(
+                    view, 0, w, 7, perturb(i + 1), &view.checkpoints[1]);
+                EXPECT_TRUE(out.deterministicExact)
+                    << app << " interval [" << i << ", " << j << ")";
+            }
+        }
+    }
+}
+
+std::uint64_t
+u64At(const std::vector<std::uint8_t> &bytes, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(bytes[off + i]) << (8 * i);
+    return v;
+}
+
+void
+putU64At(std::vector<std::uint8_t> &bytes, std::size_t off,
+         std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/**
+ * Truncate @p bytes at @p footer_off, then append @p raw_footer
+ * compressed plus a consistent trailer (offset, sizes, CRC, end magic),
+ * so only the reader's semantic checks can reject the result.
+ */
+void
+rewriteFooter(std::vector<std::uint8_t> &bytes, std::size_t footer_off,
+              const std::vector<std::uint8_t> &raw_footer)
+{
+    const std::uint64_t end_magic = u64At(bytes, bytes.size() - 8);
+    const std::vector<std::uint8_t> comp = Lz77().compress(raw_footer);
+    bytes.resize(footer_off);
+    bytes.insert(bytes.end(), comp.begin(), comp.end());
+    const std::size_t trailer = bytes.size();
+    bytes.resize(trailer + 40);
+    putU64At(bytes, trailer, footer_off);
+    putU64At(bytes, trailer + 8, comp.size());
+    putU64At(bytes, trailer + 16, raw_footer.size());
+    putU64At(bytes, trailer + 24, crc32(comp.data(), comp.size()));
+    putU64At(bytes, trailer + 32, end_magic);
+}
+
+std::vector<std::uint8_t>
+rawFooter(const std::vector<std::uint8_t> &bytes)
+{
+    const std::size_t trailer = bytes.size() - 40;
+    return Lz77().decompress(
+        bytes.data() + u64At(bytes, trailer),
+        static_cast<std::size_t>(u64At(bytes, trailer + 8)));
+}
+
+TEST(Store, RejectsArbiterCountOtherThanOne)
+{
+    Workload w("fft", 4, 9, WorkloadScale::tiny());
+    const Recording rec =
+        Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true,
+                                                            {}, 20);
+    std::vector<std::uint8_t> bytes = archiveBytes(rec);
+    std::vector<std::uint8_t> footer = rawFooter(bytes);
+    // The footer opens with the 12-u64 machine header; the arbiter
+    // count is its last field.
+    ASSERT_EQ(u64At(footer, 88), 1u);
+    putU64At(footer, 88, 4);
+    rewriteFooter(bytes, u64At(bytes, bytes.size() - 40), footer);
+    try {
+        ArchiveReader::fromBytes(bytes);
+        ADD_FAILURE() << "arbiter count 4 was accepted";
+    } catch (const RecordingFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("arbiter count 4 is not 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Store, RejectsPiSliceHasMasksFlag)
+{
+    Workload w("fft", 4, 9, WorkloadScale::tiny());
+    const Recording rec =
+        Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true,
+                                                            {}, 20);
+    std::vector<std::uint8_t> bytes = archiveBytes(rec);
+    const std::size_t footer_off = u64At(bytes, bytes.size() - 40);
+    std::vector<std::uint8_t> footer = rawFooter(bytes);
+
+    // Re-encode the tail segment (the last one before the footer)
+    // with its PI slice's has-masks flag, the payload's second u64,
+    // set to 1. Segment header: magic, reserved, raw size, compressed
+    // size, CRC; the segment's index entry repeats the last three.
+    const ArchiveSegmentInfo seg =
+        ArchiveReader::fromBytes(bytes).segments().back();
+    const std::size_t payload_off = seg.fileOffset + 40;
+    ASSERT_EQ(payload_off + seg.compBytes, footer_off);
+    std::vector<std::uint8_t> raw = Lz77().decompress(
+        bytes.data() + payload_off,
+        static_cast<std::size_t>(seg.compBytes));
+    ASSERT_EQ(u64At(raw, 8), 0u);
+    putU64At(raw, 8, 1);
+    const std::vector<std::uint8_t> comp = Lz77().compress(raw);
+    const std::uint64_t crc = crc32(comp.data(), comp.size());
+
+    bool patched = false;
+    for (std::size_t off = 0; off + 24 <= footer.size(); ++off) {
+        if (u64At(footer, off) == seg.rawBytes
+            && u64At(footer, off + 8) == seg.compBytes
+            && u64At(footer, off + 16) == seg.crc32) {
+            putU64At(footer, off + 8, comp.size());
+            putU64At(footer, off + 16, crc);
+            patched = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(patched);
+    std::vector<std::uint8_t> out(
+        bytes.begin(), bytes.begin() + static_cast<long>(payload_off));
+    putU64At(out, seg.fileOffset + 24, comp.size());
+    putU64At(out, seg.fileOffset + 32, crc);
+    out.insert(out.end(), comp.begin(), comp.end());
+    out.insert(out.end(), bytes.end() - 40, bytes.end()); // old trailer
+    rewriteFooter(out, out.size() - 40, footer);
+
+    const ArchiveReader reader = ArchiveReader::fromBytes(out);
+    for (const bool whole : {true, false}) {
+        try {
+            if (whole)
+                reader.readAll();
+            else
+                reader.readInterval(reader.checkpointCount() - 1);
+            ADD_FAILURE() << "flagged PI slice was accepted";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.segment(), reader.segments().size() - 1);
+            EXPECT_NE(std::string(e.what()).find(
+                          "has-masks flag 1 is not 0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Store, IntervalViewDecodesOnlyCoveringSegments)

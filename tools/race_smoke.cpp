@@ -14,7 +14,7 @@
  *   - replays the matching race-free base app ("fft") with the
  *     detector attached and asserts a clean report.
  *
- * The exhaustive matrix (modes x jobs x shards x windows) lives in
+ * The exhaustive matrix (modes x jobs x windows) lives in
  * tests/test_race_detector.cpp.
  */
 
