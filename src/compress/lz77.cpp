@@ -24,6 +24,106 @@ hash3(const std::uint8_t *p)
 constexpr unsigned kHashSize = 1u << 15;
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
+/// Decode limit meaning "the whole declared size".
+constexpr std::size_t kWholeStream = static_cast<std::size_t>(-1);
+
+/// Spare output bytes that let a match copy whole 8-byte words.
+constexpr std::size_t kCopySlack = 8;
+
+/** Little-endian u64 at @p p (any alignment, any host byte order). */
+inline std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
+}
+
+/**
+ * LSB-first bit reader for the token decoder. A 64-bit buffer is
+ * topped up to at least 56 bits with one unaligned 8-byte load, so a
+ * whole token (at most 1 + windowBits + 8 bits) is decoded from a
+ * single peek at the buffer instead of one bounds-checked read per
+ * field. Fewer bits remain only at the end of the input; the decoder
+ * then checks the token fits before consuming it and reports an
+ * overrun exactly as a field-by-field BitReader would have.
+ */
+class TokenReader
+{
+  public:
+    /** Tokens start after the 64-bit size header of @p data. */
+    TokenReader(const std::uint8_t *data, std::size_t size)
+        : begin_(data), p_(data + 8), end_(data + size)
+    {
+    }
+
+    /** Top the buffer up to >= 56 bits, or to the end of the input. */
+    void
+    refill()
+    {
+        if (end_ - p_ >= 8) {
+            // Bits past the new count are re-ORed with the same
+            // stream bits on the next refill, so they stay coherent.
+            buf_ |= loadLe64(p_) << count_;
+            p_ += (63 - count_) >> 3;
+            count_ |= 56;
+            return;
+        }
+        while (count_ <= 56 && p_ < end_) {
+            buf_ |= static_cast<std::uint64_t>(*p_++) << count_;
+            count_ += 8;
+        }
+    }
+
+    std::uint64_t bits() const { return buf_; }
+    unsigned count() const { return count_; }
+
+    void
+    consume(unsigned n)
+    {
+        buf_ >>= n;
+        count_ -= n;
+    }
+
+    /**
+     * The token at the cursor needs @p need bits and fewer remain.
+     * Report the overrun as a field-by-field read reports it: the
+     * width and bit position of the first field (flag, then literal
+     * or distance, then length) that does not fit.
+     */
+    [[noreturn]] void
+    exhausted(unsigned need, unsigned window_bits) const
+    {
+        const std::uint64_t pos =
+            static_cast<std::uint64_t>(p_ - begin_) * 8 - count_;
+        unsigned width = 1;
+        std::uint64_t at = pos;
+        if (count_ >= 1) {
+            at = pos + 1;
+            width = need - 1;
+            if (need > 9 && count_ >= 1 + window_bits) {
+                at += window_bits;
+                width = 8;
+            } else if (need > 9) {
+                width = window_bits;
+            }
+        }
+        throw BitstreamExhausted(
+            "read of " + std::to_string(width) + " bits at position "
+            + std::to_string(at) + " of "
+            + std::to_string(static_cast<std::uint64_t>(end_ - begin_)
+                             * 8));
+    }
+
+  private:
+    const std::uint8_t *begin_;
+    const std::uint8_t *p_;
+    const std::uint8_t *end_;
+    std::uint64_t buf_ = 0;
+    unsigned count_ = 0; ///< valid bits at the bottom of buf_
+};
+
 /**
  * Length of the common prefix of @p a and @p b, up to @p limit bytes.
  * Compares eight bytes per step; the XOR of the first differing words
@@ -176,15 +276,34 @@ Lz77::compress(const std::vector<std::uint8_t> &input) const
 std::vector<std::uint8_t>
 Lz77::decompress(const std::uint8_t *input, std::size_t input_size) const
 {
-    BitReader in(input, static_cast<std::uint64_t>(input_size) * 8);
-    const std::uint64_t size = in.read(64);
+    std::uint64_t size = 0;
+    return decode(input, input_size, kWholeStream, size);
+}
+
+std::vector<std::uint8_t>
+Lz77::decompressPrefix(const std::uint8_t *input, std::size_t input_size,
+                       std::size_t max_bytes,
+                       std::uint64_t &declared_size) const
+{
+    return decode(input, input_size, max_bytes, declared_size);
+}
+
+std::vector<std::uint8_t>
+Lz77::decode(const std::uint8_t *input, std::size_t input_size,
+             std::size_t limit, std::uint64_t &size) const
+{
+    const std::uint64_t total_bits =
+        static_cast<std::uint64_t>(input_size) * 8;
+    if (input_size < 8)
+        throw BitstreamExhausted("read of 64 bits at position 0 of "
+                                 + std::to_string(total_bits));
+    size = loadLe64(input);
 
     // Corrupted-size guard: a match token (the densest encoding)
     // spends 1 + windowBits + 8 bits to produce at most maxMatch
     // bytes, so any honest stream satisfies this bound. Checking it
     // here keeps a flipped size header from reserving gigabytes.
-    const std::uint64_t token_bits =
-        static_cast<std::uint64_t>(input_size) * 8 - 64;
+    const std::uint64_t token_bits = total_bits - 64;
     const std::uint64_t max_out =
         (token_bits / (1 + config_.windowBits + 8) + 1)
         * config_.maxMatch;
@@ -194,42 +313,69 @@ Lz77::decompress(const std::uint8_t *input, std::size_t input_size) const
             + std::to_string(size) + " for "
             + std::to_string(input_size) + " input bytes");
 
+    const unsigned wb = config_.windowBits;
+    const unsigned lit_bits = 1 + 8;
+    const unsigned match_bits = 1 + wb + 8;
+    assert(match_bits <= 56); // one refill always covers a token
+    const std::uint64_t dist_mask = (std::uint64_t{1} << wb) - 1;
+
     // The output size is known up front, so decode into a
     // preallocated buffer with block copies for match tokens instead
-    // of a push_back per byte. Only a corrupt stream whose final
-    // match overshoots the declared size ever regrows the buffer
-    // (matching the historical decoder, which returned the oversized
-    // output and let the caller's size cross-check reject it).
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(size));
+    // of a push_back per byte. kCopySlack spare bytes past the end
+    // let a match copy in whole 8-byte words. Only a corrupt stream
+    // whose final match overshoots the declared size ever regrows the
+    // buffer (matching the historical decoder, which returned the
+    // oversized output and let the caller's size cross-check reject
+    // it); a prefix decode cuts its output back to the limit.
+    const std::size_t target =
+        static_cast<std::size_t>(std::min<std::uint64_t>(size, limit));
+    std::vector<std::uint8_t> out(target + kCopySlack);
     std::size_t produced = 0;
-    while (produced < size) {
-        if (in.read(1) == 0) {
-            out[produced++] = static_cast<std::uint8_t>(in.read(8));
-        } else {
-            const std::size_t dist =
-                static_cast<std::size_t>(in.read(config_.windowBits)) + 1;
-            const std::size_t len =
-                static_cast<std::size_t>(in.read(8)) + config_.minMatch;
-            if (dist > produced)
-                throw RecordingFormatError(
-                    "lz77: match distance " + std::to_string(dist)
-                    + " reaches before output start (have "
-                    + std::to_string(produced) + " bytes)");
-            if (produced + len > out.size())
-                out.resize(produced + len);
-            const std::uint8_t *src = out.data() + produced - dist;
-            std::uint8_t *dst = out.data() + produced;
-            if (dist >= len) {
-                std::memcpy(dst, src, len);
-            } else {
-                // Overlapping match: the copy reads bytes it just
-                // wrote (run-length style), so it must go bytewise.
-                for (std::size_t i = 0; i < len; ++i)
-                    dst[i] = src[i];
-            }
-            produced += len;
+    TokenReader in(input, input_size);
+    while (produced < target) {
+        if (in.count() < match_bits)
+            in.refill();
+        const std::uint64_t bits = in.bits();
+        if ((bits & 1) == 0) {
+            if (in.count() < lit_bits)
+                in.exhausted(lit_bits, wb);
+            out[produced++] = static_cast<std::uint8_t>(bits >> 1);
+            in.consume(lit_bits);
+            continue;
         }
+        if (in.count() < match_bits)
+            in.exhausted(match_bits, wb);
+        const std::size_t dist =
+            static_cast<std::size_t>((bits >> 1) & dist_mask) + 1;
+        const std::size_t len =
+            static_cast<std::size_t>((bits >> (1 + wb)) & 0xFFu)
+            + config_.minMatch;
+        in.consume(match_bits);
+        if (dist > produced)
+            throw RecordingFormatError(
+                "lz77: match distance " + std::to_string(dist)
+                + " reaches before output start (have "
+                + std::to_string(produced) + " bytes)");
+        if (produced + len + kCopySlack > out.size())
+            out.resize(produced + len + kCopySlack);
+        const std::uint8_t *src = out.data() + produced - dist;
+        std::uint8_t *dst = out.data() + produced;
+        if (dist >= 8) {
+            // Each word reads only bytes at least eight behind the
+            // one it writes, all already final, so this is exact even
+            // when source and destination overlap; the last word may
+            // spill into the slack.
+            for (std::size_t i = 0; i < len; i += 8)
+                std::memcpy(dst + i, src + i, 8);
+        } else {
+            // Short-period run: the copy re-reads bytes it just
+            // wrote, so it must go bytewise.
+            for (std::size_t i = 0; i < len; ++i)
+                dst[i] = src[i];
+        }
+        produced += len;
     }
+    out.resize(limit < size ? target : produced);
     return out;
 }
 
@@ -383,66 +529,6 @@ compressedBits(const std::vector<std::uint8_t> &input,
             bits += 1 + cfg.windowBits + 8;
         });
     return bits;
-}
-
-std::vector<std::uint8_t>
-decompress(const std::vector<std::uint8_t> &input, const Lz77Config &cfg)
-{
-    // The historical decoder: bit-at-a-time extraction and a
-    // push_back per output byte. Serves as the serial-baseline cost
-    // model in bench/archive_io and as the output oracle for the
-    // block-copy decoder.
-    if (static_cast<std::uint64_t>(input.size()) * 8 < 64)
-        throw BitstreamExhausted("read of 64 bits at position 0 of "
-                                 + std::to_string(input.size() * 8));
-    std::uint64_t pos_bits = 0;
-    const std::uint64_t total_bits =
-        static_cast<std::uint64_t>(input.size()) * 8;
-    const auto read = [&](unsigned width) {
-        if (pos_bits + width > total_bits)
-            throw BitstreamExhausted(
-                "read of " + std::to_string(width) + " bits at position "
-                + std::to_string(pos_bits) + " of "
-                + std::to_string(total_bits));
-        std::uint64_t value = 0;
-        for (unsigned i = 0; i < width; ++i) {
-            if ((input[pos_bits / 8] >> (pos_bits % 8)) & 1u)
-                value |= (1ull << i);
-            ++pos_bits;
-        }
-        return value;
-    };
-
-    const std::uint64_t size = read(64);
-    const std::uint64_t token_bits = total_bits - 64;
-    const std::uint64_t max_out =
-        (token_bits / (1 + cfg.windowBits + 8) + 1) * cfg.maxMatch;
-    if (size > max_out)
-        throw RecordingFormatError(
-            "lz77: implausible decompressed size "
-            + std::to_string(size) + " for "
-            + std::to_string(input.size()) + " input bytes");
-
-    std::vector<std::uint8_t> out;
-    out.reserve(size);
-    while (out.size() < size) {
-        if (read(1) == 0) {
-            out.push_back(static_cast<std::uint8_t>(read(8)));
-        } else {
-            const std::size_t dist =
-                static_cast<std::size_t>(read(cfg.windowBits)) + 1;
-            const std::size_t len =
-                static_cast<std::size_t>(read(8)) + cfg.minMatch;
-            if (dist > out.size())
-                throw RecordingFormatError(
-                    "lz77: match distance " + std::to_string(dist)
-                    + " reaches before output start (have "
-                    + std::to_string(out.size()) + " bytes)");
-            for (std::size_t i = 0; i < len; ++i)
-                out.push_back(out[out.size() - dist]);
-        }
-    }
-    return out;
 }
 
 } // namespace lz77_reference

@@ -70,6 +70,18 @@ class Lz77
     decompress(const std::uint8_t *input, std::size_t input_size) const;
 
     /**
+     * Decode only the first min(@p max_bytes, declared size) bytes of
+     * a stream, with the same checks on every token it reads; the
+     * rest of the stream is never touched. @p declared_size receives
+     * the stream's size header. Lets a reader inspect the head of a
+     * large blob (e.g. a checkpoint image's header) cheaply.
+     */
+    std::vector<std::uint8_t>
+    decompressPrefix(const std::uint8_t *input, std::size_t input_size,
+                     std::size_t max_bytes,
+                     std::uint64_t &declared_size) const;
+
+    /**
      * Compressed size in bits of @p input, without materializing the
      * output (used by the log-size harnesses). Token bits only — the
      * 64-bit length header compress() prepends is excluded.
@@ -78,6 +90,12 @@ class Lz77
     compressedBits(const std::vector<std::uint8_t> &input) const;
 
   private:
+    /** Shared decoder: stops once min(size, @p limit) bytes exist. */
+    std::vector<std::uint8_t> decode(const std::uint8_t *input,
+                                     std::size_t input_size,
+                                     std::size_t limit,
+                                     std::uint64_t &size) const;
+
     Lz77Config config_;
 };
 
@@ -136,16 +154,15 @@ class Lz77Stream
 };
 
 /**
- * Test/bench hook: the pre-hash-chain codec, kept verbatim.
+ * Test/bench hook: the pre-hash-chain compressor, kept verbatim.
  *
  * compress()/compressedBits() run the O(window * len) scalar greedy
- * scan the hash-chain searcher replaced; decompress() is the
- * historical bit-at-a-time decoder. The production codec is required
- * to be *byte-identical* to these on every input (the hash chain
- * finds the same greedy longest match with the same smallest-distance
- * tie-break), which the lz77 tests assert across the bench corpora.
- * bench/archive_io uses them as the serial-baseline cost model. Not
- * for production use — quadratic on repetitive input.
+ * scan the hash-chain searcher replaced. The production codec is
+ * required to be *byte-identical* to it on every input (the hash
+ * chain finds the same greedy longest match with the same
+ * smallest-distance tie-break), which the lz77 tests assert across
+ * the bench corpora. bench/archive_io uses it as the serial-baseline
+ * cost model. Not for production use — quadratic on repetitive input.
  */
 namespace lz77_reference
 {
@@ -156,10 +173,6 @@ compress(const std::vector<std::uint8_t> &input,
 
 std::uint64_t compressedBits(const std::vector<std::uint8_t> &input,
                              const Lz77Config &cfg = {});
-
-std::vector<std::uint8_t>
-decompress(const std::vector<std::uint8_t> &input,
-           const Lz77Config &cfg = {});
 
 } // namespace lz77_reference
 

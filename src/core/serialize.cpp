@@ -13,7 +13,6 @@ namespace delorean
 {
 
 using serialize_detail::getCheckpoint;
-using serialize_detail::getContext;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;

@@ -85,6 +85,21 @@ class MemoryState
         }
     }
 
+    /**
+     * Size the table for @p words live words up front — the size
+     * that many store() calls would have grown it to — so bulk loads
+     * (checkpoint decode) never rehash midway.
+     */
+    void
+    reserve(std::size_t words)
+    {
+        std::size_t slots = slots_.size();
+        while (words * 4 > slots * 3)
+            slots *= 2;
+        if (slots != slots_.size())
+            rehash(slots);
+    }
+
     /** Number of words holding a non-default value. */
     std::size_t population() const { return size_; }
 
@@ -184,11 +199,13 @@ class MemoryState
         --size_;
     }
 
+    void grow() { rehash(slots_.size() * 2); }
+
     void
-    grow()
+    rehash(std::size_t slots)
     {
         std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{});
+        slots_.assign(slots, Slot{});
         for (const Slot &s : old) {
             if (!s.live)
                 continue;

@@ -22,7 +22,9 @@
 namespace delorean
 {
 
-using serialize_detail::getCheckpoint;
+using serialize_detail::ByteCursor;
+using serialize_detail::CheckpointExtent;
+using serialize_detail::decodeCheckpoint;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
@@ -31,6 +33,7 @@ using serialize_detail::putCheckpoint;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
+using serialize_detail::scanCheckpoint;
 
 namespace
 {
@@ -250,7 +253,9 @@ advanceScratchLogs(const Recording &rec, const Boundary &prev,
 
 /**
  * Serialize the footer: recording metadata plus the per-segment
- * index. Shared by the batch and streaming writers.
+ * index. Segment i's boundary checkpoint is rec.checkpoints[i] (every
+ * checkpoint cuts one segment, in order). Shared by the batch and
+ * streaming writers.
  */
 std::string
 buildFooterRaw(const Recording &rec,
@@ -278,8 +283,12 @@ buildFooterRaw(const Recording &rec,
                                  rec.fingerprint.perProcRetired[p]);
     }
     serialize_detail::putU64(footer, rec.fingerprint.finalMemHash);
+    if (segments.size() != rec.checkpoints.size() + 1)
+        throw std::logic_error(
+            "archive footer: segments and checkpoints disagree");
     serialize_detail::putU64(footer, segments.size());
-    for (const ArchiveSegmentInfo &info : segments) {
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        const ArchiveSegmentInfo &info = segments[i];
         serialize_detail::putU64(footer, info.endGcc);
         serialize_detail::putU64(footer, info.fileOffset);
         serialize_detail::putU64(footer, info.rawBytes);
@@ -292,7 +301,7 @@ buildFooterRaw(const Recording &rec,
             serialize_detail::putU64(footer, bits);
         serialize_detail::putU64(footer, info.hasCheckpoint ? 1 : 0);
         if (info.hasCheckpoint)
-            putCheckpoint(footer, info.checkpoint);
+            putCheckpoint(footer, rec.checkpoints[i]);
     }
     return std::move(footer).str();
 }
@@ -305,10 +314,7 @@ namespace archive_detail
 SegmentSlice
 parseSegmentPayload(const std::vector<std::uint8_t> &raw, unsigned n)
 {
-    std::istringstream in(
-        std::string(reinterpret_cast<const char *>(raw.data()),
-                    raw.size()),
-        std::ios::binary);
+    ByteCursor in(raw.data(), raw.size());
     SegmentSlice s;
     const std::uint64_t pi_count = getU64(in);
     const std::uint64_t has_masks = getU64(in);
@@ -394,18 +400,25 @@ compressPayload(const std::string &raw)
 std::uint64_t
 readU64At(const std::uint8_t *bytes, std::size_t offset)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(bytes[offset + i]) << (8 * i);
-    return v;
+    return serialize_detail::loadU64(bytes + offset);
 }
 
 void
-runIndexed(WorkerPool &pool,
+runIndexed(std::unique_ptr<WorkerPool> &pool, unsigned threads,
            std::vector<std::function<void()>> tasks,
            std::vector<std::exception_ptr> &errors)
 {
     errors.assign(tasks.size(), nullptr);
+    if (tasks.size() == 1) {
+        // A lone task (e.g. the one segment of a bounded seek) runs
+        // here: no pool is built for it and no worker is woken.
+        try {
+            tasks[0]();
+        } catch (...) {
+            errors[0] = std::current_exception();
+        }
+        return;
+    }
     std::vector<std::function<void()>> wrapped;
     wrapped.reserve(tasks.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -417,7 +430,9 @@ runIndexed(WorkerPool &pool,
             }
         });
     }
-    pool.runBatch(wrapped);
+    if (!pool)
+        pool = std::make_unique<WorkerPool>(threads);
+    pool->runBatch(wrapped);
 }
 
 } // namespace archive_detail
@@ -575,9 +590,10 @@ ArchiveWriter::write(const Recording &rec)
                 seg.crc = crc32(seg.comp.data(), seg.comp.size());
             });
         }
-        WorkerPool pool(io_.resolvedIoThreads());
+        std::unique_ptr<WorkerPool> pool;
         std::vector<std::exception_ptr> errors;
-        runIndexed(pool, std::move(tasks), errors);
+        runIndexed(pool, io_.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (const std::exception_ptr &e : errors)
             if (e)
                 std::rethrow_exception(e);
@@ -601,10 +617,7 @@ ArchiveWriter::write(const Recording &rec)
                              * n * strata_counter_bits;
         for (ProcId p = 0; p < n; ++p)
             info.csBitsEnd.push_back(scratch_cs[p].sizeBits());
-        if (!tail) {
-            info.hasCheckpoint = true;
-            info.checkpoint = rec.checkpoints[i];
-        }
+        info.hasCheckpoint = !tail;
 
         putU64(kSegmentMagic);
         putU64(i);
@@ -772,8 +785,6 @@ struct StreamingArchiveWriter::Impl
     {
         const std::size_t count = flushing.size();
         std::vector<std::vector<std::uint8_t>> comp(count);
-        if (!pool)
-            pool = std::make_unique<WorkerPool>(io.resolvedIoThreads());
         std::vector<std::function<void()>> tasks;
         tasks.reserve(count);
         for (std::size_t i = 0; i < count; ++i)
@@ -781,7 +792,8 @@ struct StreamingArchiveWriter::Impl
                 comp[i] = compressPayload(flushing[i].raw);
             });
         std::vector<std::exception_ptr> errors;
-        runIndexed(*pool, std::move(tasks), errors);
+        runIndexed(pool, io.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (const std::exception_ptr &e : errors)
             if (e)
                 std::rethrow_exception(e);
@@ -846,10 +858,13 @@ struct StreamingArchiveWriter::Impl
         }
     }
 
-    /** Cut the segment (last, hi] and stage it for the flusher. */
+    /**
+     * Cut the segment (last, hi] and stage it for the flusher. Its
+     * checkpoint, if any, is the recording's next one; the footer
+     * reads it from the finished recording at close().
+     */
     void
-    stage(const Recording &rec, const Boundary &hi,
-          const SystemCheckpoint *ckpt)
+    stage(const Recording &rec, const Boundary &hi, bool has_checkpoint)
     {
         Pending p;
         p.raw = buildSegmentPayload(rec, last, hi);
@@ -862,10 +877,7 @@ struct StreamingArchiveWriter::Impl
             * strata_counter_bits;
         for (ProcId q = 0; q < n; ++q)
             p.info.csBitsEnd.push_back(scratch_cs[q].sizeBits());
-        if (ckpt) {
-            p.info.hasCheckpoint = true;
-            p.info.checkpoint = *ckpt;
-        }
+        p.info.hasCheckpoint = has_checkpoint;
         staging.push_back(std::move(p));
         last = hi;
         ++staged;
@@ -882,7 +894,7 @@ struct StreamingArchiveWriter::Impl
                 throw RecordingFormatError(
                     "checkpoints are not in ascending GCC order");
             Boundary hi = boundaryAtCheckpoint(rec, ckpt, fed);
-            stage(rec, hi, &ckpt);
+            stage(rec, hi, true);
             last_gcc = ckpt.gcc;
             ++fed;
         }
@@ -915,7 +927,7 @@ StreamingArchiveWriter::close(const Recording &rec)
         throw std::logic_error(
             "StreamingArchiveWriter::close called twice");
     im.feed(rec);
-    im.stage(rec, boundaryAtEnd(rec), nullptr); // tail segment
+    im.stage(rec, boundaryAtEnd(rec), false); // tail segment
     im.drain();
 
     const std::string footer_raw = buildFooterRaw(rec, im.segments);
@@ -1012,14 +1024,6 @@ ArchiveReader::fromFile(const std::string &path,
     return fromBytes(std::move(bytes), io);
 }
 
-WorkerPool &
-ArchiveReader::ioPool() const
-{
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(io_.resolvedIoThreads());
-    return *pool_;
-}
-
 void
 ArchiveReader::parse()
 {
@@ -1060,26 +1064,22 @@ ArchiveReader::parse()
                            ArchiveError::kNoSegment,
                            "footer CRC mismatch");
 
-    std::vector<std::uint8_t> raw;
     try {
         const Lz77 codec;
-        raw = codec.decompress(
+        footer_ = codec.decompress(
             data_ + footer_offset,
             static_cast<std::size_t>(footer_comp));
     } catch (const RecordingFormatError &e) {
         throw ArchiveError(ArchiveSection::kFooter,
                            ArchiveError::kNoSegment, e.what());
     }
-    if (raw.size() != footer_raw)
+    if (footer_.size() != footer_raw)
         throw ArchiveError(ArchiveSection::kFooter,
                            ArchiveError::kNoSegment,
                            "footer decompressed size mismatch");
 
     try {
-        std::istringstream in(
-            std::string(reinterpret_cast<const char *>(raw.data()),
-                        raw.size()),
-            std::ios::binary);
+        ByteCursor in(footer_.data(), footer_.size());
         machine_ = getMachine(in);
         mode_ = getMode(in);
         validateRecordingConfigs(machine_, mode_);
@@ -1121,17 +1121,23 @@ ArchiveReader::parse()
                 info.csBitsEnd.push_back(getU64(in));
             info.hasCheckpoint = getU64(in) != 0;
             if (info.hasCheckpoint) {
-                info.checkpoint = getCheckpoint(in);
-                if (info.checkpoint.contexts.size()
-                    != machine_.numProcs)
+                // Walk the image, don't decode it: the walk makes
+                // every check the decode would, so checkpointAt()
+                // cannot fail later on bytes accepted here.
+                const CheckpointExtent image = scanCheckpoint(
+                    footer_.data() + in.offset(), in.remaining(),
+                    in.remaining());
+                if (image.contexts != machine_.numProcs)
                     throw RecordingFormatError(
                         "segment " + std::to_string(i)
                         + " checkpoint context count does not match "
                           "numProcs");
-                if (info.checkpoint.gcc != info.endGcc)
+                if (image.gcc != info.endGcc)
                     throw RecordingFormatError(
                         "segment " + std::to_string(i)
                         + " checkpoint GCC disagrees with the index");
+                image_spans_.push_back({in.offset(), image.bytes});
+                in.take(image.bytes);
             }
             segments_.push_back(std::move(info));
         }
@@ -1169,6 +1175,7 @@ ArchiveReader::parse()
                            + std::to_string(i)
                            + " lacks a checkpoint");
     }
+    images_.resize(image_spans_.size());
 }
 
 std::size_t
@@ -1180,10 +1187,11 @@ ArchiveReader::checkpointCount() const
 std::vector<std::uint64_t>
 ArchiveReader::checkpointGccs() const
 {
+    // Index GCCs: parse() checked each equals its image's GCC.
     std::vector<std::uint64_t> gccs;
-    for (const ArchiveSegmentInfo &info : segments_)
-        if (info.hasCheckpoint)
-            gccs.push_back(info.checkpoint.gcc);
+    gccs.reserve(checkpointCount());
+    for (std::size_t i = 0; i < checkpointCount(); ++i)
+        gccs.push_back(segments_[i].endGcc);
     return gccs;
 }
 
@@ -1195,7 +1203,26 @@ ArchiveReader::checkpointAt(std::size_t index) const
             index, checkpointCount(),
             "checkpoint " + std::to_string(index) + " of "
                 + std::to_string(checkpointCount()));
-    return segments_[index].checkpoint;
+    return image(index);
+}
+
+const SystemCheckpoint &
+ArchiveReader::image(std::size_t index) const
+{
+    std::unique_ptr<const SystemCheckpoint> &slot = images_[index];
+    if (!slot) {
+        const ImageSpan span = image_spans_[index];
+        try {
+            slot = std::make_unique<const SystemCheckpoint>(
+                decodeCheckpoint(footer_.data() + span.offset,
+                                 span.bytes));
+        } catch (const RecordingFormatError &e) {
+            throw ArchiveError(ArchiveSection::kFooter, index,
+                               std::string("checkpoint image: ")
+                                   + e.what());
+        }
+    }
+    return *slot;
 }
 
 std::vector<std::uint8_t>
@@ -1377,16 +1404,19 @@ ArchiveReader::readAll() const
             tasks.push_back([this, &slices, i] {
                 slices[i] = decodeSegment(segmentPayload(i),
                                           machine_.numProcs, i);
+                if (segments_[i].hasCheckpoint)
+                    image(i); // each task fills only its own slot
             });
         std::vector<std::exception_ptr> errors;
-        runIndexed(ioPool(), std::move(tasks), errors);
+        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (std::size_t i = 0; i < count; ++i) {
             if (errors[i])
                 std::rethrow_exception(errors[i]);
             appendSlice(rec, slices[i], io_base, i);
             slices[i] = SegmentSlice(); // free as we go
             if (segments_[i].hasCheckpoint)
-                rec.checkpoints.push_back(segments_[i].checkpoint);
+                rec.checkpoints.push_back(image(i));
         }
     }
     rec.fingerprint.perProcAcc = per_proc_acc_;
@@ -1425,7 +1455,7 @@ ArchiveReader::readInterval(std::size_t from, std::size_t to) const
                                       workload_seed_,
                                       iterations_percent_);
     const unsigned n = machine_.numProcs;
-    const SystemCheckpoint &start = segments_[from].checkpoint;
+    const SystemCheckpoint &start = image(from);
 
     // Synthetic prefix (consumed by the replay skip logic), then only
     // the segments covering the interval.
@@ -1445,7 +1475,8 @@ ArchiveReader::readInterval(std::size_t from, std::size_t to) const
                                           n, first + k);
             });
         std::vector<std::exception_ptr> errors;
-        runIndexed(ioPool(), std::move(tasks), errors);
+        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (std::size_t k = 0; k < count; ++k) {
             if (errors[k])
                 std::rethrow_exception(errors[k]);
@@ -1459,7 +1490,7 @@ ArchiveReader::readInterval(std::size_t from, std::size_t to) const
     rec.fingerprint.finalMemHash = final_mem_hash_;
     rec.checkpoints.push_back(start);
     if (to != kToEnd)
-        rec.checkpoints.push_back(segments_[to].checkpoint);
+        rec.checkpoints.push_back(image(to));
     validateRecording(rec);
     return rec;
 }

@@ -163,8 +163,10 @@ struct ArchiveSegmentInfo
     std::uint64_t strataBitsEnd = 0;
     std::vector<std::uint64_t> csBitsEnd; ///< one per processor
 
-    bool hasCheckpoint = false;   ///< false only for the tail segment
-    SystemCheckpoint checkpoint;  ///< boundary state (if hasCheckpoint)
+    /// The footer holds this segment's boundary checkpoint image
+    /// (false only for the tail segment). Readers decode it on
+    /// demand: ArchiveReader::checkpointAt().
+    bool hasCheckpoint = false;
 };
 
 /**
@@ -270,10 +272,25 @@ void writeArchiveFile(const Recording &rec, const std::string &path,
                       const ArchiveIoOptions &io = {});
 
 /**
- * Random-access archive reader. Construction parses and integrity-
- * checks the header, footer and trailer (O(#segments), not O(bytes));
- * segment payloads are CRC-checked and decoded only when a read needs
- * them. All failures surface as ArchiveError.
+ * Random-access archive reader.
+ *
+ * Construction reads the index, not the images: it checks the header
+ * and trailer, CRC-checks and LZ77-decodes the footer, and parses its
+ * O(#segments) index entries. Each checkpoint image in the footer is
+ * walked structurally (GCC, context count, word-list extent, all
+ * checked against the index) and its span recorded, but no memory
+ * image is built — the parse is O(#segments), not O(image bytes).
+ * The footer's CRC and LZ77 decode still touch every footer byte, as
+ * the format keeps the images there.
+ *
+ * checkpointAt(), readInterval() and readAll() decode an image on
+ * first use and memoize it, so a seek pays for the one or two images
+ * it replays between. Segment payloads are CRC-checked and decoded
+ * only when a read needs them. All failures surface as ArchiveError;
+ * an image accepted by the walk cannot fail to decode later.
+ *
+ * Readers are not internally synchronized (the memoized images and
+ * the codec pool are lazy mutable state): use one reader per thread.
  */
 class ArchiveReader
 {
@@ -353,8 +370,8 @@ class ArchiveReader
     void parse();
     /// Decode + verify one segment payload; returns raw bytes.
     std::vector<std::uint8_t> segmentPayload(std::size_t index) const;
-    /// The pool backing parallel segment decode (lazily built).
-    WorkerPool &ioPool() const;
+    /// Checkpoint @p index (in range), decoded on first use.
+    const SystemCheckpoint &image(std::size_t index) const;
 
     /// Container bytes: owned_ (fromBytes / buffered fromFile) or
     /// map_ (zero-copy fromFile); data_/size_ view whichever is live.
@@ -363,10 +380,9 @@ class ArchiveReader
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
     ArchiveIoOptions io_;
-    /// Lazily constructed; reused across readAll/readInterval calls
-    /// on one reader. Readers are not internally synchronized — use
-    /// one reader per thread, like any const-method-only class with
-    /// lazy state.
+    /// Codec pool for multi-segment reads: built on the first batch
+    /// of two or more segments, reused across readAll/readInterval
+    /// calls on one reader.
     mutable std::unique_ptr<WorkerPool> pool_;
     MachineConfig machine_;
     ModeConfig mode_;
@@ -378,6 +394,19 @@ class ArchiveReader
     std::vector<std::uint64_t> per_proc_retired_;
     std::uint64_t final_mem_hash_ = 0;
     std::vector<ArchiveSegmentInfo> segments_;
+    /// The decompressed footer, kept for on-demand image decode.
+    std::vector<std::uint8_t> footer_;
+    /// Where checkpoint i's image lies in footer_.
+    struct ImageSpan
+    {
+        std::size_t offset = 0;
+        std::size_t bytes = 0;
+    };
+    std::vector<ImageSpan> image_spans_;
+    /// Decoded images, filled on first use (one slot per checkpoint,
+    /// never resized after open, so references stay valid).
+    mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
+        images_;
 };
 
 } // namespace delorean

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,9 +102,10 @@ std::uint64_t readU64At(const std::uint8_t *bytes, std::size_t offset);
  * by index; the caller decides rethrow order. Task results land in
  * caller-owned index-keyed slots, so outcomes are independent of the
  * worker count — the parallel-codec analogue of the campaign runner's
- * determinism rule.
+ * determinism rule. A batch of one task runs on the caller; @p pool
+ * is built (with @p threads workers) by the first larger batch.
  */
-void runIndexed(WorkerPool &pool,
+void runIndexed(std::unique_ptr<WorkerPool> &pool, unsigned threads,
                 std::vector<std::function<void()>> tasks,
                 std::vector<std::exception_ptr> &errors);
 

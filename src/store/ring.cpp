@@ -25,16 +25,22 @@
 namespace delorean
 {
 
-using serialize_detail::getCheckpoint;
+using serialize_detail::ByteCursor;
+using serialize_detail::CheckpointExtent;
+using serialize_detail::checkpointHeaderBytes;
+using serialize_detail::decodeCheckpoint;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
+using serialize_detail::kCheckpointLeadBytes;
+using serialize_detail::kMaxCheckpointContexts;
 using serialize_detail::putCheckpoint;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
 using serialize_detail::putU64;
+using serialize_detail::scanCheckpoint;
 
 using namespace archive_detail;
 
@@ -104,11 +110,36 @@ readWholeFile(const std::string &path, bool &ok)
         ok = false;
         return {};
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    ok = static_cast<bool>(in) || in.eof();
+    // Block reads, not a byte iterator: segment files are read whole
+    // at every open.
+    std::vector<std::uint8_t> bytes;
+    constexpr std::size_t kBlock = std::size_t{1} << 16;
+    for (;;) {
+        const std::size_t at = bytes.size();
+        bytes.resize(at + kBlock);
+        in.read(reinterpret_cast<char *>(bytes.data() + at),
+                static_cast<std::streamsize>(kBlock));
+        bytes.resize(at + static_cast<std::size_t>(in.gcount()));
+        if (!in)
+            break;
+    }
+    ok = !in.bad();
     return bytes;
+}
+
+/** Read @p n bytes at @p offset of @p path; false when short. */
+bool
+readFileRange(const std::string &path, std::uint64_t offset,
+              std::uint64_t n, std::vector<std::uint8_t> &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    in.seekg(static_cast<std::streamoff>(offset));
+    out.resize(static_cast<std::size_t>(n));
+    in.read(reinterpret_cast<char *>(out.data()),
+            static_cast<std::streamsize>(out.size()));
+    return static_cast<std::uint64_t>(in.gcount()) == n;
 }
 
 } // namespace
@@ -355,9 +386,6 @@ struct RingArchiveWriter::Impl
                 putCheckpoint(b, flushing[i].end);
                 end_raw[i] = std::move(b).str();
             }
-        if (!pool)
-            pool = std::make_unique<WorkerPool>(
-                opts.io.resolvedIoThreads());
         std::vector<std::function<void()>> tasks;
         tasks.reserve(2 * count);
         for (std::size_t i = 0; i < count; ++i) {
@@ -376,7 +404,8 @@ struct RingArchiveWriter::Impl
                 });
         }
         std::vector<std::exception_ptr> errors;
-        runIndexed(*pool, std::move(tasks), errors);
+        runIndexed(pool, opts.io.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (const std::exception_ptr &e : errors)
             if (e)
                 std::rethrow_exception(e);
@@ -622,9 +651,52 @@ struct ScannedSegment
 };
 
 /**
+ * Check one compressed checkpoint image blob in @p bytes without
+ * decoding its memory: CRC, declared size, and (from a decode of just
+ * the image header) its GCC and context count, returned through
+ * @p image. False with @p why set when the blob is corrupt.
+ */
+bool
+checkCheckpointBlob(const std::vector<std::uint8_t> &bytes,
+                    const RingBlobInfo &blob,
+                    CheckpointExtent &image, std::string &why)
+{
+    const std::uint8_t *at = bytes.data() + blob.fileOffset;
+    const std::size_t comp = static_cast<std::size_t>(blob.compBytes);
+    if (crc32(at, comp) != blob.crc32) {
+        why = "checkpoint blob CRC mismatch";
+        return false;
+    }
+    try {
+        const Lz77 codec;
+        std::uint64_t total = 0;
+        std::vector<std::uint8_t> head = codec.decompressPrefix(
+            at, comp, kCheckpointLeadBytes, total);
+        if (head.size() == kCheckpointLeadBytes)
+            head = codec.decompressPrefix(
+                at, comp,
+                checkpointHeaderBytes(std::min(readU64At(head.data(), 24),
+                                               kMaxCheckpointContexts)),
+                total);
+        if (total != blob.rawBytes) {
+            why = "checkpoint blob size mismatch";
+            return false;
+        }
+        image = scanCheckpoint(head.data(), head.size(),
+                               static_cast<std::size_t>(total));
+    } catch (const RecordingFormatError &) {
+        why = "malformed checkpoint blob";
+        return false;
+    }
+    return true;
+}
+
+/**
  * Parse one candidate segment file. Returns false with @p reason set
  * when the file is structurally invalid (torn, corrupt, or lying
- * about itself) — the salvage path drops it.
+ * about itself) — the salvage path drops it. Checkpoint images are
+ * CRC-checked and their headers checked against the segment header;
+ * their memory is decoded only on first use.
  */
 bool
 scanSegmentFile(const std::string &path, unsigned n,
@@ -666,8 +738,8 @@ scanSegmentFile(const std::string &path, unsigned n,
 
     RingSegmentInfo info;
     info.segId = seg_id;
-    std::uint64_t start_raw = 0, start_comp = 0, start_crc = 0;
-    std::uint64_t end_raw = 0, end_comp = 0, end_crc = 0;
+    RingBlobInfo &start = info.startBlob;
+    RingBlobInfo &end = info.endBlob;
     try {
         const Lz77 codec;
         const std::vector<std::uint8_t> blob = codec.decompress(
@@ -677,24 +749,21 @@ scanSegmentFile(const std::string &path, unsigned n,
             reason = "header decompressed size mismatch";
             return false;
         }
-        std::istringstream in(
-            std::string(reinterpret_cast<const char *>(blob.data()),
-                        blob.size()),
-            std::ios::binary);
+        ByteCursor in(blob.data(), blob.size());
         info.startGcc = getU64(in);
         info.endGcc = getU64(in);
         info.isTail = getU64(in) != 0;
         info.hasStartCheckpoint = getU64(in) != 0;
         if (info.hasStartCheckpoint) {
-            start_raw = getU64(in);
-            start_comp = getU64(in);
-            start_crc = getU64(in);
+            start.rawBytes = getU64(in);
+            start.compBytes = getU64(in);
+            start.crc32 = getU64(in);
         }
         info.hasEndCheckpoint = getU64(in) != 0;
         if (info.hasEndCheckpoint) {
-            end_raw = getU64(in);
-            end_comp = getU64(in);
-            end_crc = getU64(in);
+            end.rawBytes = getU64(in);
+            end.compBytes = getU64(in);
+            end.crc32 = getU64(in);
         }
         info.rawBytes = getU64(in);
         info.compBytes = getU64(in);
@@ -706,60 +775,29 @@ scanSegmentFile(const std::string &path, unsigned n,
 
     // Everything the header promises must fit the file exactly:
     // header, start blob, end blob, payload, nothing else.
-    if (start_raw > kMaxBlobBytes || start_comp > kMaxBlobBytes
-        || end_raw > kMaxBlobBytes || end_comp > kMaxBlobBytes) {
+    if (start.rawBytes > kMaxBlobBytes || start.compBytes > kMaxBlobBytes
+        || end.rawBytes > kMaxBlobBytes || end.compBytes > kMaxBlobBytes) {
         reason = "implausible checkpoint blob size";
         return false;
     }
     std::uint64_t off = kSegPreambleBytes + blob_comp;
-    if (off + start_comp + end_comp + info.compBytes
+    if (off + start.compBytes + end.compBytes + info.compBytes
         != bytes.size()) {
         reason = "file size disagrees with the header (torn payload?)";
         return false;
     }
-    const auto loadCheckpoint =
-        [&bytes](std::uint64_t at, std::uint64_t comp_n,
-                 std::uint64_t raw_n, std::uint64_t crc_want,
-                 SystemCheckpoint &out_ckpt, std::string &why) {
-            if (crc32(bytes.data() + at,
-                      static_cast<std::size_t>(comp_n))
-                != crc_want) {
-                why = "checkpoint blob CRC mismatch";
-                return false;
-            }
-            try {
-                const Lz77 codec;
-                const std::vector<std::uint8_t> blob =
-                    codec.decompress(
-                        bytes.data() + at,
-                        static_cast<std::size_t>(comp_n));
-                if (blob.size() != raw_n) {
-                    why = "checkpoint blob size mismatch";
-                    return false;
-                }
-                std::istringstream in(
-                    std::string(
-                        reinterpret_cast<const char *>(blob.data()),
-                        blob.size()),
-                    std::ios::binary);
-                out_ckpt = getCheckpoint(in);
-            } catch (const RecordingFormatError &) {
-                why = "malformed checkpoint blob";
-                return false;
-            }
-            return true;
-        };
+    CheckpointExtent start_image, end_image;
     if (info.hasStartCheckpoint) {
-        if (!loadCheckpoint(off, start_comp, start_raw, start_crc,
-                            info.startCheckpoint, reason))
+        start.fileOffset = off;
+        if (!checkCheckpointBlob(bytes, start, start_image, reason))
             return false;
-        off += start_comp;
+        off += start.compBytes;
     }
     if (info.hasEndCheckpoint) {
-        if (!loadCheckpoint(off, end_comp, end_raw, end_crc,
-                            info.endCheckpoint, reason))
+        end.fileOffset = off;
+        if (!checkCheckpointBlob(bytes, end, end_image, reason))
             return false;
-        off += end_comp;
+        off += end.compBytes;
     }
 
     if (info.endGcc < info.startGcc
@@ -776,16 +814,13 @@ scanSegmentFile(const std::string &path, unsigned n,
         return false;
     }
     if (info.hasStartCheckpoint
-        && (info.startCheckpoint.gcc != info.startGcc
-            || info.startCheckpoint.contexts.size() != n
-            || info.startCheckpoint.committedChunks.size() != n)) {
+        && (start_image.gcc != info.startGcc
+            || start_image.contexts != n)) {
         reason = "start checkpoint disagrees with the header";
         return false;
     }
     if (info.hasEndCheckpoint
-        && (info.endCheckpoint.gcc != info.endGcc
-            || info.endCheckpoint.contexts.size() != n
-            || info.endCheckpoint.committedChunks.size() != n)) {
+        && (end_image.gcc != info.endGcc || end_image.contexts != n)) {
         reason = "end checkpoint disagrees with the header";
         return false;
     }
@@ -1045,15 +1080,52 @@ RingArchiveReader::open(const std::string &dir,
         if (has)
             r.ckpt_boundary_.push_back(b);
     }
+    r.images_.resize(r.ckpt_boundary_.size());
     return r;
 }
 
-const SystemCheckpoint &
-RingArchiveReader::boundaryCheckpoint(std::size_t b) const
+std::uint64_t
+RingArchiveReader::boundaryGcc(std::size_t b) const
 {
-    return b < segments_.size()
-               ? segments_[b].startCheckpoint
-               : segments_.back().endCheckpoint;
+    return b < segments_.size() ? segments_[b].startGcc
+                                : segments_.back().endGcc;
+}
+
+const SystemCheckpoint &
+RingArchiveReader::image(std::size_t index) const
+{
+    std::unique_ptr<const SystemCheckpoint> &slot = images_[index];
+    if (slot)
+        return *slot;
+    // Boundary b < m is segment b's start image; boundary m is the
+    // last segment's end image.
+    const std::size_t b = ckpt_boundary_[index];
+    const bool start = b < segments_.size();
+    const std::size_t pos = start ? b : b - 1;
+    const RingBlobInfo &blob =
+        start ? segments_[pos].startBlob : segments_[pos].endBlob;
+    std::vector<std::uint8_t> comp;
+    if (!readFileRange(seg_paths_[pos], blob.fileOffset, blob.compBytes,
+                       comp))
+        throw ArchiveError(ArchiveSection::kSegment, pos,
+                           "torn checkpoint blob in " + seg_paths_[pos]);
+    if (crc32(comp.data(), comp.size()) != blob.crc32)
+        throw ArchiveError(ArchiveSection::kSegment, pos,
+                           "checkpoint blob CRC mismatch");
+    try {
+        const std::vector<std::uint8_t> raw = Lz77().decompress(comp);
+        if (raw.size() != blob.rawBytes)
+            throw ArchiveError(ArchiveSection::kSegment, pos,
+                               "checkpoint blob size mismatch");
+        slot = std::make_unique<const SystemCheckpoint>(
+            decodeCheckpoint(raw.data(), raw.size()));
+    } catch (const ArchiveError &) {
+        throw;
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(ArchiveSection::kSegment, pos,
+                           std::string("checkpoint blob: ") + e.what());
+    }
+    return *slot;
 }
 
 std::uint64_t
@@ -1080,7 +1152,7 @@ RingArchiveReader::checkpointGccs() const
     std::vector<std::uint64_t> gccs;
     gccs.reserve(ckpt_boundary_.size());
     for (const std::size_t b : ckpt_boundary_)
-        gccs.push_back(boundaryCheckpoint(b).gcc);
+        gccs.push_back(boundaryGcc(b));
     return gccs;
 }
 
@@ -1092,7 +1164,7 @@ RingArchiveReader::checkpointAt(std::size_t index) const
             index, ckpt_boundary_.size(),
             "ring checkpoint " + std::to_string(index) + " of "
                 + std::to_string(ckpt_boundary_.size()));
-    return boundaryCheckpoint(ckpt_boundary_[index]);
+    return image(index);
 }
 
 std::size_t
@@ -1113,28 +1185,13 @@ RingArchiveReader::newestCheckpointAtOrBefore(std::uint64_t cycle) const
     return static_cast<std::size_t>(it - gccs.begin()) - 1;
 }
 
-WorkerPool &
-RingArchiveReader::ioPool() const
-{
-    if (!pool_)
-        pool_ = std::make_unique<WorkerPool>(io_.resolvedIoThreads());
-    return *pool_;
-}
-
 std::vector<std::uint8_t>
 RingArchiveReader::segmentPayload(std::size_t pos) const
 {
     const RingSegmentInfo &info = segments_[pos];
-    std::ifstream in(seg_paths_[pos], std::ios::binary);
-    if (!in)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "cannot open " + seg_paths_[pos]);
-    in.seekg(static_cast<std::streamoff>(payload_off_[pos]));
-    std::vector<std::uint8_t> comp(
-        static_cast<std::size_t>(info.compBytes));
-    in.read(reinterpret_cast<char *>(comp.data()),
-            static_cast<std::streamsize>(comp.size()));
-    if (static_cast<std::uint64_t>(in.gcount()) != info.compBytes)
+    std::vector<std::uint8_t> comp;
+    if (!readFileRange(seg_paths_[pos], payload_off_[pos], info.compBytes,
+                       comp))
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            "torn payload in " + seg_paths_[pos]);
     if (crc32(comp.data(), comp.size()) != info.crc32)
@@ -1181,7 +1238,7 @@ RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
     Recording rec = skeletonRecording(machine_, mode_, app_name_,
                                       workload_seed_,
                                       iterations_percent_);
-    const SystemCheckpoint &start = boundaryCheckpoint(lo);
+    const SystemCheckpoint &start = image(from);
     appendSyntheticPrefix(rec, start);
 
     std::vector<std::uint64_t> io_base;
@@ -1198,7 +1255,8 @@ RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
                                           lo + k);
             });
         std::vector<std::exception_ptr> errors;
-        runIndexed(ioPool(), std::move(tasks), errors);
+        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (std::size_t k = 0; k < count; ++k) {
             if (errors[k])
                 std::rethrow_exception(errors[k]);
@@ -1212,8 +1270,7 @@ RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
     rec.fingerprint.finalMemHash = final_mem_hash_;
     rec.checkpoints.push_back(start);
     if (to != kToEnd)
-        rec.checkpoints.push_back(
-            boundaryCheckpoint(ckpt_boundary_[to]));
+        rec.checkpoints.push_back(image(to));
     validateRecording(rec);
     return rec;
 }
@@ -1242,20 +1299,25 @@ RingArchiveReader::readAll() const
         std::vector<std::function<void()>> tasks;
         tasks.reserve(count);
         for (std::size_t i = 0; i < count; ++i)
-            tasks.push_back([this, &slices, n, i] {
+            tasks.push_back([this, &slices, n, i, count] {
                 slices[i] =
                     decodeSegment(segmentPayload(i), n, i);
+                // Segment 0 has no start image, so checkpoint i is
+                // the one closing segment i; each task fills only its
+                // own slot.
+                if (i + 1 < count)
+                    image(i);
             });
         std::vector<std::exception_ptr> errors;
-        runIndexed(ioPool(), std::move(tasks), errors);
+        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
+                   errors);
         for (std::size_t i = 0; i < count; ++i) {
             if (errors[i])
                 std::rethrow_exception(errors[i]);
             appendSlice(rec, slices[i], io_base, i);
             slices[i] = SegmentSlice();
             if (i + 1 < count)
-                rec.checkpoints.push_back(
-                    segments_[i].endCheckpoint);
+                rec.checkpoints.push_back(image(i));
         }
     }
     rec.fingerprint.perProcAcc = per_proc_acc_;

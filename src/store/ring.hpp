@@ -94,6 +94,15 @@ struct RingOptions
     void validate() const;
 };
 
+/** Where one compressed checkpoint image lies in a segment file. */
+struct RingBlobInfo
+{
+    std::uint64_t fileOffset = 0;
+    std::uint64_t rawBytes = 0;  ///< serialized image size
+    std::uint64_t compBytes = 0; ///< stored (LZ77) size
+    std::uint64_t crc32 = 0;     ///< CRC-32 of the stored bytes
+};
+
 /** Everything known about one retained ring segment. */
 struct RingSegmentInfo
 {
@@ -107,8 +116,11 @@ struct RingSegmentInfo
     bool isTail = false;         ///< final segment of a clean close
     bool hasStartCheckpoint = false; ///< false only for segment 0
     bool hasEndCheckpoint = false;   ///< false only for the tail
-    SystemCheckpoint startCheckpoint;
-    SystemCheckpoint endCheckpoint;
+    /// The checkpoint image blobs (valid when the matching has* flag
+    /// is set). Readers decode them on demand:
+    /// RingArchiveReader::checkpointAt().
+    RingBlobInfo startBlob;
+    RingBlobInfo endBlob;
 };
 
 /** Writer-side counters (RingArchiveWriter::stats). */
@@ -195,6 +207,20 @@ struct RingRecoveryInfo
  * a crash. All failure modes are typed: a missing or corrupt
  * container raises ArchiveError, an interval request outside the
  * retained window raises CheckpointOutOfRangeError.
+ *
+ * open() reads the index, not the images. It scans every segment file
+ * and makes every check that decides salvage: magics, sizes, CRCs of
+ * the header, the checkpoint blobs, and each checkpoint's GCC and
+ * context count against the segment header (read by decoding only
+ * the head of the image blob). Parsing is O(#segments); no memory
+ * image is built. CRC still covers every blob byte, and the payload
+ * CRC waits for the first read of the segment, as before.
+ *
+ * checkpointGccs() and newestCheckpointAtOrBefore() answer from the
+ * segment headers. checkpointAt(), readInterval() and readAll() decode
+ * an image on first use (re-reading and re-CRCing its blob) and
+ * memoize it; a failure there is an ArchiveError naming the segment.
+ * Readers are not internally synchronized: use one per thread.
  */
 class RingArchiveReader
 {
@@ -266,9 +292,10 @@ class RingArchiveReader
     RingArchiveReader();
 
     std::vector<std::uint8_t> segmentPayload(std::size_t pos) const;
-    WorkerPool &ioPool() const;
-    /// Checkpoint at boundary @p b (0..segments().size()).
-    const SystemCheckpoint &boundaryCheckpoint(std::size_t b) const;
+    /// GCC of boundary @p b (0..segments().size()).
+    std::uint64_t boundaryGcc(std::size_t b) const;
+    /// Checkpoint @p index (in range), decoded on first use.
+    const SystemCheckpoint &image(std::size_t index) const;
 
     std::string dir_;
     ArchiveIoOptions io_;
@@ -289,7 +316,12 @@ class RingArchiveReader
     std::vector<std::uint64_t> per_proc_acc_;
     std::vector<std::uint64_t> per_proc_retired_;
     std::uint64_t final_mem_hash_ = 0;
+    /// Codec pool, built by the first read of two or more segments.
     mutable std::unique_ptr<WorkerPool> pool_;
+    /// Decoded images, one slot per checkpoint, filled on first use
+    /// (never resized after open, so references stay valid).
+    mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
+        images_;
 };
 
 } // namespace delorean

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "common/rng.hpp"
 #include "compress/lz77.hpp"
 
@@ -17,6 +21,80 @@ std::vector<std::uint8_t>
 bytesOf(const std::string &s)
 {
     return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+/**
+ * Bitwise oracle decoder: the historical one, extracting one bit at a
+ * time and pushing back one output byte at a time. The production
+ * decoder must agree with it on every stream, corrupt ones included:
+ * same bytes, or the same exception type and message.
+ */
+std::vector<std::uint8_t>
+referenceDecompress(const std::vector<std::uint8_t> &input,
+                    const Lz77Config &cfg = {})
+{
+    std::uint64_t pos_bits = 0;
+    const std::uint64_t total_bits =
+        static_cast<std::uint64_t>(input.size()) * 8;
+    const auto read = [&](unsigned width) {
+        if (pos_bits + width > total_bits)
+            throw BitstreamExhausted(
+                "read of " + std::to_string(width) + " bits at position "
+                + std::to_string(pos_bits) + " of "
+                + std::to_string(total_bits));
+        std::uint64_t value = 0;
+        for (unsigned i = 0; i < width; ++i) {
+            if ((input[pos_bits / 8] >> (pos_bits % 8)) & 1u)
+                value |= (1ull << i);
+            ++pos_bits;
+        }
+        return value;
+    };
+
+    const std::uint64_t size = read(64);
+    const std::uint64_t max_out =
+        ((total_bits - 64) / (1 + cfg.windowBits + 8) + 1)
+        * cfg.maxMatch;
+    if (size > max_out)
+        throw RecordingFormatError(
+            "lz77: implausible decompressed size "
+            + std::to_string(size) + " for "
+            + std::to_string(input.size()) + " input bytes");
+
+    std::vector<std::uint8_t> out;
+    while (out.size() < size) {
+        if (read(1) == 0) {
+            out.push_back(static_cast<std::uint8_t>(read(8)));
+        } else {
+            const std::size_t dist =
+                static_cast<std::size_t>(read(cfg.windowBits)) + 1;
+            const std::size_t len =
+                static_cast<std::size_t>(read(8)) + cfg.minMatch;
+            if (dist > out.size())
+                throw RecordingFormatError(
+                    "lz77: match distance " + std::to_string(dist)
+                    + " reaches before output start (have "
+                    + std::to_string(out.size()) + " bytes)");
+            for (std::size_t i = 0; i < len; ++i)
+                out.push_back(out[out.size() - dist]);
+        }
+    }
+    return out;
+}
+
+/** Decoded bytes, or "throw <kind>: <message>" for a rejected stream. */
+template <typename Decode>
+std::string
+outcomeOf(Decode &&decode)
+{
+    try {
+        const std::vector<std::uint8_t> out = decode();
+        return std::string(out.begin(), out.end());
+    } catch (const BitstreamExhausted &e) {
+        return std::string("throw exhausted: ") + e.what();
+    } catch (const RecordingFormatError &e) {
+        return std::string("throw format: ") + e.what();
+    }
 }
 
 TEST(Lz77, EmptyInput)
@@ -91,17 +169,24 @@ TEST(Lz77, CompressedBitsMatchesCompressOutput)
 
 TEST(Lz77, RandomizedRoundTrips)
 {
-    Lz77 codec;
-    Xoshiro256ss rng(11);
-    for (int trial = 0; trial < 20; ++trial) {
-        std::vector<std::uint8_t> input(rng.below(3000));
-        for (auto &b : input) {
-            // Mixture of random and repeated content.
-            b = rng.chancePerMille(600)
-                    ? static_cast<std::uint8_t>(rng.below(4))
-                    : static_cast<std::uint8_t>(rng.next());
+    // Also checked against the bitwise oracle, under window configs
+    // whose tokens sit differently in the decoder's 64-bit buffer.
+    for (const Lz77Config cfg :
+         {Lz77Config{}, Lz77Config{8, 3, 258}, Lz77Config{15, 4, 100}}) {
+        const Lz77 codec(cfg);
+        Xoshiro256ss rng(11);
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<std::uint8_t> input(rng.below(3000));
+            for (auto &b : input) {
+                // Mixture of random and repeated content.
+                b = rng.chancePerMille(600)
+                        ? static_cast<std::uint8_t>(rng.below(4))
+                        : static_cast<std::uint8_t>(rng.next());
+            }
+            const auto comp = codec.compress(input);
+            ASSERT_EQ(codec.decompress(comp), input);
+            ASSERT_EQ(referenceDecompress(comp, cfg), input);
         }
-        ASSERT_EQ(codec.decompress(codec.compress(input)), input);
     }
 }
 
@@ -250,7 +335,7 @@ TEST(Lz77Reference, HashChainIsByteIdenticalToScalarScan)
             // And the word-wise decoder equals the historical
             // bit-at-a-time one on the shared stream.
             EXPECT_EQ(codec.decompress(fast),
-                      lz77_reference::decompress(fast, cfg));
+                      referenceDecompress(fast, cfg));
         }
     }
 }
@@ -348,6 +433,89 @@ TEST(Lz77Stream, LongInputCrossesCompaction)
     const auto streamed = stream.finish();
     ASSERT_EQ(streamed, codec.compress(input));
     ASSERT_EQ(codec.decompress(streamed), input);
+}
+
+TEST(Lz77, PrefixDecodeIsAPrefixOfTheWholeDecode)
+{
+    Lz77 codec;
+    std::vector<std::uint8_t> input;
+    const std::string phrase = "checkpoint header, then words; ";
+    Xoshiro256ss rng(8);
+    while (input.size() < 4000) {
+        input.insert(input.end(), phrase.begin(), phrase.end());
+        input.push_back(static_cast<std::uint8_t>(rng.next()));
+    }
+    const auto comp = codec.compress(input);
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{1}, std::size_t{31},
+          std::size_t{32}, std::size_t{257}, std::size_t{3999},
+          input.size(), input.size() + 10}) {
+        std::uint64_t declared = 0;
+        const auto head =
+            codec.decompressPrefix(comp.data(), comp.size(), limit,
+                                   declared);
+        EXPECT_EQ(declared, input.size());
+        const std::size_t want = std::min(limit, input.size());
+        ASSERT_EQ(head.size(), want) << "limit " << limit;
+        EXPECT_TRUE(std::equal(head.begin(), head.end(), input.begin()))
+            << "limit " << limit;
+    }
+}
+
+/**
+ * Every truncation and every single-bit flip of a few compressed
+ * streams: the decoder either decodes or throws RecordingFormatError
+ * (never crashes, never reads past the input; the asan preset runs
+ * this too), and its outcome — bytes, or exception kind and message —
+ * equals the bitwise oracle's.
+ */
+TEST(Lz77, CorruptStreamsMatchBitwiseReference)
+{
+    std::vector<std::pair<Lz77Config, std::vector<std::uint8_t>>> cases;
+    cases.emplace_back(Lz77Config{},
+                       bytesOf("the quick brown fox jumps over the lazy "
+                               "dog; the quick brown fox jumps again"));
+    cases.emplace_back(Lz77Config{},
+                       std::vector<std::uint8_t>(300, 0x5A));
+    {
+        Xoshiro256ss rng(19);
+        std::vector<std::uint8_t> mixed(400);
+        for (auto &b : mixed)
+            b = rng.chancePerMille(600)
+                    ? static_cast<std::uint8_t>(rng.below(3))
+                    : static_cast<std::uint8_t>(rng.next());
+        cases.emplace_back(Lz77Config{8, 3, 258}, std::move(mixed));
+    }
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    for (const auto &[cfg, input] : cases) {
+        const Lz77 codec(cfg);
+        const auto comp = codec.compress(input);
+        const auto check = [&](const std::vector<std::uint8_t> &bad,
+                               const std::string &what) {
+            const std::string got =
+                outcomeOf([&] { return codec.decompress(bad); });
+            ASSERT_EQ(got, outcomeOf([&] {
+                          return referenceDecompress(bad, cfg);
+                      }))
+                << what;
+            ++(got.rfind("throw ", 0) == 0 ? rejected : decoded);
+        };
+        for (std::size_t n = 0; n < comp.size(); ++n)
+            check(std::vector<std::uint8_t>(comp.begin(),
+                                            comp.begin()
+                                                + static_cast<long>(n)),
+                  "truncated to " + std::to_string(n));
+        for (std::size_t bit = 0; bit < comp.size() * 8; ++bit) {
+            std::vector<std::uint8_t> bad = comp;
+            bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            check(bad, "bit " + std::to_string(bit) + " flipped");
+        }
+    }
+    // Both outcomes occur: the sweep exercises the error paths and
+    // the decode paths alike.
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

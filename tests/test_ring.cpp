@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iomanip>
@@ -17,6 +18,7 @@
 #include "compress/lz77.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/crc32.hpp"
 #include "store/ring.hpp"
@@ -72,6 +74,14 @@ archiveBytes(const Recording &rec)
     writeArchive(rec, out);
     const std::string s = std::move(out).str();
     return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+std::string
+imageBytes(const SystemCheckpoint &ckpt)
+{
+    std::ostringstream out(std::ios::binary);
+    serialize_detail::putCheckpoint(out, ckpt);
+    return std::move(out).str();
 }
 
 /** Fresh scratch ring directory under the test temp dir. */
@@ -254,6 +264,59 @@ TEST(Ring, RejectsSegmentHasMasksFlag)
     std::filesystem::remove_all(dir);
 }
 
+/**
+ * A segment whose start image is CRC-valid but names the wrong GCC
+ * is dropped by the open-time scan, which checks the image header
+ * against the segment header without decoding the image's memory.
+ */
+TEST(Ring, StartBlobNamingWrongGccIsDroppedAtScan)
+{
+    const std::string dir = ringDir("start_gcc");
+    writeSmallRing(dir);
+
+    // Segment file: 48-byte preamble (header blob compressed size at
+    // 32, its CRC at 40), the header blob (startGcc, endGcc, isTail,
+    // hasStart, then the start blob's raw size, compressed size and
+    // CRC), the start blob, the end blob, the payload.
+    const std::string seg1 = dir + "/seg-000000000001";
+    const std::vector<std::uint8_t> file = readFile(seg1);
+    const Lz77 codec;
+    const std::size_t hcomp = u64At(file, 32);
+    std::vector<std::uint8_t> header =
+        codec.decompress(file.data() + 48, hcomp);
+    ASSERT_EQ(u64At(header, 24), 1u); // has a start image
+    const std::size_t start_off = 48 + hcomp;
+    const std::size_t start_comp = u64At(header, 40);
+    std::vector<std::uint8_t> image =
+        codec.decompress(file.data() + start_off, start_comp);
+    ASSERT_EQ(u64At(image, 0), u64At(header, 0));
+    putU64At(image, 0, u64At(header, 0) + 1);
+    const std::vector<std::uint8_t> blob = codec.compress(image);
+    putU64At(header, 40, blob.size());
+    putU64At(header, 48, crc32(blob.data(), blob.size()));
+    const std::vector<std::uint8_t> hblob = codec.compress(header);
+
+    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
+    putU64At(out, 32, hblob.size());
+    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
+    out.insert(out.end(), hblob.begin(), hblob.end());
+    out.insert(out.end(), blob.begin(), blob.end());
+    out.insert(out.end(),
+               file.begin() + static_cast<long>(start_off + start_comp),
+               file.end());
+    writeFile(seg1, out);
+
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    EXPECT_GE(ring.recovery().droppedSegments, 1u);
+    const std::vector<std::string> &notes = ring.recovery().notes;
+    EXPECT_NE(std::find(notes.begin(), notes.end(),
+                        "seg-000000000001: start checkpoint disagrees "
+                        "with the header"),
+              notes.end());
+    EXPECT_GT(ring.segments().front().segId, 1u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Ring, OptionsRejectInfeasibleConfigs)
 {
     RingOptions opts;
@@ -310,6 +373,23 @@ TEST(Ring, CleanRoundTripMatchesBatchArchiveAllModes)
         EXPECT_EQ(ring.appName(), "radix");
         EXPECT_EQ(ring.checkpointCount(), rec.checkpoints.size());
 
+        // Images are decoded on first use: GCCs come from the segment
+        // headers, every image equals the recorded checkpoint, and a
+        // repeated lookup returns the memoized object.
+        std::vector<std::uint64_t> gccs;
+        for (const SystemCheckpoint &ckpt : rec.checkpoints)
+            gccs.push_back(ckpt.gcc);
+        EXPECT_EQ(ring.checkpointGccs(), gccs) << mode_name;
+        for (std::size_t i = 0; i < ring.checkpointCount(); ++i) {
+            const SystemCheckpoint &got = ring.checkpointAt(i);
+            const SystemCheckpoint &want = rec.checkpoints[i];
+            EXPECT_EQ(got.gcc, want.gcc) << mode_name;
+            EXPECT_EQ(got.committedChunks, want.committedChunks);
+            EXPECT_TRUE(got.memory == want.memory) << mode_name;
+            EXPECT_EQ(imageBytes(got), imageBytes(want)) << mode_name;
+            EXPECT_EQ(&ring.checkpointAt(i), &got) << mode_name;
+        }
+
         EXPECT_EQ(savedBytes(ring.readAll()), savedBytes(rec))
             << mode_name;
 
@@ -321,6 +401,11 @@ TEST(Ring, CleanRoundTripMatchesBatchArchiveAllModes)
             EXPECT_EQ(savedBytes(ring.readInterval(i)),
                       savedBytes(batch.readInterval(i)))
                 << mode_name << " checkpoint " << i;
+            if (i + 1 < ring.checkpointCount()) {
+                EXPECT_EQ(savedBytes(ring.readInterval(i, i + 1)),
+                          savedBytes(batch.readInterval(i, i + 1)))
+                    << mode_name << " interval " << i;
+            }
         }
         EXPECT_EQ(savedBytes(ring.readInterval(0, 2)),
                   savedBytes(batch.readInterval(0, 2)))

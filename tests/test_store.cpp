@@ -16,6 +16,7 @@
 #include "compress/lz77.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/crc32.hpp"
 #include "trace/app_profile.hpp"
@@ -72,6 +73,56 @@ archiveBytes(const Recording &rec)
     return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+std::string
+imageBytes(const SystemCheckpoint &ckpt)
+{
+    std::ostringstream out(std::ios::binary);
+    serialize_detail::putCheckpoint(out, ckpt);
+    return std::move(out).str();
+}
+
+/**
+ * Images are decoded on first use: the GCC list comes from the index,
+ * every decoded image equals the recorded checkpoint (GCC, contexts,
+ * committed chunks, memory), and a repeated lookup returns the
+ * memoized object.
+ */
+void
+expectLazyImagesMatch(const ArchiveReader &reader, const Recording &rec,
+                      const std::string &label)
+{
+    std::vector<std::uint64_t> gccs;
+    for (const SystemCheckpoint &ckpt : rec.checkpoints)
+        gccs.push_back(ckpt.gcc);
+    EXPECT_EQ(reader.checkpointGccs(), gccs) << label;
+    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+        const SystemCheckpoint &got = reader.checkpointAt(i);
+        const SystemCheckpoint &want = rec.checkpoints[i];
+        EXPECT_EQ(got.gcc, want.gcc) << label << " checkpoint " << i;
+        EXPECT_EQ(got.committedChunks, want.committedChunks) << label;
+        EXPECT_TRUE(got.memory == want.memory) << label;
+        // Contexts and the rest of the image, padding-insensitively.
+        EXPECT_EQ(imageBytes(got), imageBytes(want)) << label;
+        EXPECT_EQ(&reader.checkpointAt(i), &got) << label;
+    }
+}
+
+/** 64-bit content hash of a byte image: mix64 chained over words. */
+std::uint64_t
+bytesHash(const std::string &bytes)
+{
+    std::uint64_t h = mix64(bytes.size());
+    for (std::size_t off = 0; off < bytes.size(); off += 8) {
+        std::uint64_t w = 0;
+        for (std::size_t i = 0; i < 8 && off + i < bytes.size(); ++i)
+            w |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes[off + i]))
+                 << (8 * i);
+        h = mix64(h ^ w);
+    }
+    return h;
+}
+
 /** Archive -> readAll must be byte-identical under saveRecording. */
 void
 expectRoundTripAllApps(const ModeConfig &mode, const char *mode_name)
@@ -85,6 +136,8 @@ expectRoundTripAllApps(const ModeConfig &mode, const char *mode_name)
             ArchiveReader::fromBytes(archiveBytes(rec));
         ASSERT_EQ(reader.checkpointCount(), rec.checkpoints.size())
             << mode_name << "/" << app;
+        expectLazyImagesMatch(reader, rec,
+                              std::string(mode_name) + "/" + app);
         const Recording back = reader.readAll();
         EXPECT_TRUE(savedBytes(back) == savedBytes(rec))
             << mode_name << "/" << app;
@@ -193,6 +246,13 @@ TEST(Store, FooterIndexMetadata)
  */
 TEST(Store, IntervalReplayFromEveryCheckpointAllModes)
 {
+    // Pinned hash of saveRecording(readAll()) followed by every
+    // saveRecording(readInterval(i, i + 1)), per mode: the views a
+    // reader produces must not change with how it decodes images.
+    const std::uint64_t view_hashes[] = {
+        0x1e8f9fd0ec5b1ff2ull, 0xb1bceb8731e5d54eull,
+        0x80994ccbdb0398f3ull, 0x91515f6d812085a8ull};
+    std::size_t mode_index = 0;
     for (const auto &[mode_name, mode] : allModes()) {
         Workload w("radix", 4, 9, WorkloadScale::tiny());
         Recorder recorder(mode, machine());
@@ -201,6 +261,13 @@ TEST(Store, IntervalReplayFromEveryCheckpointAllModes)
 
         const ArchiveReader reader =
             ArchiveReader::fromBytes(archiveBytes(rec));
+        std::string views = savedBytes(reader.readAll());
+        for (std::size_t i = 0; i + 1 < reader.checkpointCount(); ++i)
+            views += savedBytes(reader.readInterval(i, i + 1));
+        EXPECT_EQ(bytesHash(views), view_hashes[mode_index++])
+            << mode_name << std::hex << " view hash 0x"
+            << bytesHash(views);
+        expectLazyImagesMatch(reader, rec, mode_name);
         Replayer replayer;
         for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {
             const Recording view = reader.readInterval(i);
@@ -399,6 +466,80 @@ TEST(Store, RejectsPiSliceHasMasksFlag)
                           "has-masks flag 1 is not 0"),
                       std::string::npos)
                 << e.what();
+        }
+    }
+}
+
+/**
+ * Open checks every checkpoint image in the footer without decoding
+ * it. Footers re-encoded with a valid CRC but a bad image must still
+ * be rejected at open, as a footer error, with the same message the
+ * eager decoder gave: a context count past 64, an image GCC that
+ * disagrees with its index entry, and a word list running past the
+ * footer.
+ */
+TEST(Store, FooterImageChecksFireAtOpen)
+{
+    Workload w("fft", 4, 9, WorkloadScale::tiny());
+    const Recording rec =
+        Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true,
+                                                            {}, 20);
+    ASSERT_GE(rec.checkpoints.size(), 2u);
+    const std::vector<std::uint8_t> bytes = archiveBytes(rec);
+    const std::size_t footer_off = u64At(bytes, bytes.size() - 40);
+    const std::vector<std::uint8_t> footer = rawFooter(bytes);
+
+    // Segment 0's index entry: endGcc, fileOffset, rawBytes,
+    // compBytes, crc32, piBitsEnd, strataBitsEnd, the CS bit-position
+    // count and positions, the has-checkpoint flag, then the image:
+    // gcc, dmaConsumed, rrNext, context count, contexts (each followed
+    // by its committed-chunk count), word count, words.
+    const ArchiveSegmentInfo seg =
+        ArchiveReader::fromBytes(bytes).segments()[0];
+    std::size_t entry = 0;
+    while (entry + 40 <= footer.size()
+           && !(u64At(footer, entry) == seg.endGcc
+                && u64At(footer, entry + 8) == seg.fileOffset
+                && u64At(footer, entry + 16) == seg.rawBytes
+                && u64At(footer, entry + 24) == seg.compBytes
+                && u64At(footer, entry + 32) == seg.crc32))
+        ++entry;
+    ASSERT_LT(entry + 40, footer.size());
+    const std::size_t procs = 4;
+    const std::size_t image = entry + 8 * (7 + 1 + procs + 1);
+    ASSERT_EQ(u64At(footer, image), seg.endGcc);
+    ASSERT_EQ(u64At(footer, image + 24), procs);
+    const std::size_t words_at =
+        image + 32 + procs * (sizeof(ThreadContext) + 8);
+
+    struct Case
+    {
+        const char *what;
+        std::size_t offset;
+        std::uint64_t value;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"context count 65", image + 24, 65,
+         "checkpoint context count 65 outside [0, 64]"},
+        {"GCC off the index", image, seg.endGcc + 1,
+         "segment 0 checkpoint GCC disagrees with the index"},
+        {"word list past the footer", words_at,
+         (footer.size() - words_at) / 16 + 1, "file truncated"},
+    };
+    for (const Case &c : cases) {
+        std::vector<std::uint8_t> bad_footer = footer;
+        putU64At(bad_footer, c.offset, c.value);
+        std::vector<std::uint8_t> bad = bytes;
+        rewriteFooter(bad, footer_off, bad_footer);
+        try {
+            ArchiveReader::fromBytes(bad);
+            ADD_FAILURE() << c.what << " was accepted at open";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFooter) << c.what;
+            EXPECT_NE(std::string(e.what()).find(c.message),
+                      std::string::npos)
+                << c.what << ": " << e.what();
         }
     }
 }
