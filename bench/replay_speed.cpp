@@ -4,23 +4,21 @@
  *
  * For every SPLASH-2-style application and each of the three modes
  * (Order&Size, OrderOnly, PicoLog) this harness records once and then
- * replays three ways:
+ * replays two ways:
  *
- *   serial   — the cycle-accurate engine, replayWindow 1 (the paper's
- *              replay configuration);
- *   windowed — the same engine with an 8-slot lookahead window, for
- *              the simulated-cycle effect of overlapping commit slots;
+ *   serial   — the cycle-accurate engine, one commit at a time (the
+ *              paper's virtualized-arbiter replay);
  *   parallel — the host-parallel chunk-body replayer (ParallelReplayer,
  *              jobs >= 4, window 8), which drops the timing model and
  *              executes chunk bodies concurrently.
  *
- * Reported per cell: replay-cycles/record-cycles ratios (serial and
- * windowed), window-overlap counters, and host replay throughput
- * (retired instructions per wall second) for the serial engine vs.
- * the parallel replayer, plus their speedup ratio. Every cell also
- * asserts that serial, windowed and parallel replays produce
- * byte-identical fingerprints and interval fingerprints — the exit
- * status reflects that invariant, not the speedup.
+ * Reported per cell: the serial replay-cycles/record-cycles ratio, its
+ * head-stall counters, and host replay throughput (retired
+ * instructions per wall second) for the serial engine vs. the
+ * parallel replayer, plus their speedup ratio. Every cell also
+ * asserts that serial and parallel replays produce byte-identical
+ * fingerprints and interval fingerprints — the exit status reflects
+ * that invariant, not the speedup.
  *
  * Output: stdout table (byte-identical at any DELOREAN_JOBS) plus
  * BENCH_replay.json (path override: DELOREAN_REPLAY_JSON).
@@ -52,8 +50,6 @@ struct Cell
 {
     double recordCycles = 0;
     double serialReplayCycles = 0;
-    double windowedReplayCycles = 0;
-    double windowOccupancyMean = 0;
     std::uint64_t headStallCycles = 0;
     std::uint64_t strataRelaxedRetires = 0;
     double serialThroughput = 0;   // retired instrs / wall second
@@ -65,13 +61,6 @@ struct Cell
     serialRatio() const
     {
         return recordCycles > 0 ? serialReplayCycles / recordCycles
-                                : 0.0;
-    }
-
-    double
-    windowedRatio() const
-    {
-        return recordCycles > 0 ? windowedReplayCycles / recordCycles
                                 : 0.0;
     }
 
@@ -154,18 +143,9 @@ main()
                 cell.serialReplayCycles =
                     static_cast<double>(serial.stats.totalCycles);
                 cell.serialThroughput = throughput(serial.stats);
-
-                const ReplayOutcome windowed = replayer.replay(
-                    rec, w, /*env_seed=*/77, {}, kWindow);
-                campaign.account(windowed.stats);
-                cell.windowedReplayCycles =
-                    static_cast<double>(windowed.stats.totalCycles);
-                cell.windowOccupancyMean =
-                    windowed.stats.replayWindowOccupancy.mean();
-                cell.headStallCycles =
-                    windowed.stats.replayHeadStallCycles;
+                cell.headStallCycles = serial.stats.replayHeadStallCycles;
                 cell.strataRelaxedRetires =
-                    windowed.stats.strataRelaxedRetires;
+                    serial.stats.strataRelaxedRetires;
 
                 ParallelReplayOptions popts;
                 popts.window = kWindow;
@@ -180,11 +160,7 @@ main()
                 }
 
                 cell.fingerprintsIdentical =
-                    serial.deterministicExact
-                    && windowed.deterministicExact
-                    && par.deterministicExact
-                    && identicalFingerprints(serial.fingerprint,
-                                             windowed.fingerprint)
+                    serial.deterministicExact && par.deterministicExact
                     && identicalFingerprints(serial.fingerprint,
                                              par.fingerprint);
                 row.push_back(cell);
@@ -195,8 +171,8 @@ main()
     const std::vector<std::vector<Cell>> rows =
         campaign.map(std::move(tasks));
 
-    std::printf("%-10s | %-15s | %7s %7s | %6s | %9s | %s\n", "app",
-                "mode", "ser-r", "win-r", "occ", "speedup", "fp");
+    std::printf("%-10s | %-15s | %7s | %9s | %s\n", "app", "mode",
+                "ser-r", "speedup", "fp");
     unsigned apps_at_speedup = 0;
     bool all_identical = true;
     std::vector<double> all_speedups;
@@ -204,11 +180,9 @@ main()
         std::vector<double> app_speedups;
         for (std::size_t mi = 0; mi < std::size(modes); ++mi) {
             const Cell &cell = rows[ai][mi];
-            std::printf("%-10s | %-15s | %7.2f %7.2f | %6.2f | %8.2fx "
-                        "| %s\n",
+            std::printf("%-10s | %-15s | %7.2f | %8.2fx | %s\n",
                         apps[ai].c_str(), modes[mi].label,
-                        cell.serialRatio(), cell.windowedRatio(),
-                        cell.windowOccupancyMean, cell.speedup(),
+                        cell.serialRatio(), cell.speedup(),
                         cell.fingerprintsIdentical ? "ok" : "MISMATCH");
             all_identical =
                 all_identical && cell.fingerprintsIdentical;
@@ -221,7 +195,7 @@ main()
     std::printf("\napps with geomean parallel speedup >= 1.5x: %u/%zu "
                 "(jobs=%u, window=%u)\n",
                 apps_at_speedup, apps.size(), jobs, kWindow);
-    std::printf("serial==windowed==parallel fingerprints: %s\n",
+    std::printf("serial==parallel fingerprints: %s\n",
                 all_identical ? "YES" : "NO (BUG)");
 
     // ---- BENCH_replay.json ------------------------------------------
@@ -237,12 +211,7 @@ main()
             ledger.open(modes[mi].label);
             ledger.field("recordCycles", cell.recordCycles);
             ledger.field("serialReplayCycles", cell.serialReplayCycles);
-            ledger.field("windowedReplayCycles",
-                         cell.windowedReplayCycles);
             ledger.field("serialReplayRatio", cell.serialRatio());
-            ledger.field("windowedReplayRatio", cell.windowedRatio());
-            ledger.field("windowOccupancyMean",
-                         cell.windowOccupancyMean);
             ledger.field("headStallCycles", cell.headStallCycles);
             ledger.field("strataRelaxedRetires",
                          cell.strataRelaxedRetires);

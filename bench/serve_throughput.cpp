@@ -136,8 +136,8 @@ runBaseline(const std::vector<ServeJob> &jobs, unsigned period,
         }
         case ServeClass::kReplay: {
             const Replayer replayer;
-            const ReplayOutcome out = replayer.replay(
-                rec, job.replayEnvSeed, {}, job.replayWindow);
+            const ReplayOutcome out =
+                replayer.replay(rec, job.replayEnvSeed);
             *ok = *ok
                   && (out.deterministicExact
                       || (rec.stratified()
@@ -147,7 +147,6 @@ runBaseline(const std::vector<ServeJob> &jobs, unsigned period,
         case ServeClass::kValidate: {
             ReplayCheckOptions vopts;
             vopts.envSeed = job.replayEnvSeed;
-            vopts.replayWindow = job.replayWindow;
             *ok = *ok && checkedReplay(rec, vopts).ok;
             break;
         }

@@ -10,6 +10,7 @@
 #define DELOREAN_COMMON_CONFIG_HPP_
 
 #include <cstdint>
+#include <string>
 
 #include "common/types.hpp"
 
@@ -150,6 +151,24 @@ struct ModeConfig
         return c;
     }
 };
+
+/**
+ * The one mode spelling every tool parses and prints:
+ * "order-and-size", "order-only", "order-only-strat" (OrderOnly with a
+ * stratified PI log) and "picolog", each naming its mode's preferred
+ * configuration. Stratified configurations of other modes print under
+ * their unstratified name.
+ */
+const char *modeConfigName(const ModeConfig &mode);
+
+/**
+ * Parse a modeConfigName() spelling into @p out. @p strata becomes
+ * stratifyChunksPerProc for "order-only-strat" (the strata count is
+ * each caller's own knob). Returns false, leaving @p out untouched,
+ * for any other name.
+ */
+bool parseModeConfig(const std::string &name, unsigned strata,
+                     ModeConfig &out);
 
 } // namespace delorean
 

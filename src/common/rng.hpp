@@ -15,6 +15,7 @@
 #define DELOREAN_COMMON_RNG_HPP_
 
 #include <cstdint>
+#include <string_view>
 
 namespace delorean
 {
@@ -35,6 +36,27 @@ mix64(std::uint64_t x)
 {
     std::uint64_t s = x;
     return splitMix64(s);
+}
+
+/**
+ * 64-bit content hash of a byte image: mix64 chained over
+ * little-endian 64-bit words, seeded with the length. The golden-byte
+ * tests pin recordings and archives by this value, so it must never
+ * change.
+ */
+inline std::uint64_t
+hashBytes(std::string_view bytes)
+{
+    std::uint64_t h = mix64(bytes.size());
+    for (std::size_t off = 0; off < bytes.size(); off += 8) {
+        std::uint64_t w = 0;
+        for (std::size_t i = 0; i < 8 && off + i < bytes.size(); ++i)
+            w |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes[off + i]))
+                 << (8 * i);
+        h = mix64(h ^ w);
+    }
+    return h;
 }
 
 /**

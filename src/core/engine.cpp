@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <type_traits>
@@ -54,19 +53,6 @@ ChunkEngine::ChunkEngine(const Workload &workload,
     if (n_ < 1 || n_ > 64)
         throw ConfigError("numProcs must be in [1, 64], got "
                           + std::to_string(n_));
-    if (const char *env = std::getenv("DELOREAN_NO_SUMMARY_FILTER"))
-        if (*env && *env != '0')
-            filter_mode_ = FilterMode::kForceOff;
-    if (filter_mode_ == FilterMode::kAdaptive) {
-        if (const char *env = std::getenv("DELOREAN_SUMMARY_FILTER")) {
-            const std::string v(env);
-            if (v == "0" || v == "off")
-                filter_mode_ = FilterMode::kForceOff;
-            else if (!v.empty())
-                filter_mode_ = FilterMode::kForceOn;
-        }
-    }
-    summary_filter_ = filter_mode_ != FilterMode::kForceOff;
     proc_unions_.resize(n_);
     workload_.initializeMemory(mem_);
     const unsigned l1_sets =
@@ -190,7 +176,9 @@ ChunkEngine::replay(const Recording &prior)
             procs_[p].irqBySeq.emplace(e.chunkSeq, e);
     }
 
-    slot_busy_until_.assign(std::max(1u, opts_.replayWindow), 0);
+    // The virtualized replay arbiter has one commit slot: grants
+    // follow the log order, so overlapping slots would buy nothing.
+    slot_busy_until_.assign(1, 0);
 
     if (const SystemCheckpoint *ckpt = opts_.startCheckpoint) {
         // Interval replay (Appendix B): restore the architectural
@@ -913,9 +901,6 @@ bool
 ChunkEngine::sigConflict(const SignaturePair &running,
                          const Signature &wsig)
 {
-    if (!summary_filter_)
-        return running.read.intersectsWords(wsig)
-               || running.write.intersectsWords(wsig);
     bool conflict = false;
     if (wsig.summaryIntersects(running.read)) {
         ++stats_.sigSummaryHits;
@@ -953,7 +938,7 @@ ChunkEngine::sweepConflicts(ProcId committing,
         // any bank cannot conflict with any of q's chunks — even
         // under exact disambiguation, where a line conflict implies a
         // signature conflict.
-        if (summary_filter_ && !write_sig.intersects(proc_unions_[q]))
+        if (!write_sig.intersects(proc_unions_[q]))
             continue;
         walked = true;
         for (std::size_t k = 0; k < other.size(); ++k) {
@@ -963,66 +948,15 @@ ChunkEngine::sweepConflicts(ProcId committing,
             }
         }
     }
-    if (summary_filter_ && !walked)
+    if (!walked)
         ++stats_.unionSweepSkips;
     else
         ++stats_.conflictSweeps;
-    if (filter_mode_ == FilterMode::kAdaptive)
-        maybeAdaptFilter();
-}
-
-void
-ChunkEngine::maybeAdaptFilter()
-{
-    if (summary_filter_) {
-        if (++filter_window_sweeps_ < kFilterProbeWindow)
-            return;
-        const std::uint64_t rejects =
-            stats_.sigSummaryRejects - filter_window_rejects_;
-        const std::uint64_t hits =
-            stats_.sigSummaryHits - filter_window_hits_;
-        const std::uint64_t skips =
-            stats_.unionSweepSkips - filter_window_skips_;
-        // The filter pays for itself when the summary prechecks
-        // reject often (each reject saves a full word sweep) or the
-        // per-proc unions skip whole processors. Below a 25% benefit
-        // rate on both counts the prechecks and union upkeep are pure
-        // overhead — exactly the conflict-heavy profile where every
-        // summary intersects — so drop them until the next re-probe.
-        const std::uint64_t tests = rejects + hits;
-        const bool summaries_pay = tests != 0 && rejects * 4 >= tests;
-        const bool unions_pay = skips * 4 >= filter_window_sweeps_;
-        if (!summaries_pay && !unions_pay) {
-            summary_filter_ = false;
-            filter_off_sweeps_ = 0;
-            ++stats_.sigFilterDeactivations;
-        }
-        filter_window_sweeps_ = 0;
-        filter_window_hits_ = stats_.sigSummaryHits;
-        filter_window_rejects_ = stats_.sigSummaryRejects;
-        filter_window_skips_ = stats_.unionSweepSkips;
-    } else {
-        if (++filter_off_sweeps_ < kFilterReprobePeriod)
-            return;
-        // Re-probe: union upkeep was suspended while the filter was
-        // off, so rebuild every processor's in-flight union before
-        // trusting it again.
-        summary_filter_ = true;
-        filter_off_sweeps_ = 0;
-        filter_window_sweeps_ = 0;
-        filter_window_hits_ = stats_.sigSummaryHits;
-        filter_window_rejects_ = stats_.sigSummaryRejects;
-        filter_window_skips_ = stats_.unionSweepSkips;
-        for (ProcId p = 0; p < n_; ++p)
-            rebuildProcUnion(p);
-    }
 }
 
 void
 ChunkEngine::noteChunkInflight(ProcId p, const EngineChunk &chunk)
 {
-    if (!summary_filter_)
-        return; // unions are rebuilt wholesale on re-probe
     proc_unions_[p].unionWith(chunk.sigs.read);
     proc_unions_[p].unionWith(chunk.sigs.write);
 }
@@ -1034,8 +968,6 @@ ChunkEngine::rebuildProcUnion(ProcId p)
     // surviving chunks whenever one leaves the window. clear() is an
     // epoch bump and the window holds only a handful of chunks, so
     // this stays cheap enough to run on every commit and squash.
-    if (!summary_filter_)
-        return;
     Signature &u = proc_unions_[p];
     u.clear();
     for (const auto &c : procs_[p].inflight) {
@@ -1253,7 +1185,7 @@ ChunkEngine::arbiterProcess(Cycle now)
 
     // Replay head-stall accounting: a slot is free and some completed
     // chunk is waiting, but the log head names a processor whose chunk
-    // has not arrived — the serialization the lookahead window cannot
+    // has not arrived — the serialization logged-order replay cannot
     // hide. The stall is charged when the head finally commits.
     if (opts_.replay && head_stall_since_ == kNoCycle
         && freeSlots(now) > 0) {
@@ -1282,8 +1214,6 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     stats_.readyProcsAtCommit.add(static_cast<double>(countReadyProcs()));
     stats_.parallelCommits.add(static_cast<double>(busySlots(now)));
     if (opts_.replay) {
-        stats_.replayWindowOccupancy.add(
-            static_cast<double>(busySlots(now)));
         if (head_stall_since_ != kNoCycle) {
             stats_.replayHeadStallCycles += now - head_stall_since_;
             head_stall_since_ = kNoCycle;
@@ -1501,8 +1431,6 @@ ChunkEngine::grantDma(Cycle now)
     occupySlot(now, opts_.replay ? arbLatency() + commitLatency()
                                  : commitLatency());
     if (opts_.replay) {
-        stats_.replayWindowOccupancy.add(
-            static_cast<double>(busySlots(now)));
         if (head_stall_since_ != kNoCycle) {
             stats_.replayHeadStallCycles += now - head_stall_since_;
             head_stall_since_ = kNoCycle;

@@ -74,13 +74,6 @@ struct EngineOptions
     /// Replay only: virtualization penalty — this arbitration latency
     /// (30 -> 50 cycles in the paper) on every replayed commit.
     Cycle replayArbitrationLatency = 50;
-    /// Replay only: lookahead window — number of commit slots the
-    /// arbiter may occupy concurrently while retiring chunks in logged
-    /// order. 1 fully serializes replay (the paper's virtualized
-    /// arbiter); larger windows overlap commit occupancy without
-    /// changing the architectural retire order, so the replayed
-    /// fingerprint is identical at any width.
-    unsigned replayWindow = 1;
     ReplayPerturbation perturb;
     /// Event-budget override; 0 keeps the default safety valve. The
     /// validation layer shrinks this so a corrupted log that parks
@@ -313,38 +306,6 @@ class ChunkEngine
     void noteChunkInflight(ProcId p, const EngineChunk &chunk);
     void rebuildProcUnion(ProcId p);
 
-    /// Summary-filter policy. DELOREAN_SUMMARY_FILTER=on forces the
-    /// filter, =off (or the original DELOREAN_NO_SUMMARY_FILTER=1
-    /// escape hatch) falls back to full word-level intersections and
-    /// per-chunk sweeps, and unset runs the adaptive policy: probe
-    /// windows of commit sweeps measure the summary reject rate and
-    /// the union sweep-skip rate, and the filter is dropped while the
-    /// workload's conflict profile makes its prechecks pure overhead
-    /// (summaries almost always intersecting), re-probing periodically
-    /// in case the profile shifts. Never architectural: the recording
-    /// is byte-identical under every policy.
-    enum class FilterMode : std::uint8_t
-    {
-        kAdaptive,
-        kForceOn,
-        kForceOff,
-    };
-    FilterMode filter_mode_ = FilterMode::kAdaptive;
-    /// Current filter state (fixed for forced modes).
-    bool summary_filter_ = true;
-    /// Adaptive bookkeeping: sweeps observed in the open probe window,
-    /// counter snapshots at its start, and sweeps spent filtered off.
-    std::uint64_t filter_window_sweeps_ = 0;
-    std::uint64_t filter_window_hits_ = 0;
-    std::uint64_t filter_window_rejects_ = 0;
-    std::uint64_t filter_window_skips_ = 0;
-    std::uint64_t filter_off_sweeps_ = 0;
-    void maybeAdaptFilter();
-    /// Sweeps per probe window; small so a filter-hostile workload
-    /// sheds the overhead early in the run.
-    static constexpr std::uint64_t kFilterProbeWindow = 128;
-    /// Sweeps spent unfiltered before probing again.
-    static constexpr std::uint64_t kFilterReprobePeriod = 4096;
     /// Per-processor OR of that processor's in-flight chunk R and W
     /// signatures. Exact over the live window: rebuilt whenever
     /// chunks leave it (commit pop or squash), which is cheap because

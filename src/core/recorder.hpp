@@ -84,33 +84,27 @@ class Replayer
      * Replay @p recording. The workload is reconstructed from the
      * recording's metadata; @p env_seed seeds the (non-architectural)
      * environment so replay timing differs from the initial run.
-     * @p replay_window sets EngineOptions::replayWindow — commit
-     * slots the replay arbiter may overlap (1 = serial replay).
      */
     ReplayOutcome
     replay(const Recording &recording, std::uint64_t env_seed,
-           const ReplayPerturbation &perturb = {},
-           unsigned replay_window = 1) const
+           const ReplayPerturbation &perturb = {}) const
     {
         Workload workload(recording.appName, recording.machine.numProcs,
                           recording.workloadSeed,
                           WorkloadScale{recording.iterationsPercent});
-        return replay(recording, workload, env_seed, perturb,
-                      replay_window);
+        return replay(recording, workload, env_seed, perturb);
     }
 
     /** Replay with an explicitly provided (matching) workload. */
     ReplayOutcome
     replay(const Recording &recording, const Workload &workload,
            std::uint64_t env_seed,
-           const ReplayPerturbation &perturb = {},
-           unsigned replay_window = 1) const
+           const ReplayPerturbation &perturb = {}) const
     {
         EngineOptions opts;
         opts.replay = true;
         opts.envSeed = env_seed;
         opts.perturb = perturb;
-        opts.replayWindow = replay_window;
         ChunkEngine engine(workload, recording.machine, recording.mode,
                            opts);
         return engine.replay(recording);

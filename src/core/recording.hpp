@@ -60,11 +60,6 @@ struct EngineStats
     std::uint64_t unionSweepSkips = 0;
     /// Commit-time conflict sweeps that did walk running chunks.
     std::uint64_t conflictSweeps = 0;
-    /// Adaptive summary filter: probe windows that measured the
-    /// filter as pure overhead and dropped it (see
-    /// ChunkEngine::maybeAdaptFilter). Always 0 under the forced
-    /// DELOREAN_SUMMARY_FILTER=on/off policies.
-    std::uint64_t sigFilterDeactivations = 0;
     /// Same-cycle arbiter wakeups merged into one drain pass.
     std::uint64_t arbiterWakeupsCoalesced = 0;
     /// 64-bit accumulator spills across the PI and CS log writers.
@@ -74,13 +69,14 @@ struct EngineStats
     /// completed but uncommitted (Table 6 "Stall Cycles").
     std::vector<std::uint64_t> perProcStallCycles;
 
-    // --- chunk-parallel replay (lookahead window) ----------------------
-    /// Commit slots busy at each replayed grant — how much of the
-    /// lookahead window the replay actually used.
+    // --- replay -------------------------------------------------------
+    /// Chunks in flight at each parallel-replay execution batch
+    /// (filled by ParallelReplayer; the serial engine retires one
+    /// commit at a time and leaves it empty).
     RunningStat replayWindowOccupancy;
     /// Cycles a completed chunk sat ready while the log head named a
     /// processor whose chunk was still executing (the serialization
-    /// cost the window cannot remove).
+    /// cost of retiring in logged order).
     std::uint64_t replayHeadStallCycles = 0;
     /// Stratified replay: commits retired while another processor
     /// still had budget in the same stratum — commits that exploited

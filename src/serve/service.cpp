@@ -41,13 +41,13 @@ fnv1aHex(const std::string &s)
     return buf;
 }
 
-/** Mode label for the ledger: exec mode plus the stratification. */
+/** Mode label for the ledger, in job-line syntax. */
 std::string
 serveModeLabel(const ModeConfig &mode)
 {
-    std::string label = execModeName(mode.mode);
+    std::string label = modeConfigName(mode);
     if (mode.stratifyChunksPerProc)
-        label += "/strat" + std::to_string(mode.stratifyChunksPerProc);
+        label += " strat=" + std::to_string(mode.stratifyChunksPerProc);
     return label;
 }
 
@@ -155,7 +155,7 @@ parseServeJob(const std::string &line, ServeJob &job, std::string &error)
     }
 
     bool have_app = false;
-    std::string mode_name = "ordersize";
+    std::string mode_name = "order-and-size";
     unsigned strat = 4;
     std::string tok;
     while (in >> tok) {
@@ -211,10 +211,6 @@ parseServeJob(const std::string &line, ServeJob &job, std::string &error)
             if (!number(v))
                 return false;
             parsed.replayEnvSeed = v;
-        } else if (key == "window") {
-            if (!number(v))
-                return false;
-            parsed.replayWindow = static_cast<unsigned>(v);
         } else {
             error = "unknown field \"" + key + "\"";
             return false;
@@ -225,16 +221,7 @@ parseServeJob(const std::string &line, ServeJob &job, std::string &error)
         return false;
     }
 
-    if (mode_name == "ordersize") {
-        parsed.record.mode = ModeConfig::orderAndSize();
-    } else if (mode_name == "orderonly") {
-        parsed.record.mode = ModeConfig::orderOnly();
-    } else if (mode_name == "stratified") {
-        parsed.record.mode = ModeConfig::orderOnly();
-        parsed.record.mode.stratifyChunksPerProc = strat;
-    } else if (mode_name == "picolog") {
-        parsed.record.mode = ModeConfig::picoLog();
-    } else {
+    if (!parseModeConfig(mode_name, strat, parsed.record.mode)) {
         error = "unknown mode \"" + mode_name + "\"";
         return false;
     }
@@ -520,8 +507,8 @@ ServeService::run(const std::vector<ServeJob> &jobs)
                 break;
             case ServeClass::kReplay: {
                 const Replayer replayer;
-                const ReplayOutcome out = replayer.replay(
-                    rec, job.replayEnvSeed, {}, job.replayWindow);
+                const ReplayOutcome out =
+                    replayer.replay(rec, job.replayEnvSeed);
                 r.ok = out.deterministicExact
                        || (rec.stratified()
                            && out.deterministicPerProc);
@@ -532,7 +519,6 @@ ServeService::run(const std::vector<ServeJob> &jobs)
             case ServeClass::kValidate: {
                 ReplayCheckOptions vopts;
                 vopts.envSeed = job.replayEnvSeed;
-                vopts.replayWindow = job.replayWindow;
                 const ReplayCheckResult res =
                     checkedReplay(rec, vopts);
                 r.ok = res.ok;

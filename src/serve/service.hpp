@@ -67,19 +67,19 @@ struct ServeJob
     ServeClass cls = ServeClass::kRecord;
     RecordJob record;                 ///< identifies the recording
     std::uint64_t replayEnvSeed = 99; ///< replay/validate env seed
-    unsigned replayWindow = 1;        ///< replay arbiter lookahead
 };
 
 /**
  * Parse one job-file line into @p job. Format (class first, then
  * key=value fields in any order):
  *
- *   record   app=radix seed=7 scale=30 procs=8 mode=ordersize env=1
- *   replay   app=radix seed=7 scale=30 mode=orderonly renv=5 window=2
- *   validate app=fft mode=stratified strat=4 renv=9
+ *   record   app=radix seed=7 scale=30 procs=8 mode=order-and-size env=1
+ *   replay   app=radix seed=7 scale=30 mode=order-only renv=5
+ *   validate app=fft mode=order-only-strat strat=4 renv=9
  *
- * modes: ordersize | orderonly | stratified | picolog (stratified
- * takes strat=<chunks per proc per stratum>, default 4). Omitted
+ * modes: the modeConfigName() spellings (order-and-size, order-only,
+ * order-only-strat, picolog); order-only-strat takes
+ * strat=<chunks per proc per stratum>, default 4. Omitted
  * fields keep ServeJob/RecordJob defaults. Empty lines and lines
  * starting with '#' return false with an empty @p error; malformed
  * lines return false with a diagnostic.

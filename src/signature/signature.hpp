@@ -32,42 +32,12 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
-// Explicit SIMD lane sweeps (GNU vector extensions) for the word-level
-// intersection/union hot paths. Portable fallback: the scalar loops
-// below are branch-free and auto-vectorizable, so DELOREAN_NO_SIMD=
-// defined (or a non-GNU compiler) only costs the explicit widening.
-#if defined(__GNUC__) && !defined(DELOREAN_NO_SIMD)
-#define DELOREAN_SIG_SIMD 1
-#endif
-
-// On x86-64, a 256-bit variant of the same sweeps is compiled with
-// the avx2 target attribute and selected at runtime from one cached
-// CPUID probe, so the binary stays runnable on pre-AVX2 machines.
-// The 128-bit path above remains the dispatch fallback.
-#if DELOREAN_SIG_SIMD && defined(__x86_64__)
-#define DELOREAN_SIG_AVX2 1
-#endif
-
 namespace delorean
 {
-
-#if DELOREAN_SIG_AVX2
-namespace detail
-{
-/** One-time CPUID probe backing the 256-bit sweep dispatch. */
-inline bool
-sigHasAvx2()
-{
-    static const bool have = __builtin_cpu_supports("avx2") != 0;
-    return have;
-}
-} // namespace detail
-#endif
 
 /**
  * Fixed-capacity banked signature over cache-line addresses.
@@ -154,28 +124,6 @@ class SignatureT
     bool
     intersectsWords(const SignatureT &other) const
     {
-#if DELOREAN_SIG_AVX2
-        // 256-bit lanes when the CPU has them: the probe is cached,
-        // so steady state pays one predicted branch per call.
-        if constexpr (kBankWords % kWideLanes == 0) {
-            if (detail::sigHasAvx2())
-                return intersectsWordsAvx2(other);
-        }
-#endif
-#if DELOREAN_SIG_SIMD
-        if constexpr (kBankWords % kSimdLanes == 0) {
-            for (unsigned b = 0; b < kBanks; ++b) {
-                V2u64 acc{};
-                for (unsigned i = 0; i < kBankWords; i += kSimdLanes) {
-                    const unsigned w = b * kBankWords + i;
-                    acc |= maskedPair(w) & other.maskedPair(w);
-                }
-                if ((acc[0] | acc[1]) == 0)
-                    return false;
-            }
-            return true;
-        }
-#endif
         for (unsigned b = 0; b < kBanks; ++b) {
             std::uint64_t hit = 0;
             for (unsigned i = 0; i < kBankWords; ++i)
@@ -208,29 +156,6 @@ class SignatureT
             if (!other.summary_[b])
                 continue; // whole bank empty in other
             summary_[b] |= other.summary_[b];
-#if DELOREAN_SIG_AVX2
-            if constexpr (kBankWords % kWideLanes == 0) {
-                if (detail::sigHasAvx2()) {
-                    unionBankAvx2(other, b);
-                    continue;
-                }
-            }
-#endif
-#if DELOREAN_SIG_SIMD
-            if constexpr (kBankWords % kSimdLanes == 0) {
-                const V2u32 cur = {epoch_, epoch_};
-                for (unsigned i = 0; i < kBankWords; i += kSimdLanes) {
-                    const unsigned w = b * kBankWords + i;
-                    const V2u64 merged =
-                        maskedPair(w) | other.maskedPair(w);
-                    std::memcpy(words_.data() + w, &merged,
-                                sizeof merged);
-                    std::memcpy(word_epoch_.data() + w, &cur,
-                                sizeof cur);
-                }
-                continue;
-            }
-#endif
             for (unsigned i = 0; i < kBankWords; ++i) {
                 const unsigned w = b * kBankWords + i;
                 words_[w] = maskedWord(w) | other.maskedWord(w);
@@ -307,92 +232,6 @@ class SignatureT
     }
 
   private:
-#if DELOREAN_SIG_SIMD
-    /// 128-bit lanes: the baseline vector width on both x86-64 (SSE2)
-    /// and aarch64 (NEON), so no arch flags are needed and no ABI
-    /// warnings fire for by-value vector returns.
-    static constexpr unsigned kSimdLanes = 2;
-    using V2u64 = std::uint64_t __attribute__((vector_size(16)));
-    using V2u32 = std::uint32_t __attribute__((vector_size(8)));
-    using V2i64 = std::int64_t __attribute__((vector_size(16)));
-
-    /**
-     * Two consecutive maskedWord() lanes as one vector: unaligned
-     * loads of the words and their epoch tags, a lane-wise compare of
-     * the tags against the live epoch (yielding all-ones/all-zero
-     * 32-bit lanes, sign-extended to 64), and a mask AND. The compare
-     * replaces the data-dependent epoch branches with one SIMD op.
-     */
-    V2u64
-    maskedPair(unsigned i) const
-    {
-        V2u64 w;
-        std::memcpy(&w, words_.data() + i, sizeof w);
-        V2u32 e;
-        std::memcpy(&e, word_epoch_.data() + i, sizeof e);
-        const V2u32 cur = {epoch_, epoch_};
-        const V2i64 live = __builtin_convertvector(e == cur, V2i64);
-        return w & reinterpret_cast<const V2u64 &>(live);
-    }
-#endif
-
-#if DELOREAN_SIG_AVX2
-    /// 256-bit lane count; a 2 Kbit signature's 8-word bank is two
-    /// sweep steps instead of four.
-    static constexpr unsigned kWideLanes = 4;
-    using V4u64 = std::uint64_t __attribute__((vector_size(32)));
-    using V4u32 = std::uint32_t __attribute__((vector_size(16)));
-    using V4i64 = std::int64_t __attribute__((vector_size(32)));
-
-    /**
-     * Four consecutive maskedWord() lanes as one 256-bit vector; the
-     * same load / epoch-compare / sign-extend / AND shape as
-     * maskedPair(). Everything 256-bit-valued stays inside
-     * avx2-target functions so by-value vector passing never crosses
-     * an ABI boundary into baseline code.
-     */
-    __attribute__((target("avx2"))) V4u64
-    maskedQuad(unsigned i) const
-    {
-        V4u64 w;
-        std::memcpy(&w, words_.data() + i, sizeof w);
-        V4u32 e;
-        std::memcpy(&e, word_epoch_.data() + i, sizeof e);
-        const V4u32 cur = {epoch_, epoch_, epoch_, epoch_};
-        const V4i64 live = __builtin_convertvector(e == cur, V4i64);
-        return w & reinterpret_cast<const V4u64 &>(live);
-    }
-
-    /** intersectsWords(), 256 bits per step. */
-    __attribute__((target("avx2"))) bool
-    intersectsWordsAvx2(const SignatureT &other) const
-    {
-        for (unsigned b = 0; b < kBanks; ++b) {
-            V4u64 acc{};
-            for (unsigned i = 0; i < kBankWords; i += kWideLanes) {
-                const unsigned w = b * kBankWords + i;
-                acc |= maskedQuad(w) & other.maskedQuad(w);
-            }
-            if ((acc[0] | acc[1] | acc[2] | acc[3]) == 0)
-                return false;
-        }
-        return true;
-    }
-
-    /** unionWith()'s per-bank merge, 256 bits per step. */
-    __attribute__((target("avx2"))) void
-    unionBankAvx2(const SignatureT &other, unsigned b)
-    {
-        const V4u32 cur = {epoch_, epoch_, epoch_, epoch_};
-        for (unsigned i = 0; i < kBankWords; i += kWideLanes) {
-            const unsigned w = b * kBankWords + i;
-            const V4u64 merged = maskedQuad(w) | other.maskedQuad(w);
-            std::memcpy(words_.data() + w, &merged, sizeof merged);
-            std::memcpy(word_epoch_.data() + w, &cur, sizeof cur);
-        }
-    }
-#endif
-
     /** Word @p i with stale (pre-clear) content read as zero. */
     std::uint64_t
     word(unsigned i) const

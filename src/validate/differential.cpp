@@ -305,21 +305,7 @@ runOne(const DifferentialJob &job, const std::string &label,
     if (!check.replayRan)
         return run;
 
-    // Leg 2: same engine, lookahead-window arbiter. Chunks retire in
-    // logged order with up to parallelWindow commit slots overlapped;
-    // the architectural outcome must match the serial replay.
-    ReplayCheckOptions wopts = opts;
-    wopts.replayWindow = job.parallelWindow;
-    const ReplayCheckResult windowed = checkedReplay(loaded, wopts);
-    run.windowedReplayOk = windowed.ok;
-    if (!windowed.ok)
-        run.parallelReport = windowed.report;
-    if (windowed.replayRan)
-        run.windowedMatchesSerial = agreesWithSerial(
-            check.outcome.fingerprint, windowed.outcome.fingerprint,
-            run.stratified, job.localizerPeriod);
-
-    // Leg 3: host-parallel chunk bodies on the WorkerPool.
+    // Host-parallel chunk bodies on the WorkerPool.
     ParallelReplayOptions popts;
     popts.window = job.parallelWindow;
     popts.jobs = job.parallelJobs;
@@ -364,11 +350,7 @@ DifferentialResult::describe() const
         out << "pi=" << r.sizes.pi.rawBits << "b cs="
             << r.sizes.cs.rawBits << "b commits="
             << r.fingerprint.commits.size() << " replay="
-            << (r.replayOk ? "ok" : "DIVERGED") << " windowed="
-            << (r.windowedReplayOk && r.windowedMatchesSerial
-                    ? "ok"
-                    : "DIVERGED")
-            << " parallel="
+            << (r.replayOk ? "ok" : "DIVERGED") << " parallel="
             << (r.parallelReplayOk && r.parallelMatchesSerial
                     ? "ok"
                     : "DIVERGED");
@@ -388,7 +370,7 @@ DifferentialResult::describe() const
         out << (r.roundTripIdentical ? "" : " round-trip=NOT-IDENTICAL");
         if (!r.replayOk)
             out << "\n    " << r.report.describe();
-        else if (!r.windowedReplayOk || !r.parallelReplayOk)
+        else if (!r.parallelReplayOk)
             out << "\n    " << r.parallelReport.describe();
     }
     for (const std::string &f : failures)
@@ -435,13 +417,6 @@ DifferentialChecker::check(const DifferentialJob &job) const
             fail(r.label + ": interval fingerprints disagree with a "
                  "matching final fingerprint (localizer invariant "
                  "broken)");
-        if (!r.windowedReplayOk)
-            fail(r.label + ": windowed replay diverged ("
-                 + divergenceKindName(r.parallelReport.kind) + ": "
-                 + r.parallelReport.message + ")");
-        else if (!r.windowedMatchesSerial)
-            fail(r.label + ": windowed replay fingerprint differs "
-                 "from serial replay");
         if (!r.parallelReplayOk)
             fail(r.label + ": chunk-parallel replay diverged ("
                  + divergenceKindName(r.parallelReport.kind) + ": "

@@ -14,8 +14,7 @@
  *     recorded and replayed commit streams must agree at every
  *     boundary (per-processor streams for stratified logs, whose
  *     global interleaving is not canonical);
- *   - serial and parallel replay describe the same execution: both
- *     the lookahead-window arbiter (replayWindow > 1) and the
+ *   - serial and parallel replay describe the same execution: the
  *     host-parallel chunk-body replayer must reproduce the serial
  *     replay's fingerprint and interval fingerprints byte-identically
  *     (per-processor streams for stratified logs);
@@ -74,8 +73,8 @@ struct DifferentialJob
     bool perturbReplay = true;
     /// Commits per localizer interval fingerprint.
     std::uint64_t localizerPeriod = 32;
-    /// Lookahead window used for the windowed-arbiter and the
-    /// chunk-parallel replay legs.
+    /// Chunks in flight in the chunk-parallel replay leg
+    /// (ParallelReplayOptions::window).
     unsigned parallelWindow = 8;
     /// WorkerPool width for the chunk-parallel leg; 0 = DELOREAN_JOBS.
     unsigned parallelJobs = 0;
@@ -102,13 +101,6 @@ struct DifferentialRun
     /// Recorded vs replayed periodic interval fingerprints agree at
     /// every boundary (localizerPeriod commits apart).
     bool intervalsMatch = false;
-    /// Replay with the lookahead-window arbiter (replayWindow =
-    /// job.parallelWindow) succeeded.
-    bool windowedReplayOk = false;
-    /// Windowed replay's fingerprint AND interval fingerprints agree
-    /// with the serial replay's (exactly; per-processor streams for
-    /// stratified logs, whose global retire order is legally relaxed).
-    bool windowedMatchesSerial = false;
     /// checkedParallelReplay (host-parallel chunk bodies) succeeded.
     bool parallelReplayOk = false;
     /// Chunk-parallel replay's fingerprint AND interval fingerprints
@@ -144,7 +136,7 @@ struct DifferentialRun
     /// Segments the tight-budget ring evicted.
     std::uint64_t ringEvicted = 0;
     DivergenceReport report; ///< failure detail when !replayOk
-    DivergenceReport parallelReport; ///< ditto for the parallel legs
+    DivergenceReport parallelReport; ///< ditto for the parallel leg
     LogSizeReport sizes;
     ExecutionFingerprint fingerprint;
     std::string error;       ///< exception text when !recorded

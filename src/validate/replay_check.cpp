@@ -92,17 +92,15 @@ classifyOutcome(const Recording &rec, const ReplayCheckOptions &opts,
 } // namespace
 
 std::uint64_t
-defaultReplayEventBudget(const Recording &rec, unsigned replay_window)
+defaultReplayEventBudget(const Recording &rec)
 {
     // Size the budget from parsed log content, not from the headline
     // stats (a corrupted stats field must not inflate the budget).
     const std::uint64_t commits =
         rec.fingerprint.commits.size() + rec.dma.count()
         + rec.machine.numProcs;
-    const std::uint64_t window = std::max(1u, replay_window);
-    const std::uint64_t budget =
-        5000 * commits * window + 1'000'000 * window;
-    return std::min<std::uint64_t>(budget, 2'000'000'000ull);
+    return std::min<std::uint64_t>(5000 * commits + 1'000'000,
+                                   2'000'000'000ull);
 }
 
 ReplayCheckResult
@@ -127,11 +125,8 @@ checkedReplay(const Recording &rec, const ReplayCheckOptions &opts)
     eopts.replay = true;
     eopts.envSeed = opts.envSeed;
     eopts.perturb = opts.perturb;
-    eopts.replayWindow = std::max(1u, opts.replayWindow);
     eopts.maxEvents =
-        opts.maxEvents
-            ? opts.maxEvents
-            : defaultReplayEventBudget(rec, eopts.replayWindow);
+        opts.maxEvents ? opts.maxEvents : defaultReplayEventBudget(rec);
     if (opts.startCheckpoint != ReplayCheckOptions::kFullRun) {
         if (opts.startCheckpoint >= rec.checkpoints.size()) {
             result.report.kind = DivergenceKind::kFormatError;

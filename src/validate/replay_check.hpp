@@ -41,11 +41,6 @@ struct ReplayCheckOptions
     std::uint64_t localizerPeriod = 64;
     /// Timing perturbation (Section 6.2.1) applied to the replay.
     ReplayPerturbation perturb{};
-    /// Lookahead window for the replay arbiter
-    /// (EngineOptions::replayWindow); 1 fully serializes replay. The
-    /// derived event budget scales with this so a stalled parallel
-    /// replay still fails in milliseconds.
-    unsigned replayWindow = 1;
 
     static constexpr std::size_t kFullRun =
         static_cast<std::size_t>(-1);
@@ -88,14 +83,9 @@ struct ReplayCheckResult
  * commit (a healthy replay uses a few dozen events per commit, this
  * allows thousands) yet small enough that a corrupted log failing to
  * make progress dies in milliseconds instead of the global 2e9-event
- * safety valve. A lookahead window keeps up to @p replay_window
- * chunks in flight, each generating its own slot-occupancy and retry
- * events while the log head stalls, so the budget grows linearly with
- * the window — a livelocked W=8 replay dies as promptly as a serial
- * one instead of taking 8x the events to hit the fence.
+ * safety valve.
  */
-std::uint64_t defaultReplayEventBudget(const Recording &rec,
-                                       unsigned replay_window = 1);
+std::uint64_t defaultReplayEventBudget(const Recording &rec);
 
 /** Replay @p rec under the contract described in the file header. */
 ReplayCheckResult checkedReplay(const Recording &rec,

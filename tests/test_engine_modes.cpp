@@ -1,10 +1,14 @@
 /**
  * @file
  * Mode-specific engine behaviour: Order&Size replay, PicoLog replay,
- * stratified replay, and the mode trade-off ordering of Table 2.
+ * stratified replay, the mode trade-off ordering of Table 2, and the
+ * one mode spelling the tools share.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
 
 #include "core/delorean.hpp"
 
@@ -144,6 +148,43 @@ TEST(EngineModes, SignatureModeSquashesAtLeastAsMuch)
     const Recording b =
         Recorder(ModeConfig::orderOnly(), bloom).record(w, 1);
     EXPECT_GE(b.stats.squashes + 5, a.stats.squashes);
+}
+
+// The tools parse and print modes through one table: every spelling
+// names its mode's preferred configuration and prints back as itself.
+TEST(ModeConfigName, RoundTripsEverySpelling)
+{
+    const std::pair<const char *, ModeConfig> spellings[] = {
+        {"order-and-size", ModeConfig::orderAndSize()},
+        {"order-only", ModeConfig::orderOnly()},
+        {"order-only-strat", ModeConfig::orderOnly()},
+        {"picolog", ModeConfig::picoLog()},
+    };
+    for (const auto &[name, preferred] : spellings) {
+        ModeConfig mode;
+        ASSERT_TRUE(parseModeConfig(name, 3, mode)) << name;
+        EXPECT_STREQ(modeConfigName(mode), name);
+        EXPECT_EQ(mode.mode, preferred.mode) << name;
+        EXPECT_EQ(mode.chunkSize, preferred.chunkSize) << name;
+        EXPECT_EQ(mode.csDistanceBits, preferred.csDistanceBits) << name;
+        EXPECT_EQ(mode.csSizeBits, preferred.csSizeBits) << name;
+        EXPECT_EQ(mode.stratifyChunksPerProc,
+                  std::string(name) == "order-only-strat" ? 3u : 0u)
+            << name;
+    }
+}
+
+// Any spelling outside the shared table, such as the per-tool names
+// delorean_sim, replay_check and delorean_serve once took, is unknown.
+TEST(ModeConfigName, RejectsOldToolSpellings)
+{
+    for (const char *old_name :
+         {"order_size", "order_only", "ordersize", "orderonly",
+          "stratified", "OrderOnly"}) {
+        ModeConfig mode = ModeConfig::picoLog();
+        EXPECT_FALSE(parseModeConfig(old_name, 3, mode)) << old_name;
+        EXPECT_EQ(mode.mode, ExecMode::kPicoLog) << old_name;
+    }
 }
 
 } // namespace

@@ -1,11 +1,9 @@
 /**
  * @file
  * Chunk-parallel replay tests: the WorkerPool substrate, serial vs.
- * parallel fingerprint equality for both parallel paths (the
- * lookahead-window arbiter and the host-parallel chunk-body
- * replayer) across all modes, window sizes and worker counts,
- * interval-fingerprint byte-identity, fault-report parity, and the
- * window-scaled livelock budget.
+ * host-parallel chunk-body replay fingerprint equality across all
+ * modes, window sizes and worker counts, interval-fingerprint
+ * byte-identity, fault-report parity, and the livelock budgets.
  */
 
 #include <gtest/gtest.h>
@@ -146,56 +144,15 @@ TEST(WorkerPool, SingleJobRunsInline)
 }
 
 // ---------------------------------------------------------------------
-// Lookahead-window arbiter (engine replay, replayWindow > 1)
+// Serial engine replay
 // ---------------------------------------------------------------------
 
-TEST(ParallelReplay, WindowedArbiterMatchesSerialAllModesAllWindows)
-{
-    for (const auto &[label, mode] : allConfigs()) {
-        const Recording rec = recordOne(mode);
-
-        ReplayCheckOptions serial_opts;
-        const ReplayCheckResult serial = checkedReplay(rec, serial_opts);
-        ASSERT_TRUE(serial.ok) << label;
-
-        for (const unsigned window : {1u, 2u, 8u}) {
-            ReplayCheckOptions opts;
-            opts.replayWindow = window;
-            const ReplayCheckResult out = checkedReplay(rec, opts);
-            ASSERT_TRUE(out.ok)
-                << label << " window " << window << ": "
-                << out.report.describe();
-            EXPECT_TRUE(fingerprintsAgree(rec, out.outcome.fingerprint,
-                                          serial.outcome.fingerprint))
-                << label << " window " << window;
-            EXPECT_TRUE(intervalsAgree(rec, out.outcome.fingerprint,
-                                       serial.outcome.fingerprint))
-                << label << " window " << window;
-        }
-    }
-}
-
-TEST(ParallelReplay, WindowedArbiterFillsOverlapCounters)
-{
-    const Recording rec = recordOne(ModeConfig::orderOnly());
-    ReplayCheckOptions opts;
-    opts.replayWindow = 8;
-    const ReplayCheckResult out = checkedReplay(rec, opts);
-    ASSERT_TRUE(out.ok);
-    const EngineStats &stats = out.outcome.stats;
-    EXPECT_GT(stats.replayWindowOccupancy.count(), 0u);
-    EXPECT_GE(stats.replayWindowOccupancy.min(), 1.0);
-    EXPECT_LE(stats.replayWindowOccupancy.max(), 8.0);
-}
-
-TEST(ParallelReplay, StratifiedWindowedReplayCountsRelaxedRetires)
+TEST(ParallelReplay, StratifiedReplayCountsRelaxedRetires)
 {
     ModeConfig strat = ModeConfig::orderOnly();
     strat.stratifyChunksPerProc = 3;
     const Recording rec = recordOne(strat);
-    ReplayCheckOptions opts;
-    opts.replayWindow = 8;
-    const ReplayCheckResult out = checkedReplay(rec, opts);
+    const ReplayCheckResult out = checkedReplay(rec);
     ASSERT_TRUE(out.ok);
     // Every strata-relaxed retire is a retire; the counter can never
     // exceed the number of committed chunks.
@@ -332,38 +289,20 @@ TEST(ParallelReplay, FaultInjectedReplayReportsSameChunkAsSerial)
 }
 
 // ---------------------------------------------------------------------
-// Livelock budget scales with the window
+// Livelock budgets
 // ---------------------------------------------------------------------
 
-TEST(ParallelReplay, EventBudgetScalesLinearlyWithWindow)
-{
-    const Recording rec = recordOne(ModeConfig::orderOnly());
-    const std::uint64_t w1 = defaultReplayEventBudget(rec, 1);
-    const std::uint64_t w2 = defaultReplayEventBudget(rec, 2);
-    const std::uint64_t w8 = defaultReplayEventBudget(rec, 8);
-    EXPECT_EQ(defaultReplayEventBudget(rec), w1);
-    EXPECT_EQ(w2, 2 * w1);
-    EXPECT_EQ(w8, 8 * w1);
-    // Still capped by the global safety valve.
-    EXPECT_LE(w8, 2'000'000'000ull);
-}
-
-TEST(ParallelReplay, StalledWindowedReplayFailsPromptly)
+TEST(ParallelReplay, StalledReplayFailsPromptly)
 {
     // A replay that cannot finish within its budget must fail with a
-    // typed report at window 8 exactly as it does serially — the
-    // scaled budget keeps "promptly" independent of the window.
+    // typed report, not run on to the global safety valve.
     const Recording rec = recordOne(ModeConfig::orderOnly());
-    for (const unsigned window : {1u, 8u}) {
-        ReplayCheckOptions opts;
-        opts.replayWindow = window;
-        opts.maxEvents = 50; // far below any healthy replay
-        const ReplayCheckResult out = checkedReplay(rec, opts);
-        EXPECT_FALSE(out.ok) << "window " << window;
-        EXPECT_FALSE(out.replayRan) << "window " << window;
-        EXPECT_EQ(out.report.kind, DivergenceKind::kReplayError)
-            << "window " << window;
-    }
+    ReplayCheckOptions opts;
+    opts.maxEvents = 50; // far below any healthy replay
+    const ReplayCheckResult out = checkedReplay(rec, opts);
+    EXPECT_FALSE(out.ok);
+    EXPECT_FALSE(out.replayRan);
+    EXPECT_EQ(out.report.kind, DivergenceKind::kReplayError);
 }
 
 TEST(ParallelReplay, ChunkParallelInstrBudgetFences)

@@ -5,8 +5,8 @@
  * re-sequencing, seeded-race app variants and their manifests, exact
  * manifest detection with zero false positives on the stock
  * applications, and the headline determinism matrix — byte-identical
- * race reports from the serial DES replayer, the windowed replay
- * arbiter and the chunk-parallel replayer at jobs {1,2,4}.
+ * race reports from the serial DES replayer and the chunk-parallel
+ * replayer at jobs {1,2,4}.
  */
 
 #include <gtest/gtest.h>
@@ -319,14 +319,6 @@ TEST(RaceDetector, ReportsByteIdenticalAcrossReplayersAndJobs)
     ASSERT_TRUE(serial.ok) << serial.report.describe();
     const std::string reference = serial.races.describe();
     ASSERT_FALSE(serial.races.findings.empty());
-
-    // Windowed replay arbiter (serial engine, lookahead > 1).
-    ReplayCheckOptions windowed_opts;
-    windowed_opts.detectRaces = true;
-    windowed_opts.replayWindow = 8;
-    const ReplayCheckResult windowed = checkedReplay(rec, windowed_opts);
-    ASSERT_TRUE(windowed.ok);
-    EXPECT_EQ(windowed.races.describe(), reference) << "windowed arbiter";
 
     // Chunk-parallel replayer across worker counts.
     for (const unsigned jobs : {1u, 2u, 4u}) {

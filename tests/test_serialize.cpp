@@ -156,22 +156,6 @@ serialized(const Recording &rec)
     return std::move(out).str();
 }
 
-/** 64-bit content hash of a byte image: mix64 chained over words. */
-std::uint64_t
-bytesHash(const std::string &bytes)
-{
-    std::uint64_t h = mix64(bytes.size());
-    for (std::size_t off = 0; off < bytes.size(); off += 8) {
-        std::uint64_t w = 0;
-        for (std::size_t i = 0; i < 8 && off + i < bytes.size(); ++i)
-            w |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes[off + i]))
-                 << (8 * i);
-        h = mix64(h ^ w);
-    }
-    return h;
-}
-
 TEST(Serialize, GoldenBytesArePinned)
 {
     // One small fixed run per mode configuration. The hashes pin the
@@ -203,12 +187,12 @@ TEST(Serialize, GoldenBytesArePinned)
         ASSERT_FALSE(rec.checkpoints.empty()) << g.label;
         std::ostringstream dla;
         writeArchive(rec, dla);
-        EXPECT_EQ(bytesHash(serialized(rec)), g.recordingHash)
+        EXPECT_EQ(hashBytes(serialized(rec)), g.recordingHash)
             << g.label << std::hex << " recording hash 0x"
-            << bytesHash(serialized(rec));
-        EXPECT_EQ(bytesHash(dla.str()), g.archiveHash)
+            << hashBytes(serialized(rec));
+        EXPECT_EQ(hashBytes(dla.str()), g.archiveHash)
             << g.label << std::hex << " archive hash 0x"
-            << bytesHash(dla.str());
+            << hashBytes(dla.str());
     }
 }
 

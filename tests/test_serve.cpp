@@ -45,8 +45,8 @@ parseError(const std::string &line)
 TEST(Serve, ParseJobLineFull)
 {
     const ServeJob job = parsedOk(
-        "replay app=radix seed=7 scale=30 procs=8 mode=stratified "
-        "strat=2 env=3 renv=9 window=5");
+        "replay app=radix seed=7 scale=30 procs=8 mode=order-only-strat "
+        "strat=2 env=3 renv=9");
     EXPECT_EQ(job.cls, ServeClass::kReplay);
     EXPECT_EQ(job.record.app, "radix");
     EXPECT_EQ(job.record.workloadSeed, 7u);
@@ -56,7 +56,6 @@ TEST(Serve, ParseJobLineFull)
     EXPECT_EQ(job.record.mode.stratifyChunksPerProc, 2u);
     EXPECT_EQ(job.record.envSeed, 3u);
     EXPECT_EQ(job.replayEnvSeed, 9u);
-    EXPECT_EQ(job.replayWindow, 5u);
 }
 
 TEST(Serve, ParseJobDefaults)
@@ -98,6 +97,16 @@ TEST(Serve, ParseRejectsMalformedLines)
     EXPECT_NE(parseError("record app=fft color=red")
                   .find("unknown field"),
               std::string::npos);
+    // Replay arbitration is serial, so window= is not a job key.
+    EXPECT_NE(parseError("replay app=fft window=2")
+                  .find("unknown field \"window\""),
+              std::string::npos);
+    // Modes use the spelling shared by every tool.
+    for (const char *old_name : {"ordersize", "orderonly", "stratified"})
+        EXPECT_NE(parseError(std::string("record app=fft mode=") + old_name)
+                      .find("unknown mode"),
+                  std::string::npos)
+            << old_name;
 }
 
 TEST(Serve, ParseJobsReportsLineNumber)

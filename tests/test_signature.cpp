@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
 #include "signature/signature.hpp"
 
@@ -213,6 +215,39 @@ TEST(Signature, SummaryRejectImpliesNoIntersection)
         }
         if (!a.summaryIntersects(b)) {
             EXPECT_FALSE(a.intersectsWords(b));
+        }
+    }
+}
+
+// Union soundness, the property the per-processor union filter rests
+// on: a signature that misses the union of a set S misses every member
+// of S. Checked on a union reused across clear() and re-union, so the
+// epoch-tagged words of earlier rounds cannot leak into a later one.
+TEST(Signature, UnionMissImpliesMemberMissAcrossClears)
+{
+    Xoshiro256ss rng(14);
+    Signature u;
+    for (unsigned round = 0; round < 200; ++round) {
+        u.clear();
+        const unsigned members = 1 + static_cast<unsigned>(rng.next() % 6);
+        std::vector<Signature> set(members);
+        for (Signature &s : set) {
+            const Addr base = rng.next() % 8192;
+            const unsigned n = static_cast<unsigned>(rng.next() % 60);
+            for (unsigned i = 0; i < n; ++i)
+                s.insert(base + rng.next() % 256);
+            u.unionWith(s);
+        }
+        for (unsigned probe = 0; probe < 20; ++probe) {
+            Signature w;
+            const unsigned n = 1 + static_cast<unsigned>(rng.next() % 40);
+            for (unsigned i = 0; i < n; ++i)
+                w.insert(rng.next() % 16384);
+            if (w.intersects(u))
+                continue;
+            for (const Signature &s : set)
+                ASSERT_FALSE(w.intersects(s))
+                    << "round " << round << " probe " << probe;
         }
     }
 }

@@ -107,22 +107,6 @@ expectLazyImagesMatch(const ArchiveReader &reader, const Recording &rec,
     }
 }
 
-/** 64-bit content hash of a byte image: mix64 chained over words. */
-std::uint64_t
-bytesHash(const std::string &bytes)
-{
-    std::uint64_t h = mix64(bytes.size());
-    for (std::size_t off = 0; off < bytes.size(); off += 8) {
-        std::uint64_t w = 0;
-        for (std::size_t i = 0; i < 8 && off + i < bytes.size(); ++i)
-            w |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(bytes[off + i]))
-                 << (8 * i);
-        h = mix64(h ^ w);
-    }
-    return h;
-}
-
 /** Archive -> readAll must be byte-identical under saveRecording. */
 void
 expectRoundTripAllApps(const ModeConfig &mode, const char *mode_name)
@@ -264,9 +248,9 @@ TEST(Store, IntervalReplayFromEveryCheckpointAllModes)
         std::string views = savedBytes(reader.readAll());
         for (std::size_t i = 0; i + 1 < reader.checkpointCount(); ++i)
             views += savedBytes(reader.readInterval(i, i + 1));
-        EXPECT_EQ(bytesHash(views), view_hashes[mode_index++])
+        EXPECT_EQ(hashBytes(views), view_hashes[mode_index++])
             << mode_name << std::hex << " view hash 0x"
-            << bytesHash(views);
+            << hashBytes(views);
         expectLazyImagesMatch(reader, rec, mode_name);
         Replayer replayer;
         for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {

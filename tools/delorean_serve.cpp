@@ -57,10 +57,10 @@ usage(const char *argv0)
         "  --quiet               suppress per-session progress on "
         "stderr\n"
         "jobs come from jobfile (or stdin), one per line:\n"
-        "  record   app=radix seed=7 scale=30 mode=ordersize env=1\n"
-        "  replay   app=radix seed=7 scale=30 mode=ordersize renv=5 "
-        "window=2\n"
-        "  validate app=fft mode=stratified strat=4 renv=9\n",
+        "  record   app=radix seed=7 scale=30 mode=order-and-size env=1\n"
+        "  replay   app=radix seed=7 scale=30 mode=order-only renv=5\n"
+        "  validate app=fft mode=order-only-strat strat=4 renv=9\n"
+        "modes: order-and-size order-only order-only-strat picolog\n",
         argv0);
     return 2;
 }

@@ -9,13 +9,15 @@
  *   delorean_sim compare <app> [options]        # RC vs SC vs modes
  *
  * Options:
- *   --mode order_size|order_only|picolog   (default order_only)
+ *   --mode order-and-size|order-only|order-only-strat|picolog
+ *                    (default order-only)
  *   --procs N        processor count        (default 8)
  *   --chunk N        standard chunk size    (default per mode)
  *   --scale P        iterations percent     (default 50)
  *   --seed S         workload seed          (default 1)
  *   --env S          environment seed       (default 1)
- *   --stratify N     chunks/proc/stratum    (default off)
+ *   --stratify N     chunks/proc/stratum for order-only-strat
+ *                    (default 4)
  *   --perturb        enable replay perturbation
  *   --checkpoint-period N   system checkpoint every N global commits
  *   --archive-out FILE      write a segmented archive (.dla) too;
@@ -61,13 +63,13 @@ struct Args
     std::string command;
     std::string app = "barnes";
     std::string file;
-    std::string mode = "order_only";
+    std::string mode = "order-only";
     unsigned procs = 8;
     InstrCount chunk = 0;
     unsigned scale = 50;
     std::uint64_t seed = 1;
     std::uint64_t env = 1;
-    unsigned stratify = 0;
+    unsigned stratify = 4;
     bool perturb = false;
     std::string archiveFile;
     std::string ringDir;
@@ -93,6 +95,7 @@ usage()
                  "       delorean_sim inspect <FILE>"
                  " [--io-threads N] [--no-mmap]\n"
                  "       delorean_sim compare <app> [--procs N] [--scale P]\n"
+                 "modes: order-and-size order-only order-only-strat picolog\n"
                  "apps: ");
     for (const auto &name : AppTable::allNames())
         std::fprintf(stderr, "%s ", name.c_str());
@@ -104,17 +107,13 @@ ModeConfig
 modeFor(const Args &args)
 {
     ModeConfig mode;
-    if (args.mode == "order_size")
-        mode = ModeConfig::orderAndSize();
-    else if (args.mode == "order_only")
-        mode = ModeConfig::orderOnly();
-    else if (args.mode == "picolog")
-        mode = ModeConfig::picoLog();
-    else
+    if (!parseModeConfig(args.mode, args.stratify, mode)) {
+        std::fprintf(stderr, "delorean_sim: unknown mode \"%s\"\n",
+                     args.mode.c_str());
         usage();
+    }
     if (args.chunk)
         mode.chunkSize = args.chunk;
-    mode.stratifyChunksPerProc = args.stratify;
     return mode;
 }
 
@@ -201,6 +200,7 @@ printStats(const EngineStats &stats)
 int
 cmdRecord(const Args &args)
 {
+    const ModeConfig mode = modeFor(args);
     MachineConfig machine;
     machine.numProcs = args.procs;
     Workload workload(args.app, args.procs, args.seed,
@@ -230,12 +230,12 @@ cmdRecord(const Args &args)
     if (ring)
         hook = [&ring](const Recording &r) { ring->onCheckpoint(r); };
 
-    Recorder recorder(modeFor(args), machine);
+    Recorder recorder(mode, machine);
     const Recording rec =
         recorder.record(workload, args.env, true, {}, period, hook);
 
     std::printf("recorded %s in %s mode:\n", args.app.c_str(),
-                execModeName(rec.mode.mode));
+                modeConfigName(rec.mode));
     printStats(rec.stats);
     const LogSizeReport sizes = rec.logSizes();
     std::printf("  ordering log:     %.3f bits/proc/kilo-inst "
@@ -292,7 +292,7 @@ cmdReplay(const Args &args)
 {
     const Recording rec = loadAny(args.file, args.archiveIo);
     std::printf("replaying %s (%s, %u procs, seed %llu)...\n",
-                rec.appName.c_str(), execModeName(rec.mode.mode),
+                rec.appName.c_str(), modeConfigName(rec.mode),
                 rec.machine.numProcs,
                 static_cast<unsigned long long>(rec.workloadSeed));
     ReplayPerturbation perturb;
@@ -314,7 +314,7 @@ cmdInspect(const Args &args)
     const Recording rec = loadAny(args.file, args.archiveIo);
     std::printf("recording: %s, %s mode, %u procs, chunk %llu, "
                 "workload seed %llu\n",
-                rec.appName.c_str(), execModeName(rec.mode.mode),
+                rec.appName.c_str(), modeConfigName(rec.mode),
                 rec.machine.numProcs,
                 static_cast<unsigned long long>(rec.mode.chunkSize),
                 static_cast<unsigned long long>(rec.workloadSeed));
@@ -359,15 +359,15 @@ cmdCompare(const Args &args)
 
     std::printf("%s on %u procs (speedup vs RC):\n", args.app.c_str(),
                 args.procs);
-    std::printf("  %-12s %6.2f\n", "RC", 1.0);
-    std::printf("  %-12s %6.2f\n", "SC", rc_cycles / sc_cycles);
+    std::printf("  %-16s %6.2f\n", "RC", 1.0);
+    std::printf("  %-16s %6.2f\n", "SC", rc_cycles / sc_cycles);
     for (const ModeConfig mode :
          {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
           ModeConfig::picoLog()}) {
         Recorder recorder(mode, machine);
         const Recording rec = recorder.record(workload, args.env);
-        std::printf("  %-12s %6.2f  (log %.3f bits/proc/kilo-inst)\n",
-                    execModeName(mode.mode),
+        std::printf("  %-16s %6.2f  (log %.3f bits/proc/kilo-inst)\n",
+                    modeConfigName(mode),
                     rc_cycles
                         / static_cast<double>(rec.stats.totalCycles),
                     rec.logSizes().bitsPerProcPerKiloInstr(true));

@@ -1,20 +1,19 @@
 /**
  * @file
- * CI smoke check for the commit fast path: records the same small
- * workloads with the summary filter enabled and disabled (via the
- * DELOREAN_NO_SUMMARY_FILTER escape hatch) and asserts the two
- * recordings serialize to byte-identical streams — the filter may
- * only change how fast the arbiter decides, never what it decides.
- * Also replays the filtered recording to confirm determinism. Wired
- * into ctest as `hotpath_smoke`.
+ * CI smoke check for the commit fast path: records small workloads
+ * through the always-on summary and union filters and asserts each
+ * recording serializes to the same bytes the unfiltered word walk
+ * produced (pinned as hashes) — the filter may only change how fast
+ * the arbiter decides, never what it decides. Also replays each
+ * recording to confirm determinism. Wired into ctest as
+ * `hotpath_smoke`.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <vector>
 
+#include "common/rng.hpp"
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
 
@@ -26,53 +25,37 @@ namespace
 constexpr std::uint64_t kSeed = 20080621;
 constexpr unsigned kScale = 5;
 
-std::string
-serialized(const Recording &rec)
-{
-    std::ostringstream out;
-    saveRecording(rec, out);
-    return out.str();
-}
-
-Recording
-recordApp(const std::string &app, const MachineConfig &machine,
-          bool filter)
-{
-    if (filter)
-        unsetenv("DELOREAN_NO_SUMMARY_FILTER");
-    else
-        setenv("DELOREAN_NO_SUMMARY_FILTER", "1", 1);
-    const Workload workload(app, machine.numProcs, kSeed,
-                            WorkloadScale{kScale});
-    Recording rec =
-        Recorder(ModeConfig::orderOnly(), machine).record(workload, 7);
-    unsetenv("DELOREAN_NO_SUMMARY_FILTER");
-    return rec;
-}
-
 bool
-checkApp(const std::string &app, bool exact_disambiguation)
+checkApp(const char *app, bool exact_disambiguation,
+         std::uint64_t unfiltered_hash)
 {
     MachineConfig machine;
     machine.bulk.exactDisambiguation = exact_disambiguation;
+    const Workload workload(app, machine.numProcs, kSeed,
+                            WorkloadScale{kScale});
+    const Recording rec =
+        Recorder(ModeConfig::orderOnly(), machine).record(workload, 7);
 
-    const Recording with = recordApp(app, machine, true);
-    const Recording without = recordApp(app, machine, false);
-
-    if (serialized(with) != serialized(without)) {
+    std::ostringstream out;
+    saveRecording(rec, out);
+    const std::uint64_t h = hashBytes(out.str());
+    if (h != unfiltered_hash) {
         std::fprintf(stderr,
-                     "hotpath_smoke: %s (exact=%d): filter on/off "
-                     "recordings differ\n",
-                     app.c_str(), exact_disambiguation);
+                     "hotpath_smoke: %s (exact=%d): recording hash "
+                     "0x%016llx differs from the unfiltered reference "
+                     "0x%016llx\n",
+                     app, exact_disambiguation,
+                     static_cast<unsigned long long>(h),
+                     static_cast<unsigned long long>(unfiltered_hash));
         return false;
     }
 
-    const ReplayOutcome out = Replayer().replay(with, /*env_seed=*/99);
-    if (!out.deterministicExact) {
+    const ReplayOutcome replay = Replayer().replay(rec, /*env_seed=*/99);
+    if (!replay.deterministicExact) {
         std::fprintf(stderr,
                      "hotpath_smoke: %s (exact=%d): replay not "
                      "deterministic\n",
-                     app.c_str(), exact_disambiguation);
+                     app, exact_disambiguation);
         return false;
     }
     return true;
@@ -83,14 +66,28 @@ checkApp(const std::string &app, bool exact_disambiguation)
 int
 main()
 {
+    // Serialized-recording hashes of the unfiltered word walk (every
+    // running chunk intersected in full), OrderOnly at scale 5.
+    struct Reference
+    {
+        const char *app;
+        bool exact;
+        std::uint64_t unfilteredHash;
+    };
+    const Reference refs[] = {
+        {"radix", true, 0x47c1aef482b31299ull},
+        {"radix", false, 0x313c87f9488a26a1ull},
+        {"fft", true, 0x6d1df7d0ae78ca19ull},
+        {"fft", false, 0x958191f12df3c7cbull},
+        {"lu", true, 0xec57bb1de802695dull},
+        {"lu", false, 0x54527826f92af39full},
+    };
     bool ok = true;
-    for (const char *app : {"radix", "fft", "lu"}) {
-        ok = checkApp(app, /*exact_disambiguation=*/true) && ok;
-        ok = checkApp(app, /*exact_disambiguation=*/false) && ok;
-    }
+    for (const Reference &r : refs)
+        ok = checkApp(r.app, r.exact, r.unfilteredHash) && ok;
     if (!ok)
         return 1;
-    std::printf("hotpath_smoke: filter on/off recordings "
-                "byte-identical, replays deterministic\n");
+    std::printf("hotpath_smoke: filtered recordings match the unfiltered "
+                "reference, replays deterministic\n");
     return 0;
 }

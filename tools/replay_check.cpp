@@ -33,8 +33,6 @@
  * checkpoint at or before that global commit count (the time-travel
  * query: "show me what the machine was doing around cycle C");
  * without it the replay starts at the oldest retained checkpoint.
- * The interval is checked twice, serially and with a windowed replay
- * arbiter (W=8), and the two fingerprints must agree.
  *
  * `--jobs <n>` (anywhere on the command line) sets the worker count
  * for every parallel path — differential fan-out and chunk-parallel
@@ -128,38 +126,8 @@ usage()
         "replays only; serial and parallel reports must match).\n"
         "--ring opens a ring archive directory (crash-recovered) and\n"
         "replays the checkpoint interval covering --at <cycle> (or\n"
-        "the oldest retained interval), serially and windowed.\n");
+        "the oldest retained interval).\n");
     return 2;
-}
-
-const char *
-modeLabel(const Recording &rec)
-{
-    if (rec.stratified())
-        return "order-only-strat";
-    if (rec.mode.mode == ExecMode::kPicoLog)
-        return "picolog";
-    if (rec.mode.mode == ExecMode::kOrderOnly)
-        return "order-only";
-    return "order-and-size";
-}
-
-bool
-modeByName(const std::string &name, ModeConfig &mode, unsigned strat)
-{
-    if (name == "order-and-size") {
-        mode = ModeConfig::orderAndSize();
-    } else if (name == "order-only") {
-        mode = ModeConfig::orderOnly();
-    } else if (name == "order-only-strat") {
-        mode = ModeConfig::orderOnly();
-        mode.stratifyChunksPerProc = strat;
-    } else if (name == "picolog") {
-        mode = ModeConfig::picoLog();
-    } else {
-        return false;
-    }
-    return true;
 }
 
 int
@@ -168,7 +136,7 @@ doRecord(const std::string &app, const std::string &mode_name,
 {
     const DifferentialJob job = baseJob();
     ModeConfig mode;
-    if (!modeByName(mode_name, mode, job.stratifyChunksPerProc)) {
+    if (!parseModeConfig(mode_name, job.stratifyChunksPerProc, mode)) {
         std::fprintf(stderr, "replay_check: unknown mode \"%s\"\n",
                      mode_name.c_str());
         return usage();
@@ -282,7 +250,8 @@ doListCheckpoints(const std::string &path)
         const Recording rec = loadRecordingFile(path);
         std::printf("%s: recording, %s (%s), %u procs, "
                     "%zu checkpoint(s)\n",
-                    path.c_str(), rec.appName.c_str(), modeLabel(rec),
+                    path.c_str(), rec.appName.c_str(),
+                    modeConfigName(rec.mode),
                     rec.machine.numProcs, rec.checkpoints.size());
         for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
             std::printf("  checkpoint %zu: gcc %llu\n", i,
@@ -380,7 +349,8 @@ doCheckInterval(const std::string &path, std::uint64_t from_gcc,
                 "(%s, %s, %u procs, %zu commits replayed)\n",
                 path.c_str(),
                 static_cast<unsigned long long>(from_gcc),
-                to_label.c_str(), rec.appName.c_str(), modeLabel(rec),
+                to_label.c_str(), rec.appName.c_str(),
+                modeConfigName(rec.mode),
                 rec.machine.numProcs,
                 check.outcome.fingerprint.commits.size());
     return 0;
@@ -392,9 +362,8 @@ doCheckInterval(const std::string &path, std::uint64_t from_gcc,
  * seeks to the newest retained checkpoint at or before @p at (oldest
  * retained when absent) and replays forward to the next checkpoint
  * (to the recording's end when the seek lands on the final checkpoint
- * of a cleanly closed ring). The interval replay runs twice, with a
- * serial and a W=8 windowed replay arbiter, and both fingerprints
- * must reproduce the recorded execution.
+ * of a cleanly closed ring). The interval replay must reproduce the
+ * recorded execution.
  */
 int
 doCheckRing(const std::string &path,
@@ -472,31 +441,13 @@ doCheckRing(const std::string &path,
                     serial.report.describe().c_str());
         return 1;
     }
-    ReplayCheckOptions wopts = opts;
-    wopts.replayWindow = 8;
-    const ReplayCheckResult windowed = checkedReplay(view, wopts);
-    const bool agree =
-        windowed.replayRan
-        && (view.stratified()
-                ? windowed.outcome.fingerprint.matchesPerProc(
-                      serial.outcome.fingerprint)
-                : windowed.outcome.fingerprint.matchesExact(
-                      serial.outcome.fingerprint));
-    if (!windowed.ok || !agree) {
-        std::printf("%s: serial replay deterministic but windowed "
-                    "(W=8) replay %s\n%s\n",
-                    path.c_str(),
-                    windowed.ok ? "differs from serial" : "diverged",
-                    windowed.report.describe().c_str());
-        return 1;
-    }
     std::printf("%s: time-travel replay deterministic over "
-                "I(%llu, %s), serial == windowed (%s, %s, %u procs, "
+                "I(%llu, %s) (%s, %s, %u procs, "
                 "%zu commits replayed)\n",
                 path.c_str(),
                 static_cast<unsigned long long>(from_gcc),
                 to_label.c_str(), view.appName.c_str(),
-                modeLabel(view), view.machine.numProcs,
+                modeConfigName(view.mode), view.machine.numProcs,
                 serial.outcome.fingerprint.commits.size());
     return 0;
 }
@@ -576,7 +527,7 @@ doCheckFile(const std::string &path, unsigned jobs)
     std::printf("%s: replay deterministic, serial == parallel "
                 "(%s%s, %s, %u procs, %zu commits)\n",
                 path.c_str(), is_archive ? "archive, " : "",
-                rec.appName.c_str(), modeLabel(rec),
+                rec.appName.c_str(), modeConfigName(rec.mode),
                 rec.machine.numProcs,
                 rec.fingerprint.commits.size());
     return 0;
@@ -615,11 +566,10 @@ doFaultSweep(const std::string &app, unsigned per_kind)
     machine.numProcs = job.numProcs;
 
     bool ok = true;
-    for (const auto &[name, mode] :
-         {std::pair<const char *, ModeConfig>{"order-and-size",
-                                              ModeConfig::orderAndSize()},
-          {"order-only", ModeConfig::orderOnly()},
-          {"picolog", ModeConfig::picoLog()}}) {
+    for (const ModeConfig &mode :
+         {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
+          ModeConfig::picoLog()}) {
+        const char *name = modeConfigName(mode);
         try {
             Workload workload(app, job.numProcs, job.workloadSeed,
                               WorkloadScale{job.scalePercent});

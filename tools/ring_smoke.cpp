@@ -9,9 +9,9 @@
  *   to evict most of the history -> assert the replay-start-lag
  *   contract held -> kill the recorder mid-segment (the fault
  *   injector's torn-tail mutation) -> recover the directory ->
- *   time-travel seek into the salvaged window -> bounded replay,
- *   serial and windowed -> views byte-identical to an uncorrupted
- *   batch archive of the same run.
+ *   time-travel seek into the salvaged window -> bounded replay ->
+ *   views byte-identical to an uncorrupted batch archive of the same
+ *   run.
  *
  * The exhaustive versions live in tests/test_ring.cpp and the
  * `fuzz`-labeled ring mutation sweep in tests/test_archive_faults.cpp.
@@ -146,23 +146,15 @@ smokeMode(const char *name, const ModeConfig &mode,
     if (saved(view) != saved(want))
         return fail(name, "ring view differs from batch archive");
 
-    // Replay forward from the seek point, serial and windowed: both
-    // must reproduce the uncorrupted recording's fingerprint.
+    // Replay forward from the seek point: it must reproduce the
+    // uncorrupted recording's fingerprint.
     ReplayCheckOptions ropts;
     ropts.startCheckpoint = 0;
     ropts.stopCheckpoint = 1;
     ropts.perturb.enabled = true;
     ropts.perturb.seed = 5;
-    for (const unsigned window : {1u, 8u}) {
-        ropts.replayWindow = window;
-        const ReplayCheckResult res = checkedReplay(view, ropts);
-        if (!res.ok)
-            return fail(name, window == 1
-                                  ? "serial time-travel replay "
-                                    "diverged"
-                                  : "windowed time-travel replay "
-                                    "diverged");
-    }
+    if (!checkedReplay(view, ropts).ok)
+        return fail(name, "time-travel replay diverged");
 
     std::printf("ring_smoke: %s: %llu evicted, %zu dropped, "
                 "time-travel replay from gcc %llu matched\n",
