@@ -476,7 +476,8 @@ ServeService::run(const std::vector<ServeJob> &jobs)
                         != std::move(ref).str())
                         throw std::runtime_error(
                             "streamed archive for " + rj.app
-                            + " differs from the batch writer");
+                            + " differs from writeArchive of the finished "
+                            "recording");
                 }
                 if (std::rename(tmp.c_str(), path.c_str()) != 0)
                     throw std::runtime_error("cannot rename " + tmp);

@@ -132,8 +132,8 @@ struct ServeOptions
     /// (RingOptions::maxReplayLag).
     std::uint64_t ringMaxReplayLag = 0;
 
-    /// Cross-check every streamed archive against the batch writer's
-    /// bytes (writeArchive of the finished recording); a mismatch
+    /// Cross-check every hook-fed archive against writeArchive of the
+    /// finished recording (the same writer fed at close); a mismatch
     /// fails the recording session.
     bool verifyArchives = false;
 

@@ -1,14 +1,12 @@
 #include "store/archive.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "compress/lz77.hpp"
@@ -220,97 +218,19 @@ buildSegmentPayload(const Recording &rec, const Boundary &lo,
 namespace
 {
 
-/**
- * Replay the recorder's variable-width log packing for the slice
- * between @p prev and @p cur onto the scratch logs, so the scratch
- * write pointers land exactly where a hardware recorder's would at
- * the boundary. Shared by the batch and streaming writers — the
- * footer's per-segment bit positions must agree bit-for-bit.
- */
-void
-advanceScratchLogs(const Recording &rec, const Boundary &prev,
-                   const Boundary &cur, PiLog &scratch_pi,
-                   std::vector<CsLog> &scratch_cs)
+/** Decoded counterpart of buildSegmentPayload. */
+struct SegmentSlice
 {
-    const unsigned n = rec.machine.numProcs;
-    if (!rec.stratified() && rec.mode.mode != ExecMode::kPicoLog) {
-        for (std::uint64_t g = prev.gcc;
-             g < std::min<std::uint64_t>(cur.gcc, rec.pi.entryCount());
-             ++g)
-            scratch_pi.append(rec.pi.entryAt(g));
-    }
-    for (ProcId p = 0; p < n; ++p)
-        for (const CsEntry &e : rec.cs[p].entries())
-            if (e.seq >= prev.committed[p]
-                && e.seq < cur.committed[p]) {
-                if (rec.mode.mode == ExecMode::kOrderAndSize)
-                    scratch_cs[p].appendCommittedSize(e.seq, e.size,
-                                                      e.maxSize);
-                else
-                    scratch_cs[p].appendTruncation(e.seq, e.size);
-            }
-}
+    std::vector<ProcId> pi;
+    std::vector<Stratum> strata;
+    std::vector<std::vector<CsEntry>> cs;
+    std::vector<std::vector<InterruptRecord>> interrupts;
+    std::vector<std::vector<std::uint64_t>> io;
+    std::vector<std::pair<DmaTransfer, std::uint64_t>> dma;
+    std::vector<CommitRecord> commits;
+};
 
-/**
- * Serialize the footer: recording metadata plus the per-segment
- * index. Segment i's boundary checkpoint is rec.checkpoints[i] (every
- * checkpoint cuts one segment, in order). Shared by the batch and
- * streaming writers.
- */
-std::string
-buildFooterRaw(const Recording &rec,
-               const std::vector<ArchiveSegmentInfo> &segments)
-{
-    std::ostringstream footer(std::ios::binary);
-    putMachine(footer, rec.machine);
-    putMode(footer, rec.mode);
-    putString(footer, rec.appName);
-    serialize_detail::putU64(footer, rec.workloadSeed);
-    serialize_detail::putU64(footer, rec.iterationsPercent);
-    serialize_detail::putU64(footer, rec.stats.totalCycles);
-    serialize_detail::putU64(footer, rec.stats.retiredInstrs);
-    serialize_detail::putU64(footer, rec.stats.executedInstrs);
-    serialize_detail::putU64(footer, rec.stats.committedChunks);
-    serialize_detail::putU64(footer, rec.stats.squashes);
-    serialize_detail::putU64(footer, rec.stats.overflowTruncations);
-    serialize_detail::putU64(footer, rec.stats.collisionTruncations);
-    serialize_detail::putU64(footer, rec.stats.hardTruncations);
-    serialize_detail::putU64(footer, rec.fingerprint.perProcAcc.size());
-    for (std::size_t p = 0; p < rec.fingerprint.perProcAcc.size();
-         ++p) {
-        serialize_detail::putU64(footer, rec.fingerprint.perProcAcc[p]);
-        serialize_detail::putU64(footer,
-                                 rec.fingerprint.perProcRetired[p]);
-    }
-    serialize_detail::putU64(footer, rec.fingerprint.finalMemHash);
-    if (segments.size() != rec.checkpoints.size() + 1)
-        throw std::logic_error(
-            "archive footer: segments and checkpoints disagree");
-    serialize_detail::putU64(footer, segments.size());
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-        const ArchiveSegmentInfo &info = segments[i];
-        serialize_detail::putU64(footer, info.endGcc);
-        serialize_detail::putU64(footer, info.fileOffset);
-        serialize_detail::putU64(footer, info.rawBytes);
-        serialize_detail::putU64(footer, info.compBytes);
-        serialize_detail::putU64(footer, info.crc32);
-        serialize_detail::putU64(footer, info.piBitsEnd);
-        serialize_detail::putU64(footer, info.strataBitsEnd);
-        serialize_detail::putU64(footer, info.csBitsEnd.size());
-        for (const std::uint64_t bits : info.csBitsEnd)
-            serialize_detail::putU64(footer, bits);
-        serialize_detail::putU64(footer, info.hasCheckpoint ? 1 : 0);
-        if (info.hasCheckpoint)
-            putCheckpoint(footer, rec.checkpoints[i]);
-    }
-    return std::move(footer).str();
-}
-
-} // namespace
-
-namespace archive_detail
-{
-
+/** Parse a raw (decompressed) payload for @p n processors. */
 SegmentSlice
 parseSegmentPayload(const std::vector<std::uint8_t> &raw, unsigned n)
 {
@@ -388,6 +308,98 @@ parseSegmentPayload(const std::vector<std::uint8_t> &raw, unsigned n)
     return s;
 }
 
+/** Append one decoded segment slice onto @p rec's logs. */
+void
+appendSlice(Recording &rec, const SegmentSlice &slice,
+            std::vector<std::uint64_t> &io_base, std::size_t segment)
+{
+    const unsigned n = rec.machine.numProcs;
+    for (const ProcId p : slice.pi) {
+        if (p >= n && p != kDmaProcId)
+            throw ArchiveError(ArchiveSection::kSegment, segment,
+                               "PI entry names proc "
+                                   + std::to_string(p));
+        rec.pi.append(p);
+    }
+    for (const Stratum &s : slice.strata)
+        rec.strata.push_back(s);
+    for (ProcId p = 0; p < n; ++p) {
+        for (const CsEntry &e : slice.cs[p]) {
+            if (rec.mode.mode == ExecMode::kOrderAndSize)
+                rec.cs[p].appendCommittedSize(e.seq, e.size, e.maxSize);
+            else
+                rec.cs[p].appendTruncation(e.seq, e.size);
+        }
+        for (const InterruptRecord &e : slice.interrupts[p])
+            rec.interrupts.append(p, e);
+        for (std::size_t k = 0; k < slice.io[p].size(); ++k)
+            rec.io.append(p, io_base[p] + k, slice.io[p][k]);
+        io_base[p] += slice.io[p].size();
+    }
+    for (const auto &[xfer, slot] : slice.dma)
+        rec.dma.append(xfer, slot);
+    for (const CommitRecord &c : slice.commits)
+        rec.fingerprint.commits.push_back(c);
+}
+
+/**
+ * Append the synthetic pre-interval prefix implied by @p start onto a
+ * fresh skeleton: filler PI entries / capped strata, empty DMA
+ * transfers and zeroed fingerprint commits sized so the replay skip
+ * logic consumes exactly the recording prefix the interval omits.
+ */
+void
+appendSyntheticPrefix(Recording &rec, const SystemCheckpoint &start)
+{
+    const unsigned n = rec.machine.numProcs;
+    std::uint64_t chunk0 = 0;
+    for (const ChunkSeq c : start.committedChunks)
+        chunk0 += c;
+    const std::size_t dma0 = start.dmaConsumed;
+
+    if (rec.stratified()) {
+        for (std::size_t i = 0; i < dma0; ++i) {
+            Stratum s;
+            s.isDma = true;
+            s.counts.assign(n, 0);
+            rec.strata.push_back(std::move(s));
+        }
+        std::vector<std::uint64_t> need(start.committedChunks.begin(),
+                                        start.committedChunks.end());
+        const std::uint64_t cap = std::max<std::uint64_t>(
+            1, rec.mode.stratifyChunksPerProc);
+        bool any = true;
+        while (any) {
+            any = false;
+            Stratum s;
+            s.counts.assign(n, 0);
+            for (unsigned p = 0; p < n; ++p) {
+                const std::uint64_t take =
+                    std::min<std::uint64_t>(need[p], cap);
+                s.counts[p] = static_cast<std::uint8_t>(take);
+                need[p] -= take;
+                any = any || take;
+            }
+            if (any)
+                rec.strata.push_back(std::move(s));
+        }
+    } else if (rec.mode.mode != ExecMode::kPicoLog) {
+        for (std::size_t i = 0; i < dma0; ++i)
+            rec.pi.append(kDmaProcId);
+        for (std::uint64_t i = 0; i < start.gcc - dma0; ++i)
+            rec.pi.append(0);
+    }
+    for (std::size_t i = 0; i < dma0; ++i)
+        rec.dma.append(DmaTransfer{}, 0);
+    rec.fingerprint.commits.assign(static_cast<std::size_t>(chunk0),
+                                   CommitRecord{});
+}
+
+} // namespace
+
+namespace archive_detail
+{
+
 std::vector<std::uint8_t>
 compressPayload(const std::string &raw)
 {
@@ -395,6 +407,29 @@ compressPayload(const std::string &raw)
     stream.append(reinterpret_cast<const std::uint8_t *>(raw.data()),
                   raw.size());
     return stream.finish();
+}
+
+std::vector<std::uint8_t>
+decodeStored(const std::uint8_t *comp, std::size_t comp_bytes,
+             std::uint64_t crc, std::uint64_t raw_bytes,
+             ArchiveSection section, std::size_t segment,
+             const char *what)
+{
+    if (crc32(comp, comp_bytes) != crc)
+        throw ArchiveError(section, segment,
+                           std::string(what) + " CRC mismatch");
+    std::vector<std::uint8_t> raw;
+    try {
+        raw = Lz77().decompress(comp, comp_bytes);
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(section, segment,
+                           std::string(what) + ": " + e.what());
+    }
+    if (raw.size() != raw_bytes)
+        throw ArchiveError(section, segment,
+                           std::string(what)
+                               + " decompressed size mismatch");
+    return raw;
 }
 
 std::uint64_t
@@ -433,6 +468,58 @@ runIndexed(std::unique_ptr<WorkerPool> &pool, unsigned threads,
     if (!pool)
         pool = std::make_unique<WorkerPool>(threads);
     pool->runBatch(wrapped);
+}
+
+void
+FinalStats::put(std::ostream &out, const Recording &rec)
+{
+    serialize_detail::putU64(out, rec.stats.totalCycles);
+    serialize_detail::putU64(out, rec.stats.retiredInstrs);
+    serialize_detail::putU64(out, rec.stats.executedInstrs);
+    serialize_detail::putU64(out, rec.stats.committedChunks);
+    serialize_detail::putU64(out, rec.stats.squashes);
+    serialize_detail::putU64(out, rec.stats.overflowTruncations);
+    serialize_detail::putU64(out, rec.stats.collisionTruncations);
+    serialize_detail::putU64(out, rec.stats.hardTruncations);
+    serialize_detail::putU64(out, rec.fingerprint.perProcAcc.size());
+    for (std::size_t p = 0; p < rec.fingerprint.perProcAcc.size(); ++p) {
+        serialize_detail::putU64(out, rec.fingerprint.perProcAcc[p]);
+        serialize_detail::putU64(out, rec.fingerprint.perProcRetired[p]);
+    }
+    serialize_detail::putU64(out, rec.fingerprint.finalMemHash);
+}
+
+FinalStats
+FinalStats::get(ByteCursor &in, unsigned num_procs)
+{
+    FinalStats f;
+    f.engine.totalCycles = getU64(in);
+    f.engine.retiredInstrs = getU64(in);
+    f.engine.executedInstrs = getU64(in);
+    f.engine.committedChunks = getU64(in);
+    f.engine.squashes = getU64(in);
+    f.engine.overflowTruncations = getU64(in);
+    f.engine.collisionTruncations = getU64(in);
+    f.engine.hardTruncations = getU64(in);
+    if (getU64(in) != num_procs)
+        throw RecordingFormatError(
+            "fingerprint per-proc count does not match numProcs");
+    for (unsigned p = 0; p < num_procs; ++p) {
+        f.perProcAcc.push_back(getU64(in));
+        f.perProcRetired.push_back(getU64(in));
+    }
+    f.finalMemHash = getU64(in);
+    return f;
+}
+
+void
+FinalStats::applyTo(Recording &rec, bool engine_stats) const
+{
+    rec.fingerprint.perProcAcc = perProcAcc;
+    rec.fingerprint.perProcRetired = perProcRetired;
+    rec.fingerprint.finalMemHash = finalMemHash;
+    if (engine_stats)
+        rec.stats = engine;
 }
 
 } // namespace archive_detail
@@ -506,223 +593,37 @@ CheckpointOutOfRangeError::CheckpointOutOfRangeError(
 
 // ----- writer ---------------------------------------------------------------
 
-void
-ArchiveWriter::putBytes(const std::uint8_t *data, std::size_t size)
-{
-    out_->write(reinterpret_cast<const char *>(data),
-                static_cast<std::streamsize>(size));
-    offset_ += size;
-}
-
-void
-ArchiveWriter::putU64(std::uint64_t v)
-{
-    std::uint8_t bytes[8];
-    for (int i = 0; i < 8; ++i)
-        bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    putBytes(bytes, 8);
-}
-
-void
-ArchiveWriter::write(const Recording &rec)
-{
-    if (!segments_.empty())
-        throw std::logic_error("ArchiveWriter::write called twice");
-    for (std::size_t i = 1; i < rec.checkpoints.size(); ++i)
-        if (rec.checkpoints[i].gcc <= rec.checkpoints[i - 1].gcc)
-            throw RecordingFormatError(
-                "checkpoints are not in ascending GCC order");
-
-    putU64(kArchiveMagic);
-    putU64(kArchiveVersion);
-
-    const unsigned n = rec.machine.numProcs;
-
-    // Exact per-proc log write-pointer positions at each boundary:
-    // scratch logs replicate the recorder's variable-width packing.
-    PiLog scratch_pi(n);
-    std::vector<CsLog> scratch_cs(n, CsLog(rec.mode));
-    const unsigned strata_counter_bits =
-        rec.stratified()
-            ? Stratifier(n, rec.mode.stratifyChunksPerProc)
-                  .counterBits()
-            : 0;
-
-    Boundary zero; // state before the first segment
-    zero.committed.assign(n, 0);
-    zero.ioIdx.assign(n, 0);
-
-    // Boundary chain first, serially: checkpoint-alignment errors
-    // surface here in segment order, exactly as they always have.
-    const std::size_t seg_count = rec.checkpoints.size() + 1;
-    std::vector<Boundary> bounds;
-    bounds.reserve(seg_count + 1);
-    bounds.push_back(std::move(zero));
-    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
-        bounds.push_back(
-            boundaryAtCheckpoint(rec, rec.checkpoints[i], i));
-    bounds.push_back(boundaryAtEnd(rec));
-
-    // Fan payload build + LZ77 + CRC across the codec pool. Segments
-    // are independent given their boundaries; the commit loop below
-    // emits them in segment order, so the container bytes are
-    // identical at any ioThreads (and with ioThreads=1 the pool runs
-    // inline on this thread — the serial path *is* the 1-thread
-    // case). The first failing segment's error is rethrown, lowest
-    // index first, independent of worker scheduling.
-    struct PackedSegment
-    {
-        std::uint64_t rawBytes = 0;
-        std::vector<std::uint8_t> comp;
-        std::uint64_t crc = 0;
-    };
-    std::vector<PackedSegment> packed(seg_count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(seg_count);
-        for (std::size_t i = 0; i < seg_count; ++i) {
-            tasks.push_back([&rec, &bounds, &packed, i] {
-                const std::string raw = buildSegmentPayload(
-                    rec, bounds[i], bounds[i + 1]);
-                PackedSegment &seg = packed[i];
-                seg.rawBytes = raw.size();
-                seg.comp = compressPayload(raw);
-                seg.crc = crc32(seg.comp.data(), seg.comp.size());
-            });
-        }
-        std::unique_ptr<WorkerPool> pool;
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool, io_.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-    }
-
-    for (std::size_t i = 0; i < seg_count; ++i) {
-        const bool tail = i == rec.checkpoints.size();
-        const Boundary &prev = bounds[i];
-        const Boundary &cur = bounds[i + 1];
-        PackedSegment &seg = packed[i];
-
-        ArchiveSegmentInfo info;
-        info.endGcc = cur.gcc;
-        info.fileOffset = offset_;
-        info.rawBytes = seg.rawBytes;
-        info.compBytes = seg.comp.size();
-        info.crc32 = seg.crc;
-        advanceScratchLogs(rec, prev, cur, scratch_pi, scratch_cs);
-        info.piBitsEnd = scratch_pi.sizeBits();
-        info.strataBitsEnd = static_cast<std::uint64_t>(cur.strataIdx)
-                             * n * strata_counter_bits;
-        for (ProcId p = 0; p < n; ++p)
-            info.csBitsEnd.push_back(scratch_cs[p].sizeBits());
-        info.hasCheckpoint = !tail;
-
-        putU64(kSegmentMagic);
-        putU64(i);
-        putU64(info.rawBytes);
-        putU64(info.compBytes);
-        putU64(info.crc32);
-        putBytes(seg.comp.data(), seg.comp.size());
-        segments_.push_back(std::move(info));
-        // Committed; release the payload instead of holding every
-        // segment's compressed bytes until the loop ends.
-        std::vector<std::uint8_t>().swap(seg.comp);
-    }
-
-    // Footer: metadata + segment index, compressed like the segments.
-    const std::string footer_raw = buildFooterRaw(rec, segments_);
-    const std::vector<std::uint8_t> footer_comp =
-        compressPayload(footer_raw);
-    const std::uint64_t footer_offset = offset_;
-    putBytes(footer_comp.data(), footer_comp.size());
-
-    putU64(footer_offset);
-    putU64(footer_comp.size());
-    putU64(footer_raw.size());
-    putU64(crc32(footer_comp.data(), footer_comp.size()));
-    putU64(kArchiveEndMagic);
-
-    if (!*out_)
-        throw std::runtime_error("failed to write archive");
-}
-
-void
-writeArchive(const Recording &rec, std::ostream &out,
-             const ArchiveIoOptions &io)
-{
-    ArchiveWriter writer(out, io);
-    writer.write(rec);
-}
-
-void
-writeArchiveFile(const Recording &rec, const std::string &path,
-                 const ArchiveIoOptions &io)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("cannot open " + path + " for write");
-    writeArchive(rec, out, io);
-}
-
-// ----- streaming writer -----------------------------------------------------
-
 /**
- * Two-thread pipeline. The *feeder* (recording) thread cuts segment
- * payloads synchronously — boundary math, buildSegmentPayload and the
- * scratch-log replication all read the live recording, which keeps
- * growing after each hook returns — and pushes owned Pending items
- * onto `staging`. The *flusher* thread compresses, CRCs and writes a
- * snatched batch; while it runs, the feeder keeps staging without
- * blocking (double buffering). Handoff is by join: the feeder only
- * touches `flushing`, `segments`, the pool and the stream after
- * observing flush_done and joining, so no mutex is needed.
+ * The `.dla` container's steps on the shared SegmentPipeline. The cut
+ * step replays the recorder's variable-width log packing onto scratch
+ * logs, so the footer's per-segment bit positions land exactly where a
+ * hardware recorder's log write pointers would at the boundary; the
+ * commit step appends segment headers and payloads to the stream;
+ * finish writes the footer index and trailer.
  */
 struct StreamingArchiveWriter::Impl
 {
+    /// Staged .dla segment: its footer index entry, whose location,
+    /// size and CRC the commit step fills in.
+    struct Segment : CutSegment
+    {
+        ArchiveSegmentInfo info;
+    };
+
     std::ostream *out;
-    ArchiveIoOptions io;
     std::uint64_t offset = 0;
 
-    bool initialized = false;
-    bool is_closed = false;
-
-    // Scratch logs replicating the recorder's bit packing (footer
-    // bit-position index); see ArchiveWriter::write.
     unsigned n = 0;
     unsigned strata_counter_bits = 0;
     PiLog scratch_pi{1};
     std::vector<CsLog> scratch_cs;
 
-    Boundary last;                 ///< frontier at the last cut
-    std::uint64_t last_gcc = 0;    ///< last checkpoint GCC
-    std::size_t fed = 0;           ///< checkpoints consumed
-    std::size_t staged = 0;        ///< segments cut so far
-
-    /// A cut segment between payload build and file commit.
-    struct Pending
-    {
-        ArchiveSegmentInfo info; ///< compBytes/crc/offset filled late
-        std::string raw;
-    };
-    std::vector<Pending> staging;  ///< feeder-owned accumulation
-    std::vector<Pending> flushing; ///< flusher-owned batch
-    std::thread flusher;
-    std::atomic<bool> flush_done{true};
-    std::exception_ptr flush_error;
-    std::unique_ptr<WorkerPool> pool;
     std::vector<ArchiveSegmentInfo> segments; ///< committed, in order
+    SegmentPipeline<Impl> pipeline;           ///< last: see its doc
 
-    explicit Impl(std::ostream &o, const ArchiveIoOptions &opts)
-        : out(&o), io(opts)
+    Impl(std::ostream &o, const ArchiveIoOptions &io)
+        : out(&o), pipeline(*this, "StreamingArchiveWriter", io)
     {
-    }
-
-    ~Impl()
-    {
-        if (flusher.joinable())
-            flusher.join();
     }
 
     void
@@ -743,10 +644,8 @@ struct StreamingArchiveWriter::Impl
     }
 
     void
-    ensureInit(const Recording &rec)
+    begin(const Recording &rec)
     {
-        if (initialized)
-            return;
         n = rec.machine.numProcs;
         scratch_pi = PiLog(n);
         scratch_cs.assign(n, CsLog(rec.mode));
@@ -755,149 +654,113 @@ struct StreamingArchiveWriter::Impl
                 ? Stratifier(n, rec.mode.stratifyChunksPerProc)
                       .counterBits()
                 : 0;
-        last = Boundary{};
-        last.committed.assign(n, 0);
-        last.ioIdx.assign(n, 0);
         putU64(kArchiveMagic);
         putU64(kArchiveVersion);
-        initialized = true;
     }
 
-    /** Rethrow a flusher failure on the feeder thread. */
     void
-    rethrowFlushError()
+    cut(const Recording &rec, const Boundary &lo, const Boundary &hi,
+        const SystemCheckpoint *end, Segment &seg)
     {
-        if (flush_error) {
-            is_closed = true; // poisoned: the stream is mid-segment
-            std::exception_ptr e = flush_error;
-            flush_error = nullptr;
-            std::rethrow_exception(e);
+        if (!rec.stratified() && rec.mode.mode != ExecMode::kPicoLog) {
+            for (std::uint64_t g = lo.gcc;
+                 g < std::min<std::uint64_t>(hi.gcc, rec.pi.entryCount());
+                 ++g)
+                scratch_pi.append(rec.pi.entryAt(g));
         }
+        for (ProcId p = 0; p < n; ++p)
+            for (const CsEntry &e : rec.cs[p].entries())
+                if (e.seq >= lo.committed[p] && e.seq < hi.committed[p]) {
+                    if (rec.mode.mode == ExecMode::kOrderAndSize)
+                        scratch_cs[p].appendCommittedSize(e.seq, e.size,
+                                                          e.maxSize);
+                    else
+                        scratch_cs[p].appendTruncation(e.seq, e.size);
+                }
+        ArchiveSegmentInfo &info = seg.info;
+        info.endGcc = hi.gcc;
+        info.rawBytes = seg.raw.size();
+        info.piBitsEnd = scratch_pi.sizeBits();
+        info.strataBitsEnd =
+            static_cast<std::uint64_t>(hi.strataIdx) * n
+            * strata_counter_bits;
+        for (ProcId p = 0; p < n; ++p)
+            info.csBitsEnd.push_back(scratch_cs[p].sizeBits());
+        info.hasCheckpoint = end != nullptr;
     }
 
-    /**
-     * Compress the current `flushing` batch over the codec pool, then
-     * commit the segments to the stream in order. Runs on the flusher
-     * thread (or inline from close() for the final drain).
-     */
+    void encode(Segment &) {}
+
     void
-    flushBatch()
+    commit(std::vector<Segment> &batch)
     {
-        const std::size_t count = flushing.size();
-        std::vector<std::vector<std::uint8_t>> comp(count);
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            tasks.push_back([this, &comp, i] {
-                comp[i] = compressPayload(flushing[i].raw);
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool, io.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-        for (std::size_t i = 0; i < count; ++i) {
-            Pending &p = flushing[i];
-            p.info.fileOffset = offset;
-            p.info.compBytes = comp[i].size();
-            p.info.crc32 = crc32(comp[i].data(), comp[i].size());
+        for (Segment &seg : batch) {
+            ArchiveSegmentInfo &info = seg.info;
+            info.fileOffset = offset;
+            info.compBytes = seg.comp.size();
+            info.crc32 = seg.crc;
             putU64(kSegmentMagic);
-            putU64(segments.size());
-            putU64(p.info.rawBytes);
-            putU64(p.info.compBytes);
-            putU64(p.info.crc32);
-            putBytes(comp[i].data(), comp[i].size());
-            segments.push_back(std::move(p.info));
-            std::vector<std::uint8_t>().swap(comp[i]);
+            putU64(seg.index);
+            putU64(info.rawBytes);
+            putU64(info.compBytes);
+            putU64(info.crc32);
+            putBytes(seg.comp.data(), seg.comp.size());
+            segments.push_back(std::move(info));
+            std::vector<std::uint8_t>().swap(seg.comp);
         }
-        flushing.clear();
         if (!*out)
             throw std::runtime_error("failed to write archive");
     }
 
     /**
-     * Hand staged work to the flusher. Non-blocking while a batch is
-     * in flight; when the flusher is idle, join it, surface its
-     * error (if any), and launch it on the accumulated batch.
+     * Footer: recording metadata, final stats and the per-segment
+     * index, compressed like the segments. Segment i's boundary
+     * checkpoint is rec.checkpoints[i] (every checkpoint cuts one
+     * segment, in order).
      */
     void
-    pump()
+    finish(const Recording &rec)
     {
-        if (!flush_done.load(std::memory_order_acquire))
-            return; // flusher busy; keep accumulating
-        if (flusher.joinable())
-            flusher.join();
-        rethrowFlushError();
-        if (staging.empty())
-            return;
-        flushing = std::move(staging);
-        staging.clear();
-        flush_done.store(false, std::memory_order_release);
-        flusher = std::thread([this] {
-            try {
-                flushBatch();
-            } catch (...) {
-                flush_error = std::current_exception();
-            }
-            flush_done.store(true, std::memory_order_release);
-        });
-    }
-
-    /** Block until the flusher is idle and its batch is committed. */
-    void
-    drain()
-    {
-        if (flusher.joinable())
-            flusher.join();
-        rethrowFlushError();
-        if (!staging.empty()) {
-            flushing = std::move(staging);
-            staging.clear();
-            flushBatch();
+        std::ostringstream footer(std::ios::binary);
+        putMachine(footer, rec.machine);
+        putMode(footer, rec.mode);
+        putString(footer, rec.appName);
+        serialize_detail::putU64(footer, rec.workloadSeed);
+        serialize_detail::putU64(footer, rec.iterationsPercent);
+        FinalStats::put(footer, rec);
+        if (segments.size() != rec.checkpoints.size() + 1)
+            throw std::logic_error(
+                "archive footer: segments and checkpoints disagree");
+        serialize_detail::putU64(footer, segments.size());
+        for (std::size_t i = 0; i < segments.size(); ++i) {
+            const ArchiveSegmentInfo &info = segments[i];
+            serialize_detail::putU64(footer, info.endGcc);
+            serialize_detail::putU64(footer, info.fileOffset);
+            serialize_detail::putU64(footer, info.rawBytes);
+            serialize_detail::putU64(footer, info.compBytes);
+            serialize_detail::putU64(footer, info.crc32);
+            serialize_detail::putU64(footer, info.piBitsEnd);
+            serialize_detail::putU64(footer, info.strataBitsEnd);
+            serialize_detail::putU64(footer, info.csBitsEnd.size());
+            for (const std::uint64_t bits : info.csBitsEnd)
+                serialize_detail::putU64(footer, bits);
+            serialize_detail::putU64(footer, info.hasCheckpoint ? 1 : 0);
+            if (info.hasCheckpoint)
+                putCheckpoint(footer, rec.checkpoints[i]);
         }
-    }
-
-    /**
-     * Cut the segment (last, hi] and stage it for the flusher. Its
-     * checkpoint, if any, is the recording's next one; the footer
-     * reads it from the finished recording at close().
-     */
-    void
-    stage(const Recording &rec, const Boundary &hi, bool has_checkpoint)
-    {
-        Pending p;
-        p.raw = buildSegmentPayload(rec, last, hi);
-        p.info.endGcc = hi.gcc;
-        p.info.rawBytes = p.raw.size();
-        advanceScratchLogs(rec, last, hi, scratch_pi, scratch_cs);
-        p.info.piBitsEnd = scratch_pi.sizeBits();
-        p.info.strataBitsEnd =
-            static_cast<std::uint64_t>(hi.strataIdx) * n
-            * strata_counter_bits;
-        for (ProcId q = 0; q < n; ++q)
-            p.info.csBitsEnd.push_back(scratch_cs[q].sizeBits());
-        p.info.hasCheckpoint = has_checkpoint;
-        staging.push_back(std::move(p));
-        last = hi;
-        ++staged;
-    }
-
-    /** Consume every not-yet-streamed checkpoint of @p rec. */
-    void
-    feed(const Recording &rec)
-    {
-        ensureInit(rec);
-        while (fed < rec.checkpoints.size()) {
-            const SystemCheckpoint &ckpt = rec.checkpoints[fed];
-            if (fed > 0 && ckpt.gcc <= last_gcc)
-                throw RecordingFormatError(
-                    "checkpoints are not in ascending GCC order");
-            Boundary hi = boundaryAtCheckpoint(rec, ckpt, fed);
-            stage(rec, hi, true);
-            last_gcc = ckpt.gcc;
-            ++fed;
-        }
+        const std::string footer_raw = std::move(footer).str();
+        const std::vector<std::uint8_t> footer_comp =
+            compressPayload(footer_raw);
+        const std::uint64_t footer_offset = offset;
+        putBytes(footer_comp.data(), footer_comp.size());
+        putU64(footer_offset);
+        putU64(footer_comp.size());
+        putU64(footer_raw.size());
+        putU64(crc32(footer_comp.data(), footer_comp.size()));
+        putU64(kArchiveEndMagic);
+        if (!*out)
+            throw std::runtime_error("failed to write archive");
+        out->flush();
     }
 };
 
@@ -912,53 +775,167 @@ StreamingArchiveWriter::~StreamingArchiveWriter() = default;
 void
 StreamingArchiveWriter::onCheckpoint(const Recording &rec)
 {
-    if (impl_->is_closed)
-        throw std::logic_error(
-            "StreamingArchiveWriter used after close");
-    impl_->feed(rec);
-    impl_->pump();
+    impl_->pipeline.onCheckpoint(rec);
 }
 
 void
 StreamingArchiveWriter::close(const Recording &rec)
 {
-    Impl &im = *impl_;
-    if (im.is_closed)
-        throw std::logic_error(
-            "StreamingArchiveWriter::close called twice");
-    im.feed(rec);
-    im.stage(rec, boundaryAtEnd(rec), false); // tail segment
-    im.drain();
-
-    const std::string footer_raw = buildFooterRaw(rec, im.segments);
-    const std::vector<std::uint8_t> footer_comp =
-        compressPayload(footer_raw);
-    const std::uint64_t footer_offset = im.offset;
-    im.putBytes(footer_comp.data(), footer_comp.size());
-    im.putU64(footer_offset);
-    im.putU64(footer_comp.size());
-    im.putU64(footer_raw.size());
-    im.putU64(crc32(footer_comp.data(), footer_comp.size()));
-    im.putU64(kArchiveEndMagic);
-    if (!*im.out)
-        throw std::runtime_error("failed to write archive");
-    im.out->flush();
-    im.is_closed = true;
+    impl_->pipeline.close(rec);
 }
 
 bool
 StreamingArchiveWriter::closed() const
 {
-    return impl_->is_closed;
+    return impl_->pipeline.closed();
 }
 
 std::size_t
 StreamingArchiveWriter::segmentCount() const
 {
-    return impl_->staged;
+    return impl_->pipeline.segmentsCut();
 }
 
-// ----- reader ---------------------------------------------------------------
+void
+writeArchive(const Recording &rec, std::ostream &out,
+             const ArchiveIoOptions &io)
+{
+    StreamingArchiveWriter(out, io).close(rec);
+}
+
+void
+writeArchiveFile(const Recording &rec, const std::string &path,
+                 const ArchiveIoOptions &io)
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        throw std::runtime_error("cannot open " + path + " for write");
+    writeArchive(rec, out, io);
+}
+
+// ----- shared reader -------------------------------------------------------
+
+namespace archive_detail
+{
+
+ContainerReader::ContainerReader() = default;
+ContainerReader::ContainerReader(ContainerReader &&) noexcept = default;
+ContainerReader &
+ContainerReader::operator=(ContainerReader &&) noexcept = default;
+ContainerReader::~ContainerReader() = default;
+
+const SystemCheckpoint &
+ContainerReader::checkpointAt(std::size_t index) const
+{
+    if (index >= checkpointCount())
+        throw CheckpointOutOfRangeError(
+            index, checkpointCount(),
+            "checkpoint " + std::to_string(index) + " of "
+                + std::to_string(checkpointCount()));
+    return image(index);
+}
+
+const SystemCheckpoint &
+ContainerReader::image(std::size_t index) const
+{
+    std::unique_ptr<const SystemCheckpoint> &slot = images_[index];
+    if (!slot)
+        slot = std::make_unique<const SystemCheckpoint>(
+            decodeImage(index));
+    return *slot;
+}
+
+void
+ContainerReader::checkInterval(std::size_t from, std::size_t to) const
+{
+    if (from >= checkpointCount())
+        throw CheckpointOutOfRangeError(
+            from, checkpointCount(),
+            "interval start checkpoint " + std::to_string(from)
+                + " of " + std::to_string(checkpointCount()));
+    if (to != kToEnd && (to <= from || to >= checkpointCount()))
+        throw CheckpointOutOfRangeError(
+            to, checkpointCount(),
+            "interval [" + std::to_string(from) + ", "
+                + std::to_string(to)
+                + ") is not a valid checkpoint pair");
+}
+
+Recording
+ContainerReader::assemble(std::size_t first, std::size_t end,
+                          std::size_t from, std::size_t to) const
+{
+    const bool whole = from == kWholeRun;
+    const unsigned n = machine_.numProcs;
+    Recording rec;
+    rec.machine = machine_;
+    rec.mode = mode_;
+    rec.appName = app_name_;
+    rec.workloadSeed = workload_seed_;
+    rec.iterationsPercent = iterations_percent_;
+    rec.pi = PiLog(n);
+    rec.cs.assign(n, CsLog(mode_));
+    rec.interrupts = InterruptLog(n);
+    rec.io = IoLog(n);
+    std::vector<std::uint64_t> io_base(n, 0);
+    if (!whole) {
+        // Synthetic prefix (consumed by the replay skip logic), then
+        // only the segments covering the interval.
+        const SystemCheckpoint &start = image(from);
+        appendSyntheticPrefix(rec, start);
+        io_base.clear();
+        for (const ThreadContext &ctx : start.contexts)
+            io_base.push_back(ctx.ioLoadCount);
+    }
+
+    // CRC + decompress + parse every segment in parallel, then append
+    // in segment order. Each segment's decode error (or slice) lands
+    // in its own slot and the append loop consumes the slots in
+    // order, so the first error to surface is the lowest segment's at
+    // any ioThreads. A whole-run read also decodes the checkpoint
+    // closing each non-tail segment in that segment's task (each task
+    // fills only its own image slot).
+    const std::size_t count = end - first;
+    std::vector<SegmentSlice> slices(count);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(count);
+    for (std::size_t k = 0; k < count; ++k)
+        tasks.push_back([this, &slices, whole, first, end, n, k] {
+            const std::size_t i = first + k;
+            const std::vector<std::uint8_t> raw = segmentPayload(i);
+            try {
+                slices[k] = parseSegmentPayload(raw, n);
+            } catch (const RecordingFormatError &e) {
+                throw ArchiveError(ArchiveSection::kSegment, i, e.what());
+            }
+            if (whole && i + 1 < end)
+                image(i);
+        });
+    std::vector<std::exception_ptr> errors;
+    runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks), errors);
+    for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = first + k;
+        if (errors[k])
+            std::rethrow_exception(errors[k]);
+        appendSlice(rec, slices[k], io_base, i);
+        slices[k] = SegmentSlice(); // free as we go
+        if (whole && i + 1 < end)
+            rec.checkpoints.push_back(image(i));
+    }
+
+    final_.applyTo(rec, whole);
+    if (!whole) {
+        rec.checkpoints.push_back(image(from));
+        if (to != kToEnd)
+            rec.checkpoints.push_back(image(to));
+    }
+    validateRecording(rec);
+    return rec;
+}
+
+} // namespace archive_detail
+
+// ----- .dla reader ----------------------------------------------------------
 
 bool
 ArchiveReader::looksLikeArchive(const std::uint8_t *bytes,
@@ -1051,32 +1028,16 @@ ArchiveReader::parse()
     const std::uint64_t footer_comp = readU64At(data_, trailer + 8);
     const std::uint64_t footer_raw = readU64At(data_, trailer + 16);
     const std::uint64_t footer_crc = readU64At(data_, trailer + 24);
-    if (footer_offset < kHeaderBytes || footer_comp > size_
-        || footer_offset + footer_comp > trailer)
+    // Written so no sum can wrap: every field is attacker-chosen.
+    if (footer_offset < kHeaderBytes || footer_offset > trailer
+        || footer_comp > trailer - footer_offset)
         throw ArchiveError(ArchiveSection::kTrailer,
                            ArchiveError::kNoSegment,
                            "footer location out of bounds");
-
-    if (crc32(data_ + footer_offset,
-              static_cast<std::size_t>(footer_comp))
-        != footer_crc)
-        throw ArchiveError(ArchiveSection::kFooter,
-                           ArchiveError::kNoSegment,
-                           "footer CRC mismatch");
-
-    try {
-        const Lz77 codec;
-        footer_ = codec.decompress(
-            data_ + footer_offset,
-            static_cast<std::size_t>(footer_comp));
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kFooter,
-                           ArchiveError::kNoSegment, e.what());
-    }
-    if (footer_.size() != footer_raw)
-        throw ArchiveError(ArchiveSection::kFooter,
-                           ArchiveError::kNoSegment,
-                           "footer decompressed size mismatch");
+    footer_ = decodeStored(data_ + footer_offset,
+                           static_cast<std::size_t>(footer_comp),
+                           footer_crc, footer_raw, ArchiveSection::kFooter,
+                           ArchiveError::kNoSegment, "footer");
 
     try {
         ByteCursor in(footer_.data(), footer_.size());
@@ -1086,17 +1047,7 @@ ArchiveReader::parse()
         app_name_ = getString(in);
         workload_seed_ = getU64(in);
         iterations_percent_ = static_cast<unsigned>(getU64(in));
-        for (int k = 0; k < 8; ++k)
-            stats_[k] = getU64(in);
-        const std::uint64_t procs = getU64(in);
-        if (procs != machine_.numProcs)
-            throw RecordingFormatError(
-                "fingerprint per-proc count does not match numProcs");
-        for (std::uint64_t p = 0; p < procs; ++p) {
-            per_proc_acc_.push_back(getU64(in));
-            per_proc_retired_.push_back(getU64(in));
-        }
-        final_mem_hash_ = getU64(in);
+        final_ = FinalStats::get(in, machine_.numProcs);
         const std::uint64_t seg_count = getU64(in);
         if (seg_count == 0 || seg_count > kMaxSegments)
             throw RecordingFormatError(
@@ -1154,9 +1105,10 @@ ArchiveReader::parse()
     for (std::size_t i = 0; i < segments_.size(); ++i) {
         const ArchiveSegmentInfo &info = segments_[i];
         if (info.fileOffset < kHeaderBytes
-            || info.compBytes > size_
-            || info.fileOffset + kSegmentHeaderBytes + info.compBytes
-                   > footer_offset)
+            || info.fileOffset > footer_offset
+            || footer_offset - info.fileOffset < kSegmentHeaderBytes
+            || info.compBytes
+                   > footer_offset - info.fileOffset - kSegmentHeaderBytes)
             throw ArchiveError(ArchiveSection::kFooter,
                                ArchiveError::kNoSegment,
                                "segment " + std::to_string(i)
@@ -1178,12 +1130,6 @@ ArchiveReader::parse()
     images_.resize(image_spans_.size());
 }
 
-std::size_t
-ArchiveReader::checkpointCount() const
-{
-    return segments_.size() - 1;
-}
-
 std::vector<std::uint64_t>
 ArchiveReader::checkpointGccs() const
 {
@@ -1195,34 +1141,16 @@ ArchiveReader::checkpointGccs() const
     return gccs;
 }
 
-const SystemCheckpoint &
-ArchiveReader::checkpointAt(std::size_t index) const
+SystemCheckpoint
+ArchiveReader::decodeImage(std::size_t index) const
 {
-    if (index >= checkpointCount())
-        throw CheckpointOutOfRangeError(
-            index, checkpointCount(),
-            "checkpoint " + std::to_string(index) + " of "
-                + std::to_string(checkpointCount()));
-    return image(index);
-}
-
-const SystemCheckpoint &
-ArchiveReader::image(std::size_t index) const
-{
-    std::unique_ptr<const SystemCheckpoint> &slot = images_[index];
-    if (!slot) {
-        const ImageSpan span = image_spans_[index];
-        try {
-            slot = std::make_unique<const SystemCheckpoint>(
-                decodeCheckpoint(footer_.data() + span.offset,
-                                 span.bytes));
-        } catch (const RecordingFormatError &e) {
-            throw ArchiveError(ArchiveSection::kFooter, index,
-                               std::string("checkpoint image: ")
-                                   + e.what());
-        }
+    const ImageSpan span = image_spans_[index];
+    try {
+        return decodeCheckpoint(footer_.data() + span.offset, span.bytes);
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(ArchiveSection::kFooter, index,
+                           std::string("checkpoint image: ") + e.what());
     }
-    return *slot;
 }
 
 std::vector<std::uint8_t>
@@ -1247,252 +1175,26 @@ ArchiveReader::segmentPayload(std::size_t index) const
         throw ArchiveError(ArchiveSection::kSegment, index,
                            "segment header disagrees with the footer "
                            "index");
-    const std::uint8_t *payload = data_ + off + kSegmentHeaderBytes;
-    if (crc32(payload, static_cast<std::size_t>(info.compBytes))
-        != info.crc32)
-        throw ArchiveError(ArchiveSection::kSegment, index,
-                           "payload CRC mismatch");
-    std::vector<std::uint8_t> raw;
-    try {
-        const Lz77 codec;
-        raw = codec.decompress(
-            payload, static_cast<std::size_t>(info.compBytes));
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kSegment, index, e.what());
-    }
-    if (raw.size() != info.rawBytes)
-        throw ArchiveError(ArchiveSection::kSegment, index,
-                           "decompressed size mismatch");
-    return raw;
+    return decodeStored(data_ + off + kSegmentHeaderBytes,
+                        static_cast<std::size_t>(info.compBytes),
+                        info.crc32, info.rawBytes, ArchiveSection::kSegment,
+                        index, "payload");
 }
-
-namespace archive_detail
-{
-
-SegmentSlice
-decodeSegment(const std::vector<std::uint8_t> &raw, unsigned num_procs,
-              std::size_t index)
-{
-    try {
-        return parseSegmentPayload(raw, num_procs);
-    } catch (const ArchiveError &) {
-        throw;
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kSegment, index, e.what());
-    }
-}
-
-Recording
-skeletonRecording(const MachineConfig &machine, const ModeConfig &mode,
-                  const std::string &app, std::uint64_t seed,
-                  unsigned iterations)
-{
-    Recording rec;
-    rec.machine = machine;
-    rec.mode = mode;
-    rec.appName = app;
-    rec.workloadSeed = seed;
-    rec.iterationsPercent = iterations;
-    rec.pi = PiLog(machine.numProcs);
-    rec.cs.assign(machine.numProcs, CsLog(mode));
-    rec.interrupts = InterruptLog(machine.numProcs);
-    rec.io = IoLog(machine.numProcs);
-    return rec;
-}
-
-void
-appendSlice(Recording &rec, const SegmentSlice &slice,
-            std::vector<std::uint64_t> &io_base, std::size_t segment)
-{
-    const unsigned n = rec.machine.numProcs;
-    for (const ProcId p : slice.pi) {
-        if (p >= n && p != kDmaProcId)
-            throw ArchiveError(ArchiveSection::kSegment, segment,
-                               "PI entry names proc "
-                                   + std::to_string(p));
-        rec.pi.append(p);
-    }
-    for (const Stratum &s : slice.strata)
-        rec.strata.push_back(s);
-    for (ProcId p = 0; p < n; ++p) {
-        for (const CsEntry &e : slice.cs[p]) {
-            if (rec.mode.mode == ExecMode::kOrderAndSize)
-                rec.cs[p].appendCommittedSize(e.seq, e.size, e.maxSize);
-            else
-                rec.cs[p].appendTruncation(e.seq, e.size);
-        }
-        for (const InterruptRecord &e : slice.interrupts[p])
-            rec.interrupts.append(p, e);
-        for (std::size_t k = 0; k < slice.io[p].size(); ++k)
-            rec.io.append(p, io_base[p] + k, slice.io[p][k]);
-        io_base[p] += slice.io[p].size();
-    }
-    for (const auto &[xfer, slot] : slice.dma)
-        rec.dma.append(xfer, slot);
-    for (const CommitRecord &c : slice.commits)
-        rec.fingerprint.commits.push_back(c);
-}
-
-void
-appendSyntheticPrefix(Recording &rec, const SystemCheckpoint &start)
-{
-    const unsigned n = rec.machine.numProcs;
-    std::uint64_t chunk0 = 0;
-    for (const ChunkSeq c : start.committedChunks)
-        chunk0 += c;
-    const std::size_t dma0 = start.dmaConsumed;
-
-    if (rec.stratified()) {
-        for (std::size_t i = 0; i < dma0; ++i) {
-            Stratum s;
-            s.isDma = true;
-            s.counts.assign(n, 0);
-            rec.strata.push_back(std::move(s));
-        }
-        std::vector<std::uint64_t> need(start.committedChunks.begin(),
-                                        start.committedChunks.end());
-        const std::uint64_t cap = std::max<std::uint64_t>(
-            1, rec.mode.stratifyChunksPerProc);
-        bool any = true;
-        while (any) {
-            any = false;
-            Stratum s;
-            s.counts.assign(n, 0);
-            for (unsigned p = 0; p < n; ++p) {
-                const std::uint64_t take =
-                    std::min<std::uint64_t>(need[p], cap);
-                s.counts[p] = static_cast<std::uint8_t>(take);
-                need[p] -= take;
-                any = any || take;
-            }
-            if (any)
-                rec.strata.push_back(std::move(s));
-        }
-    } else if (rec.mode.mode != ExecMode::kPicoLog) {
-        for (std::size_t i = 0; i < dma0; ++i)
-            rec.pi.append(kDmaProcId);
-        for (std::uint64_t i = 0; i < start.gcc - dma0; ++i)
-            rec.pi.append(0);
-    }
-    for (std::size_t i = 0; i < dma0; ++i)
-        rec.dma.append(DmaTransfer{}, 0);
-    rec.fingerprint.commits.assign(static_cast<std::size_t>(chunk0),
-                                   CommitRecord{});
-}
-
-} // namespace archive_detail
 
 Recording
 ArchiveReader::readAll() const
 {
-    Recording rec = skeletonRecording(machine_, mode_, app_name_,
-                                      workload_seed_,
-                                      iterations_percent_);
-    std::vector<std::uint64_t> io_base(machine_.numProcs, 0);
-
-    // CRC + decompress + parse every segment in parallel, then append
-    // in segment order. Each segment's decode error (or successful
-    // slice) lands in its own slot, and the append loop consumes the
-    // slots in order — the first error to surface is the one the old
-    // serial decode-then-append loop would have hit, at any ioThreads.
-    const std::size_t count = segments_.size();
-    std::vector<SegmentSlice> slices(count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            tasks.push_back([this, &slices, i] {
-                slices[i] = decodeSegment(segmentPayload(i),
-                                          machine_.numProcs, i);
-                if (segments_[i].hasCheckpoint)
-                    image(i); // each task fills only its own slot
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                std::rethrow_exception(errors[i]);
-            appendSlice(rec, slices[i], io_base, i);
-            slices[i] = SegmentSlice(); // free as we go
-            if (segments_[i].hasCheckpoint)
-                rec.checkpoints.push_back(image(i));
-        }
-    }
-    rec.fingerprint.perProcAcc = per_proc_acc_;
-    rec.fingerprint.perProcRetired = per_proc_retired_;
-    rec.fingerprint.finalMemHash = final_mem_hash_;
-    rec.stats.totalCycles = stats_[0];
-    rec.stats.retiredInstrs = stats_[1];
-    rec.stats.executedInstrs = stats_[2];
-    rec.stats.committedChunks = stats_[3];
-    rec.stats.squashes = stats_[4];
-    rec.stats.overflowTruncations = stats_[5];
-    rec.stats.collisionTruncations = stats_[6];
-    rec.stats.hardTruncations = stats_[7];
-    validateRecording(rec);
-    return rec;
+    return assemble(0, segments_.size(), kWholeRun, kToEnd);
 }
 
 Recording
 ArchiveReader::readInterval(std::size_t from, std::size_t to) const
 {
-    if (from >= checkpointCount())
-        throw CheckpointOutOfRangeError(
-            from, checkpointCount(),
-            "interval start checkpoint " + std::to_string(from)
-                + " of " + std::to_string(checkpointCount()));
-    const std::size_t last_seg =
-        to == kToEnd ? segments_.size() - 1 : to;
-    if (to != kToEnd && (to <= from || to >= checkpointCount()))
-        throw CheckpointOutOfRangeError(
-            to, checkpointCount(),
-            "interval [" + std::to_string(from) + ", "
-                + std::to_string(to)
-                + ") is not a valid checkpoint pair");
-
-    Recording rec = skeletonRecording(machine_, mode_, app_name_,
-                                      workload_seed_,
-                                      iterations_percent_);
-    const unsigned n = machine_.numProcs;
-    const SystemCheckpoint &start = image(from);
-
-    // Synthetic prefix (consumed by the replay skip logic), then only
-    // the segments covering the interval.
-    appendSyntheticPrefix(rec, start);
-    std::vector<std::uint64_t> io_base;
-    for (const ThreadContext &ctx : start.contexts)
-        io_base.push_back(ctx.ioLoadCount);
-    const std::size_t first = from + 1;
-    const std::size_t count = last_seg - from;
-    std::vector<SegmentSlice> slices(count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t k = 0; k < count; ++k)
-            tasks.push_back([this, &slices, first, n, k] {
-                slices[k] = decodeSegment(segmentPayload(first + k),
-                                          n, first + k);
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (std::size_t k = 0; k < count; ++k) {
-            if (errors[k])
-                std::rethrow_exception(errors[k]);
-            appendSlice(rec, slices[k], io_base, first + k);
-            slices[k] = SegmentSlice();
-        }
-    }
-
-    rec.fingerprint.perProcAcc = per_proc_acc_;
-    rec.fingerprint.perProcRetired = per_proc_retired_;
-    rec.fingerprint.finalMemHash = final_mem_hash_;
-    rec.checkpoints.push_back(start);
-    if (to != kToEnd)
-        rec.checkpoints.push_back(image(to));
-    validateRecording(rec);
-    return rec;
+    // Checkpoint j closes segment j, so the interval's segments are
+    // from + 1 through to (or the tail).
+    checkInterval(from, to);
+    return assemble(from + 1, to == kToEnd ? segments_.size() : to + 1,
+                    from, to);
 }
 
 } // namespace delorean

@@ -170,60 +170,26 @@ struct ArchiveSegmentInfo
 };
 
 /**
- * Streams a Recording into an archive: segments are cut at the
- * recording's checkpoint GCCs and written one at a time, then the
- * footer index and trailer. Requires checkpoints in strictly
- * ascending GCC order (the recorder emits them that way).
- */
-class ArchiveWriter
-{
-  public:
-    explicit ArchiveWriter(std::ostream &out,
-                           const ArchiveIoOptions &io = {})
-        : out_(&out), io_(io)
-    {
-    }
-
-    /** Write the whole archive. Call once. */
-    void write(const Recording &rec);
-
-    /** Segments emitted (checkpoints + tail), after write(). */
-    std::size_t segmentCount() const { return segments_.size(); }
-
-  private:
-    std::ostream *out_;
-    ArchiveIoOptions io_;
-    std::uint64_t offset_ = 0;
-    std::vector<ArchiveSegmentInfo> segments_;
-
-    void putBytes(const std::uint8_t *data, std::size_t size);
-    void putU64(std::uint64_t v);
-};
-
-/**
- * Incremental archive writer: emits segments while the recording is
- * still being produced, overlapping LZ77 compression and file I/O
- * with the rest of the simulation.
+ * The archive writer: emits segments while the recording is still
+ * being produced, overlapping LZ77 compression and file I/O with the
+ * rest of the simulation.
  *
- * Wire onCheckpoint() into EngineOptions::onCheckpoint (or call it
- * after record() on a finished recording — both feed paths produce
- * the same bytes): each call consumes every not-yet-streamed
- * checkpoint, cuts the covered segments, and *stages* them — the
- * payload slice is serialized synchronously (the recording's logs
- * keep growing after the hook returns), while compression, CRC and
- * the file write happen on a background flusher thread that fans the
- * codec work over the same WorkerPool path ArchiveWriter uses.
- * Staging is double-buffered: while one batch compresses and writes,
- * the next accumulates, and the recording thread never blocks on the
+ * Wire onCheckpoint() into EngineOptions::onCheckpoint, or call only
+ * close() on a finished recording (writeArchive() does exactly that);
+ * both feed paths produce the same bytes. Each call consumes every
+ * not-yet-streamed checkpoint and cuts the covered segments on the
+ * caller's thread (the recording's logs keep growing after the hook
+ * returns); compression, CRC and the file write run on a background
+ * flusher that fans the codec work over a WorkerPool. Staging is
+ * double-buffered, so the recording thread never blocks on the
  * codec. close() streams any remaining checkpoints, cuts the tail
  * segment, drains the flusher, and writes the footer index and
- * trailer.
+ * trailer. The ring writer (store/ring) runs on the same pipeline.
  *
- * The emitted container is byte-identical to writeArchive() of the
- * finished recording, at any ioThreads. Checkpoints must arrive in
- * ascending GCC order (the recorder emits them that way); violations
- * throw the same RecordingFormatError as the batch writer. A flusher
- * failure is rethrown from the next onCheckpoint()/close() call.
+ * The bytes are identical at any ioThreads. Checkpoints must arrive
+ * in ascending GCC order (the recorder emits them that way);
+ * violations throw RecordingFormatError. A flusher failure is
+ * rethrown from the next onCheckpoint()/close() call.
  */
 class StreamingArchiveWriter
 {
@@ -263,13 +229,130 @@ class StreamingArchiveWriter
     std::unique_ptr<Impl> impl_;
 };
 
-/** Archive @p rec to @p out. */
+/** Archive @p rec to @p out: a StreamingArchiveWriter fed at close(). */
 void writeArchive(const Recording &rec, std::ostream &out,
                   const ArchiveIoOptions &io = {});
 
 /** Archive @p rec to file @p path. */
 void writeArchiveFile(const Recording &rec, const std::string &path,
                       const ArchiveIoOptions &io = {});
+
+namespace serialize_detail
+{
+class ByteCursor;
+}
+
+namespace archive_detail
+{
+
+/**
+ * End-of-run statistics a container stores once: the `.dla` footer and
+ * a clean ring.index carry the same layout — the 8 headline engine
+ * stats, the per-proc count, (perProcAcc, perProcRetired) per proc,
+ * then finalMemHash.
+ */
+struct FinalStats
+{
+    EngineStats engine;
+    std::vector<std::uint64_t> perProcAcc;
+    std::vector<std::uint64_t> perProcRetired;
+    std::uint64_t finalMemHash = 0;
+
+    /** Serialize @p rec's final statistics. */
+    static void put(std::ostream &out, const Recording &rec);
+
+    /** Parse; the per-proc count must equal @p num_procs. */
+    static FinalStats get(serialize_detail::ByteCursor &in,
+                          unsigned num_procs);
+
+    /**
+     * Copy the fingerprint finals into @p rec, and the engine stats
+     * too when @p engine_stats (whole-run reads; interval views leave
+     * them zero).
+     */
+    void applyTo(Recording &rec, bool engine_stats) const;
+};
+
+/**
+ * What ArchiveReader and RingArchiveReader share: the run metadata and
+ * final statistics, the memoized checkpoint images, the codec pool,
+ * and the one interval assembler behind both readers' readAll() and
+ * readInterval(). A container supplies two fetchers — segment i's
+ * verified payload and checkpoint j's decoded image — plus its own
+ * range and precondition checks.
+ *
+ * Readers are not internally synchronized (the memoized images and
+ * the codec pool are lazy mutable state): use one reader per thread.
+ */
+class ContainerReader
+{
+  public:
+    static constexpr std::size_t kToEnd = static_cast<std::size_t>(-1);
+
+    virtual ~ContainerReader();
+
+    const MachineConfig &machine() const { return machine_; }
+    const ModeConfig &mode() const { return mode_; }
+    const std::string &appName() const { return app_name_; }
+    std::uint64_t workloadSeed() const { return workload_seed_; }
+    unsigned iterationsPercent() const { return iterations_percent_; }
+
+    /** Decodable replay starting points. */
+    std::size_t checkpointCount() const { return images_.size(); }
+
+    /** Checkpoint @p index (0-based, ascending GCC), decoded once. */
+    const SystemCheckpoint &checkpointAt(std::size_t index) const;
+
+  protected:
+    ContainerReader();
+    // Out of line: the codec pool member is only forward-declared
+    // here, so the special members must live where it is complete.
+    ContainerReader(ContainerReader &&) noexcept;
+    ContainerReader &operator=(ContainerReader &&) noexcept;
+
+    /// Segment @p index's payload: CRC-checked, decoded, size-checked.
+    virtual std::vector<std::uint8_t>
+    segmentPayload(std::size_t index) const = 0;
+    /// Decode checkpoint @p index (in range) from the container.
+    virtual SystemCheckpoint decodeImage(std::size_t index) const = 0;
+
+    /** Checkpoint @p index (in range), decoded on first use. */
+    const SystemCheckpoint &image(std::size_t index) const;
+
+    /** Typed rejection of an invalid (from, to) checkpoint pair. */
+    void checkInterval(std::size_t from, std::size_t to) const;
+
+    /// assemble()'s @p from for a whole-run read.
+    static constexpr std::size_t kWholeRun = kToEnd;
+
+    /**
+     * Decode segments [first, end) over the codec pool and append
+     * them in order. A whole-run read (@p from == kWholeRun, first 0)
+     * pushes checkpoint i after segment i and applies every final
+     * statistic. An interval read starts from checkpoint @p from's
+     * synthetic prefix and carries it (and checkpoint @p to, unless
+     * kToEnd) as the view's checkpoints.
+     */
+    Recording assemble(std::size_t first, std::size_t end,
+                       std::size_t from, std::size_t to) const;
+
+    ArchiveIoOptions io_;
+    MachineConfig machine_;
+    ModeConfig mode_;
+    std::string app_name_;
+    std::uint64_t workload_seed_ = 0;
+    unsigned iterations_percent_ = 100;
+    FinalStats final_;
+    /// Codec pool for multi-segment reads: built on the first batch
+    /// of two or more segments, reused across reads on one reader.
+    mutable std::unique_ptr<WorkerPool> pool_;
+    /// Decoded images, one slot per checkpoint, filled on first use
+    /// (sized once at open, so references stay valid).
+    mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
+        images_;
+};
+
+} // namespace archive_detail
 
 /**
  * Random-access archive reader.
@@ -288,11 +371,8 @@ void writeArchiveFile(const Recording &rec, const std::string &path,
  * it replays between. Segment payloads are CRC-checked and decoded
  * only when a read needs them. All failures surface as ArchiveError;
  * an image accepted by the walk cannot fail to decode later.
- *
- * Readers are not internally synchronized (the memoized images and
- * the codec pool are lazy mutable state): use one reader per thread.
  */
-class ArchiveReader
+class ArchiveReader : public archive_detail::ContainerReader
 {
   public:
     static ArchiveReader fromBytes(std::vector<std::uint8_t> bytes,
@@ -306,11 +386,9 @@ class ArchiveReader
     static ArchiveReader fromFile(const std::string &path,
                                   const ArchiveIoOptions &io = {});
 
-    // Out of line: the codec pool member is only forward-declared
-    // here, so the special members must live where it is complete.
     ArchiveReader(ArchiveReader &&) noexcept;
     ArchiveReader &operator=(ArchiveReader &&) noexcept;
-    ~ArchiveReader();
+    ~ArchiveReader() override;
 
     /** True when this reader decodes straight out of an mmap. */
     bool usingMmap() const { return map_.mapped(); }
@@ -327,20 +405,8 @@ class ArchiveReader
         return segments_;
     }
 
-    /** Number of seekable checkpoints (segments minus the tail). */
-    std::size_t checkpointCount() const;
-
     /** GCCs of the seekable checkpoints, ascending. */
     std::vector<std::uint64_t> checkpointGccs() const;
-
-    /** Boundary checkpoint @p index (0-based, ascending GCC). */
-    const SystemCheckpoint &checkpointAt(std::size_t index) const;
-
-    const MachineConfig &machine() const { return machine_; }
-    const ModeConfig &mode() const { return mode_; }
-    const std::string &appName() const { return app_name_; }
-    std::uint64_t workloadSeed() const { return workload_seed_; }
-    unsigned iterationsPercent() const { return iterations_percent_; }
 
     /**
      * Reassemble the complete Recording. Byte-identical to the
@@ -360,7 +426,6 @@ class ArchiveReader
      * checkpoint_index 0) and, when bounded, the stop checkpoint at
      * checkpoints[1] (pass &rec.checkpoints[1] as the stop).
      */
-    static constexpr std::size_t kToEnd = static_cast<std::size_t>(-1);
     Recording readInterval(std::size_t from,
                            std::size_t to = kToEnd) const;
 
@@ -368,10 +433,9 @@ class ArchiveReader
     ArchiveReader() = default;
 
     void parse();
-    /// Decode + verify one segment payload; returns raw bytes.
-    std::vector<std::uint8_t> segmentPayload(std::size_t index) const;
-    /// Checkpoint @p index (in range), decoded on first use.
-    const SystemCheckpoint &image(std::size_t index) const;
+    std::vector<std::uint8_t>
+    segmentPayload(std::size_t index) const override;
+    SystemCheckpoint decodeImage(std::size_t index) const override;
 
     /// Container bytes: owned_ (fromBytes / buffered fromFile) or
     /// map_ (zero-copy fromFile); data_/size_ view whichever is live.
@@ -379,20 +443,6 @@ class ArchiveReader
     MappedFile map_;
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
-    ArchiveIoOptions io_;
-    /// Codec pool for multi-segment reads: built on the first batch
-    /// of two or more segments, reused across readAll/readInterval
-    /// calls on one reader.
-    mutable std::unique_ptr<WorkerPool> pool_;
-    MachineConfig machine_;
-    ModeConfig mode_;
-    std::string app_name_;
-    std::uint64_t workload_seed_ = 0;
-    unsigned iterations_percent_ = 100;
-    std::uint64_t stats_[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::vector<std::uint64_t> per_proc_acc_;
-    std::vector<std::uint64_t> per_proc_retired_;
-    std::uint64_t final_mem_hash_ = 0;
     std::vector<ArchiveSegmentInfo> segments_;
     /// The decompressed footer, kept for on-demand image decode.
     std::vector<std::uint8_t> footer_;
@@ -403,10 +453,6 @@ class ArchiveReader
         std::size_t bytes = 0;
     };
     std::vector<ImageSpan> image_spans_;
-    /// Decoded images, filled on first use (one slot per checkpoint,
-    /// never resized after open, so references stay valid).
-    mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
-        images_;
 };
 
 } // namespace delorean

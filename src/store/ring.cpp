@@ -1,24 +1,19 @@
 #include "store/ring.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <deque>
-#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/errors.hpp"
 #include "compress/lz77.hpp"
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
-#include "sim/campaign.hpp"
 #include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
 
@@ -175,58 +170,34 @@ RingOptions::validate() const
 // ----- writer ---------------------------------------------------------------
 
 /**
- * Same two-thread pipeline as StreamingArchiveWriter::Impl: the
- * feeder cuts payloads synchronously and stages them; the flusher
- * compresses a snatched batch over the codec pool, writes one file
- * per segment, evicts over-budget history and atomically rewrites
- * the index. Handoff is by join (flush_done + join before touching
- * flusher-owned state); the mutex only guards the live-set/stats
- * snapshot that stats() may read concurrently.
+ * The ring's steps on the shared SegmentPipeline. The cut step copies
+ * the end checkpoint (the live recording's checkpoint vector may
+ * reallocate); the encode step compresses it; the commit step writes
+ * one file per segment, evicts over-budget history and atomically
+ * rewrites the index. The mutex only guards the live-set/stats
+ * snapshot that stats() may read while the flusher runs.
  */
 struct RingArchiveWriter::Impl
 {
-    std::string dir;
-    RingOptions opts;
-
-    bool initialized = false;
-    bool is_closed = false;
-    unsigned n = 0;
-
-    Boundary last;              ///< frontier at the last cut
-    std::uint64_t last_gcc = 0; ///< last checkpoint GCC
-    std::size_t fed = 0;        ///< checkpoints consumed
-    std::uint64_t next_seg = 0; ///< next segment id to cut
-
-    /// A cut segment between payload build and file commit. The start
-    /// checkpoint is not carried: it is by construction the previous
-    /// segment's end checkpoint, whose compressed blob the flusher
-    /// caches and reuses.
-    struct Pending
-    {
-        std::uint64_t segId = 0;
-        std::uint64_t startGcc = 0;
-        std::uint64_t endGcc = 0;
-        bool isTail = false;
-        bool hasStart = false;
-        bool hasEnd = false;
-        SystemCheckpoint end;
-        std::string raw;
-    };
-    /// One compressed checkpoint image (flusher-owned cache of the
-    /// newest end checkpoint, reused as the next start blob).
+    /// One compressed checkpoint image.
     struct CkptBlob
     {
         std::uint64_t raw = 0;
         std::uint64_t crc = 0;
         std::vector<std::uint8_t> comp;
     };
+    /// Staged ring segment. Its start checkpoint is not carried: it is
+    /// by construction the previous segment's end checkpoint, whose
+    /// compressed blob the flusher caches and reuses.
+    struct Segment : CutSegment
+    {
+        SystemCheckpoint end;
+        CkptBlob endBlob;
+    };
+
+    std::string dir;
+    RingOptions opts;
     CkptBlob prev_end; ///< flusher-owned carry across batches
-    std::vector<Pending> staging;  ///< feeder-owned accumulation
-    std::vector<Pending> flushing; ///< flusher-owned batch
-    std::thread flusher;
-    std::atomic<bool> flush_done{true};
-    std::exception_ptr flush_error;
-    std::unique_ptr<WorkerPool> pool;
 
     /// Retained on-disk segments, oldest first (flusher-owned; the
     /// mutex makes the snapshot readable from stats()).
@@ -241,26 +212,17 @@ struct RingArchiveWriter::Impl
     std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
     bool have_durable = false;
 
-    Impl(std::string d, const RingOptions &o)
-        : dir(std::move(d)), opts(o)
-    {
-    }
+    SegmentPipeline<Impl> pipeline; ///< last: see its doc
 
-    ~Impl()
+    Impl(std::string d, const RingOptions &o)
+        : dir(std::move(d)), opts(o),
+          pipeline(*this, "RingArchiveWriter", o.io)
     {
-        if (flusher.joinable())
-            flusher.join();
     }
 
     void
-    ensureInit(const Recording &rec)
+    begin(const Recording &rec)
     {
-        if (initialized)
-            return;
-        n = rec.machine.numProcs;
-        last = Boundary{};
-        last.committed.assign(n, 0);
-        last.ioIdx.assign(n, 0);
         namespace fs = std::filesystem;
         fs::create_directories(dir);
         // A ring directory belongs to one run: clear leftovers so a
@@ -283,18 +245,31 @@ struct RingArchiveWriter::Impl
         putU64(blob, opts.resolvedLag());
         writeBlobFileAtomic(dir + "/ring.meta", kRingMetaMagic, 0,
                             std::move(blob).str());
-        initialized = true;
     }
 
     void
-    rethrowFlushError()
+    cut(const Recording &, const Boundary &, const Boundary &,
+        const SystemCheckpoint *end, Segment &seg)
     {
-        if (flush_error) {
-            is_closed = true; // poisoned: the ring is mid-commit
-            std::exception_ptr e = flush_error;
-            flush_error = nullptr;
-            std::rethrow_exception(e);
-        }
+        if (end)
+            seg.end = *end;
+    }
+
+    /// Each checkpoint image is compressed exactly once, here: the
+    /// blob closing segment i doubles as the start blob of segment
+    /// i+1 (prev_end carries it across batches).
+    void
+    encode(Segment &seg)
+    {
+        if (seg.tail)
+            return;
+        std::ostringstream b(std::ios::binary);
+        putCheckpoint(b, seg.end);
+        const std::string raw = std::move(b).str();
+        seg.endBlob.raw = raw.size();
+        seg.endBlob.comp = compressPayload(raw);
+        seg.endBlob.crc =
+            crc32(seg.endBlob.comp.data(), seg.endBlob.comp.size());
     }
 
     /**
@@ -303,29 +278,27 @@ struct RingArchiveWriter::Impl
      * payload that follow it in the file.
      */
     static std::string
-    segmentHeaderBlob(const Pending &p, const CkptBlob &start,
-                      const CkptBlob &end, std::uint64_t comp_bytes,
-                      std::uint64_t payload_crc)
+    segmentHeaderBlob(const Segment &seg, const CkptBlob &start)
     {
         std::ostringstream blob(std::ios::binary);
-        putU64(blob, p.startGcc);
-        putU64(blob, p.endGcc);
-        putU64(blob, p.isTail ? 1 : 0);
-        putU64(blob, p.hasStart ? 1 : 0);
-        if (p.hasStart) {
+        putU64(blob, seg.startGcc);
+        putU64(blob, seg.endGcc);
+        putU64(blob, seg.tail ? 1 : 0);
+        putU64(blob, seg.index > 0 ? 1 : 0);
+        if (seg.index > 0) {
             putU64(blob, start.raw);
             putU64(blob, start.comp.size());
             putU64(blob, start.crc);
         }
-        putU64(blob, p.hasEnd ? 1 : 0);
-        if (p.hasEnd) {
-            putU64(blob, end.raw);
-            putU64(blob, end.comp.size());
-            putU64(blob, end.crc);
+        putU64(blob, seg.tail ? 0 : 1);
+        if (!seg.tail) {
+            putU64(blob, seg.endBlob.raw);
+            putU64(blob, seg.endBlob.comp.size());
+            putU64(blob, seg.endBlob.crc);
         }
-        putU64(blob, p.raw.size());
-        putU64(blob, comp_bytes);
-        putU64(blob, payload_crc);
+        putU64(blob, seg.raw.size());
+        putU64(blob, seg.comp.size());
+        putU64(blob, seg.crc);
         return std::move(blob).str();
     }
 
@@ -347,86 +320,32 @@ struct RingArchiveWriter::Impl
                 putU64(blob, seg.fileBytes);
             }
         }
-        if (rec) {
-            putU64(blob, rec->stats.totalCycles);
-            putU64(blob, rec->stats.retiredInstrs);
-            putU64(blob, rec->stats.executedInstrs);
-            putU64(blob, rec->stats.committedChunks);
-            putU64(blob, rec->stats.squashes);
-            putU64(blob, rec->stats.overflowTruncations);
-            putU64(blob, rec->stats.collisionTruncations);
-            putU64(blob, rec->stats.hardTruncations);
-            putU64(blob, rec->fingerprint.perProcAcc.size());
-            for (std::size_t p = 0;
-                 p < rec->fingerprint.perProcAcc.size(); ++p) {
-                putU64(blob, rec->fingerprint.perProcAcc[p]);
-                putU64(blob, rec->fingerprint.perProcRetired[p]);
-            }
-            putU64(blob, rec->fingerprint.finalMemHash);
-        }
+        if (rec)
+            FinalStats::put(blob, *rec);
         writeBlobFileAtomic(dir + "/ring.index", kRingIdxMagic, 0,
                             std::move(blob).str());
     }
 
     /**
-     * Compress the batch over the codec pool, commit one file per
-     * segment in id order, evict over-budget history and rewrite the
-     * index. Runs on the flusher thread (or inline from drain()).
+     * Commit one file per segment in id order, evict over-budget
+     * history and rewrite the index.
      */
     void
-    flushBatch()
+    commit(std::vector<Segment> &batch)
     {
-        const std::size_t count = flushing.size();
-        std::vector<std::vector<std::uint8_t>> comp(count);
-        std::vector<std::string> end_raw(count);
-        std::vector<CkptBlob> end_blob(count);
-        for (std::size_t i = 0; i < count; ++i)
-            if (flushing[i].hasEnd) {
-                std::ostringstream b(std::ios::binary);
-                putCheckpoint(b, flushing[i].end);
-                end_raw[i] = std::move(b).str();
-            }
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(2 * count);
-        for (std::size_t i = 0; i < count; ++i) {
-            tasks.push_back([this, &comp, i] {
-                comp[i] = compressPayload(flushing[i].raw);
-            });
-            // Each checkpoint image is compressed exactly once, here:
-            // the blob closing segment i doubles as the start blob of
-            // segment i+1 (prev_end carries it across batches).
-            if (flushing[i].hasEnd)
-                tasks.push_back([&end_raw, &end_blob, i] {
-                    end_blob[i].raw = end_raw[i].size();
-                    end_blob[i].comp = compressPayload(end_raw[i]);
-                    end_blob[i].crc = crc32(end_blob[i].comp.data(),
-                                            end_blob[i].comp.size());
-                });
-        }
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool, opts.io.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-
-        for (std::size_t i = 0; i < count; ++i) {
-            Pending &p = flushing[i];
-            const std::uint64_t payload_crc =
-                crc32(comp[i].data(), comp[i].size());
+        for (Segment &seg : batch) {
             CkptBlob start;
-            if (p.hasStart) {
+            if (seg.index > 0) {
                 if (prev_end.comp.empty())
                     throw std::logic_error(
                         "ring segment cut out of order: no cached "
                         "start checkpoint");
                 start = std::move(prev_end);
             }
-            const std::string blob = segmentHeaderBlob(
-                p, start, end_blob[i], comp[i].size(), payload_crc);
+            const std::string blob = segmentHeaderBlob(seg, start);
             const std::vector<std::uint8_t> hcomp =
                 compressPayload(blob);
-            const std::string path = dir + "/" + segFileName(p.segId);
+            const std::string path = dir + "/" + segFileName(seg.index);
             {
                 // Written in place, not via rename: only the newest
                 // file can ever be torn, which is exactly the crash
@@ -435,31 +354,26 @@ struct RingArchiveWriter::Impl
                                   std::ios::binary | std::ios::trunc);
                 putU64(out, kRingSegMagic);
                 putU64(out, kRingVersion);
-                putU64(out, p.segId);
+                putU64(out, seg.index);
                 putU64(out, blob.size());
                 putU64(out, hcomp.size());
                 putU64(out, crc32(hcomp.data(), hcomp.size()));
-                out.write(
-                    reinterpret_cast<const char *>(hcomp.data()),
-                    static_cast<std::streamsize>(hcomp.size()));
-                out.write(
-                    reinterpret_cast<const char *>(start.comp.data()),
-                    static_cast<std::streamsize>(start.comp.size()));
-                out.write(reinterpret_cast<const char *>(
-                              end_blob[i].comp.data()),
-                          static_cast<std::streamsize>(
-                              end_blob[i].comp.size()));
-                out.write(
-                    reinterpret_cast<const char *>(comp[i].data()),
-                    static_cast<std::streamsize>(comp[i].size()));
+                const auto put = [&out](const std::vector<std::uint8_t> &b) {
+                    out.write(reinterpret_cast<const char *>(b.data()),
+                              static_cast<std::streamsize>(b.size()));
+                };
+                put(hcomp);
+                put(start.comp);
+                put(seg.endBlob.comp);
+                put(seg.comp);
                 if (!out)
                     throw std::runtime_error("failed to write " + path);
             }
             const std::uint64_t file_bytes =
                 kSegPreambleBytes + hcomp.size() + start.comp.size()
-                + end_blob[i].comp.size() + comp[i].size();
-            if (p.hasEnd)
-                prev_end = std::move(end_blob[i]);
+                + seg.endBlob.comp.size() + seg.comp.size();
+            if (!seg.tail)
+                prev_end = std::move(seg.endBlob);
 
             std::vector<std::uint64_t> evict_ids;
             {
@@ -467,17 +381,17 @@ struct RingArchiveWriter::Impl
                 // Lag bookkeeping: while this segment recorded, the
                 // newest durable start was the previous segment's.
                 const std::uint64_t lag =
-                    p.endGcc
+                    seg.endGcc
                     - (have_durable ? newest_start_gcc : 0);
                 statsd.worstStartLag =
                     std::max(statsd.worstStartLag, lag);
                 statsd.maxCheckpointSpacing =
                     std::max(statsd.maxCheckpointSpacing,
-                             p.endGcc - p.startGcc);
+                             seg.endGcc - seg.startGcc);
                 have_durable = true;
-                newest_start_gcc = p.startGcc;
+                newest_start_gcc = seg.startGcc;
 
-                live.push_back({p.segId, file_bytes});
+                live.push_back({seg.index, file_bytes});
                 ++statsd.segmentsCut;
                 statsd.bytesWritten += file_bytes;
                 statsd.liveBytes += file_bytes;
@@ -495,86 +409,13 @@ struct RingArchiveWriter::Impl
             for (const std::uint64_t id : evict_ids)
                 std::remove((dir + "/" + segFileName(id)).c_str());
 
-            std::vector<std::uint8_t>().swap(comp[i]);
-            std::string().swap(p.raw);
+            std::vector<std::uint8_t>().swap(seg.comp);
+            std::string().swap(seg.raw);
         }
-        flushing.clear();
         writeIndex(nullptr);
     }
 
-    void
-    pump()
-    {
-        if (!flush_done.load(std::memory_order_acquire))
-            return; // flusher busy; keep accumulating
-        if (flusher.joinable())
-            flusher.join();
-        rethrowFlushError();
-        if (staging.empty())
-            return;
-        flushing = std::move(staging);
-        staging.clear();
-        flush_done.store(false, std::memory_order_release);
-        flusher = std::thread([this] {
-            try {
-                flushBatch();
-            } catch (...) {
-                flush_error = std::current_exception();
-            }
-            flush_done.store(true, std::memory_order_release);
-        });
-    }
-
-    void
-    drain()
-    {
-        if (flusher.joinable())
-            flusher.join();
-        rethrowFlushError();
-        if (!staging.empty()) {
-            flushing = std::move(staging);
-            staging.clear();
-            flushBatch();
-        }
-    }
-
-    /** Cut the segment (last, hi]; null @p end_ckpt cuts the tail. */
-    void
-    stage(const Recording &rec, const Boundary &hi,
-          const SystemCheckpoint *end_ckpt)
-    {
-        Pending p;
-        p.segId = next_seg;
-        p.startGcc = last.gcc;
-        p.endGcc = hi.gcc;
-        p.isTail = end_ckpt == nullptr;
-        p.hasStart = next_seg > 0;
-        if (end_ckpt) {
-            p.hasEnd = true;
-            p.end = *end_ckpt;
-        }
-        p.raw = buildSegmentPayload(rec, last, hi);
-        staging.push_back(std::move(p));
-        last = hi;
-        ++next_seg;
-    }
-
-    /** Consume every not-yet-streamed checkpoint of @p rec. */
-    void
-    feed(const Recording &rec)
-    {
-        ensureInit(rec);
-        while (fed < rec.checkpoints.size()) {
-            const SystemCheckpoint &ckpt = rec.checkpoints[fed];
-            if (fed > 0 && ckpt.gcc <= last_gcc)
-                throw RecordingFormatError(
-                    "checkpoints are not in ascending GCC order");
-            Boundary hi = boundaryAtCheckpoint(rec, ckpt, fed);
-            stage(rec, hi, &ckpt);
-            last_gcc = ckpt.gcc;
-            ++fed;
-        }
-    }
+    void finish(const Recording &rec) { writeIndex(&rec); }
 };
 
 RingArchiveWriter::RingArchiveWriter(const std::string &dir,
@@ -589,29 +430,19 @@ RingArchiveWriter::~RingArchiveWriter() = default;
 void
 RingArchiveWriter::onCheckpoint(const Recording &rec)
 {
-    if (impl_->is_closed)
-        throw std::logic_error("RingArchiveWriter used after close");
-    impl_->feed(rec);
-    impl_->pump();
+    impl_->pipeline.onCheckpoint(rec);
 }
 
 void
 RingArchiveWriter::close(const Recording &rec)
 {
-    Impl &im = *impl_;
-    if (im.is_closed)
-        throw std::logic_error("RingArchiveWriter::close called twice");
-    im.feed(rec);
-    im.stage(rec, boundaryAtEnd(rec), nullptr); // tail segment
-    im.drain();
-    im.writeIndex(&rec);
-    im.is_closed = true;
+    impl_->pipeline.close(rec);
 }
 
 bool
 RingArchiveWriter::closed() const
 {
-    return impl_->is_closed;
+    return impl_->pipeline.closed();
 }
 
 const std::string &
@@ -774,10 +605,15 @@ scanSegmentFile(const std::string &path, unsigned n,
     }
 
     // Everything the header promises must fit the file exactly:
-    // header, start blob, end blob, payload, nothing else.
+    // header, start blob, end blob, payload, nothing else. Every size
+    // is capped first, so the sum below cannot wrap.
     if (start.rawBytes > kMaxBlobBytes || start.compBytes > kMaxBlobBytes
         || end.rawBytes > kMaxBlobBytes || end.compBytes > kMaxBlobBytes) {
         reason = "implausible checkpoint blob size";
+        return false;
+    }
+    if (info.rawBytes > kMaxBlobBytes || info.compBytes > kMaxBlobBytes) {
+        reason = "implausible payload size";
         return false;
     }
     std::uint64_t off = kSegPreambleBytes + blob_comp;
@@ -1006,13 +842,9 @@ RingArchiveReader::open(const std::string &dir,
             "ring.index corrupt; recovered by scan");
     } else {
         try {
-            std::istringstream in(
-                std::string(
-                    reinterpret_cast<const char *>(idx.data())
-                        + kPreambleBytes,
-                    static_cast<std::size_t>(
-                        readU64At(idx.data(), 24))),
-                std::ios::binary);
+            ByteCursor in(idx.data() + kPreambleBytes,
+                          static_cast<std::size_t>(
+                              readU64At(idx.data(), 24)));
             idx_clean = getU64(in) != 0;
             const std::uint64_t count = getU64(in);
             if (count > kMaxSegmentsPerRing)
@@ -1023,20 +855,8 @@ RingArchiveReader::open(const std::string &dir,
                 const std::uint64_t bytes = getU64(in);
                 idx_live.emplace_back(id, bytes);
             }
-            if (idx_clean) {
-                for (int k = 0; k < 8; ++k)
-                    r.stats_[k] = getU64(in);
-                const std::uint64_t procs = getU64(in);
-                if (procs != n)
-                    throw RecordingFormatError(
-                        "index fingerprint per-proc count does not "
-                        "match numProcs");
-                for (std::uint64_t p = 0; p < procs; ++p) {
-                    r.per_proc_acc_.push_back(getU64(in));
-                    r.per_proc_retired_.push_back(getU64(in));
-                }
-                r.final_mem_hash_ = getU64(in);
-            }
+            if (idx_clean)
+                r.final_ = FinalStats::get(in, n);
             idx_valid = true;
         } catch (const RecordingFormatError &) {
             r.recovery_.notes.push_back(
@@ -1063,11 +883,9 @@ RingArchiveReader::open(const std::string &dir,
         }
     }
     if (!r.recovery_.clean) {
-        r.per_proc_acc_.assign(n, 0);
-        r.per_proc_retired_.assign(n, 0);
-        r.final_mem_hash_ = 0;
-        for (int k = 0; k < 8; ++k)
-            r.stats_[k] = 0;
+        r.final_ = FinalStats{};
+        r.final_.perProcAcc.assign(n, 0);
+        r.final_.perProcRetired.assign(n, 0);
     }
 
     // ----- checkpoint index over boundaries 0..m --------------------
@@ -1091,12 +909,9 @@ RingArchiveReader::boundaryGcc(std::size_t b) const
                                 : segments_.back().endGcc;
 }
 
-const SystemCheckpoint &
-RingArchiveReader::image(std::size_t index) const
+SystemCheckpoint
+RingArchiveReader::decodeImage(std::size_t index) const
 {
-    std::unique_ptr<const SystemCheckpoint> &slot = images_[index];
-    if (slot)
-        return *slot;
     // Boundary b < m is segment b's start image; boundary m is the
     // last segment's end image.
     const std::size_t b = ckpt_boundary_[index];
@@ -1109,23 +924,15 @@ RingArchiveReader::image(std::size_t index) const
                        comp))
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            "torn checkpoint blob in " + seg_paths_[pos]);
-    if (crc32(comp.data(), comp.size()) != blob.crc32)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "checkpoint blob CRC mismatch");
+    const std::vector<std::uint8_t> raw =
+        decodeStored(comp.data(), comp.size(), blob.crc32, blob.rawBytes,
+                     ArchiveSection::kSegment, pos, "checkpoint blob");
     try {
-        const std::vector<std::uint8_t> raw = Lz77().decompress(comp);
-        if (raw.size() != blob.rawBytes)
-            throw ArchiveError(ArchiveSection::kSegment, pos,
-                               "checkpoint blob size mismatch");
-        slot = std::make_unique<const SystemCheckpoint>(
-            decodeCheckpoint(raw.data(), raw.size()));
-    } catch (const ArchiveError &) {
-        throw;
+        return decodeCheckpoint(raw.data(), raw.size());
     } catch (const RecordingFormatError &e) {
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            std::string("checkpoint blob: ") + e.what());
     }
-    return *slot;
 }
 
 std::uint64_t
@@ -1140,12 +947,6 @@ RingArchiveReader::endGcc() const
     return segments_.back().endGcc;
 }
 
-std::size_t
-RingArchiveReader::checkpointCount() const
-{
-    return ckpt_boundary_.size();
-}
-
 std::vector<std::uint64_t>
 RingArchiveReader::checkpointGccs() const
 {
@@ -1154,17 +955,6 @@ RingArchiveReader::checkpointGccs() const
     for (const std::size_t b : ckpt_boundary_)
         gccs.push_back(boundaryGcc(b));
     return gccs;
-}
-
-const SystemCheckpoint &
-RingArchiveReader::checkpointAt(std::size_t index) const
-{
-    if (index >= ckpt_boundary_.size())
-        throw CheckpointOutOfRangeError(
-            index, ckpt_boundary_.size(),
-            "ring checkpoint " + std::to_string(index) + " of "
-                + std::to_string(ckpt_boundary_.size()));
-    return image(index);
 }
 
 std::size_t
@@ -1194,85 +984,24 @@ RingArchiveReader::segmentPayload(std::size_t pos) const
                        comp))
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            "torn payload in " + seg_paths_[pos]);
-    if (crc32(comp.data(), comp.size()) != info.crc32)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "payload CRC mismatch");
-    std::vector<std::uint8_t> raw;
-    try {
-        const Lz77 codec;
-        raw = codec.decompress(comp);
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kSegment, pos, e.what());
-    }
-    if (raw.size() != info.rawBytes)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "decompressed size mismatch");
-    return raw;
+    return decodeStored(comp.data(), comp.size(), info.crc32,
+                        info.rawBytes, ArchiveSection::kSegment, pos,
+                        "payload");
 }
 
 Recording
 RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
 {
-    if (from >= checkpointCount())
-        throw CheckpointOutOfRangeError(
-            from, checkpointCount(),
-            "interval start checkpoint " + std::to_string(from)
-                + " of " + std::to_string(checkpointCount()));
-    if (to != kToEnd && (to <= from || to >= checkpointCount()))
-        throw CheckpointOutOfRangeError(
-            to, checkpointCount(),
-            "interval [" + std::to_string(from) + ", "
-                + std::to_string(to)
-                + ") is not a valid checkpoint pair");
+    checkInterval(from, to);
     if (to == kToEnd && !recovery_.clean)
         throw ArchiveError(
             ArchiveSection::kFooter, ArchiveError::kNoSegment,
             "ring was not closed cleanly: final stats are "
             "unavailable, bound the interval at a retained "
             "checkpoint");
-
-    const std::size_t lo = ckpt_boundary_[from];
-    const std::size_t hi =
-        to == kToEnd ? segments_.size() : ckpt_boundary_[to];
-    const unsigned n = machine_.numProcs;
-    Recording rec = skeletonRecording(machine_, mode_, app_name_,
-                                      workload_seed_,
-                                      iterations_percent_);
-    const SystemCheckpoint &start = image(from);
-    appendSyntheticPrefix(rec, start);
-
-    std::vector<std::uint64_t> io_base;
-    for (const ThreadContext &ctx : start.contexts)
-        io_base.push_back(ctx.ioLoadCount);
-    const std::size_t count = hi - lo;
-    std::vector<SegmentSlice> slices(count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t k = 0; k < count; ++k)
-            tasks.push_back([this, &slices, lo, n, k] {
-                slices[k] = decodeSegment(segmentPayload(lo + k), n,
-                                          lo + k);
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (std::size_t k = 0; k < count; ++k) {
-            if (errors[k])
-                std::rethrow_exception(errors[k]);
-            appendSlice(rec, slices[k], io_base, lo + k);
-            slices[k] = SegmentSlice();
-        }
-    }
-
-    rec.fingerprint.perProcAcc = per_proc_acc_;
-    rec.fingerprint.perProcRetired = per_proc_retired_;
-    rec.fingerprint.finalMemHash = final_mem_hash_;
-    rec.checkpoints.push_back(start);
-    if (to != kToEnd)
-        rec.checkpoints.push_back(image(to));
-    validateRecording(rec);
-    return rec;
+    return assemble(ckpt_boundary_[from],
+                    to == kToEnd ? segments_.size() : ckpt_boundary_[to],
+                    from, to);
 }
 
 Recording
@@ -1287,52 +1016,8 @@ RingArchiveReader::readAll() const
             0, checkpointCount(),
             "run start evicted: oldest retained segment is "
                 + std::to_string(segments_.front().segId));
-
-    Recording rec = skeletonRecording(machine_, mode_, app_name_,
-                                      workload_seed_,
-                                      iterations_percent_);
-    const unsigned n = machine_.numProcs;
-    std::vector<std::uint64_t> io_base(n, 0);
-    const std::size_t count = segments_.size();
-    std::vector<SegmentSlice> slices(count);
-    {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            tasks.push_back([this, &slices, n, i, count] {
-                slices[i] =
-                    decodeSegment(segmentPayload(i), n, i);
-                // Segment 0 has no start image, so checkpoint i is
-                // the one closing segment i; each task fills only its
-                // own slot.
-                if (i + 1 < count)
-                    image(i);
-            });
-        std::vector<std::exception_ptr> errors;
-        runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),
-                   errors);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                std::rethrow_exception(errors[i]);
-            appendSlice(rec, slices[i], io_base, i);
-            slices[i] = SegmentSlice();
-            if (i + 1 < count)
-                rec.checkpoints.push_back(image(i));
-        }
-    }
-    rec.fingerprint.perProcAcc = per_proc_acc_;
-    rec.fingerprint.perProcRetired = per_proc_retired_;
-    rec.fingerprint.finalMemHash = final_mem_hash_;
-    rec.stats.totalCycles = stats_[0];
-    rec.stats.retiredInstrs = stats_[1];
-    rec.stats.executedInstrs = stats_[2];
-    rec.stats.committedChunks = stats_[3];
-    rec.stats.squashes = stats_[4];
-    rec.stats.overflowTruncations = stats_[5];
-    rec.stats.collisionTruncations = stats_[6];
-    rec.stats.hardTruncations = stats_[7];
-    validateRecording(rec);
-    return rec;
+    // Segment 0 has no start image, so checkpoint i closes segment i.
+    return assemble(0, segments_.size(), kWholeRun, kToEnd);
 }
 
 } // namespace delorean

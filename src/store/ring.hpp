@@ -3,8 +3,8 @@
  * Rotating segmented ring archive: always-on recording with a bounded
  * disk budget and a bounded replay-start lag.
  *
- * The batch `.dla` container (store/archive) holds a whole run; the
- * ring holds a sliding window of one. A ring is a directory:
+ * The `.dla` container (store/archive) holds a whole run; the ring
+ * holds a sliding window of one. A ring is a directory:
  *
  *   ring.meta       one-time metadata (machine, mode, app, knobs)
  *   seg-<id>        one file per checkpoint interval, self-describing
@@ -19,8 +19,9 @@
  * (This inverts the `.dla` layout, where checkpoints live in a footer
  * written last; a footer is exactly what a crashed recorder never
  * wrote.) The payload bytes for a given checkpoint interval are
- * byte-identical to the batch archive's — both containers share the
- * slice builders in store/archive_detail.hpp.
+ * byte-identical to the `.dla`'s — both containers share the slice
+ * builders and the writer pipeline in store/archive_detail.hpp, and
+ * both readers reassemble through ContainerReader (store/archive).
  *
  * Availability guarantee (the checkpoint-placement contract): with
  * checkpoints every P commits, a segment spans at most P commits and
@@ -145,9 +146,10 @@ struct RingWriterStats
  * Streams a recording into a ring directory. Drive it exactly like
  * StreamingArchiveWriter: pass it as (or call it from) the engine's
  * onCheckpoint hook while recording, then close(rec) with the
- * finished recording. Segment payload build runs on the caller's
- * thread; compression, file writes, eviction and index rewrites run
- * on a background flusher so recording never blocks on the disk.
+ * finished recording. Both run on the same feeder/flusher pipeline:
+ * segment payload build runs on the caller's thread; compression,
+ * file writes, eviction and index rewrites run on a background
+ * flusher so recording never blocks on the disk.
  */
 class RingArchiveWriter
 {
@@ -222,11 +224,9 @@ struct RingRecoveryInfo
  * memoize it; a failure there is an ArchiveError naming the segment.
  * Readers are not internally synchronized: use one per thread.
  */
-class RingArchiveReader
+class RingArchiveReader : public archive_detail::ContainerReader
 {
   public:
-    static constexpr std::size_t kToEnd = static_cast<std::size_t>(-1);
-
     /** True when @p dir has a plausible ring.meta. */
     static bool looksLikeRing(const std::string &dir);
 
@@ -235,13 +235,8 @@ class RingArchiveReader
 
     RingArchiveReader(RingArchiveReader &&) noexcept;
     RingArchiveReader &operator=(RingArchiveReader &&) noexcept;
-    ~RingArchiveReader();
+    ~RingArchiveReader() override;
 
-    const MachineConfig &machine() const { return machine_; }
-    const ModeConfig &mode() const { return mode_; }
-    const std::string &appName() const { return app_name_; }
-    std::uint64_t workloadSeed() const { return workload_seed_; }
-    unsigned iterationsPercent() const { return iterations_percent_; }
     /** The options the ring was recorded with (from ring.meta). */
     const RingOptions &options() const { return opts_; }
 
@@ -257,10 +252,8 @@ class RingArchiveReader
     std::uint64_t startGcc() const;
     std::uint64_t endGcc() const;
 
-    /** Decodable replay starting points, ascending GCC. */
-    std::size_t checkpointCount() const;
+    /** GCCs of the decodable replay starting points, ascending. */
     std::vector<std::uint64_t> checkpointGccs() const;
-    const SystemCheckpoint &checkpointAt(std::size_t index) const;
 
     /**
      * Index of the newest checkpoint with GCC <= @p cycle — the
@@ -272,8 +265,8 @@ class RingArchiveReader
     /**
      * Reconstruct the interval recording between checkpoints @p from
      * and @p to (indices into the retained checkpoint list), exactly
-     * like ArchiveReader::readInterval — byte-identical to the batch
-     * archive's view of the same GCC interval. @p to == kToEnd runs
+     * like ArchiveReader::readInterval — byte-identical to the `.dla`
+     * view of the same GCC interval. @p to == kToEnd runs
      * to the recording's end and requires a cleanly closed ring (the
      * final stats live in the clean index); bounded intervals work on
      * salvaged rings too.
@@ -291,37 +284,20 @@ class RingArchiveReader
   private:
     RingArchiveReader();
 
-    std::vector<std::uint8_t> segmentPayload(std::size_t pos) const;
+    std::vector<std::uint8_t>
+    segmentPayload(std::size_t pos) const override;
+    SystemCheckpoint decodeImage(std::size_t index) const override;
     /// GCC of boundary @p b (0..segments().size()).
     std::uint64_t boundaryGcc(std::size_t b) const;
-    /// Checkpoint @p index (in range), decoded on first use.
-    const SystemCheckpoint &image(std::size_t index) const;
 
     std::string dir_;
-    ArchiveIoOptions io_;
     RingOptions opts_;
-    MachineConfig machine_;
-    ModeConfig mode_;
-    std::string app_name_;
-    std::uint64_t workload_seed_ = 0;
-    unsigned iterations_percent_ = 100;
     RingRecoveryInfo recovery_;
     std::vector<RingSegmentInfo> segments_;
     std::vector<std::string> seg_paths_;      ///< parallel to segments_
     std::vector<std::uint64_t> payload_off_;  ///< parallel to segments_
     /// Boundary index (0..segments count) of each checkpoint.
     std::vector<std::size_t> ckpt_boundary_;
-    /// Final stats (clean rings only): engine stats + fingerprint.
-    std::uint64_t stats_[8] = {};
-    std::vector<std::uint64_t> per_proc_acc_;
-    std::vector<std::uint64_t> per_proc_retired_;
-    std::uint64_t final_mem_hash_ = 0;
-    /// Codec pool, built by the first read of two or more segments.
-    mutable std::unique_ptr<WorkerPool> pool_;
-    /// Decoded images, one slot per checkpoint, filled on first use
-    /// (never resized after open, so references stay valid).
-    mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
-        images_;
 };
 
 } // namespace delorean

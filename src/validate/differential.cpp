@@ -172,7 +172,7 @@ runOne(const DifferentialJob &job, const std::string &label,
             // Ring legs. First a full-budget ring: nothing evicted,
             // so readAll() must be byte-identical to the recording
             // and every per-checkpoint view byte-identical to the
-            // batch archive's view of the same interval (the two
+            // `.dla` archive's view of the same interval (the two
             // containers share their slice builders; this pins it).
             // mkdtemp, not a name derived from the job: concurrent
             // checkers (ctest runs several binaries at once) may run
@@ -436,13 +436,13 @@ DifferentialChecker::check(const DifferentialJob &job) const
                      "from the serially written container");
             if (!r.ringRoundTripIdentical)
                 fail(r.label + ": ring views not byte-identical to "
-                     "the batch archive's");
+                     "the .dla archive's");
             if (!r.ringIntervalsOk)
                 fail(r.label + ": bounded interval replay off the "
                      "ring diverged from the recording");
             if (!r.ringEvictedWindowOk)
                 fail(r.label + ": evicting ring's retained window "
-                     "disagrees with the batch archive");
+                     "disagrees with the .dla archive");
         }
     }
     if (!result.failures.empty())

@@ -83,7 +83,7 @@ struct DifferentialJob
     /// replay the interval from every checkpoint straight off the
     /// archive. Also drives the ring legs: a full-budget and a
     /// tight-budget (evicting) ring archive whose interval views must
-    /// byte-match the batch archive's. 0 disables both container leg
+    /// byte-match the `.dla` archive's. 0 disables both container leg
     /// families.
     std::uint64_t checkpointPeriod = 40;
 };
@@ -123,7 +123,7 @@ struct DifferentialRun
     /// Ring legs (job.checkpointPeriod != 0): a full-budget ring of
     /// the recording reads back whole byte-identically AND every
     /// per-checkpoint interval view off the ring is byte-identical to
-    /// the batch archive's view of the same interval.
+    /// the `.dla` archive's view of the same interval.
     bool ringRoundTripIdentical = false;
     /// A bounded interval replay straight off the ring reproduced the
     /// recording (per-processor comparison for stratified logs).

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,14 +21,26 @@
 #include <string>
 #include <vector>
 
+#include "compress/lz77.hpp"
 #include "core/recorder.hpp"
 #include "store/archive.hpp"
+#include "store/crc32.hpp"
+#include "store/ring.hpp"
 #include "validate/fault_injector.hpp"
+
+#include "container_bytes.hpp"
 
 namespace delorean
 {
 namespace
 {
+
+using test::putU64At;
+using test::rawFooter;
+using test::readFile;
+using test::rewriteFooter;
+using test::u64At;
+using test::writeFile;
 
 constexpr std::uint64_t kSeed = 20080621;
 // 60 mutants x 3 kinds x 3 modes = 540 total, over the gate's 500.
@@ -189,6 +202,110 @@ TEST_P(RingFaultSweep, MutantsNeverCrashHangOrLie)
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, RingFaultSweep, testing::Range(0, 2));
+
+TEST(ArchiveFaults, ForgedOffsetsNearTwoToTheSixtyFourFailAtOpen)
+{
+    // Index and trailer offsets are attacker-chosen: a location check
+    // written as `offset + size > limit` wraps for an offset near
+    // 2^64 and lets a later read run off the buffer. Each forged file
+    // carries valid CRCs, so only the bounds checks stand in the way.
+    const Recording rec = record(ModeConfig::orderOnly());
+    ASSERT_GE(rec.checkpoints.size(), 2u);
+    const std::vector<std::uint8_t> bytes = archive(rec);
+    const std::size_t footer_off = u64At(bytes, bytes.size() - 40);
+    const std::vector<std::uint8_t> footer = rawFooter(bytes);
+
+    // Segment 1's index entry: endGcc, fileOffset, rawBytes, compBytes,
+    // crc32 (found by value, past segment 0's checkpoint image).
+    const ArchiveSegmentInfo seg =
+        ArchiveReader::fromBytes(bytes).segments()[1];
+    std::size_t entry = 0;
+    while (entry + 40 <= footer.size()
+           && !(u64At(footer, entry) == seg.endGcc
+                && u64At(footer, entry + 8) == seg.fileOffset
+                && u64At(footer, entry + 16) == seg.rawBytes
+                && u64At(footer, entry + 24) == seg.compBytes
+                && u64At(footer, entry + 32) == seg.crc32))
+        ++entry;
+    ASSERT_LT(entry + 40, footer.size());
+    std::vector<std::uint8_t> forged_footer = footer;
+    putU64At(forged_footer, entry + 8, ~std::uint64_t{0} - 39);
+    std::vector<std::uint8_t> forged_index = bytes;
+    rewriteFooter(forged_index, footer_off, forged_footer);
+    try {
+        ArchiveReader::fromBytes(forged_index);
+        ADD_FAILURE() << "segment offset 2^64-40 was accepted at open";
+    } catch (const ArchiveError &e) {
+        EXPECT_EQ(e.section(), ArchiveSection::kFooter) << e.what();
+    }
+
+    // The trailer's footer offset has the same shape.
+    std::vector<std::uint8_t> forged_trailer = bytes;
+    putU64At(forged_trailer, bytes.size() - 40, ~std::uint64_t{0} - 7);
+    putU64At(forged_trailer, bytes.size() - 32, 16);
+    try {
+        ArchiveReader::fromBytes(forged_trailer);
+        ADD_FAILURE() << "footer offset 2^64-8 was accepted at open";
+    } catch (const ArchiveError &e) {
+        EXPECT_EQ(e.section(), ArchiveSection::kTrailer) << e.what();
+    }
+}
+
+TEST(RingFaults, ForgedPayloadSizeThatWrapsTheExtentIsDropped)
+{
+    // A segment header whose start blob claims 1 MiB past the file and
+    // whose payload size is chosen so the extent sum wraps back to the
+    // file size. The header is re-sealed with a valid CRC; the salvage
+    // scan must drop the file on the payload-size cap, not read past
+    // the file buffer.
+    const Recording rec = record(ModeConfig::orderOnly());
+    ASSERT_GE(rec.checkpoints.size(), 2u);
+    const std::string dir =
+        (std::filesystem::temp_directory_path()
+         / "delorean-ring-forged-extent")
+            .string();
+    std::filesystem::remove_all(dir);
+    writeRing(rec, dir, RingOptions{});
+
+    // Segment file: 48-byte preamble (header raw size at 24, compressed
+    // size at 32, CRC at 40), the header blob, the checkpoint blobs,
+    // the payload. Header blob u64s: startGcc, endGcc, isTail,
+    // hasStart, start raw/comp/crc, hasEnd, end raw/comp/crc, payload
+    // raw/comp/crc.
+    const std::string seg1 = dir + "/seg-000000000001";
+    const std::vector<std::uint8_t> file = readFile(seg1);
+    const std::size_t hcomp = u64At(file, 32);
+    const Lz77 codec;
+    std::vector<std::uint8_t> header =
+        codec.decompress(file.data() + 48, hcomp);
+    ASSERT_EQ(header.size(), 14u * 8);
+    ASSERT_EQ(u64At(header, 3 * 8), 1u);
+    const std::vector<std::uint8_t> rest(
+        file.begin() + static_cast<long>(48 + hcomp), file.end());
+    // The file must end exactly where the header says: preamble,
+    // header blob, then start + end + payload bytes. Pick the payload
+    // size so that sum wraps around to the bytes actually present.
+    const std::uint64_t start_comp = file.size() + (1u << 20);
+    putU64At(header, 5 * 8, start_comp);
+    putU64At(header, 12 * 8,
+             rest.size() - start_comp - u64At(header, 9 * 8));
+    const std::vector<std::uint8_t> hblob = codec.compress(header);
+    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
+    putU64At(out, 24, header.size());
+    putU64At(out, 32, hblob.size());
+    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
+    out.insert(out.end(), hblob.begin(), hblob.end());
+    out.insert(out.end(), rest.begin(), rest.end());
+    writeFile(seg1, out);
+
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    EXPECT_GE(ring.recovery().droppedSegments, 1u);
+    const std::vector<std::string> &notes = ring.recovery().notes;
+    EXPECT_NE(std::find(notes.begin(), notes.end(),
+                        "seg-000000000001: implausible payload size"),
+              notes.end());
+    std::filesystem::remove_all(dir);
+}
 
 TEST(RingFaults, EachMutationKindLandsInItsExpectedBucket)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Ring archive (src/store/ring): always-on recording into a rotating
- * segmented directory. Byte-compatibility with the batch container,
+ * segmented directory. Byte-compatibility with the `.dla` container,
  * disk-budget eviction, the bounded replay-start-lag contract, and
  * crash-consistent recovery from torn tails, gaps and stale indices.
  */
@@ -24,10 +24,17 @@
 #include "store/ring.hpp"
 #include "trace/app_profile.hpp"
 
+#include "container_bytes.hpp"
+
 namespace delorean
 {
 namespace
 {
+
+using test::putU64At;
+using test::readFile;
+using test::u64At;
+using test::writeFile;
 
 MachineConfig
 machine(unsigned procs = 4)
@@ -123,40 +130,6 @@ newestSegmentPath(const std::string &dir)
             best = entry.path().string();
     }
     return best;
-}
-
-std::vector<std::uint8_t>
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return std::vector<std::uint8_t>(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-}
-
-void
-writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-std::uint64_t
-u64At(const std::vector<std::uint8_t> &bytes, std::size_t off)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(bytes[off + i]) << (8 * i);
-    return v;
-}
-
-void
-putU64At(std::vector<std::uint8_t> &bytes, std::size_t off,
-         std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 /** Recompute the CRC of a ring.meta / ring.index file's raw blob. */
@@ -346,8 +319,9 @@ TEST(Ring, OptionsRejectInfeasibleConfigs)
 TEST(Ring, CleanRoundTripMatchesBatchArchiveAllModes)
 {
     // With a budget large enough to evict nothing, a cleanly closed
-    // ring is just the batch archive in directory clothing: readAll
-    // and every interval view must be byte-identical.
+    // ring is just the `.dla` archive in directory clothing: readAll
+    // and every interval view must be byte-identical to writeArchive's
+    // container of the same recording.
     for (const auto &[mode_name, mode] : allModes()) {
         const std::string dir = ringDir("clean_" + mode_name);
         RingOptions opts;
@@ -462,14 +436,15 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     // Over budget only when the protected newest segment alone is.
-    if (ring.segments().size() > 1)
+    if (ring.segments().size() > 1) {
         EXPECT_LE(stats.liveBytes, opts.budgetBytes);
+    }
     EXPECT_TRUE(ring.recovery().clean);
     EXPECT_GT(ring.startGcc(), 0u);
     ASSERT_GE(ring.checkpointCount(), 2u);
 
     // Ring checkpoints are a contiguous suffix of the recording's;
-    // views must agree with the batch archive at the same GCCs.
+    // views must agree with the `.dla` archive at the same GCCs.
     const ArchiveReader batch =
         ArchiveReader::fromBytes(archiveBytes(rec));
     const std::uint64_t first_gcc = ring.checkpointAt(0).gcc;
@@ -536,7 +511,7 @@ TEST(Ring, TornTailSalvageKeepsBoundedReads)
     // Kill-mid-segment crash shape: the newest segment file is torn.
     // Recovery must drop exactly that file, flag the ring unclean,
     // and keep every bounded interval over the surviving window
-    // byte-identical to the batch archive's.
+    // byte-identical to the `.dla` archive's.
     const std::string dir = ringDir("torn");
     RingOptions opts;
     opts.checkpointPeriod = 15;

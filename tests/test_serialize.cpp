@@ -2,22 +2,29 @@
  * @file
  * Recording persistence tests: save/load round trips, replay of a
  * recording that went through disk, pinned hashes of the .dlrec and
- * .dla byte images, format v1 loading, and typed rejection of the two
- * constant v2 fields (arbiter count 1, PI has-masks flag 0).
+ * .dla byte images and of a ring directory, format v1 loading, and
+ * typed rejection of the two constant v2 fields (arbiter count 1, PI
+ * has-masks flag 0).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
 #include "store/archive.hpp"
+#include "store/ring.hpp"
+
+#include "container_bytes.hpp"
 
 namespace delorean
 {
@@ -156,29 +163,55 @@ serialized(const Recording &rec)
     return std::move(out).str();
 }
 
+/**
+ * Hash of a ring directory: every file name and its bytes, in name
+ * order (ring.index, ring.meta, then seg-* ascending).
+ */
+std::uint64_t
+ringHash(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    std::string all;
+    for (const std::string &name : names) {
+        const std::vector<std::uint8_t> bytes =
+            test::readFile(dir + "/" + name);
+        all += name;
+        all.push_back('\0');
+        all.append(bytes.begin(), bytes.end());
+    }
+    return hashBytes(all);
+}
+
 TEST(Serialize, GoldenBytesArePinned)
 {
     // One small fixed run per mode configuration. The hashes pin the
-    // .dlrec and .dla byte images, so any drift in the wire formats,
-    // the recorder's logs or the fingerprints fails here.
+    // .dlrec and .dla byte images and the files of a ring directory
+    // (ring.meta, every seg-* and ring.index, with a budget that
+    // evicts), so any drift in the wire formats, the recorder's logs,
+    // the fingerprints or the ring's eviction fails here.
     struct Golden
     {
         const char *label;
         ModeConfig mode;
         std::uint64_t recordingHash;
         std::uint64_t archiveHash;
+        std::uint64_t ringHash;
     };
     ModeConfig strat = ModeConfig::orderOnly();
     strat.stratifyChunksPerProc = 3;
     const Golden goldens[] = {
         {"order-and-size", ModeConfig::orderAndSize(),
-         0x106ed7879a1fe22cull, 0x0d36fc53a2b06f19ull},
+         0x106ed7879a1fe22cull, 0x0d36fc53a2b06f19ull,
+         0x1907e8e3bc7ef3c2ull},
         {"order-only", ModeConfig::orderOnly(), 0x9833376a1237a0ddull,
-         0xd698ac8dc50e6208ull},
+         0xd698ac8dc50e6208ull, 0x4c0337aa31f7807bull},
         {"order-only-strat", strat, 0xb31510eb6702f9b9ull,
-         0x8422cf8225ac001dull},
+         0x8422cf8225ac001dull, 0xe883fde35a28fbf6ull},
         {"picolog", ModeConfig::picoLog(), 0xddc8c740d6a95a9eull,
-         0x5d8df3650ad7243cull},
+         0x5d8df3650ad7243cull, 0x80f89ce2799a6e91ull},
     };
     for (const Golden &g : goldens) {
         Workload w("fft", 4, 7, WorkloadScale::tiny());
@@ -193,6 +226,18 @@ TEST(Serialize, GoldenBytesArePinned)
         EXPECT_EQ(hashBytes(dla.str()), g.archiveHash)
             << g.label << std::hex << " archive hash 0x"
             << hashBytes(dla.str());
+
+        const std::string dir =
+            testing::TempDir() + "golden_ring_" + g.label;
+        std::filesystem::remove_all(dir);
+        RingOptions opts;
+        opts.checkpointPeriod = 40;
+        opts.budgetBytes = 300000;
+        const RingWriterStats stats = writeRing(rec, dir, opts);
+        EXPECT_GT(stats.segmentsEvicted, 0u) << g.label;
+        EXPECT_EQ(ringHash(dir), g.ringHash)
+            << g.label << std::hex << " ring hash 0x" << ringHash(dir);
+        std::filesystem::remove_all(dir);
     }
 }
 

@@ -183,8 +183,8 @@ removeArchives(const ServeReport &report, const std::string &dir)
 
 TEST(Serve, SoakLedgerDeterministicAcrossWidths)
 {
-    // Mixed classes over two recording keys, with streamed archives
-    // cross-checked against the batch writer in-run. The ledger (and
+    // Mixed classes over two recording keys, with hook-fed archives
+    // cross-checked against close-fed ones in-run. The ledger (and
     // the archives) must not depend on the worker-pool width.
     const std::vector<ServeJob> jobs = soakJobs();
 

@@ -21,10 +21,17 @@
 #include "store/crc32.hpp"
 #include "trace/app_profile.hpp"
 
+#include "container_bytes.hpp"
+
 namespace delorean
 {
 namespace
 {
+
+using test::putU64At;
+using test::rawFooter;
+using test::rewriteFooter;
+using test::u64At;
 
 MachineConfig
 machine(unsigned procs = 4)
@@ -319,54 +326,6 @@ TEST(Store, PicoLogBoundedIntervalsAllReplay)
     }
 }
 
-std::uint64_t
-u64At(const std::vector<std::uint8_t> &bytes, std::size_t off)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(bytes[off + i]) << (8 * i);
-    return v;
-}
-
-void
-putU64At(std::vector<std::uint8_t> &bytes, std::size_t off,
-         std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-/**
- * Truncate @p bytes at @p footer_off, then append @p raw_footer
- * compressed plus a consistent trailer (offset, sizes, CRC, end magic),
- * so only the reader's semantic checks can reject the result.
- */
-void
-rewriteFooter(std::vector<std::uint8_t> &bytes, std::size_t footer_off,
-              const std::vector<std::uint8_t> &raw_footer)
-{
-    const std::uint64_t end_magic = u64At(bytes, bytes.size() - 8);
-    const std::vector<std::uint8_t> comp = Lz77().compress(raw_footer);
-    bytes.resize(footer_off);
-    bytes.insert(bytes.end(), comp.begin(), comp.end());
-    const std::size_t trailer = bytes.size();
-    bytes.resize(trailer + 40);
-    putU64At(bytes, trailer, footer_off);
-    putU64At(bytes, trailer + 8, comp.size());
-    putU64At(bytes, trailer + 16, raw_footer.size());
-    putU64At(bytes, trailer + 24, crc32(comp.data(), comp.size()));
-    putU64At(bytes, trailer + 32, end_magic);
-}
-
-std::vector<std::uint8_t>
-rawFooter(const std::vector<std::uint8_t> &bytes)
-{
-    const std::size_t trailer = bytes.size() - 40;
-    return Lz77().decompress(
-        bytes.data() + u64At(bytes, trailer),
-        static_cast<std::size_t>(u64At(bytes, trailer + 8)));
-}
-
 TEST(Store, RejectsArbiterCountOtherThanOne)
 {
     Workload w("fft", 4, 9, WorkloadScale::tiny());
@@ -638,9 +597,10 @@ TEST(Store, FileReadsIdenticalAcrossMmapAndIoThreads)
 
 TEST(Store, StreamingWriterByteIdenticalAllModes)
 {
-    // The incremental writer — fed one checkpoint at a time from the
-    // record loop, or the whole recording at close() — must emit
-    // exactly the batch writer's bytes, at any codec worker count.
+    // The archive writer fed one checkpoint at a time from the record
+    // loop must emit exactly the bytes of the same writer fed the
+    // whole recording at close() (writeArchive), at any codec worker
+    // count: the two feed paths cut and batch segments differently.
     for (const auto &[mode_name, mode] : allModes()) {
         for (const unsigned threads : {1u, 4u}) {
             Workload w("radix", 4, 9, WorkloadScale::tiny());
@@ -662,28 +622,29 @@ TEST(Store, StreamingWriterByteIdenticalAllModes)
                       rec.checkpoints.size() + 1)
                 << mode_name;
 
-            std::ostringstream batch(std::ios::binary);
-            writeArchive(rec, batch);
-            const std::string expect = std::move(batch).str();
-            EXPECT_EQ(std::move(streamed).str(), expect)
-                << mode_name << " hook-fed ioThreads=" << threads;
-
-            // Batch-fed: no hook, every segment cut at close().
+            // Close-fed: no hook, every segment cut at close().
             std::ostringstream fed(std::ios::binary);
             StreamingArchiveWriter tail(fed,
                                         ArchiveIoOptions{threads,
                                                          true});
             tail.close(rec);
-            EXPECT_EQ(std::move(fed).str(), expect)
-                << mode_name << " batch-fed ioThreads=" << threads;
+            const std::string expect = std::move(fed).str();
+            EXPECT_EQ(std::move(streamed).str(), expect)
+                << mode_name << " hook-fed ioThreads=" << threads;
+
+            // writeArchive is the close-fed writer with default knobs.
+            std::ostringstream written(std::ios::binary);
+            writeArchive(rec, written);
+            EXPECT_EQ(std::move(written).str(), expect)
+                << mode_name << " writeArchive ioThreads=" << threads;
         }
     }
 }
 
 TEST(Store, StreamingFileReadbackAcrossDatapaths)
 {
-    // A streamed file must be indistinguishable from a batch-written
-    // one to every reader datapath: mmap and buffered, serial and
+    // A hook-fed file must be indistinguishable from the recording it
+    // streamed to every reader datapath: mmap and buffered, serial and
     // parallel decode.
     Workload w("ocean", 4, 9, WorkloadScale::tiny());
     Recorder recorder(ModeConfig::orderAndSize(), machine());
@@ -723,6 +684,9 @@ TEST(Store, StreamingWriterRejectsOutOfOrderCheckpoints)
     std::ostringstream out(std::ios::binary);
     StreamingArchiveWriter writer(out);
     EXPECT_THROW(writer.onCheckpoint(rec), RecordingFormatError);
+    // writeArchive feeds the same writer at close().
+    std::ostringstream whole(std::ios::binary);
+    EXPECT_THROW(writeArchive(rec, whole), RecordingFormatError);
 }
 
 TEST(Store, StreamingWriterUseAfterCloseThrows)
@@ -802,7 +766,7 @@ TEST(Store, StreamingWriterCloseDuringFlush)
 TEST(Store, StreamingWriterZeroCheckpointRecording)
 {
     // A recording with no checkpoints streams to a single tail
-    // segment and must still match the batch writer byte for byte.
+    // segment and must still match the close-fed bytes exactly.
     Workload w("fft", 4, 9, WorkloadScale::tiny());
     Recorder recorder(ModeConfig::orderOnly(), machine());
     const Recording rec = recorder.record(w, 1);

@@ -50,8 +50,8 @@ usage(const char *argv0)
         "commits (default: 50)\n"
         "  --io-threads N        archive codec worker count "
         "(default: DELOREAN_JOBS)\n"
-        "  --verify              cross-check streamed archives "
-        "against the batch writer\n"
+        "  --verify              cross-check hook-fed archives "
+        "against close-fed ones\n"
         "  --throughput          append wall-clock figures to the "
         "ledger\n"
         "  --quiet               suppress per-session progress on "

@@ -10,7 +10,7 @@
  *   contract held -> kill the recorder mid-segment (the fault
  *   injector's torn-tail mutation) -> recover the directory ->
  *   time-travel seek into the salvaged window -> bounded replay ->
- *   views byte-identical to an uncorrupted batch archive of the same
+ *   views byte-identical to an uncorrupted `.dla` archive of the same
  *   run.
  *
  * The exhaustive versions live in tests/test_ring.cpp and the
@@ -122,10 +122,10 @@ smokeMode(const char *name, const ModeConfig &mode,
         return fail(name, "seek resolved to the wrong checkpoint");
     Recording view = ring.readInterval(from, from + 1);
 
-    // Byte-identity with an uncorrupted batch archive over the same
+    // Byte-identity with an uncorrupted `.dla` archive over the same
     // GCC interval. A crashed recorder never knew the final stats,
     // so the salvaged view carries zeroed finals; patch those from
-    // the batch view, everything else must match exactly.
+    // the `.dla` view, everything else must match exactly.
     std::ostringstream out(std::ios::binary);
     writeArchive(rec, out);
     const std::string blob = std::move(out).str();
@@ -144,7 +144,7 @@ smokeMode(const char *name, const ModeConfig &mode,
     view.fingerprint.perProcRetired = want.fingerprint.perProcRetired;
     view.fingerprint.finalMemHash = want.fingerprint.finalMemHash;
     if (saved(view) != saved(want))
-        return fail(name, "ring view differs from batch archive");
+        return fail(name, "ring view differs from the .dla archive");
 
     // Replay forward from the seek point: it must reproduce the
     // uncorrupted recording's fingerprint.
