@@ -189,16 +189,7 @@ ChunkEngine::replay(const Recording &prior)
         dma_replay_idx_ = ckpt->dmaConsumed;
         rr_next_ = ckpt->rrNext;
         if (pi_cursor_)
-            for (std::uint64_t i = 0; i < ckpt->gcc; ++i) {
-                if (pi_cursor_->atEnd())
-                    throw ReplayLogExhausted(
-                        "checkpoint GCC "
-                        + std::to_string(ckpt->gcc)
-                        + " lies beyond the PI log ("
-                        + std::to_string(prior.pi.entryCount())
-                        + " entries)");
-                pi_cursor_->next();
-            }
+            pi_cursor_->seek(ckpt->gcc);
         if (strata_cursor_)
             strata_cursor_->advanceTo(ckpt->committedChunks,
                                       ckpt->dmaConsumed);
@@ -246,15 +237,8 @@ ChunkEngine::replay(const Recording &prior)
     ReplayOutcome outcome;
     outcome.fingerprint = fp_;
     outcome.stats = stats_;
-    ExecutionFingerprint expected;
-    if (opts_.stopCheckpoint)
-        expected = prior.fingerprintBetween(opts_.startCheckpoint,
-                                            *opts_.stopCheckpoint);
-    else if (opts_.startCheckpoint)
-        expected =
-            prior.fingerprintFromCheckpoint(*opts_.startCheckpoint);
-    else
-        expected = prior.fingerprint;
+    const ExecutionFingerprint expected = prior.expectedFingerprint(
+        opts_.startCheckpoint, opts_.stopCheckpoint);
     outcome.deterministicExact = fp_.matchesExact(expected);
     outcome.deterministicPerProc = fp_.matchesPerProc(expected);
     return outcome;

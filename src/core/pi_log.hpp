@@ -13,9 +13,11 @@
 #define DELOREAN_CORE_PI_LOG_HPP_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bitstream.hpp"
+#include "common/errors.hpp"
 #include "common/types.hpp"
 
 namespace delorean
@@ -90,6 +92,23 @@ class PiLogCursor
     }
 
     std::size_t position() const { return pos_; }
+
+    /**
+     * Resume at entry @p pos: interval replay from a checkpoint at
+     * GCC = pos, whose first pos entries are already committed.
+     * @throws ReplayLogExhausted when the log has fewer than pos
+     *         entries.
+     */
+    void
+    seek(std::size_t pos)
+    {
+        if (pos > log_->entryCount())
+            throw ReplayLogExhausted(
+                "checkpoint GCC " + std::to_string(pos)
+                + " lies beyond the PI log ("
+                + std::to_string(log_->entryCount()) + " entries)");
+        pos_ = pos;
+    }
 
   private:
     const PiLog *log_;

@@ -116,7 +116,10 @@ class Replayer
      * from that GCC to the end of the recording — or, when @p stop is
      * given, only up to that later checkpoint's GCC. Determinism is
      * checked against the corresponding slice of the recorded
-     * fingerprint.
+     * fingerprint. This is the cycle-level (DES) interval replay,
+     * under timing perturbation; checkedReplay seeks on the
+     * functional ParallelReplayer instead, and the differential
+     * checker holds the two to the same fingerprints.
      */
     ReplayOutcome
     replayInterval(const Recording &recording,

@@ -214,23 +214,6 @@ struct Recording
     bool stratified() const { return mode.stratifyChunksPerProc != 0; }
 
     /**
-     * Expected fingerprint of the interval I(gcc, end): the commits
-     * after the first @p gcc, plus the (final) end-of-run state. Used
-     * to validate interval replay from a checkpoint (Appendix B).
-     */
-    ExecutionFingerprint
-    fingerprintFrom(std::uint64_t gcc) const
-    {
-        ExecutionFingerprint fp = fingerprint;
-        fp.commits.erase(fp.commits.begin(),
-                         fp.commits.begin()
-                             + static_cast<long>(std::min<std::size_t>(
-                                 gcc - dmaCommitsBefore(gcc),
-                                 fp.commits.size())));
-        return fp;
-    }
-
-    /**
      * Expected fingerprint of I(ckpt.gcc, end), derived from the
      * checkpoint's own per-processor commit counts instead of a PI-log
      * scan — the count of chunk commits before the boundary is
@@ -283,22 +266,20 @@ struct Recording
         return fp;
     }
 
-    /** DMA commits among the first @p gcc global commits. */
-    std::size_t
-    dmaCommitsBefore(std::uint64_t gcc) const
+    /**
+     * Expected fingerprint of a replay from @p start (null: GCC 0) to
+     * @p stop (null: program end) — the reference both replayers and
+     * the checked entry points judge a replayed stream against.
+     */
+    ExecutionFingerprint
+    expectedFingerprint(const SystemCheckpoint *start,
+                        const SystemCheckpoint *stop) const
     {
-        if (mode.mode == ExecMode::kPicoLog) {
-            std::size_t n = 0;
-            for (std::size_t i = 0; i < dma.count(); ++i)
-                n += dma.slotAt(i) < gcc;
-            return n;
-        }
-        std::size_t n = 0;
-        for (std::size_t i = 0; i < std::min<std::size_t>(
-                                    gcc, pi.entryCount());
-             ++i)
-            n += pi.entryAt(i) == kDmaProcId;
-        return n;
+        if (stop)
+            return fingerprintBetween(start, *stop);
+        if (start)
+            return fingerprintFromCheckpoint(*start);
+        return fingerprint;
     }
 
     /** Measure raw + compressed memory-ordering log sizes. */

@@ -167,6 +167,52 @@ executeBody(const ThreadProgram &prog, const IoLog &io,
     b.valid = true;
 }
 
+/**
+ * Reject an interval the recording cannot back, with a typed
+ * ReplayError, before any state is restored from its checkpoints:
+ * every index the replay later takes from them must be in range (the
+ * PI cursor checks the start GCC itself when it seeks).
+ */
+void
+checkInterval(const Recording &rec, const SystemCheckpoint *start,
+              const SystemCheckpoint *stop)
+{
+    const unsigned n = rec.machine.numProcs;
+    const auto checkSized = [n](const SystemCheckpoint &c,
+                                const char *which) {
+        if (c.contexts.size() != n || c.committedChunks.size() != n)
+            throw ReplayError(
+                std::string(which) + " checkpoint carries "
+                + std::to_string(c.contexts.size()) + " contexts and "
+                + std::to_string(c.committedChunks.size())
+                + " chunk counters for " + std::to_string(n)
+                + " processors");
+    };
+    if (start) {
+        checkSized(*start, "start");
+        if (start->dmaConsumed > rec.dma.count())
+            throw ReplayLogExhausted(
+                "checkpoint consumed "
+                + std::to_string(start->dmaConsumed)
+                + " DMA transfers; the DMA log has "
+                + std::to_string(rec.dma.count()));
+        if (rec.mode.mode == ExecMode::kPicoLog && start->rrNext >= n)
+            throw ReplayError("checkpoint gives the commit turn to "
+                              "processor "
+                              + std::to_string(start->rrNext) + " of "
+                              + std::to_string(n));
+    }
+    if (stop) {
+        checkSized(*stop, "stop");
+        const std::uint64_t start_gcc = start ? start->gcc : 0;
+        if (stop->gcc <= start_gcc)
+            throw ReplayError("stop checkpoint GCC "
+                              + std::to_string(stop->gcc)
+                              + " is not after the start GCC "
+                              + std::to_string(start_gcc));
+    }
+}
+
 } // namespace
 
 std::uint64_t
@@ -203,18 +249,32 @@ ParallelReplayer::replay(const Recording &rec,
         opts_.maxInstrs ? opts_.maxInstrs
                         : defaultParallelReplayInstrBudget(rec);
     const bool pico = rec.mode.mode == ExecMode::kPicoLog;
+    const SystemCheckpoint *start = opts_.startCheckpoint;
+    const SystemCheckpoint *stop = opts_.stopCheckpoint;
 
     if (rec.cs.size() < n)
         throw ReplayError("recording carries " + std::to_string(rec.cs.size())
                           + " CS logs for " + std::to_string(n)
                           + " processors");
+    if (opts_.observer && (start || stop))
+        throw ConfigError("replay observers require a full-run replay; "
+                          "combine with interval replay is not supported");
+    checkInterval(rec, start, stop);
 
     MemoryState mem;
-    workload.initializeMemory(mem);
+    if (start)
+        mem = start->memory;
+    else
+        workload.initializeMemory(mem);
 
     std::vector<ProcReplay> procs(n);
     for (ProcId p = 0; p < n; ++p) {
-        prog.initContext(procs[p].ctx, p);
+        if (start) {
+            procs[p].ctx = start->contexts[p];
+            procs[p].nextSeq = start->committedChunks[p];
+        } else {
+            prog.initContext(procs[p].ctx, p);
+        }
         for (const CsEntry &e : rec.cs[p].entries())
             procs[p].cs.emplace(e.seq, e);
         for (const InterruptRecord &e : rec.interrupts.entries(p))
@@ -230,8 +290,21 @@ ParallelReplayer::replay(const Recording &rec,
             pi = std::make_unique<PiLogCursor>(rec.pi);
     }
     ProcId rr = 0;            // PicoLog round-robin pointer
-    std::uint64_t gcc = 0;    // PicoLog global commit count (DMA slots)
+    std::uint64_t gcc = 0;    // global commit count (chunks and DMA)
     std::size_t dma_idx = 0;
+    if (start) {
+        // Resume consuming the logs at the checkpoint, as the DES does.
+        rr = start->rrNext;
+        gcc = start->gcc;
+        dma_idx = start->dmaConsumed;
+        if (pi)
+            pi->seek(start->gcc);
+        if (strata)
+            strata->advanceTo(start->committedChunks,
+                              start->dmaConsumed);
+    }
+    const std::uint64_t stop_gcc =
+        stop ? stop->gcc : ~std::uint64_t{0};
 
     // Observer plumbing: bodies collect traces only when an observer
     // is attached; the hub re-sequences out-of-order retires into the
@@ -305,6 +378,7 @@ ParallelReplayer::replay(const Recording &rec,
         const DmaTransfer &xfer = rec.dma.transferAt(dma_idx++);
         for (std::size_t i = 0; i < xfer.wordAddrs.size(); ++i)
             mem.store(wordOf(xfer.wordAddrs[i]), xfer.values[i]);
+        ++gcc;
         if (tracing)
             hub.dmaRetired(obs_pos, xfer);
     };
@@ -336,6 +410,7 @@ ParallelReplayer::replay(const Recording &rec,
         pr.ctx = b.endCtx;
         pr.nextSeq = b.seq + 1;
         pr.hasPending = false;
+        ++gcc;
         if (tracing)
             hub.chunkRetired(obs_pos, p, b.seq, b.size,
                              std::move(b.trace));
@@ -348,12 +423,11 @@ ParallelReplayer::replay(const Recording &rec,
     // commit stream is independent of worker count and window width.
     const auto retirePass = [&]() -> bool {
         bool any = false;
-        for (;;) {
+        while (gcc < stop_gcc) {
             if (pico) {
                 if (dma_idx < rec.dma.count()
                     && rec.dma.slotAt(dma_idx) == gcc) {
                     applyDma(gcc);
-                    ++gcc;
                     any = true;
                     continue;
                 }
@@ -364,7 +438,6 @@ ParallelReplayer::replay(const Recording &rec,
                     break;
                 retireChunk(rr, gcc);
                 rr = (rr + 1) % n;
-                ++gcc;
                 any = true;
                 continue;
             }
@@ -440,7 +513,7 @@ ParallelReplayer::replay(const Recording &rec,
     hub.begin(rec);
 
     std::vector<std::function<void()>> tasks;
-    while (!allFinished()) {
+    while (gcc < stop_gcc && !allFinished()) {
         bool progress = false;
 
         // ----- dispatch wave: fill the lookahead window --------------
@@ -459,6 +532,11 @@ ParallelReplayer::replay(const Recording &rec,
                 progress = true;
                 continue;
             }
+            // Bounded replay: never build a chunk that commits at or
+            // after the stop checkpoint — its CS, interrupt and I/O
+            // records may lie outside the decoded interval view.
+            if (stop && pr.nextSeq >= stop->committedChunks[p])
+                continue;
             const ChunkSeq seq = pr.nextSeq;
             ChunkBody body;
             body.seq = seq;
@@ -538,8 +616,10 @@ ParallelReplayer::replay(const Recording &rec,
     ReplayOutcome outcome;
     outcome.fingerprint = fp;
     outcome.stats = stats;
-    outcome.deterministicExact = fp.matchesExact(rec.fingerprint);
-    outcome.deterministicPerProc = fp.matchesPerProc(rec.fingerprint);
+    const ExecutionFingerprint expected =
+        rec.expectedFingerprint(start, stop);
+    outcome.deterministicExact = fp.matchesExact(expected);
+    outcome.deterministicPerProc = fp.matchesPerProc(expected);
     return outcome;
 }
 

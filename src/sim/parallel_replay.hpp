@@ -25,6 +25,12 @@
  * fingerprint is byte-identical at any worker count and any window
  * width: exact for flat logs, per-processor-stream for stratified
  * ones (whose global interleaving is legally relaxed).
+ *
+ * Interval replay (Appendix B) needs only architectural state, so it
+ * runs here too: startCheckpoint/stopCheckpoint restore the state at
+ * GCC = n and stop at GCC = m, judged against the recording's
+ * fingerprint slice for I(n, m). This is the seek path of
+ * checkedReplay(); the DES keeps full runs and timing.
  */
 
 #ifndef DELOREAN_SIM_PARALLEL_REPLAY_HPP_
@@ -55,6 +61,18 @@ struct ParallelReplayOptions
     /// canonical commit order on the coordinator thread, so the event
     /// stream is byte-identical at any jobs/window setting.
     ReplayObserver *observer = nullptr;
+    /// Start from this checkpoint instead of the initial state
+    /// (interval replay, Appendix B), as EngineOptions::startCheckpoint
+    /// does for the DES: memory, contexts, per-processor chunk
+    /// counters, the DMA index and PicoLog's turn are restored, and
+    /// the PI or strata cursor resumes at the checkpoint. Borrowed.
+    /// Incompatible with an observer (ConfigError).
+    const SystemCheckpoint *startCheckpoint = nullptr;
+    /// Stop once the global commit count reaches this checkpoint's
+    /// GCC instead of running to program end: the outcome then covers
+    /// the commits in [start, stop) and the state at the stop
+    /// checkpoint. Borrowed.
+    const SystemCheckpoint *stopCheckpoint = nullptr;
 };
 
 /**
@@ -78,7 +96,8 @@ class ParallelReplayer
      * Replay @p rec; the workload is rebuilt from its metadata. The
      * recording should already have passed validateRecording() (the
      * checked entry points do this); inconsistencies encountered
-     * mid-replay raise typed ReplayErrors.
+     * mid-replay, and interval checkpoints the recording cannot back,
+     * raise typed ReplayErrors.
      */
     ReplayOutcome replay(const Recording &rec) const;
 

@@ -11,6 +11,7 @@
 
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
+#include "sim/parallel_replay.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 #include "trace/app_profile.hpp"
@@ -154,12 +155,33 @@ runOne(const DifferentialJob &job, const std::string &label,
                 perturb.enabled = true;
                 perturb.seed = job.replayEnvSeed * 31 + 7;
             }
+            // The functional replayer (checkedReplay's seek path) must
+            // reproduce every DES interval fingerprint: exactly for
+            // flat logs, per processor for stratified ones.
+            run.functionalIntervalsMatch = true;
+            const auto checkFunctional = [&](const Recording &view,
+                                             const SystemCheckpoint *stop,
+                                             const ReplayOutcome &des) {
+                ParallelReplayOptions popts;
+                popts.jobs = 1;
+                popts.startCheckpoint = &view.checkpoints[0];
+                popts.stopCheckpoint = stop;
+                const ExecutionFingerprint fp =
+                    ParallelReplayer(popts)
+                        .replay(view, replay_workload)
+                        .fingerprint;
+                if (!(run.stratified ? fp.matchesPerProc(des.fingerprint)
+                                     : fp.matchesExact(des.fingerprint)))
+                    run.functionalIntervalsMatch = false;
+                ++run.functionalIntervals;
+            };
             for (std::size_t i = 0; i < reader.checkpointCount();
                  ++i) {
                 const Recording view = reader.readInterval(i);
                 const ReplayOutcome out = replayer.replayInterval(
                     view, 0, replay_workload, job.replayEnvSeed + i,
                     perturb);
+                checkFunctional(view, nullptr, out);
                 const bool match = run.stratified
                                        ? out.deterministicPerProc
                                        : out.deterministicExact;
@@ -229,6 +251,7 @@ runOne(const DifferentialJob &job, const std::string &label,
                 const ReplayOutcome out = replayer.replayInterval(
                     view, 0, replay_workload, job.replayEnvSeed + mid,
                     perturb, &view.checkpoints[1]);
+                checkFunctional(view, &view.checkpoints[1], out);
                 run.ringIntervalsOk = run.stratified
                                           ? out.deterministicPerProc
                                           : out.deterministicExact;
@@ -366,7 +389,10 @@ DifferentialResult::describe() const
                             && r.ringEvictedWindowOk
                         ? "ok"
                         : "DIVERGED")
-                << "(" << r.ringEvicted << " evicted)";
+                << "(" << r.ringEvicted << " evicted)"
+                << " functional="
+                << (r.functionalIntervalsMatch ? "ok" : "DIVERGED")
+                << "(" << r.functionalIntervals << " intervals)";
         out << (r.roundTripIdentical ? "" : " round-trip=NOT-IDENTICAL");
         if (!r.replayOk)
             out << "\n    " << r.report.describe();
@@ -443,6 +469,9 @@ DifferentialChecker::check(const DifferentialJob &job) const
             if (!r.ringEvictedWindowOk)
                 fail(r.label + ": evicting ring's retained window "
                      "disagrees with the .dla archive");
+            if (!r.functionalIntervalsMatch)
+                fail(r.label + ": functional interval replay "
+                     "fingerprint differs from the DES's");
         }
     }
     if (!result.failures.empty())

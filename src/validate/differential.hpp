@@ -18,6 +18,10 @@
  *     host-parallel chunk-body replayer must reproduce the serial
  *     replay's fingerprint and interval fingerprints byte-identically
  *     (per-processor streams for stratified logs);
+ *   - every checkpoint interval the archive and ring legs replay on
+ *     the DES replays to the same fingerprint on the functional
+ *     ParallelReplayer, the seek path of checkedReplay (exactly;
+ *     per-processor streams for stratified logs);
  *   - flat and stratified OrderOnly recordings describe the *same*
  *     execution (identical fingerprints — commits, per-processor
  *     state and final memory hash), because stratification only
@@ -135,6 +139,13 @@ struct DifferentialRun
     bool ringEvictedWindowOk = false;
     /// Segments the tight-budget ring evicted.
     std::uint64_t ringEvicted = 0;
+    /// Every interval the archive and ring legs replay on the DES,
+    /// replayed again on the functional ParallelReplayer (the seek
+    /// path of checkedReplay), gave the same fingerprint: exactly for
+    /// flat logs, per processor for stratified ones.
+    bool functionalIntervalsMatch = false;
+    /// Intervals compared for functionalIntervalsMatch.
+    std::size_t functionalIntervals = 0;
     DivergenceReport report; ///< failure detail when !replayOk
     DivergenceReport parallelReport; ///< ditto for the parallel leg
     LogSizeReport sizes;

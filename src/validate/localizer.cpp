@@ -9,6 +9,16 @@ namespace delorean
 namespace
 {
 
+/** Chunk commits before checkpoint @p ckpt, summed over processors. */
+std::uint64_t
+chunkCommitsBefore(const SystemCheckpoint &ckpt)
+{
+    std::uint64_t n = 0;
+    for (const ChunkSeq c : ckpt.committedChunks)
+        n += c;
+    return n;
+}
+
 /** Fill @p r with the ways the final states differ. */
 void
 stateDivergence(const ExecutionFingerprint &a,
@@ -43,12 +53,15 @@ stateDivergence(const ExecutionFingerprint &a,
 /**
  * Binary-search the interval boundaries of two commit streams for
  * the first divergent element; fills commitIndex/expected/actual and
- * the kind. Assumes the streams differ.
+ * the kind. Assumes the streams differ. @p base is the number of
+ * commits before the streams' first element (an interval replay's
+ * start), so commitIndex and the message count from GCC 0.
  */
 void
 commitDivergence(const ExecutionFingerprint &a,
                  const ExecutionFingerprint &b,
-                 const LocalizerOptions &opts, DivergenceReport &r)
+                 const LocalizerOptions &opts, std::uint64_t base,
+                 DivergenceReport &r)
 {
     const IntervalFingerprints fa =
         IntervalFingerprints::build(a, opts.period);
@@ -84,7 +97,7 @@ commitDivergence(const ExecutionFingerprint &a,
         ++i;
 
     r.probes = probes;
-    r.commitIndex = i;
+    r.commitIndex = base + i;
     r.haveCommits = true;
     if (i < limit) {
         r.kind = DivergenceKind::kCommitDivergence;
@@ -92,36 +105,40 @@ commitDivergence(const ExecutionFingerprint &a,
         r.actual = b.commits[i];
         r.proc = a.commits[i].proc;
         r.seq = a.commits[i].seq;
-        r.message = "replayed commit #" + std::to_string(i)
+        r.message = "replayed commit #" + std::to_string(base + i)
                     + " differs from the recording";
     } else if (a.commits.size() > limit) {
         r.kind = DivergenceKind::kMissingCommits;
         r.expected = a.commits[i];
         r.proc = a.commits[i].proc;
         r.seq = a.commits[i].seq;
-        r.message = "replay stopped after " + std::to_string(limit)
+        r.message = "replay stopped after "
+                    + std::to_string(base + limit)
                     + " commits; the recording has "
-                    + std::to_string(a.commits.size());
+                    + std::to_string(base + a.commits.size());
     } else {
         r.kind = DivergenceKind::kExtraCommits;
         r.actual = b.commits[i];
         r.proc = b.commits[i].proc;
         r.seq = b.commits[i].seq;
         r.message = "replay committed past the recorded stream ("
-                    + std::to_string(b.commits.size()) + " vs "
-                    + std::to_string(a.commits.size()) + " commits)";
+                    + std::to_string(base + b.commits.size()) + " vs "
+                    + std::to_string(base + a.commits.size())
+                    + " commits)";
     }
 }
 
 /**
  * Attribute a divergent commit to the log record that drove it.
- * @p stream_index is the commit's index: global for flat-log modes,
- * within proc @p proc's stream for stratified recordings.
+ * r.commitIndex is the commit's index counted from GCC 0: global for
+ * flat-log modes, within proc r.proc's stream for stratified
+ * recordings. An interval replay's commits begin at @p start.
  */
 void
 attributeLogRecord(const Recording &rec, DivergenceReport &r,
-                   std::uint64_t stream_index)
+                   const SystemCheckpoint *start)
 {
+    const std::uint64_t stream_index = r.commitIndex;
     if (rec.stratified()) {
         // Find the stratum containing proc's (stream_index+1)-th
         // commit by accumulating that proc's per-stratum counters.
@@ -162,9 +179,12 @@ attributeLogRecord(const Recording &rec, DivergenceReport &r,
     }
 
     // Flat PI log: the divergent commit is the (stream_index+1)-th
-    // non-DMA entry (the fingerprint excludes DMA commits).
-    std::uint64_t commits_seen = 0;
-    for (std::size_t i = 0; i < rec.pi.entryCount(); ++i) {
+    // non-DMA entry (the fingerprint excludes DMA commits). An
+    // interval's log consumption starts at PI position start.gcc,
+    // which holds chunk commit #chunkCommitsBefore(start).
+    std::uint64_t commits_seen = start ? chunkCommitsBefore(*start) : 0;
+    for (std::size_t i = start ? start->gcc : 0; i < rec.pi.entryCount();
+         ++i) {
         if (rec.pi.entryAt(i) == kDmaProcId)
             continue;
         if (commits_seen == stream_index) {
@@ -210,11 +230,15 @@ localizeDivergence(const ExecutionFingerprint &recorded,
             const ExecutionFingerprint pb = procOnly(replayed, p);
             if (pa.commits == pb.commits)
                 continue;
-            commitDivergence(pa, pb, opts, r);
+            const std::uint64_t base =
+                opts.start && p < opts.start->committedChunks.size()
+                    ? opts.start->committedChunks[p]
+                    : 0;
+            commitDivergence(pa, pb, opts, base, r);
             r.proc = p; // commitIndex is within p's stream
             r.message = "proc " + std::to_string(p)
                         + " commit stream: " + r.message;
-            attributeLogRecord(*rec, r, r.commitIndex);
+            attributeLogRecord(*rec, r, opts.start);
             return r;
         }
         stateDivergence(recorded, replayed, r);
@@ -222,9 +246,11 @@ localizeDivergence(const ExecutionFingerprint &recorded,
     }
 
     if (recorded.commits != replayed.commits) {
-        commitDivergence(recorded, replayed, opts, r);
+        commitDivergence(recorded, replayed, opts,
+                         opts.start ? chunkCommitsBefore(*opts.start) : 0,
+                         r);
         if (rec)
-            attributeLogRecord(*rec, r, r.commitIndex);
+            attributeLogRecord(*rec, r, opts.start);
         return r;
     }
     if (!recorded.statesMatch(replayed)) {

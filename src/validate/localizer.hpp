@@ -34,6 +34,10 @@ struct LocalizerOptions
 {
     /// Commits per interval fingerprint (binary-search granularity).
     std::uint64_t period = 64;
+    /// Interval replay: the checkpoint the compared streams start at
+    /// (null: GCC 0). Reports then give global commit numbers and name
+    /// the log record counted from the start of the log.
+    const SystemCheckpoint *start = nullptr;
 };
 
 /**

@@ -16,44 +16,120 @@ namespace delorean
 namespace
 {
 
+/** The checkpoints a check starts and stops at (null: GCC 0 / end). */
+struct Interval
+{
+    const SystemCheckpoint *start = nullptr;
+    const SystemCheckpoint *stop = nullptr;
+};
+
 /**
  * Shared head of both checked entry points: reject malformed
- * recordings and rebuild the workload, reporting either failure.
- * Returns nullopt with @p result.report filled on failure.
+ * recordings, resolve the interval's checkpoint indices and rebuild
+ * the workload. Returns nullopt with @p result.report filled on
+ * failure.
  */
 std::optional<Workload>
-prepareWorkload(const Recording &rec, ReplayCheckResult &result)
+prepare(const Recording &rec, const ReplayCheckOptions &opts,
+        Interval &interval, ReplayCheckResult &result)
 {
+    const auto reject = [&result](DivergenceKind kind,
+                                  std::string message) {
+        result.report.kind = kind;
+        result.report.message = std::move(message);
+    };
+    constexpr std::size_t kFullRun = ReplayCheckOptions::kFullRun;
+
+    if (opts.detectRaces
+        && (opts.startCheckpoint != kFullRun
+            || opts.stopCheckpoint != kFullRun)) {
+        reject(DivergenceKind::kFormatError,
+               "race detection requires a full-run replay, not an "
+               "interval replay");
+        return std::nullopt;
+    }
+
     try {
         validateRecording(rec);
     } catch (const RecordingFormatError &e) {
-        result.report.kind = DivergenceKind::kFormatError;
-        result.report.message = e.what();
+        reject(DivergenceKind::kFormatError, e.what());
         return std::nullopt;
     }
 
+    std::optional<Workload> workload;
     try {
-        return Workload(rec.appName, rec.machine.numProcs,
-                        rec.workloadSeed,
-                        WorkloadScale{rec.iterationsPercent});
+        workload.emplace(rec.appName, rec.machine.numProcs,
+                         rec.workloadSeed,
+                         WorkloadScale{rec.iterationsPercent});
     } catch (const std::exception &e) {
-        result.report.kind = DivergenceKind::kWorkloadError;
-        result.report.message = e.what();
+        reject(DivergenceKind::kWorkloadError, e.what());
         return std::nullopt;
     }
+
+    if (opts.startCheckpoint != kFullRun) {
+        if (opts.startCheckpoint >= rec.checkpoints.size()) {
+            reject(DivergenceKind::kFormatError,
+                   "start checkpoint index "
+                       + std::to_string(opts.startCheckpoint)
+                       + " out of range (recording has "
+                       + std::to_string(rec.checkpoints.size())
+                       + " checkpoints)");
+            return std::nullopt;
+        }
+        interval.start = &rec.checkpoints[opts.startCheckpoint];
+    }
+    if (opts.stopCheckpoint != kFullRun) {
+        if (opts.stopCheckpoint >= rec.checkpoints.size()
+            || opts.startCheckpoint == kFullRun
+            || opts.stopCheckpoint <= opts.startCheckpoint) {
+            reject(DivergenceKind::kFormatError,
+                   "stop checkpoint index "
+                       + std::to_string(opts.stopCheckpoint)
+                       + " is not a later checkpoint than the start");
+            return std::nullopt;
+        }
+        interval.stop = &rec.checkpoints[opts.stopCheckpoint];
+    }
+    return workload;
 }
 
 /**
- * Shared tail: classify a replay that ran to completion — success on
+ * Shared tail: run @p replay with every failure fenced into a typed
+ * report, then classify a replay that ran to completion — success on
  * a matched fingerprint, otherwise localize the divergence. For
  * interval replays the reference is the expected fingerprint of
  * I(start, stop), not the full recording's — the replayed stream only
  * covers the commits inside the interval.
  */
+template <typename Replay>
 void
-classifyOutcome(const Recording &rec, const ReplayCheckOptions &opts,
-                ReplayCheckResult &result)
+runFenced(const Recording &rec, const ReplayCheckOptions &opts,
+          const Interval &interval, Replay &&replay,
+          ReplayCheckResult &result)
 {
+    try {
+        result.outcome = replay();
+        result.replayRan = true;
+    } catch (const ReplayError &e) {
+        result.report.kind = DivergenceKind::kReplayError;
+        result.report.message = e.what();
+        return;
+    } catch (const RecordingFormatError &e) {
+        // A checkpoint the log cannot resume at (e.g. a stratum
+        // straddling its boundary) is a malformed recording.
+        result.report.kind = DivergenceKind::kFormatError;
+        result.report.message = e.what();
+        return;
+    } catch (const std::exception &e) {
+        // Anything untyped coming out of a replayer is still reported
+        // (not rethrown) so sweeps keep their no-crash guarantee, but
+        // the message flags it as unexpected for triage.
+        result.report.kind = DivergenceKind::kReplayError;
+        result.report.message =
+            std::string("unexpected replay exception: ") + e.what();
+        return;
+    }
+
     const bool matched = rec.stratified()
                              ? result.outcome.deterministicPerProc
                              : result.outcome.deterministicExact;
@@ -62,24 +138,14 @@ classifyOutcome(const Recording &rec, const ReplayCheckOptions &opts,
         return;
     }
 
-    ExecutionFingerprint expected = rec.fingerprint;
-    if (opts.startCheckpoint != ReplayCheckOptions::kFullRun) {
-        const SystemCheckpoint &start =
-            rec.checkpoints[opts.startCheckpoint];
-        expected =
-            opts.stopCheckpoint != ReplayCheckOptions::kFullRun
-                ? rec.fingerprintBetween(
-                      &start, rec.checkpoints[opts.stopCheckpoint])
-                : rec.fingerprintFromCheckpoint(start);
-    }
-
     LocalizerOptions lopts;
     lopts.period = opts.localizerPeriod;
-    result.report = localizeDivergence(expected,
-                                       result.outcome.fingerprint, &rec,
-                                       lopts);
+    lopts.start = interval.start;
+    result.report = localizeDivergence(
+        rec.expectedFingerprint(interval.start, interval.stop),
+        result.outcome.fingerprint, &rec, lopts);
     if (result.report.ok()) {
-        // The engine judged the replay non-deterministic but the
+        // The replayer judged the replay non-deterministic but the
         // localizer found fingerprints equal — only possible for an
         // interval-replay expectation mismatch; surface it rather
         // than claim success.
@@ -87,6 +153,24 @@ classifyOutcome(const Recording &rec, const ReplayCheckOptions &opts,
         result.report.message = "engine reported non-determinism the "
                                 "localizer could not attribute";
     }
+}
+
+/** Functional (architectural) replay of @p rec over @p interval. */
+void
+runParallel(const Recording &rec, const Workload &workload,
+            ParallelReplayOptions popts, const ReplayCheckOptions &opts,
+            const Interval &interval, ReplayCheckResult &result)
+{
+    RaceDetector detector;
+    if (opts.detectRaces)
+        popts.observer = &detector;
+    popts.startCheckpoint = interval.start;
+    popts.stopCheckpoint = interval.stop;
+    runFenced(rec, opts, interval,
+              [&] { return ParallelReplayer(popts).replay(rec, workload); },
+              result);
+    if (result.replayRan && opts.detectRaces)
+        result.races = detector.report();
 }
 
 } // namespace
@@ -107,19 +191,21 @@ ReplayCheckResult
 checkedReplay(const Recording &rec, const ReplayCheckOptions &opts)
 {
     ReplayCheckResult result;
-
-    if (opts.detectRaces
-        && (opts.startCheckpoint != ReplayCheckOptions::kFullRun
-            || opts.stopCheckpoint != ReplayCheckOptions::kFullRun)) {
-        result.report.kind = DivergenceKind::kFormatError;
-        result.report.message = "race detection requires a full-run "
-                                "replay, not an interval replay";
-        return result;
-    }
-
-    const std::optional<Workload> workload = prepareWorkload(rec, result);
+    Interval interval;
+    const std::optional<Workload> workload =
+        prepare(rec, opts, interval, result);
     if (!workload)
         return result;
+
+    if (interval.start) {
+        // Seek path: an interval needs only the architectural state,
+        // not the cycle-level machine, and one interval is too short
+        // to pay for a worker pool — replay it on this thread.
+        ParallelReplayOptions popts;
+        popts.jobs = 1;
+        runParallel(rec, *workload, popts, opts, interval, result);
+        return result;
+    }
 
     EngineOptions eopts;
     eopts.replay = true;
@@ -127,58 +213,18 @@ checkedReplay(const Recording &rec, const ReplayCheckOptions &opts)
     eopts.perturb = opts.perturb;
     eopts.maxEvents =
         opts.maxEvents ? opts.maxEvents : defaultReplayEventBudget(rec);
-    if (opts.startCheckpoint != ReplayCheckOptions::kFullRun) {
-        if (opts.startCheckpoint >= rec.checkpoints.size()) {
-            result.report.kind = DivergenceKind::kFormatError;
-            result.report.message =
-                "start checkpoint index "
-                + std::to_string(opts.startCheckpoint)
-                + " out of range (recording has "
-                + std::to_string(rec.checkpoints.size())
-                + " checkpoints)";
-            return result;
-        }
-        eopts.startCheckpoint = &rec.checkpoints[opts.startCheckpoint];
-    }
-    if (opts.stopCheckpoint != ReplayCheckOptions::kFullRun) {
-        if (opts.stopCheckpoint >= rec.checkpoints.size()
-            || opts.startCheckpoint == ReplayCheckOptions::kFullRun
-            || opts.stopCheckpoint <= opts.startCheckpoint) {
-            result.report.kind = DivergenceKind::kFormatError;
-            result.report.message =
-                "stop checkpoint index "
-                + std::to_string(opts.stopCheckpoint)
-                + " is not a later checkpoint than the start";
-            return result;
-        }
-        eopts.stopCheckpoint = &rec.checkpoints[opts.stopCheckpoint];
-    }
-
     RaceDetector detector;
     if (opts.detectRaces)
         eopts.observer = &detector;
-
-    try {
-        ChunkEngine engine(*workload, rec.machine, rec.mode, eopts);
-        result.outcome = engine.replay(rec);
-        result.replayRan = true;
-        if (opts.detectRaces)
-            result.races = detector.report();
-    } catch (const ReplayError &e) {
-        result.report.kind = DivergenceKind::kReplayError;
-        result.report.message = e.what();
-        return result;
-    } catch (const std::exception &e) {
-        // Anything untyped coming out of the engine is still reported
-        // (not rethrown) so sweeps keep their no-crash guarantee, but
-        // the message flags it as unexpected for triage.
-        result.report.kind = DivergenceKind::kReplayError;
-        result.report.message =
-            std::string("unexpected replay exception: ") + e.what();
-        return result;
-    }
-
-    classifyOutcome(rec, opts, result);
+    runFenced(rec, opts, interval,
+              [&] {
+                  return ChunkEngine(*workload, rec.machine, rec.mode,
+                                     eopts)
+                      .replay(rec);
+              },
+              result);
+    if (result.replayRan && opts.detectRaces)
+        result.races = detector.report();
     return result;
 }
 
@@ -188,35 +234,11 @@ checkedParallelReplay(const Recording &rec,
                       const ReplayCheckOptions &opts)
 {
     ReplayCheckResult result;
-
-    const std::optional<Workload> workload = prepareWorkload(rec, result);
-    if (!workload)
-        return result;
-
-    RaceDetector detector;
-    ParallelReplayOptions eff = popts;
-    if (opts.detectRaces)
-        eff.observer = &detector;
-
-    try {
-        ParallelReplayer replayer(eff);
-        result.outcome = replayer.replay(rec, *workload);
-        result.replayRan = true;
-        if (opts.detectRaces)
-            result.races = detector.report();
-    } catch (const ReplayError &e) {
-        result.report.kind = DivergenceKind::kReplayError;
-        result.report.message = e.what();
-        return result;
-    } catch (const std::exception &e) {
-        result.report.kind = DivergenceKind::kReplayError;
-        result.report.message =
-            std::string("unexpected parallel-replay exception: ")
-            + e.what();
-        return result;
-    }
-
-    classifyOutcome(rec, opts, result);
+    Interval interval;
+    const std::optional<Workload> workload =
+        prepare(rec, opts, interval, result);
+    if (workload)
+        runParallel(rec, *workload, popts, opts, interval, result);
     return result;
 }
 

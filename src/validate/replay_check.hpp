@@ -32,14 +32,17 @@ namespace delorean
 struct ReplayCheckOptions
 {
     /// Environment (device/noise) seed — deliberately different from
-    /// typical record seeds so determinism is not timing luck.
+    /// typical record seeds so determinism is not timing luck. Full
+    /// runs only: interval replays are functional and have no timing.
     std::uint64_t envSeed = 99;
     /// Replay event budget; 0 derives one from the recording's size
-    /// (defaultReplayEventBudget).
+    /// (defaultReplayEventBudget). Full runs only: interval replays
+    /// are fenced by the functional replayer's instruction budget.
     std::uint64_t maxEvents = 0;
     /// Commits per localizer interval fingerprint.
     std::uint64_t localizerPeriod = 64;
     /// Timing perturbation (Section 6.2.1) applied to the replay.
+    /// Full runs only, like envSeed.
     ReplayPerturbation perturb{};
 
     static constexpr std::size_t kFullRun =
@@ -48,11 +51,12 @@ struct ReplayCheckOptions
     /// of the whole run (interval replay, Appendix B). Index into
     /// Recording::checkpoints; kFullRun replays from the start. The
     /// divergence classification then compares against the expected
-    /// interval fingerprint, not the full recording's.
+    /// interval fingerprint, not the full recording's, and reports
+    /// commit numbers and log records counted from GCC 0.
     std::size_t startCheckpoint = kFullRun;
     /// Bound the interval at checkpoints[stopCheckpoint].gcc (must be
     /// greater than startCheckpoint). kFullRun runs to program end.
-    /// Only meaningful for the serial engine (checkedReplay).
+    /// Honoured by both entry points.
     std::size_t stopCheckpoint = kFullRun;
     /// Attach the happens-before race detector (analysis/) to the
     /// replay and fill ReplayCheckResult::races. Requires a full-run
@@ -87,7 +91,13 @@ struct ReplayCheckResult
  */
 std::uint64_t defaultReplayEventBudget(const Recording &rec);
 
-/** Replay @p rec under the contract described in the file header. */
+/**
+ * Replay @p rec under the contract described in the file header. A
+ * full run replays on the cycle-level DES (ChunkEngine). An interval
+ * (startCheckpoint set) needs only architectural state, so it replays
+ * on the functional ParallelReplayer, on the calling thread: the seek
+ * path of time travel.
+ */
 ReplayCheckResult checkedReplay(const Recording &rec,
                                 const ReplayCheckOptions &opts = {});
 
@@ -96,9 +106,9 @@ ReplayCheckResult checkedReplay(const Recording &rec,
  * under the same contract as checkedReplay(): bounded time, typed
  * failures converted to structured reports, divergences localized.
  * The instruction budget fences livelock the way maxEvents does for
- * the engine. @p opts contributes the localizer period (envSeed and
- * perturbation do not apply — the architectural replayer has no
- * timing to perturb).
+ * the engine. @p opts contributes the localizer period, the interval
+ * and race detection (envSeed, perturbation and maxEvents do not
+ * apply — the architectural replayer has no timing to perturb).
  */
 ReplayCheckResult
 checkedParallelReplay(const Recording &rec,

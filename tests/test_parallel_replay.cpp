@@ -3,20 +3,26 @@
  * Chunk-parallel replay tests: the WorkerPool substrate, serial vs.
  * host-parallel chunk-body replay fingerprint equality across all
  * modes, window sizes and worker counts, interval-fingerprint
- * byte-identity, fault-report parity, and the livelock budgets.
+ * byte-identity, fault-report parity, the livelock budgets, and
+ * interval replay (Appendix B) from checkpoints: functional vs. DES
+ * fingerprints, both checked entry points, typed errors for
+ * checkpoints the recording cannot back.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/errors.hpp"
 #include "core/delorean.hpp"
 #include "sim/campaign.hpp"
 #include "sim/parallel_replay.hpp"
+#include "store/archive.hpp"
 #include "validate/replay_check.hpp"
 
 namespace delorean
@@ -327,6 +333,208 @@ TEST(ParallelReplay, DefaultInstrBudgetCoversRecordedWork)
     const std::uint64_t budget = defaultParallelReplayInstrBudget(rec);
     EXPECT_GE(budget, 4 * recorded);
     EXPECT_GT(budget, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Interval replay from checkpoints
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kIntervalSeed = 20080621;
+
+/// 4 processors at scale 10, a checkpoint every @p period commits.
+Recording
+recordCheckpointed(const ModeConfig &mode, const std::string &app = "fft",
+                   std::uint64_t period = 10)
+{
+    const Workload w(app, 4, kIntervalSeed, WorkloadScale{10});
+    return Recorder(mode, machine(4)).record(w, 1, true, {}, period);
+}
+
+Workload
+workloadOf(const Recording &rec)
+{
+    return Workload(rec.appName, rec.machine.numProcs, rec.workloadSeed,
+                    WorkloadScale{rec.iterationsPercent});
+}
+
+ReplayOutcome
+functionalInterval(const Recording &rec, const Workload &w,
+                   const SystemCheckpoint *start,
+                   const SystemCheckpoint *stop, unsigned jobs = 1)
+{
+    ParallelReplayOptions popts;
+    popts.jobs = jobs;
+    popts.startCheckpoint = start;
+    popts.stopCheckpoint = stop;
+    return ParallelReplayer(popts).replay(rec, w);
+}
+
+TEST(IntervalReplay, FunctionalMatchesDesOnEveryCheckpointInterval)
+{
+    // Every bounded interval I(ckpt i, ckpt i+1) and the open one
+    // from the last checkpoint, on the DES under perturbation and on
+    // the functional replayer: both reproduce the recording, and
+    // their fingerprints agree (per processor when stratified).
+    std::size_t intervals = 0;
+    for (const char *app :
+         {"fft", "radix", "ocean", "sjbb2k", "barnes", "fft~r2"}) {
+        for (const auto &[label, mode] : allConfigs()) {
+            const Recording rec = recordCheckpointed(mode, app);
+            ASSERT_GT(rec.checkpoints.size(), 1u) << app << " " << label;
+            const Workload w = workloadOf(rec);
+            for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+                const SystemCheckpoint *stop =
+                    i + 1 < rec.checkpoints.size()
+                        ? &rec.checkpoints[i + 1]
+                        : nullptr;
+                ReplayPerturbation perturb;
+                perturb.enabled = true;
+                perturb.seed = 31 * i + 7;
+                const ReplayOutcome des = Replayer().replayInterval(
+                    rec, i, w, 99 + i, perturb, stop);
+                const ReplayOutcome fn = functionalInterval(
+                    rec, w, &rec.checkpoints[i], stop);
+                const bool des_ok = rec.stratified()
+                                        ? des.deterministicPerProc
+                                        : des.deterministicExact;
+                const bool fn_ok = rec.stratified()
+                                       ? fn.deterministicPerProc
+                                       : fn.deterministicExact;
+                EXPECT_TRUE(des_ok) << app << " " << label << " @" << i;
+                EXPECT_TRUE(fn_ok) << app << " " << label << " @" << i;
+                EXPECT_TRUE(fingerprintsAgree(rec, fn.fingerprint,
+                                              des.fingerprint))
+                    << app << " " << label << " @" << i;
+                ++intervals;
+            }
+        }
+    }
+    EXPECT_GE(intervals, 150u);
+}
+
+TEST(IntervalReplay, CheckedEntryPointsAgreeOnIntervalViews)
+{
+    // Every bounded interval view off the archive (start at
+    // checkpoint 0, stop at 1) and the same interval named by index on
+    // the whole recording: both entry points accept it at any worker
+    // count. sjbb2k reads I/O, whose log a view holds only up to the
+    // stop checkpoint.
+    for (const char *app : {"fft", "sjbb2k"}) {
+        for (const auto &[label, mode] : allConfigs()) {
+            const Recording rec = recordCheckpointed(mode, app);
+            ASSERT_GE(rec.checkpoints.size(), 4u) << app << " " << label;
+            std::ostringstream buf;
+            writeArchive(rec, buf);
+            const std::string bytes = std::move(buf).str();
+            const ArchiveReader reader =
+                ArchiveReader::fromBytes({bytes.begin(), bytes.end()});
+            for (std::size_t i = 0; i + 1 < rec.checkpoints.size(); ++i) {
+                const Recording view = reader.readInterval(i, i + 1);
+                ReplayCheckOptions on_view;
+                on_view.startCheckpoint = 0;
+                on_view.stopCheckpoint = 1;
+                ReplayCheckOptions on_rec;
+                on_rec.startCheckpoint = i;
+                on_rec.stopCheckpoint = i + 1;
+                for (const auto &[r, opts] :
+                     {std::pair{&view, on_view}, std::pair{&rec, on_rec}}) {
+                    const std::string what = std::string(app) + " "
+                                             + label + " @"
+                                             + std::to_string(i);
+                    const ReplayCheckResult serial =
+                        checkedReplay(*r, opts);
+                    ASSERT_TRUE(serial.ok)
+                        << what << ": " << serial.report.describe();
+                    for (const unsigned jobs : {1u, 4u}) {
+                        ParallelReplayOptions popts;
+                        popts.jobs = jobs;
+                        const ReplayCheckResult par =
+                            checkedParallelReplay(*r, popts, opts);
+                        EXPECT_TRUE(par.ok)
+                            << what << " jobs " << jobs << ": "
+                            << par.report.describe();
+                        EXPECT_TRUE(fingerprintsAgree(
+                            rec, par.outcome.fingerprint,
+                            serial.outcome.fingerprint))
+                            << what << " jobs " << jobs;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(IntervalReplay, RejectsIntervalWithObserverOrRaceDetection)
+{
+    const Recording rec = recordCheckpointed(ModeConfig::orderOnly());
+    ReplayCheckOptions opts;
+    opts.startCheckpoint = 1;
+    opts.detectRaces = true;
+    const ReplayCheckResult par = checkedParallelReplay(rec, {}, opts);
+    EXPECT_FALSE(par.ok);
+    EXPECT_EQ(par.report.kind, DivergenceKind::kFormatError);
+
+    RaceDetector detector;
+    ParallelReplayOptions popts;
+    popts.jobs = 1;
+    popts.observer = &detector;
+    popts.startCheckpoint = &rec.checkpoints[1];
+    EXPECT_THROW(ParallelReplayer(popts).replay(rec), ConfigError);
+}
+
+TEST(IntervalReplay, MalformedCheckpointsRaiseTypedReplayErrors)
+{
+    const Recording rec = recordCheckpointed(ModeConfig::orderOnly());
+    ASSERT_GE(rec.checkpoints.size(), 3u);
+    const Workload w = workloadOf(rec);
+    const SystemCheckpoint &good = rec.checkpoints[1];
+    const auto expectTyped = [&](const Recording &r,
+                                 const SystemCheckpoint &start,
+                                 const SystemCheckpoint *stop,
+                                 const char *what) {
+        EXPECT_THROW(functionalInterval(r, w, &start, stop), ReplayError)
+            << what;
+    };
+
+    SystemCheckpoint c = good;
+    c.contexts.pop_back();
+    expectTyped(rec, c, nullptr, "short contexts");
+    c = good;
+    c.committedChunks.push_back(0);
+    expectTyped(rec, c, nullptr, "long chunk counters");
+    expectTyped(rec, rec.checkpoints[2], &good, "stop before start");
+    expectTyped(rec, good, &good, "stop at start");
+    c = good;
+    c.committedChunks.clear();
+    expectTyped(rec, rec.checkpoints[0], &c, "stop without counters");
+    c = good;
+    c.gcc = rec.pi.entryCount() + 1;
+    expectTyped(rec, c, nullptr, "start beyond the PI log");
+    c = good;
+    c.dmaConsumed = rec.dma.count() + 1;
+    expectTyped(rec, c, nullptr, "DMA index beyond the DMA log");
+
+    const Recording pico = recordCheckpointed(ModeConfig::picoLog());
+    ASSERT_FALSE(pico.checkpoints.empty());
+    c = pico.checkpoints[0];
+    c.rrNext = pico.machine.numProcs;
+    expectTyped(pico, c, nullptr, "commit turn past the last processor");
+
+    // Through the checked entry point the faults validateRecording()
+    // cannot see (it checks each checkpoint alone) become reports.
+    ReplayCheckOptions opts;
+    opts.startCheckpoint = 1;
+    opts.stopCheckpoint = 2;
+    Recording bad = rec;
+    bad.checkpoints[1].gcc = rec.pi.entryCount() + 1;
+    ReplayCheckResult out = checkedReplay(bad, opts);
+    EXPECT_EQ(out.report.kind, DivergenceKind::kReplayError)
+        << out.report.describe();
+    bad = rec;
+    bad.checkpoints[2].gcc = bad.checkpoints[1].gcc;
+    out = checkedReplay(bad, opts);
+    EXPECT_EQ(out.report.kind, DivergenceKind::kReplayError)
+        << out.report.describe();
 }
 
 } // namespace

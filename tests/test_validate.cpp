@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/fingerprint.hpp"
+#include "core/pi_log.hpp"
 #include "core/recorder.hpp"
 #include "validate/differential.hpp"
 #include "validate/localizer.hpp"
@@ -238,6 +240,84 @@ TEST(Localizer, AttributesPicoLogRecord)
     EXPECT_TRUE(r.logName == cs_name
                 || r.logName == "(predefined order)")
         << r.logName;
+}
+
+/**
+ * fft at scale 5 on the default 8-processor machine, OrderOnly-style
+ * modes, a checkpoint every 10 commits: checkpoint 2 sits at GCC 30,
+ * checkpoint 3 at GCC 40.
+ */
+Recording
+recordCheckpointed(const ModeConfig &mode)
+{
+    const MachineConfig machine;
+    const Workload workload("fft", machine.numProcs, kSeed,
+                            WorkloadScale{5});
+    return Recorder(mode, machine).record(workload, /*env_seed=*/1, true,
+                                          {}, /*checkpoint_period=*/10);
+}
+
+/** The same divergence, reported by a full-run and an interval check. */
+void
+expectSameRecordNamed(const Recording &rec, const std::string &label)
+{
+    const ReplayCheckResult full = checkedReplay(rec);
+    ReplayCheckOptions opts;
+    opts.startCheckpoint = 2;
+    opts.stopCheckpoint = 3;
+    const ReplayCheckResult interval = checkedReplay(rec, opts);
+    ASSERT_FALSE(full.ok) << label;
+    ASSERT_FALSE(interval.ok) << label;
+    EXPECT_EQ(full.report.kind, interval.report.kind) << label;
+    EXPECT_EQ(full.report.logName, interval.report.logName) << label;
+    EXPECT_EQ(full.report.logIndex, interval.report.logIndex) << label;
+    EXPECT_EQ(full.report.commitIndex, interval.report.commitIndex)
+        << label;
+    EXPECT_EQ(full.report.proc, interval.report.proc) << label;
+    EXPECT_EQ(full.report.seq, interval.report.seq) << label;
+    EXPECT_EQ(full.report.message, interval.report.message) << label;
+}
+
+TEST(Localizer, IntervalReportNamesTheFullRunPiRecord)
+{
+    // Swap PI entries 33 and 34, which lie after checkpoint 2 (GCC
+    // 30): the interval check from checkpoint 2 must name pi[33] like
+    // the full run, not count PI entries from the checkpoint.
+    Recording rec = recordCheckpointed(ModeConfig::orderOnly());
+    ASSERT_GE(rec.checkpoints.size(), 4u);
+    ASSERT_EQ(rec.checkpoints[2].gcc, 30u);
+    ASSERT_EQ(rec.checkpoints[3].gcc, 40u);
+    ASSERT_NE(rec.pi.entryAt(33), rec.pi.entryAt(34));
+    PiLog swapped(rec.machine.numProcs);
+    for (std::size_t i = 0; i < rec.pi.entryCount(); ++i)
+        swapped.append(rec.pi.entryAt(i == 33 ? 34 : i == 34 ? 33 : i));
+    rec.pi = swapped;
+
+    expectSameRecordNamed(rec, "order-only");
+    const ReplayCheckResult full = checkedReplay(rec);
+    EXPECT_EQ(full.report.logName, "pi");
+    EXPECT_EQ(full.report.logIndex, 33);
+}
+
+TEST(Localizer, IntervalAndFullRunReportsNameTheSameRecord)
+{
+    ModeConfig strat = ModeConfig::orderOnly();
+    strat.stratifyChunksPerProc = 3;
+    for (const auto &[label, mode] :
+         {std::pair{"order-only", ModeConfig::orderOnly()},
+          std::pair{"order-only-strat", strat},
+          std::pair{"picolog", ModeConfig::picoLog()}}) {
+        Recording rec = recordCheckpointed(mode);
+        ASSERT_GE(rec.checkpoints.size(), 4u) << label;
+        // Tamper with a recorded commit two into I(ckpt 2, ckpt 3).
+        std::uint64_t before = 0;
+        for (const ChunkSeq c : rec.checkpoints[2].committedChunks)
+            before += c;
+        const std::size_t victim = static_cast<std::size_t>(before) + 2;
+        ASSERT_LT(victim, rec.fingerprint.commits.size()) << label;
+        rec.fingerprint.commits[victim].accAfter ^= 0xF00D;
+        expectSameRecordNamed(rec, label);
+    }
 }
 
 TEST(CheckedReplay, GoodRecordingPasses)
