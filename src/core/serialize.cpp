@@ -18,7 +18,6 @@ using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
 using serialize_detail::putCheckpoint;
-using serialize_detail::putContext;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;

@@ -7,10 +7,15 @@
  * little-endian primitives — u64 fields, length-prefixed strings,
  * ThreadContext images, machine/mode headers and SystemCheckpoints.
  * They live here so the formats cannot drift apart: an archived
- * checkpoint is byte-identical to one embedded in a .dlr recording.
- * Readers take either a std::istream or a ByteCursor over bytes
- * already in memory; checkpoint images have one decoder,
+ * keyframe is byte-identical to the checkpoint embedded in a .dlrec
+ * recording. Readers take either a std::istream or a ByteCursor over
+ * bytes already in memory; full images have one decoder,
  * decodeCheckpoint(), over a byte range.
+ *
+ * The archive containers also store checkpoints as *deltas* against
+ * the previous checkpoint (encodeDelta / applyDelta): the one
+ * checkpoint-image codec behind the .dla footer and the ring's
+ * segment files.
  */
 
 #ifndef DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
@@ -147,8 +152,17 @@ static_assert(std::is_trivially_copyable_v<ThreadContext>,
               "ThreadContext must stay trivially copyable: checkpoints "
               "serialize it by value");
 
+/** Store @p v little-endian at @p p (any alignment). */
 inline void
-putContext(std::ostream &out, const ThreadContext &ctx)
+storeU64(std::uint8_t *p, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** The bytes @p ctx is serialized as, written to @p buf. */
+inline void
+contextBytes(const ThreadContext &ctx, std::uint8_t *buf)
 {
     // The image includes ThreadContext's padding bytes, whose content
     // depends on how the compiler built the object (sanitizer builds
@@ -160,9 +174,7 @@ putContext(std::ostream &out, const ThreadContext &ctx)
     __builtin_clear_padding(&image);
 #endif
 #endif
-    char buf[sizeof(ThreadContext)];
     std::memcpy(buf, &image, sizeof(ThreadContext));
-    out.write(buf, sizeof(ThreadContext));
 }
 
 inline ThreadContext
@@ -255,49 +267,17 @@ getMachine(In &in, bool legacy_v1 = false)
     return m;
 }
 
-/**
- * SystemCheckpoint image: gcc, dmaConsumed, rrNext, per-proc
- * {context, committedChunks}, then the memory population as
- * (addr, value) pairs in the snapshot's own iteration order —
- * deterministic for a given MemoryState, which keeps
- * save(load(x)) == x byte-exact.
- */
-inline void
-putCheckpoint(std::ostream &out, const SystemCheckpoint &ckpt)
-{
-    putU64(out, ckpt.gcc);
-    putU64(out, ckpt.dmaConsumed);
-    putU64(out, ckpt.rrNext);
-    putU64(out, ckpt.contexts.size());
-    for (std::size_t p = 0; p < ckpt.contexts.size(); ++p) {
-        putContext(out, ckpt.contexts[p]);
-        putU64(out, ckpt.committedChunks[p]);
-    }
-    putU64(out, ckpt.memory.population());
-    // Canonical (address-sorted) word order: MemoryState iteration
-    // order depends on insertion history, so two states holding the
-    // same words can stream them differently. Sorting makes the
-    // serialized image a pure function of the checkpoint's content —
-    // the archive's byte-identity guarantee depends on this.
-    std::vector<std::pair<Addr, std::uint64_t>> words;
-    words.reserve(ckpt.memory.population());
-    ckpt.memory.forEachWord([&words](Addr addr, std::uint64_t value) {
-        words.emplace_back(addr, value);
-    });
-    std::sort(words.begin(), words.end());
-    for (const auto &[addr, value] : words) {
-        putU64(out, addr);
-        putU64(out, value);
-    }
-}
-
 /// Image lead: gcc, dmaConsumed, rrNext, context count.
 inline constexpr std::size_t kCheckpointLeadBytes = 32;
 
 /// Context-count ceiling every image decoder enforces.
 inline constexpr std::uint64_t kMaxCheckpointContexts = 64;
 
-/** Bytes before the word list of an image with @p contexts contexts. */
+/**
+ * Header bytes of an image with @p contexts contexts: the lead, the
+ * contexts, then one u64 (a keyframe's word count, a delta's base
+ * GCC).
+ */
 constexpr std::size_t
 checkpointHeaderBytes(std::uint64_t contexts)
 {
@@ -316,26 +296,146 @@ checkContextCount(std::uint64_t n)
                                    + " outside [0, 64]");
 }
 
+/**
+ * Write an image's header — gcc, dmaConsumed, rrNext, the context
+ * count, per-proc {context, committedChunks} — then @p tail, the u64
+ * that closes the header (a keyframe's word count, a delta's base
+ * GCC), into a buffer sized for @p body more bytes. Returns the
+ * write position.
+ */
+inline std::uint8_t *
+startImage(std::string &out, const SystemCheckpoint &ckpt,
+           std::uint64_t tail, std::size_t body)
+{
+    const std::size_t n = ckpt.contexts.size();
+    out.resize(checkpointHeaderBytes(n) + body);
+    std::uint8_t *p = reinterpret_cast<std::uint8_t *>(out.data());
+    storeU64(p, ckpt.gcc);
+    storeU64(p + 8, ckpt.dmaConsumed);
+    storeU64(p + 16, ckpt.rrNext);
+    storeU64(p + 24, n);
+    p += kCheckpointLeadBytes;
+    for (std::size_t i = 0; i < n; ++i) {
+        contextBytes(ckpt.contexts[i], p);
+        storeU64(p + sizeof(ThreadContext), ckpt.committedChunks[i]);
+        p += sizeof(ThreadContext) + 8;
+    }
+    storeU64(p, tail);
+    return p + 8;
+}
+
+/** Write sorted (addr, value) pairs at @p p; returns the end. */
+inline std::uint8_t *
+storeWords(std::uint8_t *p,
+           const std::vector<std::pair<Addr, std::uint64_t>> &words)
+{
+    for (const auto &[addr, value] : words) {
+        storeU64(p, addr);
+        storeU64(p + 8, value);
+        p += 16;
+    }
+    return p;
+}
+
+/**
+ * Full checkpoint image (a *keyframe*): the header, the word count,
+ * then the memory population as (addr, value) pairs in address order.
+ * MemoryState iteration order depends on insertion history, so two
+ * states holding the same words can stream them differently; sorting
+ * makes the image a pure function of the checkpoint's content, which
+ * the containers' byte-identity guarantees depend on. This is also
+ * the checkpoint image a .dlrec recording embeds.
+ */
+inline std::string
+encodeKeyframe(const SystemCheckpoint &ckpt)
+{
+    std::vector<std::pair<Addr, std::uint64_t>> words;
+    words.reserve(ckpt.memory.population());
+    ckpt.memory.forEachWord([&words](Addr addr, std::uint64_t value) {
+        words.emplace_back(addr, value);
+    });
+    std::sort(words.begin(), words.end());
+    std::string out;
+    storeWords(startImage(out, ckpt, words.size(), words.size() * 16),
+               words);
+    return out;
+}
+
+inline void
+putCheckpoint(std::ostream &out, const SystemCheckpoint &ckpt)
+{
+    const std::string image = encodeKeyframe(ckpt);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+}
+
+/**
+ * Delta image of @p ckpt against @p base, the checkpoint before it:
+ * the header in full (contexts and counters are small), base.gcc,
+ * the changed-word count and the words @p ckpt holds with a value
+ * @p base lacks, as address-sorted (addr, value) pairs, the
+ * erased-word count and the address-sorted words that went back to
+ * their default value, then ckpt.memory.hash() — which applyDelta()
+ * checks the rebuilt state against. Like a keyframe, a pure function
+ * of the two checkpoints' content.
+ */
+inline std::string
+encodeDelta(const SystemCheckpoint &base, const SystemCheckpoint &ckpt)
+{
+    std::vector<std::pair<Addr, std::uint64_t>> changed;
+    std::vector<Addr> erased;
+    ckpt.memory.forEachChange(
+        base.memory,
+        [&changed](Addr addr, std::uint64_t value) {
+            changed.emplace_back(addr, value);
+        },
+        [&erased](Addr addr) { erased.push_back(addr); });
+    std::sort(changed.begin(), changed.end());
+    std::sort(erased.begin(), erased.end());
+    std::string out;
+    std::uint8_t *p =
+        startImage(out, ckpt, base.gcc,
+                   8 + changed.size() * 16 + 8 + erased.size() * 8 + 8);
+    storeU64(p, changed.size());
+    p = storeWords(p + 8, changed);
+    storeU64(p, erased.size());
+    p += 8;
+    for (const Addr addr : erased) {
+        storeU64(p, addr);
+        p += 8;
+    }
+    storeU64(p, ckpt.memory.hash());
+    return out;
+}
+
+/** How an archive stores one checkpoint image. */
+enum class ImageKind : std::uint64_t
+{
+    kKeyframe = 1, ///< full image: heads a chain
+    kDelta = 2,    ///< against the previous checkpoint
+};
+
 /** What a structural walk of one checkpoint image learns. */
 struct CheckpointExtent
 {
     std::uint64_t gcc = 0;
     std::uint64_t contexts = 0;
-    std::uint64_t words = 0;
-    std::size_t bytes = 0; ///< whole image, header plus word list
+    std::uint64_t baseGcc = 0; ///< delta: GCC of the image it applies to
+    std::size_t bytes = 0;     ///< whole image, header plus word lists
 };
 
 /**
- * Walk the image that starts at @p data without decoding it: the
- * header is read from the first @p available bytes, and the word list
- * must fit the @p total bytes the image region holds (available <=
- * total; a caller may hold only the header in memory). Throws exactly
- * what decodeCheckpoint() would throw on the same bytes, so a walk
- * that passes guarantees the decode cannot fail.
+ * Walk the @p kind image that starts at @p data without decoding it:
+ * the header is read from the first @p available bytes, and the word
+ * lists must fit the @p total bytes the image region holds (available
+ * <= total; a caller may hold only the header in memory, in which
+ * case a delta's lists, whose counts lie past its header, are not
+ * walked). Throws exactly what decodeCheckpoint() or applyDelta()
+ * would throw on the same bytes' structure, so a full walk that
+ * passes guarantees their parse cannot fail.
  */
 inline CheckpointExtent
-scanCheckpoint(const std::uint8_t *data, std::size_t available,
-               std::size_t total)
+scanImage(ImageKind kind, const std::uint8_t *data, std::size_t available,
+          std::size_t total)
 {
     ByteCursor in(data, std::min(available, total));
     CheckpointExtent ext;
@@ -345,17 +445,34 @@ scanCheckpoint(const std::uint8_t *data, std::size_t available,
     checkContextCount(ext.contexts);
     in.take(static_cast<std::size_t>(ext.contexts)
             * (sizeof(ThreadContext) + 8));
-    ext.words = getU64(in);
-    if (ext.words > (total - in.offset()) / 16)
+    if (kind == ImageKind::kKeyframe) {
+        const std::uint64_t words = getU64(in);
+        if (words > (total - in.offset()) / 16)
+            throw RecordingFormatError("file truncated");
+        ext.bytes =
+            in.offset() + static_cast<std::size_t>(words) * 16;
+        return ext;
+    }
+    ext.baseGcc = getU64(in);
+    if (available < total)
+        return ext;
+    const std::uint64_t changed = getU64(in);
+    if (changed > in.remaining() / 16)
         throw RecordingFormatError("file truncated");
-    ext.bytes = in.offset() + static_cast<std::size_t>(ext.words) * 16;
+    in.take(static_cast<std::size_t>(changed) * 16);
+    const std::uint64_t erased = getU64(in);
+    if (erased > in.remaining() / 8)
+        throw RecordingFormatError("file truncated");
+    in.take(static_cast<std::size_t>(erased) * 8);
+    getU64(in); // memory hash
+    ext.bytes = in.offset();
     return ext;
 }
 
 /**
- * Decode the checkpoint image at @p data[0, @p size) (the image may be
+ * Decode the keyframe image at @p data[0, @p size) (the image may be
  * followed by other bytes). Context-count and truncation checks as
- * scanCheckpoint(); the memory table is sized for the word count up
+ * scanImage(); the memory table is sized for the word count up
  * front. The one checkpoint decoder behind .dlrec, .dla and ring
  * reads.
  */
@@ -384,6 +501,65 @@ decodeCheckpoint(const std::uint8_t *data, std::size_t size)
     for (std::uint64_t k = 0; k < words; ++k, w += 16)
         ckpt.memory.store(loadU64(w), loadU64(w + 8));
     return ckpt;
+}
+
+/**
+ * Turn @p ckpt, the checkpoint before it, into the checkpoint the
+ * delta image at @p data[0, @p size) encodes (see encodeDelta()).
+ * Throws RecordingFormatError when the image is malformed, when its
+ * base GCC is not ckpt.gcc or its context count not ckpt's, and when
+ * the rebuilt memory's hash disagrees with the one the delta carries;
+ * @p ckpt is then left partly updated.
+ */
+inline void
+applyDelta(SystemCheckpoint &ckpt, const std::uint8_t *data,
+           std::size_t size)
+{
+    ByteCursor in(data, size);
+    const std::uint64_t gcc = getU64(in);
+    const std::uint64_t dma = getU64(in);
+    const std::uint64_t rr = getU64(in);
+    const std::uint64_t n = getU64(in);
+    checkContextCount(n);
+    if (n != ckpt.contexts.size())
+        throw RecordingFormatError(
+            "delta context count " + std::to_string(n)
+            + " disagrees with its base's "
+            + std::to_string(ckpt.contexts.size()));
+    for (std::uint64_t p = 0; p < n; ++p) {
+        ckpt.contexts[p] = getContext(in);
+        ckpt.committedChunks[p] = getU64(in);
+    }
+    const std::uint64_t base = getU64(in);
+    if (base != ckpt.gcc)
+        throw RecordingFormatError(
+            "delta base GCC " + std::to_string(base)
+            + " disagrees with the previous checkpoint's GCC "
+            + std::to_string(ckpt.gcc));
+    ckpt.gcc = gcc;
+    ckpt.dmaConsumed = static_cast<std::size_t>(dma);
+    ckpt.rrNext = static_cast<ProcId>(rr);
+    const std::uint64_t changed = getU64(in);
+    if (changed > in.remaining() / 16)
+        throw RecordingFormatError("file truncated");
+    const std::uint8_t *w =
+        in.take(static_cast<std::size_t>(changed) * 16);
+    const std::uint64_t erased = getU64(in);
+    if (erased > in.remaining() / 8)
+        throw RecordingFormatError("file truncated");
+    const std::uint8_t *e =
+        in.take(static_cast<std::size_t>(erased) * 8);
+    const std::uint64_t hash = getU64(in);
+    ckpt.memory.reserve(ckpt.memory.population()
+                        + static_cast<std::size_t>(changed));
+    for (std::uint64_t k = 0; k < changed; ++k, w += 16)
+        ckpt.memory.store(loadU64(w), loadU64(w + 8));
+    for (std::uint64_t k = 0; k < erased; ++k, e += 8)
+        ckpt.memory.store(loadU64(e), MemoryState::initValue(loadU64(e)));
+    if (ckpt.memory.hash() != hash)
+        throw RecordingFormatError(
+            "delta memory hash mismatch: the image rebuilt at GCC "
+            + std::to_string(gcc) + " is not the one recorded");
 }
 
 /**

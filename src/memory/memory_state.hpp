@@ -131,6 +131,63 @@ class MemoryState
                 fn(s.key, s.value);
     }
 
+    /** True when @p word_addr holds a non-default value. */
+    bool
+    contains(Addr word_addr) const
+    {
+        std::size_t i = indexOf(word_addr);
+        for (;;) {
+            const Slot &s = slots_[i];
+            if (!s.live)
+                return false;
+            if (s.key == word_addr)
+                return true;
+            i = (i + 1) & (slots_.size() - 1);
+        }
+    }
+
+    /**
+     * Visit every word whose value differs between @p base and this
+     * state: @p changed(addr, value) for each word this state holds
+     * with a value @p base lacks (new or rewritten), @p erased(addr)
+     * for each word @p base holds that this state returned to its
+     * default. Visit order is unspecified.
+     *
+     * Two snapshots of one evolving table mostly keep each word in
+     * the same slot, so when the capacities match the slot arrays are
+     * walked in lockstep and a word is looked up in the other table
+     * only where the two slots disagree. Otherwise every word is
+     * looked up.
+     */
+    template <typename Changed, typename Erased>
+    void
+    forEachChange(const MemoryState &base, Changed &&changed,
+                  Erased &&erased) const
+    {
+        if (slots_.size() != base.slots_.size()) {
+            for (const Slot &s : slots_)
+                if (s.live && base.load(s.key) != s.value)
+                    changed(s.key, s.value);
+            for (const Slot &s : base.slots_)
+                if (s.live && !contains(s.key))
+                    erased(s.key);
+            return;
+        }
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            const Slot &now = slots_[i];
+            const Slot &was = base.slots_[i];
+            if (now.live && was.live && now.key == was.key) {
+                if (now.value != was.value)
+                    changed(now.key, now.value);
+                continue;
+            }
+            if (now.live && base.load(now.key) != now.value)
+                changed(now.key, now.value);
+            if (was.live && !contains(was.key))
+                erased(was.key);
+        }
+    }
+
     bool
     operator==(const MemoryState &other) const
     {

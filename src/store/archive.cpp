@@ -22,16 +22,15 @@ namespace delorean
 
 using serialize_detail::ByteCursor;
 using serialize_detail::CheckpointExtent;
-using serialize_detail::decodeCheckpoint;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
-using serialize_detail::putCheckpoint;
+using serialize_detail::ImageKind;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
-using serialize_detail::scanCheckpoint;
+using serialize_detail::scanImage;
 
 namespace
 {
@@ -40,9 +39,10 @@ constexpr std::uint64_t kArchiveMagic = 0x766372416F4C6544ull;  // "DeLoArcv"
 constexpr std::uint64_t kSegmentMagic = 0x2E6765536F4C6544ull;  // "DeLoSeg."
 constexpr std::uint64_t kArchiveEndMagic = 0x5A6372416F4C6544ull; // "DeLoArcZ"
 // v2: the machine footer carries an arbiter count (12 u64s, the last
-// always 1) and every PI slice a has-masks flag (always 0). Readers
-// reject any other value.
-constexpr std::uint64_t kArchiveVersion = 2;
+// always 1) and every PI slice a has-masks flag (always 0).
+// v3: a footer checkpoint is a keyframe or a delta (its kind replaces
+// the has-checkpoint flag). Readers reject any other version.
+constexpr std::uint64_t kArchiveVersion = 3;
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kSegmentHeaderBytes = 40;
 constexpr std::size_t kTrailerBytes = 40;
@@ -118,6 +118,23 @@ boundaryAtEnd(const Recording &rec)
     for (ProcId p = 0; p < n; ++p)
         b.ioIdx.push_back(rec.io.countFor(p));
     return b;
+}
+
+CheckpointImages
+ImageChainer::next(const SystemCheckpoint *prev, const SystemCheckpoint &cur)
+{
+    CheckpointImages images;
+    if (prev)
+        images.delta = serialize_detail::encodeDelta(*prev, cur);
+    if (!prev
+        || delta_bytes_ + images.delta.size() > keyframe_bytes_) {
+        images.keyframe = serialize_detail::encodeKeyframe(cur);
+        keyframe_bytes_ = images.keyframe.size();
+        delta_bytes_ = 0;
+    } else {
+        delta_bytes_ += images.delta.size();
+    }
+    return images;
 }
 
 /** Serialize the log slices between boundaries @p lo and @p hi. */
@@ -619,6 +636,7 @@ struct StreamingArchiveWriter::Impl
     std::vector<CsLog> scratch_cs;
 
     std::vector<ArchiveSegmentInfo> segments; ///< committed, in order
+    std::vector<CheckpointImages> images;     ///< one per checkpoint
     SegmentPipeline<Impl> pipeline;           ///< last: see its doc
 
     Impl(std::ostream &o, const ArchiveIoOptions &io)
@@ -706,6 +724,12 @@ struct StreamingArchiveWriter::Impl
             putU64(info.crc32);
             putBytes(seg.comp.data(), seg.comp.size());
             segments.push_back(std::move(info));
+            if (!seg.tail) {
+                // The footer stores only the chain image.
+                if (seg.end.headsChain())
+                    std::string().swap(seg.end.delta);
+                images.push_back(std::move(seg.end));
+            }
             std::vector<std::uint8_t>().swap(seg.comp);
         }
         if (!*out)
@@ -716,7 +740,8 @@ struct StreamingArchiveWriter::Impl
      * Footer: recording metadata, final stats and the per-segment
      * index, compressed like the segments. Segment i's boundary
      * checkpoint is rec.checkpoints[i] (every checkpoint cuts one
-     * segment, in order).
+     * segment, in order); its image is the chain image the feeder
+     * encoded.
      */
     void
     finish(const Recording &rec)
@@ -728,7 +753,8 @@ struct StreamingArchiveWriter::Impl
         serialize_detail::putU64(footer, rec.workloadSeed);
         serialize_detail::putU64(footer, rec.iterationsPercent);
         FinalStats::put(footer, rec);
-        if (segments.size() != rec.checkpoints.size() + 1)
+        if (segments.size() != rec.checkpoints.size() + 1
+            || images.size() != rec.checkpoints.size())
             throw std::logic_error(
                 "archive footer: segments and checkpoints disagree");
         serialize_detail::putU64(footer, segments.size());
@@ -744,9 +770,18 @@ struct StreamingArchiveWriter::Impl
             serialize_detail::putU64(footer, info.csBitsEnd.size());
             for (const std::uint64_t bits : info.csBitsEnd)
                 serialize_detail::putU64(footer, bits);
-            serialize_detail::putU64(footer, info.hasCheckpoint ? 1 : 0);
-            if (info.hasCheckpoint)
-                putCheckpoint(footer, rec.checkpoints[i]);
+            if (!info.hasCheckpoint) {
+                serialize_detail::putU64(footer, 0);
+                continue;
+            }
+            const ImageKind kind = images[i].headsChain()
+                                       ? ImageKind::kKeyframe
+                                       : ImageKind::kDelta;
+            const std::string &image = images[i].chainImage();
+            serialize_detail::putU64(footer,
+                                     static_cast<std::uint64_t>(kind));
+            footer.write(image.data(),
+                         static_cast<std::streamsize>(image.size()));
         }
         const std::string footer_raw = std::move(footer).str();
         const std::vector<std::uint8_t> footer_comp =
@@ -827,22 +862,104 @@ ContainerReader::~ContainerReader() = default;
 const SystemCheckpoint &
 ContainerReader::checkpointAt(std::size_t index) const
 {
+    imageInfo(index); // range check
+    return image(index);
+}
+
+std::vector<std::uint64_t>
+ContainerReader::checkpointGccs() const
+{
+    std::vector<std::uint64_t> gccs;
+    gccs.reserve(image_info_.size());
+    for (const CheckpointImageInfo &info : image_info_)
+        gccs.push_back(info.gcc);
+    return gccs;
+}
+
+const CheckpointImageInfo &
+ContainerReader::imageInfo(std::size_t index) const
+{
     if (index >= checkpointCount())
         throw CheckpointOutOfRangeError(
             index, checkpointCount(),
             "checkpoint " + std::to_string(index) + " of "
                 + std::to_string(checkpointCount()));
-    return image(index);
+    return image_info_[index];
+}
+
+void
+ContainerReader::indexImages(std::vector<CheckpointImageInfo> info)
+{
+    for (std::size_t i = 0; i < info.size(); ++i) {
+        if (info[i].keyframe)
+            continue;
+        if (i == 0)
+            throw RecordingFormatError(
+                "checkpoint 0 is a delta: no chain head precedes it");
+        if (info[i].baseGcc != info[i - 1].gcc)
+            throw RecordingFormatError(
+                "checkpoint " + std::to_string(i) + "'s delta base GCC "
+                + std::to_string(info[i].baseGcc)
+                + " is not the previous checkpoint's GCC "
+                + std::to_string(info[i - 1].gcc));
+    }
+    image_info_ = std::move(info);
+    images_.clear();
+    images_.resize(image_info_.size());
+}
+
+SystemCheckpoint
+ContainerReader::decodeKeyframe(std::size_t index) const
+{
+    const std::vector<std::uint8_t> raw = storedImage(index);
+    try {
+        return serialize_detail::decodeCheckpoint(raw.data(), raw.size());
+    } catch (const RecordingFormatError &e) {
+        throw imageError(index, e.what());
+    }
+}
+
+void
+ContainerReader::applyDeltaAt(SystemCheckpoint &ckpt,
+                              std::size_t index) const
+{
+    const std::vector<std::uint8_t> raw = storedImage(index);
+    try {
+        serialize_detail::applyDelta(ckpt, raw.data(), raw.size());
+    } catch (const RecordingFormatError &e) {
+        throw imageError(index, e.what());
+    }
 }
 
 const SystemCheckpoint &
 ContainerReader::image(std::size_t index) const
 {
-    std::unique_ptr<const SystemCheckpoint> &slot = images_[index];
-    if (!slot)
-        slot = std::make_unique<const SystemCheckpoint>(
-            decodeImage(index));
-    return *slot;
+    if (images_[index])
+        return *images_[index];
+    // Start from the nearest memoized image or keyframe at or before
+    // the request (indexImages() put a keyframe at index 0), then
+    // apply the deltas after it in order.
+    std::size_t k = index;
+    while (!images_[k] && !image_info_[k].keyframe)
+        --k;
+    SystemCheckpoint ckpt = images_[k] ? *images_[k] : decodeKeyframe(k);
+    for (std::size_t j = k + 1; j <= index; ++j)
+        applyDeltaAt(ckpt, j);
+    images_[index] =
+        std::make_unique<const SystemCheckpoint>(std::move(ckpt));
+    return *images_[index];
+}
+
+void
+ContainerReader::rebuildChain(std::size_t head, std::size_t end) const
+{
+    SystemCheckpoint ckpt = decodeKeyframe(head);
+    for (std::size_t j = head + 1; j < end; ++j) {
+        images_[j - 1] = std::make_unique<const SystemCheckpoint>(ckpt);
+        applyDeltaAt(ckpt, j);
+    }
+    images_[end - 1] =
+        std::make_unique<const SystemCheckpoint>(std::move(ckpt));
 }
 
 void
@@ -892,15 +1009,16 @@ ContainerReader::assemble(std::size_t first, std::size_t end,
     // in segment order. Each segment's decode error (or slice) lands
     // in its own slot and the append loop consumes the slots in
     // order, so the first error to surface is the lowest segment's at
-    // any ioThreads. A whole-run read also decodes the checkpoint
-    // closing each non-tail segment in that segment's task (each task
-    // fills only its own image slot).
+    // any ioThreads. A whole-run read also rebuilds every checkpoint
+    // chain in the same batch, one task per chain filling only its
+    // own image slots; a chain that fails is retried by image() in
+    // the append loop, which raises its error in checkpoint order.
     const std::size_t count = end - first;
     std::vector<SegmentSlice> slices(count);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(count);
     for (std::size_t k = 0; k < count; ++k)
-        tasks.push_back([this, &slices, whole, first, end, n, k] {
+        tasks.push_back([this, &slices, first, n, k] {
             const std::size_t i = first + k;
             const std::vector<std::uint8_t> raw = segmentPayload(i);
             try {
@@ -908,9 +1026,16 @@ ContainerReader::assemble(std::size_t first, std::size_t end,
             } catch (const RecordingFormatError &e) {
                 throw ArchiveError(ArchiveSection::kSegment, i, e.what());
             }
-            if (whole && i + 1 < end)
-                image(i);
         });
+    if (whole) {
+        for (std::size_t head = 0; head < checkpointCount();) {
+            std::size_t next = head + 1;
+            while (next < checkpointCount() && !image_info_[next].keyframe)
+                ++next;
+            tasks.push_back([this, head, next] { rebuildChain(head, next); });
+            head = next;
+        }
+    }
     std::vector<std::exception_ptr> errors;
     runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks), errors);
     for (std::size_t k = 0; k < count; ++k) {
@@ -1039,6 +1164,7 @@ ArchiveReader::parse()
                            footer_crc, footer_raw, ArchiveSection::kFooter,
                            ArchiveError::kNoSegment, "footer");
 
+    std::vector<CheckpointImageInfo> image_info;
     try {
         ByteCursor in(footer_.data(), footer_.size());
         machine_ = getMachine(in);
@@ -1070,12 +1196,18 @@ ArchiveReader::parse()
                     + " CS bit-position count does not match numProcs");
             for (std::uint64_t p = 0; p < cs_count; ++p)
                 info.csBitsEnd.push_back(getU64(in));
-            info.hasCheckpoint = getU64(in) != 0;
+            const std::uint64_t kind = getU64(in);
+            if (kind > static_cast<std::uint64_t>(ImageKind::kDelta))
+                throw RecordingFormatError(
+                    "segment " + std::to_string(i) + " checkpoint kind "
+                    + std::to_string(kind) + " is not 0, 1 or 2");
+            info.hasCheckpoint = kind != 0;
             if (info.hasCheckpoint) {
                 // Walk the image, don't decode it: the walk makes
-                // every check the decode would, so checkpointAt()
-                // cannot fail later on bytes accepted here.
-                const CheckpointExtent image = scanCheckpoint(
+                // every structural check the decode would, so only a
+                // chain's base GCC or memory hash can fail later.
+                const CheckpointExtent image = scanImage(
+                    static_cast<ImageKind>(kind),
                     footer_.data() + in.offset(), in.remaining(),
                     in.remaining());
                 if (image.contexts != machine_.numProcs)
@@ -1087,11 +1219,20 @@ ArchiveReader::parse()
                     throw RecordingFormatError(
                         "segment " + std::to_string(i)
                         + " checkpoint GCC disagrees with the index");
-                image_spans_.push_back({in.offset(), image.bytes});
+                CheckpointImageInfo ii;
+                ii.gcc = image.gcc;
+                ii.keyframe =
+                    static_cast<ImageKind>(kind) == ImageKind::kKeyframe;
+                ii.baseGcc = image.baseGcc;
+                ii.rawBytes = image.bytes;
+                ii.storedBytes = image.bytes;
+                image_info.push_back(ii);
+                image_offsets_.push_back(in.offset());
                 in.take(image.bytes);
             }
             segments_.push_back(std::move(info));
         }
+        indexImages(std::move(image_info));
     } catch (const ArchiveError &) {
         throw;
     } catch (const RecordingFormatError &e) {
@@ -1127,30 +1268,23 @@ ArchiveReader::parse()
                            + std::to_string(i)
                            + " lacks a checkpoint");
     }
-    images_.resize(image_spans_.size());
 }
 
-std::vector<std::uint64_t>
-ArchiveReader::checkpointGccs() const
+std::vector<std::uint8_t>
+ArchiveReader::storedImage(std::size_t index) const
 {
-    // Index GCCs: parse() checked each equals its image's GCC.
-    std::vector<std::uint64_t> gccs;
-    gccs.reserve(checkpointCount());
-    for (std::size_t i = 0; i < checkpointCount(); ++i)
-        gccs.push_back(segments_[i].endGcc);
-    return gccs;
+    const auto at =
+        footer_.begin() + static_cast<long>(image_offsets_[index]);
+    return std::vector<std::uint8_t>(
+        at, at + static_cast<long>(imageInfo(index).rawBytes));
 }
 
-SystemCheckpoint
-ArchiveReader::decodeImage(std::size_t index) const
+ArchiveError
+ArchiveReader::imageError(std::size_t index, const std::string &what) const
 {
-    const ImageSpan span = image_spans_[index];
-    try {
-        return decodeCheckpoint(footer_.data() + span.offset, span.bytes);
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kFooter, index,
-                           std::string("checkpoint image: ") + e.what());
-    }
+    return ArchiveError(ArchiveSection::kFooter, index,
+                        "checkpoint " + std::to_string(index)
+                            + " image: " + what);
 }
 
 std::vector<std::uint8_t>

@@ -15,7 +15,8 @@
  *              payload [compBytes]           -- LZ77-compressed
  *   footer := LZ77-compressed metadata + per-segment index
  *             (endGcc, file offset, sizes, CRC, per-proc log bit
- *             positions, and the boundary SystemCheckpoint)
+ *             positions, and the boundary checkpoint's image kind
+ *             (0 none, 1 keyframe, 2 delta) and image)
  *   trailer:= footerOffset (u64)  footerCompBytes (u64)
  *             footerRawBytes (u64)  footerCrc32 (u64)
  *             endMagic "DeLoArcZ" (u64)
@@ -28,6 +29,11 @@
  * or a silent divergence. The reader seeks to a checkpoint in O(1)
  * via the footer index and decodes only the segments covering the
  * requested interval.
+ *
+ * Checkpoint images form chains (archive_detail::ImageChainer): a
+ * keyframe holds the full image, and each following checkpoint is a
+ * delta against the one before it until the chain's delta bytes would
+ * exceed its keyframe's, where a new chain starts.
  */
 
 #ifndef DELOREAN_STORE_ARCHIVE_HPP_
@@ -164,9 +170,29 @@ struct ArchiveSegmentInfo
     std::vector<std::uint64_t> csBitsEnd; ///< one per processor
 
     /// The footer holds this segment's boundary checkpoint image
-    /// (false only for the tail segment). Readers decode it on
-    /// demand: ArchiveReader::checkpointAt().
+    /// (false only for the tail segment), as a keyframe or a delta.
+    /// Readers rebuild it on demand: ArchiveReader::checkpointAt().
     bool hasCheckpoint = false;
+};
+
+/**
+ * How a container stores one checkpoint image. Checkpoints are kept
+ * in *chains*: a keyframe (the full image) followed by deltas, each
+ * against the checkpoint before it. A reader rebuilds an image from
+ * its chain's keyframe and the deltas up to it.
+ */
+struct CheckpointImageInfo
+{
+    std::uint64_t gcc = 0;
+    /// Heads a chain (a full image); otherwise a delta.
+    bool keyframe = false;
+    /// Delta: GCC of the checkpoint it applies to (the one before).
+    std::uint64_t baseGcc = 0;
+    std::uint64_t rawBytes = 0; ///< serialized image size
+    /// Bytes the image occupies in the container: a ring blob's
+    /// compressed size; the raw size in a `.dla`, whose footer is
+    /// compressed as a whole.
+    std::uint64_t storedBytes = 0;
 };
 
 /**
@@ -275,11 +301,17 @@ struct FinalStats
 
 /**
  * What ArchiveReader and RingArchiveReader share: the run metadata and
- * final statistics, the memoized checkpoint images, the codec pool,
- * and the one interval assembler behind both readers' readAll() and
- * readInterval(). A container supplies two fetchers — segment i's
- * verified payload and checkpoint j's decoded image — plus its own
- * range and precondition checks.
+ * final statistics, the checkpoint chains and their memoized images,
+ * the codec pool, and the one interval assembler behind both readers'
+ * readAll() and readInterval(). A container supplies the image index
+ * (indexImages) and two fetchers — segment i's verified payload and
+ * checkpoint j's stored image bytes — plus its own range and
+ * precondition checks.
+ *
+ * Images are rebuilt chain by chain: from the nearest memoized image
+ * or keyframe at or before the request, deltas apply in order. A
+ * whole-run read rebuilds every chain, chains in parallel. A delta
+ * whose base GCC or memory hash disagrees is an ArchiveError.
  *
  * Readers are not internally synchronized (the memoized images and
  * the codec pool are lazy mutable state): use one reader per thread.
@@ -298,10 +330,16 @@ class ContainerReader
     unsigned iterationsPercent() const { return iterations_percent_; }
 
     /** Decodable replay starting points. */
-    std::size_t checkpointCount() const { return images_.size(); }
+    std::size_t checkpointCount() const { return image_info_.size(); }
 
-    /** Checkpoint @p index (0-based, ascending GCC), decoded once. */
+    /** GCCs of the decodable replay starting points, ascending. */
+    std::vector<std::uint64_t> checkpointGccs() const;
+
+    /** Checkpoint @p index (0-based, ascending GCC), rebuilt once. */
     const SystemCheckpoint &checkpointAt(std::size_t index) const;
+
+    /** How checkpoint @p index is stored (range-checked). */
+    const CheckpointImageInfo &imageInfo(std::size_t index) const;
 
   protected:
     ContainerReader();
@@ -313,10 +351,23 @@ class ContainerReader
     /// Segment @p index's payload: CRC-checked, decoded, size-checked.
     virtual std::vector<std::uint8_t>
     segmentPayload(std::size_t index) const = 0;
-    /// Decode checkpoint @p index (in range) from the container.
-    virtual SystemCheckpoint decodeImage(std::size_t index) const = 0;
+    /// Checkpoint @p index's stored image (in range), decompressed:
+    /// a keyframe or a delta, as imageInfo() says.
+    virtual std::vector<std::uint8_t>
+    storedImage(std::size_t index) const = 0;
+    /// The typed error for a bad image of checkpoint @p index.
+    virtual ArchiveError imageError(std::size_t index,
+                                    const std::string &what) const = 0;
 
-    /** Checkpoint @p index (in range), decoded on first use. */
+    /**
+     * Install the image index, one entry per checkpoint in ascending
+     * GCC order. Throws RecordingFormatError unless every chain is
+     * intact: the first image is a keyframe and each delta's base is
+     * the checkpoint before it.
+     */
+    void indexImages(std::vector<CheckpointImageInfo> info);
+
+    /** Checkpoint @p index (in range), rebuilt on first use. */
     const SystemCheckpoint &image(std::size_t index) const;
 
     /** Typed rejection of an invalid (from, to) checkpoint pair. */
@@ -350,6 +401,17 @@ class ContainerReader
     /// (sized once at open, so references stay valid).
     mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
         images_;
+
+  private:
+    /// How every checkpoint is stored; set once by indexImages().
+    std::vector<CheckpointImageInfo> image_info_;
+
+    /** Decode keyframe @p index. */
+    SystemCheckpoint decodeKeyframe(std::size_t index) const;
+    /** Apply delta @p index to @p ckpt, the checkpoint before it. */
+    void applyDeltaAt(SystemCheckpoint &ckpt, std::size_t index) const;
+    /** Rebuild and memoize checkpoints [head, end) of one chain. */
+    void rebuildChain(std::size_t head, std::size_t end) const;
 };
 
 } // namespace archive_detail
@@ -359,16 +421,16 @@ class ContainerReader
  *
  * Construction reads the index, not the images: it checks the header
  * and trailer, CRC-checks and LZ77-decodes the footer, and parses its
- * O(#segments) index entries. Each checkpoint image in the footer is
- * walked structurally (GCC, context count, word-list extent, all
- * checked against the index) and its span recorded, but no memory
- * image is built — the parse is O(#segments), not O(image bytes).
- * The footer's CRC and LZ77 decode still touch every footer byte, as
- * the format keeps the images there.
+ * O(#segments) index entries. Each checkpoint image in the footer — a
+ * keyframe or a delta — is walked structurally (GCC, context count,
+ * base GCC, word-list extents, all checked against the index and the
+ * chain) and its span recorded, but no memory image is built. The
+ * footer's CRC and LZ77 decode still touch every footer byte, as the
+ * format keeps the images there; deltas keep that footer small.
  *
- * checkpointAt(), readInterval() and readAll() decode an image on
- * first use and memoize it, so a seek pays for the one or two images
- * it replays between. Segment payloads are CRC-checked and decoded
+ * checkpointAt(), readInterval() and readAll() rebuild an image on
+ * first use and memoize it, so a seek pays for one chain prefix (at
+ * most about twice one keyframe's bytes) and the one delta after. Segment payloads are CRC-checked and decoded
  * only when a read needs them. All failures surface as ArchiveError;
  * an image accepted by the walk cannot fail to decode later.
  */
@@ -405,9 +467,6 @@ class ArchiveReader : public archive_detail::ContainerReader
         return segments_;
     }
 
-    /** GCCs of the seekable checkpoints, ascending. */
-    std::vector<std::uint64_t> checkpointGccs() const;
-
     /**
      * Reassemble the complete Recording. Byte-identical to the
      * archived one: saveRecording(readAll()) equals saveRecording()
@@ -435,7 +494,10 @@ class ArchiveReader : public archive_detail::ContainerReader
     void parse();
     std::vector<std::uint8_t>
     segmentPayload(std::size_t index) const override;
-    SystemCheckpoint decodeImage(std::size_t index) const override;
+    std::vector<std::uint8_t>
+    storedImage(std::size_t index) const override;
+    ArchiveError imageError(std::size_t index,
+                            const std::string &what) const override;
 
     /// Container bytes: owned_ (fromBytes / buffered fromFile) or
     /// map_ (zero-copy fromFile); data_/size_ view whichever is live.
@@ -446,13 +508,9 @@ class ArchiveReader : public archive_detail::ContainerReader
     std::vector<ArchiveSegmentInfo> segments_;
     /// The decompressed footer, kept for on-demand image decode.
     std::vector<std::uint8_t> footer_;
-    /// Where checkpoint i's image lies in footer_.
-    struct ImageSpan
-    {
-        std::size_t offset = 0;
-        std::size_t bytes = 0;
-    };
-    std::vector<ImageSpan> image_spans_;
+    /// Where checkpoint i's image starts in footer_ (its size is
+    /// imageInfo(i).rawBytes).
+    std::vector<std::size_t> image_offsets_;
 };
 
 } // namespace delorean

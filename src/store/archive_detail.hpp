@@ -7,7 +7,8 @@
  * both cut a recording at checkpoint boundaries and store the slice
  * between two consecutive boundaries as one LZ77-compressed payload.
  * This header holds the slice machinery — boundary math, payload
- * build — and the one feeder/flusher pipeline both writers run on, so
+ * build — the checkpoint-image chain rule, and the one feeder/flusher
+ * pipeline both writers run on, so
  * the two containers stay byte-compatible by construction: a ring
  * segment's payload for a given checkpoint interval is identical to
  * the `.dla`'s. Both readers reassemble recordings through
@@ -105,6 +106,53 @@ void runIndexed(std::unique_ptr<WorkerPool> &pool, unsigned threads,
                 std::vector<std::exception_ptr> &errors);
 
 /**
+ * The stored forms of one checkpoint. The feeder encodes them in
+ * checkpoint order (ImageChainer), and each container picks the form
+ * it stores: the `.dla` footer the chain image, a ring segment file
+ * the delta as its end image and the keyframe as the next file's
+ * start image.
+ */
+struct CheckpointImages
+{
+    /// Keyframe (serialize_detail::encodeKeyframe); set exactly when
+    /// the checkpoint heads a chain.
+    std::string keyframe;
+    /// Delta against the previous checkpoint
+    /// (serialize_detail::encodeDelta); empty for the first.
+    std::string delta;
+
+    bool headsChain() const { return !keyframe.empty(); }
+
+    /** The chain's stored form: the keyframe of a head, else the delta. */
+    const std::string &chainImage() const
+    {
+        return headsChain() ? keyframe : delta;
+    }
+};
+
+/**
+ * The keyframe rule, applied in checkpoint order. The first checkpoint
+ * heads a chain; every later one is a delta against the checkpoint
+ * before it, unless the raw delta bytes since its chain's keyframe
+ * would then exceed that keyframe's own raw size, in which case it
+ * heads a new chain. Rebuilding any image therefore reads at most
+ * twice its keyframe's bytes. The rule has no knob, and it sees only
+ * checkpoint content, so the choice (and every stored byte) is the
+ * same however the writer is fed and at any ioThreads.
+ */
+class ImageChainer
+{
+  public:
+    /** Encode @p cur; @p prev is the checkpoint before it, if any. */
+    CheckpointImages next(const SystemCheckpoint *prev,
+                          const SystemCheckpoint &cur);
+
+  private:
+    std::size_t keyframe_bytes_ = 0; ///< the current chain's keyframe
+    std::size_t delta_bytes_ = 0;    ///< its deltas so far
+};
+
+/**
  * One cut segment on its way from the feeder to the flusher. The
  * feeder fills the span and the payload; the flusher the compressed
  * payload and its CRC. A container derives its staged type from this
@@ -117,6 +165,7 @@ struct CutSegment
     std::uint64_t endGcc = 0;
     bool tail = false;              ///< cut by close(): no end checkpoint
     std::string raw;                ///< serialized payload
+    CheckpointImages end;           ///< the end checkpoint (not tail)
     std::vector<std::uint8_t> comp; ///< LZ77 of raw
     std::uint64_t crc = 0;          ///< CRC-32 of comp
 };
@@ -126,13 +175,14 @@ struct CutSegment
  * RingArchiveWriter.
  *
  * The *feeder* (recording) thread consumes checkpoints in ascending
- * GCC order and cuts the segment each one closes — boundary math and
- * buildSegmentPayload read the live recording, which keeps growing
- * after each hook returns — then runs the container's cut step and
- * stages the result. The *flusher* thread encodes a snatched batch
- * over the codec pool (payload LZ77 + CRC, then the container's
- * encode step) and hands it to the container's commit step in cut
- * order; meanwhile the feeder keeps staging without blocking (double
+ * GCC order and cuts the segment each one closes — boundary math,
+ * buildSegmentPayload and the checkpoint's images (ImageChainer, a
+ * diff against the checkpoint before it) read the live recording,
+ * which keeps growing after each hook returns — then runs the
+ * container's cut step and stages the result. The *flusher* thread
+ * encodes a snatched batch over the codec pool (payload LZ77 + CRC,
+ * then the container's encode step) and hands it to the container's
+ * commit step in cut order; meanwhile the feeder keeps staging without blocking (double
  * buffering). Handoff is by join: the feeder only touches the
  * flushing batch, the pool and the container's flusher-side state
  * after observing flush_done_ and joining, so no mutex is needed.
@@ -189,7 +239,7 @@ class SegmentPipeline
             throw std::logic_error(std::string(writer_)
                                    + "::close called twice");
         feed(rec);
-        stage(rec, boundaryAtEnd(rec), nullptr);
+        stage(rec, boundaryAtEnd(rec), nullptr, {});
         drain();
         container_.finish(rec);
         closed_ = true;
@@ -208,6 +258,7 @@ class SegmentPipeline
     bool begun_ = false;
     bool closed_ = false;
     Boundary last_;       ///< frontier at the last cut
+    ImageChainer chainer_;
     std::size_t fed_ = 0; ///< checkpoints consumed
     std::size_t cut_ = 0; ///< segments cut
 
@@ -232,13 +283,17 @@ class SegmentPipeline
             if (fed_ > 0 && ckpt.gcc <= last_.gcc)
                 throw RecordingFormatError(
                     "checkpoints are not in ascending GCC order");
-            stage(rec, boundaryAtCheckpoint(rec, ckpt, fed_), &ckpt);
+            stage(rec, boundaryAtCheckpoint(rec, ckpt, fed_), &ckpt,
+                  chainer_.next(fed_ > 0 ? &rec.checkpoints[fed_ - 1]
+                                         : nullptr,
+                                ckpt));
             ++fed_;
         }
     }
 
     void
-    stage(const Recording &rec, Boundary hi, const SystemCheckpoint *end)
+    stage(const Recording &rec, Boundary hi, const SystemCheckpoint *end,
+          CheckpointImages images)
     {
         Segment seg;
         seg.index = cut_;
@@ -246,6 +301,7 @@ class SegmentPipeline
         seg.endGcc = hi.gcc;
         seg.tail = end == nullptr;
         seg.raw = buildSegmentPayload(rec, last_, hi);
+        seg.end = std::move(images);
         container_.cut(rec, last_, hi, end, seg);
         staging_.push_back(std::move(seg));
         last_ = std::move(hi);

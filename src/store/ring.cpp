@@ -23,19 +23,18 @@ namespace delorean
 using serialize_detail::ByteCursor;
 using serialize_detail::CheckpointExtent;
 using serialize_detail::checkpointHeaderBytes;
-using serialize_detail::decodeCheckpoint;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
+using serialize_detail::ImageKind;
 using serialize_detail::kCheckpointLeadBytes;
 using serialize_detail::kMaxCheckpointContexts;
-using serialize_detail::putCheckpoint;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
 using serialize_detail::putU64;
-using serialize_detail::scanCheckpoint;
+using serialize_detail::scanImage;
 
 using namespace archive_detail;
 
@@ -45,7 +44,10 @@ namespace
 constexpr std::uint64_t kRingMetaMagic = 0x2E676E526F4C6544ull; // "DeLoRng."
 constexpr std::uint64_t kRingSegMagic = 0x676553526F4C6544ull;  // "DeLoRSeg"
 constexpr std::uint64_t kRingIdxMagic = 0x786449526F4C6544ull;  // "DeLoRIdx"
-constexpr std::uint64_t kRingVersion = 1;
+// v2: checkpoint images form chains — a segment file carries a start
+// image only when its start checkpoint heads a chain (a keyframe), and
+// its end image is a delta (a keyframe for segment 0).
+constexpr std::uint64_t kRingVersion = 2;
 /// Fixed meta/index preamble: magic, version, reserved, blob size,
 /// blob CRC-32.
 constexpr std::size_t kPreambleBytes = 40;
@@ -54,8 +56,9 @@ constexpr std::size_t kPreambleBytes = 40;
 /// header blob is followed by the start- and end-checkpoint blobs it
 /// describes (each independently LZ77-compressed and CRC'd), then the
 /// payload. Keeping the checkpoint images out of the header lets the
-/// writer compress each checkpoint exactly once: the blob that closes
-/// segment i is byte-reused as the start blob of segment i+1.
+/// writer compress each image exactly once: the keyframe of a chain
+/// head is compressed with the segment it closes and byte-reused as
+/// the start blob of the next.
 constexpr std::size_t kSegPreambleBytes = 48;
 /// Header/meta/index blob size cap: fences OOM on garbage files.
 constexpr std::uint64_t kMaxBlobBytes = 1ull << 30;
@@ -170,12 +173,12 @@ RingOptions::validate() const
 // ----- writer ---------------------------------------------------------------
 
 /**
- * The ring's steps on the shared SegmentPipeline. The cut step copies
- * the end checkpoint (the live recording's checkpoint vector may
- * reallocate); the encode step compresses it; the commit step writes
- * one file per segment, evicts over-budget history and atomically
- * rewrites the index. The mutex only guards the live-set/stats
- * snapshot that stats() may read while the flusher runs.
+ * The ring's steps on the shared SegmentPipeline. The encode step
+ * compresses the end checkpoint's images the feeder encoded; the
+ * commit step writes one file per segment, evicts over-budget history
+ * whole chains at a time and atomically rewrites the index. The mutex
+ * only guards the live-set/stats snapshot that stats() may read while
+ * the flusher runs.
  */
 struct RingArchiveWriter::Impl
 {
@@ -186,18 +189,18 @@ struct RingArchiveWriter::Impl
         std::uint64_t crc = 0;
         std::vector<std::uint8_t> comp;
     };
-    /// Staged ring segment. Its start checkpoint is not carried: it is
-    /// by construction the previous segment's end checkpoint, whose
-    /// compressed blob the flusher caches and reuses.
+    /// Staged ring segment. Its start image is not carried: it is by
+    /// construction the keyframe of the previous segment's end
+    /// checkpoint, when that heads a chain, which the flusher caches.
     struct Segment : CutSegment
     {
-        SystemCheckpoint end;
-        CkptBlob endBlob;
+        CkptBlob endBlob; ///< delta (keyframe for segment 0)
+        CkptBlob nextStart; ///< keyframe, when the end heads a chain
     };
 
     std::string dir;
     RingOptions opts;
-    CkptBlob prev_end; ///< flusher-owned carry across batches
+    CkptBlob next_start; ///< flusher-owned carry across batches
 
     /// Retained on-disk segments, oldest first (flusher-owned; the
     /// mutex makes the snapshot readable from stats()).
@@ -205,9 +208,11 @@ struct RingArchiveWriter::Impl
     {
         std::uint64_t segId = 0;
         std::uint64_t fileBytes = 0;
+        bool chainHead = false; ///< segment 0 or carries a start keyframe
     };
     mutable std::mutex mu;
     std::deque<LiveSeg> live;
+    std::size_t live_heads = 0; ///< chain-head files in live
     RingWriterStats statsd;
     std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
     bool have_durable = false;
@@ -249,27 +254,35 @@ struct RingArchiveWriter::Impl
 
     void
     cut(const Recording &, const Boundary &, const Boundary &,
-        const SystemCheckpoint *end, Segment &seg)
+        const SystemCheckpoint *, Segment &)
     {
-        if (end)
-            seg.end = *end;
     }
 
-    /// Each checkpoint image is compressed exactly once, here: the
-    /// blob closing segment i doubles as the start blob of segment
-    /// i+1 (prev_end carries it across batches).
+    static CkptBlob
+    compressImage(const std::string &raw)
+    {
+        CkptBlob blob;
+        blob.raw = raw.size();
+        blob.comp = compressPayload(raw);
+        blob.crc = crc32(blob.comp.data(), blob.comp.size());
+        return blob;
+    }
+
+    /// Each image is compressed exactly once, here: the end delta,
+    /// and the keyframe of a chain head, which becomes the next
+    /// segment's start blob (next_start carries it across batches).
+    /// Segment 0's end checkpoint has nothing to diff against: its
+    /// keyframe is both its end blob and segment 1's start blob.
     void
     encode(Segment &seg)
     {
         if (seg.tail)
             return;
-        std::ostringstream b(std::ios::binary);
-        putCheckpoint(b, seg.end);
-        const std::string raw = std::move(b).str();
-        seg.endBlob.raw = raw.size();
-        seg.endBlob.comp = compressPayload(raw);
-        seg.endBlob.crc =
-            crc32(seg.endBlob.comp.data(), seg.endBlob.comp.size());
+        if (seg.end.headsChain())
+            seg.nextStart = compressImage(seg.end.keyframe);
+        seg.endBlob = seg.index == 0 ? seg.nextStart
+                                     : compressImage(seg.end.delta);
+        seg.end = CheckpointImages();
     }
 
     /**
@@ -284,13 +297,19 @@ struct RingArchiveWriter::Impl
         putU64(blob, seg.startGcc);
         putU64(blob, seg.endGcc);
         putU64(blob, seg.tail ? 1 : 0);
-        putU64(blob, seg.index > 0 ? 1 : 0);
-        if (seg.index > 0) {
+        const bool has_start = !start.comp.empty();
+        putU64(blob, has_start
+                         ? static_cast<std::uint64_t>(ImageKind::kKeyframe)
+                         : 0);
+        if (has_start) {
             putU64(blob, start.raw);
             putU64(blob, start.comp.size());
             putU64(blob, start.crc);
         }
-        putU64(blob, seg.tail ? 0 : 1);
+        putU64(blob, seg.tail ? 0
+                              : static_cast<std::uint64_t>(
+                                  seg.index == 0 ? ImageKind::kKeyframe
+                                                 : ImageKind::kDelta));
         if (!seg.tail) {
             putU64(blob, seg.endBlob.raw);
             putU64(blob, seg.endBlob.comp.size());
@@ -334,14 +353,9 @@ struct RingArchiveWriter::Impl
     commit(std::vector<Segment> &batch)
     {
         for (Segment &seg : batch) {
-            CkptBlob start;
-            if (seg.index > 0) {
-                if (prev_end.comp.empty())
-                    throw std::logic_error(
-                        "ring segment cut out of order: no cached "
-                        "start checkpoint");
-                start = std::move(prev_end);
-            }
+            // The start keyframe, when the start checkpoint heads a
+            // chain; next_start is empty otherwise.
+            const CkptBlob start = std::exchange(next_start, CkptBlob());
             const std::string blob = segmentHeaderBlob(seg, start);
             const std::vector<std::uint8_t> hcomp =
                 compressPayload(blob);
@@ -372,8 +386,8 @@ struct RingArchiveWriter::Impl
             const std::uint64_t file_bytes =
                 kSegPreambleBytes + hcomp.size() + start.comp.size()
                 + seg.endBlob.comp.size() + seg.comp.size();
-            if (!seg.tail)
-                prev_end = std::move(seg.endBlob);
+            next_start = std::move(seg.nextStart);
+            const bool chain_head = seg.index == 0 || !start.comp.empty();
 
             std::vector<std::uint64_t> evict_ids;
             {
@@ -391,17 +405,25 @@ struct RingArchiveWriter::Impl
                 have_durable = true;
                 newest_start_gcc = seg.startGcc;
 
-                live.push_back({seg.index, file_bytes});
+                live.push_back({seg.index, file_bytes, chain_head});
+                live_heads += chain_head ? 1 : 0;
                 ++statsd.segmentsCut;
                 statsd.bytesWritten += file_bytes;
                 statsd.liveBytes += file_bytes;
+                // Evict whole chains, oldest first: a file past its
+                // chain's head is useless without it. The chain
+                // holding this newest complete segment always stays,
+                // so its start checkpoint stays decodable.
                 while (statsd.liveBytes > opts.budgetBytes
-                       && live.size() > 1) {
-                    const LiveSeg victim = live.front();
-                    live.pop_front();
-                    statsd.liveBytes -= victim.fileBytes;
-                    ++statsd.segmentsEvicted;
-                    evict_ids.push_back(victim.segId);
+                       && live_heads > 1) {
+                    do {
+                        const LiveSeg victim = live.front();
+                        live.pop_front();
+                        live_heads -= victim.chainHead ? 1 : 0;
+                        statsd.liveBytes -= victim.fileBytes;
+                        ++statsd.segmentsEvicted;
+                        evict_ids.push_back(victim.segId);
+                    } while (!live.front().chainHead);
                 }
                 if (statsd.liveBytes > opts.budgetBytes)
                     ++statsd.budgetOverruns;
@@ -482,14 +504,14 @@ struct ScannedSegment
 };
 
 /**
- * Check one compressed checkpoint image blob in @p bytes without
- * decoding its memory: CRC, declared size, and (from a decode of just
- * the image header) its GCC and context count, returned through
- * @p image. False with @p why set when the blob is corrupt.
+ * Check one compressed @p kind image blob in @p bytes without decoding
+ * its memory: CRC, declared size, and (from a decode of just the image
+ * header) its GCC, context count and, for a delta, base GCC, returned
+ * through @p image. False with @p why set when the blob is corrupt.
  */
 bool
 checkCheckpointBlob(const std::vector<std::uint8_t> &bytes,
-                    const RingBlobInfo &blob,
+                    const RingBlobInfo &blob, ImageKind kind,
                     CheckpointExtent &image, std::string &why)
 {
     const std::uint8_t *at = bytes.data() + blob.fileOffset;
@@ -513,8 +535,8 @@ checkCheckpointBlob(const std::vector<std::uint8_t> &bytes,
             why = "checkpoint blob size mismatch";
             return false;
         }
-        image = scanCheckpoint(head.data(), head.size(),
-                               static_cast<std::size_t>(total));
+        image = scanImage(kind, head.data(), head.size(),
+                          static_cast<std::size_t>(total));
     } catch (const RecordingFormatError &) {
         why = "malformed checkpoint blob";
         return false;
@@ -571,6 +593,8 @@ scanSegmentFile(const std::string &path, unsigned n,
     info.segId = seg_id;
     RingBlobInfo &start = info.startBlob;
     RingBlobInfo &end = info.endBlob;
+    std::uint64_t start_kind = 0;
+    std::uint64_t end_kind = 0;
     try {
         const Lz77 codec;
         const std::vector<std::uint8_t> blob = codec.decompress(
@@ -584,13 +608,15 @@ scanSegmentFile(const std::string &path, unsigned n,
         info.startGcc = getU64(in);
         info.endGcc = getU64(in);
         info.isTail = getU64(in) != 0;
-        info.hasStartCheckpoint = getU64(in) != 0;
+        start_kind = getU64(in);
+        info.hasStartCheckpoint = start_kind != 0;
         if (info.hasStartCheckpoint) {
             start.rawBytes = getU64(in);
             start.compBytes = getU64(in);
             start.crc32 = getU64(in);
         }
-        info.hasEndCheckpoint = getU64(in) != 0;
+        end_kind = getU64(in);
+        info.hasEndCheckpoint = end_kind != 0;
         if (info.hasEndCheckpoint) {
             end.rawBytes = getU64(in);
             end.compBytes = getU64(in);
@@ -622,16 +648,33 @@ scanSegmentFile(const std::string &path, unsigned n,
         reason = "file size disagrees with the header (torn payload?)";
         return false;
     }
+    // A start image is always a chain head's keyframe; the end image
+    // is a delta on the start checkpoint, except segment 0's, which
+    // has no start checkpoint to diff against and is a keyframe.
+    const std::uint64_t keyframe =
+        static_cast<std::uint64_t>(ImageKind::kKeyframe);
+    const ImageKind want_end =
+        seg_id == 0 ? ImageKind::kKeyframe : ImageKind::kDelta;
+    if (info.hasStartCheckpoint && start_kind != keyframe) {
+        reason = "start checkpoint is not a keyframe";
+        return false;
+    }
+    if (info.hasEndCheckpoint
+        && end_kind != static_cast<std::uint64_t>(want_end)) {
+        reason = "end checkpoint kind disagrees with the id";
+        return false;
+    }
     CheckpointExtent start_image, end_image;
     if (info.hasStartCheckpoint) {
         start.fileOffset = off;
-        if (!checkCheckpointBlob(bytes, start, start_image, reason))
+        if (!checkCheckpointBlob(bytes, start, ImageKind::kKeyframe,
+                                 start_image, reason))
             return false;
         off += start.compBytes;
     }
     if (info.hasEndCheckpoint) {
         end.fileOffset = off;
-        if (!checkCheckpointBlob(bytes, end, end_image, reason))
+        if (!checkCheckpointBlob(bytes, end, want_end, end_image, reason))
             return false;
         off += end.compBytes;
     }
@@ -641,7 +684,7 @@ scanSegmentFile(const std::string &path, unsigned n,
         reason = "GCC interval not ascending";
         return false;
     }
-    if (info.hasStartCheckpoint != (seg_id > 0)) {
+    if (info.hasStartCheckpoint && seg_id == 0) {
         reason = "start-checkpoint presence disagrees with the id";
         return false;
     }
@@ -656,7 +699,9 @@ scanSegmentFile(const std::string &path, unsigned n,
         return false;
     }
     if (info.hasEndCheckpoint
-        && (end_image.gcc != info.endGcc || end_image.contexts != n)) {
+        && (end_image.gcc != info.endGcc || end_image.contexts != n
+            || (want_end == ImageKind::kDelta
+                && end_image.baseGcc != info.startGcc))) {
         reason = "end checkpoint disagrees with the header";
         return false;
     }
@@ -812,6 +857,25 @@ RingArchiveReader::open(const std::string &dir,
             + " older segment(s) unreachable behind a gap at segment "
             + std::to_string(found[first].info.segId));
     }
+    // The retained run must open with a chain head: the files before
+    // it hold deltas whose chain's keyframe is gone.
+    std::size_t head = first;
+    while (head < found.size() && !found[head].info.chainHead())
+        ++head;
+    if (head == found.size())
+        throw ArchiveError(ArchiveSection::kSegment,
+                           ArchiveError::kNoSegment,
+                           "ring holds no chain head: no checkpoint "
+                           "image can be rebuilt");
+    if (head > first) {
+        r.recovery_.droppedSegments += head - first;
+        r.recovery_.notes.push_back(
+            std::to_string(head - first)
+            + " segment(s) before the chain head at segment "
+            + std::to_string(found[head].info.segId)
+            + " dropped: their chain's keyframe is gone");
+        first = head;
+    }
     for (std::size_t i = first; i < found.size(); ++i) {
         r.segments_.push_back(std::move(found[i].info));
         r.seg_paths_.push_back(std::move(found[i].path));
@@ -889,16 +953,38 @@ RingArchiveReader::open(const std::string &dir,
     }
 
     // ----- checkpoint index over boundaries 0..m --------------------
+    // Boundary b's image is segment b's start keyframe when it has
+    // one, else segment b-1's end image: a delta on boundary b-1 (a
+    // keyframe after segment 0). The run opens with a chain head, so
+    // every delta's base is a retained checkpoint.
     const std::size_t m = r.segments_.size();
+    std::vector<CheckpointImageInfo> image_info;
     for (std::size_t b = 0; b <= m; ++b) {
-        const bool has =
-            b == 0 ? r.segments_[0].hasStartCheckpoint
-                   : (b < m ? true
-                            : r.segments_[m - 1].hasEndCheckpoint);
-        if (has)
-            r.ckpt_boundary_.push_back(b);
+        CheckpointImageInfo ii;
+        ii.gcc = r.boundaryGcc(b);
+        if (b < m && r.segments_[b].hasStartCheckpoint) {
+            r.ckpts_.push_back({b, true});
+            ii.keyframe = true;
+            ii.rawBytes = r.segments_[b].startBlob.rawBytes;
+            ii.storedBytes = r.segments_[b].startBlob.compBytes;
+        } else if (b > 0 && r.segments_[b - 1].hasEndCheckpoint) {
+            const RingSegmentInfo &prev = r.segments_[b - 1];
+            r.ckpts_.push_back({b, false});
+            ii.keyframe = prev.segId == 0;
+            ii.baseGcc = ii.keyframe ? 0 : prev.startGcc;
+            ii.rawBytes = prev.endBlob.rawBytes;
+            ii.storedBytes = prev.endBlob.compBytes;
+        } else {
+            continue;
+        }
+        image_info.push_back(ii);
     }
-    r.images_.resize(r.ckpt_boundary_.size());
+    try {
+        r.indexImages(std::move(image_info));
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(ArchiveSection::kSegment,
+                           ArchiveError::kNoSegment, e.what());
+    }
     return r;
 }
 
@@ -909,30 +995,29 @@ RingArchiveReader::boundaryGcc(std::size_t b) const
                                 : segments_.back().endGcc;
 }
 
-SystemCheckpoint
-RingArchiveReader::decodeImage(std::size_t index) const
+std::vector<std::uint8_t>
+RingArchiveReader::storedImage(std::size_t index) const
 {
-    // Boundary b < m is segment b's start image; boundary m is the
-    // last segment's end image.
-    const std::size_t b = ckpt_boundary_[index];
-    const bool start = b < segments_.size();
-    const std::size_t pos = start ? b : b - 1;
-    const RingBlobInfo &blob =
-        start ? segments_[pos].startBlob : segments_[pos].endBlob;
+    const RetainedCheckpoint ckpt = ckpts_[index];
+    const std::size_t pos = ckpt.segment();
+    const RingBlobInfo &blob = ckpt.startBlob ? segments_[pos].startBlob
+                                              : segments_[pos].endBlob;
     std::vector<std::uint8_t> comp;
     if (!readFileRange(seg_paths_[pos], blob.fileOffset, blob.compBytes,
                        comp))
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            "torn checkpoint blob in " + seg_paths_[pos]);
-    const std::vector<std::uint8_t> raw =
-        decodeStored(comp.data(), comp.size(), blob.crc32, blob.rawBytes,
-                     ArchiveSection::kSegment, pos, "checkpoint blob");
-    try {
-        return decodeCheckpoint(raw.data(), raw.size());
-    } catch (const RecordingFormatError &e) {
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           std::string("checkpoint blob: ") + e.what());
-    }
+    return decodeStored(comp.data(), comp.size(), blob.crc32,
+                        blob.rawBytes, ArchiveSection::kSegment, pos,
+                        "checkpoint blob");
+}
+
+ArchiveError
+RingArchiveReader::imageError(std::size_t index,
+                              const std::string &what) const
+{
+    return ArchiveError(ArchiveSection::kSegment, ckpts_[index].segment(),
+                        "checkpoint blob: " + what);
 }
 
 std::uint64_t
@@ -945,16 +1030,6 @@ std::uint64_t
 RingArchiveReader::endGcc() const
 {
     return segments_.back().endGcc;
-}
-
-std::vector<std::uint64_t>
-RingArchiveReader::checkpointGccs() const
-{
-    std::vector<std::uint64_t> gccs;
-    gccs.reserve(ckpt_boundary_.size());
-    for (const std::size_t b : ckpt_boundary_)
-        gccs.push_back(boundaryGcc(b));
-    return gccs;
 }
 
 std::size_t
@@ -999,8 +1074,8 @@ RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
             "ring was not closed cleanly: final stats are "
             "unavailable, bound the interval at a retained "
             "checkpoint");
-    return assemble(ckpt_boundary_[from],
-                    to == kToEnd ? segments_.size() : ckpt_boundary_[to],
+    return assemble(ckpts_[from].boundary,
+                    to == kToEnd ? segments_.size() : ckpts_[to].boundary,
                     from, to);
 }
 

@@ -11,11 +11,18 @@
  *   ring.index      retained-set snapshot, atomically rewritten
  *
  * Each segment file carries its own header — magic, segment id, GCC
- * interval, the full START and END system checkpoints, payload sizes
- * and CRCs — so any contiguous run of surviving segment files is
- * independently decodable and *validatable* without a footer: replay
- * can start at any retained segment's start checkpoint and every
+ * interval, its checkpoint images, payload sizes and CRCs — so any
+ * contiguous run of surviving segment files that opens with a *chain
+ * head* is independently decodable and *validatable* without a
+ * footer: replay can start at any retained checkpoint and every
  * bounded interval is judged against the end checkpoint it runs to.
+ *
+ * Checkpoint images form chains (archive_detail::ImageChainer). A
+ * segment file carries its END checkpoint as a delta against its
+ * start checkpoint (segment 0: a keyframe), and a START image — the
+ * start checkpoint's keyframe — only when that checkpoint heads a
+ * chain. Such a file, and segment 0, is a chain head file; the files
+ * after it up to the next one make up its chain.
  * (This inverts the `.dla` layout, where checkpoints live in a footer
  * written last; a footer is exactly what a crashed recorder never
  * wrote.) The payload bytes for a given checkpoint interval are
@@ -29,22 +36,23 @@
  * GCC g >= P the newest durable segment's start checkpoint is at
  * most 2P-1 commits behind g (worst case: the in-progress segment is
  * one commit short of cutting, so the newest *complete* segment
- * started two periods ago). Eviction never removes the newest
- * complete segment, so a decodable replay starting point always
- * exists within the last T cycles provided T >= 2P —
- * RingOptions::validate() rejects anything tighter with a typed
- * ConfigError. The disk budget bounds retained bytes best-effort:
- * oldest whole segments are evicted first, and when the protected
- * newest segment alone exceeds the budget the writer keeps it and
- * counts a budgetOverrun instead of giving up the guarantee.
+ * started two periods ago). Eviction never removes the chain holding
+ * the newest complete segment, so that segment's start checkpoint
+ * stays decodable and a replay starting point always exists within
+ * the last T cycles provided T >= 2P — RingOptions::validate()
+ * rejects anything tighter with a typed ConfigError. The disk budget
+ * bounds retained bytes best-effort: oldest whole chains are evicted
+ * first, and when the protected newest chain alone exceeds the budget
+ * the writer keeps it and counts a budgetOverrun instead of giving up
+ * the guarantee.
  *
  * Crash consistency: segment files are written append-only in id
  * order and ring.index is replaced via write-to-temp + rename. After
  * a crash (torn tail segment, missing or stale index),
  * RingArchiveReader::open falls back to a directory scan, drops
  * structurally invalid files, and retains the newest contiguous run
- * of valid segments — salvage, never a crash or a silent wrong
- * answer.
+ * of valid segments from its first chain head on — salvage, never a
+ * crash or a silent wrong answer.
  */
 
 #ifndef DELOREAN_STORE_RING_HPP_
@@ -65,9 +73,9 @@ namespace delorean
 /** Configuration of a ring archive. */
 struct RingOptions
 {
-    /// Retained-bytes target. Oldest segments are evicted once the
-    /// live set exceeds this; the newest complete segment is never
-    /// evicted (see budgetOverruns).
+    /// Retained-bytes target. Oldest chains of segments are evicted
+    /// once the live set exceeds this; the chain holding the newest
+    /// complete segment is never evicted (see budgetOverruns).
     std::uint64_t budgetBytes = 4u << 20;
 
     /// Commits between checkpoints — the placement period P the
@@ -115,13 +123,19 @@ struct RingSegmentInfo
     std::uint64_t crc32 = 0;     ///< CRC-32 of the compressed payload
     std::uint64_t fileBytes = 0; ///< whole segment file size
     bool isTail = false;         ///< final segment of a clean close
-    bool hasStartCheckpoint = false; ///< false only for segment 0
+    /// The start checkpoint heads a chain: its keyframe is stored here
+    /// (never for segment 0, which has no start checkpoint).
+    bool hasStartCheckpoint = false;
     bool hasEndCheckpoint = false;   ///< false only for the tail
     /// The checkpoint image blobs (valid when the matching has* flag
-    /// is set). Readers decode them on demand:
-    /// RingArchiveReader::checkpointAt().
+    /// is set): the start keyframe, and the end image — a delta on
+    /// the start checkpoint, a keyframe for segment 0. Readers rebuild
+    /// images on demand: RingArchiveReader::checkpointAt().
     RingBlobInfo startBlob;
     RingBlobInfo endBlob;
+
+    /** Segment 0 or a start keyframe: a chain opens here. */
+    bool chainHead() const { return segId == 0 || hasStartCheckpoint; }
 };
 
 /** Writer-side counters (RingArchiveWriter::stats). */
@@ -132,7 +146,7 @@ struct RingWriterStats
     std::uint64_t liveBytes = 0;     ///< retained segment files
     std::uint64_t bytesWritten = 0;  ///< cumulative, incl. evicted
     /// Commits the live set exceeded the budget with nothing left to
-    /// evict (the protected newest segment alone is over budget).
+    /// evict (the protected newest chain alone is over budget).
     std::uint64_t budgetOverruns = 0;
     /// Worst observed replay-start lag, in commits: at the moment a
     /// segment completed, how far its end ran ahead of the then-newest
@@ -198,7 +212,7 @@ struct RingRecoveryInfo
     /// (unbounded reads and readAll work).
     bool clean = false;
     /// Segment files dropped during salvage (torn, corrupt,
-    /// non-contiguous or duplicate).
+    /// non-contiguous, duplicate, or before the first chain head).
     std::size_t droppedSegments = 0;
     /// Human-readable salvage notes, deterministic order.
     std::vector<std::string> notes;
@@ -212,16 +226,18 @@ struct RingRecoveryInfo
  *
  * open() reads the index, not the images. It scans every segment file
  * and makes every check that decides salvage: magics, sizes, CRCs of
- * the header, the checkpoint blobs, and each checkpoint's GCC and
- * context count against the segment header (read by decoding only
- * the head of the image blob). Parsing is O(#segments); no memory
- * image is built. CRC still covers every blob byte, and the payload
- * CRC waits for the first read of the segment, as before.
+ * the header, the checkpoint blobs, and each image's kind, GCC,
+ * context count and delta base GCC against the segment header (read
+ * by decoding only the head of the image blob). Parsing is
+ * O(#segments); no memory image is built. CRC still covers every blob
+ * byte, and the payload CRC waits for the first read of the segment.
  *
  * checkpointGccs() and newestCheckpointAtOrBefore() answer from the
- * segment headers. checkpointAt(), readInterval() and readAll() decode
- * an image on first use (re-reading and re-CRCing its blob) and
- * memoize it; a failure there is an ArchiveError naming the segment.
+ * segment headers. checkpointAt(), readInterval() and readAll()
+ * rebuild an image on first use from its chain (re-reading and
+ * re-CRCing the blobs) and memoize it; a failure there, a delta
+ * memory hash mismatch included, is an ArchiveError naming the
+ * segment.
  * Readers are not internally synchronized: use one per thread.
  */
 class RingArchiveReader : public archive_detail::ContainerReader
@@ -251,9 +267,6 @@ class RingArchiveReader : public archive_detail::ContainerReader
     /** Retained window in GCC space: (startGcc, endGcc]. */
     std::uint64_t startGcc() const;
     std::uint64_t endGcc() const;
-
-    /** GCCs of the decodable replay starting points, ascending. */
-    std::vector<std::uint64_t> checkpointGccs() const;
 
     /**
      * Index of the newest checkpoint with GCC <= @p cycle — the
@@ -286,7 +299,10 @@ class RingArchiveReader : public archive_detail::ContainerReader
 
     std::vector<std::uint8_t>
     segmentPayload(std::size_t pos) const override;
-    SystemCheckpoint decodeImage(std::size_t index) const override;
+    std::vector<std::uint8_t>
+    storedImage(std::size_t index) const override;
+    ArchiveError imageError(std::size_t index,
+                            const std::string &what) const override;
     /// GCC of boundary @p b (0..segments().size()).
     std::uint64_t boundaryGcc(std::size_t b) const;
 
@@ -296,8 +312,20 @@ class RingArchiveReader : public archive_detail::ContainerReader
     std::vector<RingSegmentInfo> segments_;
     std::vector<std::string> seg_paths_;      ///< parallel to segments_
     std::vector<std::uint64_t> payload_off_;  ///< parallel to segments_
-    /// Boundary index (0..segments count) of each checkpoint.
-    std::vector<std::size_t> ckpt_boundary_;
+    /// Where a retained checkpoint lies: its boundary (0..segments
+    /// count), and its stored image — segment @c boundary's start blob
+    /// (a keyframe) or segment @c boundary - 1's end blob.
+    struct RetainedCheckpoint
+    {
+        std::size_t boundary = 0;
+        bool startBlob = false;
+
+        std::size_t segment() const
+        {
+            return startBlob ? boundary : boundary - 1;
+        }
+    };
+    std::vector<RetainedCheckpoint> ckpts_; ///< one per checkpoint
 };
 
 } // namespace delorean

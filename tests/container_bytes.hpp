@@ -8,8 +8,10 @@
 #ifndef DELOREAN_TESTS_CONTAINER_BYTES_HPP_
 #define DELOREAN_TESTS_CONTAINER_BYTES_HPP_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -55,6 +57,27 @@ writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Every file of a ring directory, by name order: each name, a NUL,
+ * then the file's bytes — what two rings must share to be identical.
+ */
+inline std::string
+ringDirBytes(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    std::sort(names.begin(), names.end());
+    std::string all;
+    for (const std::string &name : names) {
+        const std::vector<std::uint8_t> bytes = readFile(dir + "/" + name);
+        all += name;
+        all.push_back('\0');
+        all.append(bytes.begin(), bytes.end());
+    }
+    return all;
 }
 
 /**

@@ -17,16 +17,21 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "compress/lz77.hpp"
 #include "core/recorder.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
+#include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
 #include "store/ring.hpp"
 #include "validate/fault_injector.hpp"
+#include "validate/replay_check.hpp"
 
 #include "container_bytes.hpp"
 
@@ -309,11 +314,12 @@ TEST(RingFaults, ForgedPayloadSizeThatWrapsTheExtentIsDropped)
 
 TEST(RingFaults, EachMutationKindLandsInItsExpectedBucket)
 {
-    // Taxonomy: a deleted interior segment shrinks the window
-    // (salvage, never a crash); a torn tail drops exactly the torn
-    // file; a lying index is overruled by the directory scan, so an
-    // index-only fault can never reject a ring whose segments are
-    // intact.
+    // Taxonomy: a deleted interior segment shrinks the window to the
+    // first chain head after it (salvage, never a crash), or, when no
+    // chain head follows it, is a typed rejection; a torn tail drops
+    // exactly the torn file; a lying index is overruled by the
+    // directory scan, so an index-only fault can never reject a ring
+    // whose segments are intact.
     const Recording rec = record(ModeConfig::orderOnly());
     ASSERT_GE(rec.checkpoints.size(), 2u);
     const std::string dir =
@@ -328,7 +334,11 @@ TEST(RingFaults, EachMutationKindLandsInItsExpectedBucket)
             dir, RingMutationKind::kEvictedGap, seed);
         ASSERT_NE(gap.outcome, MutantOutcome::kUnexpected)
             << "gap seed " << seed << ": " << gap.message;
-        EXPECT_TRUE(gap.salvaged) << "gap seed " << seed;
+        EXPECT_TRUE(gap.salvaged
+                    || (gap.outcome == MutantOutcome::kRejectedAtLoad
+                        && gap.message.find("no chain head")
+                               != std::string::npos))
+            << "gap seed " << seed << ": " << gap.message;
 
         const RingMutantResult torn = runRingMutant(
             dir, RingMutationKind::kTornTail, seed);
@@ -586,6 +596,383 @@ TEST(ArchiveFaults, SweepAccountingAddsUp)
                   + sweep.unexpected);
     EXPECT_EQ(sweep.unexpectedResults.size(), sweep.unexpected);
     EXPECT_FALSE(sweep.describe().empty());
+}
+
+// ----- checkpoint chains (keyframes and deltas) -----------------------------
+
+/** The stored images of @p rec's checkpoints, as the writers chain them. */
+std::vector<archive_detail::CheckpointImages>
+chainImages(const Recording &rec)
+{
+    archive_detail::ImageChainer chainer;
+    std::vector<archive_detail::CheckpointImages> images;
+    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
+        images.push_back(chainer.next(i ? &rec.checkpoints[i - 1] : nullptr,
+                                      rec.checkpoints[i]));
+    return images;
+}
+
+/** An OrderOnly fft run whose checkpoints form several chains. */
+const Recording &
+chainedRecording()
+{
+    static const Recording rec = record(ModeConfig::orderOnly(), 10);
+    return rec;
+}
+
+/**
+ * The first chain head after checkpoint 0 that a delta follows: its
+ * index, so that index + 1 is a delta on it.
+ */
+std::size_t
+headWithDelta(const std::vector<archive_detail::CheckpointImages> &images)
+{
+    for (std::size_t i = 1; i + 1 < images.size(); ++i)
+        if (images[i].headsChain() && !images[i + 1].headsChain())
+            return i;
+    return 0;
+}
+
+/** Offset of @p image's stored form in the raw footer. */
+std::size_t
+footerImageOffset(const std::vector<std::uint8_t> &footer,
+                  const archive_detail::CheckpointImages &image)
+{
+    const std::string &image_bytes = image.chainImage();
+    const std::vector<std::uint8_t> want(image_bytes.begin(),
+                                         image_bytes.end());
+    const auto it = std::search(footer.begin(), footer.end(), want.begin(),
+                                want.end());
+    return static_cast<std::size_t>(it - footer.begin());
+}
+
+/** @p bytes with the footer u64 at @p offset set to @p value, re-sealed. */
+std::vector<std::uint8_t>
+forgeFooter(const std::vector<std::uint8_t> &bytes, std::size_t offset,
+            std::uint64_t value)
+{
+    std::vector<std::uint8_t> footer = rawFooter(bytes);
+    putU64At(footer, offset, value);
+    std::vector<std::uint8_t> out = bytes;
+    rewriteFooter(out, u64At(bytes, bytes.size() - 40), footer);
+    return out;
+}
+
+template <typename Fn>
+void
+expectFooterError(Fn fn, const std::string &what)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "accepted; expected '" << what << "'";
+    } catch (const ArchiveError &e) {
+        EXPECT_EQ(e.section(), ArchiveSection::kFooter) << e.what();
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ChainFaults, DlaCorruptedKeyframeFailsTheNextDeltaHash)
+{
+    const Recording &rec = chainedRecording();
+    const auto images = chainImages(rec);
+    const std::size_t head = headWithDelta(images);
+    ASSERT_GT(head, 0u) << "no mid-run chain head followed by a delta";
+    const std::vector<std::uint8_t> bytes = archive(rec);
+    const std::vector<std::uint8_t> footer = rawFooter(bytes);
+    const std::size_t at = footerImageOffset(footer, images[head]);
+    ASSERT_LT(at, footer.size());
+    ASSERT_EQ(u64At(footer, at), rec.checkpoints[head].gcc);
+
+    // The first word's value: structure intact, content wrong, footer
+    // re-sealed so only the chain's memory hash can notice.
+    const std::size_t value_at =
+        at + serialize_detail::checkpointHeaderBytes(4) + 8;
+    const std::vector<std::uint8_t> bad =
+        forgeFooter(bytes, value_at, u64At(footer, value_at) ^ 1);
+    const ArchiveReader reader = ArchiveReader::fromBytes(bad);
+    EXPECT_NO_THROW(reader.checkpointAt(head - 1));
+    expectFooterError([&] { reader.checkpointAt(head + 1); },
+                      "memory hash mismatch");
+    expectFooterError([&] { reader.readAll(); }, "memory hash mismatch");
+}
+
+TEST(ChainFaults, DlaDeltaWithForgedBaseGccFailsAtOpen)
+{
+    const Recording &rec = chainedRecording();
+    const auto images = chainImages(rec);
+    const std::size_t delta = headWithDelta(images) + 1;
+    ASSERT_GT(delta, 1u);
+    const std::vector<std::uint8_t> bytes = archive(rec);
+    const std::vector<std::uint8_t> footer = rawFooter(bytes);
+    const std::size_t at = footerImageOffset(footer, images[delta]);
+    ASSERT_LT(at, footer.size());
+    const std::size_t base_at =
+        at + serialize_detail::checkpointHeaderBytes(4) - 8;
+    ASSERT_EQ(u64At(footer, base_at), rec.checkpoints[delta - 1].gcc);
+    const std::vector<std::uint8_t> bad =
+        forgeFooter(bytes, base_at, rec.checkpoints[delta - 1].gcc + 1);
+    expectFooterError([&] { ArchiveReader::fromBytes(bad); },
+                      "delta base GCC");
+}
+
+TEST(ChainFaults, DlaDeltaWithForgedMemoryHashFailsItsRebuild)
+{
+    const Recording &rec = chainedRecording();
+    const auto images = chainImages(rec);
+    const std::size_t delta = headWithDelta(images) + 1;
+    ASSERT_GT(delta, 1u);
+    const std::vector<std::uint8_t> bytes = archive(rec);
+    const std::vector<std::uint8_t> footer = rawFooter(bytes);
+    const std::size_t at = footerImageOffset(footer, images[delta]);
+    ASSERT_LT(at, footer.size());
+    const std::size_t hash_at = at + images[delta].delta.size() - 8;
+    const std::vector<std::uint8_t> bad =
+        forgeFooter(bytes, hash_at, u64At(footer, hash_at) + 1);
+    const ArchiveReader reader = ArchiveReader::fromBytes(bad);
+    EXPECT_NO_THROW(reader.checkpointAt(delta - 1));
+    expectFooterError([&] { reader.checkpointAt(delta); },
+                      "memory hash mismatch");
+    expectFooterError([&] { reader.readInterval(delta - 1, delta); },
+                      "memory hash mismatch");
+    expectFooterError([&] { reader.readAll(); }, "memory hash mismatch");
+}
+
+/** Ring of chainedRecording() in a fresh @p name directory. */
+std::string
+chainedRing(const std::string &name)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / name).string();
+    std::filesystem::remove_all(dir);
+    RingOptions opts;
+    opts.checkpointPeriod = 10;
+    opts.budgetBytes = 1u << 30;
+    writeRing(chainedRecording(), dir, opts);
+    return dir;
+}
+
+std::string
+segPath(const std::string &dir, std::size_t id)
+{
+    char name[32];
+    std::snprintf(name, sizeof name, "seg-%012zu", id);
+    return dir + "/" + name;
+}
+
+/**
+ * Re-encode one checkpoint image of ring segment file @p path — its
+ * start blob, or its end blob — through @p edit, re-sealing the blob
+ * and the header so only the image's content can be judged.
+ */
+template <typename Fn>
+void
+editRingImage(const std::string &path, bool start, Fn edit)
+{
+    // Header blob u64s: startGcc, endGcc, isTail, startKind, [start
+    // raw/comp/crc], endKind, [end raw/comp/crc], payload raw/comp/crc.
+    const std::vector<std::uint8_t> file = readFile(path);
+    const Lz77 codec;
+    const std::size_t hcomp = u64At(file, 32);
+    std::vector<std::uint8_t> header =
+        codec.decompress(file.data() + 48, hcomp);
+    const bool has_start = u64At(header, 24) != 0;
+    const std::size_t start_comp = has_start ? u64At(header, 40) : 0;
+    const std::size_t end_field = has_start ? 56 : 32;
+    const std::size_t blob_off = 48 + hcomp + (start ? 0 : start_comp);
+    const std::size_t field = start ? 32 : end_field + 8;
+    ASSERT_TRUE(start ? has_start : u64At(header, end_field) != 0);
+    const std::size_t comp = u64At(header, field + 8);
+    std::vector<std::uint8_t> raw =
+        codec.decompress(file.data() + blob_off, comp);
+    edit(raw);
+    const std::vector<std::uint8_t> blob = codec.compress(raw);
+    putU64At(header, field, raw.size());
+    putU64At(header, field + 8, blob.size());
+    putU64At(header, field + 16, crc32(blob.data(), blob.size()));
+    const std::vector<std::uint8_t> hblob = codec.compress(header);
+    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
+    putU64At(out, 32, hblob.size());
+    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
+    out.insert(out.end(), hblob.begin(), hblob.end());
+    out.insert(out.end(), file.begin() + static_cast<long>(48 + hcomp),
+               file.begin() + static_cast<long>(blob_off));
+    out.insert(out.end(), blob.begin(), blob.end());
+    out.insert(out.end(), file.begin() + static_cast<long>(blob_off + comp),
+               file.end());
+    writeFile(path, out);
+}
+
+/**
+ * The chain contract after a fault: either a typed rejection at open,
+ * or a salvaged window that opens with a chain head and whose every
+ * bounded interval replays identically. True when the ring opened.
+ */
+bool
+expectRejectedOrSalvagedToHead(const std::string &dir,
+                               const std::string &label)
+{
+    std::optional<RingArchiveReader> ring;
+    try {
+        ring.emplace(RingArchiveReader::open(dir));
+    } catch (const ArchiveError &) {
+        return false;
+    }
+    EXPECT_TRUE(ring->segments().front().chainHead()) << label;
+    if (ring->checkpointCount() == 0) {
+        ADD_FAILURE() << label << ": opened without a checkpoint";
+        return true;
+    }
+    EXPECT_TRUE(ring->imageInfo(0).keyframe) << label;
+    for (std::size_t i = 0; i + 1 < ring->checkpointCount(); ++i) {
+        ReplayCheckOptions opts;
+        opts.startCheckpoint = 0;
+        opts.stopCheckpoint = 1;
+        const ReplayCheckResult result =
+            checkedReplay(ring->readInterval(i, i + 1), opts);
+        EXPECT_TRUE(result.ok) << label << " interval " << i;
+    }
+    return true;
+}
+
+TEST(ChainFaults, RingCorruptedKeyframeIsDroppedOrFailsTheNextDelta)
+{
+    const auto images = chainImages(chainedRecording());
+    const std::size_t head = headWithDelta(images);
+    ASSERT_GT(head, 0u);
+    // Checkpoint j closes segment j, so segment head + 1 starts with
+    // checkpoint head's keyframe.
+    {
+        // Unsealed: the scan's CRC drops the file; salvage then starts
+        // at the next chain head after the gap.
+        const std::string dir = chainedRing("delorean-chain-keyframe-crc");
+        std::vector<std::uint8_t> file = readFile(segPath(dir, head + 1));
+        const std::size_t hcomp = u64At(file, 32);
+        file[48 + hcomp + 5] ^= 0x20;
+        writeFile(segPath(dir, head + 1), file);
+        const RingArchiveReader ring = RingArchiveReader::open(dir);
+        EXPECT_GT(ring.segments().front().segId, head + 1);
+        expectRejectedOrSalvagedToHead(dir, "unsealed keyframe");
+        std::filesystem::remove_all(dir);
+    }
+    {
+        // Re-sealed: the scan accepts it; the delta after it carries
+        // the memory hash that rejects the rebuilt image.
+        const std::string dir = chainedRing("delorean-chain-keyframe");
+        editRingImage(segPath(dir, head + 1), true,
+                      [](std::vector<std::uint8_t> &raw) {
+                          const std::size_t v =
+                              serialize_detail::checkpointHeaderBytes(4)
+                              + 8;
+                          putU64At(raw, v, u64At(raw, v) ^ 1);
+                      });
+        const RingArchiveReader ring = RingArchiveReader::open(dir);
+        ASSERT_TRUE(ring.recovery().clean);
+        try {
+            ring.checkpointAt(head + 1);
+            ADD_FAILURE() << "corrupted keyframe rebuilt silently";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kSegment);
+            EXPECT_NE(std::string(e.what()).find("memory hash mismatch"),
+                      std::string::npos)
+                << e.what();
+        }
+        std::filesystem::remove_all(dir);
+    }
+}
+
+TEST(ChainFaults, RingDeltaWithForgedBaseGccIsDroppedAtScan)
+{
+    const auto images = chainImages(chainedRecording());
+    const std::size_t delta = headWithDelta(images) + 1;
+    ASSERT_GT(delta, 1u);
+    const std::string dir = chainedRing("delorean-chain-base");
+    // Segment delta closes with checkpoint delta's end image.
+    editRingImage(segPath(dir, delta), false,
+                  [](std::vector<std::uint8_t> &raw) {
+                      const std::size_t b =
+                          serialize_detail::checkpointHeaderBytes(4) - 8;
+                      putU64At(raw, b, u64At(raw, b) + 1);
+                  });
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    const std::vector<std::string> &notes = ring.recovery().notes;
+    EXPECT_NE(std::find(notes.begin(), notes.end(),
+                        "seg-" + std::string(12 - std::to_string(delta)
+                                                      .size(),
+                                             '0')
+                            + std::to_string(delta)
+                            + ": end checkpoint disagrees with the header"),
+              notes.end());
+    expectRejectedOrSalvagedToHead(dir, "forged base GCC");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ChainFaults, RingDeltaWithForgedMemoryHashFailsItsRebuild)
+{
+    const auto images = chainImages(chainedRecording());
+    const std::size_t delta = headWithDelta(images) + 1;
+    ASSERT_GT(delta, 1u);
+    const std::string dir = chainedRing("delorean-chain-hash");
+    editRingImage(segPath(dir, delta), false,
+                  [](std::vector<std::uint8_t> &raw) {
+                      putU64At(raw, raw.size() - 8,
+                               u64At(raw, raw.size() - 8) + 1);
+                  });
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    ASSERT_TRUE(ring.recovery().clean);
+    EXPECT_NO_THROW(ring.checkpointAt(delta - 1));
+    for (const auto &read :
+         {std::function<void()>([&] { ring.checkpointAt(delta); }),
+          std::function<void()>([&] { ring.readInterval(delta - 1, delta); }),
+          std::function<void()>([&] { ring.readAll(); })}) {
+        try {
+            read();
+            ADD_FAILURE() << "forged memory hash accepted";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kSegment);
+            EXPECT_EQ(e.segment(), delta);
+            EXPECT_NE(std::string(e.what()).find("memory hash mismatch"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A mid-chain file deleted, as kEvictedGap does, and a torn chain-head
+ * file: for every such pair the ring is rejected typed or salvaged to
+ * a chain head whose window replays identically.
+ */
+TEST(ChainFaults, RingMidChainGapAndTornChainHead)
+{
+    const auto images = chainImages(chainedRecording());
+    std::vector<std::size_t> heads;   // chain-head segment ids
+    std::vector<std::size_t> members; // mid-chain segment ids
+    for (std::size_t i = 1; i < images.size(); ++i)
+        (images[i - 1].headsChain() ? heads : members).push_back(i);
+    ASSERT_GE(heads.size(), 2u);
+    ASSERT_FALSE(members.empty());
+    std::size_t salvaged = 0;
+    std::size_t rejected = 0;
+    for (const std::size_t gap : members) {
+        for (const std::size_t head : heads) {
+            const std::string dir = chainedRing("delorean-chain-gap");
+            std::filesystem::remove(segPath(dir, gap));
+            const std::string torn = segPath(dir, head);
+            if (head != gap)
+                std::filesystem::resize_file(
+                    torn, std::filesystem::file_size(torn) / 2);
+            (expectRejectedOrSalvagedToHead(
+                 dir, "gap " + std::to_string(gap) + " torn "
+                          + std::to_string(head))
+                 ? salvaged
+                 : rejected)++;
+            std::filesystem::remove_all(dir);
+        }
+    }
+    EXPECT_GT(salvaged, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

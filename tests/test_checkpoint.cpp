@@ -7,7 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/delorean.hpp"
+#include "core/serialize_detail.hpp"
 
 namespace delorean
 {
@@ -221,6 +228,149 @@ TEST(Checkpoint, BoundedIntervalFromStartOfRun)
     const ReplayOutcome out = engine.replay(rec);
     EXPECT_TRUE(out.deterministicExact);
     EXPECT_EQ(out.fingerprint.commits.size(), 30u);
+}
+
+// ----- checkpoint-image codec (serialize_detail) ----------------------------
+
+/**
+ * @p ckpt with its memory rebuilt by storing the words in descending
+ * address order: the same content, a different insertion history (and
+ * so a different slot layout).
+ */
+SystemCheckpoint
+reinserted(const SystemCheckpoint &ckpt)
+{
+    std::vector<std::pair<Addr, std::uint64_t>> words;
+    ckpt.memory.forEachWord([&words](Addr addr, std::uint64_t value) {
+        words.emplace_back(addr, value);
+    });
+    std::sort(words.rbegin(), words.rend());
+    SystemCheckpoint copy = ckpt;
+    copy.memory = MemoryState();
+    for (const auto &[addr, value] : words)
+        copy.memory.store(addr, value);
+    return copy;
+}
+
+/**
+ * Property test of the delta codec over random checkpoint histories
+ * that store a word's default value (erasing it), grow the memory
+ * table between two checkpoints, and rewrite contexts and counters:
+ * applying delta(prev, cur) to prev rebuilds cur exactly (same
+ * keyframe bytes, equal memory, same hash), and both encodings are a
+ * pure function of content — two states with equal content but a
+ * different insertion order encode to the same bytes.
+ */
+TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
+{
+    using namespace serialize_detail;
+    Xoshiro256ss rng(0xC0DEC5ull);
+    SystemCheckpoint cur;
+    cur.contexts.resize(4);
+    cur.committedChunks.assign(4, 0);
+    SystemCheckpoint prev = cur;
+    std::size_t grew = 0;
+    std::size_t erased_steps = 0;
+    for (int step = 0; step < 40; ++step) {
+        cur.gcc += 1 + rng.below(50);
+        cur.dmaConsumed += rng.below(3);
+        cur.rrNext = static_cast<ProcId>(rng.below(4));
+        for (std::size_t p = 0; p < 4; ++p) {
+            cur.committedChunks[p] += rng.below(5);
+            cur.contexts[p].acc = rng.next();
+            cur.contexts[p].retired += rng.below(1000);
+        }
+        const std::size_t before = cur.memory.population();
+        const bool burst = step % 9 == 4;
+        const unsigned stores =
+            static_cast<unsigned>(rng.below(300)) + (burst ? 4000u : 0u);
+        bool erased = false;
+        for (unsigned k = 0; k < stores; ++k) {
+            const Addr addr = rng.below(burst ? 40000 : 4000);
+            if (rng.below(5) == 0) {
+                erased = erased || cur.memory.contains(addr);
+                cur.memory.store(addr, MemoryState::initValue(addr));
+            } else {
+                cur.memory.store(addr, rng.next());
+            }
+        }
+        grew += burst && cur.memory.population() > 2 * before;
+        erased_steps += erased;
+
+        const std::string delta = encodeDelta(prev, cur);
+        SystemCheckpoint rebuilt = prev;
+        applyDelta(rebuilt, reinterpret_cast<const std::uint8_t *>(
+                                delta.data()),
+                   delta.size());
+        EXPECT_TRUE(rebuilt.memory == cur.memory) << "step " << step;
+        EXPECT_EQ(rebuilt.memory.hash(), cur.memory.hash());
+        EXPECT_EQ(encodeKeyframe(rebuilt), encodeKeyframe(cur))
+            << "step " << step;
+
+        const SystemCheckpoint prev2 = reinserted(prev);
+        const SystemCheckpoint cur2 = reinserted(cur);
+        EXPECT_EQ(encodeDelta(prev2, cur2), delta) << "step " << step;
+        EXPECT_EQ(encodeKeyframe(cur2), encodeKeyframe(cur));
+
+        // A keyframe decodes back to the same checkpoint.
+        const std::string key = encodeKeyframe(cur);
+        const SystemCheckpoint decoded = decodeCheckpoint(
+            reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
+        EXPECT_TRUE(decoded.memory == cur.memory);
+        prev = cur;
+    }
+    EXPECT_GT(grew, 0u);
+    EXPECT_GT(erased_steps, 0u);
+}
+
+/** applyDelta rejects a delta whose base or memory hash disagrees. */
+TEST(DeltaCodec, ApplyRejectsForgedBaseAndHash)
+{
+    using namespace serialize_detail;
+    SystemCheckpoint prev;
+    prev.gcc = 10;
+    prev.contexts.resize(2);
+    prev.committedChunks.assign(2, 1);
+    prev.memory.store(1, 5);
+    SystemCheckpoint cur = prev;
+    cur.gcc = 20;
+    cur.memory.store(2, 6);
+    cur.memory.store(1, MemoryState::initValue(1));
+    const std::string delta = encodeDelta(prev, cur);
+    const auto bytes = [](const std::string &s) {
+        return reinterpret_cast<const std::uint8_t *>(s.data());
+    };
+
+    SystemCheckpoint wrong_base = prev;
+    wrong_base.gcc = 11;
+    EXPECT_THROW(applyDelta(wrong_base, bytes(delta), delta.size()),
+                 RecordingFormatError);
+
+    std::string forged = delta;
+    forged[forged.size() - 1] ^= 0x40; // the memory hash's top byte
+    SystemCheckpoint base = prev;
+    try {
+        applyDelta(base, bytes(forged), forged.size());
+        ADD_FAILURE() << "forged hash accepted";
+    } catch (const RecordingFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find("memory hash mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // Every truncation fails typed, never reads past the end.
+    for (std::size_t cut = 0; cut < delta.size(); ++cut) {
+        SystemCheckpoint b = prev;
+        EXPECT_THROW(applyDelta(b, bytes(delta), cut), RecordingFormatError)
+            << "cut " << cut;
+        EXPECT_THROW(scanImage(ImageKind::kDelta, bytes(delta), cut, cut),
+                     RecordingFormatError)
+            << "cut " << cut;
+    }
+    EXPECT_EQ(scanImage(ImageKind::kDelta, bytes(delta), delta.size(),
+                        delta.size())
+                  .bytes,
+              delta.size());
 }
 
 } // namespace

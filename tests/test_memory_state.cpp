@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "memory/memory_state.hpp"
 
 namespace delorean
@@ -80,6 +85,97 @@ TEST(MemoryState, SnapshotIsIndependent)
     m.store(3, 44);
     EXPECT_EQ(snap.load(3), 33u);
     EXPECT_EQ(m.load(3), 44u);
+}
+
+using Changes =
+    std::pair<std::vector<std::pair<Addr, std::uint64_t>>,
+              std::vector<Addr>>;
+
+/** forEachChange() results, sorted. */
+Changes
+changesOf(const MemoryState &base, const MemoryState &now)
+{
+    Changes c;
+    now.forEachChange(
+        base,
+        [&c](Addr addr, std::uint64_t value) {
+            c.first.emplace_back(addr, value);
+        },
+        [&c](Addr addr) { c.second.push_back(addr); });
+    std::sort(c.first.begin(), c.first.end());
+    std::sort(c.second.begin(), c.second.end());
+    return c;
+}
+
+/** The reference diff: look every live word up in the other state. */
+Changes
+lookupDiff(const MemoryState &base, const MemoryState &now)
+{
+    Changes c;
+    now.forEachWord([&](Addr addr, std::uint64_t value) {
+        if (base.load(addr) != value)
+            c.first.emplace_back(addr, value);
+    });
+    base.forEachWord([&](Addr addr, std::uint64_t) {
+        if (!now.contains(addr))
+            c.second.push_back(addr);
+    });
+    std::sort(c.first.begin(), c.first.end());
+    std::sort(c.second.begin(), c.second.end());
+    return c;
+}
+
+TEST(MemoryState, ContainsTracksLiveWords)
+{
+    MemoryState m;
+    EXPECT_FALSE(m.contains(7));
+    m.store(7, 1);
+    EXPECT_TRUE(m.contains(7));
+    m.store(7, MemoryState::initValue(7));
+    EXPECT_FALSE(m.contains(7));
+}
+
+/**
+ * The lockstep diff equals the lookup diff over random histories:
+ * rewrites, stores of a word's default value (which erase it), fresh
+ * words that grow the table between two snapshots (capacities then
+ * differ), and erases that backward-shift words into other slots
+ * (capacities equal, layouts not).
+ */
+TEST(MemoryState, ForEachChangeMatchesLookupDiff)
+{
+    Xoshiro256ss rng(0xD1FFull);
+    MemoryState m;
+    MemoryState prev = m.snapshot();
+    for (int step = 0; step < 60; ++step) {
+        const unsigned stores = static_cast<unsigned>(rng.below(400));
+        // A few steps add thousands of fresh words to force a rehash.
+        const Addr span = step % 15 == 7 ? 20000 : 3000;
+        for (unsigned k = 0; k < stores + (span > 3000 ? 3000u : 0u);
+             ++k) {
+            const Addr addr = rng.below(span);
+            if (rng.below(4) == 0)
+                m.store(addr, MemoryState::initValue(addr));
+            else
+                m.store(addr, rng.below(8));
+        }
+        const MemoryState cur = m.snapshot();
+        EXPECT_EQ(changesOf(prev, cur), lookupDiff(prev, cur))
+            << "step " << step;
+        EXPECT_EQ(changesOf(cur, prev), lookupDiff(cur, prev))
+            << "step " << step;
+        prev = cur;
+    }
+
+    // Equal content, different insertion order: no changes either way.
+    MemoryState a, b;
+    for (Addr addr = 0; addr < 2000; ++addr)
+        a.store(addr, addr + 1);
+    for (Addr addr = 2000; addr-- > 0;)
+        b.store(addr, addr + 1);
+    ASSERT_TRUE(a == b);
+    EXPECT_EQ(changesOf(a, b), Changes());
+    EXPECT_EQ(changesOf(b, a), Changes());
 }
 
 } // namespace

@@ -418,10 +418,10 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
     // lag contract must hold throughout.
     const std::string dir = ringDir("evict");
     RingOptions opts;
-    // Segment files are dominated by their two checkpoint images
-    // (~100 KiB each here): this holds roughly the newest 3-4
-    // segments of a ~5 MiB run.
-    opts.budgetBytes = 512u << 10;
+    // Checkpoints are stored as chains of deltas after a keyframe, so
+    // a chain head file is many times the size of the files after it:
+    // this holds the newest chain of a ~390 KB run.
+    opts.budgetBytes = 128u << 10;
     opts.checkpointPeriod = 10;
     RingArchiveWriter writer(dir, opts);
     const Recording rec =
@@ -435,8 +435,14 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
     EXPECT_LE(stats.maxCheckpointSpacing, opts.checkpointPeriod);
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
-    // Over budget only when the protected newest segment alone is.
-    if (ring.segments().size() > 1) {
+    // Whole chains are evicted: the retained run opens with a chain
+    // head, and it is over budget only when the protected newest
+    // chain alone is.
+    ASSERT_TRUE(ring.segments().front().chainHead());
+    const auto heads = std::count_if(
+        ring.segments().begin(), ring.segments().end(),
+        [](const RingSegmentInfo &seg) { return seg.chainHead(); });
+    if (heads > 1) {
         EXPECT_LE(stats.liveBytes, opts.budgetBytes);
     }
     EXPECT_TRUE(ring.recovery().clean);
@@ -580,8 +586,14 @@ TEST(Ring, GapSalvageKeepsNewestContiguousRun)
     ASSERT_GE(total, 4u);
 
     // Punch a hole in the middle: everything older than the gap is
-    // unreachable (its end checkpoint chain is broken).
+    // unreachable (its end checkpoint chain is broken), and so is every
+    // file after it up to the next chain head, whose keyframe the
+    // deltas before it would need.
     const std::uint64_t victim = before.segments()[1].segId;
+    std::size_t head = 2;
+    while (head < total && !before.segments()[head].chainHead())
+        ++head;
+    ASSERT_LT(head, total);
     std::ostringstream name;
     name << "seg-" << std::setw(12) << std::setfill('0') << victim;
     ASSERT_TRUE(
@@ -589,8 +601,10 @@ TEST(Ring, GapSalvageKeepsNewestContiguousRun)
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     EXPECT_FALSE(ring.recovery().usedIndex);
-    EXPECT_EQ(ring.segments().size(), total - 2); // victim + older
-    EXPECT_EQ(ring.segments().front().segId, victim + 1);
+    EXPECT_EQ(ring.segments().size(), total - head);
+    EXPECT_EQ(ring.recovery().droppedSegments, head - 1);
+    EXPECT_EQ(ring.segments().front().segId,
+              before.segments()[head].segId);
     // Still clean-decodable after the cut: the index no longer
     // matches, so finals are dropped, but bounded reads survive.
     ASSERT_GE(ring.checkpointCount(), 1u);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <fstream>
 #include <sstream>
 
@@ -19,6 +21,7 @@
 #include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/crc32.hpp"
+#include "store/ring.hpp"
 #include "trace/app_profile.hpp"
 
 #include "container_bytes.hpp"
@@ -600,9 +603,15 @@ TEST(Store, StreamingWriterByteIdenticalAllModes)
     // The archive writer fed one checkpoint at a time from the record
     // loop must emit exactly the bytes of the same writer fed the
     // whole recording at close() (writeArchive), at any codec worker
-    // count: the two feed paths cut and batch segments differently.
+    // count: the two feed paths cut and batch segments differently,
+    // and the keyframe/delta choice must not depend on either. The
+    // same holds for the ring writer's directory (with a budget that
+    // evicts whole chains), and both containers' bytes are the same
+    // at every ioThreads.
+    std::map<std::string, std::string> dla_bytes;
+    std::map<std::string, std::string> ring_bytes;
     for (const auto &[mode_name, mode] : allModes()) {
-        for (const unsigned threads : {1u, 4u}) {
+        for (const unsigned threads : {1u, 2u, 4u}) {
             Workload w("radix", 4, 9, WorkloadScale::tiny());
             Recorder recorder(mode, machine());
 
@@ -637,8 +646,102 @@ TEST(Store, StreamingWriterByteIdenticalAllModes)
             writeArchive(rec, written);
             EXPECT_EQ(std::move(written).str(), expect)
                 << mode_name << " writeArchive ioThreads=" << threads;
+            if (dla_bytes.count(mode_name)) {
+                EXPECT_EQ(dla_bytes[mode_name], expect)
+                    << mode_name << " ioThreads=" << threads;
+            }
+            dla_bytes[mode_name] = expect;
+
+            // The ring: hook-fed equals close-fed.
+            RingOptions ropts;
+            ropts.checkpointPeriod = 20;
+            ropts.budgetBytes = 40000;
+            ropts.io.ioThreads = threads;
+            const std::string hook_dir =
+                testing::TempDir() + "store_ring_hook_" + mode_name;
+            const std::string close_dir =
+                testing::TempDir() + "store_ring_close_" + mode_name;
+            std::filesystem::remove_all(hook_dir);
+            std::filesystem::remove_all(close_dir);
+            RingArchiveWriter ring(hook_dir, ropts);
+            const Recording again = Recorder(mode, machine())
+                                        .record(w, 1, true, {}, 20,
+                                                [&ring](const Recording &r) {
+                                                    ring.onCheckpoint(r);
+                                                });
+            ring.close(again);
+            EXPECT_GT(ring.stats().segmentsEvicted, 0u) << mode_name;
+            RingArchiveWriter fed_ring(close_dir, ropts);
+            fed_ring.close(again);
+            const std::string ring_expect =
+                test::ringDirBytes(close_dir);
+            EXPECT_EQ(test::ringDirBytes(hook_dir), ring_expect)
+                << mode_name << " ring hook-fed ioThreads=" << threads;
+            if (ring_bytes.count(mode_name)) {
+                EXPECT_EQ(ring_bytes[mode_name], ring_expect)
+                    << mode_name << " ring ioThreads=" << threads;
+            }
+            ring_bytes[mode_name] = ring_expect;
+            std::filesystem::remove_all(hook_dir);
+            std::filesystem::remove_all(close_dir);
         }
     }
+}
+
+/**
+ * The keyframe rule's bound, read back from both containers: the
+ * stored images a rebuild reads — the chain's keyframe and every
+ * delta up to the image — never exceed twice the keyframe's raw
+ * bytes. The run is long enough to form several chains of both
+ * kinds.
+ */
+TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
+{
+    Workload w("ocean", 4, 9, WorkloadScale::tiny());
+    const Recording rec = Recorder(ModeConfig::orderOnly(), machine())
+                              .record(w, 1, true, {}, 10);
+    ASSERT_GE(rec.checkpoints.size(), 10u);
+    const auto check = [](const archive_detail::ContainerReader &reader,
+                          const std::string &label) {
+        std::size_t keyframes = 0;
+        std::uint64_t keyframe_raw = 0;
+        std::uint64_t read = 0;
+        for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {
+            const CheckpointImageInfo &info = reader.imageInfo(i);
+            if (info.keyframe) {
+                ++keyframes;
+                keyframe_raw = info.rawBytes;
+                read = 0;
+            } else {
+                EXPECT_EQ(info.baseGcc, reader.imageInfo(i - 1).gcc)
+                    << label << " checkpoint " << i;
+            }
+            read += info.rawBytes;
+            EXPECT_LE(read, 2 * keyframe_raw)
+                << label << " checkpoint " << i;
+        }
+        EXPECT_GE(keyframes, 2u) << label;
+        EXPECT_LT(keyframes, reader.checkpointCount()) << label;
+    };
+    const ArchiveReader dla = ArchiveReader::fromBytes(archiveBytes(rec));
+    check(dla, ".dla");
+
+    const std::string dir = testing::TempDir() + "store_chain_bound";
+    std::filesystem::remove_all(dir);
+    RingOptions ropts;
+    ropts.checkpointPeriod = 10;
+    ropts.budgetBytes = 1u << 30;
+    writeRing(rec, dir, ropts);
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    ASSERT_EQ(ring.checkpointCount(), dla.checkpointCount());
+    check(ring, "ring");
+    for (std::size_t i = 0; i < ring.checkpointCount(); ++i) {
+        EXPECT_EQ(ring.imageInfo(i).keyframe, dla.imageInfo(i).keyframe)
+            << i;
+        EXPECT_EQ(ring.imageInfo(i).rawBytes, dla.imageInfo(i).rawBytes)
+            << i;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Store, StreamingFileReadbackAcrossDatapaths)

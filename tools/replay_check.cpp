@@ -196,6 +196,30 @@ checkpointIndexFor(const std::vector<std::uint64_t> &gccs,
     return std::nullopt;
 }
 
+/**
+ * One line per checkpoint of a container: its GCC and how it is
+ * stored — a keyframe heading a chain, or a delta on the checkpoint
+ * at its base GCC — with its stored bytes.
+ */
+void
+printCheckpointImages(const archive_detail::ContainerReader &reader)
+{
+    for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {
+        const CheckpointImageInfo &info = reader.imageInfo(i);
+        if (info.keyframe)
+            std::printf("  checkpoint %zu: gcc %llu, keyframe, "
+                        "%llu bytes stored\n",
+                        i, static_cast<unsigned long long>(info.gcc),
+                        static_cast<unsigned long long>(info.storedBytes));
+        else
+            std::printf("  checkpoint %zu: gcc %llu, delta on gcc %llu, "
+                        "%llu bytes stored\n",
+                        i, static_cast<unsigned long long>(info.gcc),
+                        static_cast<unsigned long long>(info.baseGcc),
+                        static_cast<unsigned long long>(info.storedBytes));
+    }
+}
+
 int
 doListCheckpoints(const std::string &path)
 {
@@ -214,11 +238,7 @@ doListCheckpoints(const std::string &path)
                         rc.usedIndex ? ", index intact" : "");
             for (const std::string &note : rc.notes)
                 std::printf("  salvage: %s\n", note.c_str());
-            const std::vector<std::uint64_t> gccs =
-                ring.checkpointGccs();
-            for (std::size_t i = 0; i < gccs.size(); ++i)
-                std::printf("  checkpoint %zu: gcc %llu\n", i,
-                            static_cast<unsigned long long>(gccs[i]));
+            printCheckpointImages(ring);
             return 0;
         }
         if (ArchiveReader::fileLooksLikeArchive(path)) {
@@ -245,6 +265,7 @@ doListCheckpoints(const std::string &path)
                                 ? ", checkpoint at end"
                                 : " (tail)");
             }
+            printCheckpointImages(reader);
             return 0;
         }
         const Recording rec = loadRecordingFile(path);
