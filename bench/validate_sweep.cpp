@@ -116,7 +116,9 @@ main()
         saveRecording(rec, buf);
         const auto serialized =
             std::make_shared<const std::string>(buf.str());
-        for (unsigned k = 0; k < kMutationKinds; ++k) {
+        // The stream kinds: this recording takes no checkpoints, so
+        // the chain kinds would leave it unchanged.
+        for (unsigned k = 0; k < kStreamMutationKinds; ++k) {
             for (unsigned i = 0; i < kMutantsPerKind; ++i) {
                 const std::uint64_t seed =
                     base.workloadSeed * 1'000'003ull + k * 7919ull + i;

@@ -70,6 +70,22 @@ class WordMap
         return slot.value;
     }
 
+    /** Insert @p key (value 0) unless present; true when it was absent. */
+    bool
+    insert(Addr key)
+    {
+        if ((size_ + 1) * 4 > slots_.size() * 3)
+            grow();
+        Slot &slot = probe(key);
+        if (slot.epoch == epoch_)
+            return false;
+        slot.key = key;
+        slot.value = 0;
+        slot.epoch = epoch_;
+        ++size_;
+        return true;
+    }
+
     /** Pointer to @p key's value, or nullptr when absent. */
     const std::uint64_t *
     find(Addr key) const

@@ -13,20 +13,214 @@
  * Checkpoints are only meaningful at commit boundaries — exactly where
  * chunk-based machines take them for free, since every chunk commit
  * already is a processor checkpoint.
+ *
+ * Memory images are kept the way incremental checkpoint hardware keeps
+ * them: in *keyframe chains*. A CheckpointImage is one immutable,
+ * shared chain node — a keyframe (every non-default word) at a chain
+ * head, otherwise the delta against the checkpoint before it. The
+ * recorder journals each interval's delta (memory/undo_journal.hpp),
+ * recordings, container readers and .dlrec files keep the chains, and
+ * only a replay restore builds a full MemoryState (materialize()).
  */
 
 #ifndef DELOREAN_CORE_CHECKPOINT_HPP_
 #define DELOREAN_CORE_CHECKPOINT_HPP_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "memory/memory_state.hpp"
+#include "memory/undo_journal.hpp"
 #include "trace/thread_context.hpp"
 
 namespace delorean
 {
+
+/// Image lead: gcc, dmaConsumed, rrNext, context count.
+inline constexpr std::size_t kCheckpointLeadBytes = 32;
+
+/**
+ * Header bytes of a serialized checkpoint image with @p contexts
+ * contexts: the lead, the contexts, then one u64 (a keyframe's word
+ * count, a delta's base GCC).
+ */
+constexpr std::size_t
+checkpointHeaderBytes(std::uint64_t contexts)
+{
+    return kCheckpointLeadBytes
+           + static_cast<std::size_t>(contexts)
+                 * (sizeof(ThreadContext) + 8)
+           + 8;
+}
+
+/** Raw bytes of a keyframe image holding @p words words. */
+constexpr std::size_t
+keyframeImageBytes(std::uint64_t contexts, std::size_t words)
+{
+    return checkpointHeaderBytes(contexts) + words * 16;
+}
+
+/**
+ * Raw bytes of a delta image: the header, the changed count and
+ * (addr, value) pairs, the erased count and addresses, the hash.
+ */
+constexpr std::size_t
+deltaImageBytes(std::uint64_t contexts, std::size_t changed,
+                std::size_t erased)
+{
+    return checkpointHeaderBytes(contexts) + 8 + changed * 16 + 8
+           + erased * 8 + 8;
+}
+
+/**
+ * One checkpoint's memory image: an immutable chain node, shared by
+ * every copy. A chain head holds its keyframe, the address-sorted
+ * non-default words; every other node holds its delta against the
+ * image before it (its base). A head the recorder cut also keeps its
+ * delta and base, because a ring segment's end image is always a
+ * delta. population() and hash() are O(1); materialize() builds the
+ * full MemoryState from the chain's keyframe and deltas.
+ */
+class CheckpointImage
+{
+  public:
+    using Word = std::pair<Addr, std::uint64_t>;
+
+    /** The image of a memory holding no non-default word. */
+    CheckpointImage();
+
+    /** A keyframe of @p state's words that heads a chain of its own. */
+    explicit CheckpointImage(const MemoryState &state);
+
+    /**
+     * A chain head holding @p words (address-sorted, distinct,
+     * non-default) of a memory whose hash() is @p hash. When @p base
+     * is given, the head also keeps @p delta, its delta against base.
+     */
+    static CheckpointImage keyframe(std::vector<Word> words,
+                                    std::uint64_t hash,
+                                    const CheckpointImage *base = nullptr,
+                                    MemoryDelta delta = {});
+
+    /**
+     * The image @p delta makes of @p base: a memory of @p population
+     * words whose hash() is @p hash.
+     */
+    static CheckpointImage deltaOn(const CheckpointImage &base,
+                                   MemoryDelta delta, std::uint64_t hash,
+                                   std::size_t population);
+
+    /** Number of words holding a non-default value. */
+    std::size_t population() const;
+
+    /** MemoryState::hash() of the image. */
+    std::uint64_t hash() const;
+
+    /** True for a keyframe (a chain head). */
+    bool headsChain() const;
+
+    /** A head's keyframe words, address-sorted (empty otherwise). */
+    const std::vector<Word> &words() const;
+
+    /**
+     * The delta against the image before this one, or nullptr when
+     * the image keeps none (a chain head read back from storage).
+     */
+    const MemoryDelta *delta() const;
+
+    /** True when this image keeps its delta against @p prev. */
+    bool follows(const CheckpointImage &prev) const;
+
+    /** The chain from its head to this image, in order. */
+    std::vector<CheckpointImage> chain() const;
+
+    /** Bytes of word lists this node holds (keyframe and delta). */
+    std::size_t heldBytes() const;
+
+    /** The full memory state: the chain's keyframe plus its deltas. */
+    MemoryState materialize() const;
+
+    /** Content equality (same memory image). */
+    bool operator==(const CheckpointImage &other) const;
+
+    /** @p state's non-default words, address-sorted. */
+    static std::vector<Word> sortedWords(const MemoryState &state);
+
+  private:
+    struct Node;
+    explicit CheckpointImage(std::shared_ptr<const Node> node);
+
+    std::shared_ptr<const Node> node_;
+};
+
+/**
+ * The keyframe rule, applied in checkpoint order. The first checkpoint
+ * heads a chain; every later one is a delta against the checkpoint
+ * before it, unless the raw delta bytes since its chain's keyframe
+ * would then exceed that keyframe's own raw size, in which case it
+ * heads a new chain. Materializing any image therefore reads at most
+ * twice its keyframe's bytes. The rule has no knob and sees only
+ * image sizes, so every producer of a chain — the recorder, the
+ * conversion of full images — cuts the same chains, and a reader can
+ * tell from stored sizes where a chain was cut.
+ */
+class KeyframeRule
+{
+  public:
+    /** Whether a checkpoint whose delta takes @p delta_bytes heads a chain. */
+    bool
+    headsChain(std::size_t delta_bytes) const
+    {
+        return !started_ || delta_bytes_ + delta_bytes > keyframe_bytes_;
+    }
+
+    /** Count a checkpoint stored as a keyframe of @p keyframe_bytes. */
+    void
+    keyframe(std::size_t keyframe_bytes)
+    {
+        started_ = true;
+        keyframe_bytes_ = keyframe_bytes;
+        delta_bytes_ = 0;
+    }
+
+    /** Count a checkpoint stored as a delta of @p delta_bytes. */
+    void delta(std::size_t delta_bytes) { delta_bytes_ += delta_bytes; }
+
+  private:
+    bool started_ = false;
+    std::size_t keyframe_bytes_ = 0; ///< the current chain's keyframe
+    std::size_t delta_bytes_ = 0;    ///< its deltas so far
+};
+
+/**
+ * Builds one recording's checkpoint images in checkpoint order under
+ * the KeyframeRule. The recorder feeds it each interval's journaled
+ * delta; images that arrive whole (legacy .dlrec files) are converted
+ * by diffing consecutive full states (MemoryDelta::between).
+ */
+class ImageChainBuilder
+{
+  public:
+    /** Images of checkpoints carrying @p contexts thread contexts. */
+    explicit ImageChainBuilder(std::size_t contexts) : contexts_(contexts) {}
+
+    /**
+     * The image of @p state, given its @p delta against the previous
+     * image and its @p hash (the first image ignores @p delta).
+     */
+    CheckpointImage next(const MemoryState &state, MemoryDelta delta,
+                         std::uint64_t hash);
+
+  private:
+    std::size_t contexts_;
+    KeyframeRule rule_;
+    bool started_ = false;
+    CheckpointImage last_;
+};
 
 /** Architectural machine state at a global commit count. */
 struct SystemCheckpoint
@@ -35,8 +229,8 @@ struct SystemCheckpoint
     /// the state after the first `gcc` commits of the recording.
     std::uint64_t gcc = 0;
 
-    /// Committed memory image.
-    MemoryState memory;
+    /// Committed memory image, as a keyframe-chain node.
+    CheckpointImage memory;
 
     /// Per-processor context at the boundary of its last committed
     /// chunk (the thread's complete architectural state).

@@ -47,7 +47,8 @@ ChunkEngine::ChunkEngine(const Workload &workload,
       irq_(workload.profile(), n_, options.envSeed),
       dma_dev_(workload.profile(), options.envSeed),
       io_dev_(options.envSeed),
-      procs_(n_)
+      procs_(n_),
+      images_(n_)
 {
     assert(workload.numProcs() == n_);
     if (n_ < 1 || n_ > 64)
@@ -184,7 +185,7 @@ ChunkEngine::replay(const Recording &prior)
         // Interval replay (Appendix B): restore the architectural
         // state at GCC = n and resume consuming the logs there.
         assert(ckpt->valid() && ckpt->contexts.size() == n_);
-        mem_ = ckpt->memory;
+        mem_ = ckpt->memory.materialize();
         gcc_ = ckpt->gcc;
         dma_replay_idx_ = ckpt->dmaConsumed;
         rr_next_ = ckpt->rrNext;
@@ -269,9 +270,19 @@ ChunkEngine::maybeCheckpoint()
     if (stratifier_)
         stratifier_->cutAtCheckpoint();
 
+    // The memory image: the first checkpoint hashes memory in full;
+    // after it, the journal yields each interval's sorted delta and
+    // carries the hash, so no checkpoint copies or rescans memory.
     SystemCheckpoint ckpt;
     ckpt.gcc = gcc_;
-    ckpt.memory = mem_.snapshot();
+    if (journaling_) {
+        MemoryDelta delta = journal_.cut(mem_, image_hash_);
+        ckpt.memory = images_.next(mem_, std::move(delta), image_hash_);
+    } else {
+        image_hash_ = mem_.hash();
+        ckpt.memory = images_.next(mem_, MemoryDelta{}, image_hash_);
+        journaling_ = true;
+    }
     ckpt.dmaConsumed = dma_granted_;
     for (const ProcState &ps : procs_) {
         ckpt.contexts.push_back(ps.lastCommittedCtx);
@@ -1279,6 +1290,9 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     }
 
     // ----- make the chunk architectural ----------------------------------
+    if (journaling_)
+        for (const auto &write : c.writes)
+            journal_.logStore(mem_, write.first);
     for (const auto &[word, value] : c.writes)
         mem_.store(word, value);
     for (const Addr line : c.writtenLines) {
@@ -1423,6 +1437,9 @@ ChunkEngine::grantDma(Cycle now)
 
     Signature wsig;
     std::vector<Addr> wlines;
+    if (journaling_)
+        for (const Addr addr : xfer.wordAddrs)
+            journal_.logStore(mem_, wordOf(addr));
     for (std::size_t i = 0; i < xfer.wordAddrs.size(); ++i) {
         mem_.store(wordOf(xfer.wordAddrs[i]), xfer.values[i]);
         const Addr line = lineOf(xfer.wordAddrs[i]);

@@ -385,6 +385,14 @@ class ChunkEngine
     std::deque<DmaTransfer> dma_pending_;
     std::size_t dma_granted_ = 0; ///< transfers committed so far
     std::size_t next_checkpoint_ = 0; ///< index into checkpointGccs
+    /// Record with checkpoints: the images taken so far (a keyframe
+    /// chain builder) and, after the first, the undo journal of the
+    /// words committed since the last one. Both commit sites (chunk
+    /// write-back and DMA) log a word before storing it.
+    ImageChainBuilder images_;
+    UndoJournal journal_;
+    bool journaling_ = false;
+    std::uint64_t image_hash_ = 0; ///< mem_.hash() at the last checkpoint
     void maybeCheckpoint();
     InstrCount generated_instrs_ = 0; ///< device-clock proxy
 

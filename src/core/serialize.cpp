@@ -3,7 +3,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/errors.hpp"
 #include "core/serialize_detail.hpp"
@@ -12,12 +14,13 @@
 namespace delorean
 {
 
-using serialize_detail::getCheckpoint;
+using serialize_detail::ChainDecoder;
+using serialize_detail::getImage;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
-using serialize_detail::putCheckpoint;
+using serialize_detail::ImageKind;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
@@ -29,9 +32,12 @@ namespace
 constexpr std::uint64_t kMagic = 0x44654C6F5265634Full; // "DeLoRecO"
 /// v2 adds two constant fields: the machine header's arbiter count
 /// (always 1) and, after the PI entries, a has-masks flag (always 0).
-/// Loaders reject any other value. v1 recordings lack both and still
-/// load.
-constexpr std::uint32_t kVersion = 2;
+/// Loaders reject any other value. v3 stores checkpoint images as
+/// keyframe chains: each image is preceded by its kind (1 keyframe,
+/// 2 delta on the checkpoint before it). v1 and v2 recordings, whose
+/// images are all full, still load; their images are converted into
+/// chains under the same keyframe rule.
+constexpr std::uint32_t kVersion = 3;
 
 /** Throw RecordingFormatError unless cond; @p what names the field. */
 void
@@ -276,22 +282,39 @@ saveRecording(const Recording &rec, std::ostream &out)
     putU64(out, rec.stats.collisionTruncations);
     putU64(out, rec.stats.hardTruncations);
 
-    // Checkpoints.
+    // Checkpoints, as keyframe chains.
     putU64(out, rec.checkpoints.size());
-    for (const SystemCheckpoint &ckpt : rec.checkpoints)
-        putCheckpoint(out, ckpt);
+    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+        const SystemCheckpoint *prev = i ? &rec.checkpoints[i - 1] : nullptr;
+        const SystemCheckpoint &ckpt = rec.checkpoints[i];
+        const bool keyframe = serialize_detail::storedAsKeyframe(prev, ckpt);
+        putU64(out, static_cast<std::uint64_t>(
+                        keyframe ? ImageKind::kKeyframe : ImageKind::kDelta));
+        const std::string image = keyframe
+                                      ? serialize_detail::encodeKeyframe(ckpt)
+                                      : serialize_detail::encodeDelta(*prev,
+                                                                      ckpt);
+        out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
 
     if (!out)
         throw std::runtime_error("failed to write recording");
 }
 
+namespace
+{
+
+/**
+ * Read everything of a recording before its checkpoint section; the
+ * format version lands in @p version.
+ */
 Recording
-loadRecording(std::istream &in)
+loadLogs(std::istream &in, std::uint64_t &version)
 {
     if (getU64(in) != kMagic)
         throw RecordingFormatError("not a DeLorean recording");
-    const std::uint64_t version = getU64(in);
-    if (version != 1 && version != kVersion)
+    version = getU64(in);
+    if (version < 1 || version > kVersion)
         throw RecordingFormatError("unsupported recording version");
     const bool legacy_v1 = version == 1;
 
@@ -406,12 +429,80 @@ loadRecording(std::istream &in)
     rec.stats.overflowTruncations = getU64(in);
     rec.stats.collisionTruncations = getU64(in);
     rec.stats.hardTruncations = getU64(in);
+    return rec;
+}
 
+/** Read @p count v3 chain images, verifying each chain. */
+void
+loadChains(std::istream &in, std::uint64_t count, Recording &rec)
+{
+    ChainDecoder chain;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t kind = getU64(in);
+        if (kind == static_cast<std::uint64_t>(ImageKind::kKeyframe)) {
+            const std::vector<std::uint8_t> image =
+                getImage(in, ImageKind::kKeyframe);
+            rec.checkpoints.push_back(
+                chain.keyframe(image.data(), image.size()));
+        } else if (kind == static_cast<std::uint64_t>(ImageKind::kDelta)) {
+            const std::vector<std::uint8_t> image =
+                getImage(in, ImageKind::kDelta);
+            rec.checkpoints.push_back(chain.delta(image.data(), image.size()));
+        } else {
+            throw RecordingFormatError(
+                "checkpoint " + std::to_string(i) + " image kind "
+                + std::to_string(kind) + " is not 1 or 2");
+        }
+    }
+}
+
+/**
+ * Read @p count full v1/v2 images and convert them into chains: each
+ * is diffed against the one before it under the keyframe rule.
+ */
+void
+convertFullImages(std::istream &in, std::uint64_t count, Recording &rec)
+{
+    ImageChainBuilder chain(rec.machine.numProcs);
+    MemoryState prev;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::vector<std::uint8_t> image =
+            getImage(in, ImageKind::kKeyframe);
+        auto [ckpt, state] =
+            serialize_detail::decodeFullImage(image.data(), image.size());
+        ckpt.memory = chain.next(
+            state, i ? MemoryDelta::between(prev, state) : MemoryDelta{},
+            state.hash());
+        prev = std::move(state);
+        rec.checkpoints.push_back(std::move(ckpt));
+    }
+}
+
+} // namespace
+
+Recording
+loadRecording(std::istream &in)
+{
+    std::uint64_t version = 0;
+    Recording rec = loadLogs(in, version);
     const std::uint64_t ckpts = getU64(in);
-    for (std::uint64_t i = 0; i < ckpts; ++i)
-        rec.checkpoints.push_back(getCheckpoint(in));
+    if (version < 3)
+        convertFullImages(in, ckpts, rec);
+    else
+        loadChains(in, ckpts, rec);
+    require(in.peek() == std::char_traits<char>::eof(),
+            "trailing bytes after the checkpoint section");
     validateRecording(rec);
     return rec;
+}
+
+std::size_t
+checkpointSectionOffset(const std::string &bytes)
+{
+    std::istringstream in(bytes);
+    std::uint64_t version = 0;
+    loadLogs(in, version);
+    return static_cast<std::size_t>(in.tellg());
 }
 
 void

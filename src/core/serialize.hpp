@@ -15,6 +15,7 @@
 #ifndef DELOREAN_CORE_SERIALIZE_HPP_
 #define DELOREAN_CORE_SERIALIZE_HPP_
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -41,6 +42,14 @@ Recording loadRecording(std::istream &in);
 
 /** Deserialize a Recording from file @p path. */
 Recording loadRecordingFile(const std::string &path);
+
+/**
+ * Byte offset of the checkpoint section (its image count) in the
+ * serialized recording @p bytes, for tools that address checkpoint
+ * images in place (the fault injector). Throws RecordingFormatError
+ * when the sections before it do not parse.
+ */
+std::size_t checkpointSectionOffset(const std::string &bytes);
 
 /**
  * Check the semantic invariants a recorder-produced Recording always

@@ -7,15 +7,17 @@
  * little-endian primitives — u64 fields, length-prefixed strings,
  * ThreadContext images, machine/mode headers and SystemCheckpoints.
  * They live here so the formats cannot drift apart: an archived
- * keyframe is byte-identical to the checkpoint embedded in a .dlrec
- * recording. Readers take either a std::istream or a ByteCursor over
- * bytes already in memory; full images have one decoder,
- * decodeCheckpoint(), over a byte range.
+ * keyframe is byte-identical to one embedded in a .dlrec recording.
+ * Readers take either a std::istream or a ByteCursor over bytes
+ * already in memory.
  *
- * The archive containers also store checkpoints as *deltas* against
- * the previous checkpoint (encodeDelta / applyDelta): the one
- * checkpoint-image codec behind the .dla footer and the ring's
- * segment files.
+ * Checkpoint images are stored as keyframe chains (core/checkpoint):
+ * a keyframe (encodeKeyframe) heads a chain, and each later image is
+ * a delta against the checkpoint before it (encodeDelta). The writers
+ * serialize the chain nodes a recording holds; ChainDecoder turns
+ * stored images back into nodes, verifying each chain. This is the
+ * one checkpoint-image codec behind .dlrec files, the .dla footer and
+ * the ring's segment files.
  */
 
 #ifndef DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
@@ -267,25 +269,11 @@ getMachine(In &in, bool legacy_v1 = false)
     return m;
 }
 
-/// Image lead: gcc, dmaConsumed, rrNext, context count.
-inline constexpr std::size_t kCheckpointLeadBytes = 32;
+using ::delorean::checkpointHeaderBytes;
+using ::delorean::kCheckpointLeadBytes;
 
 /// Context-count ceiling every image decoder enforces.
 inline constexpr std::uint64_t kMaxCheckpointContexts = 64;
-
-/**
- * Header bytes of an image with @p contexts contexts: the lead, the
- * contexts, then one u64 (a keyframe's word count, a delta's base
- * GCC).
- */
-constexpr std::size_t
-checkpointHeaderBytes(std::uint64_t contexts)
-{
-    return kCheckpointLeadBytes
-           + static_cast<std::size_t>(contexts)
-                 * (sizeof(ThreadContext) + 8)
-           + 8;
-}
 
 inline void
 checkContextCount(std::uint64_t n)
@@ -338,34 +326,38 @@ storeWords(std::uint8_t *p,
 }
 
 /**
+ * Whether the containers and .dlrec store @p cur as a keyframe rather
+ * than a delta on @p prev, the checkpoint before it (null for the
+ * first): it heads its chain, or its image does not keep a delta
+ * against prev's (a recording assembled from another one's images,
+ * such as an interval view).
+ */
+inline bool
+storedAsKeyframe(const SystemCheckpoint *prev, const SystemCheckpoint &cur)
+{
+    return !prev || cur.memory.headsChain()
+           || !cur.memory.follows(prev->memory);
+}
+
+/**
  * Full checkpoint image (a *keyframe*): the header, the word count,
- * then the memory population as (addr, value) pairs in address order.
- * MemoryState iteration order depends on insertion history, so two
- * states holding the same words can stream them differently; sorting
- * makes the image a pure function of the checkpoint's content, which
- * the containers' byte-identity guarantees depend on. This is also
- * the checkpoint image a .dlrec recording embeds.
+ * then the memory population as (addr, value) pairs in address order,
+ * which makes the image a pure function of the checkpoint's content.
+ * A chain head's words are serialized as the image holds them; any
+ * other image is materialized first.
  */
 inline std::string
 encodeKeyframe(const SystemCheckpoint &ckpt)
 {
-    std::vector<std::pair<Addr, std::uint64_t>> words;
-    words.reserve(ckpt.memory.population());
-    ckpt.memory.forEachWord([&words](Addr addr, std::uint64_t value) {
-        words.emplace_back(addr, value);
-    });
-    std::sort(words.begin(), words.end());
+    const CheckpointImage &image = ckpt.memory;
+    std::vector<CheckpointImage::Word> rebuilt;
+    if (!image.headsChain())
+        rebuilt = CheckpointImage::sortedWords(image.materialize());
+    const auto &words = image.headsChain() ? image.words() : rebuilt;
     std::string out;
     storeWords(startImage(out, ckpt, words.size(), words.size() * 16),
                words);
     return out;
-}
-
-inline void
-putCheckpoint(std::ostream &out, const SystemCheckpoint &ckpt)
-{
-    const std::string image = encodeKeyframe(ckpt);
-    out.write(image.data(), static_cast<std::streamsize>(image.size()));
 }
 
 /**
@@ -374,32 +366,35 @@ putCheckpoint(std::ostream &out, const SystemCheckpoint &ckpt)
  * the changed-word count and the words @p ckpt holds with a value
  * @p base lacks, as address-sorted (addr, value) pairs, the
  * erased-word count and the address-sorted words that went back to
- * their default value, then ckpt.memory.hash() — which applyDelta()
- * checks the rebuilt state against. Like a keyframe, a pure function
- * of the two checkpoints' content.
+ * their default value, then ckpt.memory.hash(), which a decoder
+ * checks the rebuilt state against. The delta the image keeps is
+ * serialized as is; an image that keeps none against @p base is
+ * diffed against it (the conversion path). Like a keyframe, a pure
+ * function of the two checkpoints' content.
  */
 inline std::string
 encodeDelta(const SystemCheckpoint &base, const SystemCheckpoint &ckpt)
 {
-    std::vector<std::pair<Addr, std::uint64_t>> changed;
-    std::vector<Addr> erased;
-    ckpt.memory.forEachChange(
-        base.memory,
-        [&changed](Addr addr, std::uint64_t value) {
-            changed.emplace_back(addr, value);
-        },
-        [&erased](Addr addr) { erased.push_back(addr); });
-    std::sort(changed.begin(), changed.end());
-    std::sort(erased.begin(), erased.end());
+    MemoryDelta diffed;
+    const MemoryDelta *delta = ckpt.memory.follows(base.memory)
+                                   ? ckpt.memory.delta()
+                                   : nullptr;
+    if (!delta) {
+        diffed = MemoryDelta::between(base.memory.materialize(),
+                                      ckpt.memory.materialize());
+        delta = &diffed;
+    }
     std::string out;
-    std::uint8_t *p =
-        startImage(out, ckpt, base.gcc,
-                   8 + changed.size() * 16 + 8 + erased.size() * 8 + 8);
-    storeU64(p, changed.size());
-    p = storeWords(p + 8, changed);
-    storeU64(p, erased.size());
+    std::uint8_t *p = startImage(
+        out, ckpt, base.gcc,
+        deltaImageBytes(ckpt.contexts.size(), delta->changed.size(),
+                        delta->erased.size())
+            - checkpointHeaderBytes(ckpt.contexts.size()));
+    storeU64(p, delta->changed.size());
+    p = storeWords(p + 8, delta->changed);
+    storeU64(p, delta->erased.size());
     p += 8;
-    for (const Addr addr : erased) {
+    for (const Addr addr : delta->erased) {
         storeU64(p, addr);
         p += 8;
     }
@@ -407,7 +402,7 @@ encodeDelta(const SystemCheckpoint &base, const SystemCheckpoint &ckpt)
     return out;
 }
 
-/** How an archive stores one checkpoint image. */
+/** How a container or .dlrec stores one checkpoint image. */
 enum class ImageKind : std::uint64_t
 {
     kKeyframe = 1, ///< full image: heads a chain
@@ -429,9 +424,8 @@ struct CheckpointExtent
  * lists must fit the @p total bytes the image region holds (available
  * <= total; a caller may hold only the header in memory, in which
  * case a delta's lists, whose counts lie past its header, are not
- * walked). Throws exactly what decodeCheckpoint() or applyDelta()
- * would throw on the same bytes' structure, so a full walk that
- * passes guarantees their parse cannot fail.
+ * walked). Throws exactly what ChainDecoder would throw on the same
+ * bytes' structure.
  */
 inline CheckpointExtent
 scanImage(ImageKind kind, const std::uint8_t *data, std::size_t available,
@@ -469,17 +463,10 @@ scanImage(ImageKind kind, const std::uint8_t *data, std::size_t available,
     return ext;
 }
 
-/**
- * Decode the keyframe image at @p data[0, @p size) (the image may be
- * followed by other bytes). Context-count and truncation checks as
- * scanImage(); the memory table is sized for the word count up
- * front. The one checkpoint decoder behind .dlrec, .dla and ring
- * reads.
- */
+/** Everything of an image but its memory: the header's fields. */
 inline SystemCheckpoint
-decodeCheckpoint(const std::uint8_t *data, std::size_t size)
+getImageHeader(ByteCursor &in)
 {
-    ByteCursor in(data, size);
     SystemCheckpoint ckpt;
     ckpt.gcc = getU64(in);
     ckpt.dmaConsumed = static_cast<std::size_t>(getU64(in));
@@ -492,85 +479,193 @@ decodeCheckpoint(const std::uint8_t *data, std::size_t size)
         ckpt.contexts.push_back(getContext(in));
         ckpt.committedChunks.push_back(getU64(in));
     }
-    const std::uint64_t words = getU64(in);
-    if (words > in.remaining() / 16)
-        throw RecordingFormatError("file truncated");
-    ckpt.memory.reserve(static_cast<std::size_t>(words));
-    const std::uint8_t *w =
-        in.take(static_cast<std::size_t>(words) * 16);
-    for (std::uint64_t k = 0; k < words; ++k, w += 16)
-        ckpt.memory.store(loadU64(w), loadU64(w + 8));
     return ckpt;
 }
 
 /**
- * Turn @p ckpt, the checkpoint before it, into the checkpoint the
- * delta image at @p data[0, @p size) encodes (see encodeDelta()).
- * Throws RecordingFormatError when the image is malformed, when its
- * base GCC is not ckpt.gcc or its context count not ckpt's, and when
- * the rebuilt memory's hash disagrees with the one the delta carries;
- * @p ckpt is then left partly updated.
+ * Decodes stored images into chain nodes, walking one chain in order
+ * and verifying it as it goes: a keyframe's words must be
+ * address-sorted and non-default, each delta's base GCC and context
+ * count must be its base checkpoint's, and the memory it rebuilds
+ * must hash to the hash it carries. The walk holds one memory table,
+ * built from the chain when the first delta needs it and updated in
+ * place, with the hash carried incrementally; the table never
+ * outlives the decoder. Every failure is a RecordingFormatError.
  */
-inline void
-applyDelta(SystemCheckpoint &ckpt, const std::uint8_t *data,
-           std::size_t size)
+class ChainDecoder
+{
+  public:
+    /** Decode the keyframe at @p data[0, @p size): a chain head. */
+    SystemCheckpoint
+    keyframe(const std::uint8_t *data, std::size_t size)
+    {
+        ByteCursor in(data, size);
+        SystemCheckpoint ckpt = getImageHeader(in);
+        const std::uint64_t count = getU64(in);
+        if (count > in.remaining() / 16)
+            throw RecordingFormatError("file truncated");
+        std::vector<CheckpointImage::Word> words(
+            static_cast<std::size_t>(count));
+        const std::uint8_t *w =
+            in.take(static_cast<std::size_t>(count) * 16);
+        std::uint64_t hash = MemoryState::kHashSeed;
+        for (std::size_t k = 0; k < words.size(); ++k, w += 16) {
+            const Addr addr = loadU64(w);
+            const std::uint64_t value = loadU64(w + 8);
+            if (k > 0 && addr <= words[k - 1].first)
+                throw RecordingFormatError(
+                    "keyframe words are not address-sorted");
+            if (value == MemoryState::initValue(addr))
+                throw RecordingFormatError(
+                    "keyframe word holds its default value");
+            words[k] = {addr, value};
+            hash += MemoryState::hashTerm(addr, value);
+        }
+        ckpt.memory = CheckpointImage::keyframe(std::move(words), hash);
+        resume(ckpt);
+        return ckpt;
+    }
+
+    /** Continue the walk from @p ckpt, an image decoded earlier. */
+    void
+    resume(const SystemCheckpoint &ckpt)
+    {
+        at_ = ckpt;
+        started_ = true;
+        table_valid_ = false;
+    }
+
+    /**
+     * Decode the delta at @p data[0, @p size) against the walk's
+     * current checkpoint (the one before it); the walk moves on to
+     * the result. With @p heads_chain, the result is the chain head
+     * the checkpoint was recorded as (its keyframe is rebuilt from
+     * the walk's table), for a delta whose stored keyframe was lost.
+     */
+    SystemCheckpoint
+    delta(const std::uint8_t *data, std::size_t size,
+          bool heads_chain = false)
+    {
+        if (!started_)
+            throw RecordingFormatError(
+                "delta image with no chain head before it");
+        ByteCursor in(data, size);
+        SystemCheckpoint ckpt = getImageHeader(in);
+        if (ckpt.contexts.size() != at_.contexts.size())
+            throw RecordingFormatError(
+                "delta context count "
+                + std::to_string(ckpt.contexts.size())
+                + " disagrees with its base's "
+                + std::to_string(at_.contexts.size()));
+        const std::uint64_t base = getU64(in);
+        if (base != at_.gcc)
+            throw RecordingFormatError(
+                "delta base GCC " + std::to_string(base)
+                + " disagrees with the previous checkpoint's GCC "
+                + std::to_string(at_.gcc));
+        MemoryDelta lists;
+        const std::uint64_t changed = getU64(in);
+        if (changed > in.remaining() / 16)
+            throw RecordingFormatError("file truncated");
+        const std::uint8_t *w =
+            in.take(static_cast<std::size_t>(changed) * 16);
+        lists.changed.reserve(static_cast<std::size_t>(changed));
+        for (std::uint64_t k = 0; k < changed; ++k, w += 16) {
+            const Addr addr = loadU64(w);
+            if (k > 0 && addr <= lists.changed.back().first)
+                throw RecordingFormatError(
+                    "delta words are not address-sorted");
+            lists.changed.emplace_back(addr, loadU64(w + 8));
+        }
+        const std::uint64_t erased = getU64(in);
+        if (erased > in.remaining() / 8)
+            throw RecordingFormatError("file truncated");
+        const std::uint8_t *e =
+            in.take(static_cast<std::size_t>(erased) * 8);
+        lists.erased.reserve(static_cast<std::size_t>(erased));
+        for (std::uint64_t k = 0; k < erased; ++k, e += 8) {
+            const Addr addr = loadU64(e);
+            if (k > 0 && addr <= lists.erased.back())
+                throw RecordingFormatError(
+                    "delta erasures are not address-sorted");
+            lists.erased.push_back(addr);
+        }
+        const std::uint64_t hash = getU64(in);
+
+        if (!table_valid_) {
+            table_ = at_.memory.materialize();
+            hash_ = at_.memory.hash();
+            table_valid_ = true;
+        }
+        for (const auto &[addr, value] : lists.changed)
+            store(addr, value);
+        for (const Addr addr : lists.erased)
+            store(addr, MemoryState::initValue(addr));
+        if (hash_ != hash)
+            throw RecordingFormatError(
+                "delta memory hash mismatch: the image rebuilt at GCC "
+                + std::to_string(ckpt.gcc) + " is not the one recorded");
+        ckpt.memory =
+            heads_chain
+                ? CheckpointImage::keyframe(
+                      CheckpointImage::sortedWords(table_), hash,
+                      &at_.memory, std::move(lists))
+                : CheckpointImage::deltaOn(at_.memory, std::move(lists),
+                                           hash, table_.population());
+        at_ = ckpt;
+        return ckpt;
+    }
+
+  private:
+    SystemCheckpoint at_; ///< the walk's current checkpoint
+    bool started_ = false;
+    MemoryState table_; ///< at_'s memory, once a delta needed it
+    bool table_valid_ = false;
+    std::uint64_t hash_ = 0; ///< table_.hash(), carried
+
+    /** Store into the table, carrying its hash. */
+    void
+    store(Addr addr, std::uint64_t value)
+    {
+        const std::uint64_t old = table_.load(addr);
+        const std::uint64_t init = MemoryState::initValue(addr);
+        if (old != init)
+            hash_ -= MemoryState::hashTerm(addr, old);
+        if (value != init)
+            hash_ += MemoryState::hashTerm(addr, value);
+        table_.store(addr, value);
+    }
+};
+
+/**
+ * Decode a full image as format v1/v2 recordings stored it: the
+ * checkpoint's header fields, and its memory as a table (for the
+ * conversion into a chain; no sortedness is required of old files).
+ */
+inline std::pair<SystemCheckpoint, MemoryState>
+decodeFullImage(const std::uint8_t *data, std::size_t size)
 {
     ByteCursor in(data, size);
-    const std::uint64_t gcc = getU64(in);
-    const std::uint64_t dma = getU64(in);
-    const std::uint64_t rr = getU64(in);
-    const std::uint64_t n = getU64(in);
-    checkContextCount(n);
-    if (n != ckpt.contexts.size())
-        throw RecordingFormatError(
-            "delta context count " + std::to_string(n)
-            + " disagrees with its base's "
-            + std::to_string(ckpt.contexts.size()));
-    for (std::uint64_t p = 0; p < n; ++p) {
-        ckpt.contexts[p] = getContext(in);
-        ckpt.committedChunks[p] = getU64(in);
-    }
-    const std::uint64_t base = getU64(in);
-    if (base != ckpt.gcc)
-        throw RecordingFormatError(
-            "delta base GCC " + std::to_string(base)
-            + " disagrees with the previous checkpoint's GCC "
-            + std::to_string(ckpt.gcc));
-    ckpt.gcc = gcc;
-    ckpt.dmaConsumed = static_cast<std::size_t>(dma);
-    ckpt.rrNext = static_cast<ProcId>(rr);
-    const std::uint64_t changed = getU64(in);
-    if (changed > in.remaining() / 16)
+    std::pair<SystemCheckpoint, MemoryState> out{getImageHeader(in), {}};
+    const std::uint64_t words = getU64(in);
+    if (words > in.remaining() / 16)
         throw RecordingFormatError("file truncated");
+    out.second.reserve(static_cast<std::size_t>(words));
     const std::uint8_t *w =
-        in.take(static_cast<std::size_t>(changed) * 16);
-    const std::uint64_t erased = getU64(in);
-    if (erased > in.remaining() / 8)
-        throw RecordingFormatError("file truncated");
-    const std::uint8_t *e =
-        in.take(static_cast<std::size_t>(erased) * 8);
-    const std::uint64_t hash = getU64(in);
-    ckpt.memory.reserve(ckpt.memory.population()
-                        + static_cast<std::size_t>(changed));
-    for (std::uint64_t k = 0; k < changed; ++k, w += 16)
-        ckpt.memory.store(loadU64(w), loadU64(w + 8));
-    for (std::uint64_t k = 0; k < erased; ++k, e += 8)
-        ckpt.memory.store(loadU64(e), MemoryState::initValue(loadU64(e)));
-    if (ckpt.memory.hash() != hash)
-        throw RecordingFormatError(
-            "delta memory hash mismatch: the image rebuilt at GCC "
-            + std::to_string(gcc) + " is not the one recorded");
+        in.take(static_cast<std::size_t>(words) * 16);
+    for (std::uint64_t k = 0; k < words; ++k, w += 16)
+        out.second.store(loadU64(w), loadU64(w + 8));
+    return out;
 }
 
 /**
- * Stream adapter over decodeCheckpoint(): read the image's bytes,
- * field group by field group so a short stream fails at the same
- * point as before, then decode them. The word list is read in bounded
- * steps, so a corrupt word count runs into truncation instead of
+ * Read one @p kind image's bytes from a stream, field group by field
+ * group so a short stream fails as truncation. Word lists are read in
+ * bounded steps, so a corrupt count runs into truncation instead of
  * forcing a huge allocation.
  */
-inline SystemCheckpoint
-getCheckpoint(std::istream &in)
+inline std::vector<std::uint8_t>
+getImage(std::istream &in, ImageKind kind)
 {
     std::vector<std::uint8_t> image(kCheckpointLeadBytes);
     getBytes(in, image.data(), image.size());
@@ -579,17 +674,29 @@ getCheckpoint(std::istream &in)
     image.resize(checkpointHeaderBytes(n));
     getBytes(in, image.data() + kCheckpointLeadBytes,
              image.size() - kCheckpointLeadBytes);
-    constexpr std::uint64_t kWordsPerRead = 1u << 16;
-    for (std::uint64_t left = loadU64(image.data() + image.size() - 8);
-         left > 0;) {
-        const std::uint64_t step = std::min(left, kWordsPerRead);
+    const auto append = [&in, &image](std::size_t bytes) {
         const std::size_t at = image.size();
-        image.resize(at + static_cast<std::size_t>(step) * 16);
-        getBytes(in, image.data() + at,
-                 static_cast<std::size_t>(step) * 16);
-        left -= step;
+        image.resize(at + bytes);
+        getBytes(in, image.data() + at, bytes);
+        return loadU64(image.data() + image.size() - 8);
+    };
+    const auto records = [&append](std::uint64_t count, std::size_t width) {
+        constexpr std::uint64_t kPerRead = 1u << 16;
+        for (std::uint64_t left = count; left > 0;) {
+            const std::uint64_t step = std::min(left, kPerRead);
+            append(static_cast<std::size_t>(step) * width);
+            left -= step;
+        }
+    };
+    const std::uint64_t tail = loadU64(image.data() + image.size() - 8);
+    if (kind == ImageKind::kKeyframe) {
+        records(tail, 16);
+    } else {
+        records(append(8), 16); // changed words
+        records(append(8), 8);  // erased words
+        append(8);              // memory hash
     }
-    return decodeCheckpoint(image.data(), image.size());
+    return image;
 }
 
 } // namespace serialize_detail

@@ -110,15 +110,28 @@ class MemoryState
     std::uint64_t
     hash() const
     {
-        std::uint64_t h = 0x12345678DEADBEEFull;
+        std::uint64_t h = kHashSeed;
         for (const Slot &s : slots_)
             if (s.live)
-                h += mix64(s.key * 0x9E3779B97F4A7C15ull)
-                     ^ mix64(s.value);
+                h += hashTerm(s.key, s.value);
         return h;
     }
 
-    /** Full snapshot (used by system checkpointing). */
+    /// hash() of a state holding no non-default word.
+    static constexpr std::uint64_t kHashSeed = 0x12345678DEADBEEFull;
+
+    /**
+     * What one non-default word adds to hash(). The hash is a sum of
+     * these mod 2^64, so a changed word updates it in O(1): subtract
+     * the old word's term, add the new one's.
+     */
+    static std::uint64_t
+    hashTerm(Addr word_addr, std::uint64_t value)
+    {
+        return mix64(word_addr * 0x9E3779B97F4A7C15ull) ^ mix64(value);
+    }
+
+    /** Full copy (checkpoint images keep deltas, not copies). */
     MemoryState snapshot() const { return *this; }
 
     /** Visit every non-default word (serialization of checkpoints). */

@@ -263,7 +263,7 @@ ParallelReplayer::replay(const Recording &rec,
 
     MemoryState mem;
     if (start)
-        mem = start->memory;
+        mem = start->memory.materialize();
     else
         workload.initializeMemory(mem);
 

@@ -121,19 +121,13 @@ boundaryAtEnd(const Recording &rec)
 }
 
 CheckpointImages
-ImageChainer::next(const SystemCheckpoint *prev, const SystemCheckpoint &cur)
+storedImages(const SystemCheckpoint *prev, const SystemCheckpoint &cur)
 {
     CheckpointImages images;
     if (prev)
         images.delta = serialize_detail::encodeDelta(*prev, cur);
-    if (!prev
-        || delta_bytes_ + images.delta.size() > keyframe_bytes_) {
+    if (serialize_detail::storedAsKeyframe(prev, cur))
         images.keyframe = serialize_detail::encodeKeyframe(cur);
-        keyframe_bytes_ = images.keyframe.size();
-        delta_bytes_ = 0;
-    } else {
-        delta_bytes_ += images.delta.size();
-    }
     return images;
 }
 
@@ -909,23 +903,15 @@ ContainerReader::indexImages(std::vector<CheckpointImageInfo> info)
 }
 
 SystemCheckpoint
-ContainerReader::decodeKeyframe(std::size_t index) const
+ContainerReader::decodeAt(serialize_detail::ChainDecoder &walk,
+                          std::size_t index) const
 {
     const std::vector<std::uint8_t> raw = storedImage(index);
     try {
-        return serialize_detail::decodeCheckpoint(raw.data(), raw.size());
-    } catch (const RecordingFormatError &e) {
-        throw imageError(index, e.what());
-    }
-}
-
-void
-ContainerReader::applyDeltaAt(SystemCheckpoint &ckpt,
-                              std::size_t index) const
-{
-    const std::vector<std::uint8_t> raw = storedImage(index);
-    try {
-        serialize_detail::applyDelta(ckpt, raw.data(), raw.size());
+        const CheckpointImageInfo &info = image_info_[index];
+        return info.keyframe ? walk.keyframe(raw.data(), raw.size())
+                             : walk.delta(raw.data(), raw.size(),
+                                          info.lostKeyframe);
     } catch (const RecordingFormatError &e) {
         throw imageError(index, e.what());
     }
@@ -934,32 +920,29 @@ ContainerReader::applyDeltaAt(SystemCheckpoint &ckpt,
 const SystemCheckpoint &
 ContainerReader::image(std::size_t index) const
 {
-    if (images_[index])
-        return *images_[index];
-    // Start from the nearest memoized image or keyframe at or before
-    // the request (indexImages() put a keyframe at index 0), then
-    // apply the deltas after it in order.
-    std::size_t k = index;
-    while (!images_[k] && !image_info_[k].keyframe)
-        --k;
-    SystemCheckpoint ckpt = images_[k] ? *images_[k] : decodeKeyframe(k);
-    for (std::size_t j = k + 1; j <= index; ++j)
-        applyDeltaAt(ckpt, j);
-    images_[index] =
-        std::make_unique<const SystemCheckpoint>(std::move(ckpt));
+    if (!images_[index]) {
+        std::size_t head = index;
+        while (!image_info_[head].keyframe)
+            --head; // indexImages() put a keyframe at index 0
+        decodeChain(head, index + 1);
+    }
     return *images_[index];
 }
 
 void
-ContainerReader::rebuildChain(std::size_t head, std::size_t end) const
+ContainerReader::decodeChain(std::size_t head, std::size_t end) const
 {
-    SystemCheckpoint ckpt = decodeKeyframe(head);
-    for (std::size_t j = head + 1; j < end; ++j) {
-        images_[j - 1] = std::make_unique<const SystemCheckpoint>(ckpt);
-        applyDeltaAt(ckpt, j);
-    }
-    images_[end - 1] =
-        std::make_unique<const SystemCheckpoint>(std::move(ckpt));
+    // A chain's decoded images are always a prefix of it: walk on
+    // from the last one, or from the keyframe when there is none.
+    serialize_detail::ChainDecoder walk;
+    std::size_t next = head;
+    while (next < end && images_[next])
+        ++next;
+    if (next > head)
+        walk.resume(*images_[next - 1]);
+    for (; next < end; ++next)
+        images_[next] =
+            std::make_unique<const SystemCheckpoint>(decodeAt(walk, next));
 }
 
 void
@@ -1009,10 +992,11 @@ ContainerReader::assemble(std::size_t first, std::size_t end,
     // in segment order. Each segment's decode error (or slice) lands
     // in its own slot and the append loop consumes the slots in
     // order, so the first error to surface is the lowest segment's at
-    // any ioThreads. A whole-run read also rebuilds every checkpoint
-    // chain in the same batch, one task per chain filling only its
-    // own image slots; a chain that fails is retried by image() in
-    // the append loop, which raises its error in checkpoint order.
+    // any ioThreads. A whole-run read also decodes (and verifies)
+    // every checkpoint chain in the same batch, one task per chain
+    // filling only its own image slots; a chain that fails is
+    // resumed by image() in the append loop, which raises its error
+    // in checkpoint order. The recording shares the decoded images.
     const std::size_t count = end - first;
     std::vector<SegmentSlice> slices(count);
     std::vector<std::function<void()>> tasks;
@@ -1032,7 +1016,7 @@ ContainerReader::assemble(std::size_t first, std::size_t end,
             std::size_t next = head + 1;
             while (next < checkpointCount() && !image_info_[next].keyframe)
                 ++next;
-            tasks.push_back([this, head, next] { rebuildChain(head, next); });
+            tasks.push_back([this, head, next] { decodeChain(head, next); });
             head = next;
         }
     }

@@ -30,7 +30,7 @@
  * via the footer index and decodes only the segments covering the
  * requested interval.
  *
- * Checkpoint images form chains (archive_detail::ImageChainer): a
+ * Checkpoint images form chains (core/checkpoint.hpp): a
  * keyframe holds the full image, and each following checkpoint is a
  * delta against the one before it until the chain's delta bytes would
  * exceed its keyframe's, where a new chain starts.
@@ -188,6 +188,11 @@ struct CheckpointImageInfo
     bool keyframe = false;
     /// Delta: GCC of the checkpoint it applies to (the one before).
     std::uint64_t baseGcc = 0;
+    /// A delta that heads a chain all the same: the newest checkpoint
+    /// of a salvaged ring, recorded as a chain head whose keyframe was
+    /// in the file the crash lost. It is decoded into that head, so
+    /// the ring reads back the chains the run's `.dla` holds.
+    bool lostKeyframe = false;
     std::uint64_t rawBytes = 0; ///< serialized image size
     /// Bytes the image occupies in the container: a ring blob's
     /// compressed size; the raw size in a `.dla`, whose footer is
@@ -266,6 +271,7 @@ void writeArchiveFile(const Recording &rec, const std::string &path,
 namespace serialize_detail
 {
 class ByteCursor;
+class ChainDecoder;
 }
 
 namespace archive_detail
@@ -308,10 +314,13 @@ struct FinalStats
  * checkpoint j's stored image bytes — plus its own range and
  * precondition checks.
  *
- * Images are rebuilt chain by chain: from the nearest memoized image
- * or keyframe at or before the request, deltas apply in order. A
- * whole-run read rebuilds every chain, chains in parallel. A delta
- * whose base GCC or memory hash disagrees is an ArchiveError.
+ * Stored images are decoded into chain nodes (core/checkpoint.hpp)
+ * chain by chain, walking on from the last decoded image of the
+ * request's chain, or from its keyframe, and verified as they are
+ * decoded (serialize_detail::ChainDecoder); no full memory table is
+ * kept. A whole-run read decodes every chain, chains in parallel,
+ * and its recording shares the decoded nodes. A delta whose base GCC
+ * or memory hash disagrees is an ArchiveError.
  *
  * Readers are not internally synchronized (the memoized images and
  * the codec pool are lazy mutable state): use one reader per thread.
@@ -335,7 +344,7 @@ class ContainerReader
     /** GCCs of the decodable replay starting points, ascending. */
     std::vector<std::uint64_t> checkpointGccs() const;
 
-    /** Checkpoint @p index (0-based, ascending GCC), rebuilt once. */
+    /** Checkpoint @p index (0-based, ascending GCC), decoded once. */
     const SystemCheckpoint &checkpointAt(std::size_t index) const;
 
     /** How checkpoint @p index is stored (range-checked). */
@@ -367,7 +376,7 @@ class ContainerReader
      */
     void indexImages(std::vector<CheckpointImageInfo> info);
 
-    /** Checkpoint @p index (in range), rebuilt on first use. */
+    /** Checkpoint @p index (in range), decoded on first use. */
     const SystemCheckpoint &image(std::size_t index) const;
 
     /** Typed rejection of an invalid (from, to) checkpoint pair. */
@@ -397,8 +406,8 @@ class ContainerReader
     /// Codec pool for multi-segment reads: built on the first batch
     /// of two or more segments, reused across reads on one reader.
     mutable std::unique_ptr<WorkerPool> pool_;
-    /// Decoded images, one slot per checkpoint, filled on first use
-    /// (sized once at open, so references stay valid).
+    /// Decoded checkpoints, one slot per checkpoint, filled on first
+    /// use (sized once at open, so references stay valid).
     mutable std::vector<std::unique_ptr<const SystemCheckpoint>>
         images_;
 
@@ -406,12 +415,11 @@ class ContainerReader
     /// How every checkpoint is stored; set once by indexImages().
     std::vector<CheckpointImageInfo> image_info_;
 
-    /** Decode keyframe @p index. */
-    SystemCheckpoint decodeKeyframe(std::size_t index) const;
-    /** Apply delta @p index to @p ckpt, the checkpoint before it. */
-    void applyDeltaAt(SystemCheckpoint &ckpt, std::size_t index) const;
-    /** Rebuild and memoize checkpoints [head, end) of one chain. */
-    void rebuildChain(std::size_t head, std::size_t end) const;
+    /** Decode stored image @p index, the next one on @p walk. */
+    SystemCheckpoint decodeAt(serialize_detail::ChainDecoder &walk,
+                              std::size_t index) const;
+    /** Decode and memoize checkpoints [head, end) of one chain. */
+    void decodeChain(std::size_t head, std::size_t end) const;
 };
 
 } // namespace archive_detail
@@ -428,11 +436,12 @@ class ContainerReader
  * footer's CRC and LZ77 decode still touch every footer byte, as the
  * format keeps the images there; deltas keep that footer small.
  *
- * checkpointAt(), readInterval() and readAll() rebuild an image on
+ * checkpointAt(), readInterval() and readAll() decode an image on
  * first use and memoize it, so a seek pays for one chain prefix (at
- * most about twice one keyframe's bytes) and the one delta after. Segment payloads are CRC-checked and decoded
- * only when a read needs them. All failures surface as ArchiveError;
- * an image accepted by the walk cannot fail to decode later.
+ * most about twice one keyframe's bytes) and the one delta after.
+ * Segment payloads are CRC-checked and decoded only when a read needs
+ * them. All failures surface as ArchiveError; after the walk, only a
+ * chain's content (word order, base GCC, memory hash) can fail.
  */
 class ArchiveReader : public archive_detail::ContainerReader
 {

@@ -7,7 +7,7 @@
  * both cut a recording at checkpoint boundaries and store the slice
  * between two consecutive boundaries as one LZ77-compressed payload.
  * This header holds the slice machinery — boundary math, payload
- * build — the checkpoint-image chain rule, and the one feeder/flusher
+ * build — the checkpoint images' stored forms, and the one feeder/flusher
  * pipeline both writers run on, so
  * the two containers stay byte-compatible by construction: a ring
  * segment's payload for a given checkpoint interval is identical to
@@ -106,11 +106,11 @@ void runIndexed(std::unique_ptr<WorkerPool> &pool, unsigned threads,
                 std::vector<std::exception_ptr> &errors);
 
 /**
- * The stored forms of one checkpoint. The feeder encodes them in
- * checkpoint order (ImageChainer), and each container picks the form
- * it stores: the `.dla` footer the chain image, a ring segment file
- * the delta as its end image and the keyframe as the next file's
- * start image.
+ * The stored forms of one checkpoint. The feeder serializes them from
+ * the recording's chain nodes (storedImages), and each container picks
+ * the form it stores: the `.dla` footer the chain image, a ring
+ * segment file the delta as its end image and the keyframe as the
+ * next file's start image.
  */
 struct CheckpointImages
 {
@@ -131,26 +131,14 @@ struct CheckpointImages
 };
 
 /**
- * The keyframe rule, applied in checkpoint order. The first checkpoint
- * heads a chain; every later one is a delta against the checkpoint
- * before it, unless the raw delta bytes since its chain's keyframe
- * would then exceed that keyframe's own raw size, in which case it
- * heads a new chain. Rebuilding any image therefore reads at most
- * twice its keyframe's bytes. The rule has no knob, and it sees only
- * checkpoint content, so the choice (and every stored byte) is the
- * same however the writer is fed and at any ioThreads.
+ * Serialize @p cur's stored forms; @p prev is the checkpoint before
+ * it, if any. The delta is always encoded (a ring file's end image
+ * needs it even at a chain head), the keyframe when @p cur is stored
+ * as one (serialize_detail::storedAsKeyframe). For a recorded run
+ * this is a copy of the chain nodes' lists: no diff, sort or hash.
  */
-class ImageChainer
-{
-  public:
-    /** Encode @p cur; @p prev is the checkpoint before it, if any. */
-    CheckpointImages next(const SystemCheckpoint *prev,
-                          const SystemCheckpoint &cur);
-
-  private:
-    std::size_t keyframe_bytes_ = 0; ///< the current chain's keyframe
-    std::size_t delta_bytes_ = 0;    ///< its deltas so far
-};
+CheckpointImages storedImages(const SystemCheckpoint *prev,
+                              const SystemCheckpoint &cur);
 
 /**
  * One cut segment on its way from the feeder to the flusher. The
@@ -176,8 +164,8 @@ struct CutSegment
  *
  * The *feeder* (recording) thread consumes checkpoints in ascending
  * GCC order and cuts the segment each one closes — boundary math,
- * buildSegmentPayload and the checkpoint's images (ImageChainer, a
- * diff against the checkpoint before it) read the live recording,
+ * buildSegmentPayload and the checkpoint's images (storedImages, the
+ * serialized chain node) read the live recording,
  * which keeps growing after each hook returns — then runs the
  * container's cut step and stages the result. The *flusher* thread
  * encodes a snatched batch over the codec pool (payload LZ77 + CRC,
@@ -258,7 +246,6 @@ class SegmentPipeline
     bool begun_ = false;
     bool closed_ = false;
     Boundary last_;       ///< frontier at the last cut
-    ImageChainer chainer_;
     std::size_t fed_ = 0; ///< checkpoints consumed
     std::size_t cut_ = 0; ///< segments cut
 
@@ -284,9 +271,9 @@ class SegmentPipeline
                 throw RecordingFormatError(
                     "checkpoints are not in ascending GCC order");
             stage(rec, boundaryAtCheckpoint(rec, ckpt, fed_), &ckpt,
-                  chainer_.next(fed_ > 0 ? &rec.checkpoints[fed_ - 1]
-                                         : nullptr,
-                                ckpt));
+                  storedImages(fed_ > 0 ? &rec.checkpoints[fed_ - 1]
+                                        : nullptr,
+                               ckpt));
             ++fed_;
         }
     }

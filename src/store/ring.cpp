@@ -979,6 +979,21 @@ RingArchiveReader::open(const std::string &dir,
         }
         image_info.push_back(ii);
     }
+    // Salvage can cut a ring at a checkpoint that heads a chain: its
+    // start keyframe was in the first file lost, and only its delta
+    // (the end image of the newest file) survives. The keyframe rule
+    // says which checkpoint that was, from the stored sizes alone.
+    if (!image_info.empty() && !image_info.back().keyframe) {
+        KeyframeRule rule;
+        for (std::size_t i = 0; i + 1 < image_info.size(); ++i) {
+            if (image_info[i].keyframe)
+                rule.keyframe(image_info[i].rawBytes);
+            else
+                rule.delta(image_info[i].rawBytes);
+        }
+        image_info.back().lostKeyframe =
+            rule.headsChain(image_info.back().rawBytes);
+    }
     try {
         r.indexImages(std::move(image_info));
     } catch (const RecordingFormatError &e) {

@@ -17,7 +17,7 @@
  * footer: replay can start at any retained checkpoint and every
  * bounded interval is judged against the end checkpoint it runs to.
  *
- * Checkpoint images form chains (archive_detail::ImageChainer). A
+ * Checkpoint images form chains (core/checkpoint.hpp). A
  * segment file carries its END checkpoint as a delta against its
  * start checkpoint (segment 0: a keyframe), and a START image — the
  * start checkpoint's keyframe — only when that checkpoint heads a

@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "compress/lz77.hpp"
 #include "core/serialize.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/crc32.hpp"
 
@@ -37,6 +38,14 @@ mutationKindName(MutationKind kind)
         return "reorder-words";
       case MutationKind::kHeaderCorrupt:
         return "header-corrupt";
+      case MutationKind::kKeyframeWordCount:
+        return "keyframe-word-count";
+      case MutationKind::kDeltaBaseGcc:
+        return "delta-base-gcc";
+      case MutationKind::kDeltaMemoryHash:
+        return "delta-memory-hash";
+      case MutationKind::kOrphanDelta:
+        return "orphan-delta";
     }
     return "unknown";
 }
@@ -58,6 +67,134 @@ mutantOutcomeName(MutantOutcome outcome)
     }
     return "unknown";
 }
+
+namespace
+{
+
+/** One checkpoint image in a serialized recording. */
+struct StoredImage
+{
+    serialize_detail::ImageKind kind;
+    std::size_t kindAt = 0; ///< offset of its kind field
+    std::size_t at = 0;     ///< offset of the image
+    serialize_detail::CheckpointExtent extent;
+};
+
+/**
+ * The checkpoint images of the serialized recording @p bytes, as far
+ * as the stream parses.
+ */
+std::vector<StoredImage>
+imagesOf(const std::string &bytes)
+{
+    using namespace serialize_detail;
+    std::vector<StoredImage> images;
+    const auto *data = reinterpret_cast<const std::uint8_t *>(bytes.data());
+    try {
+        std::size_t pos = checkpointSectionOffset(bytes);
+        if (bytes.size() - pos < 8)
+            return images;
+        const std::uint64_t count = loadU64(data + pos);
+        pos += 8;
+        for (std::uint64_t i = 0; i < count && bytes.size() - pos >= 8;
+             ++i) {
+            StoredImage image;
+            image.kind = static_cast<ImageKind>(loadU64(data + pos));
+            if (image.kind != ImageKind::kKeyframe
+                && image.kind != ImageKind::kDelta)
+                break;
+            image.kindAt = pos;
+            image.at = pos + 8;
+            const std::size_t left = bytes.size() - image.at;
+            image.extent =
+                scanImage(image.kind, data + image.at, left, left);
+            images.push_back(image);
+            pos = image.at + image.extent.bytes;
+        }
+    } catch (const RecordingFormatError &) {
+        // A prefix that does not parse has no (further) images.
+    }
+    return images;
+}
+
+/** A random image of @p kind among @p images, or nullptr. */
+const StoredImage *
+pickImage(const std::vector<StoredImage> &images,
+          serialize_detail::ImageKind kind, Xoshiro256ss &rng)
+{
+    std::vector<const StoredImage *> fit;
+    for (const StoredImage &image : images)
+        if (image.kind == kind)
+            fit.push_back(&image);
+    return fit.empty() ? nullptr : fit[rng.below(fit.size())];
+}
+
+/** Little-endian u64 at @p offset of a byte string or vector. */
+template <typename Bytes>
+std::uint64_t
+u64At(const Bytes &bytes, std::size_t offset)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(bytes[offset + i]))
+             << (8 * i);
+    return v;
+}
+
+template <typename Bytes>
+void
+putU64At(Bytes &bytes, std::size_t offset, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[offset + i] =
+            static_cast<typename Bytes::value_type>(v >> (8 * i));
+}
+
+/** Apply one checkpoint-chain mutation, when an image fits it. */
+void
+mutateChain(std::string &out, MutationKind kind, Xoshiro256ss &rng)
+{
+    using serialize_detail::ImageKind;
+    const std::vector<StoredImage> images = imagesOf(out);
+    const bool keyframe_kind = kind == MutationKind::kKeyframeWordCount
+                               || kind == MutationKind::kOrphanDelta;
+    const StoredImage *image = pickImage(
+        images, keyframe_kind ? ImageKind::kKeyframe : ImageKind::kDelta,
+        rng);
+    if (!image)
+        return;
+    // The header's last u64: a keyframe's word count, a delta's base.
+    const std::size_t tail =
+        image->at + checkpointHeaderBytes(image->extent.contexts) - 8;
+    switch (kind) {
+      case MutationKind::kKeyframeWordCount: {
+        const std::uint64_t words = u64At(out, tail);
+        putU64At(out, tail,
+                 words > 0 && rng.below(2)
+                     ? words - 1 - rng.below(words)
+                     : words + 1 + rng.below(words + 1));
+        return;
+      }
+      case MutationKind::kDeltaBaseGcc:
+        putU64At(out, tail, u64At(out, tail) + 1 + rng.below(64));
+        return;
+      case MutationKind::kDeltaMemoryHash: {
+        const std::size_t hash_at = image->at + image->extent.bytes - 8;
+        putU64At(out, hash_at,
+                 u64At(out, hash_at) ^ (1ull << rng.below(64)));
+        return;
+      }
+      case MutationKind::kOrphanDelta:
+        putU64At(out, images.front().kindAt,
+                 static_cast<std::uint64_t>(ImageKind::kDelta));
+        return;
+      default:
+        return;
+    }
+}
+
+} // namespace
 
 std::string
 mutateSerialized(const std::string &bytes, MutationKind kind,
@@ -111,6 +248,12 @@ mutateSerialized(const std::string &bytes, MutationKind kind,
             static_cast<char>(rng.next() & 0xFF);
         break;
       }
+      case MutationKind::kKeyframeWordCount:
+      case MutationKind::kDeltaBaseGcc:
+      case MutationKind::kDeltaMemoryHash:
+      case MutationKind::kOrphanDelta:
+        mutateChain(out, kind, rng);
+        break;
     }
     return out;
 }
@@ -225,17 +368,29 @@ FaultSweepSummary
 runFaultSweep(const Recording &rec, unsigned mutants_per_kind,
               std::uint64_t seed0, const ReplayCheckOptions &opts)
 {
-    std::ostringstream buf;
-    saveRecording(rec, buf);
-    const std::string serialized = buf.str();
+    const auto serialize = [](const Recording &r) {
+        std::ostringstream buf;
+        saveRecording(r, buf);
+        return buf.str();
+    };
+    const std::string serialized = serialize(rec);
+    std::string logs = serialized;
+    if (opts.startCheckpoint == ReplayCheckOptions::kFullRun
+        && !rec.checkpoints.empty()) {
+        Recording bare = rec;
+        bare.checkpoints.clear();
+        logs = serialize(bare);
+    }
 
     FaultSweepSummary summary;
     for (unsigned k = 0; k < kMutationKinds; ++k) {
         for (unsigned i = 0; i < mutants_per_kind; ++i) {
             const std::uint64_t seed =
                 seed0 * 1'000'003ull + k * 7919ull + i;
-            summary.add(runMutant(
-                serialized, static_cast<MutationKind>(k), seed, opts));
+            summary.add(runMutant(k < kStreamMutationKinds ? logs
+                                                           : serialized,
+                                  static_cast<MutationKind>(k), seed,
+                                  opts));
         }
     }
     return summary;
@@ -273,23 +428,6 @@ flipBits(std::vector<std::uint8_t> &bytes, std::size_t begin,
         bytes[begin + bit / 8] ^=
             static_cast<std::uint8_t>(1u << (bit % 8));
     }
-}
-
-std::uint64_t
-u64At(const std::vector<std::uint8_t> &bytes, std::size_t offset)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(bytes[offset + i]) << (8 * i);
-    return v;
-}
-
-void
-putU64At(std::vector<std::uint8_t> &bytes, std::size_t offset,
-         std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 } // namespace

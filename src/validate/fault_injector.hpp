@@ -41,9 +41,20 @@ enum class MutationKind : std::uint8_t
     kDuplicateWord, ///< duplicate a random aligned 8-byte record word
     kReorderWords,  ///< swap two random aligned 8-byte record words
     kHeaderCorrupt, ///< scribble on the magic/version/config header
+    // Checkpoint-chain mutants (kinds kStreamMutationKinds and up):
+    // each forges one field of a stored chain image, so the loader
+    // must reject it (a stream without a fitting image is left
+    // unchanged).
+    kKeyframeWordCount, ///< change a keyframe's word count
+    kDeltaBaseGcc,      ///< forge a delta's base GCC
+    kDeltaMemoryHash,   ///< forge a delta's memory hash
+    kOrphanDelta,       ///< store checkpoint 0, a chain head, as a delta
 };
 
-constexpr unsigned kMutationKinds = 5;
+constexpr unsigned kMutationKinds = 9;
+
+/// The kinds before the chain kinds: they mutate any stream byte.
+constexpr unsigned kStreamMutationKinds = 5;
 
 /** Short printable name of a mutation kind. */
 const char *mutationKindName(MutationKind kind);
@@ -104,8 +115,13 @@ MutantResult runMutant(const std::string &serialized, MutationKind kind,
 
 /**
  * Sweep @p mutants_per_kind mutants of every kind over @p rec.
- * Mutation seeds derive from @p seed0. Runs on the calling thread;
- * callers wanting parallelism fan runMutant() out themselves (see
+ * Mutation seeds derive from @p seed0. The chain kinds forge @p rec's
+ * checkpoint images, so they need a recording with checkpoints. For a
+ * full-run check, which never reads a checkpoint, the other kinds
+ * mutate @p rec's serialization without its checkpoints: images are
+ * most of a stream's bytes and would otherwise absorb nearly every
+ * mutant meant for the logs. Runs on the calling thread; callers
+ * wanting parallelism fan runMutant() out themselves (see
  * bench/validate_sweep.cpp).
  */
 FaultSweepSummary runFaultSweep(const Recording &rec,

@@ -604,11 +604,10 @@ TEST(ArchiveFaults, SweepAccountingAddsUp)
 std::vector<archive_detail::CheckpointImages>
 chainImages(const Recording &rec)
 {
-    archive_detail::ImageChainer chainer;
     std::vector<archive_detail::CheckpointImages> images;
     for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
-        images.push_back(chainer.next(i ? &rec.checkpoints[i - 1] : nullptr,
-                                      rec.checkpoints[i]));
+        images.push_back(archive_detail::storedImages(
+            i ? &rec.checkpoints[i - 1] : nullptr, rec.checkpoints[i]));
     return images;
 }
 

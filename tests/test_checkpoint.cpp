@@ -232,34 +232,49 @@ TEST(Checkpoint, BoundedIntervalFromStartOfRun)
 
 // ----- checkpoint-image codec (serialize_detail) ----------------------------
 
-/**
- * @p ckpt with its memory rebuilt by storing the words in descending
- * address order: the same content, a different insertion history (and
- * so a different slot layout).
- */
-SystemCheckpoint
-reinserted(const SystemCheckpoint &ckpt)
+const std::uint8_t *
+bytesOf(const std::string &s)
 {
-    std::vector<std::pair<Addr, std::uint64_t>> words;
-    ckpt.memory.forEachWord([&words](Addr addr, std::uint64_t value) {
-        words.emplace_back(addr, value);
-    });
-    std::sort(words.rbegin(), words.rend());
-    SystemCheckpoint copy = ckpt;
-    copy.memory = MemoryState();
+    return reinterpret_cast<const std::uint8_t *>(s.data());
+}
+
+/**
+ * @p state rebuilt by storing its words in descending address order:
+ * the same content, a different insertion history (and so a different
+ * slot layout).
+ */
+MemoryState
+reinserted(const MemoryState &state)
+{
+    std::vector<CheckpointImage::Word> words =
+        CheckpointImage::sortedWords(state);
+    std::reverse(words.begin(), words.end());
+    MemoryState copy;
     for (const auto &[addr, value] : words)
-        copy.memory.store(addr, value);
+        copy.store(addr, value);
     return copy;
+}
+
+/** @p ckpt with @p image as its memory. */
+SystemCheckpoint
+withMemory(SystemCheckpoint ckpt, CheckpointImage image)
+{
+    ckpt.memory = std::move(image);
+    return ckpt;
 }
 
 /**
  * Property test of the delta codec over random checkpoint histories
  * that store a word's default value (erasing it), grow the memory
- * table between two checkpoints, and rewrite contexts and counters:
- * applying delta(prev, cur) to prev rebuilds cur exactly (same
- * keyframe bytes, equal memory, same hash), and both encodings are a
- * pure function of content — two states with equal content but a
- * different insertion order encode to the same bytes.
+ * table between two checkpoints, and rewrite contexts and counters.
+ * Each checkpoint is imaged twice: by the recorder's path (an undo
+ * journal feeding an ImageChainBuilder) and as a lone keyframe, whose
+ * delta the codec diffs. Both paths encode the same delta bytes,
+ * decoding the delta onto the previous checkpoint rebuilds the
+ * current one exactly (same keyframe bytes, equal memory, same
+ * hash), and both encodings are a pure function of content — states
+ * with equal content but a different insertion order encode to the
+ * same bytes.
  */
 TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
 {
@@ -268,7 +283,12 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
     SystemCheckpoint cur;
     cur.contexts.resize(4);
     cur.committedChunks.assign(4, 0);
-    SystemCheckpoint prev = cur;
+    MemoryState mem;
+    MemoryState prev_mem;
+    SystemCheckpoint prev_chained;
+    UndoJournal journal;
+    ImageChainBuilder chain(4);
+    std::uint64_t hash = mem.hash();
     std::size_t grew = 0;
     std::size_t erased_steps = 0;
     for (int step = 0; step < 40; ++step) {
@@ -280,77 +300,210 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
             cur.contexts[p].acc = rng.next();
             cur.contexts[p].retired += rng.below(1000);
         }
-        const std::size_t before = cur.memory.population();
+        const std::size_t before = mem.population();
         const bool burst = step % 9 == 4;
         const unsigned stores =
             static_cast<unsigned>(rng.below(300)) + (burst ? 4000u : 0u);
         bool erased = false;
         for (unsigned k = 0; k < stores; ++k) {
             const Addr addr = rng.below(burst ? 40000 : 4000);
+            journal.logStore(mem, addr);
             if (rng.below(5) == 0) {
-                erased = erased || cur.memory.contains(addr);
-                cur.memory.store(addr, MemoryState::initValue(addr));
+                erased = erased || mem.contains(addr);
+                mem.store(addr, MemoryState::initValue(addr));
             } else {
-                cur.memory.store(addr, rng.next());
+                mem.store(addr, rng.next());
             }
         }
-        grew += burst && cur.memory.population() > 2 * before;
+        grew += burst && mem.population() > 2 * before;
         erased_steps += erased;
 
-        const std::string delta = encodeDelta(prev, cur);
-        SystemCheckpoint rebuilt = prev;
-        applyDelta(rebuilt, reinterpret_cast<const std::uint8_t *>(
-                                delta.data()),
-                   delta.size());
-        EXPECT_TRUE(rebuilt.memory == cur.memory) << "step " << step;
-        EXPECT_EQ(rebuilt.memory.hash(), cur.memory.hash());
-        EXPECT_EQ(encodeKeyframe(rebuilt), encodeKeyframe(cur))
+        MemoryDelta delta = journal.cut(mem, hash);
+        const SystemCheckpoint chained =
+            withMemory(cur, chain.next(mem, std::move(delta), hash));
+        const SystemCheckpoint lone = withMemory(cur, CheckpointImage(mem));
+        EXPECT_EQ(encodeKeyframe(chained), encodeKeyframe(lone))
+            << "step " << step;
+        if (step == 0) {
+            prev_chained = chained;
+            prev_mem = mem;
+            continue;
+        }
+        const SystemCheckpoint prev_lone =
+            withMemory(prev_chained, CheckpointImage(prev_mem));
+        const std::string bytes = encodeDelta(prev_chained, chained);
+        EXPECT_EQ(encodeDelta(prev_lone, lone), bytes) << "step " << step;
+
+        ChainDecoder walk;
+        walk.resume(prev_lone);
+        const SystemCheckpoint rebuilt = walk.delta(bytesOf(bytes),
+                                                    bytes.size());
+        EXPECT_TRUE(rebuilt.memory == lone.memory) << "step " << step;
+        EXPECT_TRUE(rebuilt.memory.materialize() == mem) << "step " << step;
+        EXPECT_EQ(rebuilt.memory.hash(), mem.hash());
+        EXPECT_EQ(encodeKeyframe(rebuilt), encodeKeyframe(lone))
             << "step " << step;
 
-        const SystemCheckpoint prev2 = reinserted(prev);
-        const SystemCheckpoint cur2 = reinserted(cur);
-        EXPECT_EQ(encodeDelta(prev2, cur2), delta) << "step " << step;
-        EXPECT_EQ(encodeKeyframe(cur2), encodeKeyframe(cur));
+        const SystemCheckpoint prev2 =
+            withMemory(prev_lone, CheckpointImage(reinserted(prev_mem)));
+        const SystemCheckpoint cur2 =
+            withMemory(lone, CheckpointImage(reinserted(mem)));
+        EXPECT_EQ(encodeDelta(prev2, cur2), bytes) << "step " << step;
+        EXPECT_EQ(encodeKeyframe(cur2), encodeKeyframe(lone));
 
         // A keyframe decodes back to the same checkpoint.
-        const std::string key = encodeKeyframe(cur);
-        const SystemCheckpoint decoded = decodeCheckpoint(
-            reinterpret_cast<const std::uint8_t *>(key.data()), key.size());
-        EXPECT_TRUE(decoded.memory == cur.memory);
-        prev = cur;
+        const std::string key = encodeKeyframe(lone);
+        const SystemCheckpoint decoded =
+            ChainDecoder().keyframe(bytesOf(key), key.size());
+        EXPECT_TRUE(decoded.memory == lone.memory);
+        EXPECT_EQ(decoded.memory.hash(), mem.hash());
+        prev_chained = chained;
+        prev_mem = mem;
     }
     EXPECT_GT(grew, 0u);
     EXPECT_GT(erased_steps, 0u);
 }
 
-/** applyDelta rejects a delta whose base or memory hash disagrees. */
+/** Raw bytes a materialization of @p image reads: keyframe + deltas. */
+std::size_t
+materializeBytes(const CheckpointImage &image, std::size_t contexts)
+{
+    const std::vector<CheckpointImage> chain = image.chain();
+    std::size_t bytes =
+        keyframeImageBytes(contexts, chain.front().words().size());
+    for (std::size_t i = 1; i < chain.size(); ++i)
+        bytes += deltaImageBytes(contexts, chain[i].delta()->changed.size(),
+                                 chain[i].delta()->erased.size());
+    return bytes;
+}
+
+/**
+ * Images chained from an undo journal against a full-snapshot oracle,
+ * over random histories with default-value stores, restores of a
+ * word's old value inside one interval and table growth between two
+ * cuts: at every cut the image materializes to the oracle, carries
+ * its hash and population, keeps its delta against the image before
+ * it, and reads at most twice its keyframe's bytes to materialize.
+ * The keyframe rule starts more than one chain.
+ */
+TEST(ImageChain, JournaledChainsMaterializeToTheOracle)
+{
+    Xoshiro256ss rng(0xC4A1ull);
+    MemoryState mem;
+    UndoJournal journal;
+    ImageChainBuilder chain(4);
+    std::uint64_t hash = mem.hash();
+    CheckpointImage prev;
+    std::size_t heads = 0;
+    for (int step = 0; step < 50; ++step) {
+        const unsigned stores = static_cast<unsigned>(rng.below(200))
+                                + (step % 11 == 5 ? 4000u : 0u);
+        for (unsigned k = 0; k < stores; ++k) {
+            const Addr addr = rng.below(step % 11 == 5 ? 30000 : 2500);
+            const std::uint64_t old = mem.load(addr);
+            journal.logStore(mem, addr);
+            switch (rng.below(5)) {
+              case 0:
+                mem.store(addr, MemoryState::initValue(addr));
+                break;
+              case 1: // a write, then the old value restored
+                mem.store(addr, rng.next());
+                mem.store(addr, old);
+                break;
+              default:
+                mem.store(addr, rng.next());
+            }
+        }
+        MemoryDelta delta = journal.cut(mem, hash);
+        const CheckpointImage image =
+            chain.next(mem, std::move(delta), hash);
+        heads += image.headsChain() ? 1 : 0;
+        EXPECT_TRUE(image.materialize() == mem) << "step " << step;
+        EXPECT_EQ(image.hash(), mem.hash()) << "step " << step;
+        EXPECT_EQ(image.population(), mem.population());
+        EXPECT_TRUE(image == CheckpointImage(mem)) << "step " << step;
+        EXPECT_TRUE(step == 0 || image.follows(prev)) << "step " << step;
+        EXPECT_LE(materializeBytes(image, 4),
+                  2 * keyframeImageBytes(
+                          4, image.chain().front().population()))
+            << "step " << step;
+        prev = image;
+    }
+    EXPECT_GT(heads, 1u);
+    EXPECT_LT(heads, 50u);
+}
+
+/**
+ * The recorder's journal carries every checkpoint's hash: for fft,
+ * radix, ocean and sjbb2k in all four mode configurations, each
+ * image's materialized memory hashes to the hash it carries and holds
+ * its population, and no image reads more than twice its keyframe's
+ * bytes to materialize.
+ */
+TEST(ImageChain, RecordedHashesMatchMaterializedImages)
+{
+    ModeConfig strat = ModeConfig::orderOnly();
+    strat.stratifyChunksPerProc = 4;
+    for (const char *app : {"fft", "radix", "ocean", "sjbb2k"}) {
+        for (const ModeConfig &mode :
+             {ModeConfig::orderAndSize(), ModeConfig::orderOnly(), strat,
+              ModeConfig::picoLog()}) {
+            Workload w(app, 4, 9, WorkloadScale::tiny());
+            const Recording rec = Recorder(mode, machine())
+                                      .record(w, 1, true, {}, 10);
+            const std::string what =
+                std::string(app) + " " + modeConfigName(mode);
+            ASSERT_GE(rec.checkpoints.size(), 2u) << what;
+            for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+                const CheckpointImage &image = rec.checkpoints[i].memory;
+                const MemoryState mem = image.materialize();
+                EXPECT_EQ(mem.hash(), image.hash()) << what << " " << i;
+                EXPECT_EQ(mem.population(), image.population())
+                    << what << " " << i;
+                EXPECT_LE(materializeBytes(image, 4),
+                          2 * keyframeImageBytes(
+                                  4, image.chain().front().population()))
+                    << what << " " << i;
+            }
+        }
+    }
+}
+
+/** A delta whose base or memory hash disagrees is rejected typed. */
 TEST(DeltaCodec, ApplyRejectsForgedBaseAndHash)
 {
     using namespace serialize_detail;
+    MemoryState before;
+    before.store(1, 5);
+    MemoryState after = before;
+    after.store(2, 6);
+    after.store(1, MemoryState::initValue(1));
     SystemCheckpoint prev;
     prev.gcc = 10;
     prev.contexts.resize(2);
     prev.committedChunks.assign(2, 1);
-    prev.memory.store(1, 5);
+    prev.memory = CheckpointImage(before);
     SystemCheckpoint cur = prev;
     cur.gcc = 20;
-    cur.memory.store(2, 6);
-    cur.memory.store(1, MemoryState::initValue(1));
+    cur.memory = CheckpointImage(after);
     const std::string delta = encodeDelta(prev, cur);
-    const auto bytes = [](const std::string &s) {
-        return reinterpret_cast<const std::uint8_t *>(s.data());
+    const auto decode = [&](const SystemCheckpoint &base,
+                            const std::string &bytes, std::size_t size) {
+        ChainDecoder walk;
+        walk.resume(base);
+        return walk.delta(bytesOf(bytes), size);
     };
+    EXPECT_TRUE(decode(prev, delta, delta.size()).memory == cur.memory);
 
     SystemCheckpoint wrong_base = prev;
     wrong_base.gcc = 11;
-    EXPECT_THROW(applyDelta(wrong_base, bytes(delta), delta.size()),
+    EXPECT_THROW(decode(wrong_base, delta, delta.size()),
                  RecordingFormatError);
 
     std::string forged = delta;
     forged[forged.size() - 1] ^= 0x40; // the memory hash's top byte
-    SystemCheckpoint base = prev;
     try {
-        applyDelta(base, bytes(forged), forged.size());
+        decode(prev, forged, forged.size());
         ADD_FAILURE() << "forged hash accepted";
     } catch (const RecordingFormatError &e) {
         EXPECT_NE(std::string(e.what()).find("memory hash mismatch"),
@@ -358,16 +511,19 @@ TEST(DeltaCodec, ApplyRejectsForgedBaseAndHash)
             << e.what();
     }
 
+    // A delta with no chain head before it is rejected.
+    EXPECT_THROW(ChainDecoder().delta(bytesOf(delta), delta.size()),
+                 RecordingFormatError);
+
     // Every truncation fails typed, never reads past the end.
     for (std::size_t cut = 0; cut < delta.size(); ++cut) {
-        SystemCheckpoint b = prev;
-        EXPECT_THROW(applyDelta(b, bytes(delta), cut), RecordingFormatError)
+        EXPECT_THROW(decode(prev, delta, cut), RecordingFormatError)
             << "cut " << cut;
-        EXPECT_THROW(scanImage(ImageKind::kDelta, bytes(delta), cut, cut),
+        EXPECT_THROW(scanImage(ImageKind::kDelta, bytesOf(delta), cut, cut),
                      RecordingFormatError)
             << "cut " << cut;
     }
-    EXPECT_EQ(scanImage(ImageKind::kDelta, bytes(delta), delta.size(),
+    EXPECT_EQ(scanImage(ImageKind::kDelta, bytesOf(delta), delta.size(),
                         delta.size())
                   .bytes,
               delta.size());

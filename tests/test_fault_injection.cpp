@@ -24,8 +24,11 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 20080621;
-// 35 mutants x 5 kinds x 3 modes = 525 total, over the gate's 500.
+// 35 mutants x 9 kinds x 3 modes = 945 total, over the gate's 500.
 constexpr unsigned kMutantsPerKind = 35;
+// Checkpoint period of the swept recordings, so the stream holds
+// keyframe chains for the chain mutants to forge.
+constexpr std::uint64_t kCheckpointPeriod = 10;
 
 struct ModeCase
 {
@@ -56,7 +59,8 @@ class FaultSweep : public testing::TestWithParam<int>
         machine.numProcs = 4;
         const Workload workload("fft", machine.numProcs, kSeed,
                                 WorkloadScale{10});
-        return Recorder(mode, machine).record(workload, /*env_seed=*/1);
+        return Recorder(mode, machine)
+            .record(workload, /*env_seed=*/1, true, {}, kCheckpointPeriod);
     }
 };
 
@@ -79,6 +83,49 @@ TEST_P(FaultSweep, MutantsNeverCrashHangOrLie)
 
 INSTANTIATE_TEST_SUITE_P(Modes, FaultSweep, testing::Range(0, 3));
 
+/**
+ * Every checkpoint-chain mutant of a .dlrec — a keyframe's word count
+ * changed, a delta's base GCC or memory hash forged, checkpoint 0
+ * stored as a delta with no chain head before it — is a typed
+ * RecordingFormatError at load, in every mode.
+ */
+TEST(ChainFaults, DlrecChainMutantsAreTypedRejections)
+{
+    constexpr MutationKind kChainKinds[] = {
+        MutationKind::kKeyframeWordCount, MutationKind::kDeltaBaseGcc,
+        MutationKind::kDeltaMemoryHash, MutationKind::kOrphanDelta};
+    for (const ModeConfig &mode :
+         {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
+          ModeConfig::picoLog()}) {
+        MachineConfig machine;
+        machine.numProcs = 4;
+        const Workload workload("fft", machine.numProcs, kSeed,
+                                WorkloadScale{10});
+        const Recording rec = Recorder(mode, machine)
+                                  .record(workload, 1, true, {},
+                                          kCheckpointPeriod);
+        ASSERT_GE(rec.checkpoints.size(), 3u);
+        std::ostringstream out;
+        saveRecording(rec, out);
+        const std::string bytes = out.str();
+        for (const MutationKind kind : kChainKinds) {
+            for (std::uint64_t seed = 0; seed < 12; ++seed) {
+                const std::string what =
+                    std::string(execModeName(mode.mode)) + " "
+                    + mutationKindName(kind) + " seed "
+                    + std::to_string(seed);
+                ASSERT_NE(mutateSerialized(bytes, kind, seed), bytes)
+                    << what;
+                const MutantResult r = runMutant(bytes, kind, seed);
+                EXPECT_EQ(r.outcome, MutantOutcome::kRejectedAtLoad)
+                    << what << ": " << r.report.message;
+                EXPECT_EQ(r.report.kind, DivergenceKind::kFormatError)
+                    << what;
+            }
+        }
+    }
+}
+
 TEST(FaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
 {
     // Detector leg of the sweep: the same no-crash/no-hang contract
@@ -89,8 +136,9 @@ TEST(FaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
     machine.numProcs = 4;
     const Workload workload("fft~r2", machine.numProcs, kSeed,
                             WorkloadScale{10});
-    const Recording rec =
-        Recorder(ModeConfig::orderOnly(), machine).record(workload, 1);
+    const Recording rec = Recorder(ModeConfig::orderOnly(), machine)
+                              .record(workload, 1, true, {},
+                                      kCheckpointPeriod);
 
     ReplayCheckOptions opts;
     opts.detectRaces = true;

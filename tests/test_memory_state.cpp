@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for MemoryState (memory/memory_state.hpp).
+ * Unit tests for MemoryState (memory/memory_state.hpp) and its undo
+ * journal (memory/undo_journal.hpp).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "memory/memory_state.hpp"
+#include "memory/undo_journal.hpp"
 
 namespace delorean
 {
@@ -176,6 +178,70 @@ TEST(MemoryState, ForEachChangeMatchesLookupDiff)
     ASSERT_TRUE(a == b);
     EXPECT_EQ(changesOf(a, b), Changes());
     EXPECT_EQ(changesOf(b, a), Changes());
+}
+
+/**
+ * The undo journal against a full-snapshot oracle, over random store
+ * histories that include stores of a word's default value (erasing
+ * it), a store followed by a restore of the word's old value inside
+ * one interval (no change), and bursts of fresh words that grow the
+ * table between two cuts. At every cut the journal's delta equals the
+ * sorted forEachChange() lists against the snapshot taken at the last
+ * cut, and the hash it carries equals hash().
+ */
+TEST(MemoryState, UndoJournalMatchesSnapshotDiff)
+{
+    Xoshiro256ss rng(0x10C4ull);
+    MemoryState m;
+    UndoJournal journal;
+    MemoryState oracle = m.snapshot();
+    std::uint64_t hash = m.hash();
+    std::size_t restored = 0;
+    std::size_t grew = 0;
+    std::size_t default_stores = 0;
+    const auto store = [&](Addr addr, std::uint64_t value) {
+        journal.logStore(m, addr);
+        m.store(addr, value);
+    };
+    for (int step = 0; step < 60; ++step) {
+        const std::size_t before = m.population();
+        const bool burst = step % 13 == 6;
+        const unsigned stores =
+            static_cast<unsigned>(rng.below(400)) + (burst ? 5000u : 0u);
+        for (unsigned k = 0; k < stores; ++k) {
+            const Addr addr = rng.below(burst ? 30000 : 3000);
+            switch (rng.below(6)) {
+              case 0:
+                default_stores += m.contains(addr) ? 1 : 0;
+                store(addr, MemoryState::initValue(addr));
+                break;
+              case 1: {
+                // Write, then put the old value back: not a change.
+                const std::uint64_t old = m.load(addr);
+                store(addr, rng.next());
+                store(addr, old);
+                restored += oracle.load(addr) == old ? 1 : 0;
+                break;
+              }
+              default:
+                store(addr, rng.below(8));
+            }
+        }
+        grew += burst && m.population() > 2 * before;
+
+        const MemoryDelta delta = journal.cut(m, hash);
+        const Changes want = changesOf(oracle, m);
+        EXPECT_EQ(delta.changed, want.first) << "step " << step;
+        EXPECT_EQ(delta.erased, want.second) << "step " << step;
+        EXPECT_EQ(hash, m.hash()) << "step " << step;
+        const MemoryDelta diffed = MemoryDelta::between(oracle, m);
+        EXPECT_EQ(diffed.changed, want.first);
+        EXPECT_EQ(diffed.erased, want.second);
+        oracle = m.snapshot();
+    }
+    EXPECT_GT(restored, 0u);
+    EXPECT_GT(grew, 0u);
+    EXPECT_GT(default_stores, 0u);
 }
 
 } // namespace

@@ -86,9 +86,7 @@ archiveBytes(const Recording &rec)
 std::string
 imageBytes(const SystemCheckpoint &ckpt)
 {
-    std::ostringstream out(std::ios::binary);
-    serialize_detail::putCheckpoint(out, ckpt);
-    return std::move(out).str();
+    return serialize_detail::encodeKeyframe(ckpt);
 }
 
 /** Fresh scratch ring directory under the test temp dir. */

@@ -2,7 +2,7 @@
  * @file
  * Recording persistence tests: save/load round trips, replay of a
  * recording that went through disk, pinned hashes of the .dlrec and
- * .dla byte images and of a ring directory, format v1 loading, and
+ * .dla byte images and of a ring directory, format v1/v2 loading, and
  * typed rejection of the two constant v2 fields (arbiter count 1, PI
  * has-masks flag 0).
  */
@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 
@@ -192,21 +193,27 @@ TEST(Serialize, GoldenBytesArePinned)
     strat.stratifyChunksPerProc = 3;
     // The .dla (v3) and ring (v2) pins moved once, when checkpoints
     // became keyframe chains; the ring budget then dropped from 300000
-    // to 60000 bytes so the smaller ring still evicts. The .dlrec pins
-    // did not move. The .dla v2 / ring v1 pins were, per mode:
+    // to 60000 bytes so the smaller ring still evicts. The .dla v2 /
+    // ring v1 pins were, per mode:
     //   order-and-size   0x0d36fc53a2b06f19  0x1907e8e3bc7ef3c2
     //   order-only       0xd698ac8dc50e6208  0x4c0337aa31f7807b
     //   order-only-strat 0x8422cf8225ac001d  0xe883fde35a28fbf6
     //   picolog          0x5d8df3650ad7243c  0x80f89ce2799a6e91
+    // The .dlrec pins moved once, when .dlrec v3 began storing the
+    // checkpoint chains; the v2 pins were, per mode:
+    //   order-and-size   0x106ed7879a1fe22c
+    //   order-only       0x9833376a1237a0dd
+    //   order-only-strat 0xb31510eb6702f9b9
+    //   picolog          0xddc8c740d6a95a9e
     const Golden goldens[] = {
         {"order-and-size", ModeConfig::orderAndSize(),
-         0x106ed7879a1fe22cull, 0x6506bec96579fab7ull,
+         0xeda82e9c82c96abcull, 0x6506bec96579fab7ull,
          0x845e77e093f37f07ull},
-        {"order-only", ModeConfig::orderOnly(), 0x9833376a1237a0ddull,
+        {"order-only", ModeConfig::orderOnly(), 0xec50a355d12af55full,
          0xeab0307ef088ea2dull, 0x7f17e60d4e5f2d90ull},
-        {"order-only-strat", strat, 0xb31510eb6702f9b9ull,
+        {"order-only-strat", strat, 0x71247568d6e2c834ull,
          0x3d29744302cba95dull, 0x76bfc7ce485d7beeull},
-        {"picolog", ModeConfig::picoLog(), 0xddc8c740d6a95a9eull,
+        {"picolog", ModeConfig::picoLog(), 0x08b2205957c59a79ull,
          0x64dda0fc9a7ee329ull, 0xaec65f6a2254c774ull},
     };
     for (const Golden &g : goldens) {
@@ -293,16 +300,71 @@ recordFft()
 TEST(Serialize, LegacyV1RecordingsStillLoadAndReplay)
 {
     const Recording rec = recordFft();
-    const std::string v2 = serialized(rec);
-    ASSERT_EQ(u64At(v2, kArbiterCountOffset), 1u);
-    ASSERT_EQ(u64At(v2, hasMasksOffset(v2)), 0u);
+    const std::string v3 = serialized(rec);
+    ASSERT_EQ(u64At(v3, kArbiterCountOffset), 1u);
+    ASSERT_EQ(u64At(v3, hasMasksOffset(v3)), 0u);
 
-    std::istringstream in(downgradeToV1(v2));
+    std::istringstream in(downgradeToV1(v3));
     const Recording loaded = loadRecording(in);
     EXPECT_EQ(loaded.pi.entryCount(), rec.pi.entryCount());
     EXPECT_TRUE(Replayer().replay(loaded, 5).deterministicExact);
-    // Re-serializing writes format v2, byte-identical to the original.
-    EXPECT_EQ(serialized(loaded), v2);
+    // Re-serializing writes format v3, byte-identical to the original.
+    EXPECT_EQ(serialized(loaded), v3);
+}
+
+/**
+ * @p rec as format v2 wrote it: every checkpoint a full image, with
+ * no kind field before it.
+ */
+std::string
+legacyV2(const Recording &rec)
+{
+    Recording bare = rec;
+    bare.checkpoints.clear();
+    std::string v2 = serialized(bare);
+    putU64At(v2, 8, 2);
+    v2.resize(v2.size() - 8); // the checkpoint count
+    std::string count(8, '\0');
+    putU64At(count, 0, rec.checkpoints.size());
+    v2 += count;
+    for (const SystemCheckpoint &ckpt : rec.checkpoints)
+        v2 += serialize_detail::encodeKeyframe(ckpt);
+    return v2;
+}
+
+/**
+ * Format v1 and v2 recordings store every checkpoint as a full image.
+ * Loading converts them into keyframe chains under the recorder's
+ * keyframe rule, so a re-serialized legacy file is byte-identical to
+ * the v3 file of the same recording, and its intervals replay.
+ */
+TEST(Serialize, LegacyFullImagesConvertToTheRecordedChains)
+{
+    Workload w("ocean", 4, 9, WorkloadScale::tiny());
+    const Recording rec =
+        Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true, {},
+                                                            10);
+    std::size_t heads = 0;
+    for (const SystemCheckpoint &ckpt : rec.checkpoints)
+        heads += ckpt.memory.headsChain() ? 1 : 0;
+    ASSERT_GT(heads, 1u);
+    ASSERT_LT(heads, rec.checkpoints.size());
+    const std::string v3 = serialized(rec);
+    const std::string v2 = legacyV2(rec);
+    for (const std::string &legacy : {v2, downgradeToV1(v2)}) {
+        std::istringstream in(legacy);
+        const Recording loaded = loadRecording(in);
+        EXPECT_EQ(serialized(loaded), v3);
+        ASSERT_EQ(loaded.checkpoints.size(), rec.checkpoints.size());
+        for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
+            EXPECT_EQ(loaded.checkpoints[i].memory.headsChain(),
+                      rec.checkpoints[i].memory.headsChain())
+                << i;
+        EXPECT_TRUE(Replayer()
+                        .replayInterval(loaded, 2, w, 5, {},
+                                        &loaded.checkpoints[3])
+                        .deterministicExact);
+    }
 }
 
 TEST(Serialize, RejectsArbiterCountOtherThanOne)

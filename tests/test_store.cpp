@@ -86,9 +86,7 @@ archiveBytes(const Recording &rec)
 std::string
 imageBytes(const SystemCheckpoint &ckpt)
 {
-    std::ostringstream out(std::ios::binary);
-    serialize_detail::putCheckpoint(out, ckpt);
-    return std::move(out).str();
+    return serialize_detail::encodeKeyframe(ckpt);
 }
 
 /**
@@ -243,9 +241,12 @@ TEST(Store, IntervalReplayFromEveryCheckpointAllModes)
     // Pinned hash of saveRecording(readAll()) followed by every
     // saveRecording(readInterval(i, i + 1)), per mode: the views a
     // reader produces must not change with how it decodes images.
+    // Re-pinned once for .dlrec v3 (checkpoint chains); the v2 pins
+    // were 0x1e8f9fd0ec5b1ff2, 0xb1bceb8731e5d54e, 0x80994ccbdb0398f3
+    // and 0x91515f6d812085a8.
     const std::uint64_t view_hashes[] = {
-        0x1e8f9fd0ec5b1ff2ull, 0xb1bceb8731e5d54eull,
-        0x80994ccbdb0398f3ull, 0x91515f6d812085a8ull};
+        0x2a2b62a3844c8890ull, 0x5ae5b69deab71991ull,
+        0x2906ea1df8cd248dull, 0xd0a10fb4a5bd18bfull};
     std::size_t mode_index = 0;
     for (const auto &[mode_name, mode] : allModes()) {
         Workload w("radix", 4, 9, WorkloadScale::tiny());
@@ -693,7 +694,10 @@ TEST(Store, StreamingWriterByteIdenticalAllModes)
  * stored images a rebuild reads — the chain's keyframe and every
  * delta up to the image — never exceed twice the keyframe's raw
  * bytes. The run is long enough to form several chains of both
- * kinds.
+ * kinds. The same bound holds in RAM: materializing any image of the
+ * recording, or of a reader's readAll(), reads at most twice its
+ * keyframe's bytes, and the recording's chains are the ones both
+ * containers store.
  */
 TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
 {
@@ -741,6 +745,27 @@ TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
         EXPECT_EQ(ring.imageInfo(i).rawBytes, dla.imageInfo(i).rawBytes)
             << i;
     }
+
+    const auto check_ram = [](const Recording &r, const std::string &label) {
+        for (std::size_t i = 0; i < r.checkpoints.size(); ++i) {
+            const std::vector<CheckpointImage> chain =
+                r.checkpoints[i].memory.chain();
+            const std::size_t keyframe =
+                keyframeImageBytes(4, chain.front().words().size());
+            std::size_t read = keyframe;
+            for (std::size_t k = 1; k < chain.size(); ++k)
+                read += deltaImageBytes(4, chain[k].delta()->changed.size(),
+                                        chain[k].delta()->erased.size());
+            EXPECT_LE(read, 2 * keyframe) << label << " checkpoint " << i;
+        }
+    };
+    check_ram(rec, "recording");
+    check_ram(dla.readAll(), ".dla readAll");
+    check_ram(ring.readAll(), "ring readAll");
+    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
+        EXPECT_EQ(rec.checkpoints[i].memory.headsChain(),
+                  dla.imageInfo(i).keyframe)
+            << i;
     std::filesystem::remove_all(dir);
 }
 

@@ -242,10 +242,21 @@ cmdRecord(const Args &args)
                 "(%.3f compressed)\n",
                 sizes.bitsPerProcPerKiloInstr(false),
                 sizes.bitsPerProcPerKiloInstr(true));
-    if (period)
+    if (period) {
         std::printf("  checkpoints:      %zu (every %llu commits)\n",
                     rec.checkpoints.size(),
                     static_cast<unsigned long long>(period));
+        std::size_t keyframes = 0;
+        std::size_t image_bytes = 0;
+        for (const SystemCheckpoint &ckpt : rec.checkpoints) {
+            keyframes += ckpt.memory.headsChain() ? 1 : 0;
+            image_bytes += ckpt.memory.heldBytes();
+        }
+        std::printf("  checkpoint images: %zu keyframe(s), %zu delta(s), "
+                    "%zu bytes held in RAM\n",
+                    keyframes, rec.checkpoints.size() - keyframes,
+                    image_bytes);
+    }
     if (!args.file.empty()) {
         saveRecordingFile(rec, args.file);
         std::printf("  saved to:         %s\n", args.file.c_str());

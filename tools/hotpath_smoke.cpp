@@ -68,6 +68,10 @@ main()
 {
     // Serialized-recording hashes of the unfiltered word walk (every
     // running chunk intersected in full), OrderOnly at scale 5.
+    // Re-pinned once for .dlrec v3 (no checkpoints here, so only the
+    // version field moved); the v2 pins, in order, were
+    // 0x47c1aef482b31299, 0x313c87f9488a26a1, 0x6d1df7d0ae78ca19,
+    // 0x958191f12df3c7cb, 0xec57bb1de802695d and 0x54527826f92af39f.
     struct Reference
     {
         const char *app;
@@ -75,12 +79,12 @@ main()
         std::uint64_t unfilteredHash;
     };
     const Reference refs[] = {
-        {"radix", true, 0x47c1aef482b31299ull},
-        {"radix", false, 0x313c87f9488a26a1ull},
-        {"fft", true, 0x6d1df7d0ae78ca19ull},
-        {"fft", false, 0x958191f12df3c7cbull},
-        {"lu", true, 0xec57bb1de802695dull},
-        {"lu", false, 0x54527826f92af39full},
+        {"radix", true, 0x6ddc0183ea34d0e9ull},
+        {"radix", false, 0xa61fd5b3c14c3072ull},
+        {"fft", true, 0xe6f2090056935865ull},
+        {"fft", false, 0xd8df859c7e382eedull},
+        {"lu", true, 0xe0f2f8b073c12fb9ull},
+        {"lu", false, 0x47a0fbfba58ef2abull},
     };
     bool ok = true;
     for (const Reference &r : refs)

@@ -61,6 +61,7 @@
 #include "common/errors.hpp"
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 #include "trace/app_profile.hpp"
@@ -197,15 +198,15 @@ checkpointIndexFor(const std::vector<std::uint64_t> &gccs,
 }
 
 /**
- * One line per checkpoint of a container: its GCC and how it is
- * stored — a keyframe heading a chain, or a delta on the checkpoint
- * at its base GCC — with its stored bytes.
+ * One line per checkpoint of a container or .dlrec: its GCC and how
+ * it is stored — a keyframe heading a chain, or a delta on the
+ * checkpoint at its base GCC — with its stored bytes.
  */
 void
-printCheckpointImages(const archive_detail::ContainerReader &reader)
+printCheckpointImages(const std::vector<CheckpointImageInfo> &images)
 {
-    for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {
-        const CheckpointImageInfo &info = reader.imageInfo(i);
+    for (std::size_t i = 0; i < images.size(); ++i) {
+        const CheckpointImageInfo &info = images[i];
         if (info.keyframe)
             std::printf("  checkpoint %zu: gcc %llu, keyframe, "
                         "%llu bytes stored\n",
@@ -218,6 +219,15 @@ printCheckpointImages(const archive_detail::ContainerReader &reader)
                         static_cast<unsigned long long>(info.baseGcc),
                         static_cast<unsigned long long>(info.storedBytes));
     }
+}
+
+void
+printCheckpointImages(const archive_detail::ContainerReader &reader)
+{
+    std::vector<CheckpointImageInfo> images;
+    for (std::size_t i = 0; i < reader.checkpointCount(); ++i)
+        images.push_back(reader.imageInfo(i));
+    printCheckpointImages(images);
 }
 
 int
@@ -274,10 +284,22 @@ doListCheckpoints(const std::string &path)
                     path.c_str(), rec.appName.c_str(),
                     modeConfigName(rec.mode),
                     rec.machine.numProcs, rec.checkpoints.size());
-        for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
-            std::printf("  checkpoint %zu: gcc %llu\n", i,
-                        static_cast<unsigned long long>(
-                            rec.checkpoints[i].gcc));
+        std::vector<CheckpointImageInfo> images;
+        for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+            const SystemCheckpoint *prev =
+                i ? &rec.checkpoints[i - 1] : nullptr;
+            const SystemCheckpoint &ckpt = rec.checkpoints[i];
+            CheckpointImageInfo info;
+            info.gcc = ckpt.gcc;
+            info.keyframe = serialize_detail::storedAsKeyframe(prev, ckpt);
+            info.baseGcc = info.keyframe ? 0 : prev->gcc;
+            info.storedBytes =
+                info.keyframe
+                    ? serialize_detail::encodeKeyframe(ckpt).size()
+                    : serialize_detail::encodeDelta(*prev, ckpt).size();
+            images.push_back(info);
+        }
+        printCheckpointImages(images);
         return 0;
     } catch (const RecordingFormatError &e) {
         std::printf("%s: rejected at load\n  %s\n", path.c_str(),
@@ -594,9 +616,11 @@ doFaultSweep(const std::string &app, unsigned per_kind)
         try {
             Workload workload(app, job.numProcs, job.workloadSeed,
                               WorkloadScale{job.scalePercent});
+            // Checkpoints every 10 commits, so even a short run holds
+            // keyframes and deltas for the chain mutants to forge.
             const Recording rec = Recorder(mode, machine)
-                                      .record(workload,
-                                              job.recordEnvSeed);
+                                      .record(workload, job.recordEnvSeed,
+                                              true, {}, 10);
             const FaultSweepSummary sweep =
                 runFaultSweep(rec, per_kind, job.workloadSeed);
             std::printf("%s %s: %s\n", app.c_str(), name,

@@ -63,7 +63,9 @@ faultSweepSmoke()
          {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
           ModeConfig::picoLog()}) {
         const Recording rec =
-            Recorder(mode, machine).record(workload, job.recordEnvSeed);
+            Recorder(mode, machine)
+                .record(workload, job.recordEnvSeed, true, {},
+                        job.checkpointPeriod);
         const FaultSweepSummary sweep =
             runFaultSweep(rec, /*mutants_per_kind=*/8, /*seed0=*/7);
         total += sweep.total;
