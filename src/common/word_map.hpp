@@ -40,6 +40,17 @@ class WordMap
 
     bool empty() const { return size_ == 0; }
 
+    /** Size the slot array so @p entries live entries fit unrehashed. */
+    void
+    reserve(std::size_t entries)
+    {
+        std::size_t slots = slots_.size();
+        while (entries * 4 > slots * 3)
+            slots *= 2;
+        if (slots != slots_.size())
+            rehash(slots);
+    }
+
     /** O(1): invalidates every entry by bumping the epoch. */
     void
     clear()
@@ -145,11 +156,14 @@ class WordMap
         }
     }
 
+    void grow() { rehash(slots_.size() * 2); }
+
+    /** Move the live entries into @p slots fresh slots (a power of two). */
     void
-    grow()
+    rehash(std::size_t slots)
     {
         std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{});
+        slots_.assign(slots, Slot{});
         const std::uint32_t live = epoch_;
         epoch_ = 1;
         for (const Slot &s : old) {

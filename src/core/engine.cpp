@@ -594,6 +594,13 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
     ChunkEnd reason = ChunkEnd::kSizeLimit;
     bool blocked = false;
     const bool tracing = obs_hub_ && obs_hub_->enabled();
+    // Lines of this build's previous load and previous store. As in
+    // Bulk, a repeated access to a line adds nothing to the chunk's
+    // signatures, line sets, speculative lines or directory sharers,
+    // and cannot overflow the cache, so that work is done once.
+    constexpr Addr kNoLine = ~Addr{0};
+    Addr last_read = kNoLine;
+    Addr last_written = kNoLine;
 
     while (i < target) {
         if (prog.done(ps.ctx)) {
@@ -618,7 +625,7 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
           case Op::kAmoFetchAdd: {
             const Addr word = wordOf(in.addr);
             const Addr line = lineOf(in.addr);
-            if (writesMemory(in.op)
+            if (writesMemory(in.op) && line != last_written
                 && !c.extra.linesWritten.contains(line)
                 && spec_[p].wouldOverflow(line)) {
                 // Undo this generate() call: restore the small fields,
@@ -644,9 +651,12 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
             cost += accessCost(p, in.op, line, c);
             if (returnsValue(in.op)) {
                 value = chunkLoad(p, c, word);
-                c.sigs.read.insert(line);
-                c.extra.linesRead.insert(line);
-                dir_.addSharer(p, line);
+                if (line != last_read) {
+                    last_read = line;
+                    c.sigs.read.insert(line);
+                    c.extra.linesRead.insert(line);
+                    dir_.addSharer(p, line);
+                }
             }
             if (writesMemory(in.op)) {
                 std::uint64_t stored = in.value;
@@ -654,10 +664,13 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
                     stored = value + in.value;
                 c.writes.emplace_back(word, stored);
                 c.writeMap[word] = stored;
-                c.sigs.write.insert(line);
-                if (c.extra.linesWritten.insert(line)) {
-                    spec_[p].insert(line);
-                    c.writtenLines.push_back(line);
+                if (line != last_written) {
+                    last_written = line;
+                    c.sigs.write.insert(line);
+                    if (c.extra.linesWritten.insert(line)) {
+                        spec_[p].insert(line);
+                        c.writtenLines.push_back(line);
+                    }
                 }
             }
             if (tracing) {

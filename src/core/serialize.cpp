@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/errors.hpp"
 #include "core/serialize_detail.hpp"
@@ -39,11 +40,20 @@ constexpr std::uint64_t kMagic = 0x44654C6F5265634Full; // "DeLoRecO"
 /// chains under the same keyframe rule.
 constexpr std::uint32_t kVersion = 3;
 
-/** Throw RecordingFormatError unless cond; @p what names the field. */
+/**
+ * Throw RecordingFormatError unless cond. @p what names the field: a
+ * string, or a callable returning one, called only on failure so the
+ * per-entry checks format no message while they pass.
+ */
+template <typename What>
 void
-require(bool cond, const std::string &what)
+require(bool cond, What &&what)
 {
-    if (!cond)
+    if (cond)
+        return;
+    if constexpr (std::is_invocable_v<What>)
+        throw RecordingFormatError(what());
+    else
         throw RecordingFormatError(what);
 }
 
@@ -57,9 +67,10 @@ require(bool cond, const std::string &what)
 void
 validateConfigs(const MachineConfig &m, const ModeConfig &mode)
 {
-    require(m.numProcs >= 1 && m.numProcs <= 64,
-            "numProcs " + std::to_string(m.numProcs)
-                + " outside [1, 64]");
+    require(m.numProcs >= 1 && m.numProcs <= 64, [&] {
+        return "numProcs " + std::to_string(m.numProcs)
+               + " outside [1, 64]";
+    });
     require(m.mem.l1Ways >= 1 && m.mem.l2Ways >= 1,
             "cache associativity must be at least 1");
     require(m.mem.l1SizeBytes / kLineBytes / m.mem.l1Ways >= 1,
@@ -114,42 +125,48 @@ validateRecording(const Recording &rec)
     } catch (const std::out_of_range &) {
         known_app = false;
     }
-    require(known_app, "unknown application '" + rec.appName + "'");
+    require(known_app, [&] {
+        return "unknown application '" + rec.appName + "'";
+    });
     require(rec.iterationsPercent >= 1,
             "iterationsPercent must be at least 1");
 
     for (std::size_t i = 0; i < rec.pi.entryCount(); ++i) {
         const ProcId p = rec.pi.entryAt(i);
-        require(p < n || p == kDmaProcId,
-                "PI entry " + std::to_string(i) + " names proc "
-                    + std::to_string(p));
+        require(p < n || p == kDmaProcId, [&] {
+            return "PI entry " + std::to_string(i) + " names proc "
+                   + std::to_string(p);
+        });
     }
 
     for (std::size_t i = 0; i < rec.strata.size(); ++i) {
         const Stratum &s = rec.strata[i];
         if (s.isDma)
             continue;
-        require(s.counts.size() == n,
-                "stratum " + std::to_string(i) + " has "
-                    + std::to_string(s.counts.size())
-                    + " counters for " + std::to_string(n)
-                    + " processors");
+        require(s.counts.size() == n, [&] {
+            return "stratum " + std::to_string(i) + " has "
+                   + std::to_string(s.counts.size())
+                   + " counters for " + std::to_string(n)
+                   + " processors";
+        });
         if (rec.stratified()) {
             for (const auto c : s.counts)
-                require(c <= rec.mode.stratifyChunksPerProc,
-                        "stratum " + std::to_string(i)
-                            + " counter exceeds the per-processor "
-                              "maximum");
+                require(c <= rec.mode.stratifyChunksPerProc, [&] {
+                    return "stratum " + std::to_string(i)
+                           + " counter exceeds the per-processor "
+                             "maximum";
+                });
         }
     }
 
     require(rec.cs.size() == n, "CS log count does not match numProcs");
     for (ProcId p = 0; p < n; ++p) {
         for (const CsEntry &e : rec.cs[p].entries())
-            require(e.size <= rec.mode.chunkSize,
-                    "CS entry for proc " + std::to_string(p)
-                        + " chunk " + std::to_string(e.seq)
-                        + " exceeds chunkSize");
+            require(e.size <= rec.mode.chunkSize, [&] {
+                return "CS entry for proc " + std::to_string(p)
+                       + " chunk " + std::to_string(e.seq)
+                       + " exceeds chunkSize";
+            });
     }
 
     require(rec.interrupts.numProcs() == n,
@@ -159,15 +176,17 @@ validateRecording(const Recording &rec)
 
     for (std::size_t i = 0; i < rec.dma.count(); ++i) {
         const DmaTransfer &t = rec.dma.transferAt(i);
-        require(t.wordAddrs.size() == t.values.size(),
-                "DMA transfer " + std::to_string(i)
-                    + " addr/value lists differ in length");
+        require(t.wordAddrs.size() == t.values.size(), [&] {
+            return "DMA transfer " + std::to_string(i)
+                   + " addr/value lists differ in length";
+        });
     }
 
     for (std::size_t i = 0; i < rec.fingerprint.commits.size(); ++i)
-        require(rec.fingerprint.commits[i].proc < n,
-                "fingerprint commit " + std::to_string(i)
-                    + " names an out-of-range proc");
+        require(rec.fingerprint.commits[i].proc < n, [&] {
+            return "fingerprint commit " + std::to_string(i)
+                   + " names an out-of-range proc";
+        });
     require(rec.fingerprint.perProcAcc.size() == n
                 && rec.fingerprint.perProcRetired.size() == n,
             "fingerprint per-proc vectors do not match numProcs");
@@ -175,15 +194,18 @@ validateRecording(const Recording &rec)
     for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
         const SystemCheckpoint &c = rec.checkpoints[i];
         require(c.contexts.size() == n
-                    && c.committedChunks.size() == n,
-                "checkpoint " + std::to_string(i)
-                    + " context count does not match numProcs");
-        require(c.rrNext < n,
-                "checkpoint " + std::to_string(i)
-                    + " rrNext out of range");
-        require(c.dmaConsumed <= rec.dma.count(),
-                "checkpoint " + std::to_string(i)
-                    + " dmaConsumed exceeds the DMA log");
+                    && c.committedChunks.size() == n, [&] {
+            return "checkpoint " + std::to_string(i)
+                   + " context count does not match numProcs";
+        });
+        require(c.rrNext < n, [&] {
+            return "checkpoint " + std::to_string(i)
+                   + " rrNext out of range";
+        });
+        require(c.dmaConsumed <= rec.dma.count(), [&] {
+            return "checkpoint " + std::to_string(i)
+                   + " dmaConsumed exceeds the DMA log";
+        });
     }
 }
 
@@ -332,16 +354,18 @@ loadLogs(std::istream &in, std::uint64_t &version)
     const std::uint64_t pi_count = getU64(in);
     for (std::uint64_t i = 0; i < pi_count; ++i) {
         const ProcId p = static_cast<ProcId>(getU64(in));
-        require(p < rec.machine.numProcs || p == kDmaProcId,
-                "PI entry " + std::to_string(i) + " names proc "
-                    + std::to_string(p));
+        require(p < rec.machine.numProcs || p == kDmaProcId, [&] {
+            return "PI entry " + std::to_string(i) + " names proc "
+                   + std::to_string(p);
+        });
         rec.pi.append(p);
     }
     if (!legacy_v1) {
         const std::uint64_t has_masks = getU64(in);
-        require(has_masks == 0,
-                "PI has-masks flag " + std::to_string(has_masks)
-                    + " is not 0");
+        require(has_masks == 0, [&] {
+            return "PI has-masks flag " + std::to_string(has_masks)
+                   + " is not 0";
+        });
     }
 
     const std::uint64_t strata_count = getU64(in);

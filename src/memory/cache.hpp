@@ -12,6 +12,7 @@
 #ifndef DELOREAN_MEMORY_CACHE_HPP_
 #define DELOREAN_MEMORY_CACHE_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,20 +42,31 @@ class Cache
 
     /**
      * Look up @p line; on miss, fill it (possibly evicting LRU).
-     * @return true on hit. Inline: this tag scan runs once per
-     * simulated memory access and dominates the cache model's cost.
+     * @return true on hit. Inline: this runs once per simulated
+     * memory access and dominates the cache model's cost. Accesses
+     * often repeat the previous line, so the way of the last access
+     * is checked before the set is scanned; a line lives in at most
+     * one way, so a match there is the hit the scan would find.
      */
     bool
     access(Addr line)
     {
-        Way *set =
-            &ways_storage_[static_cast<std::size_t>(indexOf(line)) * ways_];
         ++use_clock_;
+        Way &mru = ways_storage_[mru_];
+        if (mru.valid && mru.line == line) {
+            mru.lastUse = use_clock_;
+            ++hits_;
+            return true;
+        }
+        const std::size_t base =
+            static_cast<std::size_t>(indexOf(line)) * ways_;
+        Way *set = &ways_storage_[base];
         Way *victim = &set[0];
         for (unsigned w = 0; w < ways_; ++w) {
             if (set[w].valid && set[w].line == line) {
                 set[w].lastUse = use_clock_;
                 ++hits_;
+                mru_ = base + w;
                 return true;
             }
             if (!set[w].valid) {
@@ -67,6 +79,7 @@ class Cache
         victim->valid = true;
         victim->line = line;
         victim->lastUse = use_clock_;
+        mru_ = static_cast<std::size_t>(victim - ways_storage_.data());
         return false;
     }
 
@@ -122,6 +135,9 @@ class Cache
     unsigned num_sets_;
     unsigned ways_;
     std::vector<Way> ways_storage_; // num_sets_ * ways_
+    /// Index into ways_storage_ of the last accessed way (an index,
+    /// not a pointer, so a copied cache checks its own storage).
+    std::size_t mru_ = 0;
     std::uint64_t use_clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

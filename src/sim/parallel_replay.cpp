@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "common/word_map.hpp"
 #include "core/pi_log.hpp"
 #include "core/replay_observer.hpp"
 #include "core/stratifier.hpp"
@@ -24,6 +25,106 @@ namespace delorean
 namespace
 {
 
+/**
+ * The words one chunk body touched, one entry per distinct word in
+ * first-access order — the functional analogue of a Bulk chunk's
+ * read/write signatures, where a repeated access adds nothing. An
+ * entry holds the committed value the body's first load saw (when
+ * its first access was a load; own-store forwards cannot go stale, so
+ * nothing else is validated) and the word's last stored value (when
+ * the body wrote it). A repeated access is served by one probe (a
+ * compare when it repeats the previous access's word, as spin loops
+ * do), and retire validates and writes each word once. Cleared in
+ * O(1) per body; the capacity is kept across a processor's bodies.
+ */
+class Footprint
+{
+  public:
+    struct Entry
+    {
+        Addr word = 0;
+        std::uint64_t read = 0;    ///< first load's value (hasRead)
+        std::uint64_t written = 0; ///< last stored value (hasWrite)
+        bool hasRead = false;
+        bool hasWrite = false;
+    };
+
+    /// Starting the index at this size spares a short interval
+    /// replay, where each processor runs only one or two bodies, most
+    /// of the index's growth.
+    static constexpr std::size_t kInitialWords = 512;
+
+    Footprint() { index_.reserve(kInitialWords); }
+
+    void
+    clear()
+    {
+        index_.clear();
+        entries_.clear();
+    }
+
+    /** Value a load of @p word returns; @p mem is read on first touch. */
+    std::uint64_t
+    load(const MemoryState &mem, Addr word)
+    {
+        Entry &e = entryFor(word);
+        if (e.hasWrite)
+            return e.written;
+        if (!e.hasRead) {
+            e.read = mem.load(word);
+            e.hasRead = true;
+        }
+        return e.read;
+    }
+
+    void
+    store(Addr word, std::uint64_t value)
+    {
+        Entry &e = entryFor(word);
+        e.written = value;
+        e.hasWrite = true;
+    }
+
+    /** True when a word the body first read has changed in @p mem. */
+    bool
+    stale(const MemoryState &mem) const
+    {
+        for (const Entry &e : entries_)
+            if (e.hasRead && mem.load(e.word) != e.read)
+                return true;
+        return false;
+    }
+
+    /** Apply each written word's final value to @p mem. */
+    void
+    commit(MemoryState &mem) const
+    {
+        for (const Entry &e : entries_)
+            if (e.hasWrite)
+                mem.store(e.word, e.written);
+    }
+
+  private:
+    /** @p word's entry, appended blank on first touch. */
+    Entry &
+    entryFor(Addr word)
+    {
+        if (last_ < entries_.size() && entries_[last_].word == word)
+            return entries_[last_];
+        std::uint64_t &slot = index_[word];
+        if (!slot) {
+            entries_.push_back(Entry{word});
+            slot = entries_.size();
+        }
+        last_ = slot - 1;
+        return entries_[last_];
+    }
+
+    WordMap index_; ///< word -> 1 + its index in entries_
+    std::vector<Entry> entries_;
+    std::size_t last_ = 0; ///< entry of the previous access
+};
+
 /** One speculatively executed chunk body. */
 struct ChunkBody
 {
@@ -32,11 +133,9 @@ struct ChunkBody
     ThreadContext endCtx;
     InstrCount target = 0;
     InstrCount size = 0;
-    /// Buffered stores, program order, word granular.
-    std::vector<std::pair<Addr, std::uint64_t>> writes;
-    /// Values observed from committed memory (own-store forwards are
-    /// not recorded: they cannot go stale). Revalidated at retire.
-    std::vector<std::pair<Addr, std::uint64_t>> reads;
+    /// Words read from committed memory and buffered stores;
+    /// revalidated and applied at retire.
+    Footprint footprint;
     /// Program-order cached-access trace for the attached observer
     /// (empty when no observer is attached). Rebuilt on squash
     /// re-execution, so it always reflects the retired execution.
@@ -88,9 +187,7 @@ executeBody(const ThreadProgram &prog, const IoLog &io,
             bool tracing)
 {
     ThreadContext ctx = b.startCtx;
-    std::unordered_map<Addr, std::uint64_t> write_map;
-    b.reads.clear();
-    b.writes.clear();
+    b.footprint.clear();
     b.trace.clear();
 
     InstrCount i = 0;
@@ -107,21 +204,13 @@ executeBody(const ThreadProgram &prog, const IoLog &io,
           case Op::kAmoSwap:
           case Op::kAmoFetchAdd: {
             const Addr word = wordOf(in.addr);
-            if (returnsValue(in.op)) {
-                const auto it = write_map.find(word);
-                if (it != write_map.end()) {
-                    value = it->second;
-                } else {
-                    value = mem.load(word);
-                    b.reads.emplace_back(word, value);
-                }
-            }
+            if (returnsValue(in.op))
+                value = b.footprint.load(mem, word);
             if (writesMemory(in.op)) {
                 std::uint64_t stored = in.value;
                 if (in.op == Op::kAmoFetchAdd)
                     stored = value + in.value;
-                b.writes.emplace_back(word, stored);
-                write_map[word] = stored;
+                b.footprint.store(word, stored);
             }
             if (tracing) {
                 MemAccess a;
@@ -390,20 +479,12 @@ ParallelReplayer::replay(const Recording &rec,
         // Value-based read validation: a body that executed against a
         // memory image later commits overwrote is re-executed at its
         // retire turn — the software analogue of squash-and-replay.
-        bool stale = false;
-        for (const auto &[word, value] : b.reads) {
-            if (mem.load(word) != value) {
-                stale = true;
-                break;
-            }
-        }
-        if (stale) {
+        if (b.footprint.stale(mem)) {
             ++stats.squashes;
             executeBody(prog, rec.io, mem, p, b, executed, budget,
                         tracing);
         }
-        for (const auto &[word, value] : b.writes)
-            mem.store(word, value);
+        b.footprint.commit(mem);
         fp.commits.push_back(CommitRecord{p, b.seq, b.size, b.endCtx.acc});
         stats.retiredInstrs += b.size;
         ++stats.committedChunks;
@@ -538,9 +619,12 @@ ParallelReplayer::replay(const Recording &rec,
             if (stop && pr.nextSeq >= stop->committedChunks[p])
                 continue;
             const ChunkSeq seq = pr.nextSeq;
-            ChunkBody body;
+            // Refill the processor's body in place so its footprint
+            // keeps its capacity.
+            ChunkBody &body = pr.pending;
             body.seq = seq;
             body.startCtx = pr.ctx;
+            body.valid = false;
             // Interrupt delivery at the logical chunk boundary — a
             // pure function of the chunk seq, as in the engine.
             const auto irq_it = pr.irq.find(seq);
@@ -571,7 +655,6 @@ ParallelReplayer::replay(const Recording &rec,
                 progress = true;
                 continue;
             }
-            pr.pending = std::move(body);
             pr.hasPending = true;
             to_run.push_back(p);
             ++inflight;

@@ -104,7 +104,7 @@ TEST(CommitFastPath, FilterCountersMove)
 }
 
 // WordMap's epoch clear must make the map indistinguishable from a
-// fresh one, across many clear cycles and across growth.
+// fresh one, across many clear cycles and across growth and reserve.
 TEST(WordMap, EpochClearAndGrowthMatchReference)
 {
     Xoshiro256ss rng(21);
@@ -120,6 +120,9 @@ TEST(WordMap, EpochClearAndGrowthMatchReference)
             const std::uint64_t value = rng.next();
             map[key] = value;
             ref[key] = value;
+            // Reserving mid-cycle rehashes the live entries too.
+            if (cycle % 5 == 0 && i == inserts / 2)
+                map.reserve(ref.size() + 1500);
         }
         ASSERT_EQ(map.size(), ref.size());
         for (const auto &[key, value] : ref) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <sstream>
@@ -410,6 +411,126 @@ TEST(IntervalReplay, FunctionalMatchesDesOnEveryCheckpointInterval)
         }
     }
     EXPECT_GE(intervals, 150u);
+}
+
+/**
+ * Squash and executed-instruction counts of the functional replayer,
+ * per (app, configuration): the full run at window 1 and 8, then the
+ * sum over every checkpoint interval at window 1 and 8, each as
+ * {squashes, executed}. They were computed while chunk bodies still
+ * logged every committed-memory load, so a body's footprint (one
+ * entry per word) must keep every squash decision and every executed
+ * instruction where the per-access read log had them.
+ */
+struct WorkPin
+{
+    const char *app;
+    const char *config;
+    std::array<std::uint64_t, 8> counts;
+};
+
+const WorkPin kWorkPins[] = {
+    // clang-format off
+    {"fft", "order-and-size", {0, 261321, 3, 267321, 0, 244331, 1, 246331}},
+    {"fft", "order-only", {0, 268190, 1, 270190, 0, 248190, 0, 248190}},
+    {"fft", "order-only-strat", {0, 268190, 3, 274190, 0, 248190, 2, 252190}},
+    {"fft", "picolog", {0, 180277, 2, 182277, 0, 170277, 2, 172277}},
+    {"radix", "order-and-size", {0, 143499, 0, 143499, 0, 127823, 0, 127823}},
+    {"radix", "order-only", {0, 143499, 0, 143499, 0, 126806, 0, 126806}},
+    {"radix", "order-only-strat", {0, 143499, 0, 143499, 0, 126806, 0, 126806}},
+    {"radix", "picolog", {0, 143499, 0, 143499, 0, 134153, 0, 134153}},
+    {"ocean", "order-and-size", {0, 272382, 5, 282377, 0, 257686, 2, 261681}},
+    {"ocean", "order-only", {0, 287895, 5, 297895, 0, 271437, 4, 279437}},
+    {"ocean", "order-only-strat", {0, 287895, 5, 297895, 0, 271437, 5, 281437}},
+    {"ocean", "picolog", {0, 197943, 4, 201943, 0, 188111, 3, 191111}},
+    {"sjbb2k", "order-and-size", {0, 128326, 0, 128326, 0, 113234, 0, 113234}},
+    {"sjbb2k", "order-only", {0, 128326, 0, 128326, 0, 112149, 0, 112149}},
+    {"sjbb2k", "order-only-strat", {0, 128326, 0, 128326, 0, 112149, 0, 112149}},
+    {"sjbb2k", "picolog", {0, 128326, 0, 128326, 0, 118326, 0, 118326}},
+    {"fft~r2", "order-and-size", {0, 197955, 3, 203955, 0, 181422, 0, 181422}},
+    {"fft~r2", "order-only", {0, 198076, 3, 204076, 0, 178076, 0, 178076}},
+    {"fft~r2", "order-only-strat", {0, 198076, 1, 200076, 0, 178076, 0, 178076}},
+    {"fft~r2", "picolog", {0, 180076, 2, 182076, 0, 170076, 0, 170076}},
+    // clang-format on
+};
+
+TEST(ParallelReplay, SquashAndWorkCountsArePinned)
+{
+    // Full and interval replays at jobs 1/4 and window 1/8 reproduce
+    // the DES fingerprint, and their squash and work counts equal the
+    // pins (worker count never moves them). At least one pinned cell
+    // squashes, so stale-body detection stays exercised.
+    std::size_t cell = 0;
+    bool any_squash = false;
+    for (const char *app : {"fft", "radix", "ocean", "sjbb2k", "fft~r2"}) {
+        for (const auto &[label, mode] : allConfigs()) {
+            const Recording rec = recordCheckpointed(mode, app);
+            const Workload w = workloadOf(rec);
+            const std::string what = std::string(app) + " " + label;
+            const ReplayCheckResult des_full = checkedReplay(rec);
+            ASSERT_TRUE(des_full.ok) << what;
+            std::vector<ExecutionFingerprint> des_intervals;
+            for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+                const SystemCheckpoint *stop =
+                    i + 1 < rec.checkpoints.size()
+                        ? &rec.checkpoints[i + 1]
+                        : nullptr;
+                des_intervals.push_back(
+                    Replayer()
+                        .replayInterval(rec, i, w, 99 + i, {}, stop)
+                        .fingerprint);
+            }
+
+            for (const unsigned jobs : {1u, 4u}) {
+                std::array<std::uint64_t, 8> counts{};
+                for (const unsigned window : {1u, 8u}) {
+                    const std::size_t col = window == 1 ? 0 : 2;
+                    ParallelReplayOptions popts;
+                    popts.jobs = jobs;
+                    popts.window = window;
+                    const ReplayOutcome full =
+                        ParallelReplayer(popts).replay(rec, w);
+                    EXPECT_TRUE(fingerprintsAgree(
+                        rec, full.fingerprint,
+                        des_full.outcome.fingerprint))
+                        << what << " jobs " << jobs << " window "
+                        << window;
+                    counts[col] = full.stats.squashes;
+                    counts[col + 1] = full.stats.executedInstrs;
+                    for (std::size_t i = 0; i < rec.checkpoints.size();
+                         ++i) {
+                        popts.startCheckpoint = &rec.checkpoints[i];
+                        popts.stopCheckpoint =
+                            i + 1 < rec.checkpoints.size()
+                                ? &rec.checkpoints[i + 1]
+                                : nullptr;
+                        const ReplayOutcome fn =
+                            ParallelReplayer(popts).replay(rec, w);
+                        EXPECT_TRUE(fingerprintsAgree(rec, fn.fingerprint,
+                                                      des_intervals[i]))
+                            << what << " jobs " << jobs << " window "
+                            << window << " @" << i;
+                        counts[4 + col] += fn.stats.squashes;
+                        counts[5 + col] += fn.stats.executedInstrs;
+                    }
+                }
+                any_squash = any_squash || counts[2] > 0 || counts[6] > 0;
+                std::ostringstream row;
+                row << "{\"" << app << "\", \"" << label << "\", {";
+                for (std::size_t k = 0; k < counts.size(); ++k)
+                    row << (k ? ", " : "") << counts[k];
+                row << "}},";
+                ASSERT_LT(cell, std::size(kWorkPins)) << row.str();
+                const WorkPin &pin = kWorkPins[cell];
+                ASSERT_EQ(std::string(pin.app) + " " + pin.config, what);
+                EXPECT_EQ(counts, pin.counts)
+                    << what << " jobs " << jobs << ": " << row.str();
+            }
+            ++cell;
+        }
+    }
+    EXPECT_EQ(cell, std::size(kWorkPins));
+    EXPECT_TRUE(any_squash);
 }
 
 TEST(IntervalReplay, CheckedEntryPointsAgreeOnIntervalViews)
