@@ -7,8 +7,8 @@
  *   - container write (segment build + hash-chain LZ77 + CRC) at
  *     ioThreads in {1, 2, 4, 8};
  *   - full readAll (decompress + CRC + reassembly) at the same
- *     thread counts, through both the mmap and the buffered file
- *     path;
+ *     thread counts, through both the mmap path (fromFile) and the
+ *     buffered one (the file read into memory, then fromBytes);
  *   - seek-to-replay latency: readInterval from the last checkpoint
  *     off both read paths;
  *   - the serial baseline: lz77_reference (the retired O(window *
@@ -29,6 +29,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +57,20 @@ constexpr int kReps = 3;
 constexpr unsigned kThreadSweep[] = {1, 2, 4, 8};
 
 using Clock = std::chrono::steady_clock;
+
+/** The mmap path (fromFile), or the buffered one (fromBytes). */
+ArchiveReader
+openArchive(const std::string &path, unsigned threads, bool mmap_reads)
+{
+    const ArchiveIoOptions io{threads};
+    if (mmap_reads)
+        return ArchiveReader::fromFile(path, io);
+    std::ifstream in(path, std::ios::binary);
+    return ArchiveReader::fromBytes(
+        {std::istreambuf_iterator<char>(in),
+         std::istreambuf_iterator<char>()},
+        io);
+}
 
 /** Best-of-kReps wall time for @p fn, in seconds. */
 template <typename Fn>
@@ -85,7 +101,7 @@ std::string
 archivedWith(const Recording &rec, unsigned io_threads)
 {
     std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out, ArchiveIoOptions{io_threads, true});
+    writeArchive(rec, out, ArchiveIoOptions{io_threads});
     return std::move(out).str();
 }
 
@@ -196,11 +212,10 @@ main()
     for (const bool mmap_reads : {true, false}) {
         ledger.open(mmap_reads ? "readMmap" : "readBuffered");
         for (const unsigned threads : kThreadSweep) {
-            const ArchiveIoOptions io{threads, mmap_reads};
             std::string round;
             const double s = timeBest([&] {
                 round = savedBytes(
-                    ArchiveReader::fromFile(path, io).readAll());
+                    openArchive(path, threads, mmap_reads).readAll());
             });
             if (round != raw) {
                 std::fprintf(stderr,
@@ -220,10 +235,8 @@ main()
 
     // --- Seek-to-replay: decode only the segments covering the tail
     // interval, off both read paths.
-    const ArchiveReader mapped =
-        ArchiveReader::fromFile(path, ArchiveIoOptions{4, true});
-    const ArchiveReader buffered =
-        ArchiveReader::fromFile(path, ArchiveIoOptions{4, false});
+    const ArchiveReader mapped = openArchive(path, 4, true);
+    const ArchiveReader buffered = openArchive(path, 4, false);
     const std::size_t last = mapped.checkpointCount() - 1;
     std::string seek_mapped_bytes;
     const double seek_mapped = timeBest([&] {

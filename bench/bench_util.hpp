@@ -90,6 +90,7 @@ class BenchCampaign
   public:
     explicit BenchCampaign(std::string harness)
         : harness_(std::move(harness)),
+          jobs_(delorean::campaignJobs()),
           start_(std::chrono::steady_clock::now())
     {
     }
@@ -99,7 +100,7 @@ class BenchCampaign
     BenchCampaign(const BenchCampaign &) = delete;
     BenchCampaign &operator=(const BenchCampaign &) = delete;
 
-    unsigned jobs() const { return runner_.jobs(); }
+    unsigned jobs() const { return jobs_; }
 
     /** Run tasks in parallel, collecting results by job index. */
     template <typename R>
@@ -107,7 +108,7 @@ class BenchCampaign
     map(std::vector<std::function<R()>> tasks)
     {
         job_count_ += tasks.size();
-        return runner_.map(std::move(tasks));
+        return delorean::mapTasks(jobs_, std::move(tasks));
     }
 
     /** Run tasks in parallel (results handled by the closures). */
@@ -115,7 +116,7 @@ class BenchCampaign
     run(std::vector<std::function<void()>> tasks)
     {
         job_count_ += tasks.size();
-        runner_.run(std::move(tasks));
+        delorean::runTasks(jobs_, std::move(tasks));
     }
 
     /**
@@ -162,7 +163,7 @@ class BenchCampaign
 
         delorean::CampaignReport report;
         report.harness = harness_;
-        report.jobs = runner_.jobs();
+        report.jobs = jobs_;
         report.jobCount = job_count_;
         report.wallSeconds =
             std::chrono::duration<double>(
@@ -190,7 +191,7 @@ class BenchCampaign
 
   private:
     std::string harness_;
-    delorean::CampaignRunner runner_;
+    unsigned jobs_;
     delorean::RecordingCache cache_;
     std::chrono::steady_clock::time_point start_;
     std::uint64_t job_count_ = 0;

@@ -216,13 +216,12 @@ main()
         }
         std::fprintf(stderr,
                      "[serve] jobs=%u: %.3fs (%.2f sess/s, %.2f "
-                     "MB/s, %.2fx baseline, peak inflight %llu)\n",
+                     "MB/s, %.2fx baseline)\n",
                      widths[i], serve[i].wallSeconds,
                      serve[i].sessionsPerSecond,
                      serve[i].mbPerSecond,
                      serve[i].sessionsPerSecond
-                         / base.sessionsPerSecond,
-                     static_cast<unsigned long long>(r.peakInflight));
+                         / base.sessionsPerSecond);
         removeArchives(r, dir);
     }
 
@@ -272,7 +271,6 @@ main()
                          / base.sessionsPerSecond);
         ledger.field("cacheHits", reports[i].cacheHits);
         ledger.field("cacheMisses", reports[i].cacheMisses);
-        ledger.field("peakInflight", reports[i].peakInflight);
         ledger.close();
     }
     ledger.close();

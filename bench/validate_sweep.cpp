@@ -40,6 +40,9 @@ namespace
 {
 
 constexpr unsigned kMutantsPerKind = 40; // x5 kinds x3 modes = 600
+/// The differential checker's workload seed and record environment.
+constexpr std::uint64_t kWorkloadSeed = 20080621;
+constexpr std::uint64_t kRecordEnvSeed = 1;
 
 void
 writeReport(const std::vector<DifferentialResult> &diffs,
@@ -102,7 +105,7 @@ main()
     BenchCampaign campaign("validate_sweep");
     MachineConfig machine;
     machine.numProcs = base.numProcs;
-    Workload workload(base.app, base.numProcs, base.workloadSeed,
+    Workload workload(base.app, base.numProcs, kWorkloadSeed,
                       WorkloadScale{base.scalePercent});
 
     std::vector<std::function<MutantResult()>> tasks;
@@ -110,7 +113,7 @@ main()
          {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
           ModeConfig::picoLog()}) {
         const Recording rec = Recorder(mode, machine)
-                                  .record(workload, base.recordEnvSeed);
+                                  .record(workload, kRecordEnvSeed);
         campaign.account(rec.stats);
         std::ostringstream buf;
         saveRecording(rec, buf);
@@ -121,7 +124,7 @@ main()
         for (unsigned k = 0; k < kStreamMutationKinds; ++k) {
             for (unsigned i = 0; i < kMutantsPerKind; ++i) {
                 const std::uint64_t seed =
-                    base.workloadSeed * 1'000'003ull + k * 7919ull + i;
+                    kWorkloadSeed * 1'000'003ull + k * 7919ull + i;
                 tasks.push_back([serialized, k, seed] {
                     return runMutant(*serialized,
                                      static_cast<MutationKind>(k),

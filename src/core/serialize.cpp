@@ -536,6 +536,10 @@ saveRecordingFile(const Recording &rec, const std::string &path)
     if (!out)
         throw std::runtime_error("cannot open " + path + " for write");
     saveRecording(rec, out);
+    // Close before checking: the last buffer is flushed only here.
+    out.close();
+    if (!out)
+        throw std::runtime_error("failed to write " + path);
 }
 
 Recording

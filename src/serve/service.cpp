@@ -1,8 +1,6 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -60,59 +58,6 @@ appendEscaped(std::string &out, const std::string &s)
         out += c;
     }
 }
-
-/**
- * Counting-semaphore admission gate. Workers acquire a slot before
- * touching any session resources and release it when the session
- * completes; the high-water mark is reported for observability.
- */
-class Gate
-{
-  public:
-    explicit Gate(unsigned capacity) : capacity_(capacity) {}
-
-    void
-    acquire()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return inflight_ < capacity_; });
-        ++inflight_;
-        peak_ = std::max(peak_, inflight_);
-    }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inflight_;
-        }
-        cv_.notify_one();
-    }
-
-    unsigned
-    peak()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return peak_;
-    }
-
-  private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    unsigned capacity_;
-    unsigned inflight_ = 0;
-    unsigned peak_ = 0;
-};
-
-struct GateHold
-{
-    explicit GateHold(Gate &gate) : gate_(gate) { gate_.acquire(); }
-    ~GateHold() { gate_.release(); }
-    GateHold(const GateHold &) = delete;
-    GateHold &operator=(const GateHold &) = delete;
-    Gate &gate_;
-};
 
 } // namespace
 
@@ -250,23 +195,6 @@ parseServeJobs(std::istream &in)
     return jobs;
 }
 
-std::vector<std::size_t>
-serveDispatchOrder(const std::vector<ServeJob> &jobs)
-{
-    constexpr unsigned kClasses = 3;
-    std::vector<std::vector<std::size_t>> queues(kClasses);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        queues[static_cast<unsigned>(jobs[i].cls)].push_back(i);
-    std::vector<std::size_t> order;
-    order.reserve(jobs.size());
-    std::vector<std::size_t> heads(kClasses, 0);
-    while (order.size() < jobs.size())
-        for (unsigned c = 0; c < kClasses; ++c)
-            if (heads[c] < queues[c].size())
-                order.push_back(queues[c][heads[c]++]);
-    return order;
-}
-
 // ----- report ---------------------------------------------------------------
 
 std::uint64_t
@@ -342,12 +270,10 @@ ServeReport::ledgerJson(bool include_throughput) const
             buf, sizeof buf,
             ",\n  \"throughput\": {\n"
             "    \"jobs\": %u,\n"
-            "    \"max_inflight\": %u,\n"
-            "    \"peak_inflight\": %u,\n"
             "    \"wall_seconds\": %.6g,\n"
             "    \"sessions_per_second\": %.6g,\n"
             "    \"archive_mb_per_second\": %.6g\n  }",
-            jobs, maxInflight, peakInflight, wallSeconds,
+            jobs, wallSeconds,
             static_cast<double>(sessions.size()) / wall,
             static_cast<double>(archiveBytesTotal()) / 1e6 / wall);
         out += buf;
@@ -365,8 +291,6 @@ ServeService::run(const std::vector<ServeJob> &jobs)
 {
     const auto start = std::chrono::steady_clock::now();
     const unsigned width = opts_.jobs ? opts_.jobs : campaignJobs();
-    const unsigned inflight =
-        opts_.maxInflight ? opts_.maxInflight : width;
 
     // Best-effort; the per-archive open reports a usable error when
     // the directory is still missing. (Each ring writer creates its
@@ -379,10 +303,8 @@ ServeService::run(const std::vector<ServeJob> &jobs)
     ServeReport report;
     report.sessions.resize(jobs.size());
     report.jobs = width;
-    report.maxInflight = inflight;
 
     RecordingCache cache;
-    Gate gate(inflight);
     std::mutex info_mu; // guards infos + progress stream
     std::map<std::string, ServeRecordingInfo> infos;
     std::size_t completed = 0;
@@ -411,7 +333,6 @@ ServeService::run(const std::vector<ServeJob> &jobs)
                     RingOptions ropts;
                     ropts.budgetBytes = opts_.ringBudgetBytes;
                     ropts.checkpointPeriod = opts_.checkpointPeriod;
-                    ropts.maxReplayLag = opts_.ringMaxReplayLag;
                     ropts.io = opts_.archiveIo;
                     ring_path = opts_.ringDir + "/" + fnv1aHex(key)
                                 + ".ring";
@@ -559,16 +480,10 @@ ServeService::run(const std::vector<ServeJob> &jobs)
         }
     };
 
-    // Fair dispatch: the pool claims tasks in vector order, so
-    // ordering the vector round-robin-by-class IS the schedule.
-    const std::vector<std::size_t> order = serveDispatchOrder(jobs);
     std::vector<std::function<void()>> tasks;
-    tasks.reserve(order.size());
-    for (const std::size_t idx : order)
-        tasks.push_back([&run_session, &gate, idx] {
-            GateHold hold(gate);
-            run_session(idx);
-        });
+    tasks.reserve(jobs.size());
+    for (std::size_t idx = 0; idx < jobs.size(); ++idx)
+        tasks.push_back([&run_session, idx] { run_session(idx); });
     WorkerPool pool(width);
     pool.runBatch(tasks);
 
@@ -578,7 +493,6 @@ ServeService::run(const std::vector<ServeJob> &jobs)
     }
     report.cacheHits = cache.hits();
     report.cacheMisses = cache.misses();
-    report.peakInflight = gate.peak();
     report.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();

@@ -25,11 +25,8 @@
  *    while the session is still recording. Ring counters (segments
  *    cut, evicted, retained bytes) are deterministic and appear in
  *    the ledger.
- *  - **Fair scheduling.** Sessions dispatch in round-robin order
- *    across the three session classes, FIFO within each class, so a
- *    burst of record jobs cannot starve queued validations.
- *  - **Admission control.** At most maxInflight sessions hold
- *    resources concurrently; excess workers block at the gate.
+ *  - **Scheduling.** Sessions dispatch in submission order; the pool
+ *    width bounds how many run at once.
  *  - **Deterministic ledger.** The final JSON ledger (sessions in
  *    submission order, recordings keyed and sorted by cache key) is
  *    byte-identical at any worker count; wall-clock throughput lives
@@ -93,22 +90,11 @@ bool parseServeJob(const std::string &line, ServeJob &job,
  */
 std::vector<ServeJob> parseServeJobs(std::istream &in);
 
-/**
- * Dispatch order: round-robin across classes in enum order, FIFO
- * within each class. Returns submission indices into @p jobs.
- */
-std::vector<std::size_t>
-serveDispatchOrder(const std::vector<ServeJob> &jobs);
-
 /** Service knobs. */
 struct ServeOptions
 {
     /// Worker-pool width; 0 uses campaignJobs() (DELOREAN_JOBS).
     unsigned jobs = 0;
-
-    /// Admission bound: sessions concurrently past the gate; 0 means
-    /// "as wide as the pool" (the gate never binds).
-    unsigned maxInflight = 0;
 
     /// Directory for streamed .dla archives (created if missing);
     /// empty disables archive emission.
@@ -126,11 +112,6 @@ struct ServeOptions
 
     /// Per-recording ring disk budget (RingOptions::budgetBytes).
     std::uint64_t ringBudgetBytes = 4u << 20;
-
-    /// Ring replay-start lag bound in commits; 0 resolves to the
-    /// tightest feasible bound, 2 * checkpointPeriod
-    /// (RingOptions::maxReplayLag).
-    std::uint64_t ringMaxReplayLag = 0;
 
     /// Cross-check every hook-fed archive against writeArchive of the
     /// finished recording (the same writer fed at close); a mismatch
@@ -184,8 +165,6 @@ struct ServeReport
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
     unsigned jobs = 1;         ///< pool width used
-    unsigned maxInflight = 0;  ///< admission bound used
-    unsigned peakInflight = 0; ///< high-water sessions past the gate
     double wallSeconds = 0.0;
 
     std::uint64_t okCount() const;

@@ -51,54 +51,16 @@ namespace delorean
  */
 unsigned campaignJobs();
 
-/** Thread-pool executor with deterministic, index-keyed results. */
-class CampaignRunner
-{
-  public:
-    /** @param jobs worker count; 0 uses campaignJobs(). */
-    explicit CampaignRunner(unsigned jobs = 0);
-
-    unsigned jobs() const { return jobs_; }
-
-    /**
-     * Execute every task, fanning across min(jobs, tasks) workers.
-     * Tasks run in any order; call-site result slots (captured by
-     * index) make the outcome order-independent. The first exception
-     * thrown by a task is rethrown here after all workers drain.
-     */
-    void run(std::vector<std::function<void()>> tasks) const;
-
-    /** run() wrapper collecting each task's return value by index. */
-    template <typename R>
-    std::vector<R>
-    map(std::vector<std::function<R()>> tasks) const
-    {
-        std::vector<R> results(tasks.size());
-        std::vector<std::function<void()>> wrapped;
-        wrapped.reserve(tasks.size());
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            wrapped.push_back(
-                [&results, &tasks, i] { results[i] = tasks[i](); });
-        }
-        run(std::move(wrapped));
-        return results;
-    }
-
-  private:
-    unsigned jobs_;
-};
-
 /**
- * Persistent variant of the campaign substrate: a fixed set of worker
- * threads executing batches of index-keyed tasks. CampaignRunner
- * spawns threads per run() call, which is fine for campaigns whose
- * tasks last seconds; schedulers that dispatch thousands of small
- * batches (the chunk-parallel replayer's per-wave fan-out) need
- * workers that survive between batches. Results are index-keyed
- * exactly like CampaignRunner's, so batch outcomes are independent of
- * worker count; the first exception a batch raises is rethrown from
- * runBatch() after the batch drains. With one job the pool spawns no
- * threads and runBatch() runs inline on the caller.
+ * A fixed set of worker threads executing batches of index-keyed
+ * tasks. Results are keyed by task index, never completion order, so
+ * batch outcomes are independent of worker count; the first
+ * exception a batch raises is rethrown from runBatch() after the
+ * batch drains. With one job the pool spawns no threads and
+ * runBatch() runs inline on the caller. The workers survive between
+ * batches, so schedulers that dispatch thousands of small batches
+ * (the chunk-parallel replayer's per-wave fan-out) pay for the
+ * threads once; a one-shot campaign uses runTasks()/mapTasks().
  */
 class WorkerPool
 {
@@ -137,6 +99,30 @@ class WorkerPool
     std::atomic<std::size_t> next_{0};
     std::exception_ptr first_error_;
 };
+
+/**
+ * Run every task once on a WorkerPool of min(jobs, tasks) workers
+ * (@p jobs 0 uses campaignJobs()), the caller participating. Tasks
+ * run in any order; call-site result slots (captured by index) make
+ * the outcome order-independent. The first exception a task throws
+ * is rethrown after every task has run.
+ */
+void runTasks(unsigned jobs, std::vector<std::function<void()>> tasks);
+
+/** runTasks() collecting each task's return value by index. */
+template <typename R>
+std::vector<R>
+mapTasks(unsigned jobs, std::vector<std::function<R()>> tasks)
+{
+    std::vector<R> results(tasks.size());
+    std::vector<std::function<void()>> wrapped;
+    wrapped.reserve(tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+        wrapped.push_back(
+            [&results, &tasks, i] { results[i] = tasks[i](); });
+    runTasks(jobs, std::move(wrapped));
+    return results;
+}
 
 /** Everything that identifies one initial execution (record run). */
 struct RecordJob

@@ -840,6 +840,10 @@ writeArchiveFile(const Recording &rec, const std::string &path,
     if (!out)
         throw std::runtime_error("cannot open " + path + " for write");
     writeArchive(rec, out, io);
+    // Close before checking: the last buffer is flushed only here.
+    out.close();
+    if (!out)
+        throw std::runtime_error("failed to write " + path);
 }
 
 // ----- shared reader -------------------------------------------------------
@@ -1089,18 +1093,16 @@ ArchiveReader
 ArchiveReader::fromFile(const std::string &path,
                         const ArchiveIoOptions &io)
 {
-    if (io.mmapReads) {
-        ArchiveReader reader;
-        if (reader.map_.open(path)) {
-            reader.data_ = reader.map_.data();
-            reader.size_ = reader.map_.size();
-            reader.io_ = io;
-            reader.parse();
-            return reader;
-        }
-        // Fall through to the buffered path: mapping is best-effort
-        // and both paths parse and fail identically.
+    ArchiveReader reader;
+    if (reader.map_.open(path)) {
+        reader.data_ = reader.map_.data();
+        reader.size_ = reader.map_.size();
+        reader.io_ = io;
+        reader.parse();
+        return reader;
     }
+    // Mapping is best-effort: fall back to a buffered read, which
+    // parses and fails identically.
     std::ifstream in(path, std::ios::binary);
     if (!in)
         throw std::runtime_error("cannot open " + path);

@@ -63,18 +63,14 @@ class WorkerPool;
  * compression (writer) and CRC-check + decompression + parse
  * (reader) fan out over a WorkerPool; commit order is always segment
  * order, so container bytes and reassembled recordings are identical
- * at any thread count. mmapReads selects the zero-copy read path for
- * file-backed readers: the container is mapped once and payloads are
- * decoded straight out of the mapping, falling back to buffered
- * reads when mapping fails or the platform has no mmap.
+ * at any thread count. File-backed readers map the container once
+ * and decode payloads straight out of the mapping, falling back to a
+ * buffered read only when mapping fails or the platform has no mmap.
  */
 struct ArchiveIoOptions
 {
     /// Codec worker count; 0 resolves to defaultArchiveIoThreads().
     unsigned ioThreads = 0;
-
-    /// File-backed readers try mmap first (ignored by fromBytes).
-    bool mmapReads = true;
 
     /** ioThreads with the 0-default resolved. */
     unsigned resolvedIoThreads() const;
@@ -450,9 +446,9 @@ class ArchiveReader : public archive_detail::ContainerReader
                                    const ArchiveIoOptions &io = {});
 
     /**
-     * Open @p path: mmap'ed zero-copy when io.mmapReads is set and
-     * the platform cooperates, buffered otherwise. Both paths parse,
-     * CRC-check, and fail identically.
+     * Open @p path: mmap'ed zero-copy when the platform cooperates,
+     * a buffered read when mapping fails. Both paths parse, CRC-check,
+     * and fail identically.
      */
     static ArchiveReader fromFile(const std::string &path,
                                   const ArchiveIoOptions &io = {});

@@ -91,6 +91,9 @@ writeBlobFileAtomic(const std::string &path, std::uint64_t magic,
                           blob.size()));
         out.write(blob.data(),
                   static_cast<std::streamsize>(blob.size()));
+        // Close, check, then rename: the last buffer is flushed only
+        // at close, and a failed flush must not replace the file.
+        out.close();
         if (!out)
             throw std::runtime_error("failed to write " + tmp);
     }
@@ -147,7 +150,7 @@ readFileRange(const std::string &path, std::uint64_t offset,
 std::uint64_t
 RingOptions::resolvedLag() const
 {
-    return maxReplayLag ? maxReplayLag : 2 * checkpointPeriod;
+    return 2 * checkpointPeriod;
 }
 
 void
@@ -159,15 +162,6 @@ RingOptions::validate() const
         throw ConfigError("ring budgetBytes must be positive");
     if (checkpointPeriod > (1ull << 62))
         throw ConfigError("ring checkpointPeriod is implausibly large");
-    if (resolvedLag() < 2 * checkpointPeriod)
-        throw ConfigError(
-            "ring maxReplayLag T=" + std::to_string(resolvedLag())
-            + " is infeasible: with checkpoints every P="
-            + std::to_string(checkpointPeriod)
-            + " commits the newest durable replay starting point can "
-              "lag the frontier by up to 2P-1 commits; require "
-              "T >= 2P = "
-            + std::to_string(2 * checkpointPeriod));
 }
 
 // ----- writer ---------------------------------------------------------------
@@ -380,6 +374,7 @@ struct RingArchiveWriter::Impl
                 put(start.comp);
                 put(seg.endBlob.comp);
                 put(seg.comp);
+                out.close();
                 if (!out)
                     throw std::runtime_error("failed to write " + path);
             }
@@ -782,10 +777,10 @@ RingArchiveReader::open(const std::string &dir,
         r.app_name_ = getString(in);
         r.workload_seed_ = getU64(in);
         r.iterations_percent_ = static_cast<unsigned>(getU64(in));
-        r.opts_.budgetBytes = getU64(in);
-        r.opts_.checkpointPeriod = getU64(in);
-        r.opts_.maxReplayLag = getU64(in);
-        r.opts_.io = io;
+        // The budget, the period and T = 2P, as the writer recorded
+        // them; the reader needs none of them.
+        for (int knob = 0; knob < 3; ++knob)
+            getU64(in);
     } catch (const ArchiveError &) {
         throw;
     } catch (const RecordingFormatError &e) {

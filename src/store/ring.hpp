@@ -39,8 +39,7 @@
  * started two periods ago). Eviction never removes the chain holding
  * the newest complete segment, so that segment's start checkpoint
  * stays decodable and a replay starting point always exists within
- * the last T cycles provided T >= 2P — RingOptions::validate()
- * rejects anything tighter with a typed ConfigError. The disk budget
+ * the last T = 2P commits (RingOptions::resolvedLag()). The disk budget
  * bounds retained bytes best-effort: oldest whole chains are evicted
  * first, and when the protected newest chain alone exceeds the budget
  * the writer keeps it and counts a budgetOverrun instead of giving up
@@ -83,22 +82,21 @@ struct RingOptions
     /// checkpoint_period). Segments are cut at every checkpoint.
     std::uint64_t checkpointPeriod = 50;
 
-    /// Replay-start lag bound T, in commits: a decodable starting
-    /// point must exist within the last T commits. 0 resolves to the
-    /// tightest feasible bound, 2 * checkpointPeriod.
-    std::uint64_t maxReplayLag = 0;
-
     /// Codec parallelism for segment compress/decode.
     ArchiveIoOptions io{};
 
-    /** maxReplayLag with the 0-default resolved (2P). */
+    /**
+     * Replay-start lag bound T = 2 * checkpointPeriod, in commits: a
+     * decodable starting point exists within the last T commits. It
+     * follows from checkpoint placement alone (a segment's start
+     * checkpoint becomes durable when the segment completes, up to
+     * 2P - 1 commits behind the frontier), so it is not a knob.
+     */
     std::uint64_t resolvedLag() const;
 
     /**
-     * Reject infeasible configurations with a typed ConfigError:
-     * zero period or budget, or maxReplayLag < 2 * checkpointPeriod
-     * (no placement of period-P checkpoints can keep a durable start
-     * point closer than 2P-1 commits behind the frontier).
+     * Reject infeasible configurations with a typed ConfigError: zero
+     * period or budget, or an implausibly large period.
      */
     void validate() const;
 };
@@ -253,9 +251,6 @@ class RingArchiveReader : public archive_detail::ContainerReader
     RingArchiveReader &operator=(RingArchiveReader &&) noexcept;
     ~RingArchiveReader() override;
 
-    /** The options the ring was recorded with (from ring.meta). */
-    const RingOptions &options() const { return opts_; }
-
     const RingRecoveryInfo &recovery() const { return recovery_; }
 
     /** Retained segments, ascending segId (contiguous). */
@@ -307,7 +302,6 @@ class RingArchiveReader : public archive_detail::ContainerReader
     std::uint64_t boundaryGcc(std::size_t b) const;
 
     std::string dir_;
-    RingOptions opts_;
     RingRecoveryInfo recovery_;
     std::vector<RingSegmentInfo> segments_;
     std::vector<std::string> seg_paths_;      ///< parallel to segments_

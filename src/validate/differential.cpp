@@ -11,6 +11,7 @@
 
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
+#include "sim/campaign.hpp"
 #include "sim/parallel_replay.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
@@ -24,12 +25,31 @@ namespace delorean
 namespace
 {
 
+constexpr std::uint64_t kWorkloadSeed = 20080621;
+constexpr std::uint64_t kRecordEnvSeed = 1;
+/// Replay environment seed — different from kRecordEnvSeed so
+/// determinism is demonstrated, not inherited from timing luck. Every
+/// replay also runs under Section 6.2.1 timing perturbation.
+constexpr std::uint64_t kReplayEnvSeed = 99;
+/// Chunks per processor per stratum for the stratified PI run.
+constexpr unsigned kStratifyChunksPerProc = 3;
+/// Commits per localizer interval fingerprint.
+constexpr std::uint64_t kLocalizerPeriod = 32;
+/// Chunks in flight in the chunk-parallel replay leg
+/// (ParallelReplayOptions::window).
+constexpr unsigned kParallelWindow = 8;
+/// A system checkpoint every this many global commits of the record
+/// run: the archive legs replay the interval from every checkpoint
+/// straight off a `.dla`, and the ring legs check a full-budget and a
+/// tight-budget (evicting) ring against it.
+constexpr std::uint64_t kCheckpointPeriod = 40;
+
 /** The four (mode, PI-flavor) configurations of one job. */
 std::vector<std::pair<std::string, ModeConfig>>
-runConfigs(const DifferentialJob &job)
+runConfigs()
 {
     ModeConfig strat = ModeConfig::orderOnly();
-    strat.stratifyChunksPerProc = job.stratifyChunksPerProc;
+    strat.stratifyChunksPerProc = kStratifyChunksPerProc;
     return {
         {"order-and-size", ModeConfig::orderAndSize()},
         {"order-only", ModeConfig::orderOnly()},
@@ -100,12 +120,12 @@ runOne(const DifferentialJob &job, const std::string &label,
 
     Recording loaded;
     try {
-        Workload workload(job.app, job.numProcs, job.workloadSeed,
+        Workload workload(job.app, job.numProcs, kWorkloadSeed,
                           WorkloadScale{job.scalePercent});
         const Recording rec =
             Recorder(mode, machine)
-                .record(workload, job.recordEnvSeed, true, {},
-                        job.checkpointPeriod);
+                .record(workload, kRecordEnvSeed, true, {},
+                        kCheckpointPeriod);
 
         // Serialize, reload, re-serialize: the replay below runs on
         // the *loaded* copy so the wire format itself is under test.
@@ -121,186 +141,180 @@ runOne(const DifferentialJob &job, const std::string &label,
         // Archive legs: segment the recording at its checkpoints,
         // read it back whole (byte identity), then replay the
         // interval from every checkpoint off the archive alone.
-        if (job.checkpointPeriod != 0) {
-            std::ostringstream abuf;
-            writeArchive(rec, abuf);
-            const std::string abytes = std::move(abuf).str();
+        std::ostringstream abuf;
+        writeArchive(rec, abuf);
+        const std::string abytes = std::move(abuf).str();
 
-            // The parallel segment codec must be invisible in the
-            // container: re-archive with a forced serial codec and a
-            // forced 4-worker codec and demand byte identity.
-            std::ostringstream aserial;
-            writeArchive(rec, aserial, ArchiveIoOptions{1, true});
-            std::ostringstream apar;
-            writeArchive(rec, apar, ArchiveIoOptions{4, true});
-            run.archiveParallelWriteIdentical =
-                std::move(aserial).str() == abytes
-                && std::move(apar).str() == abytes;
+        // The parallel segment codec must be invisible in the
+        // container: re-archive with a forced serial codec and a
+        // forced 4-worker codec and demand byte identity.
+        std::ostringstream aserial;
+        writeArchive(rec, aserial, ArchiveIoOptions{1});
+        std::ostringstream apar;
+        writeArchive(rec, apar, ArchiveIoOptions{4});
+        run.archiveParallelWriteIdentical =
+            std::move(aserial).str() == abytes
+            && std::move(apar).str() == abytes;
 
-            const ArchiveReader reader = ArchiveReader::fromBytes(
-                {abytes.begin(), abytes.end()});
-            run.archiveCheckpoints = reader.checkpointCount();
-            std::ostringstream third;
-            saveRecording(reader.readAll(), third);
-            run.archiveRoundTripIdentical =
-                first.str() == third.str();
+        const ArchiveReader reader = ArchiveReader::fromBytes(
+            {abytes.begin(), abytes.end()});
+        run.archiveCheckpoints = reader.checkpointCount();
+        std::ostringstream third;
+        saveRecording(reader.readAll(), third);
+        run.archiveRoundTripIdentical = first.str() == third.str();
 
-            run.archiveIntervalsOk = true;
-            Workload replay_workload(job.app, job.numProcs,
-                                     job.workloadSeed,
-                                     WorkloadScale{job.scalePercent});
-            Replayer replayer;
-            ReplayPerturbation perturb;
-            if (job.perturbReplay) {
-                perturb.enabled = true;
-                perturb.seed = job.replayEnvSeed * 31 + 7;
+        run.archiveIntervalsOk = true;
+        Workload replay_workload(job.app, job.numProcs, kWorkloadSeed,
+                                 WorkloadScale{job.scalePercent});
+        Replayer replayer;
+        ReplayPerturbation perturb;
+        perturb.enabled = true;
+        perturb.seed = kReplayEnvSeed * 31 + 7;
+        // The functional replayer (checkedReplay's seek path) must
+        // reproduce every DES interval fingerprint: exactly for
+        // flat logs, per processor for stratified ones.
+        run.functionalIntervalsMatch = true;
+        const auto checkFunctional = [&](const Recording &view,
+                                         const SystemCheckpoint *stop,
+                                         const ReplayOutcome &des) {
+            ParallelReplayOptions popts;
+            popts.jobs = 1;
+            popts.startCheckpoint = &view.checkpoints[0];
+            popts.stopCheckpoint = stop;
+            const ExecutionFingerprint fp =
+                ParallelReplayer(popts)
+                    .replay(view, replay_workload)
+                    .fingerprint;
+            if (!(run.stratified ? fp.matchesPerProc(des.fingerprint)
+                                 : fp.matchesExact(des.fingerprint)))
+                run.functionalIntervalsMatch = false;
+            ++run.functionalIntervals;
+        };
+        for (std::size_t i = 0; i < reader.checkpointCount();
+             ++i) {
+            const Recording view = reader.readInterval(i);
+            const ReplayOutcome out = replayer.replayInterval(
+                view, 0, replay_workload, kReplayEnvSeed + i,
+                perturb);
+            checkFunctional(view, nullptr, out);
+            const bool match = run.stratified
+                                   ? out.deterministicPerProc
+                                   : out.deterministicExact;
+            if (!match) {
+                run.archiveIntervalsOk = false;
+                break;
             }
-            // The functional replayer (checkedReplay's seek path) must
-            // reproduce every DES interval fingerprint: exactly for
-            // flat logs, per processor for stratified ones.
-            run.functionalIntervalsMatch = true;
-            const auto checkFunctional = [&](const Recording &view,
-                                             const SystemCheckpoint *stop,
-                                             const ReplayOutcome &des) {
-                ParallelReplayOptions popts;
-                popts.jobs = 1;
-                popts.startCheckpoint = &view.checkpoints[0];
-                popts.stopCheckpoint = stop;
-                const ExecutionFingerprint fp =
-                    ParallelReplayer(popts)
-                        .replay(view, replay_workload)
-                        .fingerprint;
-                if (!(run.stratified ? fp.matchesPerProc(des.fingerprint)
-                                     : fp.matchesExact(des.fingerprint)))
-                    run.functionalIntervalsMatch = false;
-                ++run.functionalIntervals;
-            };
-            for (std::size_t i = 0; i < reader.checkpointCount();
-                 ++i) {
-                const Recording view = reader.readInterval(i);
-                const ReplayOutcome out = replayer.replayInterval(
-                    view, 0, replay_workload, job.replayEnvSeed + i,
-                    perturb);
-                checkFunctional(view, nullptr, out);
-                const bool match = run.stratified
-                                       ? out.deterministicPerProc
-                                       : out.deterministicExact;
-                if (!match) {
-                    run.archiveIntervalsOk = false;
-                    break;
-                }
-            }
+        }
 
-            // Ring legs. First a full-budget ring: nothing evicted,
-            // so readAll() must be byte-identical to the recording
-            // and every per-checkpoint view byte-identical to the
-            // `.dla` archive's view of the same interval (the two
-            // containers share their slice builders; this pins it).
-            // mkdtemp, not a name derived from the job: concurrent
-            // checkers (ctest runs several binaries at once) may run
-            // the identical job and must not share a scratch dir.
-            namespace fs = std::filesystem;
-            std::string tmpl =
-                (fs::temp_directory_path() / "delorean-diff-ring-")
-                    .string()
-                + "XXXXXX";
-            if (!mkdtemp(tmpl.data()))
-                throw std::runtime_error(
-                    "cannot create ring scratch dir " + tmpl);
-            const fs::path ring_dir = tmpl;
-            struct ScratchDir
+        // Ring legs. First a full-budget ring: nothing evicted,
+        // so readAll() must be byte-identical to the recording
+        // and every per-checkpoint view byte-identical to the
+        // `.dla` archive's view of the same interval (the two
+        // containers share their slice builders; this pins it).
+        // mkdtemp, not a name derived from the job: concurrent
+        // checkers (ctest runs several binaries at once) may run
+        // the identical job and must not share a scratch dir.
+        namespace fs = std::filesystem;
+        std::string tmpl =
+            (fs::temp_directory_path() / "delorean-diff-ring-")
+                .string()
+            + "XXXXXX";
+        if (!mkdtemp(tmpl.data()))
+            throw std::runtime_error(
+                "cannot create ring scratch dir " + tmpl);
+        const fs::path ring_dir = tmpl;
+        struct ScratchDir
+        {
+            fs::path p;
+            ~ScratchDir()
             {
-                fs::path p;
-                ~ScratchDir()
-                {
-                    std::error_code ec;
-                    fs::remove_all(p, ec);
-                }
-            } scratch{ring_dir};
-            RingOptions ropts;
-            ropts.budgetBytes = ~std::uint64_t{0} >> 1;
-            ropts.checkpointPeriod = job.checkpointPeriod;
-            const RingWriterStats full_stats =
-                writeRing(rec, ring_dir.string(), ropts);
-            const RingArchiveReader ring =
-                RingArchiveReader::open(ring_dir.string());
+                std::error_code ec;
+                fs::remove_all(p, ec);
+            }
+        } scratch{ring_dir};
+        RingOptions ropts;
+        ropts.budgetBytes = ~std::uint64_t{0} >> 1;
+        ropts.checkpointPeriod = kCheckpointPeriod;
+        const RingWriterStats full_stats =
+            writeRing(rec, ring_dir.string(), ropts);
+        const RingArchiveReader ring =
+            RingArchiveReader::open(ring_dir.string());
 
-            std::ostringstream whole;
-            saveRecording(ring.readAll(), whole);
-            run.ringRoundTripIdentical =
-                std::move(whole).str() == first.str()
-                && ring.checkpointCount() == reader.checkpointCount();
-            run.ringIntervalsOk = run.ringRoundTripIdentical;
-            for (std::size_t i = 0;
-                 run.ringRoundTripIdentical
-                 && i < ring.checkpointCount();
-                 ++i) {
-                std::ostringstream rview, aview;
-                saveRecording(ring.readInterval(i), rview);
-                saveRecording(reader.readInterval(i), aview);
-                if (std::move(rview).str() != std::move(aview).str())
-                    run.ringRoundTripIdentical = false;
-            }
-            if (run.ringIntervalsOk && ring.checkpointCount() > 1) {
-                // One bounded replay straight off the ring; the
-                // byte-identity above transfers the archive's
-                // per-checkpoint replay coverage to the rest.
-                const std::size_t mid =
-                    (ring.checkpointCount() - 1) / 2;
-                const Recording view = ring.readInterval(mid, mid + 1);
-                const ReplayOutcome out = replayer.replayInterval(
-                    view, 0, replay_workload, job.replayEnvSeed + mid,
-                    perturb, &view.checkpoints[1]);
-                checkFunctional(view, &view.checkpoints[1], out);
-                run.ringIntervalsOk = run.stratified
-                                          ? out.deterministicPerProc
-                                          : out.deterministicExact;
-            }
+        std::ostringstream whole;
+        saveRecording(ring.readAll(), whole);
+        run.ringRoundTripIdentical =
+            std::move(whole).str() == first.str()
+            && ring.checkpointCount() == reader.checkpointCount();
+        run.ringIntervalsOk = run.ringRoundTripIdentical;
+        for (std::size_t i = 0;
+             run.ringRoundTripIdentical
+             && i < ring.checkpointCount();
+             ++i) {
+            std::ostringstream rview, aview;
+            saveRecording(ring.readInterval(i), rview);
+            saveRecording(reader.readInterval(i), aview);
+            if (std::move(rview).str() != std::move(aview).str())
+                run.ringRoundTripIdentical = false;
+        }
+        if (run.ringIntervalsOk && ring.checkpointCount() > 1) {
+            // One bounded replay straight off the ring; the
+            // byte-identity above transfers the archive's
+            // per-checkpoint replay coverage to the rest.
+            const std::size_t mid =
+                (ring.checkpointCount() - 1) / 2;
+            const Recording view = ring.readInterval(mid, mid + 1);
+            const ReplayOutcome out = replayer.replayInterval(
+                view, 0, replay_workload, kReplayEnvSeed + mid,
+                perturb, &view.checkpoints[1]);
+            checkFunctional(view, &view.checkpoints[1], out);
+            run.ringIntervalsOk = run.stratified
+                                      ? out.deterministicPerProc
+                                      : out.deterministicExact;
+        }
 
-            // Then a tight-budget ring sized to roughly three
-            // segments: eviction is actually exercised (whenever the
-            // run cut more than three), and the retained window's
-            // views must still byte-match the archive's over the same
-            // GCC intervals.
-            fs::remove_all(ring_dir);
-            RingOptions topts = ropts;
-            topts.budgetBytes = std::max<std::uint64_t>(
-                1, 3 * (full_stats.liveBytes
-                        / std::max<std::uint64_t>(
-                            1, full_stats.segmentsCut)));
-            const RingWriterStats tight_stats =
-                writeRing(rec, ring_dir.string(), topts);
-            run.ringEvicted = tight_stats.segmentsEvicted;
-            const RingArchiveReader tight =
-                RingArchiveReader::open(ring_dir.string());
-            const std::vector<std::uint64_t> all_gccs =
-                reader.checkpointGccs();
-            const std::vector<std::uint64_t> kept_gccs =
-                tight.checkpointGccs();
-            const auto base = std::search(
-                all_gccs.begin(), all_gccs.end(), kept_gccs.begin(),
-                kept_gccs.end());
-            // A run short enough to cut zero checkpoints has nothing
-            // to window-match (both sides empty, search() == end());
-            // a ring that kept none while the archive has some is a
-            // real failure.
-            run.ringEvictedWindowOk =
-                (kept_gccs.empty() ? all_gccs.empty()
-                                   : base != all_gccs.end())
-                && tight_stats.worstStartLag <= topts.resolvedLag();
-            const std::size_t off = static_cast<std::size_t>(
-                base - all_gccs.begin());
-            for (std::size_t i = 0;
-                 run.ringEvictedWindowOk
-                 && i + 1 < tight.checkpointCount();
-                 ++i) {
-                std::ostringstream rview, aview;
-                saveRecording(tight.readInterval(i, i + 1), rview);
-                saveRecording(reader.readInterval(off + i, off + i + 1),
-                              aview);
-                if (std::move(rview).str() != std::move(aview).str())
-                    run.ringEvictedWindowOk = false;
-            }
+        // Then a tight-budget ring sized to roughly three
+        // segments: eviction is actually exercised (whenever the
+        // run cut more than three), and the retained window's
+        // views must still byte-match the archive's over the same
+        // GCC intervals.
+        fs::remove_all(ring_dir);
+        RingOptions topts = ropts;
+        topts.budgetBytes = std::max<std::uint64_t>(
+            1, 3 * (full_stats.liveBytes
+                    / std::max<std::uint64_t>(
+                        1, full_stats.segmentsCut)));
+        const RingWriterStats tight_stats =
+            writeRing(rec, ring_dir.string(), topts);
+        run.ringEvicted = tight_stats.segmentsEvicted;
+        const RingArchiveReader tight =
+            RingArchiveReader::open(ring_dir.string());
+        const std::vector<std::uint64_t> all_gccs =
+            reader.checkpointGccs();
+        const std::vector<std::uint64_t> kept_gccs =
+            tight.checkpointGccs();
+        const auto base = std::search(
+            all_gccs.begin(), all_gccs.end(), kept_gccs.begin(),
+            kept_gccs.end());
+        // A run short enough to cut zero checkpoints has nothing
+        // to window-match (both sides empty, search() == end());
+        // a ring that kept none while the archive has some is a
+        // real failure.
+        run.ringEvictedWindowOk =
+            (kept_gccs.empty() ? all_gccs.empty()
+                               : base != all_gccs.end())
+            && tight_stats.worstStartLag <= topts.resolvedLag();
+        const std::size_t off = static_cast<std::size_t>(
+            base - all_gccs.begin());
+        for (std::size_t i = 0;
+             run.ringEvictedWindowOk
+             && i + 1 < tight.checkpointCount();
+             ++i) {
+            std::ostringstream rview, aview;
+            saveRecording(tight.readInterval(i, i + 1), rview);
+            saveRecording(reader.readInterval(off + i, off + i + 1),
+                          aview);
+            if (std::move(rview).str() != std::move(aview).str())
+                run.ringEvictedWindowOk = false;
         }
     } catch (const std::exception &e) {
         run.error = e.what();
@@ -311,29 +325,26 @@ runOne(const DifferentialJob &job, const std::string &label,
     run.fingerprint = loaded.fingerprint;
 
     ReplayCheckOptions opts;
-    opts.envSeed = job.replayEnvSeed;
-    opts.localizerPeriod = job.localizerPeriod;
-    if (job.perturbReplay) {
-        opts.perturb.enabled = true;
-        opts.perturb.seed = job.replayEnvSeed * 0x9E3779B97F4A7C15ull
-                            + job.workloadSeed;
-    }
+    opts.envSeed = kReplayEnvSeed;
+    opts.localizerPeriod = kLocalizerPeriod;
+    opts.perturb.enabled = true;
+    opts.perturb.seed =
+        kReplayEnvSeed * 0x9E3779B97F4A7C15ull + kWorkloadSeed;
     const ReplayCheckResult check = checkedReplay(loaded, opts);
     run.replayOk = check.ok;
     run.report = check.report;
     if (check.replayRan)
         run.intervalsMatch = intervalFingerprintsAgree(
             loaded.fingerprint, check.outcome.fingerprint,
-            run.stratified, job.localizerPeriod);
+            run.stratified, kLocalizerPeriod);
     if (!check.replayRan)
         return run;
 
     // Host-parallel chunk bodies on the WorkerPool.
     ParallelReplayOptions popts;
-    popts.window = job.parallelWindow;
-    popts.jobs = job.parallelJobs;
+    popts.window = kParallelWindow;
     ReplayCheckOptions fopts;
-    fopts.localizerPeriod = job.localizerPeriod;
+    fopts.localizerPeriod = kLocalizerPeriod;
     const ReplayCheckResult par =
         checkedParallelReplay(loaded, popts, fopts);
     run.parallelReplayOk = par.ok;
@@ -342,7 +353,7 @@ runOne(const DifferentialJob &job, const std::string &label,
     if (par.replayRan)
         run.parallelMatchesSerial = agreesWithSerial(
             check.outcome.fingerprint, par.outcome.fingerprint,
-            run.stratified, job.localizerPeriod);
+            run.stratified, kLocalizerPeriod);
     return run;
 }
 
@@ -410,7 +421,7 @@ DifferentialChecker::check(const DifferentialJob &job) const
     DifferentialResult result;
     result.job = job;
 
-    const auto configs = runConfigs(job);
+    const auto configs = runConfigs();
     std::vector<std::function<DifferentialRun()>> tasks;
     tasks.reserve(configs.size());
     for (const auto &[label, mode] : configs) {
@@ -418,7 +429,7 @@ DifferentialChecker::check(const DifferentialJob &job) const
             return runOne(job, label, mode);
         });
     }
-    result.runs = runner_.map(std::move(tasks));
+    result.runs = mapTasks(jobs_, std::move(tasks));
 
     auto fail = [&result](std::string msg) {
         result.failures.push_back(std::move(msg));
@@ -450,29 +461,27 @@ DifferentialChecker::check(const DifferentialJob &job) const
         else if (!r.parallelMatchesSerial)
             fail(r.label + ": chunk-parallel replay fingerprint "
                  "differs from serial replay");
-        if (job.checkpointPeriod != 0) {
-            if (!r.archiveRoundTripIdentical)
-                fail(r.label + ": archive readAll() not "
-                     "byte-identical to the recording");
-            if (!r.archiveIntervalsOk)
-                fail(r.label + ": interval replay off the archive "
-                     "diverged from the recording");
-            if (!r.archiveParallelWriteIdentical)
-                fail(r.label + ": parallel-codec archive bytes differ "
-                     "from the serially written container");
-            if (!r.ringRoundTripIdentical)
-                fail(r.label + ": ring views not byte-identical to "
-                     "the .dla archive's");
-            if (!r.ringIntervalsOk)
-                fail(r.label + ": bounded interval replay off the "
-                     "ring diverged from the recording");
-            if (!r.ringEvictedWindowOk)
-                fail(r.label + ": evicting ring's retained window "
-                     "disagrees with the .dla archive");
-            if (!r.functionalIntervalsMatch)
-                fail(r.label + ": functional interval replay "
-                     "fingerprint differs from the DES's");
-        }
+        if (!r.archiveRoundTripIdentical)
+            fail(r.label + ": archive readAll() not "
+                 "byte-identical to the recording");
+        if (!r.archiveIntervalsOk)
+            fail(r.label + ": interval replay off the archive "
+                 "diverged from the recording");
+        if (!r.archiveParallelWriteIdentical)
+            fail(r.label + ": parallel-codec archive bytes differ "
+                 "from the serially written container");
+        if (!r.ringRoundTripIdentical)
+            fail(r.label + ": ring views not byte-identical to "
+                 "the .dla archive's");
+        if (!r.ringIntervalsOk)
+            fail(r.label + ": bounded interval replay off the "
+                 "ring diverged from the recording");
+        if (!r.ringEvictedWindowOk)
+            fail(r.label + ": evicting ring's retained window "
+                 "disagrees with the .dla archive");
+        if (!r.functionalIntervalsMatch)
+            fail(r.label + ": functional interval replay "
+                 "fingerprint differs from the DES's");
     }
     if (!result.failures.empty())
         return result;

@@ -54,42 +54,21 @@
 #include <vector>
 
 #include "core/recording.hpp"
-#include "sim/campaign.hpp"
 #include "validate/divergence.hpp"
 
 namespace delorean
 {
 
-/** One differential job: the workload and knobs shared by all runs. */
+/**
+ * One differential job: the workload shared by all runs. Everything
+ * else (seeds, perturbation, localizer period, checkpoint period,
+ * parallel window) is fixed in differential.cpp.
+ */
 struct DifferentialJob
 {
     std::string app = "fft";
     unsigned numProcs = 4;
-    std::uint64_t workloadSeed = 20080621;
     unsigned scalePercent = 10;
-    std::uint64_t recordEnvSeed = 1;
-    /// Replay environment seed — different from recordEnvSeed so
-    /// determinism is demonstrated, not inherited from timing luck.
-    std::uint64_t replayEnvSeed = 99;
-    /// Chunks per processor per stratum for the stratified PI run.
-    unsigned stratifyChunksPerProc = 3;
-    /// Apply Section 6.2.1 timing perturbation to the replays.
-    bool perturbReplay = true;
-    /// Commits per localizer interval fingerprint.
-    std::uint64_t localizerPeriod = 32;
-    /// Chunks in flight in the chunk-parallel replay leg
-    /// (ParallelReplayOptions::window).
-    unsigned parallelWindow = 8;
-    /// WorkerPool width for the chunk-parallel leg; 0 = DELOREAN_JOBS.
-    unsigned parallelJobs = 0;
-    /// Take a system checkpoint every this many global commits during
-    /// the record run, then archive the recording (src/store) and
-    /// replay the interval from every checkpoint straight off the
-    /// archive. Also drives the ring legs: a full-budget and a
-    /// tight-budget (evicting) ring archive whose interval views must
-    /// byte-match the `.dla` archive's. 0 disables both container leg
-    /// families.
-    std::uint64_t checkpointPeriod = 40;
 };
 
 /** One (mode, PI-flavor) recording + checked replay. */
@@ -103,16 +82,15 @@ struct DifferentialRun
     bool roundTripIdentical = false; ///< save/load/save byte-equal
     bool replayOk = false;   ///< checkedReplay succeeded (serial)
     /// Recorded vs replayed periodic interval fingerprints agree at
-    /// every boundary (localizerPeriod commits apart).
+    /// every boundary.
     bool intervalsMatch = false;
     /// checkedParallelReplay (host-parallel chunk bodies) succeeded.
     bool parallelReplayOk = false;
     /// Chunk-parallel replay's fingerprint AND interval fingerprints
     /// agree with the serial replay's (same comparison rule).
     bool parallelMatchesSerial = false;
-    /// Archive legs (job.checkpointPeriod != 0): the archived
-    /// recording read back whole is byte-identical under
-    /// saveRecording().
+    /// Archive legs: the archived recording read back whole is
+    /// byte-identical under saveRecording().
     bool archiveRoundTripIdentical = false;
     /// Interval replay straight off the archive reproduced the
     /// recording from *every* checkpoint (per-processor comparison
@@ -124,8 +102,8 @@ struct DifferentialRun
     bool archiveParallelWriteIdentical = false;
     /// Checkpoints the record run took (archive segments minus one).
     std::size_t archiveCheckpoints = 0;
-    /// Ring legs (job.checkpointPeriod != 0): a full-budget ring of
-    /// the recording reads back whole byte-identically AND every
+    /// Ring legs: a full-budget ring of the recording reads back
+    /// whole byte-identically AND every
     /// per-checkpoint interval view off the ring is byte-identical to
     /// the `.dla` archive's view of the same interval.
     bool ringRoundTripIdentical = false;
@@ -178,13 +156,13 @@ struct DifferentialResult
 
 /**
  * Runs differential jobs, fanning the per-mode record/replay tasks
- * across a CampaignRunner worker pool.
+ * across a worker pool (mapTasks).
  */
 class DifferentialChecker
 {
   public:
     /** @param jobs worker count; 0 uses campaignJobs(). */
-    explicit DifferentialChecker(unsigned jobs = 0) : runner_(jobs) {}
+    explicit DifferentialChecker(unsigned jobs = 0) : jobs_(jobs) {}
 
     /** Run the four mode configurations of @p job and cross-check. */
     DifferentialResult check(const DifferentialJob &job) const;
@@ -197,7 +175,7 @@ class DifferentialChecker
     checkAllApps(const DifferentialJob &base = {}) const;
 
   private:
-    CampaignRunner runner_;
+    unsigned jobs_;
 };
 
 } // namespace delorean

@@ -258,41 +258,81 @@ mutateSerialized(const std::string &bytes, MutationKind kind,
     return out;
 }
 
+namespace
+{
+
+/** Count one mutant's outcome; an unexpected one keeps its line. */
+void
+countOutcome(FaultSweepSummary &summary, MutantOutcome outcome,
+             const char *kind, std::uint64_t seed,
+             const std::string &message)
+{
+    ++summary.total;
+    switch (outcome) {
+      case MutantOutcome::kRejectedAtLoad:
+        ++summary.rejectedAtLoad;
+        break;
+      case MutantOutcome::kReplayedIdentically:
+        ++summary.replayedIdentically;
+        break;
+      case MutantOutcome::kDivergenceDetected:
+        ++summary.divergenceDetected;
+        break;
+      case MutantOutcome::kReplayErrorReported:
+        ++summary.replayErrorReported;
+        break;
+      case MutantOutcome::kUnexpected:
+        ++summary.unexpected;
+        summary.unexpectedResults.push_back(
+            std::string(kind) + " seed " + std::to_string(seed) + ": "
+            + message);
+        break;
+    }
+}
+
+} // namespace
+
 void
 FaultSweepSummary::add(const MutantResult &r)
 {
-    ++total;
-    switch (r.outcome) {
-      case MutantOutcome::kRejectedAtLoad:
-        ++rejectedAtLoad;
-        break;
-      case MutantOutcome::kReplayedIdentically:
-        ++replayedIdentically;
-        break;
-      case MutantOutcome::kDivergenceDetected:
-        ++divergenceDetected;
-        break;
-      case MutantOutcome::kReplayErrorReported:
-        ++replayErrorReported;
-        break;
-      case MutantOutcome::kUnexpected:
-        ++unexpected;
-        unexpectedResults.push_back(r);
-        break;
-    }
+    countOutcome(*this, r.outcome, mutationKindName(r.kind), r.seed,
+                 r.report.message);
+}
+
+void
+FaultSweepSummary::add(const ArchiveMutantResult &r)
+{
+    target = SweepTarget::kArchive;
+    countOutcome(*this, r.outcome, archiveMutationKindName(r.kind),
+                 r.seed, r.message);
+}
+
+void
+FaultSweepSummary::add(const RingMutantResult &r)
+{
+    target = SweepTarget::kRing;
+    if (r.salvaged)
+        ++salvaged;
+    countOutcome(*this, r.outcome, ringMutationKindName(r.kind), r.seed,
+                 r.message);
 }
 
 std::string
 FaultSweepSummary::describe() const
 {
+    static const char *const kLabels[] = {"fault sweep",
+                                          "archive fault sweep",
+                                          "ring fault sweep"};
     std::ostringstream out;
-    out << "fault sweep: " << total << " mutants | rejected "
-        << rejectedAtLoad << " | identical " << replayedIdentically
-        << " | divergence " << divergenceDetected << " | replay-error "
-        << replayErrorReported << " | UNEXPECTED " << unexpected;
-    for (const MutantResult &r : unexpectedResults)
-        out << "\n  " << mutationKindName(r.kind) << " seed " << r.seed
-            << ": " << r.report.message;
+    out << kLabels[static_cast<unsigned>(target)] << ": " << total
+        << " mutants | rejected " << rejectedAtLoad << " | identical "
+        << replayedIdentically << " | divergence " << divergenceDetected
+        << " | replay-error " << replayErrorReported;
+    if (target == SweepTarget::kRing)
+        out << " | salvaged " << salvaged;
+    out << " | UNEXPECTED " << unexpected;
+    for (const std::string &line : unexpectedResults)
+        out << "\n  " << line;
     return out.str();
 }
 
@@ -551,44 +591,6 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
     return out;
 }
 
-void
-ArchiveFaultSweepSummary::add(const ArchiveMutantResult &r)
-{
-    ++total;
-    switch (r.outcome) {
-      case MutantOutcome::kRejectedAtLoad:
-        ++rejectedAtLoad;
-        break;
-      case MutantOutcome::kReplayedIdentically:
-        ++replayedIdentically;
-        break;
-      case MutantOutcome::kDivergenceDetected:
-        ++divergenceDetected;
-        break;
-      case MutantOutcome::kReplayErrorReported:
-        ++replayErrorReported;
-        break;
-      case MutantOutcome::kUnexpected:
-        ++unexpected;
-        unexpectedResults.push_back(r);
-        break;
-    }
-}
-
-std::string
-ArchiveFaultSweepSummary::describe() const
-{
-    std::ostringstream out;
-    out << "archive fault sweep: " << total << " mutants | rejected "
-        << rejectedAtLoad << " | identical " << replayedIdentically
-        << " | divergence " << divergenceDetected << " | replay-error "
-        << replayErrorReported << " | UNEXPECTED " << unexpected;
-    for (const ArchiveMutantResult &r : unexpectedResults)
-        out << "\n  " << archiveMutationKindName(r.kind) << " seed "
-            << r.seed << ": " << r.message;
-    return out.str();
-}
-
 namespace
 {
 
@@ -799,7 +801,7 @@ runArchiveMutant(const std::vector<std::uint8_t> &archive,
     return result;
 }
 
-ArchiveFaultSweepSummary
+FaultSweepSummary
 runArchiveFaultSweep(const Recording &rec, unsigned mutants_per_kind,
                      std::uint64_t seed0,
                      const ReplayCheckOptions &opts,
@@ -810,7 +812,8 @@ runArchiveFaultSweep(const Recording &rec, unsigned mutants_per_kind,
     const std::string s = std::move(buf).str();
     const std::vector<std::uint8_t> archive(s.begin(), s.end());
 
-    ArchiveFaultSweepSummary summary;
+    FaultSweepSummary summary;
+    summary.target = SweepTarget::kArchive;
     for (unsigned k = 0; k < kArchiveMutationKinds; ++k) {
         for (unsigned i = 0; i < mutants_per_kind; ++i) {
             const std::uint64_t seed =
@@ -971,47 +974,6 @@ mutateRing(const std::string &dir, RingMutationKind kind,
     }
 }
 
-void
-RingFaultSweepSummary::add(const RingMutantResult &r)
-{
-    ++total;
-    if (r.salvaged)
-        ++salvaged;
-    switch (r.outcome) {
-      case MutantOutcome::kRejectedAtLoad:
-        ++rejectedAtLoad;
-        break;
-      case MutantOutcome::kReplayedIdentically:
-        ++replayedIdentically;
-        break;
-      case MutantOutcome::kDivergenceDetected:
-        ++divergenceDetected;
-        break;
-      case MutantOutcome::kReplayErrorReported:
-        ++replayErrorReported;
-        break;
-      case MutantOutcome::kUnexpected:
-        ++unexpected;
-        unexpectedResults.push_back(r);
-        break;
-    }
-}
-
-std::string
-RingFaultSweepSummary::describe() const
-{
-    std::ostringstream out;
-    out << "ring fault sweep: " << total << " mutants | rejected "
-        << rejectedAtLoad << " | identical " << replayedIdentically
-        << " | divergence " << divergenceDetected << " | replay-error "
-        << replayErrorReported << " | salvaged " << salvaged
-        << " | UNEXPECTED " << unexpected;
-    for (const RingMutantResult &r : unexpectedResults)
-        out << "\n  " << ringMutationKindName(r.kind) << " seed "
-            << r.seed << ": " << r.message;
-    return out.str();
-}
-
 RingMutantResult
 runRingMutant(const std::string &ring_dir, RingMutationKind kind,
               std::uint64_t seed, const ReplayCheckOptions &opts)
@@ -1127,7 +1089,7 @@ runRingMutant(const std::string &ring_dir, RingMutationKind kind,
     return result;
 }
 
-RingFaultSweepSummary
+FaultSweepSummary
 runRingFaultSweep(const Recording &rec, unsigned mutants_per_kind,
                   std::uint64_t seed0, const ReplayCheckOptions &opts,
                   const RingOptions &ring_opts)
@@ -1139,7 +1101,8 @@ runRingFaultSweep(const Recording &rec, unsigned mutants_per_kind,
     fs::remove_all(source, ec);
     writeRing(rec, source.string(), ring_opts);
 
-    RingFaultSweepSummary summary;
+    FaultSweepSummary summary;
+    summary.target = SweepTarget::kRing;
     for (unsigned k = 0; k < kRingMutationKinds; ++k) {
         for (unsigned i = 0; i < mutants_per_kind; ++i) {
             const std::uint64_t seed =

@@ -88,20 +88,41 @@ struct MutantResult
     DivergenceReport report;
 };
 
-/** Aggregate of a fault-injection sweep. */
+struct ArchiveMutantResult;
+struct RingMutantResult;
+
+/** The container a fault sweep mutates; it names describe()'s line. */
+enum class SweepTarget : std::uint8_t
+{
+    kRecording, ///< a serialized recording ("fault sweep")
+    kArchive,   ///< a `.dla` archive ("archive fault sweep")
+    kRing,      ///< a ring directory ("ring fault sweep")
+};
+
+/**
+ * Aggregate of a fault-injection sweep over any container. Adding an
+ * archive or ring mutant's result sets the target to match.
+ */
 struct FaultSweepSummary
 {
+    SweepTarget target = SweepTarget::kRecording;
     std::uint64_t total = 0;
     std::uint64_t rejectedAtLoad = 0;
     std::uint64_t replayedIdentically = 0;
     std::uint64_t divergenceDetected = 0;
     std::uint64_t replayErrorReported = 0;
     std::uint64_t unexpected = 0;
-    /// The failing mutants (empty when the sweep is clean).
-    std::vector<MutantResult> unexpectedResults;
+    /// Ring mutants recovery salvaged (opened with drops or a dead
+    /// index); describe() prints it for ring sweeps.
+    std::uint64_t salvaged = 0;
+    /// The failing mutants, one "<kind> seed <n>: <message>" line each
+    /// (empty when the sweep is clean).
+    std::vector<std::string> unexpectedResults;
 
     bool ok() const { return unexpected == 0; }
     void add(const MutantResult &r);
+    void add(const ArchiveMutantResult &r);
+    void add(const RingMutantResult &r);
     std::string describe() const;
 };
 
@@ -178,22 +199,6 @@ struct ArchiveMutantResult
     std::string message;
 };
 
-/** Aggregate of an archive fault sweep. */
-struct ArchiveFaultSweepSummary
-{
-    std::uint64_t total = 0;
-    std::uint64_t rejectedAtLoad = 0;
-    std::uint64_t replayedIdentically = 0;
-    std::uint64_t divergenceDetected = 0;
-    std::uint64_t replayErrorReported = 0;
-    std::uint64_t unexpected = 0;
-    std::vector<ArchiveMutantResult> unexpectedResults;
-
-    bool ok() const { return unexpected == 0; }
-    void add(const ArchiveMutantResult &r);
-    std::string describe() const;
-};
-
 /**
  * Which ArchiveReader entry point a sweep pushes its mutants through.
  * Both are required to produce identical typed errors on identical
@@ -226,7 +231,7 @@ runArchiveMutant(const std::vector<std::uint8_t> &archive,
  * archived form of @p rec. Record @p rec with checkpoints (e.g. a
  * checkpoint period) so the interval-replay leg has seek targets.
  */
-ArchiveFaultSweepSummary
+FaultSweepSummary
 runArchiveFaultSweep(const Recording &rec, unsigned mutants_per_kind,
                      std::uint64_t seed0,
                      const ReplayCheckOptions &opts = {},
@@ -276,24 +281,6 @@ struct RingMutantResult
     std::string message;
 };
 
-/** Aggregate of a ring fault sweep. */
-struct RingFaultSweepSummary
-{
-    std::uint64_t total = 0;
-    std::uint64_t rejectedAtLoad = 0;
-    std::uint64_t replayedIdentically = 0;
-    std::uint64_t divergenceDetected = 0;
-    std::uint64_t replayErrorReported = 0;
-    std::uint64_t unexpected = 0;
-    /// Mutants recovery salvaged (opened with drops or a dead index).
-    std::uint64_t salvaged = 0;
-    std::vector<RingMutantResult> unexpectedResults;
-
-    bool ok() const { return unexpected == 0; }
-    void add(const RingMutantResult &r);
-    std::string describe() const;
-};
-
 /**
  * Run one ring mutant: copy @p ring_dir to a scratch directory,
  * mutate it, then drive RingArchiveReader::open plus a bounded
@@ -313,7 +300,7 @@ RingMutantResult runRingMutant(const std::string &ring_dir,
  * recorded once into a scratch ring with @p ring_opts. Record @p rec
  * with a checkpoint period so recovery has replay starting points.
  */
-RingFaultSweepSummary
+FaultSweepSummary
 runRingFaultSweep(const Recording &rec, unsigned mutants_per_kind,
                   std::uint64_t seed0,
                   const ReplayCheckOptions &opts = {},

@@ -96,7 +96,7 @@ TEST_P(ArchiveFaultSweep, MutantsNeverCrashHangOrLie)
     const auto [name, mode] = current();
     const Recording rec = record(mode);
     ASSERT_GE(rec.checkpoints.size(), 1u) << name;
-    const ArchiveFaultSweepSummary sweep =
+    const FaultSweepSummary sweep =
         runArchiveFaultSweep(rec, kMutantsPerKind, /*seed0=*/kSeed);
     EXPECT_EQ(sweep.total, kMutantsPerKind * kArchiveMutationKinds);
     EXPECT_TRUE(sweep.ok()) << name << ": " << sweep.describe();
@@ -118,10 +118,10 @@ TEST_P(ArchiveFaultSweep, MmapPathFencesMutantsIdentically)
     // the buffered reader — same outcome buckets, zero unexpected.
     const auto [name, mode] = current();
     const Recording rec = record(mode);
-    const ArchiveFaultSweepSummary buffered = runArchiveFaultSweep(
+    const FaultSweepSummary buffered = runArchiveFaultSweep(
         rec, kMutantsPerKind, /*seed0=*/kSeed, {},
         ArchiveLoadPath::kBuffered);
-    const ArchiveFaultSweepSummary mapped = runArchiveFaultSweep(
+    const FaultSweepSummary mapped = runArchiveFaultSweep(
         rec, kMutantsPerKind, /*seed0=*/kSeed, {},
         ArchiveLoadPath::kMmapFile);
     EXPECT_TRUE(mapped.ok()) << name << ": " << mapped.describe();
@@ -154,7 +154,7 @@ TEST(ArchiveFaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
 
     ReplayCheckOptions opts;
     opts.detectRaces = true;
-    const ArchiveFaultSweepSummary sweep =
+    const FaultSweepSummary sweep =
         runArchiveFaultSweep(rec, kMutantsPerKind, /*seed0=*/kSeed,
                              opts);
     EXPECT_EQ(sweep.total, kMutantsPerKind * kArchiveMutationKinds);
@@ -193,7 +193,7 @@ TEST_P(RingFaultSweep, MutantsNeverCrashHangOrLie)
     const Recording rec = record(mode);
     ASSERT_GE(rec.checkpoints.size(), 2u) << name;
 
-    const RingFaultSweepSummary sweep =
+    const FaultSweepSummary sweep =
         runRingFaultSweep(rec, kMutantsPerKind,
                           /*seed0=*/kSeed + GetParam());
     EXPECT_EQ(sweep.total, kMutantsPerKind * kRingMutationKinds);
@@ -462,7 +462,9 @@ loadFileOutcome(const std::string &path, bool mmap_reads)
 {
     LoadOutcome o;
     try {
-        ArchiveReader::fromFile(path, ArchiveIoOptions{1, mmap_reads})
+        const ArchiveIoOptions io{1};
+        (mmap_reads ? ArchiveReader::fromFile(path, io)
+                    : ArchiveReader::fromBytes(readFile(path), io))
             .readAll();
         o.ok = true;
     } catch (const ArchiveError &e) {
@@ -491,8 +493,8 @@ writeTemp(const std::vector<std::uint8_t> &bytes, const char *name)
  * Failure edges of the zero-copy read path: a 0-byte file, files
  * truncated mid-segment and mid-footer, and a CRC-corrupt payload
  * must each produce the *same* typed error through the mmap reader
- * as through the buffered one (which itself matches fromBytes — the
- * sweep above certifies that).
+ * as through the buffered one (the file read into memory and parsed
+ * by fromBytes).
  */
 TEST(ArchiveFaults, MmapFailureEdgesMatchBufferedReads)
 {
@@ -587,7 +589,7 @@ TEST(ArchiveFaults, MutationsAreDeterministic)
 TEST(ArchiveFaults, SweepAccountingAddsUp)
 {
     const Recording rec = record(ModeConfig::orderOnly(), 40);
-    const ArchiveFaultSweepSummary sweep =
+    const FaultSweepSummary sweep =
         runArchiveFaultSweep(rec, 4, 99);
     EXPECT_EQ(sweep.total, 4u * kArchiveMutationKinds);
     EXPECT_EQ(sweep.total,

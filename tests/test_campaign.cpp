@@ -41,24 +41,21 @@ smallJob(const std::string &app, const ModeConfig &mode)
 TEST(CampaignRunner, ExecutesEveryTaskAtAnyWidth)
 {
     for (const unsigned width : {1u, 2u, 8u, 32u}) {
-        CampaignRunner runner(width);
-        EXPECT_EQ(runner.jobs(), width);
         std::atomic<int> sum{0};
         std::vector<std::function<void()>> tasks;
         for (int i = 0; i < 100; ++i)
             tasks.push_back([&sum, i] { sum += i; });
-        runner.run(std::move(tasks));
+        runTasks(width, std::move(tasks));
         EXPECT_EQ(sum.load(), 4950);
     }
 }
 
 TEST(CampaignRunner, MapKeysResultsByJobIndex)
 {
-    CampaignRunner runner(16);
     std::vector<std::function<int()>> tasks;
     for (int i = 0; i < 64; ++i)
         tasks.push_back([i] { return i * i; });
-    const std::vector<int> results = runner.map(std::move(tasks));
+    const std::vector<int> results = mapTasks(16, std::move(tasks));
     ASSERT_EQ(results.size(), 64u);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(results[static_cast<std::size_t>(i)], i * i);
@@ -66,7 +63,6 @@ TEST(CampaignRunner, MapKeysResultsByJobIndex)
 
 TEST(CampaignRunner, PropagatesTaskException)
 {
-    CampaignRunner runner(4);
     std::atomic<int> ran{0};
     std::vector<std::function<void()>> tasks;
     for (int i = 0; i < 16; ++i) {
@@ -76,7 +72,7 @@ TEST(CampaignRunner, PropagatesTaskException)
                 throw std::runtime_error("job 7 failed");
         });
     }
-    EXPECT_THROW(runner.run(std::move(tasks)), std::runtime_error);
+    EXPECT_THROW(runTasks(4, std::move(tasks)), std::runtime_error);
     // All tasks still ran; the failure is reported, not amplified.
     EXPECT_EQ(ran.load(), 16);
 }
@@ -88,7 +84,6 @@ TEST(RecordingCache, RecordsEachKeyExactlyOnce)
 
     std::vector<const Recording *> seen(16, nullptr);
     std::atomic<unsigned> fresh_count{0};
-    CampaignRunner runner(8);
     std::vector<std::function<void()>> tasks;
     for (std::size_t i = 0; i < seen.size(); ++i) {
         tasks.push_back([&cache, &job, &seen, &fresh_count, i] {
@@ -98,7 +93,7 @@ TEST(RecordingCache, RecordsEachKeyExactlyOnce)
                 ++fresh_count;
         });
     }
-    runner.run(std::move(tasks));
+    runTasks(8, std::move(tasks));
 
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 15u);
@@ -150,7 +145,6 @@ TEST(Campaign, ResultsIdenticalAtAnyJobCount)
         ModeConfig::orderOnly(), ModeConfig::picoLog(), strat};
 
     auto run_campaign = [&](unsigned width) {
-        CampaignRunner runner(width);
         auto cache = std::make_unique<RecordingCache>();
         std::vector<std::function<const Recording *()>> tasks;
         for (const auto &app : apps)
@@ -158,7 +152,7 @@ TEST(Campaign, ResultsIdenticalAtAnyJobCount)
                 tasks.push_back([&cache, job = smallJob(app, mode)] {
                     return &cache->record(job);
                 });
-        return std::make_pair(runner.map(std::move(tasks)),
+        return std::make_pair(mapTasks(width, std::move(tasks)),
                               std::move(cache));
     };
 

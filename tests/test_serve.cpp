@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming record/replay service (src/serve): job-line parsing,
- * fair per-class dispatch, admission control, exactly-once recording
- * dedupe, and ledger determinism across worker-pool widths.
+ * exactly-once recording dedupe, ledger determinism across
+ * worker-pool widths, and ring emission.
  */
 
 #include <gtest/gtest.h>
@@ -122,28 +122,6 @@ TEST(Serve, ParseJobsReportsLineNumber)
                   std::string::npos)
             << e.what();
     }
-}
-
-TEST(Serve, DispatchOrderIsRoundRobinByClass)
-{
-    // A job file front-loaded with records must still interleave the
-    // classes: FIFO within a class, round-robin across classes.
-    const auto mk = [](ServeClass cls) {
-        ServeJob job;
-        job.cls = cls;
-        job.record.app = "fft";
-        return job;
-    };
-    const std::vector<ServeJob> jobs = {
-        mk(ServeClass::kRecord),   // 0
-        mk(ServeClass::kRecord),   // 1
-        mk(ServeClass::kRecord),   // 2
-        mk(ServeClass::kReplay),   // 3
-        mk(ServeClass::kReplay),   // 4
-        mk(ServeClass::kValidate), // 5
-    };
-    const std::vector<std::size_t> expect = {0, 3, 5, 1, 4, 2};
-    EXPECT_EQ(serveDispatchOrder(jobs), expect);
 }
 
 std::vector<ServeJob>
@@ -281,19 +259,6 @@ TEST(Serve, RingEmissionDeterministicAndRecoverable)
             std::filesystem::remove_all(info.ringPath);
     ::rmdir(dir1.c_str());
     ::rmdir(dir4.c_str());
-}
-
-TEST(Serve, AdmissionGateBoundsInflightSessions)
-{
-    const std::vector<ServeJob> jobs = soakJobs();
-    ServeOptions opts;
-    opts.jobs = 4;
-    opts.maxInflight = 2;
-    ServeService service(opts);
-    const ServeReport report = service.run(jobs);
-    EXPECT_EQ(report.okCount(), jobs.size());
-    EXPECT_LE(report.peakInflight, 2u);
-    EXPECT_GE(report.peakInflight, 1u);
 }
 
 } // namespace

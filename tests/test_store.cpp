@@ -33,6 +33,7 @@ namespace
 
 using test::putU64At;
 using test::rawFooter;
+using test::readFile;
 using test::rewriteFooter;
 using test::u64At;
 
@@ -81,6 +82,18 @@ archiveBytes(const Recording &rec)
     writeArchive(rec, out);
     const std::string s = std::move(out).str();
     return std::vector<std::uint8_t>(s.begin(), s.end());
+}
+
+/**
+ * Open the container at @p path on the zero-copy mmap path, or
+ * buffered: the file read into memory and parsed through fromBytes.
+ */
+ArchiveReader
+openArchive(const std::string &path, unsigned threads, bool mmap_reads)
+{
+    const ArchiveIoOptions io{threads};
+    return mmap_reads ? ArchiveReader::fromFile(path, io)
+                      : ArchiveReader::fromBytes(readFile(path), io);
 }
 
 std::string
@@ -530,6 +543,21 @@ TEST(Store, ArchiveFileRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(Store, FileWritersReportAFullDevice)
+{
+    // A write to a full disk fails when the stream flushes its last
+    // buffer, which for a small file is at close: both file writers
+    // must report it instead of returning as if the file were saved.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    Workload w("fft", 4, 9, WorkloadScale::tiny());
+    const Recording rec =
+        Recorder(ModeConfig::orderOnly(), machine()).record(w, 1);
+    EXPECT_THROW(saveRecordingFile(rec, "/dev/full"),
+                 std::runtime_error);
+    EXPECT_THROW(writeArchiveFile(rec, "/dev/full"), std::runtime_error);
+}
+
 TEST(Store, WriterByteIdenticalAcrossIoThreads)
 {
     // The parallel segment codec commits in segment order, so the
@@ -547,9 +575,9 @@ TEST(Store, WriterByteIdenticalAcrossIoThreads)
             return std::move(out).str();
         };
         const std::string serial =
-            archivedWith(ArchiveIoOptions{1, true});
+            archivedWith(ArchiveIoOptions{1});
         for (const unsigned threads : {2u, 4u, 8u})
-            EXPECT_EQ(archivedWith(ArchiveIoOptions{threads, true}),
+            EXPECT_EQ(archivedWith(ArchiveIoOptions{threads}),
                       serial)
                 << mode_name << " ioThreads=" << threads;
         EXPECT_EQ(archivedWith(ArchiveIoOptions{}), serial)
@@ -571,8 +599,8 @@ TEST(Store, FileReadsIdenticalAcrossMmapAndIoThreads)
 
     for (const bool mmap_reads : {true, false}) {
         for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-            const ArchiveReader reader = ArchiveReader::fromFile(
-                path, ArchiveIoOptions{threads, mmap_reads});
+            const ArchiveReader reader =
+                openArchive(path, threads, mmap_reads);
             if (!mmap_reads) {
                 EXPECT_FALSE(reader.usingMmap());
             } else if (MappedFile::supported()) {
@@ -584,12 +612,10 @@ TEST(Store, FileReadsIdenticalAcrossMmapAndIoThreads)
     }
 
     // Interval views must also agree byte-for-byte across the paths.
-    const ArchiveReader mapped =
-        ArchiveReader::fromFile(path, ArchiveIoOptions{4, true});
-    const ArchiveReader buffered =
-        ArchiveReader::fromFile(path, ArchiveIoOptions{1, false});
+    const ArchiveReader mapped = openArchive(path, 4, true);
+    const ArchiveReader buffered = openArchive(path, 1, false);
     const ArchiveReader in_memory = ArchiveReader::fromBytes(
-        archiveBytes(rec), ArchiveIoOptions{2, true});
+        archiveBytes(rec), ArchiveIoOptions{2});
     EXPECT_FALSE(in_memory.usingMmap());
     for (std::size_t i = 0; i < mapped.checkpointCount(); ++i) {
         const std::string view = savedBytes(mapped.readInterval(i));
@@ -618,8 +644,7 @@ TEST(Store, StreamingWriterByteIdenticalAllModes)
 
             std::ostringstream streamed(std::ios::binary);
             StreamingArchiveWriter writer(streamed,
-                                          ArchiveIoOptions{threads,
-                                                           true});
+                                          ArchiveIoOptions{threads});
             const Recording rec = recorder.record(
                 w, 1, true, {}, 20,
                 [&writer](const Recording &r) {
@@ -634,9 +659,7 @@ TEST(Store, StreamingWriterByteIdenticalAllModes)
 
             // Close-fed: no hook, every segment cut at close().
             std::ostringstream fed(std::ios::binary);
-            StreamingArchiveWriter tail(fed,
-                                        ArchiveIoOptions{threads,
-                                                         true});
+            StreamingArchiveWriter tail(fed, ArchiveIoOptions{threads});
             tail.close(rec);
             const std::string expect = std::move(fed).str();
             EXPECT_EQ(std::move(streamed).str(), expect)
@@ -792,8 +815,8 @@ TEST(Store, StreamingFileReadbackAcrossDatapaths)
 
     for (const bool mmap_reads : {true, false}) {
         for (const unsigned threads : {1u, 4u}) {
-            const ArchiveReader reader = ArchiveReader::fromFile(
-                path, ArchiveIoOptions{threads, mmap_reads});
+            const ArchiveReader reader =
+                openArchive(path, threads, mmap_reads);
             EXPECT_EQ(savedBytes(reader.readAll()), expect)
                 << "mmap=" << mmap_reads << " threads=" << threads;
         }

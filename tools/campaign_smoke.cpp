@@ -40,7 +40,6 @@ runCampaign(unsigned width, RecordingCache &cache)
     const std::vector<ModeConfig> modes{ModeConfig::orderOnly(),
                                         ModeConfig::picoLog()};
 
-    CampaignRunner runner(width);
     std::vector<std::function<Row()>> tasks;
     for (const auto &app : apps) {
         for (const auto &mode : modes) {
@@ -68,7 +67,7 @@ runCampaign(unsigned width, RecordingCache &cache)
             });
         }
     }
-    return runner.map(std::move(tasks));
+    return mapTasks(width, std::move(tasks));
 }
 
 } // namespace

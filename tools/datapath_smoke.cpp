@@ -8,10 +8,9 @@
  *
  *   - writeArchive with ioThreads 1, 2 and 4 emits byte-identical
  *     containers,
- *   - fromFile with mmap and --no-mmap reassemble the same recording
- *     (byte-identical under saveRecording) as fromBytes,
- *   - readInterval off both read paths agrees with the serial
- *     decode,
+ *   - fromFile (mmap) and fromBytes (in memory) reassemble the same
+ *     recording (byte-identical under saveRecording),
+ *   - readInterval off both read paths agrees,
  *   - the hash-chain LZ77 matches the lz77_reference scalar scan on
  *     the archive's own payload bytes.
  *
@@ -63,7 +62,7 @@ std::string
 archivedWith(const Recording &rec, unsigned io_threads)
 {
     std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out, ArchiveIoOptions{io_threads, true});
+    writeArchive(rec, out, ArchiveIoOptions{io_threads});
     return std::move(out).str();
 }
 
@@ -94,13 +93,11 @@ smoke()
     if (Lz77().compress(sample) != lz77_reference::compress(sample))
         return fail("hash-chain LZ77 differs from reference scan");
 
-    // Reader: mmap and buffered file loads against the in-memory
-    // parse, all at ioThreads=4.
-    const ArchiveIoOptions par{4, true};
-    const ArchiveIoOptions buffered{4, false};
-    const Recording whole =
-        ArchiveReader::fromBytes(sample, par).readAll();
-    if (saved(whole) != saved(rec))
+    // Reader: the mmap file load against the in-memory parse, both
+    // at ioThreads=4.
+    const ArchiveIoOptions par{4};
+    const ArchiveReader in_memory = ArchiveReader::fromBytes(sample, par);
+    if (saved(in_memory.readAll()) != saved(rec))
         return fail("fromBytes readAll() not byte-identical");
 
     std::string path = "datapath_smoke.dla";
@@ -113,21 +110,15 @@ smoke()
     {
         const ArchiveReader mapped =
             ArchiveReader::fromFile(path, par);
-        const ArchiveReader buffed =
-            ArchiveReader::fromFile(path, buffered);
-        if (buffed.usingMmap())
-            ok = fail("--no-mmap reader reports a mapping");
         if (MappedFile::supported() && !mapped.usingMmap())
             ok = fail("mmap supported but reader fell back");
         if (ok && saved(mapped.readAll()) != saved(rec))
             ok = fail("mmap readAll() not byte-identical");
-        if (ok && saved(buffed.readAll()) != saved(rec))
-            ok = fail("buffered readAll() not byte-identical");
         if (ok)
             for (std::size_t i = 0; i < mapped.checkpointCount();
                  ++i)
                 if (saved(mapped.readInterval(i))
-                    != saved(buffed.readInterval(i))) {
+                    != saved(in_memory.readInterval(i))) {
                     ok = fail("interval views differ across read "
                               "paths");
                     break;
@@ -138,7 +129,7 @@ smoke()
         return false;
 
     std::printf("datapath_smoke: %zu segments byte-identical at "
-                "ioThreads {1,2,4}; mmap == buffered == in-memory\n",
+                "ioThreads {1,2,4}; mmap == in-memory\n",
                 rec.checkpoints.size() + 1);
     return true;
 }

@@ -36,16 +36,12 @@ usage(const char *argv0)
         "usage: %s [options] [jobfile]\n"
         "  --jobs N              worker-pool width (default: "
         "DELOREAN_JOBS or host cores)\n"
-        "  --max-inflight N      admission bound on concurrent "
-        "sessions (default: pool width)\n"
         "  --archive-dir DIR     stream .dla archives into DIR "
         "(default: off)\n"
         "  --ring-dir DIR        stream always-on ring archives into "
         "DIR (default: off)\n"
         "  --ring-budget BYTES   per-recording ring disk budget "
         "(default: 4 MiB)\n"
-        "  --ring-lag N          ring replay-start lag bound in "
-        "commits (default: 2x period)\n"
         "  --checkpoint-period N checkpoint/segment period in global "
         "commits (default: 50)\n"
         "  --io-threads N        archive codec worker count "
@@ -102,10 +98,6 @@ main(int argc, char **argv)
             if (!parseUnsigned(value(), n))
                 return usage(argv[0]);
             opts.jobs = n;
-        } else if (std::strcmp(arg, "--max-inflight") == 0) {
-            if (!parseUnsigned(value(), n))
-                return usage(argv[0]);
-            opts.maxInflight = n;
         } else if (std::strcmp(arg, "--archive-dir") == 0) {
             opts.archiveDir = value();
         } else if (std::strcmp(arg, "--ring-dir") == 0) {
@@ -115,12 +107,6 @@ main(int argc, char **argv)
             const char *v = value();
             opts.ringBudgetBytes = std::strtoull(v, &end, 10);
             if (end == v || *end != '\0' || opts.ringBudgetBytes == 0)
-                return usage(argv[0]);
-        } else if (std::strcmp(arg, "--ring-lag") == 0) {
-            char *end = nullptr;
-            const char *v = value();
-            opts.ringMaxReplayLag = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0')
                 return usage(argv[0]);
         } else if (std::strcmp(arg, "--checkpoint-period") == 0) {
             if (!parseUnsigned(value(), n))

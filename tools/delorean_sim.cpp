@@ -26,24 +26,25 @@
  *                           recording (always-on recorder); implies
  *                           --checkpoint-period 50 if unset
  *   --ring-budget BYTES     ring disk budget (default 4 MiB)
- *   --ring-lag T            replay-start lag bound in commits; must be
- *                           >= 2x the checkpoint period (default 2x)
  *   --io-threads N   archive segment codec pool size
  *                    (default: DELOREAN_JOBS, else hw concurrency)
- *   --no-mmap        buffered archive reads instead of zero-copy mmap
+ *
+ * Numeric options take a decimal number; anything else (or a flag the
+ * command does not know) prints the usage and exits 2.
  *
  * replay/inspect accept a serialized recording, an archive (detected
  * by magic) or a ring directory (detected by ring.meta); containers
  * are reassembled via readAll() — a ring must be cleanly closed with
  * nothing evicted for that. Time-travel into a partial ring window
  * lives in replay_check (--ring --at).
- * --io-threads/--no-mmap never change the bytes written or read —
- * container output is byte-identical at any setting.
+ * --io-threads never changes the bytes written or read — container
+ * output is byte-identical at any setting.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -74,7 +75,6 @@ struct Args
     std::string archiveFile;
     std::string ringDir;
     std::uint64_t ringBudget = 0;
-    std::uint64_t ringLag = 0;
     std::uint64_t checkpointPeriod = 0;
     ArchiveIoOptions archiveIo;
 };
@@ -87,13 +87,11 @@ usage()
                  " [--chunk N] [--scale P] [--seed S] [--env S]"
                  " [--stratify N] [--checkpoint-period N]"
                  " [-o FILE] [--archive-out FILE]"
-                 " [--ring-out DIR [--ring-budget BYTES]"
-                 " [--ring-lag T]]"
+                 " [--ring-out DIR [--ring-budget BYTES]]"
                  " [--io-threads N]\n"
                  "       delorean_sim replay <FILE> [--env S] [--perturb]"
-                 " [--io-threads N] [--no-mmap]\n"
-                 "       delorean_sim inspect <FILE>"
-                 " [--io-threads N] [--no-mmap]\n"
+                 " [--io-threads N]\n"
+                 "       delorean_sim inspect <FILE> [--io-threads N]\n"
                  "       delorean_sim compare <app> [--procs N] [--scale P]\n"
                  "modes: order-and-size order-only order-only-strat picolog\n"
                  "apps: ");
@@ -135,20 +133,36 @@ parse(int argc, char **argv)
                 usage();
             return argv[i];
         };
+        // A numeric value: all decimal digits, else the usage exit.
+        auto number = [&]() -> std::uint64_t {
+            const char *v = next();
+            char *end = nullptr;
+            errno = 0;
+            const unsigned long long n = std::strtoull(v, &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(v[0]))
+                || *end != '\0' || errno == ERANGE) {
+                std::fprintf(stderr,
+                             "delorean_sim: %s needs a number, got "
+                             "\"%s\"\n",
+                             flag.c_str(), v);
+                usage();
+            }
+            return n;
+        };
         if (flag == "--mode")
             args.mode = next();
         else if (flag == "--procs")
-            args.procs = static_cast<unsigned>(std::atoi(next()));
+            args.procs = static_cast<unsigned>(number());
         else if (flag == "--chunk")
-            args.chunk = static_cast<InstrCount>(std::atoll(next()));
+            args.chunk = static_cast<InstrCount>(number());
         else if (flag == "--scale")
-            args.scale = static_cast<unsigned>(std::atoi(next()));
+            args.scale = static_cast<unsigned>(number());
         else if (flag == "--seed")
-            args.seed = std::strtoull(next(), nullptr, 10);
+            args.seed = number();
         else if (flag == "--env")
-            args.env = std::strtoull(next(), nullptr, 10);
+            args.env = number();
         else if (flag == "--stratify")
-            args.stratify = static_cast<unsigned>(std::atoi(next()));
+            args.stratify = static_cast<unsigned>(number());
         else if (flag == "-o")
             args.file = next();
         else if (flag == "--archive-out")
@@ -156,20 +170,18 @@ parse(int argc, char **argv)
         else if (flag == "--ring-out")
             args.ringDir = next();
         else if (flag == "--ring-budget")
-            args.ringBudget = std::strtoull(next(), nullptr, 10);
-        else if (flag == "--ring-lag")
-            args.ringLag = std::strtoull(next(), nullptr, 10);
+            args.ringBudget = number();
         else if (flag == "--checkpoint-period")
-            args.checkpointPeriod = std::strtoull(next(), nullptr, 10);
+            args.checkpointPeriod = number();
         else if (flag == "--perturb")
             args.perturb = true;
         else if (flag == "--io-threads")
-            args.archiveIo.ioThreads =
-                static_cast<unsigned>(std::atoi(next()));
-        else if (flag == "--no-mmap")
-            args.archiveIo.mmapReads = false;
-        else
+            args.archiveIo.ioThreads = static_cast<unsigned>(number());
+        else {
+            std::fprintf(stderr, "delorean_sim: unknown option \"%s\"\n",
+                         flag.c_str());
             usage();
+        }
     }
     return args;
 }
@@ -222,7 +234,6 @@ cmdRecord(const Args &args)
         if (args.ringBudget)
             ropts.budgetBytes = args.ringBudget;
         ropts.checkpointPeriod = period;
-        ropts.maxReplayLag = args.ringLag;
         ropts.io = args.archiveIo;
         ring = std::make_unique<RingArchiveWriter>(args.ringDir, ropts);
     }

@@ -39,11 +39,10 @@
  * replay — overriding DELOREAN_JOBS. Checked file replays always
  * cross-check the chunk-parallel replayer against the serial engine.
  *
- * Archive (.dla) loads honor two data-plane knobs (anywhere on the
+ * Archive (.dla) loads honor one data-plane knob (anywhere on the
  * command line): `--io-threads <n>` sizes the segment codec pool
- * (default: the --jobs / DELOREAN_JOBS resolution) and `--no-mmap`
- * forces buffered reads instead of the zero-copy mmap path. Neither
- * changes any byte of what is read — only how fast.
+ * (default: the --jobs / DELOREAN_JOBS resolution). It changes no
+ * byte of what is read — only how fast.
  *
  * Knobs (environment): DELOREAN_JOBS worker count, DELOREAN_SCALE
  * workload scale percent, DELOREAN_NUM_PROCS processor count.
@@ -75,11 +74,17 @@ using namespace delorean;
 namespace
 {
 
-/// Archive data-plane knobs (--io-threads / --no-mmap), set in main.
+/// Archive data-plane knob (--io-threads), set in main.
 ArchiveIoOptions archive_io;
 
 /// --detect-races: attach the happens-before detector to file replays.
 bool detect_races = false;
+
+/// Workload and environment seeds of --record and --fault-sweep runs.
+constexpr std::uint64_t kWorkloadSeed = 20080621;
+constexpr std::uint64_t kRecordEnvSeed = 1;
+/// Chunks per processor per stratum for --record order-only-strat.
+constexpr unsigned kStratifyChunksPerProc = 3;
 
 unsigned
 envUnsigned(const char *name, unsigned fallback)
@@ -120,8 +125,7 @@ usage()
         "interval between the named checkpoint GCCs (Appendix B); use\n"
         "--list-checkpoints to see the seekable GCCs.\n"
         "archive loads also accept --io-threads <n> (segment codec\n"
-        "pool size) and --no-mmap (buffered instead of zero-copy\n"
-        "reads); neither changes what is read, only how fast.\n"
+        "pool size); it never changes what is read, only how fast.\n"
         "--detect-races runs the happens-before race detector during\n"
         "the checked replay and prints its report (full-run file\n"
         "replays only; serial and parallel reports must match).\n"
@@ -137,7 +141,7 @@ doRecord(const std::string &app, const std::string &mode_name,
 {
     const DifferentialJob job = baseJob();
     ModeConfig mode;
-    if (!parseModeConfig(mode_name, job.stratifyChunksPerProc, mode)) {
+    if (!parseModeConfig(mode_name, kStratifyChunksPerProc, mode)) {
         std::fprintf(stderr, "replay_check: unknown mode \"%s\"\n",
                      mode_name.c_str());
         return usage();
@@ -146,10 +150,10 @@ doRecord(const std::string &app, const std::string &mode_name,
     MachineConfig machine;
     machine.numProcs = job.numProcs;
     try {
-        Workload workload(app, job.numProcs, job.workloadSeed,
+        Workload workload(app, job.numProcs, kWorkloadSeed,
                           WorkloadScale{job.scalePercent});
         const Recording rec =
-            Recorder(mode, machine).record(workload, job.recordEnvSeed);
+            Recorder(mode, machine).record(workload, kRecordEnvSeed);
         std::ofstream out(path, std::ios::binary);
         if (!out) {
             std::fprintf(stderr, "replay_check: cannot write %s\n",
@@ -614,15 +618,15 @@ doFaultSweep(const std::string &app, unsigned per_kind)
           ModeConfig::picoLog()}) {
         const char *name = modeConfigName(mode);
         try {
-            Workload workload(app, job.numProcs, job.workloadSeed,
+            Workload workload(app, job.numProcs, kWorkloadSeed,
                               WorkloadScale{job.scalePercent});
             // Checkpoints every 10 commits, so even a short run holds
             // keyframes and deltas for the chain mutants to forge.
             const Recording rec = Recorder(mode, machine)
-                                      .record(workload, job.recordEnvSeed,
+                                      .record(workload, kRecordEnvSeed,
                                               true, {}, 10);
             const FaultSweepSummary sweep =
-                runFaultSweep(rec, per_kind, job.workloadSeed);
+                runFaultSweep(rec, per_kind, kWorkloadSeed);
             std::printf("%s %s: %s\n", app.c_str(), name,
                         sweep.describe().c_str());
             ok = ok && sweep.ok();
@@ -663,7 +667,7 @@ main(int argc, char **argv)
     if (jobs)
         setenv("DELOREAN_JOBS", std::to_string(jobs).c_str(), 1);
 
-    // Archive data-plane knobs, also position-independent.
+    // The archive data-plane knob, also position-independent.
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] != "--io-threads")
             continue;
@@ -677,13 +681,6 @@ main(int argc, char **argv)
         archive_io.ioThreads = static_cast<unsigned>(v);
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                    args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-        break;
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] != "--no-mmap")
-            continue;
-        archive_io.mmapReads = false;
-        args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
         break;
     }
     for (std::size_t i = 0; i < args.size(); ++i) {

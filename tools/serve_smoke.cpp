@@ -9,8 +9,7 @@
  *  - the deterministic ledger must be byte-identical between a
  *    1-worker and an N-worker run;
  *  - dedupe must collapse the sessions to one recording per distinct
- *    key;
- *  - the admission gate must bound concurrency.
+ *    key.
  */
 
 #include <cstdio>
@@ -131,15 +130,6 @@ main()
                    && serial.recordings[i].archiveBytes > 0,
                "archive bytes match for recording "
                    + std::to_string(i));
-
-    // Admission control: a width-4 pool gated to 1 session.
-    ServeOptions gated;
-    gated.jobs = 4;
-    gated.maxInflight = 1;
-    ServeService gatedService(gated);
-    const ServeReport g = gatedService.run(jobs);
-    expect(g.okCount() == jobs.size(), "gated: all sessions ok");
-    expect(g.peakInflight == 1, "gate bounds in-flight sessions to 1");
 
     cleanup(serial, dir1);
     cleanup(wide, dirN);

@@ -30,6 +30,12 @@ using namespace delorean;
 namespace
 {
 
+/// The differential checker's workload seed, record environment and
+/// checkpoint period.
+constexpr std::uint64_t kWorkloadSeed = 20080621;
+constexpr std::uint64_t kRecordEnvSeed = 1;
+constexpr std::uint64_t kCheckpointPeriod = 40;
+
 bool
 differentialSmoke()
 {
@@ -54,7 +60,7 @@ faultSweepSmoke()
     const DifferentialJob job;
     MachineConfig machine;
     machine.numProcs = job.numProcs;
-    Workload workload(job.app, job.numProcs, job.workloadSeed,
+    Workload workload(job.app, job.numProcs, kWorkloadSeed,
                       WorkloadScale{job.scalePercent});
 
     bool ok = true;
@@ -64,8 +70,8 @@ faultSweepSmoke()
           ModeConfig::picoLog()}) {
         const Recording rec =
             Recorder(mode, machine)
-                .record(workload, job.recordEnvSeed, true, {},
-                        job.checkpointPeriod);
+                .record(workload, kRecordEnvSeed, true, {},
+                        kCheckpointPeriod);
         const FaultSweepSummary sweep =
             runFaultSweep(rec, /*mutants_per_kind=*/8, /*seed0=*/7);
         total += sweep.total;
@@ -87,10 +93,10 @@ localizerSmoke()
     const DifferentialJob job;
     MachineConfig machine;
     machine.numProcs = job.numProcs;
-    Workload workload(job.app, job.numProcs, job.workloadSeed,
+    Workload workload(job.app, job.numProcs, kWorkloadSeed,
                       WorkloadScale{job.scalePercent});
     const Recording rec = Recorder(ModeConfig::orderOnly(), machine)
-                              .record(workload, job.recordEnvSeed);
+                              .record(workload, kRecordEnvSeed);
 
     // Tamper with one commit mid-stream; the localizer must name it.
     const std::size_t victim = rec.fingerprint.commits.size() / 2;
