@@ -24,9 +24,6 @@ hash3(const std::uint8_t *p)
 constexpr unsigned kHashSize = 1u << 15;
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 
-/// Decode limit meaning "the whole declared size".
-constexpr std::size_t kWholeStream = static_cast<std::size_t>(-1);
-
 /// Spare output bytes that let a match copy whole 8-byte words.
 constexpr std::size_t kCopySlack = 8;
 
@@ -276,28 +273,12 @@ Lz77::compress(const std::vector<std::uint8_t> &input) const
 std::vector<std::uint8_t>
 Lz77::decompress(const std::uint8_t *input, std::size_t input_size) const
 {
-    std::uint64_t size = 0;
-    return decode(input, input_size, kWholeStream, size);
-}
-
-std::vector<std::uint8_t>
-Lz77::decompressPrefix(const std::uint8_t *input, std::size_t input_size,
-                       std::size_t max_bytes,
-                       std::uint64_t &declared_size) const
-{
-    return decode(input, input_size, max_bytes, declared_size);
-}
-
-std::vector<std::uint8_t>
-Lz77::decode(const std::uint8_t *input, std::size_t input_size,
-             std::size_t limit, std::uint64_t &size) const
-{
     const std::uint64_t total_bits =
         static_cast<std::uint64_t>(input_size) * 8;
     if (input_size < 8)
         throw BitstreamExhausted("read of 64 bits at position 0 of "
                                  + std::to_string(total_bits));
-    size = loadLe64(input);
+    const std::uint64_t size = loadLe64(input);
 
     // Corrupted-size guard: a match token (the densest encoding)
     // spends 1 + windowBits + 8 bits to produce at most maxMatch
@@ -326,9 +307,8 @@ Lz77::decode(const std::uint8_t *input, std::size_t input_size,
     // whose final match overshoots the declared size ever regrows the
     // buffer (matching the historical decoder, which returned the
     // oversized output and let the caller's size cross-check reject
-    // it); a prefix decode cuts its output back to the limit.
-    const std::size_t target =
-        static_cast<std::size_t>(std::min<std::uint64_t>(size, limit));
+    // it).
+    const std::size_t target = static_cast<std::size_t>(size);
     std::vector<std::uint8_t> out(target + kCopySlack);
     std::size_t produced = 0;
     TokenReader in(input, input_size);
@@ -375,7 +355,7 @@ Lz77::decode(const std::uint8_t *input, std::size_t input_size,
         }
         produced += len;
     }
-    out.resize(limit < size ? target : produced);
+    out.resize(produced);
     return out;
 }
 

@@ -70,18 +70,6 @@ class Lz77
     decompress(const std::uint8_t *input, std::size_t input_size) const;
 
     /**
-     * Decode only the first min(@p max_bytes, declared size) bytes of
-     * a stream, with the same checks on every token it reads; the
-     * rest of the stream is never touched. @p declared_size receives
-     * the stream's size header. Lets a reader inspect the head of a
-     * large blob (e.g. a checkpoint image's header) cheaply.
-     */
-    std::vector<std::uint8_t>
-    decompressPrefix(const std::uint8_t *input, std::size_t input_size,
-                     std::size_t max_bytes,
-                     std::uint64_t &declared_size) const;
-
-    /**
      * Compressed size in bits of @p input, without materializing the
      * output (used by the log-size harnesses). Token bits only — the
      * 64-bit length header compress() prepends is excluded.
@@ -90,12 +78,6 @@ class Lz77
     compressedBits(const std::vector<std::uint8_t> &input) const;
 
   private:
-    /** Shared decoder: stops once min(size, @p limit) bytes exist. */
-    std::vector<std::uint8_t> decode(const std::uint8_t *input,
-                                     std::size_t input_size,
-                                     std::size_t limit,
-                                     std::uint64_t &size) const;
-
     Lz77Config config_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/serialize_detail.hpp"
+
 namespace delorean
 {
 
@@ -164,24 +166,29 @@ CheckpointImage::operator==(const CheckpointImage &other) const
 }
 
 CheckpointImage
-ImageChainBuilder::next(const MemoryState &state, MemoryDelta delta,
+ImageChainBuilder::next(const SystemCheckpoint &ckpt,
+                        const MemoryState &state, MemoryDelta delta,
                         std::uint64_t hash)
 {
-    const std::size_t delta_bytes = deltaImageBytes(
-        contexts_, delta.changed.size(), delta.erased.size());
+    const std::size_t delta_bytes =
+        started_ ? serialize_detail::deltaBytes(last_, ckpt, delta) : 0;
+    CheckpointImage image;
     if (rule_.headsChain(delta_bytes)) {
-        rule_.keyframe(keyframeImageBytes(contexts_, state.population()));
-        last_ = CheckpointImage::keyframe(
-            CheckpointImage::sortedWords(state), hash,
-            started_ ? &last_ : nullptr,
+        std::vector<CheckpointImage::Word> words =
+            CheckpointImage::sortedWords(state);
+        rule_.keyframe(serialize_detail::keyframeBytes(ckpt, words));
+        image = CheckpointImage::keyframe(
+            std::move(words), hash, started_ ? &last_.memory : nullptr,
             started_ ? std::move(delta) : MemoryDelta{});
     } else {
         rule_.delta(delta_bytes);
-        last_ = CheckpointImage::deltaOn(last_, std::move(delta), hash,
-                                         state.population());
+        image = CheckpointImage::deltaOn(last_.memory, std::move(delta),
+                                         hash, state.population());
     }
+    last_ = ckpt;
+    last_.memory = image;
     started_ = true;
-    return last_;
+    return image;
 }
 
 } // namespace delorean

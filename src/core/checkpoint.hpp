@@ -40,42 +40,6 @@
 namespace delorean
 {
 
-/// Image lead: gcc, dmaConsumed, rrNext, context count.
-inline constexpr std::size_t kCheckpointLeadBytes = 32;
-
-/**
- * Header bytes of a serialized checkpoint image with @p contexts
- * contexts: the lead, the contexts, then one u64 (a keyframe's word
- * count, a delta's base GCC).
- */
-constexpr std::size_t
-checkpointHeaderBytes(std::uint64_t contexts)
-{
-    return kCheckpointLeadBytes
-           + static_cast<std::size_t>(contexts)
-                 * (sizeof(ThreadContext) + 8)
-           + 8;
-}
-
-/** Raw bytes of a keyframe image holding @p words words. */
-constexpr std::size_t
-keyframeImageBytes(std::uint64_t contexts, std::size_t words)
-{
-    return checkpointHeaderBytes(contexts) + words * 16;
-}
-
-/**
- * Raw bytes of a delta image: the header, the changed count and
- * (addr, value) pairs, the erased count and addresses, the hash.
- */
-constexpr std::size_t
-deltaImageBytes(std::uint64_t contexts, std::size_t changed,
-                std::size_t erased)
-{
-    return checkpointHeaderBytes(contexts) + 8 + changed * 16 + 8
-           + erased * 8 + 8;
-}
-
 /**
  * One checkpoint's memory image: an immutable chain node, shared by
  * every copy. A chain head holds its keyframe, the address-sorted
@@ -157,16 +121,48 @@ class CheckpointImage
     std::shared_ptr<const Node> node_;
 };
 
+/** Architectural machine state at a global commit count. */
+struct SystemCheckpoint
+{
+    /// Global commit count (GCC) this checkpoint corresponds to:
+    /// the state after the first `gcc` commits of the recording.
+    std::uint64_t gcc = 0;
+
+    /// Committed memory image, as a keyframe-chain node.
+    CheckpointImage memory;
+
+    /// Per-processor context at the boundary of its last committed
+    /// chunk (the thread's complete architectural state).
+    std::vector<ThreadContext> contexts;
+
+    /// Chunks committed per processor so far (the next logical chunk
+    /// sequence number each processor will execute).
+    std::vector<ChunkSeq> committedChunks;
+
+    /// DMA transfers consumed so far.
+    std::size_t dmaConsumed = 0;
+
+    /// PicoLog: the processor whose commit turn is next.
+    ProcId rrNext = 0;
+
+    bool
+    valid() const
+    {
+        return !contexts.empty()
+               && contexts.size() == committedChunks.size();
+    }
+};
+
 /**
  * The keyframe rule, applied in checkpoint order. The first checkpoint
  * heads a chain; every later one is a delta against the checkpoint
- * before it, unless the raw delta bytes since its chain's keyframe
- * would then exceed that keyframe's own raw size, in which case it
+ * before it, unless the encoded delta bytes since its chain's keyframe
+ * would then exceed that keyframe's own encoded size, in which case it
  * heads a new chain. Materializing any image therefore reads at most
  * twice its keyframe's bytes. The rule has no knob and sees only
- * image sizes, so every producer of a chain — the recorder, the
- * conversion of full images — cuts the same chains, and a reader can
- * tell from stored sizes where a chain was cut.
+ * encoded image sizes, so every producer of a chain — the recorder,
+ * the conversion of full images — cuts the same chains, and a reader
+ * can tell from stored sizes where a chain was cut.
  */
 class KeyframeRule
 {
@@ -198,60 +194,28 @@ class KeyframeRule
 
 /**
  * Builds one recording's checkpoint images in checkpoint order under
- * the KeyframeRule. The recorder feeds it each interval's journaled
- * delta; images that arrive whole (legacy .dlrec files) are converted
- * by diffing consecutive full states (MemoryDelta::between).
+ * the KeyframeRule, sizing each image as the containers encode it.
+ * The recorder feeds it each interval's journaled delta; images that
+ * arrive whole (legacy .dlrec files) are converted by diffing
+ * consecutive full states (MemoryDelta::between).
  */
 class ImageChainBuilder
 {
   public:
-    /** Images of checkpoints carrying @p contexts thread contexts. */
-    explicit ImageChainBuilder(std::size_t contexts) : contexts_(contexts) {}
-
     /**
-     * The image of @p state, given its @p delta against the previous
-     * image and its @p hash (the first image ignores @p delta).
+     * The image of @p state at checkpoint @p ckpt (its header fields
+     * set; its memory is what this returns), given its @p delta
+     * against the previous image and its @p hash (the first image
+     * ignores @p delta).
      */
-    CheckpointImage next(const MemoryState &state, MemoryDelta delta,
+    CheckpointImage next(const SystemCheckpoint &ckpt,
+                         const MemoryState &state, MemoryDelta delta,
                          std::uint64_t hash);
 
   private:
-    std::size_t contexts_;
     KeyframeRule rule_;
     bool started_ = false;
-    CheckpointImage last_;
-};
-
-/** Architectural machine state at a global commit count. */
-struct SystemCheckpoint
-{
-    /// Global commit count (GCC) this checkpoint corresponds to:
-    /// the state after the first `gcc` commits of the recording.
-    std::uint64_t gcc = 0;
-
-    /// Committed memory image, as a keyframe-chain node.
-    CheckpointImage memory;
-
-    /// Per-processor context at the boundary of its last committed
-    /// chunk (the thread's complete architectural state).
-    std::vector<ThreadContext> contexts;
-
-    /// Chunks committed per processor so far (the next logical chunk
-    /// sequence number each processor will execute).
-    std::vector<ChunkSeq> committedChunks;
-
-    /// DMA transfers consumed so far.
-    std::size_t dmaConsumed = 0;
-
-    /// PicoLog: the processor whose commit turn is next.
-    ProcId rrNext = 0;
-
-    bool
-    valid() const
-    {
-        return !contexts.empty()
-               && contexts.size() == committedChunks.size();
-    }
+    SystemCheckpoint last_; ///< the previous checkpoint, with its image
 };
 
 /**

@@ -47,8 +47,7 @@ ChunkEngine::ChunkEngine(const Workload &workload,
       irq_(workload.profile(), n_, options.envSeed),
       dma_dev_(workload.profile(), options.envSeed),
       io_dev_(options.envSeed),
-      procs_(n_),
-      images_(n_)
+      procs_(n_)
 {
     assert(workload.numProcs() == n_);
     if (n_ < 1 || n_ > 64)
@@ -275,14 +274,6 @@ ChunkEngine::maybeCheckpoint()
     // carries the hash, so no checkpoint copies or rescans memory.
     SystemCheckpoint ckpt;
     ckpt.gcc = gcc_;
-    if (journaling_) {
-        MemoryDelta delta = journal_.cut(mem_, image_hash_);
-        ckpt.memory = images_.next(mem_, std::move(delta), image_hash_);
-    } else {
-        image_hash_ = mem_.hash();
-        ckpt.memory = images_.next(mem_, MemoryDelta{}, image_hash_);
-        journaling_ = true;
-    }
     ckpt.dmaConsumed = dma_granted_;
     for (const ProcState &ps : procs_) {
         ckpt.contexts.push_back(ps.lastCommittedCtx);
@@ -292,6 +283,15 @@ ChunkEngine::maybeCheckpoint()
     if (!fp_.commits.empty())
         ckpt.rrNext = (fp_.commits.back().proc + 1)
                       % static_cast<ProcId>(n_);
+    if (journaling_) {
+        MemoryDelta delta = journal_.cut(mem_, image_hash_);
+        ckpt.memory =
+            images_.next(ckpt, mem_, std::move(delta), image_hash_);
+    } else {
+        image_hash_ = mem_.hash();
+        ckpt.memory = images_.next(ckpt, mem_, MemoryDelta{}, image_hash_);
+        journaling_ = true;
+    }
     rec_->checkpoints.push_back(std::move(ckpt));
 
     if (opts_.onCheckpoint) {

@@ -35,10 +35,13 @@ constexpr std::uint64_t kMagic = 0x44654C6F5265634Full; // "DeLoRecO"
 /// (always 1) and, after the PI entries, a has-masks flag (always 0).
 /// Loaders reject any other value. v3 stores checkpoint images as
 /// keyframe chains: each image is preceded by its kind (1 keyframe,
-/// 2 delta on the checkpoint before it). v1 and v2 recordings, whose
-/// images are all full, still load; their images are converted into
-/// chains under the same keyframe rule.
-constexpr std::uint32_t kVersion = 3;
+/// 2 delta on the checkpoint before it). v4 encodes each image's word
+/// lists as address gaps and its contexts as changes against a base
+/// (core/serialize_detail.hpp). v1 and v2 recordings, whose images are
+/// all full, still load; their images are converted into chains under
+/// the same keyframe rule. v3 files are rejected: their chain images
+/// would need a decoder of their own.
+constexpr std::uint32_t kVersion = 4;
 
 /**
  * Throw RecordingFormatError unless cond. @p what names the field: a
@@ -336,8 +339,9 @@ loadLogs(std::istream &in, std::uint64_t &version)
     if (getU64(in) != kMagic)
         throw RecordingFormatError("not a DeLorean recording");
     version = getU64(in);
-    if (version < 1 || version > kVersion)
-        throw RecordingFormatError("unsupported recording version");
+    if (version < 1 || version == 3 || version > kVersion)
+        throw RecordingFormatError("unsupported recording version "
+                                   + std::to_string(version));
     const bool legacy_v1 = version == 1;
 
     Recording rec;
@@ -456,7 +460,7 @@ loadLogs(std::istream &in, std::uint64_t &version)
     return rec;
 }
 
-/** Read @p count v3 chain images, verifying each chain. */
+/** Read @p count chain images, verifying each chain. */
 void
 loadChains(std::istream &in, std::uint64_t count, Recording &rec)
 {
@@ -487,15 +491,16 @@ loadChains(std::istream &in, std::uint64_t count, Recording &rec)
 void
 convertFullImages(std::istream &in, std::uint64_t count, Recording &rec)
 {
-    ImageChainBuilder chain(rec.machine.numProcs);
+    ImageChainBuilder chain;
     MemoryState prev;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::vector<std::uint8_t> image =
-            getImage(in, ImageKind::kKeyframe);
+            serialize_detail::getFullImage(in);
         auto [ckpt, state] =
             serialize_detail::decodeFullImage(image.data(), image.size());
         ckpt.memory = chain.next(
-            state, i ? MemoryDelta::between(prev, state) : MemoryDelta{},
+            ckpt, state,
+            i ? MemoryDelta::between(prev, state) : MemoryDelta{},
             state.hash());
         prev = std::move(state);
         rec.checkpoints.push_back(std::move(ckpt));

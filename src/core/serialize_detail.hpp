@@ -24,10 +24,13 @@
 #define DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -153,6 +156,8 @@ getString(ByteCursor &in)
 static_assert(std::is_trivially_copyable_v<ThreadContext>,
               "ThreadContext must stay trivially copyable: checkpoints "
               "serialize it by value");
+static_assert(sizeof(ThreadContext) % 8 == 0,
+              "checkpoint images store a ThreadContext as u64 words");
 
 /** Store @p v little-endian at @p p (any alignment). */
 inline void
@@ -177,15 +182,6 @@ contextBytes(const ThreadContext &ctx, std::uint8_t *buf)
 #endif
 #endif
     std::memcpy(buf, &image, sizeof(ThreadContext));
-}
-
-inline ThreadContext
-getContext(ByteCursor &in)
-{
-    ThreadContext ctx;
-    std::memcpy(&ctx, in.take(sizeof(ThreadContext)),
-                sizeof(ThreadContext));
-    return ctx;
 }
 
 inline void
@@ -269,11 +265,44 @@ getMachine(In &in, bool legacy_v1 = false)
     return m;
 }
 
-using ::delorean::checkpointHeaderBytes;
-using ::delorean::kCheckpointLeadBytes;
+// ----- checkpoint images ----------------------------------------------------
+//
+// An image is its lead (gcc, dmaConsumed, rrNext, context count: four
+// u64s), one context block per processor, then
+//   keyframe: the word list of every non-default word;
+//   delta:    the base GCC (u64), the changed-word list, the erased-
+//             word list, the memory hash (u64).
+// A context block is a processor's kContextWords u64 words (the
+// ThreadContext's bytes as words, then its committed-chunk counter) as
+// a kContextMaskBytes presence mask, bit k set when word k differs
+// from the base's, followed by the set words' values in word order.
+// A keyframe's base is all zeros; a delta's the checkpoint before it.
+// A list is its word count (u64) and body byte length (u64), then per
+// word the LEB128 varint of its gap from the previous word address
+// (the first word's gap is its address), plus, in a word list, the
+// value as 8 raw bytes; erased lists carry gaps only. Decoders reject
+// a non-minimal varint, a zero gap after the first word and a body
+// length its words do not fill exactly, so an image's bytes are a
+// pure function of its content.
+
+/// Image lead: gcc, dmaConsumed, rrNext, context count.
+inline constexpr std::size_t kCheckpointLeadBytes = 32;
+/// u64 words of one processor's context in an image: its
+/// ThreadContext's bytes, then its committed-chunk counter.
+inline constexpr std::size_t kContextWords = sizeof(ThreadContext) / 8 + 1;
+/// Bytes of a context block's presence mask (one bit per word).
+inline constexpr std::size_t kContextMaskBytes = (kContextWords + 7) / 8;
+/// A word list's header: word count, body byte length.
+inline constexpr std::size_t kListHeaderBytes = 16;
+/// Widest LEB128 varint of a u64 (an address gap).
+inline constexpr std::size_t kMaxVarintBytes = 10;
 
 /// Context-count ceiling every image decoder enforces.
 inline constexpr std::uint64_t kMaxCheckpointContexts = 64;
+
+static_assert(kContextWords <= 64, "a context mask fits one u64");
+
+using ContextWords = std::array<std::uint64_t, kContextWords>;
 
 inline void
 checkContextCount(std::uint64_t n)
@@ -284,45 +313,198 @@ checkContextCount(std::uint64_t n)
                                    + " outside [0, 64]");
 }
 
+/** Processor @p p's context words in @p ckpt. */
+inline ContextWords
+contextWords(const SystemCheckpoint &ckpt, std::size_t p)
+{
+    std::uint8_t bytes[sizeof(ThreadContext)];
+    contextBytes(ckpt.contexts[p], bytes);
+    ContextWords words;
+    for (std::size_t k = 0; k + 1 < kContextWords; ++k)
+        words[k] = loadU64(bytes + 8 * k);
+    words[kContextWords - 1] = ckpt.committedChunks[p];
+    return words;
+}
+
+/** The presence mask of @p words against @p base. */
+inline std::uint64_t
+contextMask(const ContextWords &words, const ContextWords &base)
+{
+    std::uint64_t mask = 0;
+    for (std::size_t k = 0; k < kContextWords; ++k)
+        if (words[k] != base[k])
+            mask |= std::uint64_t{1} << k;
+    return mask;
+}
+
 /**
- * Write an image's header — gcc, dmaConsumed, rrNext, the context
- * count, per-proc {context, committedChunks} — then @p tail, the u64
- * that closes the header (a keyframe's word count, a delta's base
- * GCC), into a buffer sized for @p body more bytes. Returns the
- * write position.
+ * Call @p fn(words, mask) for each context of @p ckpt, diffed against
+ * @p base's (all zeros when @p base is null).
  */
-inline std::uint8_t *
-startImage(std::string &out, const SystemCheckpoint &ckpt,
-           std::uint64_t tail, std::size_t body)
+template <typename Fn>
+void
+forEachContextBlock(const SystemCheckpoint *base,
+                    const SystemCheckpoint &ckpt, Fn &&fn)
 {
     const std::size_t n = ckpt.contexts.size();
-    out.resize(checkpointHeaderBytes(n) + body);
-    std::uint8_t *p = reinterpret_cast<std::uint8_t *>(out.data());
+    if (ckpt.committedChunks.size() != n
+        || (base && base->contexts.size() != n))
+        throw std::logic_error("checkpoint image: context counts "
+                               "disagree");
+    const ContextWords zeros{};
+    for (std::size_t p = 0; p < n; ++p) {
+        const ContextWords words = contextWords(ckpt, p);
+        fn(words, contextMask(words, base ? contextWords(*base, p) : zeros));
+    }
+}
+
+/** Bytes of @p ckpt's lead and context blocks against @p base. */
+inline std::size_t
+headerBytes(const SystemCheckpoint *base, const SystemCheckpoint &ckpt)
+{
+    std::size_t bytes = kCheckpointLeadBytes;
+    forEachContextBlock(base, ckpt,
+                        [&bytes](const ContextWords &, std::uint64_t mask) {
+                            bytes += kContextMaskBytes
+                                     + 8 * static_cast<std::size_t>(
+                                         std::popcount(mask));
+                        });
+    return bytes;
+}
+
+/** Write @p ckpt's lead and context blocks at @p p; returns the end. */
+inline std::uint8_t *
+storeHeader(std::uint8_t *p, const SystemCheckpoint *base,
+            const SystemCheckpoint &ckpt)
+{
     storeU64(p, ckpt.gcc);
     storeU64(p + 8, ckpt.dmaConsumed);
     storeU64(p + 16, ckpt.rrNext);
-    storeU64(p + 24, n);
+    storeU64(p + 24, ckpt.contexts.size());
     p += kCheckpointLeadBytes;
-    for (std::size_t i = 0; i < n; ++i) {
-        contextBytes(ckpt.contexts[i], p);
-        storeU64(p + sizeof(ThreadContext), ckpt.committedChunks[i]);
-        p += sizeof(ThreadContext) + 8;
-    }
-    storeU64(p, tail);
-    return p + 8;
+    forEachContextBlock(base, ckpt,
+                        [&p](const ContextWords &words, std::uint64_t mask) {
+                            for (std::size_t b = 0; b < kContextMaskBytes;
+                                 ++b)
+                                *p++ = static_cast<std::uint8_t>(
+                                    mask >> (8 * b));
+                            for (std::size_t k = 0; k < kContextWords; ++k)
+                                if (mask >> k & 1) {
+                                    storeU64(p, words[k]);
+                                    p += 8;
+                                }
+                        });
+    return p;
 }
 
-/** Write sorted (addr, value) pairs at @p p; returns the end. */
-inline std::uint8_t *
-storeWords(std::uint8_t *p,
-           const std::vector<std::pair<Addr, std::uint64_t>> &words)
+/** Bytes of the LEB128 varint of @p v. */
+inline std::size_t
+varintBytes(std::uint64_t v)
 {
-    for (const auto &[addr, value] : words) {
-        storeU64(p, addr);
-        storeU64(p + 8, value);
-        p += 16;
+    std::size_t n = 1;
+    for (; v >= 0x80; v >>= 7)
+        ++n;
+    return n;
+}
+
+/** Write the LEB128 varint of @p v at @p p; returns the end. */
+inline std::uint8_t *
+storeVarint(std::uint8_t *p, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        *p++ = static_cast<std::uint8_t>(v | 0x80);
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
+/** Read a minimal LEB128 varint of a u64. */
+inline std::uint64_t
+getVarint(ByteCursor &in)
+{
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        const std::uint8_t b = *in.take(1);
+        if (shift == 63 && b > 1)
+            throw RecordingFormatError("varint overflows 64 bits");
+        v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+        if (!(b & 0x80)) {
+            if (b == 0 && shift > 0)
+                throw RecordingFormatError("non-minimal varint");
+            return v;
+        }
+    }
+}
+
+/** Address of a list entry (a word's address, or an erased address). */
+inline Addr
+entryAddr(const CheckpointImage::Word &word)
+{
+    return word.first;
+}
+
+inline Addr
+entryAddr(Addr addr)
+{
+    return addr;
+}
+
+/**
+ * Body bytes of a list of address-sorted @p entries: the gaps, plus
+ * 8 value bytes per entry of a word list.
+ */
+template <typename Entry>
+std::size_t
+listBodyBytes(const std::vector<Entry> &entries)
+{
+    constexpr std::size_t kValueBytes =
+        std::is_same_v<Entry, Addr> ? 0 : 8;
+    std::size_t bytes = entries.size() * kValueBytes;
+    Addr prev = 0;
+    for (const Entry &e : entries) {
+        bytes += varintBytes(entryAddr(e) - prev);
+        prev = entryAddr(e);
+    }
+    return bytes;
+}
+
+/** Write a list whose body takes @p body bytes at @p p; returns the end. */
+template <typename Entry>
+std::uint8_t *
+storeList(std::uint8_t *p, const std::vector<Entry> &entries,
+          std::size_t body)
+{
+    storeU64(p, entries.size());
+    storeU64(p + 8, body);
+    p += kListHeaderBytes;
+    Addr prev = 0;
+    for (const Entry &e : entries) {
+        p = storeVarint(p, entryAddr(e) - prev);
+        prev = entryAddr(e);
+        if constexpr (!std::is_same_v<Entry, Addr>) {
+            storeU64(p, e.second);
+            p += 8;
+        }
     }
     return p;
+}
+
+/** Bytes of the keyframe image of @p ckpt holding @p words. */
+inline std::size_t
+keyframeBytes(const SystemCheckpoint &ckpt,
+              const std::vector<CheckpointImage::Word> &words)
+{
+    return headerBytes(nullptr, ckpt) + kListHeaderBytes
+           + listBodyBytes(words);
+}
+
+/** Bytes of the image of @p delta, @p ckpt's against @p base. */
+inline std::size_t
+deltaBytes(const SystemCheckpoint &base, const SystemCheckpoint &ckpt,
+           const MemoryDelta &delta)
+{
+    return headerBytes(&base, ckpt) + 8 + 2 * kListHeaderBytes
+           + listBodyBytes(delta.changed) + listBodyBytes(delta.erased)
+           + 8;
 }
 
 /**
@@ -339,12 +521,20 @@ storedAsKeyframe(const SystemCheckpoint *prev, const SystemCheckpoint &cur)
            || !cur.memory.follows(prev->memory);
 }
 
+/** Throw std::logic_error unless an encoder filled exactly its size. */
+inline void
+checkEncoded(const std::string &out, const std::uint8_t *end)
+{
+    if (end != reinterpret_cast<const std::uint8_t *>(out.data())
+                   + out.size())
+        throw std::logic_error("checkpoint image size miscounted");
+}
+
 /**
- * Full checkpoint image (a *keyframe*): the header, the word count,
- * then the memory population as (addr, value) pairs in address order,
- * which makes the image a pure function of the checkpoint's content.
- * A chain head's words are serialized as the image holds them; any
- * other image is materialized first.
+ * Keyframe image of @p ckpt: its header, then the memory population in
+ * address order, which makes the image a pure function of the
+ * checkpoint's content. A chain head's words are serialized as the
+ * image holds them; any other image is materialized first.
  */
 inline std::string
 encodeKeyframe(const SystemCheckpoint &ckpt)
@@ -354,21 +544,22 @@ encodeKeyframe(const SystemCheckpoint &ckpt)
     if (!image.headsChain())
         rebuilt = CheckpointImage::sortedWords(image.materialize());
     const auto &words = image.headsChain() ? image.words() : rebuilt;
-    std::string out;
-    storeWords(startImage(out, ckpt, words.size(), words.size() * 16),
-               words);
+    const std::size_t body = listBodyBytes(words);
+    std::string out(headerBytes(nullptr, ckpt) + kListHeaderBytes + body,
+                    '\0');
+    std::uint8_t *p = reinterpret_cast<std::uint8_t *>(out.data());
+    p = storeList(storeHeader(p, nullptr, ckpt), words, body);
+    checkEncoded(out, p);
     return out;
 }
 
 /**
  * Delta image of @p ckpt against @p base, the checkpoint before it:
- * the header in full (contexts and counters are small), base.gcc,
- * the changed-word count and the words @p ckpt holds with a value
- * @p base lacks, as address-sorted (addr, value) pairs, the
- * erased-word count and the address-sorted words that went back to
- * their default value, then ckpt.memory.hash(), which a decoder
- * checks the rebuilt state against. The delta the image keeps is
- * serialized as is; an image that keeps none against @p base is
+ * the header (contexts as their changes since @p base), base.gcc, the
+ * words @p ckpt holds with a value @p base lacks, the words that went
+ * back to their default value, then ckpt.memory.hash(), which a
+ * decoder checks the rebuilt state against. The delta the image keeps
+ * is serialized as is; an image that keeps none against @p base is
  * diffed against it (the conversion path). Like a keyframe, a pure
  * function of the two checkpoints' content.
  */
@@ -384,21 +575,18 @@ encodeDelta(const SystemCheckpoint &base, const SystemCheckpoint &ckpt)
                                       ckpt.memory.materialize());
         delta = &diffed;
     }
-    std::string out;
-    std::uint8_t *p = startImage(
-        out, ckpt, base.gcc,
-        deltaImageBytes(ckpt.contexts.size(), delta->changed.size(),
-                        delta->erased.size())
-            - checkpointHeaderBytes(ckpt.contexts.size()));
-    storeU64(p, delta->changed.size());
-    p = storeWords(p + 8, delta->changed);
-    storeU64(p, delta->erased.size());
-    p += 8;
-    for (const Addr addr : delta->erased) {
-        storeU64(p, addr);
-        p += 8;
-    }
+    const std::size_t changed = listBodyBytes(delta->changed);
+    const std::size_t erased = listBodyBytes(delta->erased);
+    std::string out(headerBytes(&base, ckpt) + 8 + 2 * kListHeaderBytes
+                        + changed + erased + 8,
+                    '\0');
+    std::uint8_t *p = storeHeader(
+        reinterpret_cast<std::uint8_t *>(out.data()), &base, ckpt);
+    storeU64(p, base.gcc);
+    p = storeList(p + 8, delta->changed, changed);
+    p = storeList(p, delta->erased, erased);
     storeU64(p, ckpt.memory.hash());
+    checkEncoded(out, p + 8);
     return out;
 }
 
@@ -409,63 +597,136 @@ enum class ImageKind : std::uint64_t
     kDelta = 2,    ///< against the previous checkpoint
 };
 
+/** Read a context block's presence mask, rejecting bits past it. */
+inline std::uint64_t
+getContextMask(ByteCursor &in)
+{
+    const std::uint8_t *b = in.take(kContextMaskBytes);
+    std::uint64_t mask = 0;
+    for (std::size_t i = 0; i < kContextMaskBytes; ++i)
+        mask |= static_cast<std::uint64_t>(b[i]) << (8 * i);
+    if (mask >> kContextWords)
+        throw RecordingFormatError(
+            "context presence mask names word "
+            + std::to_string(std::countr_zero(mask >> kContextWords)
+                             + kContextWords)
+            + " past the context's " + std::to_string(kContextWords));
+    return mask;
+}
+
+/**
+ * Reject a list of @p count entries whose body cannot take @p body
+ * bytes: entries take 1 to kMaxVarintBytes gap bytes plus
+ * @p value_bytes each.
+ */
+inline void
+checkListSize(std::uint64_t count, std::uint64_t body,
+              std::size_t value_bytes)
+{
+    if (count > body / (1 + value_bytes)
+        || body > count * (kMaxVarintBytes + value_bytes))
+        throw RecordingFormatError(
+            "checkpoint word list of " + std::to_string(count)
+            + " words cannot take " + std::to_string(body) + " bytes");
+}
+
+/**
+ * Read a list header and check its body fits the rest of @p in and
+ * can hold its count. Returns a cursor over the body.
+ */
+inline ByteCursor
+getListBody(ByteCursor &in, std::size_t value_bytes, std::uint64_t &count)
+{
+    count = getU64(in);
+    const std::uint64_t body = getU64(in);
+    if (body > in.remaining())
+        throw RecordingFormatError("checkpoint word list runs past its "
+                                   "image");
+    checkListSize(count, body, value_bytes);
+    return ByteCursor(in.take(static_cast<std::size_t>(body)),
+                      static_cast<std::size_t>(body));
+}
+
+/**
+ * Decode a list body of @p count entries, calling @p fn(addr, cursor)
+ * for each, where the cursor stands at the entry's value bytes (if
+ * any; @p fn takes them). Addresses must ascend strictly: a gap after
+ * the first is nonzero and must not wrap.
+ */
+template <typename Fn>
+void
+forEachListEntry(ByteCursor body, std::uint64_t count, Fn &&fn)
+{
+    Addr addr = 0;
+    for (std::uint64_t k = 0; k < count; ++k) {
+        const std::uint64_t gap = getVarint(body);
+        if (k > 0 && gap == 0)
+            throw RecordingFormatError(
+                "checkpoint word list repeats an address (zero gap)");
+        if (gap > ~addr)
+            throw RecordingFormatError(
+                "checkpoint word list gap wraps the address space");
+        addr += gap;
+        fn(addr, body);
+    }
+    if (body.remaining() != 0)
+        throw RecordingFormatError(
+            "checkpoint word list byte length disagrees with its words");
+}
+
 /** What a structural walk of one checkpoint image learns. */
 struct CheckpointExtent
 {
     std::uint64_t gcc = 0;
     std::uint64_t contexts = 0;
     std::uint64_t baseGcc = 0; ///< delta: GCC of the image it applies to
-    std::size_t bytes = 0;     ///< whole image, header plus word lists
+    /// Offset past the context blocks: a keyframe's word list, a
+    /// delta's base GCC.
+    std::size_t fieldsAt = 0;
+    std::size_t bytes = 0; ///< whole image, header plus word lists
 };
 
 /**
  * Walk the @p kind image that starts at @p data without decoding it:
- * the header is read from the first @p available bytes, and the word
- * lists must fit the @p total bytes the image region holds (available
- * <= total; a caller may hold only the header in memory, in which
- * case a delta's lists, whose counts lie past its header, are not
- * walked). Throws exactly what ChainDecoder would throw on the same
- * bytes' structure.
+ * each context block and list is skipped by its mask or byte length
+ * (O(1) per list), and each must fit the @p size bytes the image
+ * region holds. Throws what ChainDecoder would throw on the same
+ * bytes' structure; only list contents, base GCCs and memory hashes
+ * are left to the decode.
  */
 inline CheckpointExtent
-scanImage(ImageKind kind, const std::uint8_t *data, std::size_t available,
-          std::size_t total)
+scanImage(ImageKind kind, const std::uint8_t *data, std::size_t size)
 {
-    ByteCursor in(data, std::min(available, total));
+    ByteCursor in(data, size);
     CheckpointExtent ext;
     ext.gcc = getU64(in);
     in.take(16); // dmaConsumed, rrNext
     ext.contexts = getU64(in);
     checkContextCount(ext.contexts);
-    in.take(static_cast<std::size_t>(ext.contexts)
-            * (sizeof(ThreadContext) + 8));
+    for (std::uint64_t p = 0; p < ext.contexts; ++p)
+        in.take(8 * static_cast<std::size_t>(
+                        std::popcount(getContextMask(in))));
+    ext.fieldsAt = in.offset();
+    std::uint64_t count = 0;
     if (kind == ImageKind::kKeyframe) {
-        const std::uint64_t words = getU64(in);
-        if (words > (total - in.offset()) / 16)
-            throw RecordingFormatError("file truncated");
-        ext.bytes =
-            in.offset() + static_cast<std::size_t>(words) * 16;
-        return ext;
+        getListBody(in, 8, count);
+    } else {
+        ext.baseGcc = getU64(in);
+        getListBody(in, 8, count); // changed words
+        getListBody(in, 0, count); // erased words
+        getU64(in);                // memory hash
     }
-    ext.baseGcc = getU64(in);
-    if (available < total)
-        return ext;
-    const std::uint64_t changed = getU64(in);
-    if (changed > in.remaining() / 16)
-        throw RecordingFormatError("file truncated");
-    in.take(static_cast<std::size_t>(changed) * 16);
-    const std::uint64_t erased = getU64(in);
-    if (erased > in.remaining() / 8)
-        throw RecordingFormatError("file truncated");
-    in.take(static_cast<std::size_t>(erased) * 8);
-    getU64(in); // memory hash
     ext.bytes = in.offset();
     return ext;
 }
 
-/** Everything of an image but its memory: the header's fields. */
+/**
+ * Everything of an image but its memory: the lead and the contexts,
+ * each a diff against @p base's (all zeros when null; a delta's base
+ * must carry as many contexts).
+ */
 inline SystemCheckpoint
-getImageHeader(ByteCursor &in)
+getImageHeader(ByteCursor &in, const SystemCheckpoint *base)
 {
     SystemCheckpoint ckpt;
     ckpt.gcc = getU64(in);
@@ -473,11 +734,24 @@ getImageHeader(ByteCursor &in)
     ckpt.rrNext = static_cast<ProcId>(getU64(in));
     const std::uint64_t n = getU64(in);
     checkContextCount(n);
-    ckpt.contexts.reserve(static_cast<std::size_t>(n));
-    ckpt.committedChunks.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t p = 0; p < n; ++p) {
-        ckpt.contexts.push_back(getContext(in));
-        ckpt.committedChunks.push_back(getU64(in));
+    if (base && n != base->contexts.size())
+        throw RecordingFormatError(
+            "delta context count " + std::to_string(n)
+            + " disagrees with its base's "
+            + std::to_string(base->contexts.size()));
+    ckpt.contexts.resize(static_cast<std::size_t>(n));
+    ckpt.committedChunks.resize(static_cast<std::size_t>(n));
+    for (std::size_t p = 0; p < n; ++p) {
+        const std::uint64_t mask = getContextMask(in);
+        ContextWords words = base ? contextWords(*base, p) : ContextWords{};
+        for (std::size_t k = 0; k < kContextWords; ++k)
+            if (mask >> k & 1)
+                words[k] = getU64(in);
+        std::uint8_t bytes[sizeof(ThreadContext)];
+        for (std::size_t k = 0; k + 1 < kContextWords; ++k)
+            storeU64(bytes + 8 * k, words[k]);
+        std::memcpy(&ckpt.contexts[p], bytes, sizeof(ThreadContext));
+        ckpt.committedChunks[p] = words[kContextWords - 1];
     }
     return ckpt;
 }
@@ -500,27 +774,21 @@ class ChainDecoder
     keyframe(const std::uint8_t *data, std::size_t size)
     {
         ByteCursor in(data, size);
-        SystemCheckpoint ckpt = getImageHeader(in);
-        const std::uint64_t count = getU64(in);
-        if (count > in.remaining() / 16)
-            throw RecordingFormatError("file truncated");
-        std::vector<CheckpointImage::Word> words(
-            static_cast<std::size_t>(count));
-        const std::uint8_t *w =
-            in.take(static_cast<std::size_t>(count) * 16);
+        SystemCheckpoint ckpt = getImageHeader(in, nullptr);
+        std::uint64_t count = 0;
+        const ByteCursor body = getListBody(in, 8, count);
+        requireEnd(in);
+        std::vector<CheckpointImage::Word> words;
+        words.reserve(static_cast<std::size_t>(count));
         std::uint64_t hash = MemoryState::kHashSeed;
-        for (std::size_t k = 0; k < words.size(); ++k, w += 16) {
-            const Addr addr = loadU64(w);
-            const std::uint64_t value = loadU64(w + 8);
-            if (k > 0 && addr <= words[k - 1].first)
-                throw RecordingFormatError(
-                    "keyframe words are not address-sorted");
-            if (value == MemoryState::initValue(addr))
+        forEachListEntry(body, count, [&](Addr addr, ByteCursor &value) {
+            const std::uint64_t v = getU64(value);
+            if (v == MemoryState::initValue(addr))
                 throw RecordingFormatError(
                     "keyframe word holds its default value");
-            words[k] = {addr, value};
-            hash += MemoryState::hashTerm(addr, value);
-        }
+            words.emplace_back(addr, v);
+            hash += MemoryState::hashTerm(addr, v);
+        });
         ckpt.memory = CheckpointImage::keyframe(std::move(words), hash);
         resume(ckpt);
         return ckpt;
@@ -550,47 +818,31 @@ class ChainDecoder
             throw RecordingFormatError(
                 "delta image with no chain head before it");
         ByteCursor in(data, size);
-        SystemCheckpoint ckpt = getImageHeader(in);
-        if (ckpt.contexts.size() != at_.contexts.size())
-            throw RecordingFormatError(
-                "delta context count "
-                + std::to_string(ckpt.contexts.size())
-                + " disagrees with its base's "
-                + std::to_string(at_.contexts.size()));
+        SystemCheckpoint ckpt = getImageHeader(in, &at_);
         const std::uint64_t base = getU64(in);
         if (base != at_.gcc)
             throw RecordingFormatError(
                 "delta base GCC " + std::to_string(base)
                 + " disagrees with the previous checkpoint's GCC "
                 + std::to_string(at_.gcc));
-        MemoryDelta lists;
-        const std::uint64_t changed = getU64(in);
-        if (changed > in.remaining() / 16)
-            throw RecordingFormatError("file truncated");
-        const std::uint8_t *w =
-            in.take(static_cast<std::size_t>(changed) * 16);
-        lists.changed.reserve(static_cast<std::size_t>(changed));
-        for (std::uint64_t k = 0; k < changed; ++k, w += 16) {
-            const Addr addr = loadU64(w);
-            if (k > 0 && addr <= lists.changed.back().first)
-                throw RecordingFormatError(
-                    "delta words are not address-sorted");
-            lists.changed.emplace_back(addr, loadU64(w + 8));
-        }
-        const std::uint64_t erased = getU64(in);
-        if (erased > in.remaining() / 8)
-            throw RecordingFormatError("file truncated");
-        const std::uint8_t *e =
-            in.take(static_cast<std::size_t>(erased) * 8);
-        lists.erased.reserve(static_cast<std::size_t>(erased));
-        for (std::uint64_t k = 0; k < erased; ++k, e += 8) {
-            const Addr addr = loadU64(e);
-            if (k > 0 && addr <= lists.erased.back())
-                throw RecordingFormatError(
-                    "delta erasures are not address-sorted");
-            lists.erased.push_back(addr);
-        }
+        std::uint64_t changed = 0;
+        std::uint64_t erased = 0;
+        const ByteCursor changed_body = getListBody(in, 8, changed);
+        const ByteCursor erased_body = getListBody(in, 0, erased);
         const std::uint64_t hash = getU64(in);
+        requireEnd(in);
+        MemoryDelta lists;
+        lists.changed.reserve(static_cast<std::size_t>(changed));
+        forEachListEntry(changed_body, changed,
+                         [&lists](Addr addr, ByteCursor &value) {
+                             lists.changed.emplace_back(addr,
+                                                        getU64(value));
+                         });
+        lists.erased.reserve(static_cast<std::size_t>(erased));
+        forEachListEntry(erased_body, erased,
+                         [&lists](Addr addr, ByteCursor &) {
+                             lists.erased.push_back(addr);
+                         });
 
         if (!table_valid_) {
             table_ = at_.memory.materialize();
@@ -623,6 +875,14 @@ class ChainDecoder
     bool table_valid_ = false;
     std::uint64_t hash_ = 0; ///< table_.hash(), carried
 
+    static void
+    requireEnd(const ByteCursor &in)
+    {
+        if (in.remaining() != 0)
+            throw RecordingFormatError(
+                "trailing bytes after a checkpoint image");
+    }
+
     /** Store into the table, carrying its hash. */
     void
     store(Addr addr, std::uint64_t value)
@@ -638,15 +898,114 @@ class ChainDecoder
 };
 
 /**
- * Decode a full image as format v1/v2 recordings stored it: the
- * checkpoint's header fields, and its memory as a table (for the
- * conversion into a chain; no sortedness is required of old files).
+ * Read one @p kind image's bytes from a stream, field group by field
+ * group so a short stream fails as truncation. A list body is read in
+ * bounded steps, so a corrupt byte length runs into truncation instead
+ * of forcing a huge allocation.
+ */
+inline std::vector<std::uint8_t>
+getImage(std::istream &in, ImageKind kind)
+{
+    std::vector<std::uint8_t> image;
+    const auto append = [&in, &image](std::uint64_t bytes) {
+        constexpr std::uint64_t kPerRead = std::uint64_t{1} << 20;
+        const std::size_t first = image.size();
+        for (std::uint64_t left = bytes; left > 0;) {
+            const std::size_t step =
+                static_cast<std::size_t>(std::min(left, kPerRead));
+            const std::size_t at = image.size();
+            image.resize(at + step);
+            getBytes(in, image.data() + at, step);
+            left -= step;
+        }
+        return image.data() + first;
+    };
+    const auto list = [&append](std::size_t value_bytes) {
+        const std::uint8_t *header = append(kListHeaderBytes);
+        const std::uint64_t body = loadU64(header + 8);
+        checkListSize(loadU64(header), body, value_bytes);
+        append(body);
+    };
+    const std::uint64_t n = loadU64(append(kCheckpointLeadBytes) + 24);
+    checkContextCount(n);
+    for (std::uint64_t p = 0; p < n; ++p) {
+        ByteCursor mask(append(kContextMaskBytes), kContextMaskBytes);
+        append(8 * static_cast<std::uint64_t>(
+                       std::popcount(getContextMask(mask))));
+    }
+    if (kind == ImageKind::kKeyframe) {
+        list(8);
+    } else {
+        append(8); // base GCC
+        list(8);   // changed words
+        list(0);   // erased words
+        append(8); // memory hash
+    }
+    return image;
+}
+
+// ----- format v1/v2 full images --------------------------------------------
+
+/// Bytes of a v1/v2 image's fixed-width header with @p contexts
+/// contexts: the lead, per processor its ThreadContext bytes and
+/// committed-chunk counter, then the word count.
+constexpr std::size_t
+fullImageHeaderBytes(std::uint64_t contexts)
+{
+    return kCheckpointLeadBytes
+           + static_cast<std::size_t>(contexts)
+                 * (sizeof(ThreadContext) + 8)
+           + 8;
+}
+
+/**
+ * Read one full image as format v1/v2 recordings stored it: the
+ * fixed-width header, then its words as (addr, value) u64 pairs.
+ */
+inline std::vector<std::uint8_t>
+getFullImage(std::istream &in)
+{
+    std::vector<std::uint8_t> image(kCheckpointLeadBytes);
+    getBytes(in, image.data(), image.size());
+    const std::uint64_t n = loadU64(image.data() + 24);
+    checkContextCount(n);
+    image.resize(fullImageHeaderBytes(n));
+    getBytes(in, image.data() + kCheckpointLeadBytes,
+             image.size() - kCheckpointLeadBytes);
+    const std::uint64_t words = loadU64(image.data() + image.size() - 8);
+    constexpr std::uint64_t kPerRead = 1u << 16;
+    for (std::uint64_t left = words; left > 0;) {
+        const std::uint64_t step = std::min(left, kPerRead);
+        const std::size_t at = image.size();
+        image.resize(at + static_cast<std::size_t>(step) * 16);
+        getBytes(in, image.data() + at, static_cast<std::size_t>(step) * 16);
+        left -= step;
+    }
+    return image;
+}
+
+/**
+ * Decode a full v1/v2 image: the checkpoint's header fields, and its
+ * memory as a table (for the conversion into a chain; no sortedness is
+ * required of old files).
  */
 inline std::pair<SystemCheckpoint, MemoryState>
 decodeFullImage(const std::uint8_t *data, std::size_t size)
 {
     ByteCursor in(data, size);
-    std::pair<SystemCheckpoint, MemoryState> out{getImageHeader(in), {}};
+    std::pair<SystemCheckpoint, MemoryState> out;
+    SystemCheckpoint &ckpt = out.first;
+    ckpt.gcc = getU64(in);
+    ckpt.dmaConsumed = static_cast<std::size_t>(getU64(in));
+    ckpt.rrNext = static_cast<ProcId>(getU64(in));
+    const std::uint64_t n = getU64(in);
+    checkContextCount(n);
+    ckpt.contexts.resize(static_cast<std::size_t>(n));
+    for (std::size_t p = 0; p < n; ++p) {
+        std::memcpy(&ckpt.contexts[p], in.take(sizeof(ThreadContext)),
+                    sizeof(ThreadContext));
+        ckpt.committedChunks.push_back(getU64(in));
+    }
     const std::uint64_t words = getU64(in);
     if (words > in.remaining() / 16)
         throw RecordingFormatError("file truncated");
@@ -656,47 +1015,6 @@ decodeFullImage(const std::uint8_t *data, std::size_t size)
     for (std::uint64_t k = 0; k < words; ++k, w += 16)
         out.second.store(loadU64(w), loadU64(w + 8));
     return out;
-}
-
-/**
- * Read one @p kind image's bytes from a stream, field group by field
- * group so a short stream fails as truncation. Word lists are read in
- * bounded steps, so a corrupt count runs into truncation instead of
- * forcing a huge allocation.
- */
-inline std::vector<std::uint8_t>
-getImage(std::istream &in, ImageKind kind)
-{
-    std::vector<std::uint8_t> image(kCheckpointLeadBytes);
-    getBytes(in, image.data(), image.size());
-    const std::uint64_t n = loadU64(image.data() + 24);
-    checkContextCount(n);
-    image.resize(checkpointHeaderBytes(n));
-    getBytes(in, image.data() + kCheckpointLeadBytes,
-             image.size() - kCheckpointLeadBytes);
-    const auto append = [&in, &image](std::size_t bytes) {
-        const std::size_t at = image.size();
-        image.resize(at + bytes);
-        getBytes(in, image.data() + at, bytes);
-        return loadU64(image.data() + image.size() - 8);
-    };
-    const auto records = [&append](std::uint64_t count, std::size_t width) {
-        constexpr std::uint64_t kPerRead = 1u << 16;
-        for (std::uint64_t left = count; left > 0;) {
-            const std::uint64_t step = std::min(left, kPerRead);
-            append(static_cast<std::size_t>(step) * width);
-            left -= step;
-        }
-    };
-    const std::uint64_t tail = loadU64(image.data() + image.size() - 8);
-    if (kind == ImageKind::kKeyframe) {
-        records(tail, 16);
-    } else {
-        records(append(8), 16); // changed words
-        records(append(8), 8);  // erased words
-        append(8);              // memory hash
-    }
-    return image;
 }
 
 } // namespace serialize_detail

@@ -11,23 +11,41 @@
 #include <thread>
 #include <utility>
 
+#include "common/errors.hpp"
 #include "core/recorder.hpp"
 #include "trace/workload.hpp"
 
 namespace delorean
 {
 
+std::optional<std::uint64_t>
+parseCount(const std::string &text, std::uint64_t cap)
+{
+    if (text.empty())
+        return std::nullopt;
+    std::uint64_t v = 0;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            return std::nullopt;
+        const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+        if (digit > cap || v > (cap - digit) / 10)
+            return std::nullopt;
+        v = v * 10 + digit;
+    }
+    return v;
+}
+
 unsigned
 campaignJobs()
 {
     if (const char *env = std::getenv("DELOREAN_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
+        const std::optional<std::uint64_t> v =
+            parseCount(env, kMaxThreadCount);
+        if (v && *v > 0)
+            return static_cast<unsigned>(*v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return std::clamp(hw, 1u, kMaxThreadCount);
 }
 
 // ---------------------------------------------------------------------------
@@ -37,6 +55,10 @@ campaignJobs()
 WorkerPool::WorkerPool(unsigned jobs)
     : jobs_(jobs ? jobs : campaignJobs())
 {
+    if (jobs_ > kMaxThreadCount)
+        throw ConfigError("worker pool of " + std::to_string(jobs_)
+                          + " threads exceeds the cap of "
+                          + std::to_string(kMaxThreadCount));
     threads_.reserve(jobs_ > 0 ? jobs_ - 1 : 0);
     for (unsigned t = 0; t + 1 < jobs_; ++t)
         threads_.emplace_back([this] { workerLoop(); });

@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -44,10 +45,23 @@
 namespace delorean
 {
 
+/// Most workers a WorkerPool, a job count or an I/O thread count may
+/// ask for: a count past it is a typo or a wrapped negative number.
+inline constexpr unsigned kMaxThreadCount = 1024;
+
+/**
+ * Parse a count: one or more decimal digits and nothing else (no
+ * sign, space or exponent), at most @p cap. Returns nullopt for
+ * anything else, so "-1" can never wrap to 4294967295.
+ */
+std::optional<std::uint64_t> parseCount(const std::string &text,
+                                        std::uint64_t cap);
+
 /**
  * Worker count for campaigns: the DELOREAN_JOBS environment variable
- * if set to a positive integer, otherwise the host's hardware
- * concurrency (at least 1).
+ * if it parses as a positive count of at most kMaxThreadCount,
+ * otherwise the host's hardware concurrency (at least 1, at most
+ * kMaxThreadCount).
  */
 unsigned campaignJobs();
 
@@ -65,7 +79,10 @@ unsigned campaignJobs();
 class WorkerPool
 {
   public:
-    /** @param jobs worker count; 0 uses campaignJobs(). */
+    /**
+     * @param jobs worker count; 0 uses campaignJobs(). Throws
+     * ConfigError, before starting any thread, past kMaxThreadCount.
+     */
     explicit WorkerPool(unsigned jobs = 0);
     ~WorkerPool();
 

@@ -41,11 +41,14 @@ constexpr std::uint64_t kArchiveEndMagic = 0x5A6372416F4C6544ull; // "DeLoArcZ"
 // v2: the machine footer carries an arbiter count (12 u64s, the last
 // always 1) and every PI slice a has-masks flag (always 0).
 // v3: a footer checkpoint is a keyframe or a delta (its kind replaces
-// the has-checkpoint flag). Readers reject any other version.
-constexpr std::uint64_t kArchiveVersion = 3;
+// the has-checkpoint flag).
+// v4: images are encoded as gap lists and context diffs, and the
+// footer is stored raw (CRC-checked, no LZ77); the trailer lost its
+// compressed-size field. Readers reject any other version.
+constexpr std::uint64_t kArchiveVersion = 4;
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kSegmentHeaderBytes = 40;
-constexpr std::size_t kTrailerBytes = 40;
+constexpr std::size_t kTrailerBytes = 32;
 constexpr std::uint64_t kMaxSegments = 1u << 20;
 
 } // namespace
@@ -732,7 +735,7 @@ struct StreamingArchiveWriter::Impl
 
     /**
      * Footer: recording metadata, final stats and the per-segment
-     * index, compressed like the segments. Segment i's boundary
+     * index, stored raw with its CRC. Segment i's boundary
      * checkpoint is rec.checkpoints[i] (every checkpoint cuts one
      * segment, in order); its image is the chain image the feeder
      * encoded.
@@ -777,15 +780,13 @@ struct StreamingArchiveWriter::Impl
             footer.write(image.data(),
                          static_cast<std::streamsize>(image.size()));
         }
-        const std::string footer_raw = std::move(footer).str();
-        const std::vector<std::uint8_t> footer_comp =
-            compressPayload(footer_raw);
+        const std::string bytes = std::move(footer).str();
+        const auto *raw = reinterpret_cast<const std::uint8_t *>(bytes.data());
         const std::uint64_t footer_offset = offset;
-        putBytes(footer_comp.data(), footer_comp.size());
+        putBytes(raw, bytes.size());
         putU64(footer_offset);
-        putU64(footer_comp.size());
-        putU64(footer_raw.size());
-        putU64(crc32(footer_comp.data(), footer_comp.size()));
+        putU64(bytes.size());
+        putU64(crc32(raw, bytes.size()));
         putU64(kArchiveEndMagic);
         if (!*out)
             throw std::runtime_error("failed to write archive");
@@ -1131,28 +1132,27 @@ ArchiveReader::parse()
                            "file too small for a trailer");
 
     const std::size_t trailer = size_ - kTrailerBytes;
-    if (readU64At(data_, trailer + 32) != kArchiveEndMagic)
+    if (readU64At(data_, trailer + 24) != kArchiveEndMagic)
         throw ArchiveError(ArchiveSection::kTrailer,
                            ArchiveError::kNoSegment,
                            "end magic missing (truncated archive?)");
     const std::uint64_t footer_offset = readU64At(data_, trailer);
-    const std::uint64_t footer_comp = readU64At(data_, trailer + 8);
-    const std::uint64_t footer_raw = readU64At(data_, trailer + 16);
-    const std::uint64_t footer_crc = readU64At(data_, trailer + 24);
+    const std::uint64_t footer_bytes = readU64At(data_, trailer + 8);
+    const std::uint64_t footer_crc = readU64At(data_, trailer + 16);
     // Written so no sum can wrap: every field is attacker-chosen.
     if (footer_offset < kHeaderBytes || footer_offset > trailer
-        || footer_comp > trailer - footer_offset)
+        || footer_bytes > trailer - footer_offset)
         throw ArchiveError(ArchiveSection::kTrailer,
                            ArchiveError::kNoSegment,
                            "footer location out of bounds");
-    footer_ = decodeStored(data_ + footer_offset,
-                           static_cast<std::size_t>(footer_comp),
-                           footer_crc, footer_raw, ArchiveSection::kFooter,
-                           ArchiveError::kNoSegment, "footer");
+    const std::uint8_t *footer = data_ + footer_offset;
+    if (crc32(footer, static_cast<std::size_t>(footer_bytes)) != footer_crc)
+        throw ArchiveError(ArchiveSection::kFooter,
+                           ArchiveError::kNoSegment, "footer CRC mismatch");
 
     std::vector<CheckpointImageInfo> image_info;
     try {
-        ByteCursor in(footer_.data(), footer_.size());
+        ByteCursor in(footer, static_cast<std::size_t>(footer_bytes));
         machine_ = getMachine(in);
         mode_ = getMode(in);
         validateRecordingConfigs(machine_, mode_);
@@ -1189,13 +1189,12 @@ ArchiveReader::parse()
                     + std::to_string(kind) + " is not 0, 1 or 2");
             info.hasCheckpoint = kind != 0;
             if (info.hasCheckpoint) {
-                // Walk the image, don't decode it: the walk makes
-                // every structural check the decode would, so only a
+                // Walk the image, don't decode it: the walk checks
+                // its structure, so only its word lists' contents, a
                 // chain's base GCC or memory hash can fail later.
-                const CheckpointExtent image = scanImage(
-                    static_cast<ImageKind>(kind),
-                    footer_.data() + in.offset(), in.remaining(),
-                    in.remaining());
+                const CheckpointExtent image =
+                    scanImage(static_cast<ImageKind>(kind),
+                              footer + in.offset(), in.remaining());
                 if (image.contexts != machine_.numProcs)
                     throw RecordingFormatError(
                         "segment " + std::to_string(i)
@@ -1211,9 +1210,9 @@ ArchiveReader::parse()
                     static_cast<ImageKind>(kind) == ImageKind::kKeyframe;
                 ii.baseGcc = image.baseGcc;
                 ii.rawBytes = image.bytes;
-                ii.storedBytes = image.bytes;
                 image_info.push_back(ii);
-                image_offsets_.push_back(in.offset());
+                image_offsets_.push_back(
+                    static_cast<std::size_t>(footer_offset) + in.offset());
                 in.take(image.bytes);
             }
             segments_.push_back(std::move(info));
@@ -1259,10 +1258,9 @@ ArchiveReader::parse()
 std::vector<std::uint8_t>
 ArchiveReader::storedImage(std::size_t index) const
 {
-    const auto at =
-        footer_.begin() + static_cast<long>(image_offsets_[index]);
+    const std::uint8_t *at = data_ + image_offsets_[index];
     return std::vector<std::uint8_t>(
-        at, at + static_cast<long>(imageInfo(index).rawBytes));
+        at, at + static_cast<std::size_t>(imageInfo(index).rawBytes));
 }
 
 ArchiveError

@@ -13,18 +13,20 @@
  *   segment := segMagic "DeLoSeg." (u64)  index (u64)
  *              rawBytes (u64)  compBytes (u64)  crc32 (u64)
  *              payload [compBytes]           -- LZ77-compressed
- *   footer := LZ77-compressed metadata + per-segment index
- *             (endGcc, file offset, sizes, CRC, per-proc log bit
- *             positions, and the boundary checkpoint's image kind
- *             (0 none, 1 keyframe, 2 delta) and image)
- *   trailer:= footerOffset (u64)  footerCompBytes (u64)
- *             footerRawBytes (u64)  footerCrc32 (u64)
- *             endMagic "DeLoArcZ" (u64)
+ *   footer := metadata + per-segment index (endGcc, file offset,
+ *             sizes, CRC, per-proc log bit positions, and the
+ *             boundary checkpoint's image kind (0 none, 1 keyframe,
+ *             2 delta) and image), stored raw: the images are already
+ *             compact (core/serialize_detail.hpp) and are almost all
+ *             of it
+ *   trailer:= footerOffset (u64)  footerBytes (u64)
+ *             footerCrc32 (u64)  endMagic "DeLoArcZ" (u64)
  *
  * Segment i holds the log slices covering the GCC interval
  * (ckpt[i-1].gcc, ckpt[i].gcc]; a final tail segment covers from the
  * last checkpoint to the end of the run. Every payload carries the
- * CRC-32 of its compressed bytes, so corruption is *detected* — a
+ * CRC-32 of its compressed bytes and the footer the CRC-32 of its
+ * bytes, so corruption is *detected* — a
  * typed ArchiveError naming the section and segment — never a crash
  * or a silent divergence. The reader seeks to a checkpoint in O(1)
  * via the footer index and decodes only the segments covering the
@@ -189,11 +191,9 @@ struct CheckpointImageInfo
     /// in the file the crash lost. It is decoded into that head, so
     /// the ring reads back the chains the run's `.dla` holds.
     bool lostKeyframe = false;
-    std::uint64_t rawBytes = 0; ///< serialized image size
-    /// Bytes the image occupies in the container: a ring blob's
-    /// compressed size; the raw size in a `.dla`, whose footer is
-    /// compressed as a whole.
-    std::uint64_t storedBytes = 0;
+    /// Serialized image size: what the container stores (images are
+    /// stored as encoded, with no compression).
+    std::uint64_t rawBytes = 0;
 };
 
 /**
@@ -511,10 +511,8 @@ class ArchiveReader : public archive_detail::ContainerReader
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
     std::vector<ArchiveSegmentInfo> segments_;
-    /// The decompressed footer, kept for on-demand image decode.
-    std::vector<std::uint8_t> footer_;
-    /// Where checkpoint i's image starts in footer_ (its size is
-    /// imageInfo(i).rawBytes).
+    /// Where checkpoint i's image starts in the container bytes (in
+    /// the footer; its size is imageInfo(i).rawBytes).
     std::vector<std::size_t> image_offsets_;
 };
 

@@ -74,13 +74,17 @@ Boundary boundaryAtEnd(const Recording &rec);
 std::string buildSegmentPayload(const Recording &rec, const Boundary &lo,
                                 const Boundary &hi);
 
-/** LZ77-compress one payload (or footer) blob. */
+/**
+ * LZ77-compress one segment payload or ring header blob. Checkpoint
+ * images are stored as encoded: their values are random words LZ77
+ * cannot shrink, and their addresses are already gap-coded.
+ */
 std::vector<std::uint8_t> compressPayload(const std::string &raw);
 
 /**
  * CRC-check, LZ77-decode and size-check one stored blob. Failures are
  * an ArchiveError in @p section naming @p segment, with messages
- * prefixed by @p what ("payload", "footer", ...).
+ * prefixed by @p what ("payload", "header", ...).
  */
 std::vector<std::uint8_t> decodeStored(const std::uint8_t *comp,
                                        std::size_t comp_bytes,

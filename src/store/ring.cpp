@@ -22,14 +22,11 @@ namespace delorean
 
 using serialize_detail::ByteCursor;
 using serialize_detail::CheckpointExtent;
-using serialize_detail::checkpointHeaderBytes;
 using serialize_detail::getMachine;
 using serialize_detail::getMode;
 using serialize_detail::getString;
 using serialize_detail::getU64;
 using serialize_detail::ImageKind;
-using serialize_detail::kCheckpointLeadBytes;
-using serialize_detail::kMaxCheckpointContexts;
 using serialize_detail::putMachine;
 using serialize_detail::putMode;
 using serialize_detail::putString;
@@ -47,18 +44,19 @@ constexpr std::uint64_t kRingIdxMagic = 0x786449526F4C6544ull;  // "DeLoRIdx"
 // v2: checkpoint images form chains — a segment file carries a start
 // image only when its start checkpoint heads a chain (a keyframe), and
 // its end image is a delta (a keyframe for segment 0).
-constexpr std::uint64_t kRingVersion = 2;
+// v3: images are encoded as gap lists and context diffs and stored
+// raw (CRC-checked, no LZ77); the header blob gives each image's size
+// and CRC.
+constexpr std::uint64_t kRingVersion = 3;
 /// Fixed meta/index preamble: magic, version, reserved, blob size,
 /// blob CRC-32.
 constexpr std::size_t kPreambleBytes = 40;
 /// Segment preamble: magic, version, segId, header raw size, header
 /// compressed size, header CRC-32 (of the compressed bytes). The
-/// header blob is followed by the start- and end-checkpoint blobs it
-/// describes (each independently LZ77-compressed and CRC'd), then the
-/// payload. Keeping the checkpoint images out of the header lets the
-/// writer compress each image exactly once: the keyframe of a chain
-/// head is compressed with the segment it closes and byte-reused as
-/// the start blob of the next.
+/// header blob is followed by the start- and end-checkpoint images it
+/// describes (each stored raw with its CRC), then the LZ77-compressed
+/// payload. The keyframe of a chain head is encoded with the segment
+/// it closes and byte-reused as the start image of the next.
 constexpr std::size_t kSegPreambleBytes = 48;
 /// Header/meta/index blob size cap: fences OOM on garbage files.
 constexpr std::uint64_t kMaxBlobBytes = 1ull << 30;
@@ -168,7 +166,7 @@ RingOptions::validate() const
 
 /**
  * The ring's steps on the shared SegmentPipeline. The encode step
- * compresses the end checkpoint's images the feeder encoded; the
+ * checksums the end checkpoint's images the feeder encoded; the
  * commit step writes one file per segment, evicts over-budget history
  * whole chains at a time and atomically rewrites the index. The mutex
  * only guards the live-set/stats snapshot that stats() may read while
@@ -176,12 +174,11 @@ RingOptions::validate() const
  */
 struct RingArchiveWriter::Impl
 {
-    /// One compressed checkpoint image.
+    /// One checkpoint image and its CRC.
     struct CkptBlob
     {
-        std::uint64_t raw = 0;
+        std::string bytes;
         std::uint64_t crc = 0;
-        std::vector<std::uint8_t> comp;
     };
     /// Staged ring segment. Its start image is not carried: it is by
     /// construction the keyframe of the previous segment's end
@@ -207,6 +204,7 @@ struct RingArchiveWriter::Impl
     mutable std::mutex mu;
     std::deque<LiveSeg> live;
     std::size_t live_heads = 0; ///< chain-head files in live
+    std::size_t newest_chain_files = 0; ///< live files from its head
     RingWriterStats statsd;
     std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
     bool have_durable = false;
@@ -253,16 +251,16 @@ struct RingArchiveWriter::Impl
     }
 
     static CkptBlob
-    compressImage(const std::string &raw)
+    checksummed(std::string image)
     {
         CkptBlob blob;
-        blob.raw = raw.size();
-        blob.comp = compressPayload(raw);
-        blob.crc = crc32(blob.comp.data(), blob.comp.size());
+        blob.crc = crc32(reinterpret_cast<const std::uint8_t *>(image.data()),
+                         image.size());
+        blob.bytes = std::move(image);
         return blob;
     }
 
-    /// Each image is compressed exactly once, here: the end delta,
+    /// Each image is checksummed exactly once, here: the end delta,
     /// and the keyframe of a chain head, which becomes the next
     /// segment's start blob (next_start carries it across batches).
     /// Segment 0's end checkpoint has nothing to diff against: its
@@ -273,9 +271,9 @@ struct RingArchiveWriter::Impl
         if (seg.tail)
             return;
         if (seg.end.headsChain())
-            seg.nextStart = compressImage(seg.end.keyframe);
+            seg.nextStart = checksummed(std::move(seg.end.keyframe));
         seg.endBlob = seg.index == 0 ? seg.nextStart
-                                     : compressImage(seg.end.delta);
+                                     : checksummed(std::move(seg.end.delta));
         seg.end = CheckpointImages();
     }
 
@@ -291,13 +289,12 @@ struct RingArchiveWriter::Impl
         putU64(blob, seg.startGcc);
         putU64(blob, seg.endGcc);
         putU64(blob, seg.tail ? 1 : 0);
-        const bool has_start = !start.comp.empty();
+        const bool has_start = !start.bytes.empty();
         putU64(blob, has_start
                          ? static_cast<std::uint64_t>(ImageKind::kKeyframe)
                          : 0);
         if (has_start) {
-            putU64(blob, start.raw);
-            putU64(blob, start.comp.size());
+            putU64(blob, start.bytes.size());
             putU64(blob, start.crc);
         }
         putU64(blob, seg.tail ? 0
@@ -305,8 +302,7 @@ struct RingArchiveWriter::Impl
                                   seg.index == 0 ? ImageKind::kKeyframe
                                                  : ImageKind::kDelta));
         if (!seg.tail) {
-            putU64(blob, seg.endBlob.raw);
-            putU64(blob, seg.endBlob.comp.size());
+            putU64(blob, seg.endBlob.bytes.size());
             putU64(blob, seg.endBlob.crc);
         }
         putU64(blob, seg.raw.size());
@@ -366,23 +362,23 @@ struct RingArchiveWriter::Impl
                 putU64(out, blob.size());
                 putU64(out, hcomp.size());
                 putU64(out, crc32(hcomp.data(), hcomp.size()));
-                const auto put = [&out](const std::vector<std::uint8_t> &b) {
+                const auto put = [&out](const auto &b) {
                     out.write(reinterpret_cast<const char *>(b.data()),
                               static_cast<std::streamsize>(b.size()));
                 };
                 put(hcomp);
-                put(start.comp);
-                put(seg.endBlob.comp);
+                put(start.bytes);
+                put(seg.endBlob.bytes);
                 put(seg.comp);
                 out.close();
                 if (!out)
                     throw std::runtime_error("failed to write " + path);
             }
             const std::uint64_t file_bytes =
-                kSegPreambleBytes + hcomp.size() + start.comp.size()
-                + seg.endBlob.comp.size() + seg.comp.size();
+                kSegPreambleBytes + hcomp.size() + start.bytes.size()
+                + seg.endBlob.bytes.size() + seg.comp.size();
             next_start = std::move(seg.nextStart);
-            const bool chain_head = seg.index == 0 || !start.comp.empty();
+            const bool chain_head = seg.index == 0 || !start.bytes.empty();
 
             std::vector<std::uint64_t> evict_ids;
             {
@@ -402,15 +398,26 @@ struct RingArchiveWriter::Impl
 
                 live.push_back({seg.index, file_bytes, chain_head});
                 live_heads += chain_head ? 1 : 0;
+                newest_chain_files =
+                    chain_head ? 1 : newest_chain_files + 1;
+                // Its checkpoints: each file's start checkpoint, and
+                // the newest file's end checkpoint unless a tail.
+                const std::size_t newest_chain_ckpts =
+                    newest_chain_files + (seg.tail ? 0 : 1);
                 ++statsd.segmentsCut;
                 statsd.bytesWritten += file_bytes;
                 statsd.liveBytes += file_bytes;
                 // Evict whole chains, oldest first: a file past its
                 // chain's head is useless without it. The chain
                 // holding this newest complete segment always stays,
-                // so its start checkpoint stays decodable.
+                // so its start checkpoint stays decodable, and so does
+                // the chain before it while the newest holds a single
+                // checkpoint (a tail file heading its chain), so a
+                // seekable interval always remains.
                 while (statsd.liveBytes > opts.budgetBytes
-                       && live_heads > 1) {
+                       && (live_heads > 2
+                           || (live_heads == 2
+                               && newest_chain_ckpts >= 2))) {
                     do {
                         const LiveSeg victim = live.front();
                         live.pop_front();
@@ -499,10 +506,11 @@ struct ScannedSegment
 };
 
 /**
- * Check one compressed @p kind image blob in @p bytes without decoding
- * its memory: CRC, declared size, and (from a decode of just the image
- * header) its GCC, context count and, for a delta, base GCC, returned
- * through @p image. False with @p why set when the blob is corrupt.
+ * Check one @p kind image blob in @p bytes without decoding its
+ * memory: CRC, then a structural walk (scanImage) that must cover the
+ * blob exactly and yields its GCC, context count and, for a delta,
+ * base GCC, returned through @p image. False with @p why set when the
+ * blob is corrupt.
  */
 bool
 checkCheckpointBlob(const std::vector<std::uint8_t> &bytes,
@@ -510,30 +518,19 @@ checkCheckpointBlob(const std::vector<std::uint8_t> &bytes,
                     CheckpointExtent &image, std::string &why)
 {
     const std::uint8_t *at = bytes.data() + blob.fileOffset;
-    const std::size_t comp = static_cast<std::size_t>(blob.compBytes);
-    if (crc32(at, comp) != blob.crc32) {
+    const std::size_t size = static_cast<std::size_t>(blob.bytes);
+    if (crc32(at, size) != blob.crc32) {
         why = "checkpoint blob CRC mismatch";
         return false;
     }
     try {
-        const Lz77 codec;
-        std::uint64_t total = 0;
-        std::vector<std::uint8_t> head = codec.decompressPrefix(
-            at, comp, kCheckpointLeadBytes, total);
-        if (head.size() == kCheckpointLeadBytes)
-            head = codec.decompressPrefix(
-                at, comp,
-                checkpointHeaderBytes(std::min(readU64At(head.data(), 24),
-                                               kMaxCheckpointContexts)),
-                total);
-        if (total != blob.rawBytes) {
-            why = "checkpoint blob size mismatch";
-            return false;
-        }
-        image = scanImage(kind, head.data(), head.size(),
-                          static_cast<std::size_t>(total));
+        image = scanImage(kind, at, size);
     } catch (const RecordingFormatError &) {
         why = "malformed checkpoint blob";
+        return false;
+    }
+    if (image.bytes != size) {
+        why = "checkpoint blob size mismatch";
         return false;
     }
     return true;
@@ -591,8 +588,7 @@ scanSegmentFile(const std::string &path, unsigned n,
     std::uint64_t start_kind = 0;
     std::uint64_t end_kind = 0;
     try {
-        const Lz77 codec;
-        const std::vector<std::uint8_t> blob = codec.decompress(
+        const std::vector<std::uint8_t> blob = Lz77().decompress(
             bytes.data() + kSegPreambleBytes,
             static_cast<std::size_t>(blob_comp));
         if (blob.size() != blob_raw) {
@@ -606,15 +602,13 @@ scanSegmentFile(const std::string &path, unsigned n,
         start_kind = getU64(in);
         info.hasStartCheckpoint = start_kind != 0;
         if (info.hasStartCheckpoint) {
-            start.rawBytes = getU64(in);
-            start.compBytes = getU64(in);
+            start.bytes = getU64(in);
             start.crc32 = getU64(in);
         }
         end_kind = getU64(in);
         info.hasEndCheckpoint = end_kind != 0;
         if (info.hasEndCheckpoint) {
-            end.rawBytes = getU64(in);
-            end.compBytes = getU64(in);
+            end.bytes = getU64(in);
             end.crc32 = getU64(in);
         }
         info.rawBytes = getU64(in);
@@ -628,8 +622,7 @@ scanSegmentFile(const std::string &path, unsigned n,
     // Everything the header promises must fit the file exactly:
     // header, start blob, end blob, payload, nothing else. Every size
     // is capped first, so the sum below cannot wrap.
-    if (start.rawBytes > kMaxBlobBytes || start.compBytes > kMaxBlobBytes
-        || end.rawBytes > kMaxBlobBytes || end.compBytes > kMaxBlobBytes) {
+    if (start.bytes > kMaxBlobBytes || end.bytes > kMaxBlobBytes) {
         reason = "implausible checkpoint blob size";
         return false;
     }
@@ -638,8 +631,7 @@ scanSegmentFile(const std::string &path, unsigned n,
         return false;
     }
     std::uint64_t off = kSegPreambleBytes + blob_comp;
-    if (off + start.compBytes + end.compBytes + info.compBytes
-        != bytes.size()) {
+    if (off + start.bytes + end.bytes + info.compBytes != bytes.size()) {
         reason = "file size disagrees with the header (torn payload?)";
         return false;
     }
@@ -665,13 +657,13 @@ scanSegmentFile(const std::string &path, unsigned n,
         if (!checkCheckpointBlob(bytes, start, ImageKind::kKeyframe,
                                  start_image, reason))
             return false;
-        off += start.compBytes;
+        off += start.bytes;
     }
     if (info.hasEndCheckpoint) {
         end.fileOffset = off;
         if (!checkCheckpointBlob(bytes, end, want_end, end_image, reason))
             return false;
-        off += end.compBytes;
+        off += end.bytes;
     }
 
     if (info.endGcc < info.startGcc
@@ -960,15 +952,13 @@ RingArchiveReader::open(const std::string &dir,
         if (b < m && r.segments_[b].hasStartCheckpoint) {
             r.ckpts_.push_back({b, true});
             ii.keyframe = true;
-            ii.rawBytes = r.segments_[b].startBlob.rawBytes;
-            ii.storedBytes = r.segments_[b].startBlob.compBytes;
+            ii.rawBytes = r.segments_[b].startBlob.bytes;
         } else if (b > 0 && r.segments_[b - 1].hasEndCheckpoint) {
             const RingSegmentInfo &prev = r.segments_[b - 1];
             r.ckpts_.push_back({b, false});
             ii.keyframe = prev.segId == 0;
             ii.baseGcc = ii.keyframe ? 0 : prev.startGcc;
-            ii.rawBytes = prev.endBlob.rawBytes;
-            ii.storedBytes = prev.endBlob.compBytes;
+            ii.rawBytes = prev.endBlob.bytes;
         } else {
             continue;
         }
@@ -1012,14 +1002,14 @@ RingArchiveReader::storedImage(std::size_t index) const
     const std::size_t pos = ckpt.segment();
     const RingBlobInfo &blob = ckpt.startBlob ? segments_[pos].startBlob
                                               : segments_[pos].endBlob;
-    std::vector<std::uint8_t> comp;
-    if (!readFileRange(seg_paths_[pos], blob.fileOffset, blob.compBytes,
-                       comp))
+    std::vector<std::uint8_t> image;
+    if (!readFileRange(seg_paths_[pos], blob.fileOffset, blob.bytes, image))
         throw ArchiveError(ArchiveSection::kSegment, pos,
                            "torn checkpoint blob in " + seg_paths_[pos]);
-    return decodeStored(comp.data(), comp.size(), blob.crc32,
-                        blob.rawBytes, ArchiveSection::kSegment, pos,
-                        "checkpoint blob");
+    if (crc32(image.data(), image.size()) != blob.crc32)
+        throw ArchiveError(ArchiveSection::kSegment, pos,
+                           "checkpoint blob CRC mismatch");
+    return image;
 }
 
 ArchiveError

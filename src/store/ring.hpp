@@ -74,7 +74,8 @@ struct RingOptions
 {
     /// Retained-bytes target. Oldest chains of segments are evicted
     /// once the live set exceeds this; the chain holding the newest
-    /// complete segment is never evicted (see budgetOverruns).
+    /// complete segment is never evicted, nor the chain before it
+    /// while the newest holds one checkpoint (see budgetOverruns).
     std::uint64_t budgetBytes = 4u << 20;
 
     /// Commits between checkpoints — the placement period P the
@@ -101,13 +102,12 @@ struct RingOptions
     void validate() const;
 };
 
-/** Where one compressed checkpoint image lies in a segment file. */
+/** Where one checkpoint image lies in a segment file (stored raw). */
 struct RingBlobInfo
 {
     std::uint64_t fileOffset = 0;
-    std::uint64_t rawBytes = 0;  ///< serialized image size
-    std::uint64_t compBytes = 0; ///< stored (LZ77) size
-    std::uint64_t crc32 = 0;     ///< CRC-32 of the stored bytes
+    std::uint64_t bytes = 0; ///< serialized image size
+    std::uint64_t crc32 = 0; ///< CRC-32 of the image bytes
 };
 
 /** Everything known about one retained ring segment. */
@@ -144,7 +144,8 @@ struct RingWriterStats
     std::uint64_t liveBytes = 0;     ///< retained segment files
     std::uint64_t bytesWritten = 0;  ///< cumulative, incl. evicted
     /// Commits the live set exceeded the budget with nothing left to
-    /// evict (the protected newest chain alone is over budget).
+    /// evict: the protected newest chain alone is over budget, or
+    /// with the chain before it while the newest holds one checkpoint.
     std::uint64_t budgetOverruns = 0;
     /// Worst observed replay-start lag, in commits: at the moment a
     /// segment completed, how far its end ran ahead of the then-newest

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -15,7 +16,6 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
-#include "compress/lz77.hpp"
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
@@ -46,6 +46,8 @@ mutationKindName(MutationKind kind)
         return "delta-memory-hash";
       case MutationKind::kOrphanDelta:
         return "orphan-delta";
+      case MutationKind::kNonMinimalVarint:
+        return "non-minimal-varint";
     }
     return "unknown";
 }
@@ -106,8 +108,7 @@ imagesOf(const std::string &bytes)
             image.kindAt = pos;
             image.at = pos + 8;
             const std::size_t left = bytes.size() - image.at;
-            image.extent =
-                scanImage(image.kind, data + image.at, left, left);
+            image.extent = scanImage(image.kind, data + image.at, left);
             images.push_back(image);
             pos = image.at + image.extent.bytes;
         }
@@ -151,12 +152,75 @@ putU64At(Bytes &bytes, std::size_t offset, std::uint64_t v)
             static_cast<typename Bytes::value_type>(v >> (8 * i));
 }
 
+/** One word list of a stored image: where it starts, its value width. */
+struct StoredList
+{
+    std::size_t at = 0; ///< offset of its word count
+    std::size_t valueBytes = 0;
+};
+
+/** The word lists of @p image in @p bytes that hold at least one word. */
+std::vector<StoredList>
+nonEmptyLists(const std::string &bytes, const StoredImage &image)
+{
+    using serialize_detail::kListHeaderBytes;
+    std::vector<StoredList> lists;
+    std::size_t at = image.at + image.extent.fieldsAt;
+    if (image.kind == serialize_detail::ImageKind::kKeyframe) {
+        lists.push_back({at, 8});
+    } else {
+        at += 8; // base GCC
+        lists.push_back({at, 8});
+        lists.push_back({at + kListHeaderBytes
+                             + static_cast<std::size_t>(u64At(bytes, at + 8)),
+                         0});
+    }
+    std::erase_if(lists, [&bytes](const StoredList &list) {
+        return u64At(bytes, list.at) == 0;
+    });
+    return lists;
+}
+
+/**
+ * Pad the varint of one random address gap with a zero byte — the
+ * same gap, non-minimally encoded — and grow its list's byte length to
+ * match. Only the encoding changes, so a loader must reject it.
+ */
+void
+padVarint(std::string &out, const std::vector<StoredImage> &images,
+          Xoshiro256ss &rng)
+{
+    std::vector<std::pair<const StoredImage *, StoredList>> fit;
+    for (const StoredImage &image : images)
+        for (const StoredList &list : nonEmptyLists(out, image))
+            fit.emplace_back(&image, list);
+    if (fit.empty())
+        return;
+    const StoredList list = fit[rng.below(fit.size())].second;
+    const std::uint64_t target = rng.below(u64At(out, list.at));
+    std::size_t pos = list.at + serialize_detail::kListHeaderBytes;
+    for (std::uint64_t k = 0;; ++k) {
+        while (static_cast<std::uint8_t>(out[pos]) & 0x80)
+            ++pos;
+        if (k == target)
+            break;
+        pos += 1 + list.valueBytes;
+    }
+    out[pos] = static_cast<char>(static_cast<std::uint8_t>(out[pos]) | 0x80);
+    out.insert(pos + 1, 1, '\0');
+    putU64At(out, list.at + 8, u64At(out, list.at + 8) + 1);
+}
+
 /** Apply one checkpoint-chain mutation, when an image fits it. */
 void
 mutateChain(std::string &out, MutationKind kind, Xoshiro256ss &rng)
 {
     using serialize_detail::ImageKind;
     const std::vector<StoredImage> images = imagesOf(out);
+    if (kind == MutationKind::kNonMinimalVarint) {
+        padVarint(out, images, rng);
+        return;
+    }
     const bool keyframe_kind = kind == MutationKind::kKeyframeWordCount
                                || kind == MutationKind::kOrphanDelta;
     const StoredImage *image = pickImage(
@@ -164,9 +228,9 @@ mutateChain(std::string &out, MutationKind kind, Xoshiro256ss &rng)
         rng);
     if (!image)
         return;
-    // The header's last u64: a keyframe's word count, a delta's base.
-    const std::size_t tail =
-        image->at + checkpointHeaderBytes(image->extent.contexts) - 8;
+    // The first field past the contexts: a keyframe's word count, a
+    // delta's base GCC.
+    const std::size_t tail = image->at + image->extent.fieldsAt;
     switch (kind) {
       case MutationKind::kKeyframeWordCount: {
         const std::uint64_t words = u64At(out, tail);
@@ -252,6 +316,7 @@ mutateSerialized(const std::string &bytes, MutationKind kind,
       case MutationKind::kDeltaBaseGcc:
       case MutationKind::kDeltaMemoryHash:
       case MutationKind::kOrphanDelta:
+      case MutationKind::kNonMinimalVarint:
         mutateChain(out, kind, rng);
         break;
     }
@@ -483,7 +548,7 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
         flipBits(out, 0, out.size(), rng);
         return out;
     }
-    const std::size_t trailer = out.size() - 40;
+    const std::size_t trailer = out.size() - 32;
     const std::uint64_t footer_offset = u64At(out, trailer);
 
     switch (kind) {
@@ -513,19 +578,17 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
         break;
       }
       case ArchiveMutationKind::kIndexCorrupt: {
-        // Scribble on the *decompressed* footer, then recompress and
-        // rebuild a consistent trailer (sizes + CRC all valid), so
-        // the checksum layer passes and the reader's semantic
-        // cross-checks are what must catch the lie.
+        // Scribble on the footer, then rebuild a consistent trailer
+        // (size + CRC valid), so the checksum layer passes and the
+        // reader's semantic cross-checks are what must catch the lie.
         try {
-            const std::uint64_t comp_size = u64At(out, trailer + 8);
-            const Lz77 codec;
-            std::vector<std::uint8_t> raw =
-                codec.decompress(std::vector<std::uint8_t>(
-                    out.begin() + static_cast<long>(footer_offset),
-                    out.begin()
-                        + static_cast<long>(footer_offset
-                                            + comp_size)));
+            const std::uint64_t footer_size = u64At(out, trailer + 8);
+            if (footer_offset > trailer
+                || footer_size > trailer - footer_offset)
+                throw std::out_of_range("footer location");
+            std::vector<std::uint8_t> raw(
+                out.begin() + static_cast<long>(footer_offset),
+                out.begin() + static_cast<long>(footer_offset + footer_size));
             if (raw.empty())
                 break;
             // Half the mutants aim at the first segment's structural
@@ -567,20 +630,15 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
                     : static_cast<std::size_t>(rng.below(raw.size()));
             raw[pos] ^=
                 static_cast<std::uint8_t>(1 + rng.below(255));
-            Lz77Stream stream;
-            stream.append(raw);
-            const std::vector<std::uint8_t> comp = stream.finish();
             out.resize(static_cast<std::size_t>(footer_offset));
-            out.insert(out.end(), comp.begin(), comp.end());
+            out.insert(out.end(), raw.begin(), raw.end());
             const std::size_t new_trailer = out.size();
-            out.resize(out.size() + 40);
+            out.resize(out.size() + 32);
             putU64At(out, new_trailer, footer_offset);
-            putU64At(out, new_trailer + 8, comp.size());
-            putU64At(out, new_trailer + 16, raw.size());
+            putU64At(out, new_trailer + 8, raw.size());
+            putU64At(out, new_trailer + 16, crc32(raw.data(), raw.size()));
             putU64At(out, new_trailer + 24,
-                     crc32(comp.data(), comp.size()));
-            putU64At(out, new_trailer + 32,
-                     u64At(bytes, trailer + 32)); // end magic
+                     u64At(bytes, trailer + 24)); // end magic
         } catch (const std::exception &) {
             flipBits(out, static_cast<std::size_t>(footer_offset),
                      out.size(), rng);

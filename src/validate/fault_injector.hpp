@@ -49,9 +49,10 @@ enum class MutationKind : std::uint8_t
     kDeltaBaseGcc,      ///< forge a delta's base GCC
     kDeltaMemoryHash,   ///< forge a delta's memory hash
     kOrphanDelta,       ///< store checkpoint 0, a chain head, as a delta
+    kNonMinimalVarint,  ///< pad one address gap's varint with a zero byte
 };
 
-constexpr unsigned kMutationKinds = 9;
+constexpr unsigned kMutationKinds = 10;
 
 /// The kinds before the chain kinds: they mutate any stream byte.
 constexpr unsigned kStreamMutationKinds = 5;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Byte-level helpers the container tests share: little-endian u64
- * access into a byte vector, and re-sealing a `.dla` footer so only
- * the reader's semantic checks can reject a forged index.
+ * access into a byte vector, re-sealing a `.dla` footer so only the
+ * reader's semantic checks can reject a forged index, and the encoded
+ * bytes a checkpoint's chain takes.
  */
 
 #ifndef DELOREAN_TESTS_CONTAINER_BYTES_HPP_
@@ -14,10 +15,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "compress/lz77.hpp"
+#include "core/serialize_detail.hpp"
 #include "store/crc32.hpp"
 
 namespace delorean
@@ -80,36 +82,79 @@ ringDirBytes(const std::string &dir)
     return all;
 }
 
+/// A `.dla` trailer: footer offset, footer bytes, footer CRC-32, end
+/// magic.
+inline constexpr std::size_t kDlaTrailerBytes = 32;
+
 /**
- * Truncate @p bytes at @p footer_off, then append @p raw_footer
- * compressed plus a consistent trailer (offset, sizes, CRC, end magic),
- * so only the reader's semantic checks can reject the result.
+ * Truncate @p bytes at @p footer_off, then append @p raw_footer plus a
+ * consistent trailer (offset, size, CRC, end magic), so only the
+ * reader's semantic checks can reject the result.
  */
 inline void
 rewriteFooter(std::vector<std::uint8_t> &bytes, std::size_t footer_off,
               const std::vector<std::uint8_t> &raw_footer)
 {
     const std::uint64_t end_magic = u64At(bytes, bytes.size() - 8);
-    const std::vector<std::uint8_t> comp = Lz77().compress(raw_footer);
     bytes.resize(footer_off);
-    bytes.insert(bytes.end(), comp.begin(), comp.end());
+    bytes.insert(bytes.end(), raw_footer.begin(), raw_footer.end());
     const std::size_t trailer = bytes.size();
-    bytes.resize(trailer + 40);
+    bytes.resize(trailer + kDlaTrailerBytes);
     putU64At(bytes, trailer, footer_off);
-    putU64At(bytes, trailer + 8, comp.size());
-    putU64At(bytes, trailer + 16, raw_footer.size());
-    putU64At(bytes, trailer + 24, crc32(comp.data(), comp.size()));
-    putU64At(bytes, trailer + 32, end_magic);
+    putU64At(bytes, trailer + 8, raw_footer.size());
+    putU64At(bytes, trailer + 16,
+             crc32(raw_footer.data(), raw_footer.size()));
+    putU64At(bytes, trailer + 24, end_magic);
 }
 
-/** The decompressed footer of `.dla` @p bytes. */
+/** Offset of the footer of `.dla` @p bytes. */
+inline std::size_t
+footerOffset(const std::vector<std::uint8_t> &bytes)
+{
+    return static_cast<std::size_t>(
+        u64At(bytes, bytes.size() - kDlaTrailerBytes));
+}
+
+/** The footer of `.dla` @p bytes (stored raw). */
 inline std::vector<std::uint8_t>
 rawFooter(const std::vector<std::uint8_t> &bytes)
 {
-    const std::size_t trailer = bytes.size() - 40;
-    return Lz77().decompress(
-        bytes.data() + u64At(bytes, trailer),
-        static_cast<std::size_t>(u64At(bytes, trailer + 8)));
+    const std::size_t at = footerOffset(bytes);
+    const std::size_t size = static_cast<std::size_t>(
+        u64At(bytes, bytes.size() - kDlaTrailerBytes + 8));
+    return std::vector<std::uint8_t>(bytes.begin() + static_cast<long>(at),
+                                     bytes.begin()
+                                         + static_cast<long>(at + size));
+}
+
+/** Encoded bytes of one checkpoint's chain (see chainBytes). */
+struct ChainBytes
+{
+    std::size_t keyframe = 0; ///< the chain's keyframe image
+    std::size_t read = 0;     ///< keyframe plus every delta up to it
+};
+
+/**
+ * The encoded image bytes materializing checkpoint @p i of @p ckpts
+ * (consecutive checkpoints of one recording) reads, sized exactly as
+ * the codec writes them: its chain's keyframe image, plus each delta
+ * image after it, each against the checkpoint before it.
+ */
+inline ChainBytes
+chainBytes(const std::vector<SystemCheckpoint> &ckpts, std::size_t i)
+{
+    const std::vector<CheckpointImage> chain = ckpts[i].memory.chain();
+    if (chain.size() > i + 1)
+        throw std::logic_error("chain longer than the checkpoints");
+    const std::size_t head = i + 1 - chain.size();
+    ChainBytes b;
+    b.keyframe = serialize_detail::keyframeBytes(ckpts[head],
+                                                 chain.front().words());
+    b.read = b.keyframe;
+    for (std::size_t k = 1; k < chain.size(); ++k)
+        b.read += serialize_detail::deltaBytes(
+            ckpts[head + k - 1], ckpts[head + k], *chain[k].delta());
+    return b;
 }
 
 } // namespace test

@@ -40,6 +40,8 @@ namespace delorean
 namespace
 {
 
+using test::footerOffset;
+using test::kDlaTrailerBytes;
 using test::putU64At;
 using test::rawFooter;
 using test::readFile;
@@ -217,7 +219,7 @@ TEST(ArchiveFaults, ForgedOffsetsNearTwoToTheSixtyFourFailAtOpen)
     const Recording rec = record(ModeConfig::orderOnly());
     ASSERT_GE(rec.checkpoints.size(), 2u);
     const std::vector<std::uint8_t> bytes = archive(rec);
-    const std::size_t footer_off = u64At(bytes, bytes.size() - 40);
+    const std::size_t footer_off = footerOffset(bytes);
     const std::vector<std::uint8_t> footer = rawFooter(bytes);
 
     // Segment 1's index entry: endGcc, fileOffset, rawBytes, compBytes,
@@ -246,8 +248,9 @@ TEST(ArchiveFaults, ForgedOffsetsNearTwoToTheSixtyFourFailAtOpen)
 
     // The trailer's footer offset has the same shape.
     std::vector<std::uint8_t> forged_trailer = bytes;
-    putU64At(forged_trailer, bytes.size() - 40, ~std::uint64_t{0} - 7);
-    putU64At(forged_trailer, bytes.size() - 32, 16);
+    const std::size_t trailer = bytes.size() - kDlaTrailerBytes;
+    putU64At(forged_trailer, trailer, ~std::uint64_t{0} - 7);
+    putU64At(forged_trailer, trailer + 8, 16);
     try {
         ArchiveReader::fromBytes(forged_trailer);
         ADD_FAILURE() << "footer offset 2^64-8 was accepted at open";
@@ -275,7 +278,7 @@ TEST(RingFaults, ForgedPayloadSizeThatWrapsTheExtentIsDropped)
     // Segment file: 48-byte preamble (header raw size at 24, compressed
     // size at 32, CRC at 40), the header blob, the checkpoint blobs,
     // the payload. Header blob u64s: startGcc, endGcc, isTail,
-    // hasStart, start raw/comp/crc, hasEnd, end raw/comp/crc, payload
+    // hasStart, start bytes/crc, hasEnd, end bytes/crc, payload
     // raw/comp/crc.
     const std::string seg1 = dir + "/seg-000000000001";
     const std::vector<std::uint8_t> file = readFile(seg1);
@@ -283,17 +286,17 @@ TEST(RingFaults, ForgedPayloadSizeThatWrapsTheExtentIsDropped)
     const Lz77 codec;
     std::vector<std::uint8_t> header =
         codec.decompress(file.data() + 48, hcomp);
-    ASSERT_EQ(header.size(), 14u * 8);
+    ASSERT_EQ(header.size(), 12u * 8);
     ASSERT_EQ(u64At(header, 3 * 8), 1u);
     const std::vector<std::uint8_t> rest(
         file.begin() + static_cast<long>(48 + hcomp), file.end());
     // The file must end exactly where the header says: preamble,
     // header blob, then start + end + payload bytes. Pick the payload
     // size so that sum wraps around to the bytes actually present.
-    const std::uint64_t start_comp = file.size() + (1u << 20);
-    putU64At(header, 5 * 8, start_comp);
-    putU64At(header, 12 * 8,
-             rest.size() - start_comp - u64At(header, 9 * 8));
+    const std::uint64_t start_bytes = file.size() + (1u << 20);
+    putU64At(header, 4 * 8, start_bytes);
+    putU64At(header, 10 * 8,
+             rest.size() - start_bytes - u64At(header, 7 * 8));
     const std::vector<std::uint8_t> hblob = codec.compress(header);
     std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
     putU64At(out, 24, header.size());
@@ -634,6 +637,28 @@ headWithDelta(const std::vector<archive_detail::CheckpointImages> &images)
     return 0;
 }
 
+/** Offset of the first field past a stored image's context blocks. */
+std::size_t
+fieldsAt(const std::vector<std::uint8_t> &bytes, std::size_t at,
+         serialize_detail::ImageKind kind)
+{
+    return at
+           + serialize_detail::scanImage(kind, bytes.data() + at,
+                                         bytes.size() - at)
+                 .fieldsAt;
+}
+
+/** Offset of the first word's value in the keyframe stored at @p at. */
+std::size_t
+firstValueAt(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::size_t pos = fieldsAt(bytes, at, serialize_detail::ImageKind::kKeyframe)
+                      + serialize_detail::kListHeaderBytes;
+    while (bytes[pos] & 0x80)
+        ++pos; // the first gap's varint
+    return pos + 1;
+}
+
 /** Offset of @p image's stored form in the raw footer. */
 std::size_t
 footerImageOffset(const std::vector<std::uint8_t> &footer,
@@ -655,7 +680,7 @@ forgeFooter(const std::vector<std::uint8_t> &bytes, std::size_t offset,
     std::vector<std::uint8_t> footer = rawFooter(bytes);
     putU64At(footer, offset, value);
     std::vector<std::uint8_t> out = bytes;
-    rewriteFooter(out, u64At(bytes, bytes.size() - 40), footer);
+    rewriteFooter(out, footerOffset(bytes), footer);
     return out;
 }
 
@@ -687,8 +712,7 @@ TEST(ChainFaults, DlaCorruptedKeyframeFailsTheNextDeltaHash)
 
     // The first word's value: structure intact, content wrong, footer
     // re-sealed so only the chain's memory hash can notice.
-    const std::size_t value_at =
-        at + serialize_detail::checkpointHeaderBytes(4) + 8;
+    const std::size_t value_at = firstValueAt(footer, at);
     const std::vector<std::uint8_t> bad =
         forgeFooter(bytes, value_at, u64At(footer, value_at) ^ 1);
     const ArchiveReader reader = ArchiveReader::fromBytes(bad);
@@ -709,7 +733,7 @@ TEST(ChainFaults, DlaDeltaWithForgedBaseGccFailsAtOpen)
     const std::size_t at = footerImageOffset(footer, images[delta]);
     ASSERT_LT(at, footer.size());
     const std::size_t base_at =
-        at + serialize_detail::checkpointHeaderBytes(4) - 8;
+        fieldsAt(footer, at, serialize_detail::ImageKind::kDelta);
     ASSERT_EQ(u64At(footer, base_at), rec.checkpoints[delta - 1].gcc);
     const std::vector<std::uint8_t> bad =
         forgeFooter(bytes, base_at, rec.checkpoints[delta - 1].gcc + 1);
@@ -771,26 +795,26 @@ void
 editRingImage(const std::string &path, bool start, Fn edit)
 {
     // Header blob u64s: startGcc, endGcc, isTail, startKind, [start
-    // raw/comp/crc], endKind, [end raw/comp/crc], payload raw/comp/crc.
+    // bytes/crc], endKind, [end bytes/crc], payload raw/comp/crc.
+    // Images are stored raw.
     const std::vector<std::uint8_t> file = readFile(path);
     const Lz77 codec;
     const std::size_t hcomp = u64At(file, 32);
     std::vector<std::uint8_t> header =
         codec.decompress(file.data() + 48, hcomp);
     const bool has_start = u64At(header, 24) != 0;
-    const std::size_t start_comp = has_start ? u64At(header, 40) : 0;
-    const std::size_t end_field = has_start ? 56 : 32;
-    const std::size_t blob_off = 48 + hcomp + (start ? 0 : start_comp);
+    const std::size_t start_bytes = has_start ? u64At(header, 32) : 0;
+    const std::size_t end_field = has_start ? 48 : 32;
+    const std::size_t blob_off = 48 + hcomp + (start ? 0 : start_bytes);
     const std::size_t field = start ? 32 : end_field + 8;
     ASSERT_TRUE(start ? has_start : u64At(header, end_field) != 0);
-    const std::size_t comp = u64At(header, field + 8);
-    std::vector<std::uint8_t> raw =
-        codec.decompress(file.data() + blob_off, comp);
-    edit(raw);
-    const std::vector<std::uint8_t> blob = codec.compress(raw);
-    putU64At(header, field, raw.size());
-    putU64At(header, field + 8, blob.size());
-    putU64At(header, field + 16, crc32(blob.data(), blob.size()));
+    const std::size_t comp = u64At(header, field);
+    std::vector<std::uint8_t> blob(
+        file.begin() + static_cast<long>(blob_off),
+        file.begin() + static_cast<long>(blob_off + comp));
+    edit(blob);
+    putU64At(header, field, blob.size());
+    putU64At(header, field + 8, crc32(blob.data(), blob.size()));
     const std::vector<std::uint8_t> hblob = codec.compress(header);
     std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
     putU64At(out, 32, hblob.size());
@@ -802,6 +826,19 @@ editRingImage(const std::string &path, bool start, Fn edit)
     out.insert(out.end(), file.begin() + static_cast<long>(blob_off + comp),
                file.end());
     writeFile(path, out);
+
+    // Keep the clean-close index consistent: ring.index's blob (after
+    // its 40-byte preamble, CRC at 32) is the clean flag, the live
+    // count, then (id, file bytes) per segment.
+    const std::filesystem::path seg(path);
+    const std::string index_path = (seg.parent_path() / "ring.index").string();
+    std::vector<std::uint8_t> index = readFile(index_path);
+    const std::uint64_t id = std::stoull(seg.filename().string().substr(4));
+    for (std::size_t k = 0; k < u64At(index, 48); ++k)
+        if (u64At(index, 56 + 16 * k) == id)
+            putU64At(index, 64 + 16 * k, out.size());
+    putU64At(index, 32, crc32(index.data() + 40, index.size() - 40));
+    writeFile(index_path, index);
 }
 
 /**
@@ -862,9 +899,7 @@ TEST(ChainFaults, RingCorruptedKeyframeIsDroppedOrFailsTheNextDelta)
         const std::string dir = chainedRing("delorean-chain-keyframe");
         editRingImage(segPath(dir, head + 1), true,
                       [](std::vector<std::uint8_t> &raw) {
-                          const std::size_t v =
-                              serialize_detail::checkpointHeaderBytes(4)
-                              + 8;
+                          const std::size_t v = firstValueAt(raw, 0);
                           putU64At(raw, v, u64At(raw, v) ^ 1);
                       });
         const RingArchiveReader ring = RingArchiveReader::open(dir);
@@ -891,8 +926,8 @@ TEST(ChainFaults, RingDeltaWithForgedBaseGccIsDroppedAtScan)
     // Segment delta closes with checkpoint delta's end image.
     editRingImage(segPath(dir, delta), false,
                   [](std::vector<std::uint8_t> &raw) {
-                      const std::size_t b =
-                          serialize_detail::checkpointHeaderBytes(4) - 8;
+                      const std::size_t b = fieldsAt(
+                          raw, 0, serialize_detail::ImageKind::kDelta);
                       putU64At(raw, b, u64At(raw, b) + 1);
                   });
     const RingArchiveReader ring = RingArchiveReader::open(dir);

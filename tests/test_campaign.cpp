@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/errors.hpp"
 #include "core/delorean.hpp"
 #include "sim/campaign.hpp"
 
@@ -75,6 +77,46 @@ TEST(CampaignRunner, PropagatesTaskException)
     EXPECT_THROW(runTasks(4, std::move(tasks)), std::runtime_error);
     // All tasks still ran; the failure is reported, not amplified.
     EXPECT_EQ(ran.load(), 16);
+}
+
+/**
+ * Counts parse as digits only, up to a cap: a sign, an empty string,
+ * trailing characters, an exponent and anything past the cap are
+ * rejected, so "-1" cannot wrap to 4294967295 threads.
+ */
+TEST(CampaignRunner, ParseCountRejectsSignsJunkAndValuesPastTheCap)
+{
+    for (const char *bad : {"-1", "4294967296", "1e3", "", "+4", " 4", "4 ",
+                            "0x10", "1025"})
+        EXPECT_FALSE(parseCount(bad, kMaxThreadCount).has_value())
+            << '"' << bad << '"';
+    EXPECT_EQ(parseCount("0", kMaxThreadCount), 0u);
+    EXPECT_EQ(parseCount("007", kMaxThreadCount), 7u);
+    EXPECT_EQ(parseCount("1024", kMaxThreadCount), 1024u);
+    const std::uint64_t max = ~std::uint64_t{0};
+    EXPECT_EQ(parseCount("18446744073709551615", max), max);
+    EXPECT_FALSE(parseCount("18446744073709551616", max).has_value());
+    EXPECT_FALSE(parseCount("5", 4).has_value());
+}
+
+/**
+ * A pool past the cap is a ConfigError thrown before any thread
+ * starts, and DELOREAN_JOBS=-1 falls back to the hardware count.
+ */
+TEST(CampaignRunner, WorkerPoolRejectsMoreThreadsThanTheCap)
+{
+    EXPECT_THROW(WorkerPool pool(kMaxThreadCount + 1), ConfigError);
+
+    const char *saved = std::getenv("DELOREAN_JOBS");
+    const std::string restore = saved ? saved : "";
+    setenv("DELOREAN_JOBS", "-1", 1);
+    const unsigned jobs = campaignJobs();
+    EXPECT_GE(jobs, 1u);
+    EXPECT_LE(jobs, kMaxThreadCount);
+    if (saved)
+        setenv("DELOREAN_JOBS", restore.c_str(), 1);
+    else
+        unsetenv("DELOREAN_JOBS");
 }
 
 TEST(RecordingCache, RecordsEachKeyExactlyOnce)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "common/rng.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize_detail.hpp"
+
+#include "container_bytes.hpp"
 
 namespace delorean
 {
@@ -255,6 +258,65 @@ reinserted(const MemoryState &state)
     return copy;
 }
 
+/**
+ * Give every u64 word of @p ctx's image a new value: each field moves
+ * and every bool flips, so the codec must store the whole context.
+ */
+void
+rewriteEveryWord(ThreadContext &ctx, Xoshiro256ss &rng)
+{
+    ctx.proc = static_cast<ProcId>(ctx.proc + 1);
+    ctx.rng = Xoshiro256ss(rng.next());
+    ctx.acc += 1 + rng.below(1000);
+    ctx.retired += 1 + rng.below(1000);
+    ctx.state = static_cast<ThreadState>(
+        (static_cast<unsigned>(ctx.state) + 1) % 16);
+    ctx.iter += 1;
+    ctx.workRemaining += 1;
+    ctx.subRemaining += 1;
+    ctx.lockId += 1;
+    ctx.barrierGenSeen += 1;
+    ctx.ioRemaining += 1;
+    ctx.pendingBarrier = !ctx.pendingBarrier;
+    ctx.pendingLock = !ctx.pendingLock;
+    ctx.pendingSyscall = !ctx.pendingSyscall;
+    ctx.pendingIo = !ctx.pendingIo;
+    ctx.privCursor += 1;
+    ctx.sharedCursor += 1;
+    ctx.privStoreBase += 1;
+    ctx.sharedStoreBase += 1;
+    ctx.workPhase = static_cast<std::uint8_t>(ctx.workPhase + 1);
+    ctx.workPhaseLeft = static_cast<std::uint16_t>(ctx.workPhaseLeft + 1);
+    ctx.trapRemaining = static_cast<std::uint16_t>(ctx.trapRemaining + 1);
+    ctx.hasPendingAccess = !ctx.hasPendingAccess;
+    ctx.pendingAccess.op = ctx.pendingAccess.op == Op::kCompute
+                               ? Op::kLoad
+                               : Op::kCompute;
+    ctx.pendingAccess.addr += 8;
+    ctx.pendingAccess.value += 1;
+    ctx.handlerRemaining =
+        static_cast<std::uint16_t>(ctx.handlerRemaining + 1);
+    ctx.ioLoadCount += 1;
+    ctx.done = !ctx.done;
+    ctx.raceRemaining += 1;
+    ctx.mappedSegs.flip();
+}
+
+/** Equal lead fields, contexts (as serialized) and counters. */
+bool
+sameHeader(const SystemCheckpoint &a, const SystemCheckpoint &b)
+{
+    if (a.gcc != b.gcc || a.dmaConsumed != b.dmaConsumed
+        || a.rrNext != b.rrNext || a.committedChunks != b.committedChunks
+        || a.contexts.size() != b.contexts.size())
+        return false;
+    for (std::size_t p = 0; p < a.contexts.size(); ++p)
+        if (serialize_detail::contextWords(a, p)
+            != serialize_detail::contextWords(b, p))
+            return false;
+    return true;
+}
+
 /** @p ckpt with @p image as its memory. */
 SystemCheckpoint
 withMemory(SystemCheckpoint ckpt, CheckpointImage image)
@@ -266,15 +328,17 @@ withMemory(SystemCheckpoint ckpt, CheckpointImage image)
 /**
  * Property test of the delta codec over random checkpoint histories
  * that store a word's default value (erasing it), grow the memory
- * table between two checkpoints, and rewrite contexts and counters.
+ * table between two checkpoints, and leave contexts and counters as
+ * they were, rewrite a few of their words or rewrite all of them.
  * Each checkpoint is imaged twice: by the recorder's path (an undo
  * journal feeding an ImageChainBuilder) and as a lone keyframe, whose
  * delta the codec diffs. Both paths encode the same delta bytes,
  * decoding the delta onto the previous checkpoint rebuilds the
- * current one exactly (same keyframe bytes, equal memory, same
- * hash), and both encodings are a pure function of content — states
- * with equal content but a different insertion order encode to the
- * same bytes.
+ * current one exactly (same keyframe bytes, equal memory, same hash,
+ * same contexts), and both encodings are a pure function of content —
+ * states with equal content but a different insertion order encode to
+ * the same bytes. The builder sizes each image as the codec encodes
+ * it: a chain's deltas never encode to more bytes than its keyframe.
  */
 TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
 {
@@ -287,18 +351,31 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
     MemoryState prev_mem;
     SystemCheckpoint prev_chained;
     UndoJournal journal;
-    ImageChainBuilder chain(4);
+    ImageChainBuilder chain;
     std::uint64_t hash = mem.hash();
     std::size_t grew = 0;
     std::size_t erased_steps = 0;
+    std::size_t keyframe_bytes = 0;
+    std::size_t chain_delta_bytes = 0;
     for (int step = 0; step < 40; ++step) {
         cur.gcc += 1 + rng.below(50);
         cur.dmaConsumed += rng.below(3);
         cur.rrNext = static_cast<ProcId>(rng.below(4));
-        for (std::size_t p = 0; p < 4; ++p) {
-            cur.committedChunks[p] += rng.below(5);
-            cur.contexts[p].acc = rng.next();
-            cur.contexts[p].retired += rng.below(1000);
+        switch (step % 3) {
+          case 0: // contexts and counters as they were
+            break;
+          case 1:
+            for (std::size_t p = 0; p < 4; ++p) {
+                cur.committedChunks[p] += rng.below(5);
+                cur.contexts[p].acc = rng.next();
+                cur.contexts[p].retired += rng.below(1000);
+            }
+            break;
+          default:
+            for (std::size_t p = 0; p < 4; ++p) {
+                cur.committedChunks[p] += 1;
+                rewriteEveryWord(cur.contexts[p], rng);
+            }
         }
         const std::size_t before = mem.population();
         const bool burst = step % 9 == 4;
@@ -320,10 +397,14 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
 
         MemoryDelta delta = journal.cut(mem, hash);
         const SystemCheckpoint chained =
-            withMemory(cur, chain.next(mem, std::move(delta), hash));
+            withMemory(cur, chain.next(cur, mem, std::move(delta), hash));
         const SystemCheckpoint lone = withMemory(cur, CheckpointImage(mem));
         EXPECT_EQ(encodeKeyframe(chained), encodeKeyframe(lone))
             << "step " << step;
+        if (chained.memory.headsChain()) {
+            keyframe_bytes = encodeKeyframe(chained).size();
+            chain_delta_bytes = 0;
+        }
         if (step == 0) {
             prev_chained = chained;
             prev_mem = mem;
@@ -333,6 +414,10 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
             withMemory(prev_chained, CheckpointImage(prev_mem));
         const std::string bytes = encodeDelta(prev_chained, chained);
         EXPECT_EQ(encodeDelta(prev_lone, lone), bytes) << "step " << step;
+        if (!chained.memory.headsChain()) {
+            chain_delta_bytes += bytes.size();
+            EXPECT_LE(chain_delta_bytes, keyframe_bytes) << "step " << step;
+        }
 
         ChainDecoder walk;
         walk.resume(prev_lone);
@@ -343,6 +428,7 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
         EXPECT_EQ(rebuilt.memory.hash(), mem.hash());
         EXPECT_EQ(encodeKeyframe(rebuilt), encodeKeyframe(lone))
             << "step " << step;
+        EXPECT_TRUE(sameHeader(rebuilt, cur)) << "step " << step;
 
         const SystemCheckpoint prev2 =
             withMemory(prev_lone, CheckpointImage(reinserted(prev_mem)));
@@ -364,19 +450,6 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
     EXPECT_GT(erased_steps, 0u);
 }
 
-/** Raw bytes a materialization of @p image reads: keyframe + deltas. */
-std::size_t
-materializeBytes(const CheckpointImage &image, std::size_t contexts)
-{
-    const std::vector<CheckpointImage> chain = image.chain();
-    std::size_t bytes =
-        keyframeImageBytes(contexts, chain.front().words().size());
-    for (std::size_t i = 1; i < chain.size(); ++i)
-        bytes += deltaImageBytes(contexts, chain[i].delta()->changed.size(),
-                                 chain[i].delta()->erased.size());
-    return bytes;
-}
-
 /**
  * Images chained from an undo journal against a full-snapshot oracle,
  * over random histories with default-value stores, restores of a
@@ -391,9 +464,12 @@ TEST(ImageChain, JournaledChainsMaterializeToTheOracle)
     Xoshiro256ss rng(0xC4A1ull);
     MemoryState mem;
     UndoJournal journal;
-    ImageChainBuilder chain(4);
+    ImageChainBuilder chain;
+    SystemCheckpoint header;
+    header.contexts.resize(4);
+    header.committedChunks.assign(4, 0);
     std::uint64_t hash = mem.hash();
-    CheckpointImage prev;
+    std::vector<SystemCheckpoint> history;
     std::size_t heads = 0;
     for (int step = 0; step < 50; ++step) {
         const unsigned stores = static_cast<unsigned>(rng.below(200))
@@ -415,19 +491,20 @@ TEST(ImageChain, JournaledChainsMaterializeToTheOracle)
             }
         }
         MemoryDelta delta = journal.cut(mem, hash);
+        header.gcc += 10;
         const CheckpointImage image =
-            chain.next(mem, std::move(delta), hash);
+            chain.next(header, mem, std::move(delta), hash);
         heads += image.headsChain() ? 1 : 0;
         EXPECT_TRUE(image.materialize() == mem) << "step " << step;
         EXPECT_EQ(image.hash(), mem.hash()) << "step " << step;
         EXPECT_EQ(image.population(), mem.population());
         EXPECT_TRUE(image == CheckpointImage(mem)) << "step " << step;
-        EXPECT_TRUE(step == 0 || image.follows(prev)) << "step " << step;
-        EXPECT_LE(materializeBytes(image, 4),
-                  2 * keyframeImageBytes(
-                          4, image.chain().front().population()))
+        EXPECT_TRUE(step == 0 || image.follows(history.back().memory))
             << "step " << step;
-        prev = image;
+        history.push_back(header);
+        history.back().memory = image;
+        const test::ChainBytes bytes = test::chainBytes(history, step);
+        EXPECT_LE(bytes.read, 2 * bytes.keyframe) << "step " << step;
     }
     EXPECT_GT(heads, 1u);
     EXPECT_LT(heads, 50u);
@@ -460,9 +537,9 @@ TEST(ImageChain, RecordedHashesMatchMaterializedImages)
                 EXPECT_EQ(mem.hash(), image.hash()) << what << " " << i;
                 EXPECT_EQ(mem.population(), image.population())
                     << what << " " << i;
-                EXPECT_LE(materializeBytes(image, 4),
-                          2 * keyframeImageBytes(
-                                  4, image.chain().front().population()))
+                const test::ChainBytes bytes =
+                    test::chainBytes(rec.checkpoints, i);
+                EXPECT_LE(bytes.read, 2 * bytes.keyframe)
                     << what << " " << i;
             }
         }
@@ -519,14 +596,209 @@ TEST(DeltaCodec, ApplyRejectsForgedBaseAndHash)
     for (std::size_t cut = 0; cut < delta.size(); ++cut) {
         EXPECT_THROW(decode(prev, delta, cut), RecordingFormatError)
             << "cut " << cut;
-        EXPECT_THROW(scanImage(ImageKind::kDelta, bytesOf(delta), cut, cut),
+        EXPECT_THROW(scanImage(ImageKind::kDelta, bytesOf(delta), cut),
                      RecordingFormatError)
             << "cut " << cut;
     }
-    EXPECT_EQ(scanImage(ImageKind::kDelta, bytesOf(delta), delta.size(),
-                        delta.size())
+    EXPECT_EQ(scanImage(ImageKind::kDelta, bytesOf(delta), delta.size())
                   .bytes,
               delta.size());
+}
+
+/**
+ * Randomized round trips through the image codec at its edges:
+ * address gaps of 2^56 and more (nine- and ten-byte varints), values
+ * 0 and 2^64-1, empty word lists, and contexts equal to their base
+ * (a 7-byte block each) or different in every word (a full block).
+ * Keyframes and deltas decode back to the same words, lists, hash and
+ * contexts, scanImage walks each to its exact size, and the builder's
+ * size functions predict every encoded size.
+ */
+TEST(ImageCodec, RandomizedRoundTripsCoverTheEncodingEdges)
+{
+    using namespace serialize_detail;
+    Xoshiro256ss rng(0x1EB128ull);
+    const auto random_state = [&rng]() {
+        MemoryState mem;
+        const unsigned words = static_cast<unsigned>(rng.below(40));
+        for (unsigned k = 0; k < words; ++k) {
+            Addr addr = rng.next();
+            switch (rng.below(4)) {
+              case 0:
+                addr = rng.below(64); // tiny gaps
+                break;
+              case 1:
+                addr |= std::uint64_t{1} << 63; // gaps past 2^56
+                break;
+              default:
+                break;
+            }
+            const std::uint64_t value =
+                rng.below(3) == 0 ? 0
+                                  : (rng.below(2) ? ~std::uint64_t{0}
+                                                  : rng.next());
+            mem.store(addr, value);
+        }
+        if (rng.below(2))
+            mem.store(~Addr{0}, rng.next()); // the last address
+        return mem;
+    };
+    const std::size_t full_block = kContextMaskBytes + 8 * kContextWords;
+    std::size_t wide_gaps = 0;
+    std::size_t empty_lists = 0;
+    for (int round = 0; round < 200; ++round) {
+        SystemCheckpoint prev;
+        prev.gcc = rng.below(1000);
+        prev.dmaConsumed = rng.below(5);
+        prev.rrNext = static_cast<ProcId>(rng.below(4));
+        prev.contexts.resize(1 + rng.below(4));
+        prev.committedChunks.assign(prev.contexts.size(), rng.below(9));
+        for (ThreadContext &ctx : prev.contexts)
+            ctx.acc = rng.next();
+        const MemoryState prev_mem = random_state();
+        prev.memory = CheckpointImage(prev_mem);
+
+        SystemCheckpoint cur = prev;
+        cur.gcc += 1 + rng.below(100);
+        const bool every_word = round % 2 == 1;
+        if (every_word)
+            for (std::size_t p = 0; p < cur.contexts.size(); ++p) {
+                rewriteEveryWord(cur.contexts[p], rng);
+                cur.committedChunks[p] += 1;
+            }
+        const MemoryState cur_mem = round % 5 == 0 ? prev_mem : random_state();
+        const MemoryDelta diff = MemoryDelta::between(prev_mem, cur_mem);
+        empty_lists += diff.changed.empty() + diff.erased.empty()
+                       + (cur_mem.population() == 0);
+        for (const auto &[addr, value] : CheckpointImage::sortedWords(cur_mem))
+            wide_gaps += varintBytes(addr) >= 9;
+        cur.memory = CheckpointImage::deltaOn(prev.memory, diff,
+                                              cur_mem.hash(),
+                                              cur_mem.population());
+
+        // Contexts: equal to the base, or different in every word.
+        EXPECT_EQ(headerBytes(&prev, cur),
+                  kCheckpointLeadBytes
+                      + cur.contexts.size()
+                            * (every_word ? full_block : kContextMaskBytes))
+            << "round " << round;
+
+        const std::string key = encodeKeyframe(prev);
+        EXPECT_EQ(key.size(),
+                  keyframeBytes(prev, CheckpointImage::sortedWords(prev_mem)));
+        EXPECT_EQ(scanImage(ImageKind::kKeyframe, bytesOf(key), key.size())
+                      .bytes,
+                  key.size());
+        ChainDecoder walk;
+        const SystemCheckpoint head = walk.keyframe(bytesOf(key), key.size());
+        EXPECT_EQ(head.memory.words(), CheckpointImage::sortedWords(prev_mem))
+            << "round " << round;
+        EXPECT_EQ(head.memory.hash(), prev_mem.hash());
+        EXPECT_TRUE(sameHeader(head, prev)) << "round " << round;
+
+        const std::string delta = encodeDelta(prev, cur);
+        EXPECT_EQ(delta.size(), deltaBytes(prev, cur, diff));
+        const CheckpointExtent ext =
+            scanImage(ImageKind::kDelta, bytesOf(delta), delta.size());
+        EXPECT_EQ(ext.bytes, delta.size());
+        EXPECT_EQ(ext.baseGcc, prev.gcc);
+        const SystemCheckpoint next =
+            walk.delta(bytesOf(delta), delta.size());
+        ASSERT_NE(next.memory.delta(), nullptr);
+        EXPECT_EQ(next.memory.delta()->changed, diff.changed);
+        EXPECT_EQ(next.memory.delta()->erased, diff.erased);
+        EXPECT_TRUE(next.memory.materialize() == cur_mem)
+            << "round " << round;
+        EXPECT_TRUE(sameHeader(next, cur)) << "round " << round;
+        EXPECT_EQ(encodeDelta(head, next), delta) << "round " << round;
+    }
+    EXPECT_GT(wide_gaps, 0u);
+    EXPECT_GT(empty_lists, 0u);
+}
+
+/**
+ * Malformed images end in a typed RecordingFormatError with the
+ * check's own message: a truncated varint, a non-minimal varint, a
+ * zero gap, a byte length its words do not fill, a list that runs past
+ * the image, and a presence mask naming a word past the context.
+ */
+TEST(ImageCodec, MalformedImagesAreTypedRejections)
+{
+    using namespace serialize_detail;
+    SystemCheckpoint ckpt;
+    ckpt.gcc = 40;
+    ckpt.contexts.resize(2);
+    ckpt.committedChunks.assign(2, 3);
+    const std::string empty = encodeKeyframe(ckpt); // no words
+    const std::size_t list_at = empty.size() - kListHeaderBytes;
+    ASSERT_EQ(scanImage(ImageKind::kKeyframe, bytesOf(empty), empty.size())
+                  .fieldsAt,
+              list_at);
+
+    const auto value = [](Addr addr) {
+        std::string v(8, '\0');
+        storeU64(reinterpret_cast<std::uint8_t *>(v.data()),
+                 MemoryState::initValue(addr) ^ 1);
+        return v;
+    };
+    // The keyframe with a hand-made list: its count and body.
+    const auto with_list = [&](std::uint64_t count, const std::string &body,
+                               std::uint64_t body_bytes) {
+        std::string image = empty.substr(0, list_at);
+        std::string header(kListHeaderBytes, '\0');
+        auto *h = reinterpret_cast<std::uint8_t *>(header.data());
+        storeU64(h, count);
+        storeU64(h + 8, body_bytes);
+        return image + header + body;
+    };
+    const auto rejects = [](const std::string &image, const char *what) {
+        try {
+            ChainDecoder().keyframe(bytesOf(image), image.size());
+            ADD_FAILURE() << what << ": accepted";
+        } catch (const RecordingFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+
+    // A well-formed one-word list decodes; it is the base of the forgeries.
+    const std::string good = std::string("\x05") + value(5);
+    EXPECT_EQ(ChainDecoder()
+                  .keyframe(bytesOf(with_list(1, good, good.size())),
+                            with_list(1, good, good.size()).size())
+                  .memory.population(),
+              1u);
+
+    const std::string truncated(9, '\x80'); // nine continuation bytes
+    rejects(with_list(1, truncated, truncated.size()), "file truncated");
+    const std::string padded = std::string("\x85\x00", 2) + value(5);
+    rejects(with_list(1, padded, padded.size()), "non-minimal varint");
+    const std::string repeat =
+        good + std::string("\x00", 1) + value(5);
+    rejects(with_list(2, repeat, repeat.size()), "zero gap");
+    const std::string slack = good + std::string("\x01", 1);
+    rejects(with_list(1, slack, slack.size()),
+            "byte length disagrees with its words");
+    rejects(with_list(1, good, good.size() + 1), "runs past its image");
+    rejects(with_list(3, good, good.size()), "cannot take");
+
+    std::string mask = empty;
+    mask[kCheckpointLeadBytes + kContextMaskBytes - 1] |= 0x40; // word 54
+    rejects(mask, "names word 54 past the context");
+
+    // Each forgery fails the stream reader or the decoder, typed.
+    for (const std::string &image :
+         {with_list(1, truncated, truncated.size()),
+          with_list(1, good, good.size() + 1), mask}) {
+        std::istringstream in(image);
+        try {
+            const std::vector<std::uint8_t> read =
+                getImage(in, ImageKind::kKeyframe);
+            ChainDecoder().keyframe(read.data(), read.size());
+            ADD_FAILURE() << "stream forgery accepted";
+        } catch (const RecordingFormatError &) {
+        }
+    }
 }
 
 } // namespace

@@ -24,7 +24,7 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 20080621;
-// 35 mutants x 9 kinds x 3 modes = 945 total, over the gate's 500.
+// 35 mutants x 10 kinds x 3 modes = 1050 total, over the gate's 500.
 constexpr unsigned kMutantsPerKind = 35;
 // Checkpoint period of the swept recordings, so the stream holds
 // keyframe chains for the chain mutants to forge.
@@ -86,14 +86,16 @@ INSTANTIATE_TEST_SUITE_P(Modes, FaultSweep, testing::Range(0, 3));
 /**
  * Every checkpoint-chain mutant of a .dlrec — a keyframe's word count
  * changed, a delta's base GCC or memory hash forged, checkpoint 0
- * stored as a delta with no chain head before it — is a typed
+ * stored as a delta with no chain head before it, an address gap's
+ * varint padded to a non-minimal encoding — is a typed
  * RecordingFormatError at load, in every mode.
  */
 TEST(ChainFaults, DlrecChainMutantsAreTypedRejections)
 {
     constexpr MutationKind kChainKinds[] = {
         MutationKind::kKeyframeWordCount, MutationKind::kDeltaBaseGcc,
-        MutationKind::kDeltaMemoryHash, MutationKind::kOrphanDelta};
+        MutationKind::kDeltaMemoryHash, MutationKind::kOrphanDelta,
+        MutationKind::kNonMinimalVarint};
     for (const ModeConfig &mode :
          {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
           ModeConfig::picoLog()}) {

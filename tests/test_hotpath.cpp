@@ -60,22 +60,25 @@ TEST(CommitFastPath, FilterOnOffRecordingsByteIdentical)
         bool exact;
         std::uint64_t unfilteredHash;
     };
-    // Re-pinned once for .dlrec v3: these recordings take no
-    // checkpoints, so only the format version field moved. The v2
-    // pins, in order, were 0xffaa36f72880a623, 0x26b5c7e0fc5941a4,
-    // 0x760a6504f4a33aa3, 0x665e158fda57f4b6, 0xb28e8c6ce5b224ae and
-    // 0x0f62e188d43dd4bd.
+    // Re-pinned for .dlrec v3 and again for v4: these recordings
+    // take no checkpoints, so only the format version field moved
+    // (the v4 bytes with the version set back to 3 hash to the v3
+    // pins). The v2 pins, in order, were 0xffaa36f72880a623,
+    // 0x26b5c7e0fc5941a4, 0x760a6504f4a33aa3, 0x665e158fda57f4b6,
+    // 0xb28e8c6ce5b224ae and 0x0f62e188d43dd4bd; the v3 pins
+    // 0x285cd59ff4028f1b, 0x8e822437ccd1f64f, 0x2924dccd460b52b8,
+    // 0xc9377219d2431b6a, 0x65f40ad9aca00ec7 and 0x475f3dbe3e6169d8.
     const Reference refs[] = {
         {"order-and-size", ModeConfig::orderAndSize(), true,
-         0x285cd59ff4028f1bull},
+         0xa384f2b431ed0842ull},
         {"order-and-size", ModeConfig::orderAndSize(), false,
-         0x8e822437ccd1f64full},
+         0xa0f4965e8b109e99ull},
         {"order-only", ModeConfig::orderOnly(), true,
-         0x2924dccd460b52b8ull},
+         0x2234db9cf3bc2b0bull},
         {"order-only", ModeConfig::orderOnly(), false,
-         0xc9377219d2431b6aull},
-        {"picolog", ModeConfig::picoLog(), true, 0x65f40ad9aca00ec7ull},
-        {"picolog", ModeConfig::picoLog(), false, 0x475f3dbe3e6169d8ull},
+         0xa097cb7239ac7a67ull},
+        {"picolog", ModeConfig::picoLog(), true, 0x3cfe0c1b38f717b7ull},
+        {"picolog", ModeConfig::picoLog(), false, 0x192cf82705b62cb9ull},
     };
     for (const Reference &r : refs) {
         const std::uint64_t h =

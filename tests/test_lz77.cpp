@@ -435,33 +435,6 @@ TEST(Lz77Stream, LongInputCrossesCompaction)
     ASSERT_EQ(codec.decompress(streamed), input);
 }
 
-TEST(Lz77, PrefixDecodeIsAPrefixOfTheWholeDecode)
-{
-    Lz77 codec;
-    std::vector<std::uint8_t> input;
-    const std::string phrase = "checkpoint header, then words; ";
-    Xoshiro256ss rng(8);
-    while (input.size() < 4000) {
-        input.insert(input.end(), phrase.begin(), phrase.end());
-        input.push_back(static_cast<std::uint8_t>(rng.next()));
-    }
-    const auto comp = codec.compress(input);
-    for (const std::size_t limit :
-         {std::size_t{0}, std::size_t{1}, std::size_t{31},
-          std::size_t{32}, std::size_t{257}, std::size_t{3999},
-          input.size(), input.size() + 10}) {
-        std::uint64_t declared = 0;
-        const auto head =
-            codec.decompressPrefix(comp.data(), comp.size(), limit,
-                                   declared);
-        EXPECT_EQ(declared, input.size());
-        const std::size_t want = std::min(limit, input.size());
-        ASSERT_EQ(head.size(), want) << "limit " << limit;
-        EXPECT_TRUE(std::equal(head.begin(), head.end(), input.begin()))
-            << "limit " << limit;
-    }
-}
-
 /**
  * Every truncation and every single-bit flip of a few compressed
  * streams: the decoder either decodes or throws RecordingFormatError

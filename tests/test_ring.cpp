@@ -247,8 +247,8 @@ TEST(Ring, StartBlobNamingWrongGccIsDroppedAtScan)
 
     // Segment file: 48-byte preamble (header blob compressed size at
     // 32, its CRC at 40), the header blob (startGcc, endGcc, isTail,
-    // hasStart, then the start blob's raw size, compressed size and
-    // CRC), the start blob, the end blob, the payload.
+    // hasStart, then the start image's size and CRC), the start image,
+    // the end image (both stored raw), the payload.
     const std::string seg1 = dir + "/seg-000000000001";
     const std::vector<std::uint8_t> file = readFile(seg1);
     const Lz77 codec;
@@ -257,14 +257,13 @@ TEST(Ring, StartBlobNamingWrongGccIsDroppedAtScan)
         codec.decompress(file.data() + 48, hcomp);
     ASSERT_EQ(u64At(header, 24), 1u); // has a start image
     const std::size_t start_off = 48 + hcomp;
-    const std::size_t start_comp = u64At(header, 40);
-    std::vector<std::uint8_t> image =
-        codec.decompress(file.data() + start_off, start_comp);
-    ASSERT_EQ(u64At(image, 0), u64At(header, 0));
-    putU64At(image, 0, u64At(header, 0) + 1);
-    const std::vector<std::uint8_t> blob = codec.compress(image);
-    putU64At(header, 40, blob.size());
-    putU64At(header, 48, crc32(blob.data(), blob.size()));
+    const std::size_t start_comp = u64At(header, 32);
+    std::vector<std::uint8_t> blob(
+        file.begin() + static_cast<long>(start_off),
+        file.begin() + static_cast<long>(start_off + start_comp));
+    ASSERT_EQ(u64At(blob, 0), u64At(header, 0));
+    putU64At(blob, 0, u64At(header, 0) + 1);
+    putU64At(header, 40, crc32(blob.data(), blob.size()));
     const std::vector<std::uint8_t> hblob = codec.compress(header);
 
     std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
@@ -411,7 +410,8 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
     RingOptions opts;
     // Checkpoints are stored as chains of deltas after a keyframe, so
     // a chain head file is many times the size of the files after it:
-    // this holds the newest chain of a ~390 KB run.
+    // this holds only the newest chain (GCC 300 on) of a 43-segment
+    // run.
     opts.budgetBytes = 128u << 10;
     opts.checkpointPeriod = 10;
     RingArchiveWriter writer(dir, opts);
@@ -460,6 +460,41 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
 
     // The whole run is gone; say so with a typed error.
     EXPECT_THROW(ring.readAll(), CheckpointOutOfRangeError);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Ring, TailHeadingItsChainKeepsTheChainBefore)
+{
+    // A run whose last checkpoint heads a chain ends in a tail file
+    // holding that checkpoint alone. Evicting every older chain to
+    // meet the budget would leave nothing to seek, so the ring keeps
+    // the chain before it and counts the overrun.
+    Recording rec = record(ModeConfig::orderAndSize(), "ocean", 10);
+    std::vector<std::size_t> heads;
+    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
+        if (rec.checkpoints[i].memory.headsChain())
+            heads.push_back(i);
+    ASSERT_GE(heads.size(), 3u);
+    rec.checkpoints.resize(heads.back() + 1);
+    const std::size_t kept = heads[heads.size() - 2];
+
+    const std::string dir = ringDir("tail_head");
+    RingOptions opts;
+    opts.budgetBytes = 1;
+    opts.checkpointPeriod = 10;
+    const RingWriterStats stats = writeRing(rec, dir, opts);
+    EXPECT_GT(stats.segmentsEvicted, 0u);
+    EXPECT_GT(stats.budgetOverruns, 0u);
+
+    const RingArchiveReader ring = RingArchiveReader::open(dir);
+    ASSERT_EQ(ring.checkpointCount(), heads.back() - kept + 1);
+    EXPECT_EQ(ring.checkpointAt(0).gcc, rec.checkpoints[kept].gcc);
+    const ArchiveReader batch =
+        ArchiveReader::fromBytes(archiveBytes(rec));
+    for (std::size_t i = 0; i < ring.checkpointCount(); ++i)
+        EXPECT_EQ(savedBytes(ring.readInterval(i)),
+                  savedBytes(batch.readInterval(kept + i)))
+            << "checkpoint " << i;
     std::filesystem::remove_all(dir);
 }
 

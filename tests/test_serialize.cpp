@@ -205,16 +205,28 @@ TEST(Serialize, GoldenBytesArePinned)
     //   order-only       0x9833376a1237a0dd
     //   order-only-strat 0xb31510eb6702f9b9
     //   picolog          0xddc8c740d6a95a9e
+    // All three pins moved once more with .dlrec v4, .dla v4 and ring
+    // v3 (images as gap lists and context diffs, stored raw); the
+    // 60000-byte ring still evicts down to the newest chain in every
+    // mode. The .dlrec v3 / .dla v3 / ring v2 pins were, per mode:
+    //   order-and-size   0xeda82e9c82c96abc  0x6506bec96579fab7
+    //                    0x845e77e093f37f07
+    //   order-only       0xec50a355d12af55f  0xeab0307ef088ea2d
+    //                    0x7f17e60d4e5f2d90
+    //   order-only-strat 0x71247568d6e2c834  0x3d29744302cba95d
+    //                    0x76bfc7ce485d7bee
+    //   picolog          0x08b2205957c59a79  0x64dda0fc9a7ee329
+    //                    0xaec65f6a2254c774
     const Golden goldens[] = {
         {"order-and-size", ModeConfig::orderAndSize(),
-         0xeda82e9c82c96abcull, 0x6506bec96579fab7ull,
-         0x845e77e093f37f07ull},
-        {"order-only", ModeConfig::orderOnly(), 0xec50a355d12af55full,
-         0xeab0307ef088ea2dull, 0x7f17e60d4e5f2d90ull},
-        {"order-only-strat", strat, 0x71247568d6e2c834ull,
-         0x3d29744302cba95dull, 0x76bfc7ce485d7beeull},
-        {"picolog", ModeConfig::picoLog(), 0x08b2205957c59a79ull,
-         0x64dda0fc9a7ee329ull, 0xaec65f6a2254c774ull},
+         0x5d863ee3f8cc7ef2ull, 0x572c117d80ac4c4bull,
+         0x969f1a74f4bb7859ull},
+        {"order-only", ModeConfig::orderOnly(), 0x949ebc321f72e5fbull,
+         0x503329936e71be29ull, 0x0cd14c25c0ed7851ull},
+        {"order-only-strat", strat, 0xc2c9b7b7b9115650ull,
+         0x7aba783a4078a03dull, 0x833888b36a267827ull},
+        {"picolog", ModeConfig::picoLog(), 0x6f2d04740d1179b9ull,
+         0x649ad1c291cd1dbeull, 0x68a1fdb57862aa1eull},
     };
     for (const Golden &g : goldens) {
         Workload w("fft", 4, 7, WorkloadScale::tiny());
@@ -300,16 +312,52 @@ recordFft()
 TEST(Serialize, LegacyV1RecordingsStillLoadAndReplay)
 {
     const Recording rec = recordFft();
-    const std::string v3 = serialized(rec);
-    ASSERT_EQ(u64At(v3, kArbiterCountOffset), 1u);
-    ASSERT_EQ(u64At(v3, hasMasksOffset(v3)), 0u);
+    const std::string v4 = serialized(rec);
+    ASSERT_EQ(u64At(v4, kArbiterCountOffset), 1u);
+    ASSERT_EQ(u64At(v4, hasMasksOffset(v4)), 0u);
 
-    std::istringstream in(downgradeToV1(v3));
+    std::istringstream in(downgradeToV1(v4));
     const Recording loaded = loadRecording(in);
     EXPECT_EQ(loaded.pi.entryCount(), rec.pi.entryCount());
     EXPECT_TRUE(Replayer().replay(loaded, 5).deterministicExact);
-    // Re-serializing writes format v3, byte-identical to the original.
-    EXPECT_EQ(serialized(loaded), v3);
+    // Re-serializing writes format v4, byte-identical to the original.
+    EXPECT_EQ(serialized(loaded), v4);
+}
+
+/**
+ * A full image as format v1/v2 wrote it: gcc, dmaConsumed, rrNext,
+ * the context count, per processor its ThreadContext bytes and
+ * committed-chunk counter, the word count, then (addr, value) u64
+ * pairs in address order.
+ */
+std::string
+fullImage(const SystemCheckpoint &ckpt)
+{
+    std::string out;
+    const auto put = [&out](std::uint64_t v) {
+        std::string word(8, '\0');
+        putU64At(word, 0, v);
+        out += word;
+    };
+    put(ckpt.gcc);
+    put(ckpt.dmaConsumed);
+    put(ckpt.rrNext);
+    put(ckpt.contexts.size());
+    for (std::size_t p = 0; p < ckpt.contexts.size(); ++p) {
+        std::string ctx(sizeof(ThreadContext), '\0');
+        serialize_detail::contextBytes(
+            ckpt.contexts[p], reinterpret_cast<std::uint8_t *>(ctx.data()));
+        out += ctx;
+        put(ckpt.committedChunks[p]);
+    }
+    const std::vector<CheckpointImage::Word> words =
+        CheckpointImage::sortedWords(ckpt.memory.materialize());
+    put(words.size());
+    for (const auto &[addr, value] : words) {
+        put(addr);
+        put(value);
+    }
+    return out;
 }
 
 /**
@@ -328,7 +376,7 @@ legacyV2(const Recording &rec)
     putU64At(count, 0, rec.checkpoints.size());
     v2 += count;
     for (const SystemCheckpoint &ckpt : rec.checkpoints)
-        v2 += serialize_detail::encodeKeyframe(ckpt);
+        v2 += fullImage(ckpt);
     return v2;
 }
 
@@ -336,7 +384,7 @@ legacyV2(const Recording &rec)
  * Format v1 and v2 recordings store every checkpoint as a full image.
  * Loading converts them into keyframe chains under the recorder's
  * keyframe rule, so a re-serialized legacy file is byte-identical to
- * the v3 file of the same recording, and its intervals replay.
+ * the v4 file of the same recording, and its intervals replay.
  */
 TEST(Serialize, LegacyFullImagesConvertToTheRecordedChains)
 {
@@ -349,12 +397,12 @@ TEST(Serialize, LegacyFullImagesConvertToTheRecordedChains)
         heads += ckpt.memory.headsChain() ? 1 : 0;
     ASSERT_GT(heads, 1u);
     ASSERT_LT(heads, rec.checkpoints.size());
-    const std::string v3 = serialized(rec);
+    const std::string v4 = serialized(rec);
     const std::string v2 = legacyV2(rec);
     for (const std::string &legacy : {v2, downgradeToV1(v2)}) {
         std::istringstream in(legacy);
         const Recording loaded = loadRecording(in);
-        EXPECT_EQ(serialized(loaded), v3);
+        EXPECT_EQ(serialized(loaded), v4);
         ASSERT_EQ(loaded.checkpoints.size(), rec.checkpoints.size());
         for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
             EXPECT_EQ(loaded.checkpoints[i].memory.headsChain(),
@@ -364,6 +412,27 @@ TEST(Serialize, LegacyFullImagesConvertToTheRecordedChains)
                         .replayInterval(loaded, 2, w, 5, {},
                                         &loaded.checkpoints[3])
                         .deterministicExact);
+    }
+}
+
+/**
+ * Format v3 files (chain images with fixed-width words and contexts)
+ * are rejected with the typed version error rather than converted:
+ * their chains would need a second decoder.
+ */
+TEST(Serialize, RejectsFormatV3)
+{
+    std::string v3 = serialized(recordFft());
+    putU64At(v3, 8, 3);
+    std::istringstream in(v3);
+    try {
+        loadRecording(in);
+        ADD_FAILURE() << "a v3 recording was accepted";
+    } catch (const RecordingFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported recording version 3"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -31,6 +31,8 @@ namespace delorean
 namespace
 {
 
+using test::footerOffset;
+using test::kDlaTrailerBytes;
 using test::putU64At;
 using test::rawFooter;
 using test::readFile;
@@ -254,12 +256,14 @@ TEST(Store, IntervalReplayFromEveryCheckpointAllModes)
     // Pinned hash of saveRecording(readAll()) followed by every
     // saveRecording(readInterval(i, i + 1)), per mode: the views a
     // reader produces must not change with how it decodes images.
-    // Re-pinned once for .dlrec v3 (checkpoint chains); the v2 pins
-    // were 0x1e8f9fd0ec5b1ff2, 0xb1bceb8731e5d54e, 0x80994ccbdb0398f3
-    // and 0x91515f6d812085a8.
+    // Re-pinned for .dlrec v3 (checkpoint chains) and for v4 (images
+    // as gap lists and context diffs). The v2 pins were
+    // 0x1e8f9fd0ec5b1ff2, 0xb1bceb8731e5d54e, 0x80994ccbdb0398f3 and
+    // 0x91515f6d812085a8; the v3 pins 0x2a2b62a3844c8890,
+    // 0x5ae5b69deab71991, 0x2906ea1df8cd248d and 0xd0a10fb4a5bd18bf.
     const std::uint64_t view_hashes[] = {
-        0x2a2b62a3844c8890ull, 0x5ae5b69deab71991ull,
-        0x2906ea1df8cd248dull, 0xd0a10fb4a5bd18bfull};
+        0xd75ef50f1baf7f14ull, 0x5d0626ed8b91088aull,
+        0xcc582e6d01eafe1full, 0xb3b4b864e7197c91ull};
     std::size_t mode_index = 0;
     for (const auto &[mode_name, mode] : allModes()) {
         Workload w("radix", 4, 9, WorkloadScale::tiny());
@@ -355,7 +359,7 @@ TEST(Store, RejectsArbiterCountOtherThanOne)
     // count is its last field.
     ASSERT_EQ(u64At(footer, 88), 1u);
     putU64At(footer, 88, 4);
-    rewriteFooter(bytes, u64At(bytes, bytes.size() - 40), footer);
+    rewriteFooter(bytes, footerOffset(bytes), footer);
     try {
         ArchiveReader::fromBytes(bytes);
         ADD_FAILURE() << "arbiter count 4 was accepted";
@@ -373,7 +377,7 @@ TEST(Store, RejectsPiSliceHasMasksFlag)
         Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true,
                                                             {}, 20);
     std::vector<std::uint8_t> bytes = archiveBytes(rec);
-    const std::size_t footer_off = u64At(bytes, bytes.size() - 40);
+    const std::size_t footer_off = footerOffset(bytes);
     std::vector<std::uint8_t> footer = rawFooter(bytes);
 
     // Re-encode the tail segment (the last one before the footer)
@@ -409,8 +413,9 @@ TEST(Store, RejectsPiSliceHasMasksFlag)
     putU64At(out, seg.fileOffset + 24, comp.size());
     putU64At(out, seg.fileOffset + 32, crc);
     out.insert(out.end(), comp.begin(), comp.end());
-    out.insert(out.end(), bytes.end() - 40, bytes.end()); // old trailer
-    rewriteFooter(out, out.size() - 40, footer);
+    out.insert(out.end(), bytes.end() - kDlaTrailerBytes,
+               bytes.end()); // old trailer
+    rewriteFooter(out, out.size() - kDlaTrailerBytes, footer);
 
     const ArchiveReader reader = ArchiveReader::fromBytes(out);
     for (const bool whole : {true, false}) {
@@ -446,14 +451,14 @@ TEST(Store, FooterImageChecksFireAtOpen)
                                                             {}, 20);
     ASSERT_GE(rec.checkpoints.size(), 2u);
     const std::vector<std::uint8_t> bytes = archiveBytes(rec);
-    const std::size_t footer_off = u64At(bytes, bytes.size() - 40);
+    const std::size_t footer_off = footerOffset(bytes);
     const std::vector<std::uint8_t> footer = rawFooter(bytes);
 
     // Segment 0's index entry: endGcc, fileOffset, rawBytes,
     // compBytes, crc32, piBitsEnd, strataBitsEnd, the CS bit-position
-    // count and positions, the has-checkpoint flag, then the image:
-    // gcc, dmaConsumed, rrNext, context count, contexts (each followed
-    // by its committed-chunk count), word count, words.
+    // count and positions, the checkpoint kind, then the image: gcc,
+    // dmaConsumed, rrNext, context count, context blocks, the word
+    // list's count and byte length, words.
     const ArchiveSegmentInfo seg =
         ArchiveReader::fromBytes(bytes).segments()[0];
     std::size_t entry = 0;
@@ -470,7 +475,11 @@ TEST(Store, FooterImageChecksFireAtOpen)
     ASSERT_EQ(u64At(footer, image), seg.endGcc);
     ASSERT_EQ(u64At(footer, image + 24), procs);
     const std::size_t words_at =
-        image + 32 + procs * (sizeof(ThreadContext) + 8);
+        image
+        + serialize_detail::scanImage(serialize_detail::ImageKind::kKeyframe,
+                                      footer.data() + image,
+                                      footer.size() - image)
+              .fieldsAt;
 
     struct Case
     {
@@ -484,8 +493,8 @@ TEST(Store, FooterImageChecksFireAtOpen)
          "checkpoint context count 65 outside [0, 64]"},
         {"GCC off the index", image, seg.endGcc + 1,
          "segment 0 checkpoint GCC disagrees with the index"},
-        {"word list past the footer", words_at,
-         (footer.size() - words_at) / 16 + 1, "file truncated"},
+        {"word list past the footer", words_at + 8, footer.size(),
+         "runs past its image"},
     };
     for (const Case &c : cases) {
         std::vector<std::uint8_t> bad_footer = footer;
@@ -771,15 +780,9 @@ TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
 
     const auto check_ram = [](const Recording &r, const std::string &label) {
         for (std::size_t i = 0; i < r.checkpoints.size(); ++i) {
-            const std::vector<CheckpointImage> chain =
-                r.checkpoints[i].memory.chain();
-            const std::size_t keyframe =
-                keyframeImageBytes(4, chain.front().words().size());
-            std::size_t read = keyframe;
-            for (std::size_t k = 1; k < chain.size(); ++k)
-                read += deltaImageBytes(4, chain[k].delta()->changed.size(),
-                                        chain[k].delta()->erased.size());
-            EXPECT_LE(read, 2 * keyframe) << label << " checkpoint " << i;
+            const test::ChainBytes bytes = test::chainBytes(r.checkpoints, i);
+            EXPECT_LE(bytes.read, 2 * bytes.keyframe)
+                << label << " checkpoint " << i;
         }
     };
     check_ram(rec, "recording");

@@ -17,13 +17,16 @@
  * MB/sec) for benchmarking.
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "serve/service.hpp"
+#include "sim/campaign.hpp"
 
 namespace
 {
@@ -61,14 +64,15 @@ usage(const char *argv0)
     return 2;
 }
 
+/** Parse a count of at most @p cap (delorean::parseCount). */
 bool
-parseUnsigned(const char *s, unsigned &out)
+parseUnsigned(const char *s, unsigned &out,
+              unsigned cap = delorean::kMaxThreadCount)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0')
+    const std::optional<std::uint64_t> v = delorean::parseCount(s, cap);
+    if (!v)
         return false;
-    out = static_cast<unsigned>(v);
+    out = static_cast<unsigned>(*v);
     return true;
 }
 
@@ -109,7 +113,7 @@ main(int argc, char **argv)
             if (end == v || *end != '\0' || opts.ringBudgetBytes == 0)
                 return usage(argv[0]);
         } else if (std::strcmp(arg, "--checkpoint-period") == 0) {
-            if (!parseUnsigned(value(), n))
+            if (!parseUnsigned(value(), n, UINT_MAX))
                 return usage(argv[0]);
             checkpoint_period = n;
         } else if (std::strcmp(arg, "--io-threads") == 0) {

@@ -47,10 +47,12 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "sim/campaign.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 
@@ -175,8 +177,19 @@ parse(int argc, char **argv)
             args.checkpointPeriod = number();
         else if (flag == "--perturb")
             args.perturb = true;
-        else if (flag == "--io-threads")
-            args.archiveIo.ioThreads = static_cast<unsigned>(number());
+        else if (flag == "--io-threads") {
+            const char *v = next();
+            const std::optional<std::uint64_t> n =
+                parseCount(v, kMaxThreadCount);
+            if (!n) {
+                std::fprintf(stderr,
+                             "delorean_sim: --io-threads needs a count "
+                             "of at most %u, got \"%s\"\n",
+                             kMaxThreadCount, v);
+                usage();
+            }
+            args.archiveIo.ioThreads = static_cast<unsigned>(*n);
+        }
         else {
             std::fprintf(stderr, "delorean_sim: unknown option \"%s\"\n",
                          flag.c_str());

@@ -61,6 +61,7 @@
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
+#include "sim/campaign.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 #include "trace/app_profile.hpp"
@@ -204,25 +205,32 @@ checkpointIndexFor(const std::vector<std::uint64_t> &gccs,
 /**
  * One line per checkpoint of a container or .dlrec: its GCC and how
  * it is stored — a keyframe heading a chain, or a delta on the
- * checkpoint at its base GCC — with its stored bytes.
+ * checkpoint at its base GCC — with its stored bytes; then the totals.
  */
 void
 printCheckpointImages(const std::vector<CheckpointImageInfo> &images)
 {
+    std::size_t keyframes = 0;
+    unsigned long long bytes = 0;
     for (std::size_t i = 0; i < images.size(); ++i) {
         const CheckpointImageInfo &info = images[i];
+        keyframes += info.keyframe ? 1 : 0;
+        bytes += info.rawBytes;
         if (info.keyframe)
             std::printf("  checkpoint %zu: gcc %llu, keyframe, "
                         "%llu bytes stored\n",
                         i, static_cast<unsigned long long>(info.gcc),
-                        static_cast<unsigned long long>(info.storedBytes));
+                        static_cast<unsigned long long>(info.rawBytes));
         else
             std::printf("  checkpoint %zu: gcc %llu, delta on gcc %llu, "
                         "%llu bytes stored\n",
                         i, static_cast<unsigned long long>(info.gcc),
                         static_cast<unsigned long long>(info.baseGcc),
-                        static_cast<unsigned long long>(info.storedBytes));
+                        static_cast<unsigned long long>(info.rawBytes));
     }
+    std::printf("images: %zu keyframe(s), %zu delta(s), %llu bytes "
+                "stored\n",
+                keyframes, images.size() - keyframes, bytes);
 }
 
 void
@@ -297,7 +305,7 @@ doListCheckpoints(const std::string &path)
             info.gcc = ckpt.gcc;
             info.keyframe = serialize_detail::storedAsKeyframe(prev, ckpt);
             info.baseGcc = info.keyframe ? 0 : prev->gcc;
-            info.storedBytes =
+            info.rawBytes =
                 info.keyframe
                     ? serialize_detail::encodeKeyframe(ckpt).size()
                     : serialize_detail::encodeDelta(*prev, ckpt).size();
@@ -654,12 +662,11 @@ main(int argc, char **argv)
             continue;
         if (i + 1 >= args.size())
             return usage();
-        char *end = nullptr;
-        const unsigned long v =
-            std::strtoul(args[i + 1].c_str(), &end, 10);
-        if (end == args[i + 1].c_str() || *end != '\0' || v == 0)
+        const std::optional<std::uint64_t> v =
+            parseCount(args[i + 1], kMaxThreadCount);
+        if (!v || *v == 0)
             return usage();
-        jobs = static_cast<unsigned>(v);
+        jobs = static_cast<unsigned>(*v);
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                    args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
         break;
@@ -673,12 +680,11 @@ main(int argc, char **argv)
             continue;
         if (i + 1 >= args.size())
             return usage();
-        char *end = nullptr;
-        const unsigned long v =
-            std::strtoul(args[i + 1].c_str(), &end, 10);
-        if (end == args[i + 1].c_str() || *end != '\0' || v == 0)
+        const std::optional<std::uint64_t> v =
+            parseCount(args[i + 1], kMaxThreadCount);
+        if (!v || *v == 0)
             return usage();
-        archive_io.ioThreads = static_cast<unsigned>(v);
+        archive_io.ioThreads = static_cast<unsigned>(*v);
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                    args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
         break;
@@ -758,14 +764,12 @@ main(int argc, char **argv)
     if (args[0] == "--fault-sweep") {
         if (args.size() < 2 || args.size() > 3)
             return usage();
-        const unsigned per_kind =
-            args.size() == 3
-                ? static_cast<unsigned>(std::strtoul(
-                      args[2].c_str(), nullptr, 10))
-                : 40;
-        if (per_kind == 0)
+        const std::optional<std::uint64_t> per_kind =
+            args.size() == 3 ? parseCount(args[2], 1u << 20)
+                             : std::optional<std::uint64_t>(40);
+        if (!per_kind || *per_kind == 0)
             return usage();
-        return doFaultSweep(args[1], per_kind);
+        return doFaultSweep(args[1], static_cast<unsigned>(*per_kind));
     }
     if (args.size() == 1 && args[0][0] != '-')
         return doCheckFile(args[0], jobs);
