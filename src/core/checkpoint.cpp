@@ -12,10 +12,9 @@ struct CheckpointImage::Node
     std::uint64_t hash = MemoryState::kHashSeed;
     std::size_t population = 0;
     bool head = true;
-    std::vector<Word> words; ///< keyframe (heads only)
-    bool hasDelta = false;
-    MemoryDelta delta;                ///< against base (when hasDelta)
-    std::shared_ptr<const Node> base; ///< the image before this one
+    std::vector<Word> words;          ///< keyframe (heads only)
+    MemoryDelta delta;                ///< against base (non-heads only)
+    std::shared_ptr<const Node> base; ///< the image before (non-heads)
 };
 
 CheckpointImage::CheckpointImage()
@@ -48,18 +47,12 @@ CheckpointImage::sortedWords(const MemoryState &state)
 }
 
 CheckpointImage
-CheckpointImage::keyframe(std::vector<Word> words, std::uint64_t hash,
-                          const CheckpointImage *base, MemoryDelta delta)
+CheckpointImage::keyframe(std::vector<Word> words, std::uint64_t hash)
 {
     auto node = std::make_shared<Node>();
     node->hash = hash;
     node->population = words.size();
     node->words = std::move(words);
-    if (base) {
-        node->hasDelta = true;
-        node->delta = std::move(delta);
-        node->base = base->node_;
-    }
     return CheckpointImage(std::move(node));
 }
 
@@ -71,7 +64,6 @@ CheckpointImage::deltaOn(const CheckpointImage &base, MemoryDelta delta,
     node->hash = hash;
     node->population = population;
     node->head = false;
-    node->hasDelta = true;
     node->delta = std::move(delta);
     node->base = base.node_;
     return CheckpointImage(std::move(node));
@@ -104,13 +96,13 @@ CheckpointImage::words() const
 const MemoryDelta *
 CheckpointImage::delta() const
 {
-    return node_->hasDelta ? &node_->delta : nullptr;
+    return node_->head ? nullptr : &node_->delta;
 }
 
 bool
 CheckpointImage::follows(const CheckpointImage &prev) const
 {
-    return node_->hasDelta && node_->base == prev.node_;
+    return !node_->head && node_->base == prev.node_;
 }
 
 std::vector<CheckpointImage>
@@ -129,11 +121,8 @@ CheckpointImage::chain() const
 std::size_t
 CheckpointImage::heldBytes() const
 {
-    std::size_t bytes = node_->words.size() * 16;
-    if (node_->hasDelta)
-        bytes += node_->delta.changed.size() * 16
-                 + node_->delta.erased.size() * 8;
-    return bytes;
+    return node_->words.size() * 16 + node_->delta.changed.size() * 16
+           + node_->delta.erased.size() * 8;
 }
 
 MemoryState
@@ -177,9 +166,7 @@ ImageChainBuilder::next(const SystemCheckpoint &ckpt,
         std::vector<CheckpointImage::Word> words =
             CheckpointImage::sortedWords(state);
         rule_.keyframe(serialize_detail::keyframeBytes(ckpt, words));
-        image = CheckpointImage::keyframe(
-            std::move(words), hash, started_ ? &last_.memory : nullptr,
-            started_ ? std::move(delta) : MemoryDelta{});
+        image = CheckpointImage::keyframe(std::move(words), hash);
     } else {
         rule_.delta(delta_bytes);
         image = CheckpointImage::deltaOn(last_.memory, std::move(delta),

@@ -42,12 +42,11 @@ namespace delorean
 
 /**
  * One checkpoint's memory image: an immutable chain node, shared by
- * every copy. A chain head holds its keyframe, the address-sorted
+ * every copy. A chain head holds only its keyframe, the address-sorted
  * non-default words; every other node holds its delta against the
- * image before it (its base). A head the recorder cut also keeps its
- * delta and base, because a ring segment's end image is always a
- * delta. population() and hash() are O(1); materialize() builds the
- * full MemoryState from the chain's keyframe and deltas.
+ * image before it (its base). population() and hash() are O(1);
+ * materialize() builds the full MemoryState from the chain's keyframe
+ * and deltas.
  */
 class CheckpointImage
 {
@@ -62,13 +61,10 @@ class CheckpointImage
 
     /**
      * A chain head holding @p words (address-sorted, distinct,
-     * non-default) of a memory whose hash() is @p hash. When @p base
-     * is given, the head also keeps @p delta, its delta against base.
+     * non-default) of a memory whose hash() is @p hash.
      */
     static CheckpointImage keyframe(std::vector<Word> words,
-                                    std::uint64_t hash,
-                                    const CheckpointImage *base = nullptr,
-                                    MemoryDelta delta = {});
+                                    std::uint64_t hash);
 
     /**
      * The image @p delta makes of @p base: a memory of @p population
@@ -90,19 +86,16 @@ class CheckpointImage
     /** A head's keyframe words, address-sorted (empty otherwise). */
     const std::vector<Word> &words() const;
 
-    /**
-     * The delta against the image before this one, or nullptr when
-     * the image keeps none (a chain head read back from storage).
-     */
+    /** The delta against the image before this one; nullptr at a head. */
     const MemoryDelta *delta() const;
 
-    /** True when this image keeps its delta against @p prev. */
+    /** True when this image is a delta against @p prev. */
     bool follows(const CheckpointImage &prev) const;
 
     /** The chain from its head to this image, in order. */
     std::vector<CheckpointImage> chain() const;
 
-    /** Bytes of word lists this node holds (keyframe and delta). */
+    /** Bytes of word lists this node holds (its keyframe or delta). */
     std::size_t heldBytes() const;
 
     /** The full memory state: the chain's keyframe plus its deltas. */
@@ -160,9 +153,8 @@ struct SystemCheckpoint
  * would then exceed that keyframe's own encoded size, in which case it
  * heads a new chain. Materializing any image therefore reads at most
  * twice its keyframe's bytes. The rule has no knob and sees only
- * encoded image sizes, so every producer of a chain — the recorder,
- * the conversion of full images — cuts the same chains, and a reader
- * can tell from stored sizes where a chain was cut.
+ * encoded image sizes, so a recording's chains are a function of its
+ * checkpoints' content.
  */
 class KeyframeRule
 {
@@ -195,9 +187,8 @@ class KeyframeRule
 /**
  * Builds one recording's checkpoint images in checkpoint order under
  * the KeyframeRule, sizing each image as the containers encode it.
- * The recorder feeds it each interval's journaled delta; images that
- * arrive whole (legacy .dlrec files) are converted by diffing
- * consecutive full states (MemoryDelta::between).
+ * The recorder feeds it each interval's journaled delta; a checkpoint
+ * the rule makes a chain head keeps only its keyframe.
  */
 class ImageChainBuilder
 {

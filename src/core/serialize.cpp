@@ -37,10 +37,7 @@ constexpr std::uint64_t kMagic = 0x44654C6F5265634Full; // "DeLoRecO"
 /// keyframe chains: each image is preceded by its kind (1 keyframe,
 /// 2 delta on the checkpoint before it). v4 encodes each image's word
 /// lists as address gaps and its contexts as changes against a base
-/// (core/serialize_detail.hpp). v1 and v2 recordings, whose images are
-/// all full, still load; their images are converted into chains under
-/// the same keyframe rule. v3 files are rejected: their chain images
-/// would need a decoder of their own.
+/// (core/serialize_detail.hpp). Loaders reject every other version.
 constexpr std::uint32_t kVersion = 4;
 
 /**
@@ -329,23 +326,19 @@ saveRecording(const Recording &rec, std::ostream &out)
 namespace
 {
 
-/**
- * Read everything of a recording before its checkpoint section; the
- * format version lands in @p version.
- */
+/** Read everything of a recording before its checkpoint section. */
 Recording
-loadLogs(std::istream &in, std::uint64_t &version)
+loadLogs(std::istream &in)
 {
     if (getU64(in) != kMagic)
         throw RecordingFormatError("not a DeLorean recording");
-    version = getU64(in);
-    if (version < 1 || version == 3 || version > kVersion)
+    const std::uint64_t version = getU64(in);
+    if (version != kVersion)
         throw RecordingFormatError("unsupported recording version "
                                    + std::to_string(version));
-    const bool legacy_v1 = version == 1;
 
     Recording rec;
-    rec.machine = getMachine(in, legacy_v1);
+    rec.machine = getMachine(in);
     rec.mode = getMode(in);
     // Everything below is sized or indexed by the header fields, so
     // they must be in range before any section is materialized.
@@ -364,13 +357,11 @@ loadLogs(std::istream &in, std::uint64_t &version)
         });
         rec.pi.append(p);
     }
-    if (!legacy_v1) {
-        const std::uint64_t has_masks = getU64(in);
-        require(has_masks == 0, [&] {
-            return "PI has-masks flag " + std::to_string(has_masks)
-                   + " is not 0";
-        });
-    }
+    const std::uint64_t has_masks = getU64(in);
+    require(has_masks == 0, [&] {
+        return "PI has-masks flag " + std::to_string(has_masks)
+               + " is not 0";
+    });
 
     const std::uint64_t strata_count = getU64(in);
     for (std::uint64_t i = 0; i < strata_count; ++i) {
@@ -484,41 +475,13 @@ loadChains(std::istream &in, std::uint64_t count, Recording &rec)
     }
 }
 
-/**
- * Read @p count full v1/v2 images and convert them into chains: each
- * is diffed against the one before it under the keyframe rule.
- */
-void
-convertFullImages(std::istream &in, std::uint64_t count, Recording &rec)
-{
-    ImageChainBuilder chain;
-    MemoryState prev;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::vector<std::uint8_t> image =
-            serialize_detail::getFullImage(in);
-        auto [ckpt, state] =
-            serialize_detail::decodeFullImage(image.data(), image.size());
-        ckpt.memory = chain.next(
-            ckpt, state,
-            i ? MemoryDelta::between(prev, state) : MemoryDelta{},
-            state.hash());
-        prev = std::move(state);
-        rec.checkpoints.push_back(std::move(ckpt));
-    }
-}
-
 } // namespace
 
 Recording
 loadRecording(std::istream &in)
 {
-    std::uint64_t version = 0;
-    Recording rec = loadLogs(in, version);
-    const std::uint64_t ckpts = getU64(in);
-    if (version < 3)
-        convertFullImages(in, ckpts, rec);
-    else
-        loadChains(in, ckpts, rec);
+    Recording rec = loadLogs(in);
+    loadChains(in, getU64(in), rec);
     require(in.peek() == std::char_traits<char>::eof(),
             "trailing bytes after the checkpoint section");
     validateRecording(rec);
@@ -529,8 +492,7 @@ std::size_t
 checkpointSectionOffset(const std::string &bytes)
 {
     std::istringstream in(bytes);
-    std::uint64_t version = 0;
-    loadLogs(in, version);
+    loadLogs(in);
     return static_cast<std::size_t>(in.tellg());
 }
 

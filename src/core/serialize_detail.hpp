@@ -16,8 +16,8 @@
  * a delta against the checkpoint before it (encodeDelta). The writers
  * serialize the chain nodes a recording holds; ChainDecoder turns
  * stored images back into nodes, verifying each chain. This is the
- * one checkpoint-image codec behind .dlrec files, the .dla footer and
- * the ring's segment files.
+ * one checkpoint-image codec behind .dlrec files and the segment
+ * records of the `.dla` and the ring.
  */
 
 #ifndef DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
@@ -234,13 +234,10 @@ putMachine(std::ostream &out, const MachineConfig &m)
     putU64(out, 1); // arbiter count
 }
 
-/**
- * @p In is std::istream or ByteCursor.
- * @param legacy_v1 parse the 11-field v1 header (no arbiter count).
- */
+/** @p In is std::istream or ByteCursor. */
 template <typename In>
 MachineConfig
-getMachine(In &in, bool legacy_v1 = false)
+getMachine(In &in)
 {
     MachineConfig m;
     m.numProcs = static_cast<unsigned>(getU64(in));
@@ -255,13 +252,10 @@ getMachine(In &in, bool legacy_v1 = false)
     m.bulk.collisionBackoffThreshold =
         static_cast<unsigned>(getU64(in));
     m.bulk.exactDisambiguation = getU64(in) != 0;
-    if (!legacy_v1) {
-        const std::uint64_t arbiters = getU64(in);
-        if (arbiters != 1)
-            throw RecordingFormatError("arbiter count "
-                                       + std::to_string(arbiters)
-                                       + " is not 1");
-    }
+    const std::uint64_t arbiters = getU64(in);
+    if (arbiters != 1)
+        throw RecordingFormatError("arbiter count "
+                                   + std::to_string(arbiters) + " is not 1");
     return m;
 }
 
@@ -559,22 +553,17 @@ encodeKeyframe(const SystemCheckpoint &ckpt)
  * words @p ckpt holds with a value @p base lacks, the words that went
  * back to their default value, then ckpt.memory.hash(), which a
  * decoder checks the rebuilt state against. The delta the image keeps
- * is serialized as is; an image that keeps none against @p base is
- * diffed against it (the conversion path). Like a keyframe, a pure
- * function of the two checkpoints' content.
+ * is serialized as is, so @p ckpt's image must be a delta on @p base's
+ * (!storedAsKeyframe). Like a keyframe, a pure function of the two
+ * checkpoints' content.
  */
 inline std::string
 encodeDelta(const SystemCheckpoint &base, const SystemCheckpoint &ckpt)
 {
-    MemoryDelta diffed;
-    const MemoryDelta *delta = ckpt.memory.follows(base.memory)
-                                   ? ckpt.memory.delta()
-                                   : nullptr;
-    if (!delta) {
-        diffed = MemoryDelta::between(base.memory.materialize(),
-                                      ckpt.memory.materialize());
-        delta = &diffed;
-    }
+    if (!ckpt.memory.follows(base.memory))
+        throw std::logic_error("checkpoint image is not a delta on its "
+                               "base");
+    const MemoryDelta *delta = ckpt.memory.delta();
     const std::size_t changed = listBodyBytes(delta->changed);
     const std::size_t erased = listBodyBytes(delta->erased);
     std::string out(headerBytes(&base, ckpt) + 8 + 2 * kListHeaderBytes
@@ -806,13 +795,10 @@ class ChainDecoder
     /**
      * Decode the delta at @p data[0, @p size) against the walk's
      * current checkpoint (the one before it); the walk moves on to
-     * the result. With @p heads_chain, the result is the chain head
-     * the checkpoint was recorded as (its keyframe is rebuilt from
-     * the walk's table), for a delta whose stored keyframe was lost.
+     * the result.
      */
     SystemCheckpoint
-    delta(const std::uint8_t *data, std::size_t size,
-          bool heads_chain = false)
+    delta(const std::uint8_t *data, std::size_t size)
     {
         if (!started_)
             throw RecordingFormatError(
@@ -857,13 +843,8 @@ class ChainDecoder
             throw RecordingFormatError(
                 "delta memory hash mismatch: the image rebuilt at GCC "
                 + std::to_string(ckpt.gcc) + " is not the one recorded");
-        ckpt.memory =
-            heads_chain
-                ? CheckpointImage::keyframe(
-                      CheckpointImage::sortedWords(table_), hash,
-                      &at_.memory, std::move(lists))
-                : CheckpointImage::deltaOn(at_.memory, std::move(lists),
-                                           hash, table_.population());
+        ckpt.memory = CheckpointImage::deltaOn(
+            at_.memory, std::move(lists), hash, table_.population());
         at_ = ckpt;
         return ckpt;
     }
@@ -942,79 +923,6 @@ getImage(std::istream &in, ImageKind kind)
         append(8); // memory hash
     }
     return image;
-}
-
-// ----- format v1/v2 full images --------------------------------------------
-
-/// Bytes of a v1/v2 image's fixed-width header with @p contexts
-/// contexts: the lead, per processor its ThreadContext bytes and
-/// committed-chunk counter, then the word count.
-constexpr std::size_t
-fullImageHeaderBytes(std::uint64_t contexts)
-{
-    return kCheckpointLeadBytes
-           + static_cast<std::size_t>(contexts)
-                 * (sizeof(ThreadContext) + 8)
-           + 8;
-}
-
-/**
- * Read one full image as format v1/v2 recordings stored it: the
- * fixed-width header, then its words as (addr, value) u64 pairs.
- */
-inline std::vector<std::uint8_t>
-getFullImage(std::istream &in)
-{
-    std::vector<std::uint8_t> image(kCheckpointLeadBytes);
-    getBytes(in, image.data(), image.size());
-    const std::uint64_t n = loadU64(image.data() + 24);
-    checkContextCount(n);
-    image.resize(fullImageHeaderBytes(n));
-    getBytes(in, image.data() + kCheckpointLeadBytes,
-             image.size() - kCheckpointLeadBytes);
-    const std::uint64_t words = loadU64(image.data() + image.size() - 8);
-    constexpr std::uint64_t kPerRead = 1u << 16;
-    for (std::uint64_t left = words; left > 0;) {
-        const std::uint64_t step = std::min(left, kPerRead);
-        const std::size_t at = image.size();
-        image.resize(at + static_cast<std::size_t>(step) * 16);
-        getBytes(in, image.data() + at, static_cast<std::size_t>(step) * 16);
-        left -= step;
-    }
-    return image;
-}
-
-/**
- * Decode a full v1/v2 image: the checkpoint's header fields, and its
- * memory as a table (for the conversion into a chain; no sortedness is
- * required of old files).
- */
-inline std::pair<SystemCheckpoint, MemoryState>
-decodeFullImage(const std::uint8_t *data, std::size_t size)
-{
-    ByteCursor in(data, size);
-    std::pair<SystemCheckpoint, MemoryState> out;
-    SystemCheckpoint &ckpt = out.first;
-    ckpt.gcc = getU64(in);
-    ckpt.dmaConsumed = static_cast<std::size_t>(getU64(in));
-    ckpt.rrNext = static_cast<ProcId>(getU64(in));
-    const std::uint64_t n = getU64(in);
-    checkContextCount(n);
-    ckpt.contexts.resize(static_cast<std::size_t>(n));
-    for (std::size_t p = 0; p < n; ++p) {
-        std::memcpy(&ckpt.contexts[p], in.take(sizeof(ThreadContext)),
-                    sizeof(ThreadContext));
-        ckpt.committedChunks.push_back(getU64(in));
-    }
-    const std::uint64_t words = getU64(in);
-    if (words > in.remaining() / 16)
-        throw RecordingFormatError("file truncated");
-    out.second.reserve(static_cast<std::size_t>(words));
-    const std::uint8_t *w =
-        in.take(static_cast<std::size_t>(words) * 16);
-    for (std::uint64_t k = 0; k < words; ++k, w += 16)
-        out.second.store(loadU64(w), loadU64(w + 8));
-    return out;
 }
 
 } // namespace serialize_detail

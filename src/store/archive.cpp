@@ -12,7 +12,6 @@
 #include "compress/lz77.hpp"
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
-#include "core/stratifier.hpp"
 #include "sim/campaign.hpp"
 #include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
@@ -44,12 +43,16 @@ constexpr std::uint64_t kArchiveEndMagic = 0x5A6372416F4C6544ull; // "DeLoArcZ"
 // the has-checkpoint flag).
 // v4: images are encoded as gap lists and context diffs, and the
 // footer is stored raw (CRC-checked, no LZ77); the trailer lost its
-// compressed-size field. Readers reject any other version.
-constexpr std::uint64_t kArchiveVersion = 4;
+// compressed-size field.
+// v5: a segment is a record (archive_detail::kRecordHeaderBytes) that
+// holds its end checkpoint's image, so each image is stored once, and
+// the footer holds only the run metadata and the record index. Readers
+// reject any other version.
+constexpr std::uint64_t kArchiveVersion = 5;
 constexpr std::size_t kHeaderBytes = 16;
-constexpr std::size_t kSegmentHeaderBytes = 40;
 constexpr std::size_t kTrailerBytes = 32;
-constexpr std::uint64_t kMaxSegments = 1u << 20;
+/// Image and payload size cap of one record: fences OOM on garbage.
+constexpr std::uint64_t kMaxRecordPartBytes = 1ull << 30;
 
 } // namespace
 
@@ -121,17 +124,6 @@ boundaryAtEnd(const Recording &rec)
     for (ProcId p = 0; p < n; ++p)
         b.ioIdx.push_back(rec.io.countFor(p));
     return b;
-}
-
-CheckpointImages
-storedImages(const SystemCheckpoint *prev, const SystemCheckpoint &cur)
-{
-    CheckpointImages images;
-    if (prev)
-        images.delta = serialize_detail::encodeDelta(*prev, cur);
-    if (serialize_detail::storedAsKeyframe(prev, cur))
-        images.keyframe = serialize_detail::encodeKeyframe(cur);
-    return images;
 }
 
 /** Serialize the log slices between boundaries @p lo and @p hi. */
@@ -424,25 +416,23 @@ compressPayload(const std::string &raw)
 }
 
 std::vector<std::uint8_t>
-decodeStored(const std::uint8_t *comp, std::size_t comp_bytes,
-             std::uint64_t crc, std::uint64_t raw_bytes,
-             ArchiveSection section, std::size_t segment,
-             const char *what)
+decodePayload(const std::uint8_t *comp, const ArchiveSegmentInfo &info,
+              std::size_t segment)
 {
-    if (crc32(comp, comp_bytes) != crc)
-        throw ArchiveError(section, segment,
-                           std::string(what) + " CRC mismatch");
+    const auto bytes = static_cast<std::size_t>(info.compBytes);
+    if (crc32(comp, bytes) != info.crc32)
+        throw ArchiveError(ArchiveSection::kSegment, segment,
+                           "payload CRC mismatch");
     std::vector<std::uint8_t> raw;
     try {
-        raw = Lz77().decompress(comp, comp_bytes);
+        raw = Lz77().decompress(comp, bytes);
     } catch (const RecordingFormatError &e) {
-        throw ArchiveError(section, segment,
-                           std::string(what) + ": " + e.what());
+        throw ArchiveError(ArchiveSection::kSegment, segment,
+                           std::string("payload: ") + e.what());
     }
-    if (raw.size() != raw_bytes)
-        throw ArchiveError(section, segment,
-                           std::string(what)
-                               + " decompressed size mismatch");
+    if (raw.size() != info.rawBytes)
+        throw ArchiveError(ArchiveSection::kSegment, segment,
+                           "payload decompressed size mismatch");
     return raw;
 }
 
@@ -536,7 +526,156 @@ FinalStats::applyTo(Recording &rec, bool engine_stats) const
         rec.stats = engine;
 }
 
+std::string
+recordHeader(const CutSegment &seg)
+{
+    const auto crc = [](const auto &bytes) {
+        return crc32(reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                     bytes.size());
+    };
+    const std::uint64_t fields[] = {
+        kSegmentMagic,    seg.index,      seg.startGcc,
+        seg.endGcc,       seg.imageKind,  seg.image.size(),
+        crc(seg.image),   seg.raw.size(), seg.comp.size(),
+        crc(seg.comp)};
+    std::string header(kRecordHeaderBytes, '\0');
+    auto *p = reinterpret_cast<std::uint8_t *>(header.data());
+    for (std::size_t k = 0; k < std::size(fields); ++k)
+        serialize_detail::storeU64(p + 8 * k, fields[k]);
+    serialize_detail::storeU64(p + kRecordHeaderBytes - 8,
+                               crc32(p, kRecordHeaderBytes - 8));
+    return header;
+}
+
+std::uint64_t
+writeRecord(std::ostream &out, const CutSegment &seg)
+{
+    out.write(seg.header.data(),
+              static_cast<std::streamsize>(seg.header.size()));
+    out.write(seg.image.data(),
+              static_cast<std::streamsize>(seg.image.size()));
+    out.write(reinterpret_cast<const char *>(seg.comp.data()),
+              static_cast<std::streamsize>(seg.comp.size()));
+    return seg.header.size() + seg.image.size() + seg.comp.size();
+}
+
+ArchiveSegmentInfo
+scanRecord(const std::uint8_t *data, std::size_t size, unsigned num_procs)
+{
+    if (size < kRecordHeaderBytes)
+        throw RecordingFormatError("shorter than a record header");
+    if (readU64At(data, 0) != kSegmentMagic)
+        throw RecordingFormatError("segment magic missing");
+    if (crc32(data, kRecordHeaderBytes - 8)
+        != readU64At(data, kRecordHeaderBytes - 8))
+        throw RecordingFormatError("header CRC mismatch");
+    ArchiveSegmentInfo info;
+    info.index = readU64At(data, 8);
+    info.startGcc = readU64At(data, 16);
+    info.endGcc = readU64At(data, 24);
+    const std::uint64_t kind = readU64At(data, 32);
+    info.imageBytes = readU64At(data, 40);
+    info.imageCrc = readU64At(data, 48);
+    info.rawBytes = readU64At(data, 56);
+    info.compBytes = readU64At(data, 64);
+    info.crc32 = readU64At(data, 72);
+    if (kind > static_cast<std::uint64_t>(ImageKind::kDelta))
+        throw RecordingFormatError("image kind " + std::to_string(kind)
+                                   + " is not 0, 1 or 2");
+    info.hasCheckpoint = kind != 0;
+    info.keyframe = kind == static_cast<std::uint64_t>(ImageKind::kKeyframe);
+    if (info.index == 0 && info.hasCheckpoint && !info.keyframe)
+        throw RecordingFormatError(
+            "record 0 holds a delta: no chain head precedes it");
+    if (info.endGcc < info.startGcc)
+        throw RecordingFormatError("GCC interval not ascending");
+    // Every size is capped first, so the sum below cannot wrap.
+    if (info.imageBytes > kMaxRecordPartBytes)
+        throw RecordingFormatError("implausible checkpoint image size");
+    if (info.rawBytes > kMaxRecordPartBytes
+        || info.compBytes > kMaxRecordPartBytes)
+        throw RecordingFormatError("implausible payload size");
+    info.recordBytes = kRecordHeaderBytes + info.imageBytes + info.compBytes;
+    if (info.recordBytes > size)
+        throw RecordingFormatError("record runs past its extent (torn?)");
+    if (!info.hasCheckpoint) {
+        if (info.imageBytes != 0)
+            throw RecordingFormatError("tail record holds an image");
+        return info;
+    }
+
+    const std::uint8_t *image = data + kRecordHeaderBytes;
+    const std::size_t bytes = static_cast<std::size_t>(info.imageBytes);
+    if (crc32(image, bytes) != info.imageCrc)
+        throw RecordingFormatError("checkpoint image CRC mismatch");
+    // Walk the image, don't decode it: the walk checks its structure,
+    // so only its word lists' contents or memory hash can fail later.
+    const CheckpointExtent ext =
+        scanImage(static_cast<ImageKind>(kind), image, bytes);
+    if (ext.bytes != bytes)
+        throw RecordingFormatError("checkpoint image size mismatch");
+    if (ext.gcc != info.endGcc || ext.contexts != num_procs
+        || (!info.keyframe && ext.baseGcc != info.startGcc))
+        throw RecordingFormatError(
+            "end checkpoint disagrees with the header");
+    return info;
+}
+
+void
+putRunMeta(std::ostream &out, const Recording &rec)
+{
+    putMachine(out, rec.machine);
+    putMode(out, rec.mode);
+    putString(out, rec.appName);
+    serialize_detail::putU64(out, rec.workloadSeed);
+    serialize_detail::putU64(out, rec.iterationsPercent);
+}
+
+void
+RecordIndex::put(std::ostream &out, const std::vector<Entry> &records,
+                 const Recording *rec)
+{
+    serialize_detail::putU64(out, rec ? 1 : 0);
+    serialize_detail::putU64(out, records.size());
+    for (const auto &[where, bytes] : records) {
+        serialize_detail::putU64(out, where);
+        serialize_detail::putU64(out, bytes);
+    }
+    if (rec)
+        FinalStats::put(out, *rec);
+}
+
+RecordIndex
+RecordIndex::get(ByteCursor &in, unsigned num_procs)
+{
+    RecordIndex index;
+    index.clean = getU64(in) != 0;
+    const std::uint64_t count = getU64(in);
+    if (count > kMaxRecords)
+        throw RecordingFormatError("record count " + std::to_string(count)
+                                   + " above " + std::to_string(kMaxRecords));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t where = getU64(in);
+        index.records.emplace_back(where, getU64(in));
+    }
+    if (index.clean)
+        index.final = FinalStats::get(in, num_procs);
+    return index;
+}
+
 } // namespace archive_detail
+
+std::uint64_t
+ArchiveSegmentInfo::imageOffset() const
+{
+    return fileOffset + kRecordHeaderBytes;
+}
+
+std::uint64_t
+ArchiveSegmentInfo::payloadOffset() const
+{
+    return imageOffset() + imageBytes;
+}
 
 // ----- options --------------------------------------------------------------
 
@@ -608,33 +747,16 @@ CheckpointOutOfRangeError::CheckpointOutOfRangeError(
 // ----- writer ---------------------------------------------------------------
 
 /**
- * The `.dla` container's steps on the shared SegmentPipeline. The cut
- * step replays the recorder's variable-width log packing onto scratch
- * logs, so the footer's per-segment bit positions land exactly where a
- * hardware recorder's log write pointers would at the boundary; the
- * commit step appends segment headers and payloads to the stream;
- * finish writes the footer index and trailer.
+ * The `.dla` container's steps on the shared SegmentPipeline: the
+ * commit step appends each record to the stream and notes where it
+ * lies; finish writes the footer and trailer.
  */
 struct StreamingArchiveWriter::Impl
 {
-    /// Staged .dla segment: its footer index entry, whose location,
-    /// size and CRC the commit step fills in.
-    struct Segment : CutSegment
-    {
-        ArchiveSegmentInfo info;
-    };
-
     std::ostream *out;
     std::uint64_t offset = 0;
-
-    unsigned n = 0;
-    unsigned strata_counter_bits = 0;
-    PiLog scratch_pi{1};
-    std::vector<CsLog> scratch_cs;
-
-    std::vector<ArchiveSegmentInfo> segments; ///< committed, in order
-    std::vector<CheckpointImages> images;     ///< one per checkpoint
-    SegmentPipeline<Impl> pipeline;           ///< last: see its doc
+    std::vector<RecordIndex::Entry> records; ///< (offset, bytes), in order
+    SegmentPipeline<Impl> pipeline;          ///< last: see its doc
 
     Impl(std::ostream &o, const ArchiveIoOptions &io)
         : out(&o), pipeline(*this, "StreamingArchiveWriter", io)
@@ -642,152 +764,48 @@ struct StreamingArchiveWriter::Impl
     }
 
     void
-    putBytes(const std::uint8_t *data, std::size_t size)
+    begin(const Recording &)
     {
-        out->write(reinterpret_cast<const char *>(data),
-                   static_cast<std::streamsize>(size));
-        offset += size;
+        serialize_detail::putU64(*out, kArchiveMagic);
+        serialize_detail::putU64(*out, kArchiveVersion);
+        offset = kHeaderBytes;
     }
 
     void
-    putU64(std::uint64_t v)
+    commit(std::vector<CutSegment> &batch)
     {
-        std::uint8_t bytes[8];
-        for (int i = 0; i < 8; ++i)
-            bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        putBytes(bytes, 8);
-    }
-
-    void
-    begin(const Recording &rec)
-    {
-        n = rec.machine.numProcs;
-        scratch_pi = PiLog(n);
-        scratch_cs.assign(n, CsLog(rec.mode));
-        strata_counter_bits =
-            rec.stratified()
-                ? Stratifier(n, rec.mode.stratifyChunksPerProc)
-                      .counterBits()
-                : 0;
-        putU64(kArchiveMagic);
-        putU64(kArchiveVersion);
-    }
-
-    void
-    cut(const Recording &rec, const Boundary &lo, const Boundary &hi,
-        const SystemCheckpoint *end, Segment &seg)
-    {
-        if (!rec.stratified() && rec.mode.mode != ExecMode::kPicoLog) {
-            for (std::uint64_t g = lo.gcc;
-                 g < std::min<std::uint64_t>(hi.gcc, rec.pi.entryCount());
-                 ++g)
-                scratch_pi.append(rec.pi.entryAt(g));
-        }
-        for (ProcId p = 0; p < n; ++p)
-            for (const CsEntry &e : rec.cs[p].entries())
-                if (e.seq >= lo.committed[p] && e.seq < hi.committed[p]) {
-                    if (rec.mode.mode == ExecMode::kOrderAndSize)
-                        scratch_cs[p].appendCommittedSize(e.seq, e.size,
-                                                          e.maxSize);
-                    else
-                        scratch_cs[p].appendTruncation(e.seq, e.size);
-                }
-        ArchiveSegmentInfo &info = seg.info;
-        info.endGcc = hi.gcc;
-        info.rawBytes = seg.raw.size();
-        info.piBitsEnd = scratch_pi.sizeBits();
-        info.strataBitsEnd =
-            static_cast<std::uint64_t>(hi.strataIdx) * n
-            * strata_counter_bits;
-        for (ProcId p = 0; p < n; ++p)
-            info.csBitsEnd.push_back(scratch_cs[p].sizeBits());
-        info.hasCheckpoint = end != nullptr;
-    }
-
-    void encode(Segment &) {}
-
-    void
-    commit(std::vector<Segment> &batch)
-    {
-        for (Segment &seg : batch) {
-            ArchiveSegmentInfo &info = seg.info;
-            info.fileOffset = offset;
-            info.compBytes = seg.comp.size();
-            info.crc32 = seg.crc;
-            putU64(kSegmentMagic);
-            putU64(seg.index);
-            putU64(info.rawBytes);
-            putU64(info.compBytes);
-            putU64(info.crc32);
-            putBytes(seg.comp.data(), seg.comp.size());
-            segments.push_back(std::move(info));
-            if (!seg.tail) {
-                // The footer stores only the chain image.
-                if (seg.end.headsChain())
-                    std::string().swap(seg.end.delta);
-                images.push_back(std::move(seg.end));
-            }
-            std::vector<std::uint8_t>().swap(seg.comp);
+        for (const CutSegment &seg : batch) {
+            const std::uint64_t bytes = writeRecord(*out, seg);
+            records.emplace_back(offset, bytes);
+            offset += bytes;
         }
         if (!*out)
             throw std::runtime_error("failed to write archive");
     }
 
     /**
-     * Footer: recording metadata, final stats and the per-segment
-     * index, stored raw with its CRC. Segment i's boundary
-     * checkpoint is rec.checkpoints[i] (every checkpoint cuts one
-     * segment, in order); its image is the chain image the feeder
-     * encoded.
+     * Footer: the run metadata and the record index with the final
+     * stats, stored raw with its CRC. Record i ends at
+     * rec.checkpoints[i] (every checkpoint cuts one segment, in
+     * order), and the last is the tail.
      */
     void
     finish(const Recording &rec)
     {
-        std::ostringstream footer(std::ios::binary);
-        putMachine(footer, rec.machine);
-        putMode(footer, rec.mode);
-        putString(footer, rec.appName);
-        serialize_detail::putU64(footer, rec.workloadSeed);
-        serialize_detail::putU64(footer, rec.iterationsPercent);
-        FinalStats::put(footer, rec);
-        if (segments.size() != rec.checkpoints.size() + 1
-            || images.size() != rec.checkpoints.size())
+        if (records.size() != rec.checkpoints.size() + 1)
             throw std::logic_error(
                 "archive footer: segments and checkpoints disagree");
-        serialize_detail::putU64(footer, segments.size());
-        for (std::size_t i = 0; i < segments.size(); ++i) {
-            const ArchiveSegmentInfo &info = segments[i];
-            serialize_detail::putU64(footer, info.endGcc);
-            serialize_detail::putU64(footer, info.fileOffset);
-            serialize_detail::putU64(footer, info.rawBytes);
-            serialize_detail::putU64(footer, info.compBytes);
-            serialize_detail::putU64(footer, info.crc32);
-            serialize_detail::putU64(footer, info.piBitsEnd);
-            serialize_detail::putU64(footer, info.strataBitsEnd);
-            serialize_detail::putU64(footer, info.csBitsEnd.size());
-            for (const std::uint64_t bits : info.csBitsEnd)
-                serialize_detail::putU64(footer, bits);
-            if (!info.hasCheckpoint) {
-                serialize_detail::putU64(footer, 0);
-                continue;
-            }
-            const ImageKind kind = images[i].headsChain()
-                                       ? ImageKind::kKeyframe
-                                       : ImageKind::kDelta;
-            const std::string &image = images[i].chainImage();
-            serialize_detail::putU64(footer,
-                                     static_cast<std::uint64_t>(kind));
-            footer.write(image.data(),
-                         static_cast<std::streamsize>(image.size()));
-        }
+        std::ostringstream footer(std::ios::binary);
+        putRunMeta(footer, rec);
+        RecordIndex::put(footer, records, &rec);
         const std::string bytes = std::move(footer).str();
-        const auto *raw = reinterpret_cast<const std::uint8_t *>(bytes.data());
-        const std::uint64_t footer_offset = offset;
-        putBytes(raw, bytes.size());
-        putU64(footer_offset);
-        putU64(bytes.size());
-        putU64(crc32(raw, bytes.size()));
-        putU64(kArchiveEndMagic);
+        out->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        serialize_detail::putU64(*out, offset);
+        serialize_detail::putU64(*out, bytes.size());
+        serialize_detail::putU64(
+            *out, crc32(reinterpret_cast<const std::uint8_t *>(bytes.data()),
+                        bytes.size()));
+        serialize_detail::putU64(*out, kArchiveEndMagic);
         if (!*out)
             throw std::runtime_error("failed to write archive");
         out->flush();
@@ -887,8 +905,30 @@ ContainerReader::imageInfo(std::size_t index) const
 }
 
 void
-ContainerReader::indexImages(std::vector<CheckpointImageInfo> info)
+ContainerReader::getRunMeta(ByteCursor &in)
 {
+    machine_ = getMachine(in);
+    mode_ = getMode(in);
+    validateRecordingConfigs(machine_, mode_);
+    app_name_ = getString(in);
+    workload_seed_ = getU64(in);
+    iterations_percent_ = static_cast<unsigned>(getU64(in));
+}
+
+void
+ContainerReader::indexSegments(std::vector<ArchiveSegmentInfo> segments)
+{
+    std::vector<CheckpointImageInfo> info;
+    for (const ArchiveSegmentInfo &seg : segments) {
+        if (!seg.hasCheckpoint)
+            break; // the tail, which only the last record may be
+        CheckpointImageInfo ii;
+        ii.gcc = seg.endGcc;
+        ii.keyframe = seg.keyframe;
+        ii.baseGcc = seg.keyframe ? 0 : seg.startGcc;
+        ii.rawBytes = seg.imageBytes;
+        info.push_back(ii);
+    }
     for (std::size_t i = 0; i < info.size(); ++i) {
         if (info[i].keyframe)
             continue;
@@ -902,6 +942,7 @@ ContainerReader::indexImages(std::vector<CheckpointImageInfo> info)
                 + " is not the previous checkpoint's GCC "
                 + std::to_string(info[i - 1].gcc));
     }
+    segments_ = std::move(segments);
     image_info_ = std::move(info);
     images_.clear();
     images_.resize(image_info_.size());
@@ -911,14 +952,16 @@ SystemCheckpoint
 ContainerReader::decodeAt(serialize_detail::ChainDecoder &walk,
                           std::size_t index) const
 {
-    const std::vector<std::uint8_t> raw = storedImage(index);
+    std::vector<std::uint8_t> buffer;
+    const CheckpointImageInfo &info = image_info_[index];
+    const std::uint8_t *image = storedImage(index, buffer);
+    const std::size_t size = static_cast<std::size_t>(info.rawBytes);
     try {
-        const CheckpointImageInfo &info = image_info_[index];
-        return info.keyframe ? walk.keyframe(raw.data(), raw.size())
-                             : walk.delta(raw.data(), raw.size(),
-                                          info.lostKeyframe);
+        return info.keyframe ? walk.keyframe(image, size)
+                             : walk.delta(image, size);
     } catch (const RecordingFormatError &e) {
-        throw imageError(index, e.what());
+        throw ArchiveError(ArchiveSection::kSegment, index,
+                           std::string("checkpoint image: ") + e.what());
     }
 }
 
@@ -928,7 +971,7 @@ ContainerReader::image(std::size_t index) const
     if (!images_[index]) {
         std::size_t head = index;
         while (!image_info_[head].keyframe)
-            --head; // indexImages() put a keyframe at index 0
+            --head; // indexSegments() put a keyframe at index 0
         decodeChain(head, index + 1);
     }
     return *images_[index];
@@ -964,6 +1007,14 @@ ContainerReader::checkInterval(std::size_t from, std::size_t to) const
             "interval [" + std::to_string(from) + ", "
                 + std::to_string(to)
                 + ") is not a valid checkpoint pair");
+}
+
+Recording
+ContainerReader::intervalView(std::size_t from, std::size_t to) const
+{
+    checkInterval(from, to);
+    return assemble(from + 1, to == kToEnd ? segments_.size() : to + 1,
+                    from, to);
 }
 
 Recording
@@ -1150,153 +1201,74 @@ ArchiveReader::parse()
         throw ArchiveError(ArchiveSection::kFooter,
                            ArchiveError::kNoSegment, "footer CRC mismatch");
 
-    std::vector<CheckpointImageInfo> image_info;
+    RecordIndex index;
     try {
         ByteCursor in(footer, static_cast<std::size_t>(footer_bytes));
-        machine_ = getMachine(in);
-        mode_ = getMode(in);
-        validateRecordingConfigs(machine_, mode_);
-        app_name_ = getString(in);
-        workload_seed_ = getU64(in);
-        iterations_percent_ = static_cast<unsigned>(getU64(in));
-        final_ = FinalStats::get(in, machine_.numProcs);
-        const std::uint64_t seg_count = getU64(in);
-        if (seg_count == 0 || seg_count > kMaxSegments)
-            throw RecordingFormatError(
-                "segment count " + std::to_string(seg_count)
-                + " outside [1, " + std::to_string(kMaxSegments)
-                + "]");
-        for (std::uint64_t i = 0; i < seg_count; ++i) {
-            ArchiveSegmentInfo info;
-            info.endGcc = getU64(in);
-            info.fileOffset = getU64(in);
-            info.rawBytes = getU64(in);
-            info.compBytes = getU64(in);
-            info.crc32 = getU64(in);
-            info.piBitsEnd = getU64(in);
-            info.strataBitsEnd = getU64(in);
-            const std::uint64_t cs_count = getU64(in);
-            if (cs_count != machine_.numProcs)
-                throw RecordingFormatError(
-                    "segment " + std::to_string(i)
-                    + " CS bit-position count does not match numProcs");
-            for (std::uint64_t p = 0; p < cs_count; ++p)
-                info.csBitsEnd.push_back(getU64(in));
-            const std::uint64_t kind = getU64(in);
-            if (kind > static_cast<std::uint64_t>(ImageKind::kDelta))
-                throw RecordingFormatError(
-                    "segment " + std::to_string(i) + " checkpoint kind "
-                    + std::to_string(kind) + " is not 0, 1 or 2");
-            info.hasCheckpoint = kind != 0;
-            if (info.hasCheckpoint) {
-                // Walk the image, don't decode it: the walk checks
-                // its structure, so only its word lists' contents, a
-                // chain's base GCC or memory hash can fail later.
-                const CheckpointExtent image =
-                    scanImage(static_cast<ImageKind>(kind),
-                              footer + in.offset(), in.remaining());
-                if (image.contexts != machine_.numProcs)
-                    throw RecordingFormatError(
-                        "segment " + std::to_string(i)
-                        + " checkpoint context count does not match "
-                          "numProcs");
-                if (image.gcc != info.endGcc)
-                    throw RecordingFormatError(
-                        "segment " + std::to_string(i)
-                        + " checkpoint GCC disagrees with the index");
-                CheckpointImageInfo ii;
-                ii.gcc = image.gcc;
-                ii.keyframe =
-                    static_cast<ImageKind>(kind) == ImageKind::kKeyframe;
-                ii.baseGcc = image.baseGcc;
-                ii.rawBytes = image.bytes;
-                image_info.push_back(ii);
-                image_offsets_.push_back(
-                    static_cast<std::size_t>(footer_offset) + in.offset());
-                in.take(image.bytes);
-            }
-            segments_.push_back(std::move(info));
-        }
-        indexImages(std::move(image_info));
-    } catch (const ArchiveError &) {
-        throw;
+        getRunMeta(in);
+        index = RecordIndex::get(in, machine_.numProcs);
+        if (!index.clean)
+            throw RecordingFormatError("footer lacks the final stats");
+        if (index.records.empty())
+            throw RecordingFormatError("footer indexes no record");
+        final_ = std::move(index.final);
     } catch (const RecordingFormatError &e) {
         throw ArchiveError(ArchiveSection::kFooter,
                            ArchiveError::kNoSegment, e.what());
     }
 
-    // Index sanity: offsets in bounds, boundaries ascending, only the
-    // tail segment may lack a checkpoint.
-    std::uint64_t prev_gcc = 0;
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
-        const ArchiveSegmentInfo &info = segments_[i];
-        if (info.fileOffset < kHeaderBytes
-            || info.fileOffset > footer_offset
-            || footer_offset - info.fileOffset < kSegmentHeaderBytes
-            || info.compBytes
-                   > footer_offset - info.fileOffset - kSegmentHeaderBytes)
+    // Each record must lie between the header and the footer (checked
+    // so no sum can wrap: every field is attacker-chosen), chain on
+    // from the one before it, and only the last may be the tail.
+    std::vector<ArchiveSegmentInfo> segments;
+    for (std::size_t i = 0; i < index.records.size(); ++i) {
+        const auto [offset, bytes] = index.records[i];
+        if (offset < kHeaderBytes || offset > footer_offset
+            || bytes > footer_offset - offset)
             throw ArchiveError(ArchiveSection::kFooter,
                                ArchiveError::kNoSegment,
                                "segment " + std::to_string(i)
                                    + " location out of bounds");
-        if (i > 0 && info.endGcc < prev_gcc)
-            throw ArchiveError(ArchiveSection::kFooter,
-                               ArchiveError::kNoSegment,
-                               "segment boundaries not ascending");
-        prev_gcc = info.endGcc;
-        const bool tail = i + 1 == segments_.size();
-        if (tail == info.hasCheckpoint)
-            throw ArchiveError(
-                ArchiveSection::kFooter, ArchiveError::kNoSegment,
-                tail ? "tail segment carries a checkpoint"
-                     : "non-tail segment "
-                           + std::to_string(i)
-                           + " lacks a checkpoint");
+        ArchiveSegmentInfo info;
+        try {
+            info = scanRecord(data_ + offset, static_cast<std::size_t>(bytes),
+                              machine_.numProcs);
+        } catch (const RecordingFormatError &e) {
+            throw ArchiveError(ArchiveSection::kSegment, i, e.what());
+        }
+        info.fileOffset = offset;
+        const bool tail = i + 1 == index.records.size();
+        const char *lie =
+            info.recordBytes != bytes ? "record size disagrees with the index"
+            : info.index != i         ? "record id disagrees with the index"
+            : info.startGcc != (i ? segments.back().endGcc : 0)
+                ? "record does not start where the one before it ends"
+            : tail == info.hasCheckpoint
+                ? (tail ? "tail segment carries a checkpoint"
+                        : "non-tail segment lacks a checkpoint")
+                : nullptr;
+        if (lie)
+            throw ArchiveError(ArchiveSection::kSegment, i, lie);
+        segments.push_back(info);
+    }
+    try {
+        indexSegments(std::move(segments));
+    } catch (const RecordingFormatError &e) {
+        throw ArchiveError(ArchiveSection::kSegment, ArchiveError::kNoSegment,
+                           e.what());
     }
 }
 
-std::vector<std::uint8_t>
-ArchiveReader::storedImage(std::size_t index) const
+const std::uint8_t *
+ArchiveReader::storedImage(std::size_t index, std::vector<std::uint8_t> &) const
 {
-    const std::uint8_t *at = data_ + image_offsets_[index];
-    return std::vector<std::uint8_t>(
-        at, at + static_cast<std::size_t>(imageInfo(index).rawBytes));
-}
-
-ArchiveError
-ArchiveReader::imageError(std::size_t index, const std::string &what) const
-{
-    return ArchiveError(ArchiveSection::kFooter, index,
-                        "checkpoint " + std::to_string(index)
-                            + " image: " + what);
+    return data_ + segments_[index].imageOffset();
 }
 
 std::vector<std::uint8_t>
 ArchiveReader::segmentPayload(std::size_t index) const
 {
-    const ArchiveSegmentInfo &info = segments_[index];
-    const std::size_t off =
-        static_cast<std::size_t>(info.fileOffset);
-    if (readU64At(data_, off) != kSegmentMagic)
-        throw ArchiveError(ArchiveSection::kSegment, index,
-                           "segment magic missing at offset "
-                               + std::to_string(off));
-    if (readU64At(data_, off + 8) != index)
-        throw ArchiveError(ArchiveSection::kSegment, index,
-                           "segment header id "
-                               + std::to_string(readU64At(data_,
-                                                          off + 8))
-                               + " disagrees with the index");
-    if (readU64At(data_, off + 16) != info.rawBytes
-        || readU64At(data_, off + 24) != info.compBytes
-        || readU64At(data_, off + 32) != info.crc32)
-        throw ArchiveError(ArchiveSection::kSegment, index,
-                           "segment header disagrees with the footer "
-                           "index");
-    return decodeStored(data_ + off + kSegmentHeaderBytes,
-                        static_cast<std::size_t>(info.compBytes),
-                        info.crc32, info.rawBytes, ArchiveSection::kSegment,
-                        index, "payload");
+    return decodePayload(data_ + segments_[index].payloadOffset(),
+                         segments_[index], index);
 }
 
 Recording
@@ -1308,11 +1280,7 @@ ArchiveReader::readAll() const
 Recording
 ArchiveReader::readInterval(std::size_t from, std::size_t to) const
 {
-    // Checkpoint j closes segment j, so the interval's segments are
-    // from + 1 through to (or the tail).
-    checkInterval(from, to);
-    return assemble(from + 1, to == kToEnd ? segments_.size() : to + 1,
-                    from, to);
+    return intervalView(from, to);
 }
 
 } // namespace delorean

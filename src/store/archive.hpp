@@ -6,36 +6,39 @@
  * A .dlr recording serializes every log as one monolithic stream —
  * replaying the interval I(n, m) still pays for loading and parsing
  * the whole thing. The archive (.dla) cuts the recording into
- * *segments* at system-checkpoint GCC boundaries:
+ * *segments* at system-checkpoint GCC boundaries and stores each as
+ * one *record*, the same record a ring file holds (store/ring):
  *
- *   file  := header  segment*  footer  trailer
- *   header:= magic "DeLoArcv" (u64)  version (u64)
- *   segment := segMagic "DeLoSeg." (u64)  index (u64)
- *              rawBytes (u64)  compBytes (u64)  crc32 (u64)
- *              payload [compBytes]           -- LZ77-compressed
- *   footer := metadata + per-segment index (endGcc, file offset,
- *             sizes, CRC, per-proc log bit positions, and the
- *             boundary checkpoint's image kind (0 none, 1 keyframe,
- *             2 delta) and image), stored raw: the images are already
- *             compact (core/serialize_detail.hpp) and are almost all
- *             of it
+ *   file   := header  record*  footer  trailer
+ *   header := magic "DeLoArcv" (u64)  version (u64)
+ *   record := magic "DeLoSeg." (u64)  index  startGcc  endGcc
+ *             imageKind (0 none, 1 keyframe, 2 delta)  imageBytes
+ *             imageCrc32  rawBytes  compBytes  payloadCrc32
+ *             headerCrc32                      -- 11 u64s
+ *             image [imageBytes]               -- stored as encoded
+ *             payload [compBytes]              -- LZ77-compressed
+ *   footer := run metadata (machine, mode, app, seed, iterations),
+ *             then the record index: clean flag (1), record count,
+ *             (file offset, bytes) per record, final statistics —
+ *             the layouts ring.meta and ring.index use; no images
  *   trailer:= footerOffset (u64)  footerBytes (u64)
  *             footerCrc32 (u64)  endMagic "DeLoArcZ" (u64)
  *
- * Segment i holds the log slices covering the GCC interval
- * (ckpt[i-1].gcc, ckpt[i].gcc]; a final tail segment covers from the
- * last checkpoint to the end of the run. Every payload carries the
- * CRC-32 of its compressed bytes and the footer the CRC-32 of its
- * bytes, so corruption is *detected* — a
- * typed ArchiveError naming the section and segment — never a crash
- * or a silent divergence. The reader seeks to a checkpoint in O(1)
- * via the footer index and decodes only the segments covering the
- * requested interval.
+ * Record i holds the log slices covering the GCC interval
+ * (ckpt[i-1].gcc, ckpt[i].gcc] and the image of ckpt[i]; a final tail
+ * record covers from the last checkpoint to the end of the run and
+ * holds no image. Every image, payload and record header carries its
+ * CRC-32, and the footer the CRC-32 of its bytes, so corruption is
+ * *detected* — a typed ArchiveError naming the section and segment —
+ * never a crash or a silent divergence. The reader seeks to a
+ * checkpoint in O(1) via the footer index and decodes only the
+ * segments covering the requested interval.
  *
- * Checkpoint images form chains (core/checkpoint.hpp): a
- * keyframe holds the full image, and each following checkpoint is a
- * delta against the one before it until the chain's delta bytes would
- * exceed its keyframe's, where a new chain starts.
+ * Checkpoint images form chains (core/checkpoint.hpp): a keyframe
+ * holds the full image, and each following checkpoint is a delta
+ * against the one before it until the chain's delta bytes would
+ * exceed its keyframe's, where a new chain starts. Each image is
+ * stored exactly once, in the record that ends at its checkpoint.
  */
 
 #ifndef DELOREAN_STORE_ARCHIVE_HPP_
@@ -149,28 +152,35 @@ class CheckpointOutOfRangeError : public ArchiveError
     std::size_t available_;
 };
 
-/** Footer index entry: everything known about one segment. */
+/**
+ * One segment record, as a `.dla` record and a ring file store it:
+ * the record header plus where the record lies.
+ */
 struct ArchiveSegmentInfo
 {
-    /// GCC at the end of this segment's interval (== the boundary
-    /// checkpoint's GCC, or the recording's final GCC for the tail).
+    std::uint64_t index = 0; ///< cut order (a ring file's segment id)
+    /// The segment's GCC interval (startGcc, endGcc]: endGcc is its
+    /// end checkpoint's GCC, or the recording's final GCC for the tail.
+    std::uint64_t startGcc = 0;
     std::uint64_t endGcc = 0;
-    std::uint64_t fileOffset = 0; ///< of the segment header
-    std::uint64_t rawBytes = 0;   ///< decompressed payload size
-    std::uint64_t compBytes = 0;  ///< stored payload size
-    std::uint64_t crc32 = 0;      ///< CRC-32 of the compressed payload
-
-    /// Cumulative bit positions in the raw bit-packed memory-ordering
-    /// logs at this segment's end — where a hardware recorder's log
-    /// write pointers stood at the checkpoint.
-    std::uint64_t piBitsEnd = 0;
-    std::uint64_t strataBitsEnd = 0;
-    std::vector<std::uint64_t> csBitsEnd; ///< one per processor
-
-    /// The footer holds this segment's boundary checkpoint image
-    /// (false only for the tail segment), as a keyframe or a delta.
-    /// Readers rebuild it on demand: ArchiveReader::checkpointAt().
+    std::uint64_t fileOffset = 0;  ///< of the record (0 in a ring file)
+    std::uint64_t recordBytes = 0; ///< header, image and payload
+    /// The record holds its end checkpoint's image (false only for the
+    /// tail), a keyframe or a delta on the start checkpoint. Readers
+    /// rebuild it on demand: checkpointAt().
     bool hasCheckpoint = false;
+    bool keyframe = false;       ///< the image heads a chain
+    std::uint64_t imageBytes = 0;
+    std::uint64_t imageCrc = 0;  ///< CRC-32 of the image bytes
+    std::uint64_t rawBytes = 0;  ///< decompressed payload size
+    std::uint64_t compBytes = 0; ///< stored payload size
+    std::uint64_t crc32 = 0;     ///< CRC-32 of the compressed payload
+
+    /** Record 0 or a keyframe image: a chain opens here. */
+    bool chainHead() const { return index == 0 || keyframe; }
+
+    std::uint64_t imageOffset() const;   ///< in the record's file
+    std::uint64_t payloadOffset() const; ///< in the record's file
 };
 
 /**
@@ -186,18 +196,13 @@ struct CheckpointImageInfo
     bool keyframe = false;
     /// Delta: GCC of the checkpoint it applies to (the one before).
     std::uint64_t baseGcc = 0;
-    /// A delta that heads a chain all the same: the newest checkpoint
-    /// of a salvaged ring, recorded as a chain head whose keyframe was
-    /// in the file the crash lost. It is decoded into that head, so
-    /// the ring reads back the chains the run's `.dla` holds.
-    bool lostKeyframe = false;
     /// Serialized image size: what the container stores (images are
     /// stored as encoded, with no compression).
     std::uint64_t rawBytes = 0;
 };
 
 /**
- * The archive writer: emits segments while the recording is still
+ * The archive writer: emits records while the recording is still
  * being produced, overlapping LZ77 compression and file I/O with the
  * rest of the simulation.
  *
@@ -209,9 +214,11 @@ struct CheckpointImageInfo
  * returns); compression, CRC and the file write run on a background
  * flusher that fans the codec work over a WorkerPool. Staging is
  * double-buffered, so the recording thread never blocks on the
- * codec. close() streams any remaining checkpoints, cuts the tail
- * segment, drains the flusher, and writes the footer index and
- * trailer. The ring writer (store/ring) runs on the same pipeline.
+ * codec. Each checkpoint's image goes out with the record that ends
+ * at it, so close() keeps no images: it streams any remaining
+ * checkpoints, cuts the tail segment, drains the flusher, and writes
+ * the footer index and trailer. The ring writer (store/ring) runs on
+ * the same pipeline and writes the same records.
  *
  * The bytes are identical at any ioThreads. Checkpoints must arrive
  * in ascending GCC order (the recorder emits them that way);
@@ -303,12 +310,14 @@ struct FinalStats
 
 /**
  * What ArchiveReader and RingArchiveReader share: the run metadata and
- * final statistics, the checkpoint chains and their memoized images,
- * the codec pool, and the one interval assembler behind both readers'
- * readAll() and readInterval(). A container supplies the image index
- * (indexImages) and two fetchers — segment i's verified payload and
- * checkpoint j's stored image bytes — plus its own range and
- * precondition checks.
+ * final statistics, the segment records, the checkpoint chains and
+ * their memoized images, the codec pool, and the one interval
+ * assembler behind both readers' readAll() and readInterval().
+ * Checkpoint j is the image of record j, so the two containers index
+ * their checkpoints alike. A container supplies the records
+ * (indexSegments) and two fetchers — segment i's verified payload and
+ * checkpoint j's stored image bytes — plus its own precondition
+ * checks.
  *
  * Stored images are decoded into chain nodes (core/checkpoint.hpp)
  * chain by chain, walking on from the last decoded image of the
@@ -316,7 +325,7 @@ struct FinalStats
  * decoded (serialize_detail::ChainDecoder); no full memory table is
  * kept. A whole-run read decodes every chain, chains in parallel,
  * and its recording shares the decoded nodes. A delta whose base GCC
- * or memory hash disagrees is an ArchiveError.
+ * or memory hash disagrees is an ArchiveError naming its segment.
  *
  * Readers are not internally synchronized (the memoized images and
  * the codec pool are lazy mutable state): use one reader per thread.
@@ -346,6 +355,12 @@ class ContainerReader
     /** How checkpoint @p index is stored (range-checked). */
     const CheckpointImageInfo &imageInfo(std::size_t index) const;
 
+    /** The segment records, in order (a ring's retained ones). */
+    const std::vector<ArchiveSegmentInfo> &segments() const
+    {
+        return segments_;
+    }
+
   protected:
     ContainerReader();
     // Out of line: the codec pool member is only forward-declared
@@ -356,27 +371,37 @@ class ContainerReader
     /// Segment @p index's payload: CRC-checked, decoded, size-checked.
     virtual std::vector<std::uint8_t>
     segmentPayload(std::size_t index) const = 0;
-    /// Checkpoint @p index's stored image (in range), decompressed:
-    /// a keyframe or a delta, as imageInfo() says.
-    virtual std::vector<std::uint8_t>
-    storedImage(std::size_t index) const = 0;
-    /// The typed error for a bad image of checkpoint @p index.
-    virtual ArchiveError imageError(std::size_t index,
-                                    const std::string &what) const = 0;
+    /// Checkpoint @p index's stored image (in range), a keyframe or a
+    /// delta as imageInfo() says: imageInfo(index).rawBytes bytes, in
+    /// the container's mapping or read into @p buffer.
+    virtual const std::uint8_t *
+    storedImage(std::size_t index,
+                std::vector<std::uint8_t> &buffer) const = 0;
+
+    /** Read the run metadata putRunMeta wrote. */
+    void getRunMeta(serialize_detail::ByteCursor &in);
 
     /**
-     * Install the image index, one entry per checkpoint in ascending
-     * GCC order. Throws RecordingFormatError unless every chain is
-     * intact: the first image is a keyframe and each delta's base is
-     * the checkpoint before it.
+     * Install @p segments, contiguous records in cut order of which
+     * only the last may be a tail, and index their checkpoints.
+     * Throws RecordingFormatError unless every chain is intact: the
+     * first image is a keyframe and each delta's base is the
+     * checkpoint before it.
      */
-    void indexImages(std::vector<CheckpointImageInfo> info);
+    void indexSegments(std::vector<ArchiveSegmentInfo> segments);
 
     /** Checkpoint @p index (in range), decoded on first use. */
     const SystemCheckpoint &image(std::size_t index) const;
 
     /** Typed rejection of an invalid (from, to) checkpoint pair. */
     void checkInterval(std::size_t from, std::size_t to) const;
+
+    /**
+     * The interval view readInterval() returns: checkpoint @p from
+     * ends record from, so the interval's segments are from + 1
+     * through @p to (or the tail).
+     */
+    Recording intervalView(std::size_t from, std::size_t to) const;
 
     /// assemble()'s @p from for a whole-run read.
     static constexpr std::size_t kWholeRun = kToEnd;
@@ -399,6 +424,7 @@ class ContainerReader
     std::uint64_t workload_seed_ = 0;
     unsigned iterations_percent_ = 100;
     FinalStats final_;
+    std::vector<ArchiveSegmentInfo> segments_;
     /// Codec pool for multi-segment reads: built on the first batch
     /// of two or more segments, reused across reads on one reader.
     mutable std::unique_ptr<WorkerPool> pool_;
@@ -408,7 +434,7 @@ class ContainerReader
         images_;
 
   private:
-    /// How every checkpoint is stored; set once by indexImages().
+    /// How every checkpoint is stored; set once by indexSegments().
     std::vector<CheckpointImageInfo> image_info_;
 
     /** Decode stored image @p index, the next one on @p walk. */
@@ -424,20 +450,20 @@ class ContainerReader
  * Random-access archive reader.
  *
  * Construction reads the index, not the images: it checks the header
- * and trailer, CRC-checks and LZ77-decodes the footer, and parses its
- * O(#segments) index entries. Each checkpoint image in the footer — a
- * keyframe or a delta — is walked structurally (GCC, context count,
- * base GCC, word-list extents, all checked against the index and the
- * chain) and its span recorded, but no memory image is built. The
- * footer's CRC and LZ77 decode still touch every footer byte, as the
- * format keeps the images there; deltas keep that footer small.
+ * and trailer, CRC-checks the footer, parses its O(#segments) index
+ * entries, and checks each record they locate (archive_detail::
+ * scanRecord): its header CRC and sizes, its image's CRC, and a
+ * structural walk of the image (GCC, context count, base GCC,
+ * word-list extents, all checked against the header and the chain),
+ * but no memory image is built.
  *
  * checkpointAt(), readInterval() and readAll() decode an image on
- * first use and memoize it, so a seek pays for one chain prefix (at
- * most about twice one keyframe's bytes) and the one delta after.
- * Segment payloads are CRC-checked and decoded only when a read needs
- * them. All failures surface as ArchiveError; after the walk, only a
- * chain's content (word order, base GCC, memory hash) can fail.
+ * first use, straight out of the container bytes, and memoize it, so
+ * a seek pays for one chain prefix (at most about twice one
+ * keyframe's bytes) and the one delta after. Segment payloads are
+ * CRC-checked and decoded only when a read needs them. All failures
+ * surface as ArchiveError; after open, only a chain's content (word
+ * order, memory hash) and a payload can fail.
  */
 class ArchiveReader : public archive_detail::ContainerReader
 {
@@ -467,11 +493,6 @@ class ArchiveReader : public archive_detail::ContainerReader
     /** Convenience: magic sniff on a file's first 8 bytes. */
     static bool fileLooksLikeArchive(const std::string &path);
 
-    const std::vector<ArchiveSegmentInfo> &segments() const
-    {
-        return segments_;
-    }
-
     /**
      * Reassemble the complete Recording. Byte-identical to the
      * archived one: saveRecording(readAll()) equals saveRecording()
@@ -499,10 +520,9 @@ class ArchiveReader : public archive_detail::ContainerReader
     void parse();
     std::vector<std::uint8_t>
     segmentPayload(std::size_t index) const override;
-    std::vector<std::uint8_t>
-    storedImage(std::size_t index) const override;
-    ArchiveError imageError(std::size_t index,
-                            const std::string &what) const override;
+    const std::uint8_t *
+    storedImage(std::size_t index,
+                std::vector<std::uint8_t> &buffer) const override;
 
     /// Container bytes: owned_ (fromBytes / buffered fromFile) or
     /// map_ (zero-copy fromFile); data_/size_ view whichever is live.
@@ -510,10 +530,6 @@ class ArchiveReader : public archive_detail::ContainerReader
     MappedFile map_;
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
-    std::vector<ArchiveSegmentInfo> segments_;
-    /// Where checkpoint i's image starts in the container bytes (in
-    /// the footer; its size is imageInfo(i).rawBytes).
-    std::vector<std::size_t> image_offsets_;
 };
 
 } // namespace delorean

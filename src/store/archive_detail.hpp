@@ -3,16 +3,17 @@
  * Shared internals of the archive containers (library-private).
  *
  * The `.dla` container (store/archive) and the ring container
- * (store/ring) serialize exactly the same per-segment log slices:
- * both cut a recording at checkpoint boundaries and store the slice
- * between two consecutive boundaries as one LZ77-compressed payload.
- * This header holds the slice machinery — boundary math, payload
- * build — the checkpoint images' stored forms, and the one feeder/flusher
- * pipeline both writers run on, so
+ * (store/ring) store a recording as the same *segment records*: both
+ * cut it at checkpoint boundaries, and a record holds the log slice
+ * between two consecutive boundaries (one LZ77-compressed payload)
+ * with the stored image of the checkpoint it ends at. This header
+ * holds the slice machinery — boundary math, payload build — the
+ * record codec, the run metadata and record index both containers
+ * store, and the one feeder/flusher pipeline both writers run on, so
  * the two containers stay byte-compatible by construction: a ring
- * segment's payload for a given checkpoint interval is identical to
- * the `.dla`'s. Both readers reassemble recordings through
- * ContainerReader::assemble (store/archive.hpp).
+ * file is byte-identical to the `.dla`'s record of the same interval.
+ * Both readers reassemble recordings through ContainerReader::assemble
+ * (store/archive.hpp).
  *
  * Everything here is an implementation detail: not installed, not
  * part of the public API, subject to change with the container
@@ -26,17 +27,19 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/recording.hpp"
+#include "core/serialize_detail.hpp"
 #include "sim/campaign.hpp"
 #include "store/archive.hpp"
-#include "store/crc32.hpp"
 
 namespace delorean
 {
@@ -75,24 +78,20 @@ std::string buildSegmentPayload(const Recording &rec, const Boundary &lo,
                                 const Boundary &hi);
 
 /**
- * LZ77-compress one segment payload or ring header blob. Checkpoint
- * images are stored as encoded: their values are random words LZ77
- * cannot shrink, and their addresses are already gap-coded.
+ * LZ77-compress one segment payload. Checkpoint images are stored as
+ * encoded: their values are random words LZ77 cannot shrink, and
+ * their addresses are already gap-coded.
  */
 std::vector<std::uint8_t> compressPayload(const std::string &raw);
 
 /**
- * CRC-check, LZ77-decode and size-check one stored blob. Failures are
- * an ArchiveError in @p section naming @p segment, with messages
- * prefixed by @p what ("payload", "header", ...).
+ * CRC-check, LZ77-decode and size-check the stored payload @p comp
+ * (info.compBytes bytes) of the record @p info. Failures are an
+ * ArchiveError naming @p segment.
  */
-std::vector<std::uint8_t> decodeStored(const std::uint8_t *comp,
-                                       std::size_t comp_bytes,
-                                       std::uint64_t crc,
-                                       std::uint64_t raw_bytes,
-                                       ArchiveSection section,
-                                       std::size_t segment,
-                                       const char *what);
+std::vector<std::uint8_t> decodePayload(const std::uint8_t *comp,
+                                        const ArchiveSegmentInfo &info,
+                                        std::size_t segment);
 
 /** Little-endian u64 at @p offset (caller guarantees bounds). */
 std::uint64_t readU64At(const std::uint8_t *bytes, std::size_t offset);
@@ -109,57 +108,84 @@ void runIndexed(std::unique_ptr<WorkerPool> &pool, unsigned threads,
                 std::vector<std::function<void()>> tasks,
                 std::vector<std::exception_ptr> &errors);
 
-/**
- * The stored forms of one checkpoint. The feeder serializes them from
- * the recording's chain nodes (storedImages), and each container picks
- * the form it stores: the `.dla` footer the chain image, a ring
- * segment file the delta as its end image and the keyframe as the
- * next file's start image.
- */
-struct CheckpointImages
-{
-    /// Keyframe (serialize_detail::encodeKeyframe); set exactly when
-    /// the checkpoint heads a chain.
-    std::string keyframe;
-    /// Delta against the previous checkpoint
-    /// (serialize_detail::encodeDelta); empty for the first.
-    std::string delta;
+/// Record header: magic, index, startGcc, endGcc, image kind (0 for
+/// none, else serialize_detail::ImageKind), image bytes, image CRC-32,
+/// payload raw bytes, payload stored bytes, payload CRC-32, then the
+/// CRC-32 of those ten u64s. The image and the payload follow it.
+inline constexpr std::size_t kRecordHeaderBytes = 88;
 
-    bool headsChain() const { return !keyframe.empty(); }
-
-    /** The chain's stored form: the keyframe of a head, else the delta. */
-    const std::string &chainImage() const
-    {
-        return headsChain() ? keyframe : delta;
-    }
-};
+/// Record count cap of a container's index: fences OOM on garbage.
+inline constexpr std::uint64_t kMaxRecords = 1u << 20;
 
 /**
- * Serialize @p cur's stored forms; @p prev is the checkpoint before
- * it, if any. The delta is always encoded (a ring file's end image
- * needs it even at a chain head), the keyframe when @p cur is stored
- * as one (serialize_detail::storedAsKeyframe). For a recorded run
- * this is a copy of the chain nodes' lists: no diff, sort or hash.
- */
-CheckpointImages storedImages(const SystemCheckpoint *prev,
-                              const SystemCheckpoint &cur);
-
-/**
- * One cut segment on its way from the feeder to the flusher. The
- * feeder fills the span and the payload; the flusher the compressed
- * payload and its CRC. A container derives its staged type from this
- * to carry what its own cut and encode steps add.
+ * One cut segment on its way from the feeder to the flusher, and then
+ * into a record. The feeder fills the span, the payload and the end
+ * checkpoint's stored image; the flusher the compressed payload and
+ * the record header.
  */
 struct CutSegment
 {
-    std::size_t index = 0;          ///< cut order: 0, 1, 2, ...
+    std::size_t index = 0; ///< cut order: 0, 1, 2, ...
     std::uint64_t startGcc = 0;
     std::uint64_t endGcc = 0;
-    bool tail = false;              ///< cut by close(): no end checkpoint
-    std::string raw;                ///< serialized payload
-    CheckpointImages end;           ///< the end checkpoint (not tail)
+    std::string raw; ///< serialized payload
+    /// The end checkpoint's serialize_detail::ImageKind, or 0 for the
+    /// tail segment close() cuts, which ends at no checkpoint.
+    std::uint64_t imageKind = 0;
+    /// Its stored image: a keyframe when the checkpoint heads a chain,
+    /// else a delta on the segment's start checkpoint.
+    std::string image;
     std::vector<std::uint8_t> comp; ///< LZ77 of raw
-    std::uint64_t crc = 0;          ///< CRC-32 of comp
+    std::string header;             ///< recordHeader()
+};
+
+/** The record header of @p seg, once its payload is compressed. */
+std::string recordHeader(const CutSegment &seg);
+
+/** Write @p seg's record (header, image, payload); returns its bytes. */
+std::uint64_t writeRecord(std::ostream &out, const CutSegment &seg);
+
+/**
+ * Parse and check the record at @p data[0, @p size) of a run with
+ * @p num_procs processors: magic, header CRC, size caps, that the
+ * record fits @p size, the image's CRC, and its structural walk
+ * (scanImage) against the header — GCC, context count, and a delta's
+ * base GCC, which must be the start GCC; record 0 holds no delta. The
+ * payload's CRC waits for its first read. Throws RecordingFormatError
+ * naming the first failure.
+ */
+ArchiveSegmentInfo scanRecord(const std::uint8_t *data, std::size_t size,
+                              unsigned num_procs);
+
+/**
+ * The run metadata both containers store once (the `.dla` footer,
+ * ring.meta): machine, mode, app name, workload seed, iterations
+ * percent. ContainerReader::getRunMeta reads it back.
+ */
+void putRunMeta(std::ostream &out, const Recording &rec);
+
+/**
+ * Where a container's records lie, and a closed run's final
+ * statistics: a clean flag, the record count, per record a locator
+ * and its bytes, then FinalStats when clean. The `.dla` footer
+ * (locator: the record's file offset; always clean) and ring.index
+ * (locator: the file's segment id) share this layout.
+ */
+struct RecordIndex
+{
+    using Entry = std::pair<std::uint64_t, std::uint64_t>;
+
+    bool clean = false;
+    std::vector<Entry> records;
+    FinalStats final;
+
+    /** Serialize; @p rec, when given, supplies a closed run's stats. */
+    static void put(std::ostream &out, const std::vector<Entry> &records,
+                    const Recording *rec);
+
+    /** Parse the index of a run with @p num_procs processors. */
+    static RecordIndex get(serialize_detail::ByteCursor &in,
+                           unsigned num_procs);
 };
 
 /**
@@ -168,23 +194,18 @@ struct CutSegment
  *
  * The *feeder* (recording) thread consumes checkpoints in ascending
  * GCC order and cuts the segment each one closes — boundary math,
- * buildSegmentPayload and the checkpoint's images (storedImages, the
- * serialized chain node) read the live recording,
- * which keeps growing after each hook returns — then runs the
- * container's cut step and stages the result. The *flusher* thread
- * encodes a snatched batch over the codec pool (payload LZ77 + CRC,
- * then the container's encode step) and hands it to the container's
- * commit step in cut order; meanwhile the feeder keeps staging without blocking (double
+ * buildSegmentPayload and the checkpoint's stored image (the
+ * serialized chain node) read the live recording, which keeps growing
+ * after each hook returns — and stages the result. The *flusher*
+ * thread encodes a snatched batch over the codec pool (payload LZ77,
+ * record header) and hands it to the container's commit step in cut
+ * order; meanwhile the feeder keeps staging without blocking (double
  * buffering). Handoff is by join: the feeder only touches the
  * flushing batch, the pool and the container's flusher-side state
  * after observing flush_done_ and joining, so no mutex is needed.
  *
  * The container supplies, on the thread noted:
- *   - `Segment`, derived from CutSegment;
  *   - `begin(rec)`, feeder, once before the first cut;
- *   - `cut(rec, lo, hi, end, seg)`, feeder, for the segment (lo, hi]
- *     whose end checkpoint is @c end (nullptr for the tail);
- *   - `encode(seg)`, a codec worker, after the payload is compressed;
  *   - `commit(batch)`, flusher, segments in cut order;
  *   - `finish(rec)`, feeder, after the tail segment is committed.
  *
@@ -195,8 +216,6 @@ template <class Container>
 class SegmentPipeline
 {
   public:
-    using Segment = typename Container::Segment;
-
     SegmentPipeline(Container &container, const char *writer,
                     const ArchiveIoOptions &io)
         : container_(container), writer_(writer), io_(io)
@@ -231,7 +250,7 @@ class SegmentPipeline
             throw std::logic_error(std::string(writer_)
                                    + "::close called twice");
         feed(rec);
-        stage(rec, boundaryAtEnd(rec), nullptr, {});
+        stage(rec, boundaryAtEnd(rec), nullptr, nullptr);
         drain();
         container_.finish(rec);
         closed_ = true;
@@ -253,8 +272,8 @@ class SegmentPipeline
     std::size_t fed_ = 0; ///< checkpoints consumed
     std::size_t cut_ = 0; ///< segments cut
 
-    std::vector<Segment> staging_;  ///< feeder-owned accumulation
-    std::vector<Segment> flushing_; ///< flusher-owned batch
+    std::vector<CutSegment> staging_;  ///< feeder-owned accumulation
+    std::vector<CutSegment> flushing_; ///< flusher-owned batch
     std::atomic<bool> flush_done_{true};
     std::exception_ptr flush_error_;
     std::unique_ptr<WorkerPool> pool_;
@@ -274,26 +293,36 @@ class SegmentPipeline
             if (fed_ > 0 && ckpt.gcc <= last_.gcc)
                 throw RecordingFormatError(
                     "checkpoints are not in ascending GCC order");
-            stage(rec, boundaryAtCheckpoint(rec, ckpt, fed_), &ckpt,
-                  storedImages(fed_ > 0 ? &rec.checkpoints[fed_ - 1]
-                                        : nullptr,
-                               ckpt));
+            stage(rec, boundaryAtCheckpoint(rec, ckpt, fed_),
+                  fed_ > 0 ? &rec.checkpoints[fed_ - 1] : nullptr, &ckpt);
             ++fed_;
         }
     }
 
+    /**
+     * Cut the segment up to @p hi that ends at checkpoint @p end
+     * (nullptr for the tail); @p prev is the checkpoint before it.
+     * The end image is encoded once, as the chain stores it: a
+     * keyframe at a chain head, else the node's delta on @p prev.
+     */
     void
-    stage(const Recording &rec, Boundary hi, const SystemCheckpoint *end,
-          CheckpointImages images)
+    stage(const Recording &rec, Boundary hi, const SystemCheckpoint *prev,
+          const SystemCheckpoint *end)
     {
-        Segment seg;
+        CutSegment seg;
         seg.index = cut_;
         seg.startGcc = last_.gcc;
         seg.endGcc = hi.gcc;
-        seg.tail = end == nullptr;
         seg.raw = buildSegmentPayload(rec, last_, hi);
-        seg.end = std::move(images);
-        container_.cut(rec, last_, hi, end, seg);
+        if (end) {
+            using serialize_detail::ImageKind;
+            const bool keyframe =
+                serialize_detail::storedAsKeyframe(prev, *end);
+            seg.imageKind = static_cast<std::uint64_t>(
+                keyframe ? ImageKind::kKeyframe : ImageKind::kDelta);
+            seg.image = keyframe ? serialize_detail::encodeKeyframe(*end)
+                                 : serialize_detail::encodeDelta(*prev, *end);
+        }
         staging_.push_back(std::move(seg));
         last_ = std::move(hi);
         ++cut_;
@@ -317,11 +346,10 @@ class SegmentPipeline
     {
         std::vector<std::function<void()>> tasks;
         tasks.reserve(flushing_.size());
-        for (Segment &seg : flushing_)
-            tasks.push_back([this, &seg] {
+        for (CutSegment &seg : flushing_)
+            tasks.push_back([&seg] {
                 seg.comp = compressPayload(seg.raw);
-                seg.crc = crc32(seg.comp.data(), seg.comp.size());
-                container_.encode(seg);
+                seg.header = recordHeader(seg);
             });
         std::vector<std::exception_ptr> errors;
         runIndexed(pool_, io_.resolvedIoThreads(), std::move(tasks),

@@ -6,13 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/errors.hpp"
-#include "compress/lz77.hpp"
-#include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
 #include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
@@ -21,17 +20,8 @@ namespace delorean
 {
 
 using serialize_detail::ByteCursor;
-using serialize_detail::CheckpointExtent;
-using serialize_detail::getMachine;
-using serialize_detail::getMode;
-using serialize_detail::getString;
-using serialize_detail::getU64;
 using serialize_detail::ImageKind;
-using serialize_detail::putMachine;
-using serialize_detail::putMode;
-using serialize_detail::putString;
 using serialize_detail::putU64;
-using serialize_detail::scanImage;
 
 using namespace archive_detail;
 
@@ -39,7 +29,6 @@ namespace
 {
 
 constexpr std::uint64_t kRingMetaMagic = 0x2E676E526F4C6544ull; // "DeLoRng."
-constexpr std::uint64_t kRingSegMagic = 0x676553526F4C6544ull;  // "DeLoRSeg"
 constexpr std::uint64_t kRingIdxMagic = 0x786449526F4C6544ull;  // "DeLoRIdx"
 // v2: checkpoint images form chains — a segment file carries a start
 // image only when its start checkpoint heads a chain (a keyframe), and
@@ -47,21 +36,16 @@ constexpr std::uint64_t kRingIdxMagic = 0x786449526F4C6544ull;  // "DeLoRIdx"
 // v3: images are encoded as gap lists and context diffs and stored
 // raw (CRC-checked, no LZ77); the header blob gives each image's size
 // and CRC.
-constexpr std::uint64_t kRingVersion = 3;
+// v4: a segment file is one segment record (store/archive_detail.hpp),
+// the `.dla`'s record of the same interval: no start image, so each
+// checkpoint image is stored once; ring.meta and ring.index use the
+// `.dla` footer's metadata and index layouts.
+constexpr std::uint64_t kRingVersion = 4;
 /// Fixed meta/index preamble: magic, version, reserved, blob size,
 /// blob CRC-32.
 constexpr std::size_t kPreambleBytes = 40;
-/// Segment preamble: magic, version, segId, header raw size, header
-/// compressed size, header CRC-32 (of the compressed bytes). The
-/// header blob is followed by the start- and end-checkpoint images it
-/// describes (each stored raw with its CRC), then the LZ77-compressed
-/// payload. The keyframe of a chain head is encoded with the segment
-/// it closes and byte-reused as the start image of the next.
-constexpr std::size_t kSegPreambleBytes = 48;
-/// Header/meta/index blob size cap: fences OOM on garbage files.
+/// Meta/index blob size cap: fences OOM on garbage files.
 constexpr std::uint64_t kMaxBlobBytes = 1ull << 30;
-/// Sanity fence on index entry counts (mirrors the .dla segment cap).
-constexpr std::uint64_t kMaxSegmentsPerRing = 1ull << 20;
 
 std::string
 segFileName(std::uint64_t id)
@@ -100,7 +84,7 @@ writeBlobFileAtomic(const std::string &path, std::uint64_t magic,
                                  + path);
 }
 
-/** Read a whole file; empty optional-style flag via @p ok. */
+/** Read a whole file; @p ok is false when it cannot be read. */
 std::vector<std::uint8_t>
 readWholeFile(const std::string &path, bool &ok)
 {
@@ -165,33 +149,16 @@ RingOptions::validate() const
 // ----- writer ---------------------------------------------------------------
 
 /**
- * The ring's steps on the shared SegmentPipeline. The encode step
- * checksums the end checkpoint's images the feeder encoded; the
- * commit step writes one file per segment, evicts over-budget history
+ * The ring's steps on the shared SegmentPipeline. The commit step
+ * writes each record to a file of its own, evicts over-budget history
  * whole chains at a time and atomically rewrites the index. The mutex
  * only guards the live-set/stats snapshot that stats() may read while
  * the flusher runs.
  */
 struct RingArchiveWriter::Impl
 {
-    /// One checkpoint image and its CRC.
-    struct CkptBlob
-    {
-        std::string bytes;
-        std::uint64_t crc = 0;
-    };
-    /// Staged ring segment. Its start image is not carried: it is by
-    /// construction the keyframe of the previous segment's end
-    /// checkpoint, when that heads a chain, which the flusher caches.
-    struct Segment : CutSegment
-    {
-        CkptBlob endBlob; ///< delta (keyframe for segment 0)
-        CkptBlob nextStart; ///< keyframe, when the end heads a chain
-    };
-
     std::string dir;
     RingOptions opts;
-    CkptBlob next_start; ///< flusher-owned carry across batches
 
     /// Retained on-disk segments, oldest first (flusher-owned; the
     /// mutex makes the snapshot readable from stats()).
@@ -199,12 +166,13 @@ struct RingArchiveWriter::Impl
     {
         std::uint64_t segId = 0;
         std::uint64_t fileBytes = 0;
-        bool chainHead = false; ///< segment 0 or carries a start keyframe
+        bool chainHead = false; ///< segment 0 or a keyframe image
     };
     mutable std::mutex mu;
     std::deque<LiveSeg> live;
     std::size_t live_heads = 0; ///< chain-head files in live
-    std::size_t newest_chain_files = 0; ///< live files from its head
+    /// Checkpoints of the newest chain: its non-tail files.
+    std::size_t newest_chain_ckpts = 0;
     RingWriterStats statsd;
     std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
     bool have_durable = false;
@@ -226,89 +194,16 @@ struct RingArchiveWriter::Impl
         // reader never stitches two runs together.
         for (const auto &entry : fs::directory_iterator(dir)) {
             const std::string name = entry.path().filename().string();
-            if (name == "ring.meta" || name == "ring.index"
-                || name.rfind("seg-", 0) == 0
-                || name.rfind("ring.", 0) == 0)
+            if (name.rfind("seg-", 0) == 0 || name.rfind("ring.", 0) == 0)
                 fs::remove(entry.path());
         }
         std::ostringstream blob(std::ios::binary);
-        putMachine(blob, rec.machine);
-        putMode(blob, rec.mode);
-        putString(blob, rec.appName);
-        putU64(blob, rec.workloadSeed);
-        putU64(blob, rec.iterationsPercent);
+        putRunMeta(blob, rec);
         putU64(blob, opts.budgetBytes);
         putU64(blob, opts.checkpointPeriod);
         putU64(blob, opts.resolvedLag());
         writeBlobFileAtomic(dir + "/ring.meta", kRingMetaMagic, 0,
                             std::move(blob).str());
-    }
-
-    void
-    cut(const Recording &, const Boundary &, const Boundary &,
-        const SystemCheckpoint *, Segment &)
-    {
-    }
-
-    static CkptBlob
-    checksummed(std::string image)
-    {
-        CkptBlob blob;
-        blob.crc = crc32(reinterpret_cast<const std::uint8_t *>(image.data()),
-                         image.size());
-        blob.bytes = std::move(image);
-        return blob;
-    }
-
-    /// Each image is checksummed exactly once, here: the end delta,
-    /// and the keyframe of a chain head, which becomes the next
-    /// segment's start blob (next_start carries it across batches).
-    /// Segment 0's end checkpoint has nothing to diff against: its
-    /// keyframe is both its end blob and segment 1's start blob.
-    void
-    encode(Segment &seg)
-    {
-        if (seg.tail)
-            return;
-        if (seg.end.headsChain())
-            seg.nextStart = checksummed(std::move(seg.end.keyframe));
-        seg.endBlob = seg.index == 0 ? seg.nextStart
-                                     : checksummed(std::move(seg.end.delta));
-        seg.end = CheckpointImages();
-    }
-
-    /**
-     * Serialize one segment's self-describing header blob: the GCC
-     * interval plus the sizes and CRCs of the checkpoint blobs and
-     * payload that follow it in the file.
-     */
-    static std::string
-    segmentHeaderBlob(const Segment &seg, const CkptBlob &start)
-    {
-        std::ostringstream blob(std::ios::binary);
-        putU64(blob, seg.startGcc);
-        putU64(blob, seg.endGcc);
-        putU64(blob, seg.tail ? 1 : 0);
-        const bool has_start = !start.bytes.empty();
-        putU64(blob, has_start
-                         ? static_cast<std::uint64_t>(ImageKind::kKeyframe)
-                         : 0);
-        if (has_start) {
-            putU64(blob, start.bytes.size());
-            putU64(blob, start.crc);
-        }
-        putU64(blob, seg.tail ? 0
-                              : static_cast<std::uint64_t>(
-                                  seg.index == 0 ? ImageKind::kKeyframe
-                                                 : ImageKind::kDelta));
-        if (!seg.tail) {
-            putU64(blob, seg.endBlob.bytes.size());
-            putU64(blob, seg.endBlob.crc);
-        }
-        putU64(blob, seg.raw.size());
-        putU64(blob, seg.comp.size());
-        putU64(blob, seg.crc);
-        return std::move(blob).str();
     }
 
     /**
@@ -319,18 +214,14 @@ struct RingArchiveWriter::Impl
     void
     writeIndex(const Recording *rec)
     {
-        std::ostringstream blob(std::ios::binary);
-        putU64(blob, rec ? 1 : 0);
+        std::vector<RecordIndex::Entry> files;
         {
             std::lock_guard<std::mutex> lock(mu);
-            putU64(blob, live.size());
-            for (const LiveSeg &seg : live) {
-                putU64(blob, seg.segId);
-                putU64(blob, seg.fileBytes);
-            }
+            for (const LiveSeg &seg : live)
+                files.emplace_back(seg.segId, seg.fileBytes);
         }
-        if (rec)
-            FinalStats::put(blob, *rec);
+        std::ostringstream blob(std::ios::binary);
+        RecordIndex::put(blob, files, rec);
         writeBlobFileAtomic(dir + "/ring.index", kRingIdxMagic, 0,
                             std::move(blob).str());
     }
@@ -340,45 +231,27 @@ struct RingArchiveWriter::Impl
      * history and rewrite the index.
      */
     void
-    commit(std::vector<Segment> &batch)
+    commit(std::vector<CutSegment> &batch)
     {
-        for (Segment &seg : batch) {
-            // The start keyframe, when the start checkpoint heads a
-            // chain; next_start is empty otherwise.
-            const CkptBlob start = std::exchange(next_start, CkptBlob());
-            const std::string blob = segmentHeaderBlob(seg, start);
-            const std::vector<std::uint8_t> hcomp =
-                compressPayload(blob);
+        for (CutSegment &seg : batch) {
             const std::string path = dir + "/" + segFileName(seg.index);
+            std::uint64_t file_bytes = 0;
             {
                 // Written in place, not via rename: only the newest
                 // file can ever be torn, which is exactly the crash
                 // shape the reader's salvage path handles.
                 std::ofstream out(path,
                                   std::ios::binary | std::ios::trunc);
-                putU64(out, kRingSegMagic);
-                putU64(out, kRingVersion);
-                putU64(out, seg.index);
-                putU64(out, blob.size());
-                putU64(out, hcomp.size());
-                putU64(out, crc32(hcomp.data(), hcomp.size()));
-                const auto put = [&out](const auto &b) {
-                    out.write(reinterpret_cast<const char *>(b.data()),
-                              static_cast<std::streamsize>(b.size()));
-                };
-                put(hcomp);
-                put(start.bytes);
-                put(seg.endBlob.bytes);
-                put(seg.comp);
+                file_bytes = writeRecord(out, seg);
                 out.close();
                 if (!out)
                     throw std::runtime_error("failed to write " + path);
             }
-            const std::uint64_t file_bytes =
-                kSegPreambleBytes + hcomp.size() + start.bytes.size()
-                + seg.endBlob.bytes.size() + seg.comp.size();
-            next_start = std::move(seg.nextStart);
-            const bool chain_head = seg.index == 0 || !start.bytes.empty();
+            const bool chain_head =
+                seg.index == 0
+                || seg.imageKind
+                       == static_cast<std::uint64_t>(ImageKind::kKeyframe);
+            const bool tail = seg.imageKind == 0;
 
             std::vector<std::uint64_t> evict_ids;
             {
@@ -398,12 +271,8 @@ struct RingArchiveWriter::Impl
 
                 live.push_back({seg.index, file_bytes, chain_head});
                 live_heads += chain_head ? 1 : 0;
-                newest_chain_files =
-                    chain_head ? 1 : newest_chain_files + 1;
-                // Its checkpoints: each file's start checkpoint, and
-                // the newest file's end checkpoint unless a tail.
-                const std::size_t newest_chain_ckpts =
-                    newest_chain_files + (seg.tail ? 0 : 1);
+                newest_chain_ckpts =
+                    (chain_head ? 0 : newest_chain_ckpts) + (tail ? 0 : 1);
                 ++statsd.segmentsCut;
                 statsd.bytesWritten += file_bytes;
                 statsd.liveBytes += file_bytes;
@@ -412,12 +281,11 @@ struct RingArchiveWriter::Impl
                 // holding this newest complete segment always stays,
                 // so its start checkpoint stays decodable, and so does
                 // the chain before it while the newest holds a single
-                // checkpoint (a tail file heading its chain), so a
+                // checkpoint (its head, or a tail after it), so a
                 // seekable interval always remains.
                 while (statsd.liveBytes > opts.budgetBytes
                        && (live_heads > 2
-                           || (live_heads == 2
-                               && newest_chain_ckpts >= 2))) {
+                           || (live_heads == 2 && newest_chain_ckpts >= 2))) {
                     do {
                         const LiveSeg victim = live.front();
                         live.pop_front();
@@ -435,6 +303,7 @@ struct RingArchiveWriter::Impl
 
             std::vector<std::uint8_t>().swap(seg.comp);
             std::string().swap(seg.raw);
+            std::string().swap(seg.image);
         }
         writeIndex(nullptr);
     }
@@ -500,52 +369,20 @@ namespace
 /** One scanned segment file before the contiguity walk. */
 struct ScannedSegment
 {
-    RingSegmentInfo info;
+    ArchiveSegmentInfo info;
     std::string path;
-    std::uint64_t payloadOff = 0;
 };
 
 /**
- * Check one @p kind image blob in @p bytes without decoding its
- * memory: CRC, then a structural walk (scanImage) that must cover the
- * blob exactly and yields its GCC, context count and, for a delta,
- * base GCC, returned through @p image. False with @p why set when the
- * blob is corrupt.
+ * Parse one candidate segment file: one record that fills it exactly
+ * (archive_detail::scanRecord). Returns false with @p reason set when
+ * the file is structurally invalid (torn, corrupt, or lying about
+ * itself) — the salvage path drops it. The image is CRC-checked and
+ * walked; its memory is decoded only on first use.
  */
 bool
-checkCheckpointBlob(const std::vector<std::uint8_t> &bytes,
-                    const RingBlobInfo &blob, ImageKind kind,
-                    CheckpointExtent &image, std::string &why)
-{
-    const std::uint8_t *at = bytes.data() + blob.fileOffset;
-    const std::size_t size = static_cast<std::size_t>(blob.bytes);
-    if (crc32(at, size) != blob.crc32) {
-        why = "checkpoint blob CRC mismatch";
-        return false;
-    }
-    try {
-        image = scanImage(kind, at, size);
-    } catch (const RecordingFormatError &) {
-        why = "malformed checkpoint blob";
-        return false;
-    }
-    if (image.bytes != size) {
-        why = "checkpoint blob size mismatch";
-        return false;
-    }
-    return true;
-}
-
-/**
- * Parse one candidate segment file. Returns false with @p reason set
- * when the file is structurally invalid (torn, corrupt, or lying
- * about itself) — the salvage path drops it. Checkpoint images are
- * CRC-checked and their headers checked against the segment header;
- * their memory is decoded only on first use.
- */
-bool
-scanSegmentFile(const std::string &path, unsigned n,
-                ScannedSegment &out, std::string &reason)
+scanSegmentFile(const std::string &path, unsigned n, ScannedSegment &out,
+                std::string &reason)
 {
     bool ok = true;
     const std::vector<std::uint8_t> bytes = readWholeFile(path, ok);
@@ -553,149 +390,19 @@ scanSegmentFile(const std::string &path, unsigned n,
         reason = "unreadable";
         return false;
     }
-    if (bytes.size() < kSegPreambleBytes) {
-        reason = "shorter than a segment preamble";
-        return false;
-    }
-    if (readU64At(bytes.data(), 0) != kRingSegMagic) {
-        reason = "segment magic missing";
-        return false;
-    }
-    if (readU64At(bytes.data(), 8) != kRingVersion) {
-        reason = "unsupported segment version";
-        return false;
-    }
-    const std::uint64_t seg_id = readU64At(bytes.data(), 16);
-    const std::uint64_t blob_raw = readU64At(bytes.data(), 24);
-    const std::uint64_t blob_comp = readU64At(bytes.data(), 32);
-    const std::uint64_t blob_crc = readU64At(bytes.data(), 40);
-    if (blob_raw > kMaxBlobBytes || blob_comp > kMaxBlobBytes
-        || kSegPreambleBytes + blob_comp > bytes.size()) {
-        reason = "torn header";
-        return false;
-    }
-    if (crc32(bytes.data() + kSegPreambleBytes,
-              static_cast<std::size_t>(blob_comp))
-        != blob_crc) {
-        reason = "header CRC mismatch";
-        return false;
-    }
-
-    RingSegmentInfo info;
-    info.segId = seg_id;
-    RingBlobInfo &start = info.startBlob;
-    RingBlobInfo &end = info.endBlob;
-    std::uint64_t start_kind = 0;
-    std::uint64_t end_kind = 0;
     try {
-        const std::vector<std::uint8_t> blob = Lz77().decompress(
-            bytes.data() + kSegPreambleBytes,
-            static_cast<std::size_t>(blob_comp));
-        if (blob.size() != blob_raw) {
-            reason = "header decompressed size mismatch";
-            return false;
-        }
-        ByteCursor in(blob.data(), blob.size());
-        info.startGcc = getU64(in);
-        info.endGcc = getU64(in);
-        info.isTail = getU64(in) != 0;
-        start_kind = getU64(in);
-        info.hasStartCheckpoint = start_kind != 0;
-        if (info.hasStartCheckpoint) {
-            start.bytes = getU64(in);
-            start.crc32 = getU64(in);
-        }
-        end_kind = getU64(in);
-        info.hasEndCheckpoint = end_kind != 0;
-        if (info.hasEndCheckpoint) {
-            end.bytes = getU64(in);
-            end.crc32 = getU64(in);
-        }
-        info.rawBytes = getU64(in);
-        info.compBytes = getU64(in);
-        info.crc32 = getU64(in);
-    } catch (const RecordingFormatError &) {
-        reason = "malformed header";
+        out.info = scanRecord(bytes.data(), bytes.size(), n);
+    } catch (const RecordingFormatError &e) {
+        // The note names the failed check, not the error class.
+        reason = e.what();
+        reason.erase(0, reason.find(": ") + 2);
         return false;
     }
-
-    // Everything the header promises must fit the file exactly:
-    // header, start blob, end blob, payload, nothing else. Every size
-    // is capped first, so the sum below cannot wrap.
-    if (start.bytes > kMaxBlobBytes || end.bytes > kMaxBlobBytes) {
-        reason = "implausible checkpoint blob size";
+    if (out.info.recordBytes != bytes.size()) {
+        reason = "file size disagrees with the header";
         return false;
     }
-    if (info.rawBytes > kMaxBlobBytes || info.compBytes > kMaxBlobBytes) {
-        reason = "implausible payload size";
-        return false;
-    }
-    std::uint64_t off = kSegPreambleBytes + blob_comp;
-    if (off + start.bytes + end.bytes + info.compBytes != bytes.size()) {
-        reason = "file size disagrees with the header (torn payload?)";
-        return false;
-    }
-    // A start image is always a chain head's keyframe; the end image
-    // is a delta on the start checkpoint, except segment 0's, which
-    // has no start checkpoint to diff against and is a keyframe.
-    const std::uint64_t keyframe =
-        static_cast<std::uint64_t>(ImageKind::kKeyframe);
-    const ImageKind want_end =
-        seg_id == 0 ? ImageKind::kKeyframe : ImageKind::kDelta;
-    if (info.hasStartCheckpoint && start_kind != keyframe) {
-        reason = "start checkpoint is not a keyframe";
-        return false;
-    }
-    if (info.hasEndCheckpoint
-        && end_kind != static_cast<std::uint64_t>(want_end)) {
-        reason = "end checkpoint kind disagrees with the id";
-        return false;
-    }
-    CheckpointExtent start_image, end_image;
-    if (info.hasStartCheckpoint) {
-        start.fileOffset = off;
-        if (!checkCheckpointBlob(bytes, start, ImageKind::kKeyframe,
-                                 start_image, reason))
-            return false;
-        off += start.bytes;
-    }
-    if (info.hasEndCheckpoint) {
-        end.fileOffset = off;
-        if (!checkCheckpointBlob(bytes, end, want_end, end_image, reason))
-            return false;
-        off += end.bytes;
-    }
-
-    if (info.endGcc < info.startGcc
-        || (!info.isTail && info.endGcc <= info.startGcc)) {
-        reason = "GCC interval not ascending";
-        return false;
-    }
-    if (info.hasStartCheckpoint && seg_id == 0) {
-        reason = "start-checkpoint presence disagrees with the id";
-        return false;
-    }
-    if (info.hasEndCheckpoint == info.isTail) {
-        reason = "end-checkpoint presence disagrees with the tail flag";
-        return false;
-    }
-    if (info.hasStartCheckpoint
-        && (start_image.gcc != info.startGcc
-            || start_image.contexts != n)) {
-        reason = "start checkpoint disagrees with the header";
-        return false;
-    }
-    if (info.hasEndCheckpoint
-        && (end_image.gcc != info.endGcc || end_image.contexts != n
-            || (want_end == ImageKind::kDelta
-                && end_image.baseGcc != info.startGcc))) {
-        reason = "end checkpoint disagrees with the header";
-        return false;
-    }
-    info.fileBytes = bytes.size();
-    out.info = std::move(info);
     out.path = path;
-    out.payloadOff = off;
     return true;
 }
 
@@ -758,23 +465,12 @@ RingArchiveReader::open(const std::string &dir,
                            ArchiveError::kNoSegment,
                            "ring.meta CRC mismatch");
     try {
-        std::istringstream in(
-            std::string(reinterpret_cast<const char *>(meta.data())
-                            + kPreambleBytes,
-                        static_cast<std::size_t>(meta_blob)),
-            std::ios::binary);
-        r.machine_ = getMachine(in);
-        r.mode_ = getMode(in);
-        validateRecordingConfigs(r.machine_, r.mode_);
-        r.app_name_ = getString(in);
-        r.workload_seed_ = getU64(in);
-        r.iterations_percent_ = static_cast<unsigned>(getU64(in));
+        ByteCursor in(meta.data() + kPreambleBytes,
+                      static_cast<std::size_t>(meta_blob));
+        r.getRunMeta(in);
         // The budget, the period and T = 2P, as the writer recorded
         // them; the reader needs none of them.
-        for (int knob = 0; knob < 3; ++knob)
-            getU64(in);
-    } catch (const ArchiveError &) {
-        throw;
+        in.take(24);
     } catch (const RecordingFormatError &e) {
         throw ArchiveError(ArchiveSection::kFileHeader,
                            ArchiveError::kNoSegment, e.what());
@@ -805,16 +501,16 @@ RingArchiveReader::open(const std::string &dir,
     std::stable_sort(found.begin(), found.end(),
                      [](const ScannedSegment &a,
                         const ScannedSegment &b) {
-                         return a.info.segId < b.info.segId;
+                         return a.info.index < b.info.index;
                      });
     // Duplicate ids (a copy planted next to the original): keep the
     // first by name order, drop the rest.
     for (std::size_t i = 1; i < found.size();) {
-        if (found[i].info.segId == found[i - 1].info.segId) {
+        if (found[i].info.index == found[i - 1].info.index) {
             ++r.recovery_.droppedSegments;
             r.recovery_.notes.push_back(
                 found[i].path + ": duplicate segment id "
-                + std::to_string(found[i].info.segId));
+                + std::to_string(found[i].info.index));
             found.erase(found.begin()
                         + static_cast<std::ptrdiff_t>(i));
         } else {
@@ -830,10 +526,10 @@ RingArchiveReader::open(const std::string &dir,
     // while ids are consecutive and GCC intervals chain.
     std::size_t first = found.size() - 1;
     while (first > 0) {
-        const RingSegmentInfo &prev = found[first - 1].info;
-        const RingSegmentInfo &cur = found[first].info;
-        if (prev.segId + 1 != cur.segId
-            || prev.endGcc != cur.startGcc || prev.isTail)
+        const ArchiveSegmentInfo &prev = found[first - 1].info;
+        const ArchiveSegmentInfo &cur = found[first].info;
+        if (prev.index + 1 != cur.index || prev.endGcc != cur.startGcc
+            || !prev.hasCheckpoint)
             break;
         --first;
     }
@@ -842,10 +538,10 @@ RingArchiveReader::open(const std::string &dir,
         r.recovery_.notes.push_back(
             std::to_string(first)
             + " older segment(s) unreachable behind a gap at segment "
-            + std::to_string(found[first].info.segId));
+            + std::to_string(found[first].info.index));
     }
-    // The retained run must open with a chain head: the files before
-    // it hold deltas whose chain's keyframe is gone.
+    // The retained run must open with a chain head file: the files
+    // before it hold deltas whose chain's keyframe is gone.
     std::size_t head = first;
     while (head < found.size() && !found[head].info.chainHead())
         ++head;
@@ -859,23 +555,21 @@ RingArchiveReader::open(const std::string &dir,
         r.recovery_.notes.push_back(
             std::to_string(head - first)
             + " segment(s) before the chain head at segment "
-            + std::to_string(found[head].info.segId)
+            + std::to_string(found[head].info.index)
             + " dropped: their chain's keyframe is gone");
         first = head;
     }
+    std::vector<ArchiveSegmentInfo> segments;
     for (std::size_t i = first; i < found.size(); ++i) {
-        r.segments_.push_back(std::move(found[i].info));
+        segments.push_back(found[i].info);
         r.seg_paths_.push_back(std::move(found[i].path));
-        r.payload_off_.push_back(found[i].payloadOff);
     }
 
     // ----- ring.index -----------------------------------------------
     bool idx_ok = true;
     const std::vector<std::uint8_t> idx =
         readWholeFile(dir + "/ring.index", idx_ok);
-    bool idx_clean = false;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> idx_live;
-    bool idx_valid = false;
+    std::optional<RecordIndex> index;
     if (!idx_ok) {
         r.recovery_.notes.push_back(
             "ring.index missing; recovered by scan");
@@ -896,91 +590,40 @@ RingArchiveReader::open(const std::string &dir,
             ByteCursor in(idx.data() + kPreambleBytes,
                           static_cast<std::size_t>(
                               readU64At(idx.data(), 24)));
-            idx_clean = getU64(in) != 0;
-            const std::uint64_t count = getU64(in);
-            if (count > kMaxSegmentsPerRing)
-                throw RecordingFormatError(
-                    "implausible index segment count");
-            for (std::uint64_t i = 0; i < count; ++i) {
-                const std::uint64_t id = getU64(in);
-                const std::uint64_t bytes = getU64(in);
-                idx_live.emplace_back(id, bytes);
-            }
-            if (idx_clean)
-                r.final_ = FinalStats::get(in, n);
-            idx_valid = true;
+            index = RecordIndex::get(in, n);
         } catch (const RecordingFormatError &) {
             r.recovery_.notes.push_back(
                 "ring.index malformed; recovered by scan");
-            idx_valid = false;
         }
     }
-    if (idx_valid) {
+    if (index) {
         // The scan is the truth; the index only certifies a clean
         // close (and its final stats) when it agrees exactly.
-        bool agrees = idx_live.size() == r.segments_.size();
-        for (std::size_t i = 0; agrees && i < idx_live.size(); ++i)
-            agrees = idx_live[i].first == r.segments_[i].segId
-                     && idx_live[i].second
-                            == r.segments_[i].fileBytes;
+        bool agrees = index->records.size() == segments.size();
+        for (std::size_t i = 0; agrees && i < segments.size(); ++i)
+            agrees = index->records[i].first == segments[i].index
+                     && index->records[i].second == segments[i].recordBytes;
         if (agrees) {
             r.recovery_.usedIndex = true;
             r.recovery_.clean =
-                idx_clean && r.segments_.back().isTail;
+                index->clean && !segments.back().hasCheckpoint;
         } else {
             r.recovery_.notes.push_back(
                 "ring.index stale (disagrees with scan); recovered "
                 "by scan");
         }
     }
-    if (!r.recovery_.clean) {
-        r.final_ = FinalStats{};
+    if (r.recovery_.clean) {
+        r.final_ = std::move(index->final);
+    } else {
         r.final_.perProcAcc.assign(n, 0);
         r.final_.perProcRetired.assign(n, 0);
     }
 
-    // ----- checkpoint index over boundaries 0..m --------------------
-    // Boundary b's image is segment b's start keyframe when it has
-    // one, else segment b-1's end image: a delta on boundary b-1 (a
-    // keyframe after segment 0). The run opens with a chain head, so
-    // every delta's base is a retained checkpoint.
-    const std::size_t m = r.segments_.size();
-    std::vector<CheckpointImageInfo> image_info;
-    for (std::size_t b = 0; b <= m; ++b) {
-        CheckpointImageInfo ii;
-        ii.gcc = r.boundaryGcc(b);
-        if (b < m && r.segments_[b].hasStartCheckpoint) {
-            r.ckpts_.push_back({b, true});
-            ii.keyframe = true;
-            ii.rawBytes = r.segments_[b].startBlob.bytes;
-        } else if (b > 0 && r.segments_[b - 1].hasEndCheckpoint) {
-            const RingSegmentInfo &prev = r.segments_[b - 1];
-            r.ckpts_.push_back({b, false});
-            ii.keyframe = prev.segId == 0;
-            ii.baseGcc = ii.keyframe ? 0 : prev.startGcc;
-            ii.rawBytes = prev.endBlob.bytes;
-        } else {
-            continue;
-        }
-        image_info.push_back(ii);
-    }
-    // Salvage can cut a ring at a checkpoint that heads a chain: its
-    // start keyframe was in the first file lost, and only its delta
-    // (the end image of the newest file) survives. The keyframe rule
-    // says which checkpoint that was, from the stored sizes alone.
-    if (!image_info.empty() && !image_info.back().keyframe) {
-        KeyframeRule rule;
-        for (std::size_t i = 0; i + 1 < image_info.size(); ++i) {
-            if (image_info[i].keyframe)
-                rule.keyframe(image_info[i].rawBytes);
-            else
-                rule.delta(image_info[i].rawBytes);
-        }
-        image_info.back().lostKeyframe =
-            rule.headsChain(image_info.back().rawBytes);
-    }
+    // Checkpoint j is retained file j's end checkpoint. The run opens
+    // with a chain head file, so every delta's base is retained.
     try {
-        r.indexImages(std::move(image_info));
+        r.indexSegments(std::move(segments));
     } catch (const RecordingFormatError &e) {
         throw ArchiveError(ArchiveSection::kSegment,
                            ArchiveError::kNoSegment, e.what());
@@ -988,42 +631,35 @@ RingArchiveReader::open(const std::string &dir,
     return r;
 }
 
-std::uint64_t
-RingArchiveReader::boundaryGcc(std::size_t b) const
-{
-    return b < segments_.size() ? segments_[b].startGcc
-                                : segments_.back().endGcc;
-}
-
 std::vector<std::uint8_t>
-RingArchiveReader::storedImage(std::size_t index) const
+RingArchiveReader::readRange(std::size_t pos, std::uint64_t offset,
+                             std::uint64_t bytes, const char *what) const
 {
-    const RetainedCheckpoint ckpt = ckpts_[index];
-    const std::size_t pos = ckpt.segment();
-    const RingBlobInfo &blob = ckpt.startBlob ? segments_[pos].startBlob
-                                              : segments_[pos].endBlob;
-    std::vector<std::uint8_t> image;
-    if (!readFileRange(seg_paths_[pos], blob.fileOffset, blob.bytes, image))
+    std::vector<std::uint8_t> out;
+    if (!readFileRange(seg_paths_[pos], offset, bytes, out))
         throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "torn checkpoint blob in " + seg_paths_[pos]);
-    if (crc32(image.data(), image.size()) != blob.crc32)
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "checkpoint blob CRC mismatch");
-    return image;
+                           std::string("torn ") + what + " in "
+                               + seg_paths_[pos]);
+    return out;
 }
 
-ArchiveError
-RingArchiveReader::imageError(std::size_t index,
-                              const std::string &what) const
+const std::uint8_t *
+RingArchiveReader::storedImage(std::size_t index,
+                               std::vector<std::uint8_t> &buffer) const
 {
-    return ArchiveError(ArchiveSection::kSegment, ckpts_[index].segment(),
-                        "checkpoint blob: " + what);
+    const ArchiveSegmentInfo &seg = segments_[index];
+    buffer = readRange(index, seg.imageOffset(), seg.imageBytes,
+                       "checkpoint image");
+    if (crc32(buffer.data(), buffer.size()) != seg.imageCrc)
+        throw ArchiveError(ArchiveSection::kSegment, index,
+                           "checkpoint image CRC mismatch");
+    return buffer.data();
 }
 
 std::uint64_t
 RingArchiveReader::startGcc() const
 {
-    return segments_.front().startGcc;
+    return checkpointCount() ? imageInfo(0).gcc : segments_.front().startGcc;
 }
 
 std::uint64_t
@@ -1053,15 +689,10 @@ RingArchiveReader::newestCheckpointAtOrBefore(std::uint64_t cycle) const
 std::vector<std::uint8_t>
 RingArchiveReader::segmentPayload(std::size_t pos) const
 {
-    const RingSegmentInfo &info = segments_[pos];
-    std::vector<std::uint8_t> comp;
-    if (!readFileRange(seg_paths_[pos], payload_off_[pos], info.compBytes,
-                       comp))
-        throw ArchiveError(ArchiveSection::kSegment, pos,
-                           "torn payload in " + seg_paths_[pos]);
-    return decodeStored(comp.data(), comp.size(), info.crc32,
-                        info.rawBytes, ArchiveSection::kSegment, pos,
-                        "payload");
+    const ArchiveSegmentInfo &info = segments_[pos];
+    const std::vector<std::uint8_t> comp =
+        readRange(pos, info.payloadOffset(), info.compBytes, "payload");
+    return decodePayload(comp.data(), info, pos);
 }
 
 Recording
@@ -1074,9 +705,7 @@ RingArchiveReader::readInterval(std::size_t from, std::size_t to) const
             "ring was not closed cleanly: final stats are "
             "unavailable, bound the interval at a retained "
             "checkpoint");
-    return assemble(ckpts_[from].boundary,
-                    to == kToEnd ? segments_.size() : ckpts_[to].boundary,
-                    from, to);
+    return intervalView(from, to);
 }
 
 Recording
@@ -1086,12 +715,11 @@ RingArchiveReader::readAll() const
         throw ArchiveError(
             ArchiveSection::kFooter, ArchiveError::kNoSegment,
             "ring was not closed cleanly: readAll unavailable");
-    if (segments_.front().segId != 0)
+    if (segments_.front().index != 0)
         throw CheckpointOutOfRangeError(
             0, checkpointCount(),
             "run start evicted: oldest retained segment is "
-                + std::to_string(segments_.front().segId));
-    // Segment 0 has no start image, so checkpoint i closes segment i.
+                + std::to_string(segments_.front().index));
     return assemble(0, segments_.size(), kWholeRun, kToEnd);
 }
 

@@ -10,25 +10,22 @@
  *   seg-<id>        one file per checkpoint interval, self-describing
  *   ring.index      retained-set snapshot, atomically rewritten
  *
- * Each segment file carries its own header — magic, segment id, GCC
- * interval, its checkpoint images, payload sizes and CRCs — so any
- * contiguous run of surviving segment files that opens with a *chain
- * head* is independently decodable and *validatable* without a
- * footer: replay can start at any retained checkpoint and every
- * bounded interval is judged against the end checkpoint it runs to.
- *
- * Checkpoint images form chains (core/checkpoint.hpp). A
- * segment file carries its END checkpoint as a delta against its
- * start checkpoint (segment 0: a keyframe), and a START image — the
- * start checkpoint's keyframe — only when that checkpoint heads a
- * chain. Such a file, and segment 0, is a chain head file; the files
- * after it up to the next one make up its chain.
- * (This inverts the `.dla` layout, where checkpoints live in a footer
- * written last; a footer is exactly what a crashed recorder never
- * wrote.) The payload bytes for a given checkpoint interval are
- * byte-identical to the `.dla`'s — both containers share the slice
- * builders and the writer pipeline in store/archive_detail.hpp, and
- * both readers reassemble through ContainerReader (store/archive).
+ * A segment file is exactly one segment record, byte-identical to the
+ * `.dla`'s record of the same interval (store/archive.hpp): a header
+ * with CRCs, the image of the checkpoint the segment ends at, then
+ * the LZ77-compressed payload. The image is stored there and nowhere
+ * else: a keyframe when the checkpoint heads a chain
+ * (core/checkpoint.hpp), else a delta on the segment's start
+ * checkpoint, the end checkpoint of the file before. A file whose
+ * image is a keyframe, and segment 0, is a *chain head file*; the
+ * files after it up to the next one make up its chain. Any contiguous
+ * run of surviving files that opens with a chain head file is
+ * independently decodable and *validatable* without a footer (a
+ * footer is exactly what a crashed recorder never wrote): replay can
+ * start at any retained checkpoint, every file's end checkpoint, and
+ * every bounded interval is judged against the end checkpoint it runs
+ * to. ring.meta and ring.index use the `.dla` footer's metadata and
+ * index layouts, and both readers reassemble through ContainerReader.
  *
  * Availability guarantee (the checkpoint-placement contract): with
  * checkpoints every P commits, a segment spans at most P commits and
@@ -37,21 +34,23 @@
  * most 2P-1 commits behind g (worst case: the in-progress segment is
  * one commit short of cutting, so the newest *complete* segment
  * started two periods ago). Eviction never removes the chain holding
- * the newest complete segment, so that segment's start checkpoint
+ * the newest complete segment, nor the chain before it while the
+ * newest holds one checkpoint, so that segment's start checkpoint
  * stays decodable and a replay starting point always exists within
- * the last T = 2P commits (RingOptions::resolvedLag()). The disk budget
- * bounds retained bytes best-effort: oldest whole chains are evicted
- * first, and when the protected newest chain alone exceeds the budget
- * the writer keeps it and counts a budgetOverrun instead of giving up
- * the guarantee.
+ * the last T = 2P commits (RingOptions::resolvedLag()). The disk
+ * budget bounds retained bytes best-effort: oldest whole chains are
+ * evicted first, and when the protected chains alone exceed the
+ * budget the writer keeps them and counts a budgetOverrun instead of
+ * giving up the guarantee.
  *
  * Crash consistency: segment files are written append-only in id
  * order and ring.index is replaced via write-to-temp + rename. After
  * a crash (torn tail segment, missing or stale index),
  * RingArchiveReader::open falls back to a directory scan, drops
  * structurally invalid files, and retains the newest contiguous run
- * of valid segments from its first chain head on — salvage, never a
- * crash or a silent wrong answer.
+ * of valid segments from its first chain head file on — salvage,
+ * never a crash or a silent wrong answer. A torn newest file costs
+ * only that file: the file before it holds its own end checkpoint.
  */
 
 #ifndef DELOREAN_STORE_RING_HPP_
@@ -100,40 +99,6 @@ struct RingOptions
      * period or budget, or an implausibly large period.
      */
     void validate() const;
-};
-
-/** Where one checkpoint image lies in a segment file (stored raw). */
-struct RingBlobInfo
-{
-    std::uint64_t fileOffset = 0;
-    std::uint64_t bytes = 0; ///< serialized image size
-    std::uint64_t crc32 = 0; ///< CRC-32 of the image bytes
-};
-
-/** Everything known about one retained ring segment. */
-struct RingSegmentInfo
-{
-    std::uint64_t segId = 0;   ///< global monotone cut counter
-    std::uint64_t startGcc = 0;
-    std::uint64_t endGcc = 0;
-    std::uint64_t rawBytes = 0;  ///< decompressed payload size
-    std::uint64_t compBytes = 0; ///< stored payload size
-    std::uint64_t crc32 = 0;     ///< CRC-32 of the compressed payload
-    std::uint64_t fileBytes = 0; ///< whole segment file size
-    bool isTail = false;         ///< final segment of a clean close
-    /// The start checkpoint heads a chain: its keyframe is stored here
-    /// (never for segment 0, which has no start checkpoint).
-    bool hasStartCheckpoint = false;
-    bool hasEndCheckpoint = false;   ///< false only for the tail
-    /// The checkpoint image blobs (valid when the matching has* flag
-    /// is set): the start keyframe, and the end image — a delta on
-    /// the start checkpoint, a keyframe for segment 0. Readers rebuild
-    /// images on demand: RingArchiveReader::checkpointAt().
-    RingBlobInfo startBlob;
-    RingBlobInfo endBlob;
-
-    /** Segment 0 or a start keyframe: a chain opens here. */
-    bool chainHead() const { return segId == 0 || hasStartCheckpoint; }
 };
 
 /** Writer-side counters (RingArchiveWriter::stats). */
@@ -224,17 +189,17 @@ struct RingRecoveryInfo
  * retained window raises CheckpointOutOfRangeError.
  *
  * open() reads the index, not the images. It scans every segment file
- * and makes every check that decides salvage: magics, sizes, CRCs of
- * the header, the checkpoint blobs, and each image's kind, GCC,
- * context count and delta base GCC against the segment header (read
- * by decoding only the head of the image blob). Parsing is
- * O(#segments); no memory image is built. CRC still covers every blob
- * byte, and the payload CRC waits for the first read of the segment.
+ * and makes every check that decides salvage (archive_detail::
+ * scanRecord): magic, sizes, the header and image CRCs, and each
+ * image's GCC, context count and delta base GCC against the record
+ * header, by a structural walk of the image. Parsing is O(#segments);
+ * no memory image is built. The payload CRC waits for the first read
+ * of the segment.
  *
  * checkpointGccs() and newestCheckpointAtOrBefore() answer from the
- * segment headers. checkpointAt(), readInterval() and readAll()
+ * record headers. checkpointAt(), readInterval() and readAll()
  * rebuild an image on first use from its chain (re-reading and
- * re-CRCing the blobs) and memoize it; a failure there, a delta
+ * re-CRCing the images) and memoize it; a failure there, a delta
  * memory hash mismatch included, is an ArchiveError naming the
  * segment.
  * Readers are not internally synchronized: use one per thread.
@@ -254,13 +219,11 @@ class RingArchiveReader : public archive_detail::ContainerReader
 
     const RingRecoveryInfo &recovery() const { return recovery_; }
 
-    /** Retained segments, ascending segId (contiguous). */
-    const std::vector<RingSegmentInfo> &segments() const
-    {
-        return segments_;
-    }
-
-    /** Retained window in GCC space: (startGcc, endGcc]. */
+    /**
+     * Retained window in GCC space, (startGcc, endGcc]: the commits
+     * after the oldest retained checkpoint (after the oldest segment's
+     * start when none is retained) up to the end of the newest segment.
+     */
     std::uint64_t startGcc() const;
     std::uint64_t endGcc() const;
 
@@ -295,32 +258,18 @@ class RingArchiveReader : public archive_detail::ContainerReader
 
     std::vector<std::uint8_t>
     segmentPayload(std::size_t pos) const override;
-    std::vector<std::uint8_t>
-    storedImage(std::size_t index) const override;
-    ArchiveError imageError(std::size_t index,
-                            const std::string &what) const override;
-    /// GCC of boundary @p b (0..segments().size()).
-    std::uint64_t boundaryGcc(std::size_t b) const;
+    const std::uint8_t *
+    storedImage(std::size_t index,
+                std::vector<std::uint8_t> &buffer) const override;
+    /// Read @p bytes at @p offset of retained file @p pos.
+    std::vector<std::uint8_t> readRange(std::size_t pos,
+                                        std::uint64_t offset,
+                                        std::uint64_t bytes,
+                                        const char *what) const;
 
     std::string dir_;
     RingRecoveryInfo recovery_;
-    std::vector<RingSegmentInfo> segments_;
-    std::vector<std::string> seg_paths_;      ///< parallel to segments_
-    std::vector<std::uint64_t> payload_off_;  ///< parallel to segments_
-    /// Where a retained checkpoint lies: its boundary (0..segments
-    /// count), and its stored image — segment @c boundary's start blob
-    /// (a keyframe) or segment @c boundary - 1's end blob.
-    struct RetainedCheckpoint
-    {
-        std::size_t boundary = 0;
-        bool startBlob = false;
-
-        std::size_t segment() const
-        {
-            return startBlob ? boundary : boundary - 1;
-        }
-    };
-    std::vector<RetainedCheckpoint> ckpts_; ///< one per checkpoint
+    std::vector<std::string> seg_paths_; ///< parallel to segments()
 };
 
 } // namespace delorean

@@ -553,17 +553,18 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
 
     switch (kind) {
       case ArchiveMutationKind::kSegmentBitFlip: {
-        // Aim at one segment's compressed payload via the archive's
-        // own index so the flip never lands in footer or trailer.
+        // Aim at one segment record (header, image, payload) via the
+        // archive's own index so the flip never lands in footer or
+        // trailer.
         try {
             const ArchiveReader reader = ArchiveReader::fromBytes(out);
             const auto &segs = reader.segments();
             const ArchiveSegmentInfo &seg =
                 segs[static_cast<std::size_t>(rng.below(segs.size()))];
             const std::size_t begin =
-                static_cast<std::size_t>(seg.fileOffset) + 40;
+                static_cast<std::size_t>(seg.fileOffset);
             flipBits(out, begin,
-                     begin + static_cast<std::size_t>(seg.compBytes),
+                     begin + static_cast<std::size_t>(seg.recordBytes),
                      rng);
         } catch (const std::exception &) {
             flipBits(out, 0, out.size(), rng);
@@ -591,42 +592,23 @@ mutateArchive(const std::vector<std::uint8_t> &bytes,
                 out.begin() + static_cast<long>(footer_offset + footer_size));
             if (raw.empty())
                 break;
-            // Half the mutants aim at the first segment's structural
-            // index fields (endGcc, file offset, sizes, CRC, log bit
-            // positions) — a one-byte scribble anywhere else in the
-            // footer almost always lands in checkpoint memory words,
-            // which only the replay legs can judge. Walk the footer
-            // layout: machine + mode + appName + seed + iterations +
-            // stats + per-proc finals + memory hash + segment count.
+            // Half the mutants aim at the record index's structural
+            // fields (clean flag, record count, and the first two
+            // records' file offsets and sizes); the rest land anywhere,
+            // mostly in the metadata and the final stats. Walk the
+            // footer layout: machine (12 u64s) + mode (7 u64s) +
+            // appName + seed + iterations, then the index.
+            constexpr std::size_t kIndexFieldBytes = 48;
             std::size_t idx0 = raw.size();
             if (raw.size() >= 160) {
-                const auto rawU64 = [&raw](std::size_t off) {
-                    std::uint64_t v = 0;
-                    for (int i = 0; i < 8; ++i)
-                        v |= static_cast<std::uint64_t>(raw[off + i])
-                             << (8 * i);
-                    return v;
-                };
-                // machine (12 u64s) + mode (7 u64s) precede appName.
-                const std::uint64_t name_len = rawU64(152);
-                if (name_len < raw.size()) {
-                    std::size_t off = 160
-                                      + static_cast<std::size_t>(
-                                          name_len)
-                                      + 16 + 64;
-                    if (off + 8 <= raw.size()) {
-                        const std::uint64_t procs = rawU64(off);
-                        off += 8
-                               + static_cast<std::size_t>(procs) * 16
-                               + 8 + 8;
-                        if (off + 56 <= raw.size())
-                            idx0 = off;
-                    }
-                }
+                const std::uint64_t name_len = u64At(raw, 152);
+                if (name_len < raw.size())
+                    idx0 = 160 + static_cast<std::size_t>(name_len) + 16;
             }
             const std::size_t pos =
-                (idx0 + 56 <= raw.size() && rng.below(2) == 0)
-                    ? idx0 + static_cast<std::size_t>(rng.below(56))
+                (idx0 + kIndexFieldBytes <= raw.size() && rng.below(2) == 0)
+                    ? idx0 + static_cast<std::size_t>(
+                          rng.below(kIndexFieldBytes))
                     : static_cast<std::size_t>(rng.below(raw.size()));
             raw[pos] ^=
                 static_cast<std::uint8_t>(1 + rng.below(255));

@@ -156,17 +156,17 @@ FaultSweepSummary runFaultSweep(const Recording &rec,
 /**
  * Mutation classes applied to an archive byte stream. Unlike the
  * serialized-recording mutations above, these target the container's
- * structural layers: compressed segment payloads, the footer, and the
- * footer's semantic index (where the CRC is *valid* but the indexed
- * metadata lies, so the reader's cross-checks — not the checksum —
- * must catch it).
+ * structural layers: the segment records (header, checkpoint image,
+ * compressed payload), the footer, and the footer's record index
+ * (where the CRC is *valid* but the index lies, so the reader's
+ * cross-checks — not the checksum — must catch it).
  */
 enum class ArchiveMutationKind : std::uint8_t
 {
-    kSegmentBitFlip, ///< flip 1-8 bits inside one segment's payload
+    kSegmentBitFlip, ///< flip 1-8 bits inside one segment record
     kFooterTruncate, ///< cut the stream inside the footer or trailer
-    kIndexCorrupt,   ///< scribble on the decompressed footer, then
-                     ///< recompress and rebuild a *valid* trailer
+    kIndexCorrupt,   ///< scribble on the raw footer, then rebuild a
+                     ///< *valid* trailer (size and CRC)
 };
 
 constexpr unsigned kArchiveMutationKinds = 3;

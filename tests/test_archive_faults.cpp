@@ -23,11 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "compress/lz77.hpp"
 #include "core/recorder.hpp"
 #include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
-#include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
 #include "store/ring.hpp"
 #include "validate/fault_injector.hpp"
@@ -40,12 +38,16 @@ namespace delorean
 namespace
 {
 
+using test::footerIndexAt;
 using test::footerOffset;
 using test::kDlaTrailerBytes;
 using test::putU64At;
 using test::rawFooter;
 using test::readFile;
+using test::recordImageAt;
+using test::resealRecord;
 using test::rewriteFooter;
+using test::slice;
 using test::u64At;
 using test::writeFile;
 
@@ -222,28 +224,42 @@ TEST(ArchiveFaults, ForgedOffsetsNearTwoToTheSixtyFourFailAtOpen)
     const std::size_t footer_off = footerOffset(bytes);
     const std::vector<std::uint8_t> footer = rawFooter(bytes);
 
-    // Segment 1's index entry: endGcc, fileOffset, rawBytes, compBytes,
-    // crc32 (found by value, past segment 0's checkpoint image).
-    const ArchiveSegmentInfo seg =
-        ArchiveReader::fromBytes(bytes).segments()[1];
-    std::size_t entry = 0;
-    while (entry + 40 <= footer.size()
-           && !(u64At(footer, entry) == seg.endGcc
-                && u64At(footer, entry + 8) == seg.fileOffset
-                && u64At(footer, entry + 16) == seg.rawBytes
-                && u64At(footer, entry + 24) == seg.compBytes
-                && u64At(footer, entry + 32) == seg.crc32))
-        ++entry;
-    ASSERT_LT(entry + 40, footer.size());
-    std::vector<std::uint8_t> forged_footer = footer;
-    putU64At(forged_footer, entry + 8, ~std::uint64_t{0} - 39);
-    std::vector<std::uint8_t> forged_index = bytes;
-    rewriteFooter(forged_index, footer_off, forged_footer);
+    // Record 1's index entry: its file offset, then its bytes. Either
+    // forged near 2^64 must fail the location check, not wrap it.
+    const std::size_t entry = footerIndexAt(footer) + 16 + 16;
+    ASSERT_EQ(u64At(footer, entry),
+              ArchiveReader::fromBytes(bytes).segments()[1].fileOffset);
+    for (const auto &[field, value] :
+         {std::pair<std::size_t, std::uint64_t>{0, ~std::uint64_t{0} - 39},
+          {8, ~std::uint64_t{0} - 15}}) {
+        std::vector<std::uint8_t> forged_footer = footer;
+        putU64At(forged_footer, entry + field, value);
+        std::vector<std::uint8_t> forged_index = bytes;
+        rewriteFooter(forged_index, footer_off, forged_footer);
+        try {
+            ArchiveReader::fromBytes(forged_index);
+            ADD_FAILURE() << "record 1 location field " << field
+                          << " forged near 2^64 was accepted at open";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFooter) << e.what();
+        }
+    }
+
+    // A record's image size near 2^64, re-sealed: the size caps reject
+    // it before any extent sum.
+    std::vector<std::uint8_t> forged_record = bytes;
+    const std::size_t rec1 =
+        static_cast<std::size_t>(u64At(footer, entry));
+    putU64At(forged_record, rec1 + test::record::kImageBytes,
+             ~std::uint64_t{0} - 87);
+    putU64At(forged_record, rec1 + test::record::kHeaderCrc,
+             crc32(forged_record.data() + rec1, test::record::kHeaderCrc));
     try {
-        ArchiveReader::fromBytes(forged_index);
-        ADD_FAILURE() << "segment offset 2^64-40 was accepted at open";
+        ArchiveReader::fromBytes(forged_record);
+        ADD_FAILURE() << "image size 2^64-88 was accepted at open";
     } catch (const ArchiveError &e) {
-        EXPECT_EQ(e.section(), ArchiveSection::kFooter) << e.what();
+        EXPECT_EQ(e.section(), ArchiveSection::kSegment) << e.what();
+        EXPECT_EQ(e.segment(), 1u) << e.what();
     }
 
     // The trailer's footer offset has the same shape.
@@ -261,11 +277,11 @@ TEST(ArchiveFaults, ForgedOffsetsNearTwoToTheSixtyFourFailAtOpen)
 
 TEST(RingFaults, ForgedPayloadSizeThatWrapsTheExtentIsDropped)
 {
-    // A segment header whose start blob claims 1 MiB past the file and
-    // whose payload size is chosen so the extent sum wraps back to the
-    // file size. The header is re-sealed with a valid CRC; the salvage
-    // scan must drop the file on the payload-size cap, not read past
-    // the file buffer.
+    // A record header whose image claims 1 MiB past the file and whose
+    // payload size is chosen so the extent sum wraps back to the file
+    // size. The header is re-sealed with a valid CRC; the salvage scan
+    // must drop the file on the payload-size cap, not read past the
+    // file buffer.
     const Recording rec = record(ModeConfig::orderOnly());
     ASSERT_GE(rec.checkpoints.size(), 2u);
     const std::string dir =
@@ -275,36 +291,20 @@ TEST(RingFaults, ForgedPayloadSizeThatWrapsTheExtentIsDropped)
     std::filesystem::remove_all(dir);
     writeRing(rec, dir, RingOptions{});
 
-    // Segment file: 48-byte preamble (header raw size at 24, compressed
-    // size at 32, CRC at 40), the header blob, the checkpoint blobs,
-    // the payload. Header blob u64s: startGcc, endGcc, isTail,
-    // hasStart, start bytes/crc, hasEnd, end bytes/crc, payload
-    // raw/comp/crc.
+    // A segment file is one record: the header (image size at 40,
+    // payload stored size at 64, header CRC at 80), the image, the
+    // payload. Claim an image 1 MiB past the file and pick the payload
+    // size so that header + image + payload wraps around to the bytes
+    // actually present, then re-seal the header.
     const std::string seg1 = dir + "/seg-000000000001";
-    const std::vector<std::uint8_t> file = readFile(seg1);
-    const std::size_t hcomp = u64At(file, 32);
-    const Lz77 codec;
-    std::vector<std::uint8_t> header =
-        codec.decompress(file.data() + 48, hcomp);
-    ASSERT_EQ(header.size(), 12u * 8);
-    ASSERT_EQ(u64At(header, 3 * 8), 1u);
-    const std::vector<std::uint8_t> rest(
-        file.begin() + static_cast<long>(48 + hcomp), file.end());
-    // The file must end exactly where the header says: preamble,
-    // header blob, then start + end + payload bytes. Pick the payload
-    // size so that sum wraps around to the bytes actually present.
-    const std::uint64_t start_bytes = file.size() + (1u << 20);
-    putU64At(header, 4 * 8, start_bytes);
-    putU64At(header, 10 * 8,
-             rest.size() - start_bytes - u64At(header, 7 * 8));
-    const std::vector<std::uint8_t> hblob = codec.compress(header);
-    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
-    putU64At(out, 24, header.size());
-    putU64At(out, 32, hblob.size());
-    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
-    out.insert(out.end(), hblob.begin(), hblob.end());
-    out.insert(out.end(), rest.begin(), rest.end());
-    writeFile(seg1, out);
+    std::vector<std::uint8_t> file = readFile(seg1);
+    const std::uint64_t image_bytes = file.size() + (1u << 20);
+    putU64At(file, test::record::kImageBytes, image_bytes);
+    putU64At(file, test::record::kCompBytes,
+             file.size() - test::record::kHeaderBytes - image_bytes);
+    putU64At(file, test::record::kHeaderCrc,
+             crc32(file.data(), test::record::kHeaderCrc));
+    writeFile(seg1, file);
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     EXPECT_GE(ring.recovery().droppedSegments, 1u);
@@ -522,7 +522,7 @@ TEST(ArchiveFaults, MmapFailureEdgesMatchBufferedReads)
     // Truncated mid-segment: cut inside segment 1's payload.
     {
         const std::size_t cut = static_cast<std::size_t>(
-            intact.segments()[1].fileOffset + 40 + 3);
+            intact.segments()[1].payloadOffset() + 3);
         ASSERT_LT(cut, bytes.size());
         const std::vector<std::uint8_t> cut_bytes(
             bytes.begin(),
@@ -561,7 +561,7 @@ TEST(ArchiveFaults, MmapFailureEdgesMatchBufferedReads)
     {
         std::vector<std::uint8_t> corrupt = bytes;
         corrupt[static_cast<std::size_t>(
-            intact.segments()[0].fileOffset + 40)] ^= 0x10;
+            intact.segments()[0].payloadOffset())] ^= 0x10;
         const std::string path =
             writeTemp(corrupt, "edge_crc.dla");
         const LoadOutcome mapped = loadFileOutcome(path, true);
@@ -605,17 +605,6 @@ TEST(ArchiveFaults, SweepAccountingAddsUp)
 
 // ----- checkpoint chains (keyframes and deltas) -----------------------------
 
-/** The stored images of @p rec's checkpoints, as the writers chain them. */
-std::vector<archive_detail::CheckpointImages>
-chainImages(const Recording &rec)
-{
-    std::vector<archive_detail::CheckpointImages> images;
-    for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
-        images.push_back(archive_detail::storedImages(
-            i ? &rec.checkpoints[i - 1] : nullptr, rec.checkpoints[i]));
-    return images;
-}
-
 /** An OrderOnly fft run whose checkpoints form several chains. */
 const Recording &
 chainedRecording()
@@ -626,13 +615,15 @@ chainedRecording()
 
 /**
  * The first chain head after checkpoint 0 that a delta follows: its
- * index, so that index + 1 is a delta on it.
+ * index, so that index + 1 is a delta on it. Checkpoint j is the image
+ * of record j in both containers.
  */
 std::size_t
-headWithDelta(const std::vector<archive_detail::CheckpointImages> &images)
+headWithDelta(const Recording &rec)
 {
-    for (std::size_t i = 1; i + 1 < images.size(); ++i)
-        if (images[i].headsChain() && !images[i + 1].headsChain())
+    for (std::size_t i = 1; i + 1 < rec.checkpoints.size(); ++i)
+        if (rec.checkpoints[i].memory.headsChain()
+            && !rec.checkpoints[i + 1].memory.headsChain())
             return i;
     return 0;
 }
@@ -659,40 +650,44 @@ firstValueAt(const std::vector<std::uint8_t> &bytes, std::size_t at)
     return pos + 1;
 }
 
-/** Offset of @p image's stored form in the raw footer. */
-std::size_t
-footerImageOffset(const std::vector<std::uint8_t> &footer,
-                  const archive_detail::CheckpointImages &image)
-{
-    const std::string &image_bytes = image.chainImage();
-    const std::vector<std::uint8_t> want(image_bytes.begin(),
-                                         image_bytes.end());
-    const auto it = std::search(footer.begin(), footer.end(), want.begin(),
-                                want.end());
-    return static_cast<std::size_t>(it - footer.begin());
-}
-
-/** @p bytes with the footer u64 at @p offset set to @p value, re-sealed. */
+/**
+ * @p bytes with the u64 at @p offset of checkpoint @p ckpt's image set
+ * to @p value, its record re-sealed.
+ */
 std::vector<std::uint8_t>
-forgeFooter(const std::vector<std::uint8_t> &bytes, std::size_t offset,
-            std::uint64_t value)
+forgeImage(const std::vector<std::uint8_t> &bytes, std::size_t ckpt,
+           std::size_t offset, std::uint64_t value)
 {
-    std::vector<std::uint8_t> footer = rawFooter(bytes);
-    putU64At(footer, offset, value);
+    const ArchiveSegmentInfo seg =
+        ArchiveReader::fromBytes(bytes).segments()[ckpt];
     std::vector<std::uint8_t> out = bytes;
-    rewriteFooter(out, footerOffset(bytes), footer);
+    putU64At(out, static_cast<std::size_t>(seg.imageOffset()) + offset,
+             value);
+    resealRecord(out, static_cast<std::size_t>(seg.fileOffset));
     return out;
 }
 
+/** The stored image of checkpoint @p ckpt of `.dla` @p bytes. */
+std::vector<std::uint8_t>
+dlaImage(const std::vector<std::uint8_t> &bytes, std::size_t ckpt)
+{
+    const ArchiveSegmentInfo seg =
+        ArchiveReader::fromBytes(bytes).segments()[ckpt];
+    return slice(bytes, static_cast<std::size_t>(seg.imageOffset()),
+                 static_cast<std::size_t>(seg.imageBytes));
+}
+
+/** Run @p fn; expect an ArchiveError of segment @p segment naming @p what. */
 template <typename Fn>
 void
-expectFooterError(Fn fn, const std::string &what)
+expectSegmentError(Fn fn, std::size_t segment, const std::string &what)
 {
     try {
         fn();
         ADD_FAILURE() << "accepted; expected '" << what << "'";
     } catch (const ArchiveError &e) {
-        EXPECT_EQ(e.section(), ArchiveSection::kFooter) << e.what();
+        EXPECT_EQ(e.section(), ArchiveSection::kSegment) << e.what();
+        EXPECT_EQ(e.segment(), segment) << e.what();
         EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
             << e.what();
     }
@@ -701,66 +696,59 @@ expectFooterError(Fn fn, const std::string &what)
 TEST(ChainFaults, DlaCorruptedKeyframeFailsTheNextDeltaHash)
 {
     const Recording &rec = chainedRecording();
-    const auto images = chainImages(rec);
-    const std::size_t head = headWithDelta(images);
+    const std::size_t head = headWithDelta(rec);
     ASSERT_GT(head, 0u) << "no mid-run chain head followed by a delta";
     const std::vector<std::uint8_t> bytes = archive(rec);
-    const std::vector<std::uint8_t> footer = rawFooter(bytes);
-    const std::size_t at = footerImageOffset(footer, images[head]);
-    ASSERT_LT(at, footer.size());
-    ASSERT_EQ(u64At(footer, at), rec.checkpoints[head].gcc);
+    const std::vector<std::uint8_t> image = dlaImage(bytes, head);
+    ASSERT_EQ(u64At(image, 0), rec.checkpoints[head].gcc);
 
-    // The first word's value: structure intact, content wrong, footer
+    // The first word's value: structure intact, content wrong, record
     // re-sealed so only the chain's memory hash can notice.
-    const std::size_t value_at = firstValueAt(footer, at);
+    const std::size_t value_at = firstValueAt(image, 0);
     const std::vector<std::uint8_t> bad =
-        forgeFooter(bytes, value_at, u64At(footer, value_at) ^ 1);
+        forgeImage(bytes, head, value_at, u64At(image, value_at) ^ 1);
     const ArchiveReader reader = ArchiveReader::fromBytes(bad);
     EXPECT_NO_THROW(reader.checkpointAt(head - 1));
-    expectFooterError([&] { reader.checkpointAt(head + 1); },
-                      "memory hash mismatch");
-    expectFooterError([&] { reader.readAll(); }, "memory hash mismatch");
+    expectSegmentError([&] { reader.checkpointAt(head + 1); }, head + 1,
+                       "memory hash mismatch");
+    expectSegmentError([&] { reader.readAll(); }, head + 1,
+                       "memory hash mismatch");
 }
 
 TEST(ChainFaults, DlaDeltaWithForgedBaseGccFailsAtOpen)
 {
     const Recording &rec = chainedRecording();
-    const auto images = chainImages(rec);
-    const std::size_t delta = headWithDelta(images) + 1;
+    const std::size_t delta = headWithDelta(rec) + 1;
     ASSERT_GT(delta, 1u);
     const std::vector<std::uint8_t> bytes = archive(rec);
-    const std::vector<std::uint8_t> footer = rawFooter(bytes);
-    const std::size_t at = footerImageOffset(footer, images[delta]);
-    ASSERT_LT(at, footer.size());
+    const std::vector<std::uint8_t> image = dlaImage(bytes, delta);
     const std::size_t base_at =
-        fieldsAt(footer, at, serialize_detail::ImageKind::kDelta);
-    ASSERT_EQ(u64At(footer, base_at), rec.checkpoints[delta - 1].gcc);
-    const std::vector<std::uint8_t> bad =
-        forgeFooter(bytes, base_at, rec.checkpoints[delta - 1].gcc + 1);
-    expectFooterError([&] { ArchiveReader::fromBytes(bad); },
-                      "delta base GCC");
+        fieldsAt(image, 0, serialize_detail::ImageKind::kDelta);
+    ASSERT_EQ(u64At(image, base_at), rec.checkpoints[delta - 1].gcc);
+    const std::vector<std::uint8_t> bad = forgeImage(
+        bytes, delta, base_at, rec.checkpoints[delta - 1].gcc + 1);
+    expectSegmentError([&] { ArchiveReader::fromBytes(bad); }, delta,
+                       "end checkpoint disagrees with the header");
 }
 
 TEST(ChainFaults, DlaDeltaWithForgedMemoryHashFailsItsRebuild)
 {
     const Recording &rec = chainedRecording();
-    const auto images = chainImages(rec);
-    const std::size_t delta = headWithDelta(images) + 1;
+    const std::size_t delta = headWithDelta(rec) + 1;
     ASSERT_GT(delta, 1u);
     const std::vector<std::uint8_t> bytes = archive(rec);
-    const std::vector<std::uint8_t> footer = rawFooter(bytes);
-    const std::size_t at = footerImageOffset(footer, images[delta]);
-    ASSERT_LT(at, footer.size());
-    const std::size_t hash_at = at + images[delta].delta.size() - 8;
+    const std::vector<std::uint8_t> image = dlaImage(bytes, delta);
+    const std::size_t hash_at = image.size() - 8;
     const std::vector<std::uint8_t> bad =
-        forgeFooter(bytes, hash_at, u64At(footer, hash_at) + 1);
+        forgeImage(bytes, delta, hash_at, u64At(image, hash_at) + 1);
     const ArchiveReader reader = ArchiveReader::fromBytes(bad);
     EXPECT_NO_THROW(reader.checkpointAt(delta - 1));
-    expectFooterError([&] { reader.checkpointAt(delta); },
-                      "memory hash mismatch");
-    expectFooterError([&] { reader.readInterval(delta - 1, delta); },
-                      "memory hash mismatch");
-    expectFooterError([&] { reader.readAll(); }, "memory hash mismatch");
+    expectSegmentError([&] { reader.checkpointAt(delta); }, delta,
+                       "memory hash mismatch");
+    expectSegmentError([&] { reader.readInterval(delta - 1, delta); }, delta,
+                       "memory hash mismatch");
+    expectSegmentError([&] { reader.readAll(); }, delta,
+                       "memory hash mismatch");
 }
 
 /** Ring of chainedRecording() in a fresh @p name directory. */
@@ -786,59 +774,23 @@ segPath(const std::string &dir, std::size_t id)
 }
 
 /**
- * Re-encode one checkpoint image of ring segment file @p path — its
- * start blob, or its end blob — through @p edit, re-sealing the blob
- * and the header so only the image's content can be judged.
+ * Edit the image of ring segment file @p path in place through
+ * @p edit (which keeps its size), re-sealing the record so only the
+ * image's content can be judged.
  */
 template <typename Fn>
 void
-editRingImage(const std::string &path, bool start, Fn edit)
+editRingImage(const std::string &path, Fn edit)
 {
-    // Header blob u64s: startGcc, endGcc, isTail, startKind, [start
-    // bytes/crc], endKind, [end bytes/crc], payload raw/comp/crc.
-    // Images are stored raw.
-    const std::vector<std::uint8_t> file = readFile(path);
-    const Lz77 codec;
-    const std::size_t hcomp = u64At(file, 32);
-    std::vector<std::uint8_t> header =
-        codec.decompress(file.data() + 48, hcomp);
-    const bool has_start = u64At(header, 24) != 0;
-    const std::size_t start_bytes = has_start ? u64At(header, 32) : 0;
-    const std::size_t end_field = has_start ? 48 : 32;
-    const std::size_t blob_off = 48 + hcomp + (start ? 0 : start_bytes);
-    const std::size_t field = start ? 32 : end_field + 8;
-    ASSERT_TRUE(start ? has_start : u64At(header, end_field) != 0);
-    const std::size_t comp = u64At(header, field);
-    std::vector<std::uint8_t> blob(
-        file.begin() + static_cast<long>(blob_off),
-        file.begin() + static_cast<long>(blob_off + comp));
-    edit(blob);
-    putU64At(header, field, blob.size());
-    putU64At(header, field + 8, crc32(blob.data(), blob.size()));
-    const std::vector<std::uint8_t> hblob = codec.compress(header);
-    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
-    putU64At(out, 32, hblob.size());
-    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
-    out.insert(out.end(), hblob.begin(), hblob.end());
-    out.insert(out.end(), file.begin() + static_cast<long>(48 + hcomp),
-               file.begin() + static_cast<long>(blob_off));
-    out.insert(out.end(), blob.begin(), blob.end());
-    out.insert(out.end(), file.begin() + static_cast<long>(blob_off + comp),
-               file.end());
-    writeFile(path, out);
-
-    // Keep the clean-close index consistent: ring.index's blob (after
-    // its 40-byte preamble, CRC at 32) is the clean flag, the live
-    // count, then (id, file bytes) per segment.
-    const std::filesystem::path seg(path);
-    const std::string index_path = (seg.parent_path() / "ring.index").string();
-    std::vector<std::uint8_t> index = readFile(index_path);
-    const std::uint64_t id = std::stoull(seg.filename().string().substr(4));
-    for (std::size_t k = 0; k < u64At(index, 48); ++k)
-        if (u64At(index, 56 + 16 * k) == id)
-            putU64At(index, 64 + 16 * k, out.size());
-    putU64At(index, 32, crc32(index.data() + 40, index.size() - 40));
-    writeFile(index_path, index);
+    std::vector<std::uint8_t> file = readFile(path);
+    const std::size_t at = recordImageAt(0);
+    std::vector<std::uint8_t> image = slice(
+        file, at, static_cast<std::size_t>(u64At(file, test::record::kImageBytes)));
+    edit(image);
+    std::copy(image.begin(), image.end(),
+              file.begin() + static_cast<long>(at));
+    resealRecord(file, 0);
+    writeFile(path, file);
 }
 
 /**
@@ -875,68 +827,54 @@ expectRejectedOrSalvagedToHead(const std::string &dir,
 
 TEST(ChainFaults, RingCorruptedKeyframeIsDroppedOrFailsTheNextDelta)
 {
-    const auto images = chainImages(chainedRecording());
-    const std::size_t head = headWithDelta(images);
+    const std::size_t head = headWithDelta(chainedRecording());
     ASSERT_GT(head, 0u);
-    // Checkpoint j closes segment j, so segment head + 1 starts with
-    // checkpoint head's keyframe.
+    // Checkpoint j is the image of segment file j.
     {
         // Unsealed: the scan's CRC drops the file; salvage then starts
-        // at the next chain head after the gap.
+        // at the next chain head after the gap, or rejects the ring.
         const std::string dir = chainedRing("delorean-chain-keyframe-crc");
-        std::vector<std::uint8_t> file = readFile(segPath(dir, head + 1));
-        const std::size_t hcomp = u64At(file, 32);
-        file[48 + hcomp + 5] ^= 0x20;
-        writeFile(segPath(dir, head + 1), file);
-        const RingArchiveReader ring = RingArchiveReader::open(dir);
-        EXPECT_GT(ring.segments().front().segId, head + 1);
-        expectRejectedOrSalvagedToHead(dir, "unsealed keyframe");
+        std::vector<std::uint8_t> file = readFile(segPath(dir, head));
+        file[recordImageAt(0) + 5] ^= 0x20;
+        writeFile(segPath(dir, head), file);
+        if (expectRejectedOrSalvagedToHead(dir, "unsealed keyframe")) {
+            EXPECT_GT(RingArchiveReader::open(dir).segments().front().index,
+                      head);
+        }
         std::filesystem::remove_all(dir);
     }
     {
         // Re-sealed: the scan accepts it; the delta after it carries
         // the memory hash that rejects the rebuilt image.
         const std::string dir = chainedRing("delorean-chain-keyframe");
-        editRingImage(segPath(dir, head + 1), true,
-                      [](std::vector<std::uint8_t> &raw) {
-                          const std::size_t v = firstValueAt(raw, 0);
-                          putU64At(raw, v, u64At(raw, v) ^ 1);
-                      });
+        editRingImage(segPath(dir, head), [](std::vector<std::uint8_t> &raw) {
+            const std::size_t v = firstValueAt(raw, 0);
+            putU64At(raw, v, u64At(raw, v) ^ 1);
+        });
         const RingArchiveReader ring = RingArchiveReader::open(dir);
         ASSERT_TRUE(ring.recovery().clean);
-        try {
-            ring.checkpointAt(head + 1);
-            ADD_FAILURE() << "corrupted keyframe rebuilt silently";
-        } catch (const ArchiveError &e) {
-            EXPECT_EQ(e.section(), ArchiveSection::kSegment);
-            EXPECT_NE(std::string(e.what()).find("memory hash mismatch"),
-                      std::string::npos)
-                << e.what();
-        }
+        expectSegmentError([&] { ring.checkpointAt(head + 1); }, head + 1,
+                           "memory hash mismatch");
         std::filesystem::remove_all(dir);
     }
 }
 
 TEST(ChainFaults, RingDeltaWithForgedBaseGccIsDroppedAtScan)
 {
-    const auto images = chainImages(chainedRecording());
-    const std::size_t delta = headWithDelta(images) + 1;
+    const std::size_t delta = headWithDelta(chainedRecording()) + 1;
     ASSERT_GT(delta, 1u);
     const std::string dir = chainedRing("delorean-chain-base");
-    // Segment delta closes with checkpoint delta's end image.
-    editRingImage(segPath(dir, delta), false,
-                  [](std::vector<std::uint8_t> &raw) {
-                      const std::size_t b = fieldsAt(
-                          raw, 0, serialize_detail::ImageKind::kDelta);
-                      putU64At(raw, b, u64At(raw, b) + 1);
-                  });
+    editRingImage(segPath(dir, delta), [](std::vector<std::uint8_t> &raw) {
+        const std::size_t b =
+            fieldsAt(raw, 0, serialize_detail::ImageKind::kDelta);
+        putU64At(raw, b, u64At(raw, b) + 1);
+    });
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     const std::vector<std::string> &notes = ring.recovery().notes;
     EXPECT_NE(std::find(notes.begin(), notes.end(),
-                        "seg-" + std::string(12 - std::to_string(delta)
-                                                      .size(),
-                                             '0')
-                            + std::to_string(delta)
+                        std::filesystem::path(segPath(dir, delta))
+                                .filename()
+                                .string()
                             + ": end checkpoint disagrees with the header"),
               notes.end());
     expectRejectedOrSalvagedToHead(dir, "forged base GCC");
@@ -945,60 +883,69 @@ TEST(ChainFaults, RingDeltaWithForgedBaseGccIsDroppedAtScan)
 
 TEST(ChainFaults, RingDeltaWithForgedMemoryHashFailsItsRebuild)
 {
-    const auto images = chainImages(chainedRecording());
-    const std::size_t delta = headWithDelta(images) + 1;
+    const std::size_t delta = headWithDelta(chainedRecording()) + 1;
     ASSERT_GT(delta, 1u);
     const std::string dir = chainedRing("delorean-chain-hash");
-    editRingImage(segPath(dir, delta), false,
-                  [](std::vector<std::uint8_t> &raw) {
-                      putU64At(raw, raw.size() - 8,
-                               u64At(raw, raw.size() - 8) + 1);
-                  });
+    editRingImage(segPath(dir, delta), [](std::vector<std::uint8_t> &raw) {
+        putU64At(raw, raw.size() - 8, u64At(raw, raw.size() - 8) + 1);
+    });
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     ASSERT_TRUE(ring.recovery().clean);
     EXPECT_NO_THROW(ring.checkpointAt(delta - 1));
     for (const auto &read :
          {std::function<void()>([&] { ring.checkpointAt(delta); }),
           std::function<void()>([&] { ring.readInterval(delta - 1, delta); }),
-          std::function<void()>([&] { ring.readAll(); })}) {
-        try {
-            read();
-            ADD_FAILURE() << "forged memory hash accepted";
-        } catch (const ArchiveError &e) {
-            EXPECT_EQ(e.section(), ArchiveSection::kSegment);
-            EXPECT_EQ(e.segment(), delta);
-            EXPECT_NE(std::string(e.what()).find("memory hash mismatch"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
+          std::function<void()>([&] { ring.readAll(); })})
+        expectSegmentError(read, delta, "memory hash mismatch");
     std::filesystem::remove_all(dir);
 }
 
 /**
- * A mid-chain file deleted, as kEvictedGap does, and a torn chain-head
- * file: for every such pair the ring is rejected typed or salvaged to
- * a chain head whose window replays identically.
+ * A crash while a chain-head file is written: that file torn, and none
+ * after it. Salvage drops only the torn file, so the window ends at the
+ * previous file's checkpoint and replays identically. With a mid-chain
+ * file deleted as well, as kEvictedGap does, the ring is rejected
+ * typed or salvaged to a chain head whose window replays identically.
  */
 TEST(ChainFaults, RingMidChainGapAndTornChainHead)
 {
-    const auto images = chainImages(chainedRecording());
-    std::vector<std::size_t> heads;   // chain-head segment ids
-    std::vector<std::size_t> members; // mid-chain segment ids
-    for (std::size_t i = 1; i < images.size(); ++i)
-        (images[i - 1].headsChain() ? heads : members).push_back(i);
+    const Recording &rec = chainedRecording();
+    std::vector<std::size_t> heads;   // chain-head files after file 0
+    std::vector<std::size_t> members; // mid-chain files
+    for (std::size_t i = 1; i < rec.checkpoints.size(); ++i)
+        (rec.checkpoints[i].memory.headsChain() ? heads : members)
+            .push_back(i);
     ASSERT_GE(heads.size(), 2u);
     ASSERT_FALSE(members.empty());
+    const auto crash_at = [&rec](const std::string &dir, std::size_t head) {
+        for (std::size_t id = head + 1; id <= rec.checkpoints.size(); ++id)
+            std::filesystem::remove(segPath(dir, id));
+        const std::string torn = segPath(dir, head);
+        std::filesystem::resize_file(torn,
+                                     std::filesystem::file_size(torn) / 2);
+    };
+
+    for (const std::size_t head : heads) {
+        const std::string label = "torn head " + std::to_string(head);
+        const std::string dir = chainedRing("delorean-chain-torn");
+        crash_at(dir, head);
+        ASSERT_TRUE(expectRejectedOrSalvagedToHead(dir, label));
+        const RingArchiveReader ring = RingArchiveReader::open(dir);
+        EXPECT_FALSE(ring.recovery().clean) << label;
+        EXPECT_EQ(ring.recovery().droppedSegments, 1u) << label;
+        EXPECT_EQ(ring.checkpointGccs().back(),
+                  rec.checkpoints[head - 1].gcc)
+            << label;
+        std::filesystem::remove_all(dir);
+    }
+
     std::size_t salvaged = 0;
     std::size_t rejected = 0;
     for (const std::size_t gap : members) {
         for (const std::size_t head : heads) {
             const std::string dir = chainedRing("delorean-chain-gap");
+            crash_at(dir, head);
             std::filesystem::remove(segPath(dir, gap));
-            const std::string torn = segPath(dir, head);
-            if (head != gap)
-                std::filesystem::resize_file(
-                    torn, std::filesystem::file_size(torn) / 2);
             (expectRejectedOrSalvagedToHead(
                  dir, "gap " + std::to_string(gap) + " torn "
                           + std::to_string(head))

@@ -326,13 +326,29 @@ withMemory(SystemCheckpoint ckpt, CheckpointImage image)
 }
 
 /**
+ * @p cur re-imaged as a delta on @p base's image, diffed by the
+ * full-state oracle (MemoryDelta::between).
+ */
+SystemCheckpoint
+diffedOn(const SystemCheckpoint &base, const SystemCheckpoint &cur)
+{
+    const MemoryState mem = cur.memory.materialize();
+    return withMemory(cur, CheckpointImage::deltaOn(
+                               base.memory,
+                               MemoryDelta::between(base.memory.materialize(),
+                                                    mem),
+                               mem.hash(), mem.population()));
+}
+
+/**
  * Property test of the delta codec over random checkpoint histories
  * that store a word's default value (erasing it), grow the memory
  * table between two checkpoints, and leave contexts and counters as
  * they were, rewrite a few of their words or rewrite all of them.
  * Each checkpoint is imaged twice: by the recorder's path (an undo
  * journal feeding an ImageChainBuilder) and as a lone keyframe, whose
- * delta the codec diffs. Both paths encode the same delta bytes,
+ * delta the oracle diffs. Both paths encode the same delta bytes (a
+ * chain head keeps no delta: only the oracle's is encoded there),
  * decoding the delta onto the previous checkpoint rebuilds the
  * current one exactly (same keyframe bytes, equal memory, same hash,
  * same contexts), and both encodings are a pure function of content —
@@ -412,9 +428,13 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
         }
         const SystemCheckpoint prev_lone =
             withMemory(prev_chained, CheckpointImage(prev_mem));
-        const std::string bytes = encodeDelta(prev_chained, chained);
-        EXPECT_EQ(encodeDelta(prev_lone, lone), bytes) << "step " << step;
-        if (!chained.memory.headsChain()) {
+        const std::string bytes =
+            encodeDelta(prev_lone, diffedOn(prev_lone, lone));
+        if (chained.memory.headsChain()) {
+            EXPECT_EQ(chained.memory.delta(), nullptr) << "step " << step;
+        } else {
+            EXPECT_EQ(encodeDelta(prev_chained, chained), bytes)
+                << "step " << step;
             chain_delta_bytes += bytes.size();
             EXPECT_LE(chain_delta_bytes, keyframe_bytes) << "step " << step;
         }
@@ -434,7 +454,8 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
             withMemory(prev_lone, CheckpointImage(reinserted(prev_mem)));
         const SystemCheckpoint cur2 =
             withMemory(lone, CheckpointImage(reinserted(mem)));
-        EXPECT_EQ(encodeDelta(prev2, cur2), bytes) << "step " << step;
+        EXPECT_EQ(encodeDelta(prev2, diffedOn(prev2, cur2)), bytes)
+            << "step " << step;
         EXPECT_EQ(encodeKeyframe(cur2), encodeKeyframe(lone));
 
         // A keyframe decodes back to the same checkpoint.
@@ -456,7 +477,8 @@ TEST(DeltaCodec, ApplyRebuildsAndBytesArePureFunctionsOfContent)
  * word's old value inside one interval and table growth between two
  * cuts: at every cut the image materializes to the oracle, carries
  * its hash and population, keeps its delta against the image before
- * it, and reads at most twice its keyframe's bytes to materialize.
+ * it unless it heads a chain (a head keeps only its keyframe), and
+ * reads at most twice its keyframe's bytes to materialize.
  * The keyframe rule starts more than one chain.
  */
 TEST(ImageChain, JournaledChainsMaterializeToTheOracle)
@@ -499,7 +521,10 @@ TEST(ImageChain, JournaledChainsMaterializeToTheOracle)
         EXPECT_EQ(image.hash(), mem.hash()) << "step " << step;
         EXPECT_EQ(image.population(), mem.population());
         EXPECT_TRUE(image == CheckpointImage(mem)) << "step " << step;
-        EXPECT_TRUE(step == 0 || image.follows(history.back().memory))
+        EXPECT_EQ(step > 0 && image.follows(history.back().memory),
+                  !image.headsChain())
+            << "step " << step;
+        EXPECT_EQ(image.delta() == nullptr, image.headsChain())
             << "step " << step;
         history.push_back(header);
         history.back().memory = image;
@@ -563,7 +588,7 @@ TEST(DeltaCodec, ApplyRejectsForgedBaseAndHash)
     SystemCheckpoint cur = prev;
     cur.gcc = 20;
     cur.memory = CheckpointImage(after);
-    const std::string delta = encodeDelta(prev, cur);
+    const std::string delta = encodeDelta(prev, diffedOn(prev, cur));
     const auto decode = [&](const SystemCheckpoint &base,
                             const std::string &bytes, std::size_t size) {
         ChainDecoder walk;

@@ -33,6 +33,9 @@ namespace
 
 using test::putU64At;
 using test::readFile;
+using test::recordImageAt;
+using test::recordPayloadAt;
+using test::slice;
 using test::u64At;
 using test::writeFile;
 
@@ -186,45 +189,23 @@ TEST(Ring, RejectsSegmentHasMasksFlag)
     writeSmallRing(dir);
 
     // Re-encode segment 1 with its PI slice's has-masks flag (the
-    // payload's second u64) set to 1. Segment file: 48-byte preamble
-    // (header blob compressed size at 32, its CRC at 40), the header
-    // blob (ending in the payload's raw size, compressed size and
-    // CRC), the checkpoint blobs, then the payload.
+    // payload's second u64) set to 1. A segment file is one record:
+    // the header, the end checkpoint's image, then the payload.
     const std::string seg1 = dir + "/seg-000000000001";
     const std::vector<std::uint8_t> file = readFile(seg1);
+    const std::size_t payload_at = recordPayloadAt(file, 0);
     const Lz77 codec;
-    const std::size_t hcomp = u64At(file, 32);
-    std::vector<std::uint8_t> header =
-        codec.decompress(file.data() + 48, hcomp);
-    const std::uint64_t pcomp = u64At(header, header.size() - 16);
-    const std::size_t payload_off = file.size() - pcomp;
-    std::vector<std::uint8_t> raw =
-        codec.decompress(file.data() + payload_off, pcomp);
+    std::vector<std::uint8_t> raw = codec.decompress(
+        file.data() + payload_at, file.size() - payload_at);
     ASSERT_EQ(u64At(raw, 8), 0u);
     putU64At(raw, 8, 1);
-    const std::vector<std::uint8_t> payload = codec.compress(raw);
-    putU64At(header, header.size() - 16, payload.size());
-    putU64At(header, header.size() - 8,
-             crc32(payload.data(), payload.size()));
-    const std::vector<std::uint8_t> hblob = codec.compress(header);
-
-    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
-    putU64At(out, 32, hblob.size());
-    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
-    out.insert(out.end(), hblob.begin(), hblob.end());
-    out.insert(out.end(),
-               file.begin() + static_cast<long>(48 + hcomp),
-               file.begin() + static_cast<long>(payload_off));
-    out.insert(out.end(), payload.begin(), payload.end());
-    writeFile(seg1, out);
-
-    // Keep the clean-close index consistent: ring.index's raw blob is
-    // the clean flag, the live count, then (id, bytes) per segment.
-    std::vector<std::uint8_t> index = readFile(dir + "/ring.index");
-    ASSERT_EQ(u64At(index, 40 + 32), 1u);
-    putU64At(index, 40 + 40, out.size());
-    resealBlobFile(index);
-    writeFile(dir + "/ring.index", index);
+    writeFile(seg1, test::rebuiltRecord(
+                        file, 0,
+                        slice(file, recordImageAt(0),
+                              payload_at - recordImageAt(0)),
+                        codec.compress(raw), raw.size()));
+    // Keep the clean-close index consistent with the new file size.
+    test::syncRingIndex(dir);
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     ASSERT_TRUE(ring.recovery().clean);
@@ -236,54 +217,44 @@ TEST(Ring, RejectsSegmentHasMasksFlag)
 }
 
 /**
- * A segment whose start image is CRC-valid but names the wrong GCC
- * is dropped by the open-time scan, which checks the image header
- * against the segment header without decoding the image's memory.
+ * A segment whose image is CRC-valid but names the wrong GCC is
+ * dropped by the open-time scan, which checks the image header against
+ * the record header without decoding the image's memory. Salvage then
+ * keeps the run from the next chain head file on.
  */
-TEST(Ring, StartBlobNamingWrongGccIsDroppedAtScan)
+TEST(Ring, EndImageNamingWrongGccIsDroppedAtScan)
 {
-    const std::string dir = ringDir("start_gcc");
-    writeSmallRing(dir);
+    const std::string dir = ringDir("end_gcc");
+    RingOptions opts;
+    opts.budgetBytes = 1u << 30;
+    opts.checkpointPeriod = 10;
+    writeRing(record(ModeConfig::orderOnly(), "ocean", 10), dir, opts);
+    const RingArchiveReader intact = RingArchiveReader::open(dir);
+    std::size_t head = 2;
+    while (head < intact.segments().size()
+           && !intact.segments()[head].chainHead())
+        ++head;
+    ASSERT_LT(head, intact.segments().size());
 
-    // Segment file: 48-byte preamble (header blob compressed size at
-    // 32, its CRC at 40), the header blob (startGcc, endGcc, isTail,
-    // hasStart, then the start image's size and CRC), the start image,
-    // the end image (both stored raw), the payload.
-    const std::string seg1 = dir + "/seg-000000000001";
-    const std::vector<std::uint8_t> file = readFile(seg1);
-    const Lz77 codec;
-    const std::size_t hcomp = u64At(file, 32);
-    std::vector<std::uint8_t> header =
-        codec.decompress(file.data() + 48, hcomp);
-    ASSERT_EQ(u64At(header, 24), 1u); // has a start image
-    const std::size_t start_off = 48 + hcomp;
-    const std::size_t start_comp = u64At(header, 32);
-    std::vector<std::uint8_t> blob(
-        file.begin() + static_cast<long>(start_off),
-        file.begin() + static_cast<long>(start_off + start_comp));
-    ASSERT_EQ(u64At(blob, 0), u64At(header, 0));
-    putU64At(blob, 0, u64At(header, 0) + 1);
-    putU64At(header, 40, crc32(blob.data(), blob.size()));
-    const std::vector<std::uint8_t> hblob = codec.compress(header);
-
-    std::vector<std::uint8_t> out(file.begin(), file.begin() + 48);
-    putU64At(out, 32, hblob.size());
-    putU64At(out, 40, crc32(hblob.data(), hblob.size()));
-    out.insert(out.end(), hblob.begin(), hblob.end());
-    out.insert(out.end(), blob.begin(), blob.end());
-    out.insert(out.end(),
-               file.begin() + static_cast<long>(start_off + start_comp),
-               file.end());
-    writeFile(seg1, out);
+    // The file before that head: its image's lead opens with its GCC.
+    std::ostringstream name;
+    name << "seg-" << std::setw(12) << std::setfill('0') << head - 1;
+    const std::string path = dir + "/" + name.str();
+    std::vector<std::uint8_t> file = readFile(path);
+    ASSERT_EQ(u64At(file, recordImageAt(0)),
+              u64At(file, test::record::kEndGcc));
+    putU64At(file, recordImageAt(0), u64At(file, recordImageAt(0)) + 1);
+    test::resealRecord(file, 0);
+    writeFile(path, file);
 
     const RingArchiveReader ring = RingArchiveReader::open(dir);
     EXPECT_GE(ring.recovery().droppedSegments, 1u);
     const std::vector<std::string> &notes = ring.recovery().notes;
     EXPECT_NE(std::find(notes.begin(), notes.end(),
-                        "seg-000000000001: start checkpoint disagrees "
-                        "with the header"),
+                        name.str()
+                            + ": end checkpoint disagrees with the header"),
               notes.end());
-    EXPECT_GT(ring.segments().front().segId, 1u);
+    EXPECT_EQ(ring.segments().front().index, head);
     std::filesystem::remove_all(dir);
 }
 
@@ -432,7 +403,7 @@ TEST(Ring, EvictionKeepsNewestWindowDecodable)
     ASSERT_TRUE(ring.segments().front().chainHead());
     const auto heads = std::count_if(
         ring.segments().begin(), ring.segments().end(),
-        [](const RingSegmentInfo &seg) { return seg.chainHead(); });
+        [](const ArchiveSegmentInfo &seg) { return seg.chainHead(); });
     if (heads > 1) {
         EXPECT_LE(stats.liveBytes, opts.budgetBytes);
     }
@@ -615,7 +586,7 @@ TEST(Ring, GapSalvageKeepsNewestContiguousRun)
     // unreachable (its end checkpoint chain is broken), and so is every
     // file after it up to the next chain head, whose keyframe the
     // deltas before it would need.
-    const std::uint64_t victim = before.segments()[1].segId;
+    const std::uint64_t victim = before.segments()[1].index;
     std::size_t head = 2;
     while (head < total && !before.segments()[head].chainHead())
         ++head;
@@ -629,8 +600,8 @@ TEST(Ring, GapSalvageKeepsNewestContiguousRun)
     EXPECT_FALSE(ring.recovery().usedIndex);
     EXPECT_EQ(ring.segments().size(), total - head);
     EXPECT_EQ(ring.recovery().droppedSegments, head - 1);
-    EXPECT_EQ(ring.segments().front().segId,
-              before.segments()[head].segId);
+    EXPECT_EQ(ring.segments().front().index,
+              before.segments()[head].index);
     // Still clean-decodable after the cut: the index no longer
     // matches, so finals are dropped, but bounded reads survive.
     ASSERT_GE(ring.checkpointCount(), 1u);

@@ -217,16 +217,26 @@ TEST(Serialize, GoldenBytesArePinned)
     //                    0x76bfc7ce485d7bee
     //   picolog          0x08b2205957c59a79  0x64dda0fc9a7ee329
     //                    0xaec65f6a2254c774
+    // The .dla and ring pins moved once more with .dla v5 and ring v4
+    // (one segment record per file or segment, each image stored
+    // once); a ring with no start images can evict only when its run
+    // holds two chains, so the ring pin records the run with a
+    // checkpoint every 20 commits instead of 40. The .dla v4 / ring v3
+    // pins were, per mode:
+    //   order-and-size   0x572c117d80ac4c4b  0x969f1a74f4bb7859
+    //   order-only       0x503329936e71be29  0x0cd14c25c0ed7851
+    //   order-only-strat 0x7aba783a4078a03d  0x833888b36a267827
+    //   picolog          0x649ad1c291cd1dbe  0x68a1fdb57862aa1e
     const Golden goldens[] = {
         {"order-and-size", ModeConfig::orderAndSize(),
-         0x5d863ee3f8cc7ef2ull, 0x572c117d80ac4c4bull,
-         0x969f1a74f4bb7859ull},
+         0x5d863ee3f8cc7ef2ull, 0xc5c4a1570ed241cdull,
+         0x86b250f41acf136full},
         {"order-only", ModeConfig::orderOnly(), 0x949ebc321f72e5fbull,
-         0x503329936e71be29ull, 0x0cd14c25c0ed7851ull},
+         0xa0f3922737766f92ull, 0xef7efaacbc811b30ull},
         {"order-only-strat", strat, 0xc2c9b7b7b9115650ull,
-         0x7aba783a4078a03dull, 0x833888b36a267827ull},
+         0x70de607ca5785988ull, 0x783988dd4e68eb84ull},
         {"picolog", ModeConfig::picoLog(), 0x6f2d04740d1179b9ull,
-         0x649ad1c291cd1dbeull, 0x68a1fdb57862aa1eull},
+         0x1e3a986cc44bce4dull, 0x7443278516779c93ull},
     };
     for (const Golden &g : goldens) {
         Workload w("fft", 4, 7, WorkloadScale::tiny());
@@ -242,14 +252,27 @@ TEST(Serialize, GoldenBytesArePinned)
             << g.label << std::hex << " archive hash 0x"
             << hashBytes(dla.str());
 
+        // The ring records the same run with a checkpoint every 20
+        // commits, so it holds two chains or more in every mode, and
+        // the budget evicts it down to the newest chain.
+        const Recording ring_rec =
+            Recorder(g.mode, machine()).record(w, 1, true, {}, 20);
         const std::string dir =
             testing::TempDir() + "golden_ring_" + g.label;
         std::filesystem::remove_all(dir);
         RingOptions opts;
-        opts.checkpointPeriod = 40;
+        opts.checkpointPeriod = 20;
         opts.budgetBytes = 60000;
-        const RingWriterStats stats = writeRing(rec, dir, opts);
+        const RingWriterStats stats = writeRing(ring_rec, dir, opts);
         EXPECT_GT(stats.segmentsEvicted, 0u) << g.label;
+        const RingArchiveReader ring = RingArchiveReader::open(dir);
+        EXPECT_EQ(std::count_if(ring.segments().begin(),
+                                ring.segments().end(),
+                                [](const ArchiveSegmentInfo &seg) {
+                                    return seg.chainHead();
+                                }),
+                  1)
+            << g.label;
         EXPECT_EQ(ringHash(dir), g.ringHash)
             << g.label << std::hex << " ring hash 0x" << ringHash(dir);
         std::filesystem::remove_all(dir);
@@ -288,20 +311,6 @@ hasMasksOffset(const std::string &bytes)
            + static_cast<std::size_t>(u64At(bytes, pi_count_off)) * 8;
 }
 
-/**
- * Rewrite a v2 stream as format v1: version 1, no arbiter count in
- * the machine header and no PI has-masks flag.
- */
-std::string
-downgradeToV1(const std::string &v2)
-{
-    std::string v1 = v2;
-    v1.erase(hasMasksOffset(v2), 8);
-    v1.erase(kArbiterCountOffset, 8);
-    putU64At(v1, 8, 1);
-    return v1;
-}
-
 Recording
 recordFft()
 {
@@ -309,130 +318,28 @@ recordFft()
     return Recorder(ModeConfig::orderOnly(), machine()).record(w, 1);
 }
 
-TEST(Serialize, LegacyV1RecordingsStillLoadAndReplay)
-{
-    const Recording rec = recordFft();
-    const std::string v4 = serialized(rec);
-    ASSERT_EQ(u64At(v4, kArbiterCountOffset), 1u);
-    ASSERT_EQ(u64At(v4, hasMasksOffset(v4)), 0u);
-
-    std::istringstream in(downgradeToV1(v4));
-    const Recording loaded = loadRecording(in);
-    EXPECT_EQ(loaded.pi.entryCount(), rec.pi.entryCount());
-    EXPECT_TRUE(Replayer().replay(loaded, 5).deterministicExact);
-    // Re-serializing writes format v4, byte-identical to the original.
-    EXPECT_EQ(serialized(loaded), v4);
-}
-
 /**
- * A full image as format v1/v2 wrote it: gcc, dmaConsumed, rrNext,
- * the context count, per processor its ThreadContext bytes and
- * committed-chunk counter, the word count, then (addr, value) u64
- * pairs in address order.
+ * Only format v4 loads. v1 and v2 (full images), v3 (chain images with
+ * fixed-width words and contexts) and any later version are rejected
+ * with the typed version error.
  */
-std::string
-fullImage(const SystemCheckpoint &ckpt)
+TEST(Serialize, RejectsUnsupportedVersions)
 {
-    std::string out;
-    const auto put = [&out](std::uint64_t v) {
-        std::string word(8, '\0');
-        putU64At(word, 0, v);
-        out += word;
-    };
-    put(ckpt.gcc);
-    put(ckpt.dmaConsumed);
-    put(ckpt.rrNext);
-    put(ckpt.contexts.size());
-    for (std::size_t p = 0; p < ckpt.contexts.size(); ++p) {
-        std::string ctx(sizeof(ThreadContext), '\0');
-        serialize_detail::contextBytes(
-            ckpt.contexts[p], reinterpret_cast<std::uint8_t *>(ctx.data()));
-        out += ctx;
-        put(ckpt.committedChunks[p]);
-    }
-    const std::vector<CheckpointImage::Word> words =
-        CheckpointImage::sortedWords(ckpt.memory.materialize());
-    put(words.size());
-    for (const auto &[addr, value] : words) {
-        put(addr);
-        put(value);
-    }
-    return out;
-}
-
-/**
- * @p rec as format v2 wrote it: every checkpoint a full image, with
- * no kind field before it.
- */
-std::string
-legacyV2(const Recording &rec)
-{
-    Recording bare = rec;
-    bare.checkpoints.clear();
-    std::string v2 = serialized(bare);
-    putU64At(v2, 8, 2);
-    v2.resize(v2.size() - 8); // the checkpoint count
-    std::string count(8, '\0');
-    putU64At(count, 0, rec.checkpoints.size());
-    v2 += count;
-    for (const SystemCheckpoint &ckpt : rec.checkpoints)
-        v2 += fullImage(ckpt);
-    return v2;
-}
-
-/**
- * Format v1 and v2 recordings store every checkpoint as a full image.
- * Loading converts them into keyframe chains under the recorder's
- * keyframe rule, so a re-serialized legacy file is byte-identical to
- * the v4 file of the same recording, and its intervals replay.
- */
-TEST(Serialize, LegacyFullImagesConvertToTheRecordedChains)
-{
-    Workload w("ocean", 4, 9, WorkloadScale::tiny());
-    const Recording rec =
-        Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true, {},
-                                                            10);
-    std::size_t heads = 0;
-    for (const SystemCheckpoint &ckpt : rec.checkpoints)
-        heads += ckpt.memory.headsChain() ? 1 : 0;
-    ASSERT_GT(heads, 1u);
-    ASSERT_LT(heads, rec.checkpoints.size());
-    const std::string v4 = serialized(rec);
-    const std::string v2 = legacyV2(rec);
-    for (const std::string &legacy : {v2, downgradeToV1(v2)}) {
-        std::istringstream in(legacy);
-        const Recording loaded = loadRecording(in);
-        EXPECT_EQ(serialized(loaded), v4);
-        ASSERT_EQ(loaded.checkpoints.size(), rec.checkpoints.size());
-        for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
-            EXPECT_EQ(loaded.checkpoints[i].memory.headsChain(),
-                      rec.checkpoints[i].memory.headsChain())
-                << i;
-        EXPECT_TRUE(Replayer()
-                        .replayInterval(loaded, 2, w, 5, {},
-                                        &loaded.checkpoints[3])
-                        .deterministicExact);
-    }
-}
-
-/**
- * Format v3 files (chain images with fixed-width words and contexts)
- * are rejected with the typed version error rather than converted:
- * their chains would need a second decoder.
- */
-TEST(Serialize, RejectsFormatV3)
-{
-    std::string v3 = serialized(recordFft());
-    putU64At(v3, 8, 3);
-    std::istringstream in(v3);
-    try {
-        loadRecording(in);
-        ADD_FAILURE() << "a v3 recording was accepted";
-    } catch (const RecordingFormatError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "unsupported recording version 3"),
-                  std::string::npos)
-            << e.what();
+    const std::string v4 = serialized(recordFft());
+    for (const std::uint64_t version : {1, 2, 3, 5}) {
+        std::string bad = v4;
+        putU64At(bad, 8, version);
+        std::istringstream in(bad);
+        try {
+            loadRecording(in);
+            ADD_FAILURE() << "a v" << version << " recording was accepted";
+        } catch (const RecordingFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "unsupported recording version "
+                          + std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

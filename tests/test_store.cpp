@@ -32,10 +32,12 @@ namespace
 {
 
 using test::footerOffset;
-using test::kDlaTrailerBytes;
 using test::putU64At;
 using test::rawFooter;
 using test::readFile;
+using test::rebuiltRecord;
+using test::replaceDlaRecord;
+using test::resealRecord;
 using test::rewriteFooter;
 using test::u64At;
 
@@ -219,31 +221,29 @@ TEST(Store, FooterIndexMetadata)
     EXPECT_EQ(reader.machine().numProcs, 4u);
     EXPECT_EQ(reader.mode().mode, ExecMode::kOrderOnly);
 
-    // Segments = checkpoints + tail; boundaries ascending; the log
-    // bit positions (the hardware write pointers at each boundary)
-    // are monotone and end at the recording's true log sizes.
+    // Records = checkpoints + tail, back to back after the 16-byte
+    // file header; each starts where the one before ends, and holds
+    // its end checkpoint's image (a keyframe for record 0).
     const auto &segs = reader.segments();
     ASSERT_EQ(segs.size(), rec.checkpoints.size() + 1);
     for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
         EXPECT_EQ(segs[i].endGcc, rec.checkpoints[i].gcc);
         EXPECT_TRUE(segs[i].hasCheckpoint);
+        EXPECT_EQ(segs[i].keyframe, reader.imageInfo(i).keyframe);
         EXPECT_EQ(reader.checkpointAt(i).gcc, rec.checkpoints[i].gcc);
     }
+    EXPECT_TRUE(segs.front().keyframe);
     EXPECT_FALSE(segs.back().hasCheckpoint);
-    for (std::size_t i = 1; i < segs.size(); ++i) {
-        EXPECT_GE(segs[i].endGcc, segs[i - 1].endGcc);
-        EXPECT_GE(segs[i].piBitsEnd, segs[i - 1].piBitsEnd);
-        for (unsigned p = 0; p < 4; ++p)
-            EXPECT_GE(segs[i].csBitsEnd[p], segs[i - 1].csBitsEnd[p]);
+    EXPECT_EQ(segs.back().imageBytes, 0u);
+    EXPECT_EQ(segs.front().fileOffset, 16u);
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+        EXPECT_EQ(segs[i].index, i);
+        EXPECT_EQ(segs[i].startGcc, i ? segs[i - 1].endGcc : 0);
+        if (i > 0) {
+            EXPECT_EQ(segs[i].fileOffset,
+                      segs[i - 1].fileOffset + segs[i - 1].recordBytes);
+        }
     }
-    EXPECT_EQ(segs.back().piBitsEnd, rec.pi.sizeBits());
-    std::uint64_t cs_bits = 0;
-    for (unsigned p = 0; p < 4; ++p)
-        cs_bits += segs.back().csBitsEnd[p];
-    std::uint64_t want_cs = 0;
-    for (const CsLog &log : rec.cs)
-        want_cs += log.sizeBits();
-    EXPECT_EQ(cs_bits, want_cs);
 }
 
 /**
@@ -377,45 +377,25 @@ TEST(Store, RejectsPiSliceHasMasksFlag)
         Recorder(ModeConfig::orderOnly(), machine()).record(w, 1, true,
                                                             {}, 20);
     std::vector<std::uint8_t> bytes = archiveBytes(rec);
-    const std::size_t footer_off = footerOffset(bytes);
-    std::vector<std::uint8_t> footer = rawFooter(bytes);
 
-    // Re-encode the tail segment (the last one before the footer)
-    // with its PI slice's has-masks flag, the payload's second u64,
-    // set to 1. Segment header: magic, reserved, raw size, compressed
-    // size, CRC; the segment's index entry repeats the last three.
+    // Re-encode the tail record (the last one before the footer) with
+    // its PI slice's has-masks flag, the payload's second u64, set to
+    // 1; the footer's index follows the record's new size.
+    const std::size_t tail =
+        ArchiveReader::fromBytes(bytes).segments().size() - 1;
     const ArchiveSegmentInfo seg =
-        ArchiveReader::fromBytes(bytes).segments().back();
-    const std::size_t payload_off = seg.fileOffset + 40;
-    ASSERT_EQ(payload_off + seg.compBytes, footer_off);
+        ArchiveReader::fromBytes(bytes).segments()[tail];
+    const std::size_t payload_off = seg.payloadOffset();
+    ASSERT_EQ(payload_off + seg.compBytes, footerOffset(bytes));
     std::vector<std::uint8_t> raw = Lz77().decompress(
         bytes.data() + payload_off,
         static_cast<std::size_t>(seg.compBytes));
     ASSERT_EQ(u64At(raw, 8), 0u);
     putU64At(raw, 8, 1);
-    const std::vector<std::uint8_t> comp = Lz77().compress(raw);
-    const std::uint64_t crc = crc32(comp.data(), comp.size());
-
-    bool patched = false;
-    for (std::size_t off = 0; off + 24 <= footer.size(); ++off) {
-        if (u64At(footer, off) == seg.rawBytes
-            && u64At(footer, off + 8) == seg.compBytes
-            && u64At(footer, off + 16) == seg.crc32) {
-            putU64At(footer, off + 8, comp.size());
-            putU64At(footer, off + 16, crc);
-            patched = true;
-            break;
-        }
-    }
-    ASSERT_TRUE(patched);
-    std::vector<std::uint8_t> out(
-        bytes.begin(), bytes.begin() + static_cast<long>(payload_off));
-    putU64At(out, seg.fileOffset + 24, comp.size());
-    putU64At(out, seg.fileOffset + 32, crc);
-    out.insert(out.end(), comp.begin(), comp.end());
-    out.insert(out.end(), bytes.end() - kDlaTrailerBytes,
-               bytes.end()); // old trailer
-    rewriteFooter(out, out.size() - kDlaTrailerBytes, footer);
+    std::vector<std::uint8_t> out = bytes;
+    replaceDlaRecord(out, tail,
+                     rebuiltRecord(bytes, seg.fileOffset, {},
+                                   Lz77().compress(raw), raw.size()));
 
     const ArchiveReader reader = ArchiveReader::fromBytes(out);
     for (const bool whole : {true, false}) {
@@ -436,14 +416,14 @@ TEST(Store, RejectsPiSliceHasMasksFlag)
 }
 
 /**
- * Open checks every checkpoint image in the footer without decoding
- * it. Footers re-encoded with a valid CRC but a bad image must still
- * be rejected at open, as a footer error, with the same message the
- * eager decoder gave: a context count past 64, an image GCC that
- * disagrees with its index entry, and a word list running past the
- * footer.
+ * Open checks every checkpoint image in its record without decoding
+ * it. Records re-sealed with valid CRCs but a bad image must still be
+ * rejected at open, as an error of that segment, with the same message
+ * the eager decoder gave: a context count past 64, an image GCC that
+ * disagrees with its record header, and a word list running past the
+ * image.
  */
-TEST(Store, FooterImageChecksFireAtOpen)
+TEST(Store, RecordImageChecksFireAtOpen)
 {
     Workload w("fft", 4, 9, WorkloadScale::tiny());
     const Recording rec =
@@ -451,34 +431,21 @@ TEST(Store, FooterImageChecksFireAtOpen)
                                                             {}, 20);
     ASSERT_GE(rec.checkpoints.size(), 2u);
     const std::vector<std::uint8_t> bytes = archiveBytes(rec);
-    const std::size_t footer_off = footerOffset(bytes);
-    const std::vector<std::uint8_t> footer = rawFooter(bytes);
 
-    // Segment 0's index entry: endGcc, fileOffset, rawBytes,
-    // compBytes, crc32, piBitsEnd, strataBitsEnd, the CS bit-position
-    // count and positions, the checkpoint kind, then the image: gcc,
-    // dmaConsumed, rrNext, context count, context blocks, the word
-    // list's count and byte length, words.
+    // Record 0's image: gcc, dmaConsumed, rrNext, context count,
+    // context blocks, the word list's count and byte length, words.
     const ArchiveSegmentInfo seg =
         ArchiveReader::fromBytes(bytes).segments()[0];
-    std::size_t entry = 0;
-    while (entry + 40 <= footer.size()
-           && !(u64At(footer, entry) == seg.endGcc
-                && u64At(footer, entry + 8) == seg.fileOffset
-                && u64At(footer, entry + 16) == seg.rawBytes
-                && u64At(footer, entry + 24) == seg.compBytes
-                && u64At(footer, entry + 32) == seg.crc32))
-        ++entry;
-    ASSERT_LT(entry + 40, footer.size());
+    const std::size_t image = seg.imageOffset();
     const std::size_t procs = 4;
-    const std::size_t image = entry + 8 * (7 + 1 + procs + 1);
-    ASSERT_EQ(u64At(footer, image), seg.endGcc);
-    ASSERT_EQ(u64At(footer, image + 24), procs);
+    ASSERT_EQ(u64At(bytes, image), seg.endGcc);
+    ASSERT_EQ(u64At(bytes, image + 24), procs);
     const std::size_t words_at =
         image
         + serialize_detail::scanImage(serialize_detail::ImageKind::kKeyframe,
-                                      footer.data() + image,
-                                      footer.size() - image)
+                                      bytes.data() + image,
+                                      static_cast<std::size_t>(
+                                          seg.imageBytes))
               .fieldsAt;
 
     struct Case
@@ -491,21 +458,21 @@ TEST(Store, FooterImageChecksFireAtOpen)
     const Case cases[] = {
         {"context count 65", image + 24, 65,
          "checkpoint context count 65 outside [0, 64]"},
-        {"GCC off the index", image, seg.endGcc + 1,
-         "segment 0 checkpoint GCC disagrees with the index"},
-        {"word list past the footer", words_at + 8, footer.size(),
+        {"GCC off the header", image, seg.endGcc + 1,
+         "end checkpoint disagrees with the header"},
+        {"word list past the image", words_at + 8, seg.imageBytes,
          "runs past its image"},
     };
     for (const Case &c : cases) {
-        std::vector<std::uint8_t> bad_footer = footer;
-        putU64At(bad_footer, c.offset, c.value);
         std::vector<std::uint8_t> bad = bytes;
-        rewriteFooter(bad, footer_off, bad_footer);
+        putU64At(bad, c.offset, c.value);
+        resealRecord(bad, static_cast<std::size_t>(seg.fileOffset));
         try {
             ArchiveReader::fromBytes(bad);
             ADD_FAILURE() << c.what << " was accepted at open";
         } catch (const ArchiveError &e) {
-            EXPECT_EQ(e.section(), ArchiveSection::kFooter) << c.what;
+            EXPECT_EQ(e.section(), ArchiveSection::kSegment) << c.what;
+            EXPECT_EQ(e.segment(), 0u) << c.what;
             EXPECT_NE(std::string(e.what()).find(c.message),
                       std::string::npos)
                 << c.what << ": " << e.what();
@@ -793,6 +760,80 @@ TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
                   dla.imageInfo(i).keyframe)
             << i;
     std::filesystem::remove_all(dir);
+}
+
+/**
+ * Each checkpoint image is stored exactly once in either container: a
+ * ring file is byte for byte the `.dla`'s record of the same segment,
+ * so the two hold the same images, and neither holds any other copy
+ * (the bytes of all records, plus the `.dla`'s header, footer and
+ * trailer, are the whole file). A recorded chain head keeps no delta.
+ */
+TEST(Store, EachCheckpointImageIsStoredOnce)
+{
+    for (const char *app : {"fft", "ocean", "sjbb2k"}) {
+        for (const ModeConfig &mode :
+             {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
+              ModeConfig::picoLog()}) {
+            const std::string label =
+                std::string(app) + " " + modeConfigName(mode);
+            Workload w(app, 4, 9, WorkloadScale::tiny());
+            const Recording rec =
+                Recorder(mode, machine()).record(w, 1, true, {}, 10);
+            ASSERT_GE(rec.checkpoints.size(), 2u) << label;
+            for (const SystemCheckpoint &ckpt : rec.checkpoints) {
+                if (ckpt.memory.headsChain()) {
+                    EXPECT_EQ(ckpt.memory.delta(), nullptr) << label;
+                }
+            }
+
+            const std::vector<std::uint8_t> bytes = archiveBytes(rec);
+            const ArchiveReader dla = ArchiveReader::fromBytes(bytes);
+            const std::string dir = testing::TempDir() + "store_once";
+            std::filesystem::remove_all(dir);
+            RingOptions ropts;
+            ropts.checkpointPeriod = 10;
+            ropts.budgetBytes = 1u << 30;
+            writeRing(rec, dir, ropts);
+            const RingArchiveReader ring = RingArchiveReader::open(dir);
+            ASSERT_EQ(ring.segments().size(), dla.segments().size())
+                << label;
+            ASSERT_EQ(ring.checkpointCount(), rec.checkpoints.size())
+                << label;
+
+            std::uint64_t records = 0;
+            std::uint64_t dla_images = 0;
+            std::uint64_t ring_images = 0;
+            for (std::size_t i = 0; i < dla.segments().size(); ++i) {
+                const ArchiveSegmentInfo &seg = dla.segments()[i];
+                char name[32];
+                std::snprintf(name, sizeof name, "/seg-%012zu", i);
+                EXPECT_EQ(readFile(dir + name),
+                          test::slice(bytes,
+                                      static_cast<std::size_t>(seg.fileOffset),
+                                      static_cast<std::size_t>(
+                                          seg.recordBytes)))
+                    << label << " segment " << i;
+                records += seg.recordBytes;
+                dla_images += seg.imageBytes;
+                ring_images += ring.segments()[i].imageBytes;
+            }
+            for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
+                EXPECT_EQ(ring.imageInfo(i).rawBytes,
+                          dla.imageInfo(i).rawBytes)
+                    << label << " checkpoint " << i;
+                EXPECT_EQ(dla.imageInfo(i).keyframe,
+                          rec.checkpoints[i].memory.headsChain())
+                    << label << " checkpoint " << i;
+            }
+            EXPECT_EQ(ring_images, dla_images) << label;
+            EXPECT_EQ(16 + records + rawFooter(bytes).size()
+                          + test::kDlaTrailerBytes,
+                      bytes.size())
+                << label;
+            std::filesystem::remove_all(dir);
+        }
+    }
 }
 
 TEST(Store, StreamingFileReadbackAcrossDatapaths)
