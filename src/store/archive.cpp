@@ -52,6 +52,7 @@ constexpr std::uint64_t kArchiveVersion = 5;
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kTrailerBytes = 32;
 /// Image and payload size cap of one record: fences OOM on garbage.
+/// The writer refuses a larger part (recordHeader).
 constexpr std::uint64_t kMaxRecordPartBytes = 1ull << 30;
 
 } // namespace
@@ -529,6 +530,14 @@ FinalStats::applyTo(Recording &rec, bool engine_stats) const
 std::string
 recordHeader(const CutSegment &seg)
 {
+    // scanRecord rejects a larger part, so never write one.
+    if (seg.image.size() > kMaxRecordPartBytes
+        || seg.raw.size() > kMaxRecordPartBytes
+        || seg.comp.size() > kMaxRecordPartBytes)
+        throw std::length_error(
+            "segment " + std::to_string(seg.index)
+            + ": image or payload above the 1 GiB record cap; "
+              "checkpoint more often");
     const auto crc = [](const auto &bytes) {
         return crc32(reinterpret_cast<const std::uint8_t *>(bytes.data()),
                      bytes.size());
@@ -879,7 +888,11 @@ ContainerReader::~ContainerReader() = default;
 const SystemCheckpoint &
 ContainerReader::checkpointAt(std::size_t index) const
 {
-    imageInfo(index); // range check
+    if (index >= checkpointCount())
+        throw CheckpointOutOfRangeError(
+            index, checkpointCount(),
+            "checkpoint " + std::to_string(index) + " of "
+                + std::to_string(checkpointCount()));
     return image(index);
 }
 
@@ -887,21 +900,10 @@ std::vector<std::uint64_t>
 ContainerReader::checkpointGccs() const
 {
     std::vector<std::uint64_t> gccs;
-    gccs.reserve(image_info_.size());
-    for (const CheckpointImageInfo &info : image_info_)
-        gccs.push_back(info.gcc);
+    gccs.reserve(checkpointCount());
+    for (std::size_t i = 0; i < checkpointCount(); ++i)
+        gccs.push_back(segments_[i].endGcc);
     return gccs;
-}
-
-const CheckpointImageInfo &
-ContainerReader::imageInfo(std::size_t index) const
-{
-    if (index >= checkpointCount())
-        throw CheckpointOutOfRangeError(
-            index, checkpointCount(),
-            "checkpoint " + std::to_string(index) + " of "
-                + std::to_string(checkpointCount()));
-    return image_info_[index];
 }
 
 void
@@ -918,34 +920,27 @@ ContainerReader::getRunMeta(ByteCursor &in)
 void
 ContainerReader::indexSegments(std::vector<ArchiveSegmentInfo> segments)
 {
-    std::vector<CheckpointImageInfo> info;
-    for (const ArchiveSegmentInfo &seg : segments) {
-        if (!seg.hasCheckpoint)
-            break; // the tail, which only the last record may be
-        CheckpointImageInfo ii;
-        ii.gcc = seg.endGcc;
-        ii.keyframe = seg.keyframe;
-        ii.baseGcc = seg.keyframe ? 0 : seg.startGcc;
-        ii.rawBytes = seg.imageBytes;
-        info.push_back(ii);
-    }
-    for (std::size_t i = 0; i < info.size(); ++i) {
-        if (info[i].keyframe)
+    // Checkpoint i ends record i; only the last record may be the
+    // tail, which ends at none.
+    std::size_t count = 0;
+    while (count < segments.size() && segments[count].hasCheckpoint)
+        ++count;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (segments[i].keyframe)
             continue;
         if (i == 0)
             throw RecordingFormatError(
                 "checkpoint 0 is a delta: no chain head precedes it");
-        if (info[i].baseGcc != info[i - 1].gcc)
+        if (segments[i].startGcc != segments[i - 1].endGcc)
             throw RecordingFormatError(
                 "checkpoint " + std::to_string(i) + "'s delta base GCC "
-                + std::to_string(info[i].baseGcc)
+                + std::to_string(segments[i].startGcc)
                 + " is not the previous checkpoint's GCC "
-                + std::to_string(info[i - 1].gcc));
+                + std::to_string(segments[i - 1].endGcc));
     }
     segments_ = std::move(segments);
-    image_info_ = std::move(info);
     images_.clear();
-    images_.resize(image_info_.size());
+    images_.resize(count);
 }
 
 SystemCheckpoint
@@ -953,12 +948,12 @@ ContainerReader::decodeAt(serialize_detail::ChainDecoder &walk,
                           std::size_t index) const
 {
     std::vector<std::uint8_t> buffer;
-    const CheckpointImageInfo &info = image_info_[index];
+    const ArchiveSegmentInfo &seg = segments_[index];
     const std::uint8_t *image = storedImage(index, buffer);
-    const std::size_t size = static_cast<std::size_t>(info.rawBytes);
+    const std::size_t size = static_cast<std::size_t>(seg.imageBytes);
     try {
-        return info.keyframe ? walk.keyframe(image, size)
-                             : walk.delta(image, size);
+        return seg.keyframe ? walk.keyframe(image, size)
+                            : walk.delta(image, size);
     } catch (const RecordingFormatError &e) {
         throw ArchiveError(ArchiveSection::kSegment, index,
                            std::string("checkpoint image: ") + e.what());
@@ -970,7 +965,7 @@ ContainerReader::image(std::size_t index) const
 {
     if (!images_[index]) {
         std::size_t head = index;
-        while (!image_info_[head].keyframe)
+        while (!segments_[head].keyframe)
             --head; // indexSegments() put a keyframe at index 0
         decodeChain(head, index + 1);
     }
@@ -1070,7 +1065,7 @@ ContainerReader::assemble(std::size_t first, std::size_t end,
     if (whole) {
         for (std::size_t head = 0; head < checkpointCount();) {
             std::size_t next = head + 1;
-            while (next < checkpointCount() && !image_info_[next].keyframe)
+            while (next < checkpointCount() && !segments_[next].keyframe)
                 ++next;
             tasks.push_back([this, head, next] { decodeChain(head, next); });
             head = next;

@@ -184,24 +184,6 @@ struct ArchiveSegmentInfo
 };
 
 /**
- * How a container stores one checkpoint image. Checkpoints are kept
- * in *chains*: a keyframe (the full image) followed by deltas, each
- * against the checkpoint before it. A reader rebuilds an image from
- * its chain's keyframe and the deltas up to it.
- */
-struct CheckpointImageInfo
-{
-    std::uint64_t gcc = 0;
-    /// Heads a chain (a full image); otherwise a delta.
-    bool keyframe = false;
-    /// Delta: GCC of the checkpoint it applies to (the one before).
-    std::uint64_t baseGcc = 0;
-    /// Serialized image size: what the container stores (images are
-    /// stored as encoded, with no compression).
-    std::uint64_t rawBytes = 0;
-};
-
-/**
  * The archive writer: emits records while the recording is still
  * being produced, overlapping LZ77 compression and file I/O with the
  * rest of the simulation.
@@ -343,17 +325,17 @@ class ContainerReader
     std::uint64_t workloadSeed() const { return workload_seed_; }
     unsigned iterationsPercent() const { return iterations_percent_; }
 
-    /** Decodable replay starting points. */
-    std::size_t checkpointCount() const { return image_info_.size(); }
+    /**
+     * Decodable replay starting points. Checkpoint i is the end
+     * checkpoint of segments()[i], which says how it is stored.
+     */
+    std::size_t checkpointCount() const { return images_.size(); }
 
     /** GCCs of the decodable replay starting points, ascending. */
     std::vector<std::uint64_t> checkpointGccs() const;
 
     /** Checkpoint @p index (0-based, ascending GCC), decoded once. */
     const SystemCheckpoint &checkpointAt(std::size_t index) const;
-
-    /** How checkpoint @p index is stored (range-checked). */
-    const CheckpointImageInfo &imageInfo(std::size_t index) const;
 
     /** The segment records, in order (a ring's retained ones). */
     const std::vector<ArchiveSegmentInfo> &segments() const
@@ -372,8 +354,8 @@ class ContainerReader
     virtual std::vector<std::uint8_t>
     segmentPayload(std::size_t index) const = 0;
     /// Checkpoint @p index's stored image (in range), a keyframe or a
-    /// delta as imageInfo() says: imageInfo(index).rawBytes bytes, in
-    /// the container's mapping or read into @p buffer.
+    /// delta as segments_[index] says, of its imageBytes, in the
+    /// container's mapping or read into @p buffer.
     virtual const std::uint8_t *
     storedImage(std::size_t index,
                 std::vector<std::uint8_t> &buffer) const = 0;
@@ -434,9 +416,6 @@ class ContainerReader
         images_;
 
   private:
-    /// How every checkpoint is stored; set once by indexSegments().
-    std::vector<CheckpointImageInfo> image_info_;
-
     /** Decode stored image @p index, the next one on @p walk. */
     SystemCheckpoint decodeAt(serialize_detail::ChainDecoder &walk,
                               std::size_t index) const;

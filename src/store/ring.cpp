@@ -174,8 +174,9 @@ struct RingArchiveWriter::Impl
     /// Checkpoints of the newest chain: its non-tail files.
     std::size_t newest_chain_ckpts = 0;
     RingWriterStats statsd;
-    std::uint64_t newest_start_gcc = 0; ///< of newest durable segment
-    bool have_durable = false;
+    /// GCC of the newest durable checkpoint: the end checkpoint of the
+    /// newest non-tail file (0, the run's start, before the first).
+    std::uint64_t newest_ckpt_gcc = 0;
 
     SegmentPipeline<Impl> pipeline; ///< last: see its doc
 
@@ -257,17 +258,15 @@ struct RingArchiveWriter::Impl
             {
                 std::lock_guard<std::mutex> lock(mu);
                 // Lag bookkeeping: while this segment recorded, the
-                // newest durable start was the previous segment's.
-                const std::uint64_t lag =
-                    seg.endGcc
-                    - (have_durable ? newest_start_gcc : 0);
-                statsd.worstStartLag =
-                    std::max(statsd.worstStartLag, lag);
+                // newest durable checkpoint was the previous file's
+                // end checkpoint; this file makes its own durable.
+                statsd.worstStartLag = std::max(
+                    statsd.worstStartLag, seg.endGcc - newest_ckpt_gcc);
                 statsd.maxCheckpointSpacing =
                     std::max(statsd.maxCheckpointSpacing,
                              seg.endGcc - seg.startGcc);
-                have_durable = true;
-                newest_start_gcc = seg.startGcc;
+                if (!tail)
+                    newest_ckpt_gcc = seg.endGcc;
 
                 live.push_back({seg.index, file_bytes, chain_head});
                 live_heads += chain_head ? 1 : 0;
@@ -659,7 +658,8 @@ RingArchiveReader::storedImage(std::size_t index,
 std::uint64_t
 RingArchiveReader::startGcc() const
 {
-    return checkpointCount() ? imageInfo(0).gcc : segments_.front().startGcc;
+    const ArchiveSegmentInfo &first = segments_.front();
+    return first.hasCheckpoint ? first.endGcc : first.startGcc;
 }
 
 std::uint64_t

@@ -28,16 +28,16 @@
  * index layouts, and both readers reassemble through ContainerReader.
  *
  * Availability guarantee (the checkpoint-placement contract): with
- * checkpoints every P commits, a segment spans at most P commits and
- * becomes durable when the next checkpoint cuts it. At any frontier
- * GCC g >= P the newest durable segment's start checkpoint is at
- * most 2P-1 commits behind g (worst case: the in-progress segment is
- * one commit short of cutting, so the newest *complete* segment
- * started two periods ago). Eviction never removes the chain holding
- * the newest complete segment, nor the chain before it while the
- * newest holds one checkpoint, so that segment's start checkpoint
- * stays decodable and a replay starting point always exists within
- * the last T = 2P commits (RingOptions::resolvedLag()). The disk
+ * checkpoints every P commits, a segment spans at most P commits, and
+ * its file, written when the checkpoint it ends at cuts it, makes
+ * that checkpoint durable. At any frontier GCC g >= P the newest
+ * durable checkpoint is therefore at most P commits behind g (worst
+ * case: the in-progress segment is one commit short of cutting).
+ * Eviction never removes the chain holding the newest complete
+ * segment, nor the chain before it while the newest holds one
+ * checkpoint, so that checkpoint stays decodable and a replay
+ * starting point always exists within the last T = 2P commits
+ * (RingOptions::resolvedLag()), with a period to spare. The disk
  * budget bounds retained bytes best-effort: oldest whole chains are
  * evicted first, and when the protected chains alone exceed the
  * budget the writer keeps them and counts a budgetOverrun instead of
@@ -88,9 +88,9 @@ struct RingOptions
     /**
      * Replay-start lag bound T = 2 * checkpointPeriod, in commits: a
      * decodable starting point exists within the last T commits. It
-     * follows from checkpoint placement alone (a segment's start
-     * checkpoint becomes durable when the segment completes, up to
-     * 2P - 1 commits behind the frontier), so it is not a knob.
+     * follows from checkpoint placement alone (a checkpoint becomes
+     * durable with the file of the segment that ends at it, at most
+     * P commits behind the frontier), so it is not a knob.
      */
     std::uint64_t resolvedLag() const;
 
@@ -114,7 +114,8 @@ struct RingWriterStats
     std::uint64_t budgetOverruns = 0;
     /// Worst observed replay-start lag, in commits: at the moment a
     /// segment completed, how far its end ran ahead of the then-newest
-    /// durable start checkpoint. Bounded by 2P - 1 <= T.
+    /// durable checkpoint (the previous file's end checkpoint).
+    /// Bounded by the checkpoint spacing P <= T.
     std::uint64_t worstStartLag = 0;
     /// Largest observed checkpoint spacing (commits).
     std::uint64_t maxCheckpointSpacing = 0;

@@ -813,7 +813,7 @@ expectRejectedOrSalvagedToHead(const std::string &dir,
         ADD_FAILURE() << label << ": opened without a checkpoint";
         return true;
     }
-    EXPECT_TRUE(ring->imageInfo(0).keyframe) << label;
+    EXPECT_TRUE(ring->segments().front().keyframe) << label;
     for (std::size_t i = 0; i + 1 < ring->checkpointCount(); ++i) {
         ReplayCheckOptions opts;
         opts.startCheckpoint = 0;
@@ -832,15 +832,13 @@ TEST(ChainFaults, RingCorruptedKeyframeIsDroppedOrFailsTheNextDelta)
     // Checkpoint j is the image of segment file j.
     {
         // Unsealed: the scan's CRC drops the file; salvage then starts
-        // at the next chain head after the gap, or rejects the ring.
+        // at the next chain head after the gap.
         const std::string dir = chainedRing("delorean-chain-keyframe-crc");
         std::vector<std::uint8_t> file = readFile(segPath(dir, head));
         file[recordImageAt(0) + 5] ^= 0x20;
         writeFile(segPath(dir, head), file);
-        if (expectRejectedOrSalvagedToHead(dir, "unsealed keyframe")) {
-            EXPECT_GT(RingArchiveReader::open(dir).segments().front().index,
-                      head);
-        }
+        ASSERT_TRUE(expectRejectedOrSalvagedToHead(dir, "unsealed keyframe"));
+        EXPECT_GT(RingArchiveReader::open(dir).segments().front().index, head);
         std::filesystem::remove_all(dir);
     }
     {

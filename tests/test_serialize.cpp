@@ -177,10 +177,12 @@ ringHash(const std::string &dir)
 TEST(Serialize, GoldenBytesArePinned)
 {
     // One small fixed run per mode configuration. The hashes pin the
-    // .dlrec and .dla byte images and the files of a ring directory
-    // (ring.meta, every seg-* and ring.index, with a budget that
-    // evicts), so any drift in the wire formats, the recorder's logs,
-    // the fingerprints or the ring's eviction fails here.
+    // .dlrec and .dla byte images and the files of two ring
+    // directories (ring.meta, every seg-* and ring.index): the ring of
+    // the same run, and an evicting ring of the run recorded with
+    // twice as many checkpoints. Any drift in the wire formats, the
+    // recorder's logs, the fingerprints or the ring's eviction fails
+    // here.
     struct Golden
     {
         const char *label;
@@ -188,6 +190,7 @@ TEST(Serialize, GoldenBytesArePinned)
         std::uint64_t recordingHash;
         std::uint64_t archiveHash;
         std::uint64_t ringHash;
+        std::uint64_t evictingRingHash;
     };
     ModeConfig strat = ModeConfig::orderOnly();
     strat.stratifyChunksPerProc = 3;
@@ -219,10 +222,12 @@ TEST(Serialize, GoldenBytesArePinned)
     //                    0xaec65f6a2254c774
     // The .dla and ring pins moved once more with .dla v5 and ring v4
     // (one segment record per file or segment, each image stored
-    // once); a ring with no start images can evict only when its run
-    // holds two chains, so the ring pin records the run with a
-    // checkpoint every 20 commits instead of 40. The .dla v4 / ring v3
-    // pins were, per mode:
+    // once). A ring evicts only whole chains and keeps the newest, so
+    // the ring of a one-chain run (three modes here) no longer evicts:
+    // it keeps every file and counts budget overruns. The budget
+    // dropped to 50000 bytes, which every such ring exceeds, and the
+    // evicting ring pin was added then. The .dla v4 / ring v3 pins
+    // were, per mode:
     //   order-and-size   0x572c117d80ac4c4b  0x969f1a74f4bb7859
     //   order-only       0x503329936e71be29  0x0cd14c25c0ed7851
     //   order-only-strat 0x7aba783a4078a03d  0x833888b36a267827
@@ -230,13 +235,21 @@ TEST(Serialize, GoldenBytesArePinned)
     const Golden goldens[] = {
         {"order-and-size", ModeConfig::orderAndSize(),
          0x5d863ee3f8cc7ef2ull, 0xc5c4a1570ed241cdull,
-         0x86b250f41acf136full},
+         0x67cfacaf0475436dull, 0x8f0205b306a62c33ull},
         {"order-only", ModeConfig::orderOnly(), 0x949ebc321f72e5fbull,
-         0xa0f3922737766f92ull, 0xef7efaacbc811b30ull},
+         0xa0f3922737766f92ull, 0xc5e0196ed03766aaull,
+         0xca767e7e4410fbd1ull},
         {"order-only-strat", strat, 0xc2c9b7b7b9115650ull,
-         0x70de607ca5785988ull, 0x783988dd4e68eb84ull},
+         0x70de607ca5785988ull, 0x2119a16b3053d246ull,
+         0x74f73f865437054dull},
         {"picolog", ModeConfig::picoLog(), 0x6f2d04740d1179b9ull,
-         0x1e3a986cc44bce4dull, 0x7443278516779c93ull},
+         0x1e3a986cc44bce4dull, 0xa5d07c65531befcfull,
+         0x7fc81c189776118eull},
+    };
+    const auto chainHeads = [](const RingArchiveReader &ring) {
+        return std::count_if(
+            ring.segments().begin(), ring.segments().end(),
+            [](const ArchiveSegmentInfo &seg) { return seg.chainHead(); });
     };
     for (const Golden &g : goldens) {
         Workload w("fft", 4, 7, WorkloadScale::tiny());
@@ -252,30 +265,52 @@ TEST(Serialize, GoldenBytesArePinned)
             << g.label << std::hex << " archive hash 0x"
             << hashBytes(dla.str());
 
-        // The ring records the same run with a checkpoint every 20
-        // commits, so it holds two chains or more in every mode, and
-        // the budget evicts it down to the newest chain.
-        const Recording ring_rec =
-            Recorder(g.mode, machine()).record(w, 1, true, {}, 20);
+        RingOptions opts;
+        opts.budgetBytes = 50000;
         const std::string dir =
             testing::TempDir() + "golden_ring_" + g.label;
-        std::filesystem::remove_all(dir);
-        RingOptions opts;
-        opts.checkpointPeriod = 20;
-        opts.budgetBytes = 60000;
-        const RingWriterStats stats = writeRing(ring_rec, dir, opts);
-        EXPECT_GT(stats.segmentsEvicted, 0u) << g.label;
-        const RingArchiveReader ring = RingArchiveReader::open(dir);
-        EXPECT_EQ(std::count_if(ring.segments().begin(),
-                                ring.segments().end(),
-                                [](const ArchiveSegmentInfo &seg) {
-                                    return seg.chainHead();
-                                }),
-                  1)
-            << g.label;
-        EXPECT_EQ(ringHash(dir), g.ringHash)
-            << g.label << std::hex << " ring hash 0x" << ringHash(dir);
-        std::filesystem::remove_all(dir);
+        {
+            // The ring of the same run. A run that is one chain cannot
+            // evict: the ring keeps every file, over budget, and
+            // counts an overrun; a run of two chains or more evicts.
+            std::filesystem::remove_all(dir);
+            opts.checkpointPeriod = 40;
+            const RingWriterStats stats = writeRing(rec, dir, opts);
+            const std::size_t run_heads = static_cast<std::size_t>(
+                std::count_if(rec.checkpoints.begin(),
+                              rec.checkpoints.end(),
+                              [](const SystemCheckpoint &ckpt) {
+                                  return ckpt.memory.headsChain();
+                              }));
+            if (run_heads == 1) {
+                EXPECT_EQ(stats.segmentsEvicted, 0u) << g.label;
+                EXPECT_GT(stats.budgetOverruns, 0u) << g.label;
+                EXPECT_EQ(RingArchiveReader::open(dir).checkpointCount(),
+                          rec.checkpoints.size())
+                    << g.label;
+            } else {
+                EXPECT_GT(stats.segmentsEvicted, 0u) << g.label;
+            }
+            EXPECT_EQ(ringHash(dir), g.ringHash)
+                << g.label << std::hex << " ring hash 0x" << ringHash(dir);
+            std::filesystem::remove_all(dir);
+        }
+        {
+            // The run with a checkpoint every 20 commits holds two
+            // chains or more in every mode, and the budget evicts it
+            // down to the newest chain.
+            const Recording twice =
+                Recorder(g.mode, machine()).record(w, 1, true, {}, 20);
+            opts.checkpointPeriod = 20;
+            const RingWriterStats stats = writeRing(twice, dir, opts);
+            EXPECT_GT(stats.segmentsEvicted, 0u) << g.label;
+            EXPECT_EQ(chainHeads(RingArchiveReader::open(dir)), 1)
+                << g.label;
+            EXPECT_EQ(ringHash(dir), g.evictingRingHash)
+                << g.label << std::hex << " evicting ring hash 0x"
+                << ringHash(dir);
+            std::filesystem::remove_all(dir);
+        }
     }
 }
 

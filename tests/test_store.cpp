@@ -229,7 +229,7 @@ TEST(Store, FooterIndexMetadata)
     for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
         EXPECT_EQ(segs[i].endGcc, rec.checkpoints[i].gcc);
         EXPECT_TRUE(segs[i].hasCheckpoint);
-        EXPECT_EQ(segs[i].keyframe, reader.imageInfo(i).keyframe);
+        EXPECT_EQ(segs[i].keyframe, rec.checkpoints[i].memory.headsChain());
         EXPECT_EQ(reader.checkpointAt(i).gcc, rec.checkpoints[i].gcc);
     }
     EXPECT_TRUE(segs.front().keyframe);
@@ -710,16 +710,16 @@ TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
         std::uint64_t keyframe_raw = 0;
         std::uint64_t read = 0;
         for (std::size_t i = 0; i < reader.checkpointCount(); ++i) {
-            const CheckpointImageInfo &info = reader.imageInfo(i);
+            const ArchiveSegmentInfo &info = reader.segments()[i];
             if (info.keyframe) {
                 ++keyframes;
-                keyframe_raw = info.rawBytes;
+                keyframe_raw = info.imageBytes;
                 read = 0;
             } else {
-                EXPECT_EQ(info.baseGcc, reader.imageInfo(i - 1).gcc)
+                EXPECT_EQ(info.startGcc, reader.segments()[i - 1].endGcc)
                     << label << " checkpoint " << i;
             }
-            read += info.rawBytes;
+            read += info.imageBytes;
             EXPECT_LE(read, 2 * keyframe_raw)
                 << label << " checkpoint " << i;
         }
@@ -739,9 +739,10 @@ TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
     ASSERT_EQ(ring.checkpointCount(), dla.checkpointCount());
     check(ring, "ring");
     for (std::size_t i = 0; i < ring.checkpointCount(); ++i) {
-        EXPECT_EQ(ring.imageInfo(i).keyframe, dla.imageInfo(i).keyframe)
+        EXPECT_EQ(ring.segments()[i].keyframe, dla.segments()[i].keyframe)
             << i;
-        EXPECT_EQ(ring.imageInfo(i).rawBytes, dla.imageInfo(i).rawBytes)
+        EXPECT_EQ(ring.segments()[i].imageBytes,
+                  dla.segments()[i].imageBytes)
             << i;
     }
 
@@ -757,7 +758,7 @@ TEST(Store, ChainRebuildReadsAtMostTwoKeyframes)
     check_ram(ring.readAll(), "ring readAll");
     for (std::size_t i = 0; i < rec.checkpoints.size(); ++i)
         EXPECT_EQ(rec.checkpoints[i].memory.headsChain(),
-                  dla.imageInfo(i).keyframe)
+                  dla.segments()[i].keyframe)
             << i;
     std::filesystem::remove_all(dir);
 }
@@ -819,10 +820,10 @@ TEST(Store, EachCheckpointImageIsStoredOnce)
                 ring_images += ring.segments()[i].imageBytes;
             }
             for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
-                EXPECT_EQ(ring.imageInfo(i).rawBytes,
-                          dla.imageInfo(i).rawBytes)
+                EXPECT_EQ(ring.segments()[i].imageBytes,
+                          dla.segments()[i].imageBytes)
                     << label << " checkpoint " << i;
-                EXPECT_EQ(dla.imageInfo(i).keyframe,
+                EXPECT_EQ(dla.segments()[i].keyframe,
                           rec.checkpoints[i].memory.headsChain())
                     << label << " checkpoint " << i;
             }

@@ -203,43 +203,38 @@ checkpointIndexFor(const std::vector<std::uint64_t> &gccs,
 }
 
 /**
- * One line per checkpoint of a container or .dlrec: its GCC and how
- * it is stored — a keyframe heading a chain, or a delta on the
- * checkpoint at its base GCC — with its stored bytes; then the totals.
+ * One line per checkpoint of a container or .dlrec, from the records
+ * that end at one (a tail record ends at none): its GCC and how it is
+ * stored — a keyframe heading a chain, or a delta on the checkpoint
+ * at the record's start GCC — with its stored bytes; then the totals.
  */
 void
-printCheckpointImages(const std::vector<CheckpointImageInfo> &images)
+printCheckpointImages(const std::vector<ArchiveSegmentInfo> &records)
 {
     std::size_t keyframes = 0;
+    std::size_t count = 0;
     unsigned long long bytes = 0;
-    for (std::size_t i = 0; i < images.size(); ++i) {
-        const CheckpointImageInfo &info = images[i];
-        keyframes += info.keyframe ? 1 : 0;
-        bytes += info.rawBytes;
-        if (info.keyframe)
+    for (const ArchiveSegmentInfo &rec : records) {
+        if (!rec.hasCheckpoint)
+            continue;
+        const std::size_t i = count++;
+        keyframes += rec.keyframe ? 1 : 0;
+        bytes += rec.imageBytes;
+        if (rec.keyframe)
             std::printf("  checkpoint %zu: gcc %llu, keyframe, "
                         "%llu bytes stored\n",
-                        i, static_cast<unsigned long long>(info.gcc),
-                        static_cast<unsigned long long>(info.rawBytes));
+                        i, static_cast<unsigned long long>(rec.endGcc),
+                        static_cast<unsigned long long>(rec.imageBytes));
         else
             std::printf("  checkpoint %zu: gcc %llu, delta on gcc %llu, "
                         "%llu bytes stored\n",
-                        i, static_cast<unsigned long long>(info.gcc),
-                        static_cast<unsigned long long>(info.baseGcc),
-                        static_cast<unsigned long long>(info.rawBytes));
+                        i, static_cast<unsigned long long>(rec.endGcc),
+                        static_cast<unsigned long long>(rec.startGcc),
+                        static_cast<unsigned long long>(rec.imageBytes));
     }
     std::printf("images: %zu keyframe(s), %zu delta(s), %llu bytes "
                 "stored\n",
-                keyframes, images.size() - keyframes, bytes);
-}
-
-void
-printCheckpointImages(const archive_detail::ContainerReader &reader)
-{
-    std::vector<CheckpointImageInfo> images;
-    for (std::size_t i = 0; i < reader.checkpointCount(); ++i)
-        images.push_back(reader.imageInfo(i));
-    printCheckpointImages(images);
+                keyframes, count - keyframes, bytes);
 }
 
 int
@@ -260,7 +255,7 @@ doListCheckpoints(const std::string &path)
                         rc.usedIndex ? ", index intact" : "");
             for (const std::string &note : rc.notes)
                 std::printf("  salvage: %s\n", note.c_str());
-            printCheckpointImages(ring);
+            printCheckpointImages(ring.segments());
             return 0;
         }
         if (ArchiveReader::fileLooksLikeArchive(path)) {
@@ -287,7 +282,7 @@ doListCheckpoints(const std::string &path)
                                 ? ", checkpoint at end"
                                 : " (tail)");
             }
-            printCheckpointImages(reader);
+            printCheckpointImages(reader.segments());
             return 0;
         }
         const Recording rec = loadRecordingFile(path);
@@ -296,22 +291,25 @@ doListCheckpoints(const std::string &path)
                     path.c_str(), rec.appName.c_str(),
                     modeConfigName(rec.mode),
                     rec.machine.numProcs, rec.checkpoints.size());
-        std::vector<CheckpointImageInfo> images;
+        // Each checkpoint as the record a container would store for
+        // the segment that ends at it.
+        std::vector<ArchiveSegmentInfo> records;
         for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
             const SystemCheckpoint *prev =
                 i ? &rec.checkpoints[i - 1] : nullptr;
             const SystemCheckpoint &ckpt = rec.checkpoints[i];
-            CheckpointImageInfo info;
-            info.gcc = ckpt.gcc;
+            ArchiveSegmentInfo info;
+            info.startGcc = prev ? prev->gcc : 0;
+            info.endGcc = ckpt.gcc;
+            info.hasCheckpoint = true;
             info.keyframe = serialize_detail::storedAsKeyframe(prev, ckpt);
-            info.baseGcc = info.keyframe ? 0 : prev->gcc;
-            info.rawBytes =
+            info.imageBytes =
                 info.keyframe
                     ? serialize_detail::encodeKeyframe(ckpt).size()
                     : serialize_detail::encodeDelta(*prev, ckpt).size();
-            images.push_back(info);
+            records.push_back(info);
         }
-        printCheckpointImages(images);
+        printCheckpointImages(records);
         return 0;
     } catch (const RecordingFormatError &e) {
         std::printf("%s: rejected at load\n  %s\n", path.c_str(),
