@@ -4,17 +4,18 @@
  *
  * Times the raw-speed pass over the archive (.dla) data plane:
  *
- *   - container write (segment build + hash-chain LZ77 + CRC) at
- *     ioThreads in {1, 2, 4, 8};
+ *   - container write (saveRecording: segment build + hash-chain LZ77
+ *     + CRC) at ioThreads in {1, 2, 4, 8};
  *   - full readAll (decompress + CRC + reassembly) at the same
  *     thread counts, through both the mmap path (fromFile) and the
  *     buffered one (the file read into memory, then fromBytes);
  *   - seek-to-replay latency: readInterval from the last checkpoint
  *     off both read paths;
  *   - the serial baseline: lz77_reference (the retired O(window *
- *     len) scalar matcher) over the same serialized bytes, decoded
- *     back with the production decoder (the retired bit-at-a-time
- *     decoder survives only as a test oracle).
+ *     len) scalar matcher) over the bytes the writer feeds through
+ *     LZ77 (every segment's raw payload), decoded back with the
+ *     production decoder (the retired bit-at-a-time decoder survives
+ *     only as a test oracle).
  *
  * The headline number is aggregate (compress + decompress) MB/s at
  * ioThreads = 4 versus the reference serial codec. On a single-core
@@ -41,6 +42,7 @@
 #include "core/serialize.hpp"
 #include "ledger.hpp"
 #include "store/archive.hpp"
+#include "store/archive_detail.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -98,19 +100,27 @@ mbps(std::size_t bytes, double seconds)
 }
 
 std::string
-archivedWith(const Recording &rec, unsigned io_threads)
+savedBytes(const Recording &rec, unsigned io_threads = 0)
 {
     std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out, ArchiveIoOptions{io_threads});
+    saveRecording(rec, out, ArchiveIoOptions{io_threads});
     return std::move(out).str();
 }
 
-std::string
-savedBytes(const Recording &rec)
+/** Every segment's raw payload of @p file, back to back. */
+std::vector<std::uint8_t>
+rawPayloads(const std::vector<std::uint8_t> &file)
 {
-    std::ostringstream out(std::ios::binary);
-    saveRecording(rec, out);
-    return std::move(out).str();
+    const ArchiveReader reader = ArchiveReader::fromBytes(file);
+    std::vector<std::uint8_t> raw;
+    for (std::size_t i = 0; i < reader.segments().size(); ++i) {
+        const ArchiveSegmentInfo &seg = reader.segments()[i];
+        const std::vector<std::uint8_t> payload =
+            archive_detail::decodePayload(file.data() + seg.payloadOffset(),
+                                          seg, i);
+        raw.insert(raw.end(), payload.begin(), payload.end());
+    }
+    return raw;
 }
 
 } // namespace
@@ -132,14 +142,14 @@ main()
             .record(workload, /*env_seed=*/1, true, {},
                     kCheckpointPeriod);
 
-    const std::string raw = savedBytes(rec);
-    const std::string container = archivedWith(rec, 1);
+    const std::string container = savedBytes(rec, 1);
     const std::vector<std::uint8_t> container_bytes(container.begin(),
                                                     container.end());
     const ArchiveReader probe = ArchiveReader::fromBytes(container_bytes);
+    const std::vector<std::uint8_t> corpus = rawPayloads(container_bytes);
     std::printf("corpus: %s x%u procs, scale %u%% -> %zu raw bytes, "
                 "%zu archived, %zu segments\n",
-                "ocean", machine.numProcs, scale, raw.size(),
+                "ocean", machine.numProcs, scale, corpus.size(),
                 container.size(), probe.segments().size());
 
     JsonLedger ledger("archive_io");
@@ -148,15 +158,14 @@ main()
     ledger.field("procs", machine.numProcs);
     ledger.field("scalePercent", scale);
     ledger.field("checkpointPeriod", kCheckpointPeriod);
-    ledger.field("rawBytes", raw.size());
+    ledger.field("rawBytes", corpus.size());
     ledger.field("archiveBytes", container.size());
     ledger.field("segments", probe.segments().size());
     ledger.field("mmapSupported", MappedFile::supported());
     ledger.close();
 
-    // --- Serial baseline: the codec this PR retired, timed on the
-    // same serialized bytes the writer feeds through LZ77.
-    const std::vector<std::uint8_t> corpus(raw.begin(), raw.end());
+    // --- Serial baseline: the retired codec, timed on the same raw
+    // payload bytes the writer feeds through LZ77.
     std::vector<std::uint8_t> ref_packed;
     const double ref_compress = timeBest(
         [&] { ref_packed = lz77_reference::compress(corpus); });
@@ -186,7 +195,7 @@ main()
     for (const unsigned threads : kThreadSweep) {
         std::string bytes;
         const double s = timeBest(
-            [&] { bytes = archivedWith(rec, threads); });
+            [&] { bytes = savedBytes(rec, threads); });
         if (bytes != container) {
             std::fprintf(stderr,
                          "FAIL: ioThreads=%u container differs\n",
@@ -196,7 +205,7 @@ main()
         write_seconds_at[threads] = s;
         ledger.open("ioThreads" + std::to_string(threads));
         ledger.field("seconds", s);
-        ledger.field("MBps", mbps(raw.size(), s));
+        ledger.field("MBps", mbps(corpus.size(), s));
         ledger.close();
     }
     ledger.close();
@@ -207,17 +216,16 @@ main()
 #if defined(__unix__) || defined(__APPLE__)
     path = "/tmp/archive_io." + std::to_string(::getpid()) + ".dla";
 #endif
-    writeArchiveFile(rec, path);
+    saveRecordingFile(rec, path);
     double read_seconds_at[2][9] = {};
     for (const bool mmap_reads : {true, false}) {
         ledger.open(mmap_reads ? "readMmap" : "readBuffered");
         for (const unsigned threads : kThreadSweep) {
-            std::string round;
+            Recording round;
             const double s = timeBest([&] {
-                round = savedBytes(
-                    openArchive(path, threads, mmap_reads).readAll());
+                round = openArchive(path, threads, mmap_reads).readAll();
             });
-            if (round != raw) {
+            if (savedBytes(round) != container) {
                 std::fprintf(stderr,
                              "FAIL: readAll(mmap=%d, threads=%u) not "
                              "byte-identical\n",
@@ -227,7 +235,7 @@ main()
             read_seconds_at[mmap_reads ? 0 : 1][threads] = s;
             ledger.open("ioThreads" + std::to_string(threads));
             ledger.field("seconds", s);
-            ledger.field("MBps", mbps(raw.size(), s));
+            ledger.field("MBps", mbps(corpus.size(), s));
             ledger.close();
         }
         ledger.close();
@@ -238,15 +246,13 @@ main()
     const ArchiveReader mapped = openArchive(path, 4, true);
     const ArchiveReader buffered = openArchive(path, 4, false);
     const std::size_t last = mapped.checkpointCount() - 1;
-    std::string seek_mapped_bytes;
-    const double seek_mapped = timeBest([&] {
-        seek_mapped_bytes = savedBytes(mapped.readInterval(last));
-    });
-    std::string seek_buffered_bytes;
-    const double seek_buffered = timeBest([&] {
-        seek_buffered_bytes = savedBytes(buffered.readInterval(last));
-    });
-    if (seek_mapped_bytes != seek_buffered_bytes) {
+    Recording seek_mapped_view;
+    const double seek_mapped = timeBest(
+        [&] { seek_mapped_view = mapped.readInterval(last); });
+    Recording seek_buffered_view;
+    const double seek_buffered = timeBest(
+        [&] { seek_buffered_view = buffered.readInterval(last); });
+    if (savedBytes(seek_mapped_view) != savedBytes(seek_buffered_view)) {
         std::fprintf(stderr,
                      "FAIL: tail interval differs across read paths\n");
         ok = false;
@@ -261,7 +267,7 @@ main()
     // --- The gate: aggregate (write + read) throughput at
     // ioThreads=4, mmap on, vs the reference serial codec.
     const double par_aggregate =
-        mbps(2 * raw.size(),
+        mbps(2 * corpus.size(),
              write_seconds_at[4] + read_seconds_at[0][4]);
     const double speedup =
         ref_aggregate > 0 ? par_aggregate / ref_aggregate : 0.0;

@@ -10,9 +10,8 @@
  *   - the paper's Figs. 9-10 metric: memory-ordering log bits per
  *     processor per kilo-instruction, raw and compressed, asserting
  *     the ordering PicoLog < OrderOnly < Order&Size per application;
- *   - container sizes: the serialized recording (.dlr) vs the
- *     segmented archive (.dla, src/store), asserting archived <= raw
- *     for every app/mode, plus the compression ratio;
+ *   - the size of the recording's file (the segmented .dla,
+ *     src/store);
  *   - seek-vs-full-replay: wall time to replay the tail interval
  *     I(last checkpoint, end) straight off the archive (decode only
  *     the covering segments, resume from the checkpoint) vs a full
@@ -20,7 +19,7 @@
  *
  * Stdout carries only deterministic facts (bits, sizes, ratios); the
  * wall-clock seek/full timings go to the JSON and stderr. Exit status
- * reflects the two invariants, not the speedup. Path override:
+ * reflects the ordering and replay invariants, not the speedup. Path override:
  * DELOREAN_LOGSIZE_JSON.
  */
 
@@ -57,20 +56,11 @@ struct ModeRow
 struct Cell
 {
     LogSizeReport sizes;
-    std::uint64_t rawBytes = 0;     // serialized .dlr
     std::uint64_t archiveBytes = 0; // segmented .dla
     std::size_t checkpoints = 0;
     double fullReplaySeconds = 0;
     double seekReplaySeconds = 0;
     bool replaysOk = false;
-
-    double
-    compressionRatio() const
-    {
-        return archiveBytes > 0 ? static_cast<double>(rawBytes)
-                                      / static_cast<double>(archiveBytes)
-                                : 0.0;
-    }
 
     double
     seekSpeedup() const
@@ -81,22 +71,13 @@ struct Cell
     }
 };
 
-std::uint64_t
-serializedBytes(const Recording &rec)
-{
-    std::ostringstream out(std::ios::binary);
-    saveRecording(rec, out);
-    return static_cast<std::uint64_t>(out.str().size());
-}
-
 } // namespace
 
 int
 main()
 {
     header("log_size: bits/kilo-instruction and archive sizes",
-           "Figs. 9-10 ordering PicoLog < OrderOnly < Order&Size; "
-           "archived container never larger than the raw recording");
+           "Figs. 9-10 ordering PicoLog < OrderOnly < Order&Size");
 
     const unsigned scale = benchScale(25);
     const MachineConfig machine;
@@ -127,11 +108,10 @@ main()
 
                 Cell cell;
                 cell.sizes = rec.logSizes();
-                cell.rawBytes = serializedBytes(rec);
                 cell.checkpoints = rec.checkpoints.size();
 
                 std::ostringstream arch(std::ios::binary);
-                writeArchive(rec, arch);
+                saveRecording(rec, arch);
                 const std::string blob = std::move(arch).str();
                 cell.archiveBytes =
                     static_cast<std::uint64_t>(blob.size());
@@ -172,31 +152,23 @@ main()
     const std::vector<std::vector<Cell>> rows =
         campaign.map(std::move(tasks));
 
-    std::printf("%-10s | %-15s | %9s %9s | %8s %8s | %5s | %s\n",
-                "app", "mode", "bits/kI", "comp'd", "raw-B",
-                "arch-B", "ckpts", "replays");
+    std::printf("%-10s | %-15s | %9s %9s | %8s | %5s | %s\n", "app",
+                "mode", "bits/kI", "comp'd", "arch-B", "ckpts", "replays");
     bool ordering_ok = true;
-    bool archived_leq_raw = true;
     bool replays_ok = true;
-    std::vector<double> ratios;
     std::vector<double> speedups;
     for (std::size_t ai = 0; ai < apps.size(); ++ai) {
         for (std::size_t mi = 0; mi < std::size(modes); ++mi) {
             const Cell &cell = rows[ai][mi];
-            std::printf("%-10s | %-15s | %9.3f %9.3f | %8llu %8llu "
-                        "| %5zu | %s\n",
+            std::printf("%-10s | %-15s | %9.3f %9.3f | %8llu | %5zu | %s\n",
                         apps[ai].c_str(), modes[mi].label,
                         cell.sizes.bitsPerProcPerKiloInstr(false),
                         cell.sizes.bitsPerProcPerKiloInstr(true),
-                        static_cast<unsigned long long>(cell.rawBytes),
                         static_cast<unsigned long long>(
                             cell.archiveBytes),
                         cell.checkpoints,
                         cell.replaysOk ? "ok" : "DIVERGED");
-            archived_leq_raw = archived_leq_raw
-                               && cell.archiveBytes <= cell.rawBytes;
             replays_ok = replays_ok && cell.replaysOk;
-            ratios.push_back(cell.compressionRatio());
             speedups.push_back(cell.seekSpeedup());
         }
         // Paper ordering per application, on the Figs. 9-10 metric
@@ -218,8 +190,6 @@ main()
     std::printf("\npaper ordering (PicoLog < OrderOnly < Order&Size): "
                 "%s\n",
                 ordering_ok ? "preserved on all apps" : "VIOLATED");
-    std::printf("archived <= raw for every app/mode: %s\n",
-                archived_leq_raw ? "yes" : "NO (BUG)");
     std::printf("full + tail-interval replays deterministic: %s\n",
                 replays_ok ? "yes" : "NO (BUG)");
 
@@ -240,9 +210,7 @@ main()
                          cell.sizes.bitsPerProcPerKiloInstr(false));
             ledger.field("compressedBitsPerProcPerKiloInstr",
                          cell.sizes.bitsPerProcPerKiloInstr(true));
-            ledger.field("rawBytes", cell.rawBytes);
             ledger.field("archiveBytes", cell.archiveBytes);
-            ledger.field("compressionRatio", cell.compressionRatio());
             ledger.field("checkpoints", cell.checkpoints);
             ledger.field("fullReplaySeconds", cell.fullReplaySeconds);
             ledger.field("seekReplaySeconds", cell.seekReplaySeconds);
@@ -255,13 +223,11 @@ main()
     ledger.close();
     ledger.open("summary");
     ledger.field("orderingPreserved", ordering_ok);
-    ledger.field("archivedLeqRawEverywhere", archived_leq_raw);
     ledger.field("replaysDeterministicEverywhere", replays_ok);
-    ledger.field("compressionRatioGeomean", geoMean(ratios));
     ledger.field("seekSpeedupGeomean", geoMean(speedups));
     if (!ledger.writeTo(JsonLedger::path("DELOREAN_LOGSIZE_JSON",
                                          "BENCH_logsize.json")))
         return 2;
 
-    return ordering_ok && archived_leq_raw && replays_ok ? 0 : 1;
+    return ordering_ok && replays_ok ? 0 : 1;
 }

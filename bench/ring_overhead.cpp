@@ -10,7 +10,7 @@
  *     streams every checkpoint interval into a RingArchiveWriter
  *     (compression, eviction and index rewrites overlapped on the
  *     flusher) versus the batch baseline of the same record run plus
- *     a writeArchive() pass;
+ *     a saveRecording() pass (the `.dla`);
  *   - worst-case seek-to-replay latency, in both commits (the
  *     replay-start lag the availability contract bounds by T) and
  *     wall time (open + time-travel seek + bounded interval decode);
@@ -119,7 +119,7 @@ int
 main()
 {
     header("ring_overhead: always-on ring vs batch archiving",
-           "ring recording <= 1.10x (record + writeArchive) at the "
+           "ring recording <= 1.10x (record + saveRecording) at the "
            "default period; replay-start lag <= T on every cell");
 
     const unsigned scale = benchScale(15);
@@ -173,7 +173,7 @@ main()
         std::string container;
         const double archive_s = timeBestN(kCodecReps, [&] {
             std::ostringstream out(std::ios::binary);
-            writeArchive(rec, out, io);
+            saveRecording(rec, out, io);
             container = std::move(out).str();
         });
         const std::vector<std::uint8_t> container_bytes(

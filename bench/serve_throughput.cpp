@@ -38,6 +38,7 @@
 
 #include "bench_util.hpp"
 #include "core/recorder.hpp"
+#include "core/serialize.hpp"
 #include "ledger.hpp"
 #include "serve/service.hpp"
 #include "store/archive.hpp"
@@ -130,7 +131,7 @@ runBaseline(const std::vector<ServeJob> &jobs, unsigned period,
         switch (job.cls) {
         case ServeClass::kRecord: {
             std::ostringstream out(std::ios::binary);
-            writeArchive(rec, out);
+            saveRecording(rec, out, ArchiveIoOptions{});
             archive_bytes += out.tellp();
             break;
         }

@@ -10,6 +10,7 @@
 
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "store/archive.hpp"
 
 using namespace delorean;
 
@@ -30,9 +31,9 @@ main()
                 rec.checkpoints.size());
 
     // Persist and reload — the recording survives the process.
-    const std::string path = "/tmp/delorean_interval_demo.bin";
+    const std::string path = "/tmp/delorean_interval_demo.dla";
     saveRecordingFile(rec, path);
-    const Recording loaded = loadRecordingFile(path);
+    const Recording loaded = ArchiveReader::fromFile(path).readAll();
     std::printf("saved + reloaded recording from %s\n", path.c_str());
 
     Replayer replayer;

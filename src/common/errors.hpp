@@ -33,8 +33,8 @@ class DeloreanError : public std::runtime_error
 /**
  * A serialized recording is malformed: bad magic/version, truncated
  * stream, or a field outside the range the recorder can produce.
- * Raised by loadRecording()/validateRecording() before any replay
- * machinery touches the data.
+ * Raised by the recording file's reader (store/archive.hpp) and by
+ * validateRecording() before any replay machinery touches the data.
  */
 class RecordingFormatError : public DeloreanError
 {

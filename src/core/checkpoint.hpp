@@ -19,7 +19,7 @@
  * shared chain node — a keyframe (every non-default word) at a chain
  * head, otherwise the delta against the checkpoint before it. The
  * recorder journals each interval's delta (memory/undo_journal.hpp),
- * recordings, container readers and .dlrec files keep the chains, and
+ * recordings, container readers and their files keep the chains, and
  * only a replay restore builds a full MemoryState (materialize()).
  */
 

@@ -2,33 +2,28 @@
  * @file
  * Shared binary-serialization primitives.
  *
- * The recording container (core/serialize.cpp) and the archive
- * containers (store/archive.cpp, store/ring.cpp) write the same
- * little-endian primitives — u64 fields, length-prefixed strings,
- * ThreadContext images, machine/mode headers and SystemCheckpoints.
- * They live here so the formats cannot drift apart: an archived
- * keyframe is byte-identical to one embedded in a .dlrec recording.
- * Readers take either a std::istream or a ByteCursor over bytes
- * already in memory.
+ * The two containers (store/archive.cpp, store/ring.cpp) write the
+ * same little-endian primitives — u64 fields, length-prefixed strings,
+ * ThreadContext images, machine/mode headers and SystemCheckpoints —
+ * and read them back through a ByteCursor over bytes already in
+ * memory.
  *
  * Checkpoint images are stored as keyframe chains (core/checkpoint):
  * a keyframe (encodeKeyframe) heads a chain, and each later image is
  * a delta against the checkpoint before it (encodeDelta). The writers
  * serialize the chain nodes a recording holds; ChainDecoder turns
  * stored images back into nodes, verifying each chain. This is the
- * one checkpoint-image codec behind .dlrec files and the segment
- * records of the `.dla` and the ring.
+ * one checkpoint-image codec behind the segment records of the `.dla`
+ * and the ring.
  */
 
 #ifndef DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
 #define DELOREAN_CORE_SERIALIZE_DETAIL_HPP_
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -56,10 +51,8 @@ loadU64(const std::uint8_t *p)
 }
 
 /**
- * Read cursor over an in-memory byte range: the span-side twin of the
- * std::istream the get* helpers also accept. Running past the end
- * throws the same "file truncated" RecordingFormatError a short
- * stream does, so both sources fail identically.
+ * Read cursor over an in-memory byte range. Running past the end
+ * throws a "file truncated" RecordingFormatError.
  */
 class ByteCursor
 {
@@ -98,24 +91,6 @@ putU64(std::ostream &out, std::uint64_t v)
     out.write(reinterpret_cast<const char *>(bytes), 8);
 }
 
-/** Read exactly @p n bytes into @p dst; short reads are truncation. */
-inline void
-getBytes(std::istream &in, std::uint8_t *dst, std::size_t n)
-{
-    in.read(reinterpret_cast<char *>(dst),
-            static_cast<std::streamsize>(n));
-    if (!in)
-        throw RecordingFormatError("file truncated");
-}
-
-inline std::uint64_t
-getU64(std::istream &in)
-{
-    std::uint8_t bytes[8];
-    getBytes(in, bytes, 8);
-    return loadU64(bytes);
-}
-
 inline std::uint64_t
 getU64(ByteCursor &in)
 {
@@ -127,19 +102,6 @@ putString(std::ostream &out, const std::string &s)
 {
     putU64(out, s.size());
     out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-inline std::string
-getString(std::istream &in)
-{
-    const std::uint64_t n = getU64(in);
-    if (n > (1u << 20))
-        throw RecordingFormatError("string too long");
-    std::string s(n, '\0');
-    in.read(s.data(), static_cast<std::streamsize>(n));
-    if (!in)
-        throw RecordingFormatError("file truncated");
-    return s;
 }
 
 inline std::string
@@ -196,10 +158,8 @@ putMode(std::ostream &out, const ModeConfig &mode)
     putU64(out, mode.stratifyChunksPerProc);
 }
 
-/** @p In is std::istream or ByteCursor. */
-template <typename In>
-ModeConfig
-getMode(In &in)
+inline ModeConfig
+getMode(ByteCursor &in)
 {
     ModeConfig mode;
     mode.mode = static_cast<ExecMode>(getU64(in));
@@ -212,11 +172,7 @@ getMode(In &in)
     return mode;
 }
 
-/**
- * Machine header: 12 u64 fields since format v2. The 12th is the
- * arbiter count, always 1 (one arbiter serializes every commit);
- * getMachine rejects any other value.
- */
+/** Machine header: 11 u64 fields. */
 inline void
 putMachine(std::ostream &out, const MachineConfig &m)
 {
@@ -231,13 +187,10 @@ putMachine(std::ostream &out, const MachineConfig &m)
     putU64(out, m.bulk.simultaneousChunks);
     putU64(out, m.bulk.collisionBackoffThreshold);
     putU64(out, m.bulk.exactDisambiguation ? 1 : 0);
-    putU64(out, 1); // arbiter count
 }
 
-/** @p In is std::istream or ByteCursor. */
-template <typename In>
-MachineConfig
-getMachine(In &in)
+inline MachineConfig
+getMachine(ByteCursor &in)
 {
     MachineConfig m;
     m.numProcs = static_cast<unsigned>(getU64(in));
@@ -252,10 +205,6 @@ getMachine(In &in)
     m.bulk.collisionBackoffThreshold =
         static_cast<unsigned>(getU64(in));
     m.bulk.exactDisambiguation = getU64(in) != 0;
-    const std::uint64_t arbiters = getU64(in);
-    if (arbiters != 1)
-        throw RecordingFormatError("arbiter count "
-                                   + std::to_string(arbiters) + " is not 1");
     return m;
 }
 
@@ -502,7 +451,7 @@ deltaBytes(const SystemCheckpoint &base, const SystemCheckpoint &ckpt,
 }
 
 /**
- * Whether the containers and .dlrec store @p cur as a keyframe rather
+ * Whether the containers store @p cur as a keyframe rather
  * than a delta on @p prev, the checkpoint before it (null for the
  * first): it heads its chain, or its image does not keep a delta
  * against prev's (a recording assembled from another one's images,
@@ -579,7 +528,7 @@ encodeDelta(const SystemCheckpoint &base, const SystemCheckpoint &ckpt)
     return out;
 }
 
-/** How a container or .dlrec stores one checkpoint image. */
+/** How a container stores one checkpoint image. */
 enum class ImageKind : std::uint64_t
 {
     kKeyframe = 1, ///< full image: heads a chain
@@ -877,53 +826,6 @@ class ChainDecoder
         table_.store(addr, value);
     }
 };
-
-/**
- * Read one @p kind image's bytes from a stream, field group by field
- * group so a short stream fails as truncation. A list body is read in
- * bounded steps, so a corrupt byte length runs into truncation instead
- * of forcing a huge allocation.
- */
-inline std::vector<std::uint8_t>
-getImage(std::istream &in, ImageKind kind)
-{
-    std::vector<std::uint8_t> image;
-    const auto append = [&in, &image](std::uint64_t bytes) {
-        constexpr std::uint64_t kPerRead = std::uint64_t{1} << 20;
-        const std::size_t first = image.size();
-        for (std::uint64_t left = bytes; left > 0;) {
-            const std::size_t step =
-                static_cast<std::size_t>(std::min(left, kPerRead));
-            const std::size_t at = image.size();
-            image.resize(at + step);
-            getBytes(in, image.data() + at, step);
-            left -= step;
-        }
-        return image.data() + first;
-    };
-    const auto list = [&append](std::size_t value_bytes) {
-        const std::uint8_t *header = append(kListHeaderBytes);
-        const std::uint64_t body = loadU64(header + 8);
-        checkListSize(loadU64(header), body, value_bytes);
-        append(body);
-    };
-    const std::uint64_t n = loadU64(append(kCheckpointLeadBytes) + 24);
-    checkContextCount(n);
-    for (std::uint64_t p = 0; p < n; ++p) {
-        ByteCursor mask(append(kContextMaskBytes), kContextMaskBytes);
-        append(8 * static_cast<std::uint64_t>(
-                       std::popcount(getContextMask(mask))));
-    }
-    if (kind == ImageKind::kKeyframe) {
-        list(8);
-    } else {
-        append(8); // base GCC
-        list(8);   // changed words
-        list(0);   // erased words
-        append(8); // memory hash
-    }
-    return image;
-}
 
 } // namespace serialize_detail
 } // namespace delorean

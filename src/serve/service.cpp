@@ -16,6 +16,7 @@
 #include <sys/types.h>
 
 #include "core/recorder.hpp"
+#include "core/serialize.hpp"
 #include "validate/replay_check.hpp"
 
 namespace delorean
@@ -389,7 +390,7 @@ ServeService::run(const std::vector<ServeJob> &jobs)
                                              + tmp);
                 if (opts_.verifyArchives) {
                     std::ostringstream ref(std::ios::binary);
-                    writeArchive(rec, ref, opts_.archiveIo);
+                    saveRecording(rec, ref, opts_.archiveIo);
                     std::ifstream back(tmp, std::ios::binary);
                     std::ostringstream got(std::ios::binary);
                     got << back.rdbuf();
@@ -397,7 +398,7 @@ ServeService::run(const std::vector<ServeJob> &jobs)
                         != std::move(ref).str())
                         throw std::runtime_error(
                             "streamed archive for " + rj.app
-                            + " differs from writeArchive of the finished "
+                            + " differs from saveRecording of the finished "
                             "recording");
                 }
                 if (std::rename(tmp.c_str(), path.c_str()) != 0)

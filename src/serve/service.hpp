@@ -17,7 +17,7 @@
  *    the .dla archive through a StreamingArchiveWriter wired into the
  *    engine's checkpoint hook, overlapping LZ77/CRC/file I/O with the
  *    rest of the simulation. The streamed bytes are byte-identical to
- *    writeArchiveFile() of the finished recording.
+ *    saveRecordingFile() of the finished recording.
  *  - **Always-on ring emission.** With a ring directory set, each
  *    distinct recording also streams a rotating segmented ring
  *    (store/ring) through the same checkpoint hook: a bounded-budget
@@ -113,7 +113,7 @@ struct ServeOptions
     /// Per-recording ring disk budget (RingOptions::budgetBytes).
     std::uint64_t ringBudgetBytes = 4u << 20;
 
-    /// Cross-check every hook-fed archive against writeArchive of the
+    /// Cross-check every hook-fed archive against saveRecording of the
     /// finished recording (the same writer fed at close); a mismatch
     /// fails the recording session.
     bool verifyArchives = false;

@@ -46,9 +46,11 @@ constexpr std::uint64_t kArchiveEndMagic = 0x5A6372416F4C6544ull; // "DeLoArcZ"
 // compressed-size field.
 // v5: a segment is a record (archive_detail::kRecordHeaderBytes) that
 // holds its end checkpoint's image, so each image is stored once, and
-// the footer holds only the run metadata and the record index. Readers
-// reject any other version.
-constexpr std::uint64_t kArchiveVersion = 5;
+// the footer holds only the run metadata and the record index.
+// v6: the two constant v2 fields are gone: the machine header is 11
+// u64s and a PI slice starts with its entry count. Readers reject any
+// other version.
+constexpr std::uint64_t kArchiveVersion = 6;
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kTrailerBytes = 32;
 /// Image and payload size cap of one record: fences OOM on garbage.
@@ -146,7 +148,6 @@ buildSegmentPayload(const Recording &rec, const Boundary &lo,
         pi_hi = std::min<std::uint64_t>(hi.gcc, rec.pi.entryCount());
     }
     put(pi_hi - pi_lo);
-    put(0); // has-masks flag
     for (std::uint64_t i = pi_lo; i < pi_hi; ++i)
         put(rec.pi.entryAt(i));
 
@@ -244,11 +245,6 @@ parseSegmentPayload(const std::vector<std::uint8_t> &raw, unsigned n)
     ByteCursor in(raw.data(), raw.size());
     SegmentSlice s;
     const std::uint64_t pi_count = getU64(in);
-    const std::uint64_t has_masks = getU64(in);
-    if (has_masks != 0)
-        throw RecordingFormatError("PI has-masks flag "
-                                   + std::to_string(has_masks)
-                                   + " is not 0");
     for (std::uint64_t i = 0; i < pi_count; ++i)
         s.pi.push_back(static_cast<ProcId>(getU64(in)));
     const std::uint64_t strata_count = getU64(in);
@@ -569,9 +565,9 @@ writeRecord(std::ostream &out, const CutSegment &seg)
 }
 
 ArchiveSegmentInfo
-scanRecord(const std::uint8_t *data, std::size_t size, unsigned num_procs)
+scanRecordHeader(const std::uint8_t *data, std::uint64_t extent)
 {
-    if (size < kRecordHeaderBytes)
+    if (extent < kRecordHeaderBytes)
         throw RecordingFormatError("shorter than a record header");
     if (readU64At(data, 0) != kSegmentMagic)
         throw RecordingFormatError("segment magic missing");
@@ -605,28 +601,40 @@ scanRecord(const std::uint8_t *data, std::size_t size, unsigned num_procs)
         || info.compBytes > kMaxRecordPartBytes)
         throw RecordingFormatError("implausible payload size");
     info.recordBytes = kRecordHeaderBytes + info.imageBytes + info.compBytes;
-    if (info.recordBytes > size)
+    if (info.recordBytes > extent)
         throw RecordingFormatError("record runs past its extent (torn?)");
-    if (!info.hasCheckpoint) {
-        if (info.imageBytes != 0)
-            throw RecordingFormatError("tail record holds an image");
-        return info;
-    }
+    if (!info.hasCheckpoint && info.imageBytes != 0)
+        throw RecordingFormatError("tail record holds an image");
+    return info;
+}
 
-    const std::uint8_t *image = data + kRecordHeaderBytes;
+void
+scanRecordImage(const ArchiveSegmentInfo &info, const std::uint8_t *image,
+                unsigned num_procs)
+{
+    if (!info.hasCheckpoint)
+        return;
     const std::size_t bytes = static_cast<std::size_t>(info.imageBytes);
     if (crc32(image, bytes) != info.imageCrc)
         throw RecordingFormatError("checkpoint image CRC mismatch");
     // Walk the image, don't decode it: the walk checks its structure,
     // so only its word lists' contents or memory hash can fail later.
-    const CheckpointExtent ext =
-        scanImage(static_cast<ImageKind>(kind), image, bytes);
+    const CheckpointExtent ext = scanImage(
+        info.keyframe ? ImageKind::kKeyframe : ImageKind::kDelta, image,
+        bytes);
     if (ext.bytes != bytes)
         throw RecordingFormatError("checkpoint image size mismatch");
     if (ext.gcc != info.endGcc || ext.contexts != num_procs
         || (!info.keyframe && ext.baseGcc != info.startGcc))
         throw RecordingFormatError(
             "end checkpoint disagrees with the header");
+}
+
+ArchiveSegmentInfo
+scanRecord(const std::uint8_t *data, std::size_t size, unsigned num_procs)
+{
+    const ArchiveSegmentInfo info = scanRecordHeader(data, size);
+    scanRecordImage(info, data + kRecordHeaderBytes, num_procs);
     return info;
 }
 
@@ -853,27 +861,6 @@ StreamingArchiveWriter::segmentCount() const
     return impl_->pipeline.segmentsCut();
 }
 
-void
-writeArchive(const Recording &rec, std::ostream &out,
-             const ArchiveIoOptions &io)
-{
-    StreamingArchiveWriter(out, io).close(rec);
-}
-
-void
-writeArchiveFile(const Recording &rec, const std::string &path,
-                 const ArchiveIoOptions &io)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("cannot open " + path + " for write");
-    writeArchive(rec, out, io);
-    // Close before checking: the last buffer is flushed only here.
-    out.close();
-    if (!out)
-        throw std::runtime_error("failed to write " + path);
-}
-
 // ----- shared reader -------------------------------------------------------
 
 namespace archive_detail
@@ -1096,27 +1083,6 @@ ContainerReader::assemble(std::size_t first, std::size_t end,
 } // namespace archive_detail
 
 // ----- .dla reader ----------------------------------------------------------
-
-bool
-ArchiveReader::looksLikeArchive(const std::uint8_t *bytes,
-                                std::size_t size)
-{
-    if (size < 8)
-        return false;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-    return v == kArchiveMagic;
-}
-
-bool
-ArchiveReader::fileLooksLikeArchive(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::uint8_t head[8];
-    in.read(reinterpret_cast<char *>(head), 8);
-    return in && looksLikeArchive(head, 8);
-}
 
 ArchiveReader::ArchiveReader(ArchiveReader &&) noexcept = default;
 ArchiveReader &

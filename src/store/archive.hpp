@@ -1,13 +1,14 @@
 /**
  * @file
  * Recording archive: a segmented, compressed, checkpoint-indexed
- * container for DeLorean recordings.
+ * container, and the one file a DeLorean recording is saved as
+ * (saveRecording, core/serialize.hpp).
  *
- * A .dlr recording serializes every log as one monolithic stream —
- * replaying the interval I(n, m) still pays for loading and parsing
- * the whole thing. The archive (.dla) cuts the recording into
+ * Replaying the interval I(n, m) should not pay for loading and
+ * parsing the whole run, so the archive (.dla) cuts the recording into
  * *segments* at system-checkpoint GCC boundaries and stores each as
- * one *record*, the same record a ring file holds (store/ring):
+ * one *record*, the same record a ring file holds (store/ring); a run
+ * without checkpoints is one segment:
  *
  *   file   := header  record*  footer  trailer
  *   header := magic "DeLoArcv" (u64)  version (u64)
@@ -189,7 +190,7 @@ struct ArchiveSegmentInfo
  * rest of the simulation.
  *
  * Wire onCheckpoint() into EngineOptions::onCheckpoint, or call only
- * close() on a finished recording (writeArchive() does exactly that);
+ * close() on a finished recording (saveRecording() does exactly that);
  * both feed paths produce the same bytes. Each call consumes every
  * not-yet-streamed checkpoint and cuts the covered segments on the
  * caller's thread (the recording's logs keep growing after the hook
@@ -244,14 +245,6 @@ class StreamingArchiveWriter
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/** Archive @p rec to @p out: a StreamingArchiveWriter fed at close(). */
-void writeArchive(const Recording &rec, std::ostream &out,
-                  const ArchiveIoOptions &io = {});
-
-/** Archive @p rec to file @p path. */
-void writeArchiveFile(const Recording &rec, const std::string &path,
-                      const ArchiveIoOptions &io = {});
 
 namespace serialize_detail
 {
@@ -464,13 +457,6 @@ class ArchiveReader : public archive_detail::ContainerReader
 
     /** True when this reader decodes straight out of an mmap. */
     bool usingMmap() const { return map_.mapped(); }
-
-    /** True if @p bytes starts with the archive magic. */
-    static bool looksLikeArchive(const std::uint8_t *bytes,
-                                 std::size_t size);
-
-    /** Convenience: magic sniff on a file's first 8 bytes. */
-    static bool fileLooksLikeArchive(const std::string &path);
 
     /**
      * Reassemble the complete Recording. Byte-identical to the

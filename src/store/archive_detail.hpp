@@ -146,13 +146,29 @@ std::string recordHeader(const CutSegment &seg);
 std::uint64_t writeRecord(std::ostream &out, const CutSegment &seg);
 
 /**
- * Parse and check the record at @p data[0, @p size) of a run with
- * @p num_procs processors: magic, header CRC, size caps, that the
- * record fits @p size, the image's CRC, and its structural walk
- * (scanImage) against the header — GCC, context count, and a delta's
- * base GCC, which must be the start GCC; record 0 holds no delta. The
- * payload's CRC waits for its first read. Throws RecordingFormatError
- * naming the first failure.
+ * Parse and check the header of a record whose extent (the bytes it
+ * may fill) is @p extent: magic, header CRC, size caps, that the
+ * record fits the extent; record 0 holds no delta. @p data holds the
+ * kRecordHeaderBytes header bytes (fewer only when the extent is
+ * shorter than a header, which fails first). Throws
+ * RecordingFormatError naming the first failure.
+ */
+ArchiveSegmentInfo scanRecordHeader(const std::uint8_t *data,
+                                    std::uint64_t extent);
+
+/**
+ * Check the end image @p image (info.imageBytes bytes) of the record
+ * @p info of a run with @p num_procs processors: its CRC, and its
+ * structural walk (scanImage) against the header — GCC, context
+ * count, and a delta's base GCC, which must be the start GCC. A tail
+ * record has no image to check.
+ */
+void scanRecordImage(const ArchiveSegmentInfo &info,
+                     const std::uint8_t *image, unsigned num_procs);
+
+/**
+ * scanRecordHeader and scanRecordImage on the record at
+ * @p data[0, @p size). The payload's CRC waits for its first read.
  */
 ArchiveSegmentInfo scanRecord(const std::uint8_t *data, std::size_t size,
                               unsigned num_procs);

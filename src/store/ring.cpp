@@ -40,7 +40,9 @@ constexpr std::uint64_t kRingIdxMagic = 0x786449526F4C6544ull;  // "DeLoRIdx"
 // the `.dla`'s record of the same interval: no start image, so each
 // checkpoint image is stored once; ring.meta and ring.index use the
 // `.dla` footer's metadata and index layouts.
-constexpr std::uint64_t kRingVersion = 4;
+// v5: ring.meta drops the machine header's constant arbiter count, and
+// a segment's PI slice its constant has-masks flag (`.dla` v6).
+constexpr std::uint64_t kRingVersion = 5;
 /// Fixed meta/index preamble: magic, version, reserved, blob size,
 /// blob CRC-32.
 constexpr std::size_t kPreambleBytes = 40;
@@ -93,8 +95,7 @@ readWholeFile(const std::string &path, bool &ok)
         ok = false;
         return {};
     }
-    // Block reads, not a byte iterator: segment files are read whole
-    // at every open.
+    // Block reads, not a byte iterator.
     std::vector<std::uint8_t> bytes;
     constexpr std::size_t kBlock = std::size_t{1} << 16;
     for (;;) {
@@ -374,30 +375,48 @@ struct ScannedSegment
 
 /**
  * Parse one candidate segment file: one record that fills it exactly
- * (archive_detail::scanRecord). Returns false with @p reason set when
- * the file is structurally invalid (torn, corrupt, or lying about
- * itself) — the salvage path drops it. The image is CRC-checked and
- * walked; its memory is decoded only on first use.
+ * (archive_detail::scanRecordHeader, scanRecordImage). Returns false
+ * with @p reason set when the file is structurally invalid (torn,
+ * corrupt, or lying about itself) — the salvage path drops it. Only
+ * the header and the image are read: the image is CRC-checked and
+ * walked, and decoded only on first use; the payload's CRC waits for
+ * its first read.
  */
 bool
 scanSegmentFile(const std::string &path, unsigned n, ScannedSegment &out,
                 std::string &reason)
 {
-    bool ok = true;
-    const std::vector<std::uint8_t> bytes = readWholeFile(path, ok);
-    if (!ok) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const std::streamoff end = in.tellg();
+    const auto size = static_cast<std::uint64_t>(end);
+    const auto read = [&in](std::vector<std::uint8_t> &bytes,
+                            std::uint64_t count) {
+        bytes.resize(static_cast<std::size_t>(count));
+        in.read(reinterpret_cast<char *>(bytes.data()),
+                static_cast<std::streamsize>(count));
+        return static_cast<std::uint64_t>(in.gcount()) == count;
+    };
+    std::vector<std::uint8_t> header;
+    if (!in || end < 0 || !in.seekg(0)
+        || !read(header, std::min<std::uint64_t>(size, kRecordHeaderBytes))) {
         reason = "unreadable";
         return false;
     }
     try {
-        out.info = scanRecord(bytes.data(), bytes.size(), n);
+        out.info = scanRecordHeader(header.data(), size);
+        std::vector<std::uint8_t> image;
+        if (!read(image, out.info.imageBytes)) {
+            reason = "unreadable";
+            return false;
+        }
+        scanRecordImage(out.info, image.data(), n);
     } catch (const RecordingFormatError &e) {
         // The note names the failed check, not the error class.
         reason = e.what();
         reason.erase(0, reason.find(": ") + 2);
         return false;
     }
-    if (out.info.recordBytes != bytes.size()) {
+    if (out.info.recordBytes != size) {
         reason = "file size disagrees with the header";
         return false;
     }

@@ -127,42 +127,30 @@ runOne(const DifferentialJob &job, const std::string &label,
                 .record(workload, kRecordEnvSeed, true, {},
                         kCheckpointPeriod);
 
-        // Serialize, reload, re-serialize: the replay below runs on
-        // the *loaded* copy so the wire format itself is under test.
+        // Save, reload, re-save through the recording's one file (a
+        // `.dla` cut at the checkpoints): the replay below runs on the
+        // *loaded* copy so the file format itself is under test.
         std::ostringstream first;
         saveRecording(rec, first);
-        std::istringstream in(first.str());
-        loaded = loadRecording(in);
+        const std::string bytes = std::move(first).str();
+        const ArchiveReader reader =
+            ArchiveReader::fromBytes({bytes.begin(), bytes.end()});
+        loaded = reader.readAll();
         std::ostringstream second;
         saveRecording(loaded, second);
-        run.roundTripIdentical = first.str() == second.str();
+        run.roundTripIdentical = std::move(second).str() == bytes;
         run.recorded = true;
-
-        // Archive legs: segment the recording at its checkpoints,
-        // read it back whole (byte identity), then replay the
-        // interval from every checkpoint off the archive alone.
-        std::ostringstream abuf;
-        writeArchive(rec, abuf);
-        const std::string abytes = std::move(abuf).str();
-
-        // The parallel segment codec must be invisible in the
-        // container: re-archive with a forced serial codec and a
-        // forced 4-worker codec and demand byte identity.
-        std::ostringstream aserial;
-        writeArchive(rec, aserial, ArchiveIoOptions{1});
-        std::ostringstream apar;
-        writeArchive(rec, apar, ArchiveIoOptions{4});
-        run.archiveParallelWriteIdentical =
-            std::move(aserial).str() == abytes
-            && std::move(apar).str() == abytes;
-
-        const ArchiveReader reader = ArchiveReader::fromBytes(
-            {abytes.begin(), abytes.end()});
         run.archiveCheckpoints = reader.checkpointCount();
-        std::ostringstream third;
-        saveRecording(reader.readAll(), third);
-        run.archiveRoundTripIdentical = first.str() == third.str();
 
+        // The parallel segment codec must be invisible in the file:
+        // save again with a 4-worker codec (the save above is serial)
+        // and demand byte identity.
+        std::ostringstream par;
+        saveRecording(rec, par, ArchiveIoOptions{4});
+        run.archiveParallelWriteIdentical = std::move(par).str() == bytes;
+
+        // Then replay the interval from every checkpoint off the file
+        // alone.
         run.archiveIntervalsOk = true;
         Workload replay_workload(job.app, job.numProcs, kWorkloadSeed,
                                  WorkloadScale{job.scalePercent});
@@ -243,7 +231,7 @@ runOne(const DifferentialJob &job, const std::string &label,
         std::ostringstream whole;
         saveRecording(ring.readAll(), whole);
         run.ringRoundTripIdentical =
-            std::move(whole).str() == first.str()
+            std::move(whole).str() == bytes
             && ring.checkpointCount() == reader.checkpointCount();
         run.ringIntervalsOk = run.ringRoundTripIdentical;
         for (std::size_t i = 0;
@@ -388,22 +376,20 @@ DifferentialResult::describe() const
             << (r.parallelReplayOk && r.parallelMatchesSerial
                     ? "ok"
                     : "DIVERGED");
-        if (r.archiveCheckpoints != 0 || r.archiveRoundTripIdentical)
-            out << " archive="
-                << (r.archiveRoundTripIdentical && r.archiveIntervalsOk
-                            && r.archiveParallelWriteIdentical
-                        ? "ok"
-                        : "DIVERGED")
-                << "(" << r.archiveCheckpoints << " ckpts)"
-                << " ring="
-                << (r.ringRoundTripIdentical && r.ringIntervalsOk
-                            && r.ringEvictedWindowOk
-                        ? "ok"
-                        : "DIVERGED")
-                << "(" << r.ringEvicted << " evicted)"
-                << " functional="
-                << (r.functionalIntervalsMatch ? "ok" : "DIVERGED")
-                << "(" << r.functionalIntervals << " intervals)";
+        out << " archive="
+            << (r.archiveIntervalsOk && r.archiveParallelWriteIdentical
+                    ? "ok"
+                    : "DIVERGED")
+            << "(" << r.archiveCheckpoints << " ckpts)"
+            << " ring="
+            << (r.ringRoundTripIdentical && r.ringIntervalsOk
+                        && r.ringEvictedWindowOk
+                    ? "ok"
+                    : "DIVERGED")
+            << "(" << r.ringEvicted << " evicted)"
+            << " functional="
+            << (r.functionalIntervalsMatch ? "ok" : "DIVERGED")
+            << "(" << r.functionalIntervals << " intervals)";
         out << (r.roundTripIdentical ? "" : " round-trip=NOT-IDENTICAL");
         if (!r.replayOk)
             out << "\n    " << r.report.describe();
@@ -443,7 +429,7 @@ DifferentialChecker::check(const DifferentialJob &job) const
             continue;
         }
         if (!r.roundTripIdentical)
-            fail(r.label + ": save/load/save not byte-identical");
+            fail(r.label + ": save/readAll/save not byte-identical");
         if (!r.replayOk) {
             fail(r.label + ": replay diverged ("
                  + divergenceKindName(r.report.kind) + ": "
@@ -461,15 +447,12 @@ DifferentialChecker::check(const DifferentialJob &job) const
         else if (!r.parallelMatchesSerial)
             fail(r.label + ": chunk-parallel replay fingerprint "
                  "differs from serial replay");
-        if (!r.archiveRoundTripIdentical)
-            fail(r.label + ": archive readAll() not "
-                 "byte-identical to the recording");
         if (!r.archiveIntervalsOk)
             fail(r.label + ": interval replay off the archive "
                  "diverged from the recording");
         if (!r.archiveParallelWriteIdentical)
-            fail(r.label + ": parallel-codec archive bytes differ "
-                 "from the serially written container");
+            fail(r.label + ": parallel-codec file bytes differ "
+                 "from the serially written one");
         if (!r.ringRoundTripIdentical)
             fail(r.label + ": ring views not byte-identical to "
                  "the .dla archive's");

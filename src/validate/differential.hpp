@@ -8,8 +8,8 @@
  * replays each recording under perturbed timing, and cross-checks the
  * four runs against each other:
  *
- *   - every run must serialize/load/re-serialize byte-identically and
- *     replay deterministically (checkedReplay);
+ *   - every run must save/load/re-save byte-identically through its
+ *     one file (a `.dla`) and replay deterministically (checkedReplay);
  *   - within every run, the periodic interval fingerprints of the
  *     recorded and replayed commit streams must agree at every
  *     boundary (per-processor streams for stratified logs, whose
@@ -79,7 +79,8 @@ struct DifferentialRun
     ModeConfig mode;
     bool stratified = false;
     bool recorded = false;   ///< record + serialize round trip ran
-    bool roundTripIdentical = false; ///< save/load/save byte-equal
+    /// saveRecording, ArchiveReader::readAll, saveRecording: byte-equal.
+    bool roundTripIdentical = false;
     bool replayOk = false;   ///< checkedReplay succeeded (serial)
     /// Recorded vs replayed periodic interval fingerprints agree at
     /// every boundary.
@@ -89,14 +90,11 @@ struct DifferentialRun
     /// Chunk-parallel replay's fingerprint AND interval fingerprints
     /// agree with the serial replay's (same comparison rule).
     bool parallelMatchesSerial = false;
-    /// Archive legs: the archived recording read back whole is
-    /// byte-identical under saveRecording().
-    bool archiveRoundTripIdentical = false;
     /// Interval replay straight off the archive reproduced the
     /// recording from *every* checkpoint (per-processor comparison
     /// for stratified logs).
     bool archiveIntervalsOk = false;
-    /// The container written with a multi-thread segment codec is
+    /// The file written with a multi-thread segment codec is
     /// byte-identical to the one written serially (ioThreads = 1) —
     /// the parallel data plane must never change the bytes.
     bool archiveParallelWriteIdentical = false;

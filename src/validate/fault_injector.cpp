@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -19,6 +21,7 @@
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
+#include "store/archive_detail.hpp"
 #include "store/crc32.hpp"
 
 namespace delorean
@@ -28,16 +31,14 @@ const char *
 mutationKindName(MutationKind kind)
 {
     switch (kind) {
-      case MutationKind::kBitFlip:
-        return "bit-flip";
+      case MutationKind::kRecordBitFlip:
+        return "record-bit-flip";
       case MutationKind::kTruncate:
         return "truncate";
-      case MutationKind::kDuplicateWord:
-        return "duplicate-word";
-      case MutationKind::kReorderWords:
-        return "reorder-words";
-      case MutationKind::kHeaderCorrupt:
-        return "header-corrupt";
+      case MutationKind::kIndexCorrupt:
+        return "index-corrupt";
+      case MutationKind::kLogForgery:
+        return "log-forgery";
       case MutationKind::kKeyframeWordCount:
         return "keyframe-word-count";
       case MutationKind::kDeltaBaseGcc:
@@ -73,55 +74,271 @@ mutantOutcomeName(MutantOutcome outcome)
 namespace
 {
 
-/** One checkpoint image in a serialized recording. */
+using archive_detail::CutSegment;
+using serialize_detail::ImageKind;
+
+/** Little-endian u64 at @p offset of a byte vector. */
+std::uint64_t
+u64At(const std::vector<std::uint8_t> &bytes, std::size_t offset)
+{
+    return serialize_detail::loadU64(bytes.data() + offset);
+}
+
+void
+putU64At(std::vector<std::uint8_t> &bytes, std::size_t offset,
+         std::uint64_t v)
+{
+    serialize_detail::storeU64(bytes.data() + offset, v);
+}
+
+/** Flip 1-8 random bits of @p bytes[begin, end) (a byte vector or string). */
+template <typename Bytes>
+void
+flipBits(Bytes &bytes, std::size_t begin, std::size_t end, Xoshiro256ss &rng)
+{
+    if (end <= begin)
+        return;
+    const unsigned flips = 1 + static_cast<unsigned>(rng.below(8));
+    const std::uint64_t span = (end - begin) * 8;
+    for (unsigned i = 0; i < flips; ++i) {
+        const std::uint64_t bit = rng.below(span);
+        auto &byte = bytes[begin + bit / 8];
+        byte = static_cast<typename Bytes::value_type>(
+            static_cast<std::uint8_t>(byte) ^ (1u << (bit % 8)));
+    }
+}
+
+/// A file's trailer: footer offset, footer bytes, footer CRC-32, end
+/// magic.
+constexpr std::size_t kTrailerBytes = 32;
+
+/** Where the parts of a file that opens lie: what the mutators aim at. */
+struct FileLayout
+{
+    std::vector<ArchiveSegmentInfo> records;
+    std::size_t footerAt = 0;
+    std::size_t footerBytes = 0;
+};
+
+std::optional<FileLayout>
+layoutOf(const std::vector<std::uint8_t> &bytes)
+{
+    FileLayout layout;
+    try {
+        layout.records = ArchiveReader::fromBytes(bytes).segments();
+    } catch (const RecordingFormatError &) {
+        return std::nullopt;
+    }
+    const std::size_t trailer = bytes.size() - kTrailerBytes;
+    layout.footerAt = static_cast<std::size_t>(u64At(bytes, trailer));
+    layout.footerBytes = static_cast<std::size_t>(u64At(bytes, trailer + 8));
+    return layout;
+}
+
+/** The footer of @p bytes (stored raw). */
+std::vector<std::uint8_t>
+footerOf(const std::vector<std::uint8_t> &bytes, const FileLayout &layout)
+{
+    const auto at = bytes.begin() + static_cast<long>(layout.footerAt);
+    return std::vector<std::uint8_t>(
+        at, at + static_cast<long>(layout.footerBytes));
+}
+
+/**
+ * Offset in a footer of its record index (the clean flag; the record
+ * count follows, then (file offset, bytes) per record): past the run
+ * metadata — the machine (11 u64s) and mode (7 u64s) headers, the
+ * length-prefixed app name, the seed and the iterations. The footer's
+ * size when the name length does not fit it.
+ */
+std::size_t
+footerIndexAt(const std::vector<std::uint8_t> &footer)
+{
+    constexpr std::size_t kNameAt = 18 * 8;
+    if (footer.size() < kNameAt + 8)
+        return footer.size();
+    const std::uint64_t name = u64At(footer, kNameAt);
+    return name < footer.size() ? kNameAt + 8 + name + 16 : footer.size();
+}
+
+/**
+ * Append @p footer at the end of @p out, then a trailer that locates
+ * it and carries its CRC and @p end_magic, so the checksum layer
+ * passes whatever the footer says.
+ */
+void
+appendFooter(std::vector<std::uint8_t> &out,
+             const std::vector<std::uint8_t> &footer, std::uint64_t end_magic)
+{
+    const std::size_t at = out.size();
+    out.insert(out.end(), footer.begin(), footer.end());
+    const std::size_t trailer = out.size();
+    out.resize(trailer + kTrailerBytes);
+    putU64At(out, trailer, at);
+    putU64At(out, trailer + 8, footer.size());
+    putU64At(out, trailer + 16, crc32(footer.data(), footer.size()));
+    putU64At(out, trailer + 24, end_magic);
+}
+
+/**
+ * Record @p info of @p bytes as the writer cut it: the header fields,
+ * the image, the stored payload and the decoded one, so the writer's
+ * own recordHeader() can seal an edited copy.
+ */
+CutSegment
+cutOf(const std::vector<std::uint8_t> &bytes, const ArchiveSegmentInfo &info)
+{
+    CutSegment seg;
+    seg.index = static_cast<std::size_t>(info.index);
+    seg.startGcc = info.startGcc;
+    seg.endGcc = info.endGcc;
+    seg.imageKind = static_cast<std::uint64_t>(
+        !info.hasCheckpoint ? ImageKind{0}
+        : info.keyframe     ? ImageKind::kKeyframe
+                            : ImageKind::kDelta);
+    const auto *image = bytes.data() + info.imageOffset();
+    seg.image.assign(reinterpret_cast<const char *>(image),
+                     static_cast<std::size_t>(info.imageBytes));
+    const auto *comp = bytes.data() + info.payloadOffset();
+    seg.comp.assign(comp, comp + info.compBytes);
+    const std::vector<std::uint8_t> raw =
+        archive_detail::decodePayload(comp, info, seg.index);
+    seg.raw.assign(raw.begin(), raw.end());
+    return seg;
+}
+
+/**
+ * @p bytes with record @p i replaced by @p seg, sealed: the records
+ * after it move, and the footer's index and the trailer follow them.
+ */
+std::vector<std::uint8_t>
+withRecord(const std::vector<std::uint8_t> &bytes, const FileLayout &layout,
+           std::size_t i, CutSegment &seg)
+{
+    seg.header = archive_detail::recordHeader(seg);
+    std::ostringstream buf(std::ios::binary);
+    archive_detail::writeRecord(buf, seg);
+    const std::string record = std::move(buf).str();
+    const ArchiveSegmentInfo &old = layout.records[i];
+    const auto begin = static_cast<std::size_t>(old.fileOffset);
+    const auto end = begin + static_cast<std::size_t>(old.recordBytes);
+
+    std::vector<std::uint8_t> out(bytes.begin(),
+                                  bytes.begin() + static_cast<long>(begin));
+    out.insert(out.end(), record.begin(), record.end());
+    out.insert(out.end(), bytes.begin() + static_cast<long>(end),
+               bytes.begin() + static_cast<long>(layout.footerAt));
+    std::vector<std::uint8_t> footer = footerOf(bytes, layout);
+    const std::size_t entries = footerIndexAt(footer) + 16;
+    putU64At(footer, entries + 16 * i + 8, record.size());
+    for (std::size_t k = i + 1; k < layout.records.size(); ++k)
+        putU64At(footer, entries + 16 * k,
+                 u64At(footer, entries + 16 * k) + record.size()
+                     - old.recordBytes);
+    appendFooter(out, footer, u64At(bytes, bytes.size() - 8));
+    return out;
+}
+
+/** Flip 1-8 bits of @p raw, duplicate one of its 8-byte words, or swap two. */
+void
+forgeWords(std::string &raw, Xoshiro256ss &rng)
+{
+    const std::uint64_t words = raw.size() / 8;
+    switch (rng.below(3)) {
+      case 0:
+        break;
+      case 1: {
+        if (words == 0)
+            break;
+        const std::uint64_t w = rng.below(words);
+        const std::string word = raw.substr(w * 8, 8);
+        raw.insert(w * 8 + 8, word);
+        return;
+      }
+      default: {
+        if (words < 2)
+            break;
+        const std::uint64_t a = rng.below(words);
+        const std::uint64_t b = (a + 1 + rng.below(words - 1)) % words;
+        for (unsigned k = 0; k < 8; ++k)
+            std::swap(raw[a * 8 + k], raw[b * 8 + k]);
+        return;
+      }
+    }
+    flipBits(raw, 0, raw.size(), rng);
+}
+
+/** Forge the words of one random record's payload, then reseal it. */
+std::vector<std::uint8_t>
+forgeLog(const std::vector<std::uint8_t> &bytes, const FileLayout &layout,
+         Xoshiro256ss &rng)
+{
+    const std::size_t i =
+        static_cast<std::size_t>(rng.below(layout.records.size()));
+    CutSegment seg = cutOf(bytes, layout.records[i]);
+    forgeWords(seg.raw, rng);
+    seg.comp = archive_detail::compressPayload(seg.raw);
+    return withRecord(bytes, layout, i, seg);
+}
+
+/**
+ * Scribble on the footer, then rebuild a consistent trailer (size and
+ * CRC valid), so the checksum passes and the reader's semantic
+ * cross-checks are what must catch the lie.
+ */
+std::vector<std::uint8_t>
+corruptIndex(const std::vector<std::uint8_t> &bytes, const FileLayout &layout,
+             Xoshiro256ss &rng)
+{
+    std::vector<std::uint8_t> footer = footerOf(bytes, layout);
+    // Half the mutants aim at the record index's structural fields
+    // (clean flag, record count, and the first two records' file
+    // offsets and sizes); the rest land anywhere, mostly in the
+    // metadata and the final stats.
+    constexpr std::size_t kIndexFieldBytes = 48;
+    const std::size_t index = footerIndexAt(footer);
+    const std::size_t pos =
+        (index + kIndexFieldBytes <= footer.size() && rng.below(2) == 0)
+            ? index + static_cast<std::size_t>(rng.below(kIndexFieldBytes))
+            : static_cast<std::size_t>(rng.below(footer.size()));
+    footer[pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    std::vector<std::uint8_t> out(
+        bytes.begin(), bytes.begin() + static_cast<long>(layout.footerAt));
+    appendFooter(out, footer, u64At(bytes, bytes.size() - 8));
+    return out;
+}
+
+/** One stored checkpoint image: its record and its structure. */
 struct StoredImage
 {
-    serialize_detail::ImageKind kind;
-    std::size_t kindAt = 0; ///< offset of its kind field
-    std::size_t at = 0;     ///< offset of the image
+    std::size_t record = 0;
+    ImageKind kind = ImageKind::kKeyframe;
     serialize_detail::CheckpointExtent extent;
 };
 
-/**
- * The checkpoint images of the serialized recording @p bytes, as far
- * as the stream parses.
- */
 std::vector<StoredImage>
-imagesOf(const std::string &bytes)
+imagesOf(const std::vector<std::uint8_t> &bytes, const FileLayout &layout)
 {
-    using namespace serialize_detail;
     std::vector<StoredImage> images;
-    const auto *data = reinterpret_cast<const std::uint8_t *>(bytes.data());
-    try {
-        std::size_t pos = checkpointSectionOffset(bytes);
-        if (bytes.size() - pos < 8)
-            return images;
-        const std::uint64_t count = loadU64(data + pos);
-        pos += 8;
-        for (std::uint64_t i = 0; i < count && bytes.size() - pos >= 8;
-             ++i) {
-            StoredImage image;
-            image.kind = static_cast<ImageKind>(loadU64(data + pos));
-            if (image.kind != ImageKind::kKeyframe
-                && image.kind != ImageKind::kDelta)
-                break;
-            image.kindAt = pos;
-            image.at = pos + 8;
-            const std::size_t left = bytes.size() - image.at;
-            image.extent = scanImage(image.kind, data + image.at, left);
-            images.push_back(image);
-            pos = image.at + image.extent.bytes;
-        }
-    } catch (const RecordingFormatError &) {
-        // A prefix that does not parse has no (further) images.
+    for (std::size_t i = 0; i < layout.records.size(); ++i) {
+        const ArchiveSegmentInfo &info = layout.records[i];
+        if (!info.hasCheckpoint)
+            continue;
+        StoredImage image;
+        image.record = i;
+        image.kind = info.keyframe ? ImageKind::kKeyframe : ImageKind::kDelta;
+        image.extent = serialize_detail::scanImage(
+            image.kind, bytes.data() + info.imageOffset(),
+            static_cast<std::size_t>(info.imageBytes));
+        images.push_back(image);
     }
     return images;
 }
 
 /** A random image of @p kind among @p images, or nullptr. */
 const StoredImage *
-pickImage(const std::vector<StoredImage> &images,
-          serialize_detail::ImageKind kind, Xoshiro256ss &rng)
+pickImage(const std::vector<StoredImage> &images, ImageKind kind,
+          Xoshiro256ss &rng)
 {
     std::vector<const StoredImage *> fit;
     for (const StoredImage &image : images)
@@ -130,197 +347,179 @@ pickImage(const std::vector<StoredImage> &images,
     return fit.empty() ? nullptr : fit[rng.below(fit.size())];
 }
 
-/** Little-endian u64 at @p offset of a byte string or vector. */
-template <typename Bytes>
-std::uint64_t
-u64At(const Bytes &bytes, std::size_t offset)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(bytes[offset + i]))
-             << (8 * i);
-    return v;
-}
-
-template <typename Bytes>
-void
-putU64At(Bytes &bytes, std::size_t offset, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        bytes[offset + i] =
-            static_cast<typename Bytes::value_type>(v >> (8 * i));
-}
-
 /** One word list of a stored image: where it starts, its value width. */
 struct StoredList
 {
-    std::size_t at = 0; ///< offset of its word count
+    std::size_t at = 0; ///< offset of its word count in the image
     std::size_t valueBytes = 0;
 };
 
-/** The word lists of @p image in @p bytes that hold at least one word. */
+/** The word lists of @p image (bytes @p data) holding at least one word. */
 std::vector<StoredList>
-nonEmptyLists(const std::string &bytes, const StoredImage &image)
+nonEmptyLists(const std::vector<std::uint8_t> &data, const StoredImage &image)
 {
     using serialize_detail::kListHeaderBytes;
     std::vector<StoredList> lists;
-    std::size_t at = image.at + image.extent.fieldsAt;
-    if (image.kind == serialize_detail::ImageKind::kKeyframe) {
+    std::size_t at = image.extent.fieldsAt;
+    if (image.kind == ImageKind::kKeyframe) {
         lists.push_back({at, 8});
     } else {
         at += 8; // base GCC
         lists.push_back({at, 8});
         lists.push_back({at + kListHeaderBytes
-                             + static_cast<std::size_t>(u64At(bytes, at + 8)),
+                             + static_cast<std::size_t>(u64At(data, at + 8)),
                          0});
     }
-    std::erase_if(lists, [&bytes](const StoredList &list) {
-        return u64At(bytes, list.at) == 0;
+    std::erase_if(lists, [&data](const StoredList &list) {
+        return u64At(data, list.at) == 0;
     });
     return lists;
 }
 
 /**
- * Pad the varint of one random address gap with a zero byte — the
- * same gap, non-minimally encoded — and grow its list's byte length to
- * match. Only the encoding changes, so a loader must reject it.
+ * Pad the varint of one random address gap of @p image (bytes
+ * @p data) with a zero byte — the same gap, non-minimally encoded — and
+ * grow its list's byte length to match. Only the encoding changes, so
+ * the reader must reject it.
  */
 void
-padVarint(std::string &out, const std::vector<StoredImage> &images,
+padVarint(std::vector<std::uint8_t> &data, const StoredList &list,
           Xoshiro256ss &rng)
 {
-    std::vector<std::pair<const StoredImage *, StoredList>> fit;
-    for (const StoredImage &image : images)
-        for (const StoredList &list : nonEmptyLists(out, image))
-            fit.emplace_back(&image, list);
-    if (fit.empty())
-        return;
-    const StoredList list = fit[rng.below(fit.size())].second;
-    const std::uint64_t target = rng.below(u64At(out, list.at));
+    const std::uint64_t target = rng.below(u64At(data, list.at));
     std::size_t pos = list.at + serialize_detail::kListHeaderBytes;
     for (std::uint64_t k = 0;; ++k) {
-        while (static_cast<std::uint8_t>(out[pos]) & 0x80)
+        while (data[pos] & 0x80)
             ++pos;
         if (k == target)
             break;
         pos += 1 + list.valueBytes;
     }
-    out[pos] = static_cast<char>(static_cast<std::uint8_t>(out[pos]) | 0x80);
-    out.insert(pos + 1, 1, '\0');
-    putU64At(out, list.at + 8, u64At(out, list.at + 8) + 1);
+    data[pos] |= 0x80;
+    data.insert(data.begin() + static_cast<long>(pos) + 1, 0);
+    putU64At(data, list.at + 8, u64At(data, list.at + 8) + 1);
 }
 
-/** Apply one checkpoint-chain mutation, when an image fits it. */
-void
-mutateChain(std::string &out, MutationKind kind, Xoshiro256ss &rng)
+/**
+ * Apply one chain forgery to @p bytes, resealing the record it edits;
+ * unchanged when no image fits the kind.
+ */
+std::vector<std::uint8_t>
+forgeChain(const std::vector<std::uint8_t> &bytes, const FileLayout &layout,
+           MutationKind kind, Xoshiro256ss &rng)
 {
-    using serialize_detail::ImageKind;
-    const std::vector<StoredImage> images = imagesOf(out);
+    const std::vector<StoredImage> images = imagesOf(bytes, layout);
+    const StoredImage *image = nullptr;
+    StoredList list;
     if (kind == MutationKind::kNonMinimalVarint) {
-        padVarint(out, images, rng);
-        return;
+        std::vector<std::pair<const StoredImage *, StoredList>> fit;
+        for (const StoredImage &candidate : images) {
+            const ArchiveSegmentInfo &info = layout.records[candidate.record];
+            const std::vector<std::uint8_t> data(
+                bytes.begin() + static_cast<long>(info.imageOffset()),
+                bytes.begin() + static_cast<long>(info.payloadOffset()));
+            for (const StoredList &l : nonEmptyLists(data, candidate))
+                fit.emplace_back(&candidate, l);
+        }
+        if (fit.empty())
+            return bytes;
+        std::tie(image, list) = fit[rng.below(fit.size())];
+    } else if (kind == MutationKind::kOrphanDelta) {
+        if (images.empty() || images.front().record != 0)
+            return bytes;
+        image = &images.front();
+    } else {
+        const bool keyframe_kind = kind == MutationKind::kKeyframeWordCount;
+        image = pickImage(
+            images, keyframe_kind ? ImageKind::kKeyframe : ImageKind::kDelta,
+            rng);
+        if (!image)
+            return bytes;
     }
-    const bool keyframe_kind = kind == MutationKind::kKeyframeWordCount
-                               || kind == MutationKind::kOrphanDelta;
-    const StoredImage *image = pickImage(
-        images, keyframe_kind ? ImageKind::kKeyframe : ImageKind::kDelta,
-        rng);
-    if (!image)
-        return;
+
+    CutSegment seg = cutOf(bytes, layout.records[image->record]);
+    std::vector<std::uint8_t> data(seg.image.begin(), seg.image.end());
     // The first field past the contexts: a keyframe's word count, a
     // delta's base GCC.
-    const std::size_t tail = image->at + image->extent.fieldsAt;
+    const std::size_t tail = image->extent.fieldsAt;
     switch (kind) {
       case MutationKind::kKeyframeWordCount: {
-        const std::uint64_t words = u64At(out, tail);
-        putU64At(out, tail,
+        const std::uint64_t words = u64At(data, tail);
+        putU64At(data, tail,
                  words > 0 && rng.below(2)
                      ? words - 1 - rng.below(words)
                      : words + 1 + rng.below(words + 1));
-        return;
+        break;
       }
       case MutationKind::kDeltaBaseGcc:
-        putU64At(out, tail, u64At(out, tail) + 1 + rng.below(64));
-        return;
+        putU64At(data, tail, u64At(data, tail) + 1 + rng.below(64));
+        break;
       case MutationKind::kDeltaMemoryHash: {
-        const std::size_t hash_at = image->at + image->extent.bytes - 8;
-        putU64At(out, hash_at,
-                 u64At(out, hash_at) ^ (1ull << rng.below(64)));
-        return;
+        const std::size_t hash_at = image->extent.bytes - 8;
+        putU64At(data, hash_at,
+                 u64At(data, hash_at) ^ (1ull << rng.below(64)));
+        break;
       }
       case MutationKind::kOrphanDelta:
-        putU64At(out, images.front().kindAt,
-                 static_cast<std::uint64_t>(ImageKind::kDelta));
-        return;
+        seg.imageKind = static_cast<std::uint64_t>(ImageKind::kDelta);
+        break;
+      case MutationKind::kNonMinimalVarint:
+        padVarint(data, list, rng);
+        break;
       default:
-        return;
+        break;
     }
+    seg.image.assign(data.begin(), data.end());
+    return withRecord(bytes, layout, image->record, seg);
 }
 
 } // namespace
 
-std::string
-mutateSerialized(const std::string &bytes, MutationKind kind,
-                 std::uint64_t seed)
+std::vector<std::uint8_t>
+mutateRecording(const std::vector<std::uint8_t> &bytes, MutationKind kind,
+                std::uint64_t seed)
 {
     Xoshiro256ss rng(seed ^ 0xFA017EC7ull);
-    std::string out = bytes;
+    std::vector<std::uint8_t> out = bytes;
     if (out.empty())
         return out;
-    const std::uint64_t size = out.size();
-    const std::uint64_t words = size / 8;
+    if (kind == MutationKind::kTruncate) {
+        out.resize(static_cast<std::size_t>(rng.below(out.size())));
+        return out;
+    }
+    const std::optional<FileLayout> layout = layoutOf(bytes);
+    const auto flipAnywhere = [&out, &rng] {
+        // Too broken to aim at: degrade to a bit flip anywhere.
+        flipBits(out, 0, out.size(), rng);
+        return out;
+    };
+    if (!layout)
+        return flipAnywhere();
 
     switch (kind) {
-      case MutationKind::kBitFlip: {
-        const unsigned flips = 1 + static_cast<unsigned>(rng.below(8));
-        for (unsigned i = 0; i < flips; ++i) {
-            const std::uint64_t bit = rng.below(size * 8);
-            out[bit / 8] = static_cast<char>(
-                static_cast<unsigned char>(out[bit / 8])
-                ^ (1u << (bit % 8)));
-        }
-        break;
+      case MutationKind::kRecordBitFlip: {
+        // Aim at one whole record (header, image, payload), never at
+        // the footer or the trailer.
+        const ArchiveSegmentInfo &info =
+            layout->records[rng.below(layout->records.size())];
+        const auto begin = static_cast<std::size_t>(info.fileOffset);
+        flipBits(out, begin, begin + static_cast<std::size_t>(info.recordBytes),
+                 rng);
+        return out;
       }
-      case MutationKind::kTruncate:
-        out.resize(rng.below(size));
-        break;
-      case MutationKind::kDuplicateWord: {
-        if (words == 0)
-            break;
-        const std::uint64_t w = rng.below(words);
-        out.insert(w * 8 + 8, bytes, w * 8, 8);
-        break;
-      }
-      case MutationKind::kReorderWords: {
-        if (words < 2)
-            break;
-        const std::uint64_t a = rng.below(words);
-        std::uint64_t b = rng.below(words);
-        if (a == b)
-            b = (b + 1) % words;
-        for (unsigned i = 0; i < 8; ++i)
-            std::swap(out[a * 8 + i], out[b * 8 + i]);
-        break;
-      }
-      case MutationKind::kHeaderCorrupt: {
-        // Magic, version, machine and mode occupy the first
-        // 21 u64 fields; scribble a random byte there.
-        const std::uint64_t header =
-            std::min<std::uint64_t>(size, 21 * 8);
-        out[rng.below(header)] =
-            static_cast<char>(rng.next() & 0xFF);
-        break;
-      }
-      case MutationKind::kKeyframeWordCount:
-      case MutationKind::kDeltaBaseGcc:
-      case MutationKind::kDeltaMemoryHash:
-      case MutationKind::kOrphanDelta:
-      case MutationKind::kNonMinimalVarint:
-        mutateChain(out, kind, rng);
+      case MutationKind::kIndexCorrupt:
+        return corruptIndex(bytes, *layout, rng);
+      default:
         break;
     }
-    return out;
+    try {
+        return kind == MutationKind::kLogForgery
+                   ? forgeLog(bytes, *layout, rng)
+                   : forgeChain(bytes, *layout, kind, rng);
+    } catch (const RecordingFormatError &) {
+        // A payload or image that opens but does not decode.
+        return flipAnywhere();
+    }
 }
 
 namespace
@@ -361,15 +560,7 @@ void
 FaultSweepSummary::add(const MutantResult &r)
 {
     countOutcome(*this, r.outcome, mutationKindName(r.kind), r.seed,
-                 r.report.message);
-}
-
-void
-FaultSweepSummary::add(const ArchiveMutantResult &r)
-{
-    target = SweepTarget::kArchive;
-    countOutcome(*this, r.outcome, archiveMutationKindName(r.kind),
-                 r.seed, r.message);
+                 r.message);
 }
 
 void
@@ -385,9 +576,7 @@ FaultSweepSummary::add(const RingMutantResult &r)
 std::string
 FaultSweepSummary::describe() const
 {
-    static const char *const kLabels[] = {"fault sweep",
-                                          "archive fault sweep",
-                                          "ring fault sweep"};
+    static const char *const kLabels[] = {"fault sweep", "ring fault sweep"};
     std::ostringstream out;
     out << kLabels[static_cast<unsigned>(target)] << ": " << total
         << " mutants | rejected " << rejectedAtLoad << " | identical "
@@ -399,236 +588,6 @@ FaultSweepSummary::describe() const
     for (const std::string &line : unexpectedResults)
         out << "\n  " << line;
     return out.str();
-}
-
-MutantResult
-runMutant(const std::string &serialized, MutationKind kind,
-          std::uint64_t seed, const ReplayCheckOptions &opts)
-{
-    MutantResult result;
-    result.kind = kind;
-    result.seed = seed;
-
-    const std::string mutated = mutateSerialized(serialized, kind, seed);
-
-    Recording mutant;
-    try {
-        std::istringstream in(mutated);
-        mutant = loadRecording(in);
-    } catch (const RecordingFormatError &e) {
-        result.outcome = MutantOutcome::kRejectedAtLoad;
-        result.report.kind = DivergenceKind::kFormatError;
-        result.report.message = e.what();
-        return result;
-    } catch (const std::exception &e) {
-        // The loader's contract is RecordingFormatError only; any
-        // other type is a hardening gap the sweep must surface.
-        result.outcome = MutantOutcome::kUnexpected;
-        result.report.kind = DivergenceKind::kFormatError;
-        result.report.message =
-            std::string("loader threw non-format error: ") + e.what();
-        return result;
-    }
-
-    ReplayCheckResult check;
-    try {
-        check = checkedReplay(mutant, opts);
-    } catch (const std::exception &e) {
-        result.outcome = MutantOutcome::kUnexpected;
-        result.report.kind = DivergenceKind::kReplayError;
-        result.report.message =
-            std::string("checkedReplay threw: ") + e.what();
-        return result;
-    }
-
-    result.report = check.report;
-    if (check.ok) {
-        result.outcome = MutantOutcome::kReplayedIdentically;
-        return result;
-    }
-    switch (check.report.kind) {
-      case DivergenceKind::kFormatError:
-      case DivergenceKind::kWorkloadError:
-        result.outcome = MutantOutcome::kRejectedAtLoad;
-        break;
-      case DivergenceKind::kReplayError:
-        result.outcome = MutantOutcome::kReplayErrorReported;
-        break;
-      case DivergenceKind::kCommitDivergence:
-      case DivergenceKind::kMissingCommits:
-      case DivergenceKind::kExtraCommits:
-      case DivergenceKind::kStateDivergence:
-        result.outcome = MutantOutcome::kDivergenceDetected;
-        break;
-      case DivergenceKind::kNone:
-        result.outcome = MutantOutcome::kUnexpected;
-        result.report.message =
-            "checkedReplay returned !ok with an empty report";
-        break;
-    }
-    return result;
-}
-
-FaultSweepSummary
-runFaultSweep(const Recording &rec, unsigned mutants_per_kind,
-              std::uint64_t seed0, const ReplayCheckOptions &opts)
-{
-    const auto serialize = [](const Recording &r) {
-        std::ostringstream buf;
-        saveRecording(r, buf);
-        return buf.str();
-    };
-    const std::string serialized = serialize(rec);
-    std::string logs = serialized;
-    if (opts.startCheckpoint == ReplayCheckOptions::kFullRun
-        && !rec.checkpoints.empty()) {
-        Recording bare = rec;
-        bare.checkpoints.clear();
-        logs = serialize(bare);
-    }
-
-    FaultSweepSummary summary;
-    for (unsigned k = 0; k < kMutationKinds; ++k) {
-        for (unsigned i = 0; i < mutants_per_kind; ++i) {
-            const std::uint64_t seed =
-                seed0 * 1'000'003ull + k * 7919ull + i;
-            summary.add(runMutant(k < kStreamMutationKinds ? logs
-                                                           : serialized,
-                                  static_cast<MutationKind>(k), seed,
-                                  opts));
-        }
-    }
-    return summary;
-}
-
-// ----- archive-level fault injection ----------------------------------------
-
-const char *
-archiveMutationKindName(ArchiveMutationKind kind)
-{
-    switch (kind) {
-      case ArchiveMutationKind::kSegmentBitFlip:
-        return "segment-bit-flip";
-      case ArchiveMutationKind::kFooterTruncate:
-        return "footer-truncate";
-      case ArchiveMutationKind::kIndexCorrupt:
-        return "index-corrupt";
-    }
-    return "unknown";
-}
-
-namespace
-{
-
-void
-flipBits(std::vector<std::uint8_t> &bytes, std::size_t begin,
-         std::size_t end, Xoshiro256ss &rng)
-{
-    if (end <= begin)
-        return;
-    const unsigned flips = 1 + static_cast<unsigned>(rng.below(8));
-    const std::uint64_t span = (end - begin) * 8;
-    for (unsigned i = 0; i < flips; ++i) {
-        const std::uint64_t bit = rng.below(span);
-        bytes[begin + bit / 8] ^=
-            static_cast<std::uint8_t>(1u << (bit % 8));
-    }
-}
-
-} // namespace
-
-std::vector<std::uint8_t>
-mutateArchive(const std::vector<std::uint8_t> &bytes,
-              ArchiveMutationKind kind, std::uint64_t seed)
-{
-    Xoshiro256ss rng(seed ^ 0xA2C817EC7ull);
-    std::vector<std::uint8_t> out = bytes;
-    if (out.size() < 56) {
-        // Too small to carry any structure; degrade to a bit flip.
-        flipBits(out, 0, out.size(), rng);
-        return out;
-    }
-    const std::size_t trailer = out.size() - 32;
-    const std::uint64_t footer_offset = u64At(out, trailer);
-
-    switch (kind) {
-      case ArchiveMutationKind::kSegmentBitFlip: {
-        // Aim at one segment record (header, image, payload) via the
-        // archive's own index so the flip never lands in footer or
-        // trailer.
-        try {
-            const ArchiveReader reader = ArchiveReader::fromBytes(out);
-            const auto &segs = reader.segments();
-            const ArchiveSegmentInfo &seg =
-                segs[static_cast<std::size_t>(rng.below(segs.size()))];
-            const std::size_t begin =
-                static_cast<std::size_t>(seg.fileOffset);
-            flipBits(out, begin,
-                     begin + static_cast<std::size_t>(seg.recordBytes),
-                     rng);
-        } catch (const std::exception &) {
-            flipBits(out, 0, out.size(), rng);
-        }
-        break;
-      }
-      case ArchiveMutationKind::kFooterTruncate: {
-        // Cut somewhere inside the footer or trailer region.
-        const std::size_t begin = std::min<std::size_t>(
-            static_cast<std::size_t>(footer_offset), out.size());
-        out.resize(begin + rng.below(out.size() - begin));
-        break;
-      }
-      case ArchiveMutationKind::kIndexCorrupt: {
-        // Scribble on the footer, then rebuild a consistent trailer
-        // (size + CRC valid), so the checksum layer passes and the
-        // reader's semantic cross-checks are what must catch the lie.
-        try {
-            const std::uint64_t footer_size = u64At(out, trailer + 8);
-            if (footer_offset > trailer
-                || footer_size > trailer - footer_offset)
-                throw std::out_of_range("footer location");
-            std::vector<std::uint8_t> raw(
-                out.begin() + static_cast<long>(footer_offset),
-                out.begin() + static_cast<long>(footer_offset + footer_size));
-            if (raw.empty())
-                break;
-            // Half the mutants aim at the record index's structural
-            // fields (clean flag, record count, and the first two
-            // records' file offsets and sizes); the rest land anywhere,
-            // mostly in the metadata and the final stats. Walk the
-            // footer layout: machine (12 u64s) + mode (7 u64s) +
-            // appName + seed + iterations, then the index.
-            constexpr std::size_t kIndexFieldBytes = 48;
-            std::size_t idx0 = raw.size();
-            if (raw.size() >= 160) {
-                const std::uint64_t name_len = u64At(raw, 152);
-                if (name_len < raw.size())
-                    idx0 = 160 + static_cast<std::size_t>(name_len) + 16;
-            }
-            const std::size_t pos =
-                (idx0 + kIndexFieldBytes <= raw.size() && rng.below(2) == 0)
-                    ? idx0 + static_cast<std::size_t>(
-                          rng.below(kIndexFieldBytes))
-                    : static_cast<std::size_t>(rng.below(raw.size()));
-            raw[pos] ^=
-                static_cast<std::uint8_t>(1 + rng.below(255));
-            out.resize(static_cast<std::size_t>(footer_offset));
-            out.insert(out.end(), raw.begin(), raw.end());
-            const std::size_t new_trailer = out.size();
-            out.resize(out.size() + 32);
-            putU64At(out, new_trailer, footer_offset);
-            putU64At(out, new_trailer + 8, raw.size());
-            putU64At(out, new_trailer + 16, crc32(raw.data(), raw.size()));
-            putU64At(out, new_trailer + 24,
-                     u64At(bytes, trailer + 24)); // end magic
-        } catch (const std::exception &) {
-            flipBits(out, static_cast<std::size_t>(footer_offset),
-                     out.size(), rng);
-        }
-        break;
-      }
-    }
-    return out;
 }
 
 namespace
@@ -654,8 +613,8 @@ outcomeSeverity(MutantOutcome outcome)
 }
 
 /**
- * Classify one recording pulled out of a mutant archive: checked
- * replay with every failure fenced, exactly like runMutant's tail.
+ * Classify one recording pulled out of a mutant: checked replay with
+ * every failure fenced.
  */
 MutantOutcome
 classifyRecording(const Recording &rec, const ReplayCheckOptions &opts,
@@ -754,20 +713,19 @@ loadMutant(const std::vector<std::uint8_t> &mutated,
 
 } // namespace
 
-ArchiveMutantResult
-runArchiveMutant(const std::vector<std::uint8_t> &archive,
-                 ArchiveMutationKind kind, std::uint64_t seed,
-                 const ReplayCheckOptions &opts,
-                 ArchiveLoadPath load_path)
+MutantResult
+runMutant(const std::vector<std::uint8_t> &file, MutationKind kind,
+          std::uint64_t seed, const ReplayCheckOptions &opts,
+          ArchiveLoadPath load_path)
 {
-    ArchiveMutantResult result;
+    MutantResult result;
     result.kind = kind;
     result.seed = seed;
 
     const std::vector<std::uint8_t> mutated =
-        mutateArchive(archive, kind, seed);
+        mutateRecording(file, kind, seed);
 
-    // Leg 1: parse + readAll + checked replay.
+    // Leg 1: open + readAll + checked replay.
     Recording full;
     std::size_t checkpoints = 0;
     std::optional<ArchiveReader> reader;
@@ -788,10 +746,11 @@ runArchiveMutant(const std::vector<std::uint8_t> &archive,
         result.message = e.what();
         return result;
     } catch (const std::exception &e) {
+        // The reader's contract is RecordingFormatError only; any
+        // other type is a hardening gap the sweep must surface.
         result.outcome = MutantOutcome::kUnexpected;
         result.message =
-            std::string("archive reader threw non-format error: ")
-            + e.what();
+            std::string("reader threw non-format error: ") + e.what();
         return result;
     }
 
@@ -800,7 +759,7 @@ runArchiveMutant(const std::vector<std::uint8_t> &archive,
         return result;
 
     // Leg 2: interval replay through the (possibly lying) index. Only
-    // reachable when the mutant still parses; a corrupt index must
+    // reachable when the mutant still opens; a corrupt index must
     // surface as a typed rejection or a localized divergence here,
     // never a crash.
     if (checkpoints > 0) {
@@ -842,25 +801,22 @@ runArchiveMutant(const std::vector<std::uint8_t> &archive,
 }
 
 FaultSweepSummary
-runArchiveFaultSweep(const Recording &rec, unsigned mutants_per_kind,
-                     std::uint64_t seed0,
-                     const ReplayCheckOptions &opts,
-                     ArchiveLoadPath load_path)
+runFaultSweep(const Recording &rec, unsigned mutants_per_kind,
+              std::uint64_t seed0, const ReplayCheckOptions &opts,
+              ArchiveLoadPath load_path)
 {
-    std::ostringstream buf;
-    writeArchive(rec, buf);
+    std::ostringstream buf(std::ios::binary);
+    saveRecording(rec, buf);
     const std::string s = std::move(buf).str();
-    const std::vector<std::uint8_t> archive(s.begin(), s.end());
+    const std::vector<std::uint8_t> file(s.begin(), s.end());
 
     FaultSweepSummary summary;
-    summary.target = SweepTarget::kArchive;
-    for (unsigned k = 0; k < kArchiveMutationKinds; ++k) {
+    for (unsigned k = 0; k < kMutationKinds; ++k) {
         for (unsigned i = 0; i < mutants_per_kind; ++i) {
             const std::uint64_t seed =
                 seed0 * 1'000'003ull + k * 104'729ull + i;
-            summary.add(runArchiveMutant(
-                archive, static_cast<ArchiveMutationKind>(k), seed,
-                opts, load_path));
+            summary.add(runMutant(file, static_cast<MutationKind>(k), seed,
+                                  opts, load_path));
         }
     }
     return summary;

@@ -1,27 +1,33 @@
 /**
  * @file
- * Log fault injector: mutate serialized recordings, assert grace.
+ * Fault injector: mutate recording files, assert grace.
  *
- * rr-style robustness testing for the replay pipeline. A recording is
- * serialized, a deterministic mutation is applied to the byte stream
- * (bit flips, truncation at an arbitrary offset, 8-byte record-word
- * duplication or reordering, header corruption), and the mutant is
- * pushed through loadRecording() + checkedReplay(). The acceptable
- * outcomes are exactly:
+ * rr-style robustness testing for the load and replay pipeline. A
+ * recording is saved as its one file (a `.dla`, core/serialize.hpp), a
+ * deterministic mutation is applied to the bytes, and the mutant is
+ * pushed through ArchiveReader (open, readAll()), a checked replay and,
+ * when the mutant still exposes checkpoints, an interval replay off
+ * readInterval(). The acceptable outcomes are exactly:
  *
- *   - the loader rejects it with a RecordingFormatError,
+ *   - the reader rejects it with a RecordingFormatError (an
+ *     ArchiveError naming the failing section, and segment when it
+ *     can),
  *   - the replay reproduces the recording (mutation hit dead bytes,
  *     e.g. a statistics field),
- *   - checkedReplay returns a structured DivergenceReport (typed
+ *   - the checked replay returns a structured DivergenceReport (typed
  *     replay error, or a localized divergence).
  *
  * Crashes, hangs (fenced by the replay event budget) and any other
  * exception type are sweep failures, counted as kUnexpected.
+ *
+ * A ring directory (store/ring) has its own crash-and-rot family
+ * (RingMutationKind), classified and summarized the same way.
  */
 
 #ifndef DELOREAN_VALIDATE_FAULT_INJECTOR_HPP_
 #define DELOREAN_VALIDATE_FAULT_INJECTOR_HPP_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,18 +39,25 @@
 namespace delorean
 {
 
-/** Mutation classes applied to the serialized byte stream. */
+/**
+ * Mutation classes applied to a recording file. The byte kinds damage
+ * bytes as storage would; the others are *resealed forgeries*: each
+ * rewrites one field and recomputes every CRC that covers it, so only
+ * the reader's semantic checks and the checked replay can catch it.
+ */
 enum class MutationKind : std::uint8_t
 {
-    kBitFlip,       ///< flip 1-8 random bits anywhere
-    kTruncate,      ///< cut the stream at a random byte offset
-    kDuplicateWord, ///< duplicate a random aligned 8-byte record word
-    kReorderWords,  ///< swap two random aligned 8-byte record words
-    kHeaderCorrupt, ///< scribble on the magic/version/config header
-    // Checkpoint-chain mutants (kinds kStreamMutationKinds and up):
-    // each forges one field of a stored chain image, so the loader
-    // must reject it (a stream without a fitting image is left
-    // unchanged).
+    kRecordBitFlip, ///< flip 1-8 bits inside one segment record
+    kTruncate,      ///< cut the file at a random byte offset
+    kIndexCorrupt,  ///< scribble on the footer, then reseal the trailer
+    /// Decode one segment payload, flip bits in it, duplicate one of
+    /// its 8-byte words or swap two, then recompress and reseal it, so
+    /// forged logs reach the checked replay.
+    kLogForgery,
+    // Chain forgeries (kinds kLogMutationKinds and up): each forges one
+    // field of a stored checkpoint image and reseals its record, so
+    // the reader must reject it (a file without a fitting image is
+    // left unchanged).
     kKeyframeWordCount, ///< change a keyframe's word count
     kDeltaBaseGcc,      ///< forge a delta's base GCC
     kDeltaMemoryHash,   ///< forge a delta's memory hash
@@ -52,25 +65,29 @@ enum class MutationKind : std::uint8_t
     kNonMinimalVarint,  ///< pad one address gap's varint with a zero byte
 };
 
-constexpr unsigned kMutationKinds = 10;
+constexpr unsigned kMutationKinds = 9;
 
-/// The kinds before the chain kinds: they mutate any stream byte.
-constexpr unsigned kStreamMutationKinds = 5;
+/// The kinds before the chain forgeries: they need no checkpoint image,
+/// so they apply to a recording without checkpoints too.
+constexpr unsigned kLogMutationKinds = 4;
 
 /** Short printable name of a mutation kind. */
 const char *mutationKindName(MutationKind kind);
 
 /**
- * Deterministically mutate @p bytes (seed => same mutant). The result
- * may be any length, including empty.
+ * Deterministically mutate the recording file @p bytes (seed => same
+ * mutant). The mutator reads the file's own index to aim; a file that
+ * does not open gets a plain bit flip (a truncation stays one). The
+ * result may be any length, including empty.
  */
-std::string mutateSerialized(const std::string &bytes,
-                             MutationKind kind, std::uint64_t seed);
+std::vector<std::uint8_t>
+mutateRecording(const std::vector<std::uint8_t> &bytes, MutationKind kind,
+                std::uint64_t seed);
 
 /** How one mutant fared. */
 enum class MutantOutcome : std::uint8_t
 {
-    kRejectedAtLoad,    ///< RecordingFormatError from the loader
+    kRejectedAtLoad,    ///< RecordingFormatError from the reader
     kReplayedIdentically, ///< mutation did not change replay-relevant bytes
     kDivergenceDetected, ///< structured report with a localized chunk
     kReplayErrorReported, ///< typed ReplayError converted to a report
@@ -83,26 +100,31 @@ const char *mutantOutcomeName(MutantOutcome outcome);
 /** One mutant's result. */
 struct MutantResult
 {
-    MutationKind kind = MutationKind::kBitFlip;
+    MutationKind kind = MutationKind::kRecordBitFlip;
     std::uint64_t seed = 0;
     MutantOutcome outcome = MutantOutcome::kUnexpected;
-    DivergenceReport report;
+    /// True when the rejection was a typed ArchiveError (so the
+    /// failing section — and, for segments, the segment id — was
+    /// named), rather than a generic RecordingFormatError.
+    bool typedArchiveError = false;
+    /// Failing segment id when typedArchiveError named one, else
+    /// ArchiveError::kNoSegment.
+    std::size_t segment = static_cast<std::size_t>(-1);
+    std::string message;
 };
 
-struct ArchiveMutantResult;
 struct RingMutantResult;
 
 /** The container a fault sweep mutates; it names describe()'s line. */
 enum class SweepTarget : std::uint8_t
 {
-    kRecording, ///< a serialized recording ("fault sweep")
-    kArchive,   ///< a `.dla` archive ("archive fault sweep")
+    kRecording, ///< a recording file ("fault sweep")
     kRing,      ///< a ring directory ("ring fault sweep")
 };
 
 /**
- * Aggregate of a fault-injection sweep over any container. Adding an
- * archive or ring mutant's result sets the target to match.
+ * Aggregate of a fault-injection sweep. Adding a ring mutant's result
+ * sets the target to match.
  */
 struct FaultSweepSummary
 {
@@ -122,82 +144,8 @@ struct FaultSweepSummary
 
     bool ok() const { return unexpected == 0; }
     void add(const MutantResult &r);
-    void add(const ArchiveMutantResult &r);
     void add(const RingMutantResult &r);
     std::string describe() const;
-};
-
-/**
- * Run one mutant: serialize-side mutation of @p serialized, then
- * load + checked replay with @p opts.
- */
-MutantResult runMutant(const std::string &serialized, MutationKind kind,
-                       std::uint64_t seed,
-                       const ReplayCheckOptions &opts = {});
-
-/**
- * Sweep @p mutants_per_kind mutants of every kind over @p rec.
- * Mutation seeds derive from @p seed0. The chain kinds forge @p rec's
- * checkpoint images, so they need a recording with checkpoints. For a
- * full-run check, which never reads a checkpoint, the other kinds
- * mutate @p rec's serialization without its checkpoints: images are
- * most of a stream's bytes and would otherwise absorb nearly every
- * mutant meant for the logs. Runs on the calling thread; callers
- * wanting parallelism fan runMutant() out themselves (see
- * bench/validate_sweep.cpp).
- */
-FaultSweepSummary runFaultSweep(const Recording &rec,
-                                unsigned mutants_per_kind,
-                                std::uint64_t seed0,
-                                const ReplayCheckOptions &opts = {});
-
-// ----- archive-level fault injection (src/store container) ------------------
-
-/**
- * Mutation classes applied to an archive byte stream. Unlike the
- * serialized-recording mutations above, these target the container's
- * structural layers: the segment records (header, checkpoint image,
- * compressed payload), the footer, and the footer's record index
- * (where the CRC is *valid* but the index lies, so the reader's
- * cross-checks — not the checksum — must catch it).
- */
-enum class ArchiveMutationKind : std::uint8_t
-{
-    kSegmentBitFlip, ///< flip 1-8 bits inside one segment record
-    kFooterTruncate, ///< cut the stream inside the footer or trailer
-    kIndexCorrupt,   ///< scribble on the raw footer, then rebuild a
-                     ///< *valid* trailer (size and CRC)
-};
-
-constexpr unsigned kArchiveMutationKinds = 3;
-
-/** Short printable name of an archive mutation kind. */
-const char *archiveMutationKindName(ArchiveMutationKind kind);
-
-/**
- * Deterministically mutate archive @p bytes (seed => same mutant).
- * @p bytes must be a well-formed archive (the mutator reads its own
- * index to aim at the right region); malformed input falls back to a
- * plain bit flip.
- */
-std::vector<std::uint8_t>
-mutateArchive(const std::vector<std::uint8_t> &bytes,
-              ArchiveMutationKind kind, std::uint64_t seed);
-
-/** One archive mutant's result. */
-struct ArchiveMutantResult
-{
-    ArchiveMutationKind kind = ArchiveMutationKind::kSegmentBitFlip;
-    std::uint64_t seed = 0;
-    MutantOutcome outcome = MutantOutcome::kUnexpected;
-    /// True when the rejection was a typed ArchiveError (so the
-    /// failing section — and, for segments, the segment id — was
-    /// named), rather than a generic RecordingFormatError.
-    bool typedArchiveError = false;
-    /// Failing segment id when typedArchiveError named one, else
-    /// ArchiveError::kNoSegment.
-    std::size_t segment = static_cast<std::size_t>(-1);
-    std::string message;
 };
 
 /**
@@ -214,30 +162,30 @@ enum class ArchiveLoadPath : std::uint8_t
 };
 
 /**
- * Run one archive mutant: mutate @p archive, then drive the full
- * reader pipeline — parse, readAll(), checked replay, and (when the
- * mutant still exposes checkpoints) an interval-replay leg through
- * readInterval(). Acceptable outcomes mirror runMutant(): a typed
- * rejection, an identical replay, or a structured divergence. Crashes
- * and untyped exceptions are kUnexpected.
+ * Run one mutant: mutate @p file, then drive the full reader pipeline
+ * — open, readAll(), checked replay with @p opts, and (when the mutant
+ * still exposes checkpoints) an interval-replay leg through
+ * readInterval().
  */
-ArchiveMutantResult
-runArchiveMutant(const std::vector<std::uint8_t> &archive,
-                 ArchiveMutationKind kind, std::uint64_t seed,
-                 const ReplayCheckOptions &opts = {},
-                 ArchiveLoadPath load_path = ArchiveLoadPath::kBuffered);
+MutantResult runMutant(const std::vector<std::uint8_t> &file,
+                       MutationKind kind, std::uint64_t seed,
+                       const ReplayCheckOptions &opts = {},
+                       ArchiveLoadPath load_path = ArchiveLoadPath::kBuffered);
 
 /**
- * Sweep @p mutants_per_kind archive mutants of every kind over the
- * archived form of @p rec. Record @p rec with checkpoints (e.g. a
- * checkpoint period) so the interval-replay leg has seek targets.
+ * Sweep @p mutants_per_kind mutants of every kind over the file of
+ * @p rec. Mutation seeds derive from @p seed0. The chain forgeries
+ * need a recording with checkpoints (record with a checkpoint period);
+ * so does the interval leg. Runs on the calling thread; callers
+ * wanting parallelism fan runMutant() out themselves (see
+ * bench/validate_sweep.cpp).
  */
-FaultSweepSummary
-runArchiveFaultSweep(const Recording &rec, unsigned mutants_per_kind,
-                     std::uint64_t seed0,
-                     const ReplayCheckOptions &opts = {},
-                     ArchiveLoadPath load_path =
-                         ArchiveLoadPath::kBuffered);
+FaultSweepSummary runFaultSweep(const Recording &rec,
+                                unsigned mutants_per_kind,
+                                std::uint64_t seed0,
+                                const ReplayCheckOptions &opts = {},
+                                ArchiveLoadPath load_path =
+                                    ArchiveLoadPath::kBuffered);
 
 // ----- ring-level fault injection (src/store/ring directory container) ------
 
@@ -287,7 +235,7 @@ struct RingMutantResult
  * mutate it, then drive RingArchiveReader::open plus a bounded
  * interval-replay leg over whatever window recovery retained (and an
  * unbounded leg when the mutant still reads as cleanly closed). The
- * acceptable outcomes mirror runArchiveMutant: a typed rejection, a
+ * acceptable outcomes mirror runMutant: a typed rejection, a
  * successful salvage that replays identically, or a structured
  * divergence. Crashes, hangs and untyped exceptions are kUnexpected.
  */

@@ -1,9 +1,9 @@
 /**
  * @file
  * Byte-level helpers the container tests share: little-endian u64
- * access into a byte vector, re-sealing a segment record, a `.dla`
- * footer or a ring.index so only the readers' semantic checks can
- * reject a forgery, and the encoded bytes a checkpoint's chain takes.
+ * access into a byte vector, re-sealing a segment record or a `.dla`
+ * footer so only the readers' semantic checks can reject a forgery,
+ * and the encoded bytes a checkpoint's chain takes.
  */
 
 #ifndef DELOREAN_TESTS_CONTAINER_BYTES_HPP_
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -150,47 +149,6 @@ resealRecord(std::vector<std::uint8_t> &bytes, std::size_t off)
 }
 
 /**
- * The record at @p off of @p bytes with its image and payload replaced
- * by @p image and @p comp (raw size @p raw_bytes), sealed.
- */
-inline std::vector<std::uint8_t>
-rebuiltRecord(const std::vector<std::uint8_t> &bytes, std::size_t off,
-              const std::vector<std::uint8_t> &image,
-              const std::vector<std::uint8_t> &comp, std::uint64_t raw_bytes)
-{
-    std::vector<std::uint8_t> out = slice(bytes, off, record::kHeaderBytes);
-    putU64At(out, record::kImageBytes, image.size());
-    putU64At(out, record::kRawBytes, raw_bytes);
-    putU64At(out, record::kCompBytes, comp.size());
-    out.insert(out.end(), image.begin(), image.end());
-    out.insert(out.end(), comp.begin(), comp.end());
-    resealRecord(out, 0);
-    return out;
-}
-
-/**
- * Bring ring.index of @p dir in line with its segment files' sizes
- * (its blob: clean flag, count, then (id, bytes) per file), re-sealed.
- */
-inline void
-syncRingIndex(const std::string &dir)
-{
-    const std::string path = dir + "/ring.index";
-    std::vector<std::uint8_t> index = readFile(path);
-    char name[32];
-    for (std::size_t k = 0; k < u64At(index, 48); ++k) {
-        std::snprintf(name, sizeof name, "seg-%012llu",
-                      static_cast<unsigned long long>(
-                          u64At(index, 56 + 16 * k)));
-        const std::filesystem::path seg = std::filesystem::path(dir) / name;
-        if (std::filesystem::exists(seg))
-            putU64At(index, 64 + 16 * k, std::filesystem::file_size(seg));
-    }
-    putU64At(index, 32, crc32(index.data() + 40, index.size() - 40));
-    writeFile(path, index);
-}
-
-/**
  * Truncate @p bytes at @p footer_off, then append @p raw_footer plus a
  * consistent trailer (offset, size, CRC, end magic), so only the
  * reader's semantic checks can reject the result.
@@ -231,44 +189,13 @@ rawFooter(const std::vector<std::uint8_t> &bytes)
 /**
  * Offset in a raw `.dla` footer of its record index (the clean flag;
  * the record count follows, then (offset, bytes) per record): past the
- * machine (12 u64s) and mode (7 u64s) headers, the app name, the seed
+ * machine (11 u64s) and mode (7 u64s) headers, the app name, the seed
  * and the iterations.
  */
 inline std::size_t
 footerIndexAt(const std::vector<std::uint8_t> &footer)
 {
-    return 160 + static_cast<std::size_t>(u64At(footer, 152)) + 16;
-}
-
-/**
- * Replace record @p i of `.dla` @p bytes by @p rec, moving the records
- * after it and the footer, whose index entries follow and which is
- * re-sealed.
- */
-inline void
-replaceDlaRecord(std::vector<std::uint8_t> &bytes, std::size_t i,
-                 const std::vector<std::uint8_t> &rec)
-{
-    std::vector<std::uint8_t> footer = rawFooter(bytes);
-    const std::size_t entries = footerIndexAt(footer) + 16;
-    const std::size_t count =
-        static_cast<std::size_t>(u64At(footer, entries - 8));
-    const std::size_t entry = entries + 16 * i;
-    const std::size_t off = static_cast<std::size_t>(u64At(footer, entry));
-    const std::size_t old = static_cast<std::size_t>(u64At(footer, entry + 8));
-    const std::size_t footer_off = footerOffset(bytes);
-    std::vector<std::uint8_t> out = slice(bytes, 0, off);
-    out.insert(out.end(), rec.begin(), rec.end());
-    out.insert(out.end(), bytes.begin() + static_cast<long>(off + old),
-               bytes.begin() + static_cast<long>(footer_off));
-    putU64At(footer, entry + 8, rec.size());
-    for (std::size_t k = i + 1; k < count; ++k)
-        putU64At(footer, entries + 16 * k,
-                 u64At(footer, entries + 16 * k) + rec.size() - old);
-    out.insert(out.end(), bytes.begin() + static_cast<long>(footer_off),
-               bytes.end());
-    rewriteFooter(out, footer_off + rec.size() - old, footer);
-    bytes = std::move(out);
+    return 152 + static_cast<std::size_t>(u64At(footer, 144)) + 16;
 }
 
 /** Encoded bytes of one checkpoint's chain (see chainBytes). */

@@ -3,7 +3,7 @@
  * Archive-corruption fault sweep (fuzz tier).
  *
  * The acceptance gate for the store subsystem: >= 500 mutated
- * archives across the recording modes must each be *detected* — a
+ * recording files across the recording modes must each be *detected* — a
  * typed ArchiveError naming the failing section (and segment id for
  * payload damage), a rejection from validateRecording, an identical
  * replay (mutation hit dead bytes), or a structured divergence —
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/recorder.hpp"
+#include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/crc32.hpp"
@@ -52,8 +53,8 @@ using test::u64At;
 using test::writeFile;
 
 constexpr std::uint64_t kSeed = 20080621;
-// 60 mutants x 3 kinds x 3 modes = 540 total, over the gate's 500.
-constexpr unsigned kMutantsPerKind = 60;
+// 20 mutants x 9 kinds x 3 modes = 540 total, over the gate's 500.
+constexpr unsigned kMutantsPerKind = 20;
 
 Recording
 record(const ModeConfig &mode, std::uint64_t checkpoint_period = 25)
@@ -70,7 +71,7 @@ std::vector<std::uint8_t>
 archive(const Recording &rec)
 {
     std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out);
+    saveRecording(rec, out);
     const std::string s = std::move(out).str();
     return std::vector<std::uint8_t>(s.begin(), s.end());
 }
@@ -101,13 +102,13 @@ TEST_P(ArchiveFaultSweep, MutantsNeverCrashHangOrLie)
     const Recording rec = record(mode);
     ASSERT_GE(rec.checkpoints.size(), 1u) << name;
     const FaultSweepSummary sweep =
-        runArchiveFaultSweep(rec, kMutantsPerKind, /*seed0=*/kSeed);
-    EXPECT_EQ(sweep.total, kMutantsPerKind * kArchiveMutationKinds);
+        runFaultSweep(rec, kMutantsPerKind, /*seed0=*/kSeed);
+    EXPECT_EQ(sweep.total, kMutantsPerKind * kMutationKinds);
     EXPECT_TRUE(sweep.ok()) << name << ": " << sweep.describe();
     // The sweep must exercise both sides of the contract: most
     // mutants caught by the integrity layers, and at least some
-    // surviving to a replay verdict (index-corrupt mutants that hit
-    // dead footer bytes, e.g. a statistics field).
+    // surviving to a replay verdict (forged logs, and index-corrupt
+    // mutants that hit dead footer bytes, e.g. a statistics field).
     EXPECT_GT(sweep.rejectedAtLoad, 0u) << name;
     EXPECT_GT(sweep.replayedIdentically + sweep.divergenceDetected
                   + sweep.replayErrorReported,
@@ -117,15 +118,15 @@ TEST_P(ArchiveFaultSweep, MutantsNeverCrashHangOrLie)
 
 TEST_P(ArchiveFaultSweep, MmapPathFencesMutantsIdentically)
 {
-    // Same 540 mutants, pushed through fromFile with mmap enabled:
+    // Same mutants, pushed through fromFile with mmap enabled:
     // the zero-copy reader must classify every mutant exactly like
     // the buffered reader — same outcome buckets, zero unexpected.
     const auto [name, mode] = current();
     const Recording rec = record(mode);
-    const FaultSweepSummary buffered = runArchiveFaultSweep(
+    const FaultSweepSummary buffered = runFaultSweep(
         rec, kMutantsPerKind, /*seed0=*/kSeed, {},
         ArchiveLoadPath::kBuffered);
-    const FaultSweepSummary mapped = runArchiveFaultSweep(
+    const FaultSweepSummary mapped = runFaultSweep(
         rec, kMutantsPerKind, /*seed0=*/kSeed, {},
         ArchiveLoadPath::kMmapFile);
     EXPECT_TRUE(mapped.ok()) << name << ": " << mapped.describe();
@@ -141,7 +142,7 @@ TEST_P(ArchiveFaultSweep, MmapPathFencesMutantsIdentically)
 
 TEST(ArchiveFaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
 {
-    // Detector leg of the 540-mutant bucket: corrupted archives fed
+    // Detector leg of the sweep: corrupted archives fed
     // to a replay with the race detector attached must still end in a
     // typed ArchiveError / RecordingFormatError rejection, an
     // identical replay, or a structured divergence — never a crash or
@@ -159,9 +160,9 @@ TEST(ArchiveFaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
     ReplayCheckOptions opts;
     opts.detectRaces = true;
     const FaultSweepSummary sweep =
-        runArchiveFaultSweep(rec, kMutantsPerKind, /*seed0=*/kSeed,
+        runFaultSweep(rec, kMutantsPerKind, /*seed0=*/kSeed,
                              opts);
-    EXPECT_EQ(sweep.total, kMutantsPerKind * kArchiveMutationKinds);
+    EXPECT_EQ(sweep.total, kMutantsPerKind * kMutationKinds);
     EXPECT_TRUE(sweep.ok()) << sweep.describe();
     EXPECT_GT(sweep.rejectedAtLoad, 0u);
     EXPECT_GT(sweep.replayedIdentically + sweep.divergenceDetected
@@ -377,8 +378,8 @@ TEST(ArchiveFaults, SegmentBitFlipNamesTheSegment)
 
     unsigned typed = 0;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
-        const ArchiveMutantResult r = runArchiveMutant(
-            bytes, ArchiveMutationKind::kSegmentBitFlip, seed);
+        const MutantResult r = runMutant(
+            bytes, MutationKind::kRecordBitFlip, seed);
         ASSERT_NE(r.outcome, MutantOutcome::kUnexpected)
             << "seed " << seed << ": " << r.message;
         if (r.outcome == MutantOutcome::kRejectedAtLoad
@@ -401,8 +402,8 @@ TEST(ArchiveFaults, FooterTruncationIsATrailerOrFooterError)
     const std::vector<std::uint8_t> bytes = archive(rec);
 
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
-        const std::vector<std::uint8_t> mutant = mutateArchive(
-            bytes, ArchiveMutationKind::kFooterTruncate, seed);
+        const std::vector<std::uint8_t> mutant = mutateRecording(
+            bytes, MutationKind::kTruncate, seed);
         try {
             ArchiveReader::fromBytes(mutant);
             FAIL() << "seed " << seed
@@ -423,8 +424,8 @@ TEST(ArchiveFaults, IndexCorruptionNeverEscapesDetection)
     unsigned rejected = 0;
     unsigned survived = 0;
     for (std::uint64_t seed = 0; seed < 60; ++seed) {
-        const ArchiveMutantResult r = runArchiveMutant(
-            bytes, ArchiveMutationKind::kIndexCorrupt, seed);
+        const MutantResult r = runMutant(
+            bytes, MutationKind::kIndexCorrupt, seed);
         ASSERT_NE(r.outcome, MutantOutcome::kUnexpected)
             << "seed " << seed << ": " << r.message;
         if (r.outcome == MutantOutcome::kRejectedAtLoad)
@@ -432,7 +433,7 @@ TEST(ArchiveFaults, IndexCorruptionNeverEscapesDetection)
         else
             ++survived;
     }
-    // The recompressed-footer mutants pass the CRC layer by
+    // The resealed-footer mutants pass the CRC layer by
     // construction, so every rejection here came from a semantic
     // cross-check (segment-header comparison, config validation,
     // checkpoint/GCC agreement, ...). Both buckets must be hit.
@@ -579,13 +580,13 @@ TEST(ArchiveFaults, MutationsAreDeterministic)
 {
     const Recording rec = record(ModeConfig::picoLog());
     const std::vector<std::uint8_t> bytes = archive(rec);
-    for (unsigned k = 0; k < kArchiveMutationKinds; ++k) {
-        const auto kind = static_cast<ArchiveMutationKind>(k);
-        EXPECT_EQ(mutateArchive(bytes, kind, 7),
-                  mutateArchive(bytes, kind, 7))
-            << archiveMutationKindName(kind);
-        EXPECT_NE(mutateArchive(bytes, kind, 7), bytes)
-            << archiveMutationKindName(kind);
+    for (unsigned k = 0; k < kMutationKinds; ++k) {
+        const auto kind = static_cast<MutationKind>(k);
+        EXPECT_EQ(mutateRecording(bytes, kind, 7),
+                  mutateRecording(bytes, kind, 7))
+            << mutationKindName(kind);
+        EXPECT_NE(mutateRecording(bytes, kind, 7), bytes)
+            << mutationKindName(kind);
     }
 }
 
@@ -593,8 +594,8 @@ TEST(ArchiveFaults, SweepAccountingAddsUp)
 {
     const Recording rec = record(ModeConfig::orderOnly(), 40);
     const FaultSweepSummary sweep =
-        runArchiveFaultSweep(rec, 4, 99);
-    EXPECT_EQ(sweep.total, 4u * kArchiveMutationKinds);
+        runFaultSweep(rec, 4, 99);
+    EXPECT_EQ(sweep.total, 4u * kMutationKinds);
     EXPECT_EQ(sweep.total,
               sweep.rejectedAtLoad + sweep.replayedIdentically
                   + sweep.divergenceDetected + sweep.replayErrorReported

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -811,16 +810,14 @@ TEST(ImageCodec, MalformedImagesAreTypedRejections)
     mask[kCheckpointLeadBytes + kContextMaskBytes - 1] |= 0x40; // word 54
     rejects(mask, "names word 54 past the context");
 
-    // Each forgery fails the stream reader or the decoder, typed.
+    // Each forgery fails the open-time walk or the decoder, typed.
     for (const std::string &image :
          {with_list(1, truncated, truncated.size()),
           with_list(1, good, good.size() + 1), mask}) {
-        std::istringstream in(image);
         try {
-            const std::vector<std::uint8_t> read =
-                getImage(in, ImageKind::kKeyframe);
-            ChainDecoder().keyframe(read.data(), read.size());
-            ADD_FAILURE() << "stream forgery accepted";
+            scanImage(ImageKind::kKeyframe, bytesOf(image), image.size());
+            ChainDecoder().keyframe(bytesOf(image), image.size());
+            ADD_FAILURE() << "forgery accepted";
         } catch (const RecordingFormatError &) {
         }
     }

@@ -1,21 +1,24 @@
 /**
  * @file
- * Fault-injection sweep over serialized recordings (fuzz tier).
+ * Fault-injection sweep over recording files (fuzz tier).
  *
- * The PR acceptance gate: >= 500 mutated recordings across all three
- * modes must each either be rejected at load, replay identically, or
- * produce a structured DivergenceReport — never crash, hang or return
- * a silent wrong answer. Runs under the `fuzz` ctest label with a
- * bounded runtime (the replay event budget fences every mutant).
+ * The acceptance gate: >= 500 mutated recording files across all
+ * three modes must each either be rejected at load, replay
+ * identically, or produce a structured DivergenceReport — never
+ * crash, hang or return a silent wrong answer. Runs under the `fuzz`
+ * ctest label with a bounded runtime (the replay event budget fences
+ * every mutant).
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
+#include "store/archive.hpp"
 #include "validate/fault_injector.hpp"
 
 namespace delorean
@@ -24,10 +27,10 @@ namespace
 {
 
 constexpr std::uint64_t kSeed = 20080621;
-// 35 mutants x 10 kinds x 3 modes = 1050 total, over the gate's 500.
-constexpr unsigned kMutantsPerKind = 35;
-// Checkpoint period of the swept recordings, so the stream holds
-// keyframe chains for the chain mutants to forge.
+// 20 mutants x 9 kinds x 3 modes = 540 total, over the gate's 500.
+constexpr unsigned kMutantsPerKind = 20;
+// Checkpoint period of the swept recordings, so the file holds
+// keyframe chains for the chain forgeries to forge.
 constexpr std::uint64_t kCheckpointPeriod = 10;
 
 struct ModeCase
@@ -83,21 +86,33 @@ TEST_P(FaultSweep, MutantsNeverCrashHangOrLie)
 
 INSTANTIATE_TEST_SUITE_P(Modes, FaultSweep, testing::Range(0, 3));
 
+std::vector<std::uint8_t>
+fileOf(const Recording &rec)
+{
+    std::ostringstream out;
+    saveRecording(rec, out);
+    const std::string bytes = std::move(out).str();
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+}
+
 /**
- * Every checkpoint-chain mutant of a .dlrec — a keyframe's word count
+ * Every chain forgery of a recording file — a keyframe's word count
  * changed, a delta's base GCC or memory hash forged, checkpoint 0
  * stored as a delta with no chain head before it, an address gap's
- * varint padded to a non-minimal encoding — is a typed
- * RecordingFormatError at load, in every mode.
+ * varint padded to a non-minimal encoding, each in a resealed record —
+ * is a typed ArchiveError at load naming a segment, in every mode, and
+ * the buffered and the mmap load paths agree on it.
  */
-TEST(ChainFaults, DlrecChainMutantsAreTypedRejections)
+TEST(ChainFaults, ChainMutantsAreTypedRejections)
 {
     constexpr MutationKind kChainKinds[] = {
         MutationKind::kKeyframeWordCount, MutationKind::kDeltaBaseGcc,
         MutationKind::kDeltaMemoryHash, MutationKind::kOrphanDelta,
         MutationKind::kNonMinimalVarint};
+    ModeConfig strat = ModeConfig::orderOnly();
+    strat.stratifyChunksPerProc = 4;
     for (const ModeConfig &mode :
-         {ModeConfig::orderAndSize(), ModeConfig::orderOnly(),
+         {ModeConfig::orderAndSize(), ModeConfig::orderOnly(), strat,
           ModeConfig::picoLog()}) {
         MachineConfig machine;
         machine.numProcs = 4;
@@ -107,22 +122,26 @@ TEST(ChainFaults, DlrecChainMutantsAreTypedRejections)
                                   .record(workload, 1, true, {},
                                           kCheckpointPeriod);
         ASSERT_GE(rec.checkpoints.size(), 3u);
-        std::ostringstream out;
-        saveRecording(rec, out);
-        const std::string bytes = out.str();
+        const std::vector<std::uint8_t> bytes = fileOf(rec);
         for (const MutationKind kind : kChainKinds) {
             for (std::uint64_t seed = 0; seed < 12; ++seed) {
                 const std::string what =
-                    std::string(execModeName(mode.mode)) + " "
+                    std::string(modeConfigName(mode)) + " "
                     + mutationKindName(kind) + " seed "
                     + std::to_string(seed);
-                ASSERT_NE(mutateSerialized(bytes, kind, seed), bytes)
+                ASSERT_NE(mutateRecording(bytes, kind, seed), bytes)
                     << what;
                 const MutantResult r = runMutant(bytes, kind, seed);
                 EXPECT_EQ(r.outcome, MutantOutcome::kRejectedAtLoad)
-                    << what << ": " << r.report.message;
-                EXPECT_EQ(r.report.kind, DivergenceKind::kFormatError)
-                    << what;
+                    << what << ": " << r.message;
+                EXPECT_TRUE(r.typedArchiveError) << what << ": " << r.message;
+                EXPECT_NE(r.segment, ArchiveError::kNoSegment)
+                    << what << ": " << r.message;
+                const MutantResult mapped = runMutant(
+                    bytes, kind, seed, {}, ArchiveLoadPath::kMmapFile);
+                EXPECT_EQ(mapped.outcome, r.outcome) << what;
+                EXPECT_EQ(mapped.segment, r.segment) << what;
+                EXPECT_EQ(mapped.message, r.message) << what;
             }
         }
     }
@@ -156,46 +175,39 @@ TEST(FaultSweepDetector, DetectorLegNeverCrashesHangsOrLies)
 
 TEST(FaultInjector, MutationsAreDeterministic)
 {
-    const std::string bytes(1024, '\x5A');
+    // Bytes that do not open: every kind degrades to a plain flip (a
+    // truncation stays one), and the same seed gives the same mutant.
+    const std::vector<std::uint8_t> bytes(1024, 0x5A);
     for (unsigned k = 0; k < kMutationKinds; ++k) {
         const auto kind = static_cast<MutationKind>(k);
-        EXPECT_EQ(mutateSerialized(bytes, kind, 7),
-                  mutateSerialized(bytes, kind, 7));
-        // Different seeds must (for this input) give different bytes
-        // for at least one kind; weaker per-kind: output stays valid.
-        const std::string m = mutateSerialized(bytes, kind, 8);
-        EXPECT_LE(m.size(), bytes.size() + 8);
+        EXPECT_EQ(mutateRecording(bytes, kind, 7),
+                  mutateRecording(bytes, kind, 7));
+        EXPECT_NE(mutateRecording(bytes, kind, 8), bytes);
     }
-    EXPECT_TRUE(mutateSerialized("", MutationKind::kBitFlip, 1).empty());
+    EXPECT_TRUE(mutateRecording({}, MutationKind::kRecordBitFlip, 1).empty());
 }
 
 TEST(FaultInjector, TruncationShortensBitFlipPreservesLength)
 {
-    const std::string bytes(512, '\x11');
-    EXPECT_LT(
-        mutateSerialized(bytes, MutationKind::kTruncate, 3).size(),
-        bytes.size());
-    EXPECT_EQ(
-        mutateSerialized(bytes, MutationKind::kBitFlip, 3).size(),
-        bytes.size());
-    EXPECT_EQ(
-        mutateSerialized(bytes, MutationKind::kDuplicateWord, 3).size(),
-        bytes.size() + 8);
-    EXPECT_EQ(
-        mutateSerialized(bytes, MutationKind::kReorderWords, 3).size(),
-        bytes.size());
-    EXPECT_EQ(
-        mutateSerialized(bytes, MutationKind::kHeaderCorrupt, 3).size(),
-        bytes.size());
+    const std::vector<std::uint8_t> bytes(512, 0x11);
+    EXPECT_LT(mutateRecording(bytes, MutationKind::kTruncate, 3).size(),
+              bytes.size());
+    for (unsigned k = 0; k < kMutationKinds; ++k) {
+        const auto kind = static_cast<MutationKind>(k);
+        if (kind != MutationKind::kTruncate) {
+            EXPECT_EQ(mutateRecording(bytes, kind, 3).size(), bytes.size())
+                << mutationKindName(kind);
+        }
+    }
 }
 
 TEST(FaultInjector, GarbageInputIsRejectedAtLoad)
 {
-    // A stream that is not a recording at all must classify as
+    // A file that is not a recording at all must classify as
     // rejected-at-load, not as unexpected.
-    const std::string garbage(256, '\x00');
+    const std::vector<std::uint8_t> garbage(256, 0x00);
     const MutantResult r =
-        runMutant(garbage, MutationKind::kBitFlip, /*seed=*/1);
+        runMutant(garbage, MutationKind::kRecordBitFlip, /*seed=*/1);
     EXPECT_EQ(r.outcome, MutantOutcome::kRejectedAtLoad);
 }
 

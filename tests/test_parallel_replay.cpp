@@ -21,6 +21,7 @@
 
 #include "common/errors.hpp"
 #include "core/delorean.hpp"
+#include "core/serialize.hpp"
 #include "sim/campaign.hpp"
 #include "sim/parallel_replay.hpp"
 #include "store/archive.hpp"
@@ -545,7 +546,7 @@ TEST(IntervalReplay, CheckedEntryPointsAgreeOnIntervalViews)
             const Recording rec = recordCheckpointed(mode, app);
             ASSERT_GE(rec.checkpoints.size(), 4u) << app << " " << label;
             std::ostringstream buf;
-            writeArchive(rec, buf);
+            saveRecording(rec, buf);
             const std::string bytes = std::move(buf).str();
             const ArchiveReader reader =
                 ArchiveReader::fromBytes({bytes.begin(), bytes.end()});

@@ -15,12 +15,10 @@
 #include <fstream>
 #include <sstream>
 
-#include "compress/lz77.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
 #include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
-#include "store/crc32.hpp"
 #include "store/ring.hpp"
 #include "trace/app_profile.hpp"
 
@@ -34,8 +32,6 @@ namespace
 using test::putU64At;
 using test::readFile;
 using test::recordImageAt;
-using test::recordPayloadAt;
-using test::slice;
 using test::u64At;
 using test::writeFile;
 
@@ -80,9 +76,7 @@ savedBytes(const Recording &rec)
 std::vector<std::uint8_t>
 archiveBytes(const Recording &rec)
 {
-    std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out);
-    const std::string s = std::move(out).str();
+    const std::string s = savedBytes(rec);
     return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
@@ -131,89 +125,6 @@ newestSegmentPath(const std::string &dir)
             best = entry.path().string();
     }
     return best;
-}
-
-/** Recompute the CRC of a ring.meta / ring.index file's raw blob. */
-void
-resealBlobFile(std::vector<std::uint8_t> &bytes)
-{
-    putU64At(bytes, 32, crc32(bytes.data() + 40, bytes.size() - 40));
-}
-
-/** Cleanly closed 4-segment OrderOnly ring of fft in @p dir. */
-void
-writeSmallRing(const std::string &dir)
-{
-    RingOptions opts;
-    opts.budgetBytes = 1u << 30;
-    opts.checkpointPeriod = 20;
-    RingArchiveWriter writer(dir, opts);
-    const Recording rec =
-        record(ModeConfig::orderOnly(), "fft", 20, &writer);
-    writer.close(rec);
-}
-
-/** Run @p fn and expect an ArchiveError whose text names @p what. */
-template <typename Fn>
-void
-expectArchiveErrorNaming(Fn fn, const std::string &what)
-{
-    try {
-        fn();
-        ADD_FAILURE() << "no error raised; expected '" << what << "'";
-    } catch (const ArchiveError &e) {
-        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(Ring, RejectsArbiterCountOtherThanOne)
-{
-    const std::string dir = ringDir("arbiters");
-    writeSmallRing(dir);
-    // ring.meta: 40-byte preamble, then the raw meta blob, which opens
-    // with the 12-u64 machine header (the arbiter count last).
-    std::vector<std::uint8_t> meta = readFile(dir + "/ring.meta");
-    ASSERT_EQ(u64At(meta, 40 + 88), 1u);
-    putU64At(meta, 40 + 88, 2);
-    resealBlobFile(meta);
-    writeFile(dir + "/ring.meta", meta);
-    expectArchiveErrorNaming([&dir] { RingArchiveReader::open(dir); },
-                             "arbiter count 2 is not 1");
-    std::filesystem::remove_all(dir);
-}
-
-TEST(Ring, RejectsSegmentHasMasksFlag)
-{
-    const std::string dir = ringDir("has_masks");
-    writeSmallRing(dir);
-
-    // Re-encode segment 1 with its PI slice's has-masks flag (the
-    // payload's second u64) set to 1. A segment file is one record:
-    // the header, the end checkpoint's image, then the payload.
-    const std::string seg1 = dir + "/seg-000000000001";
-    const std::vector<std::uint8_t> file = readFile(seg1);
-    const std::size_t payload_at = recordPayloadAt(file, 0);
-    const Lz77 codec;
-    std::vector<std::uint8_t> raw = codec.decompress(
-        file.data() + payload_at, file.size() - payload_at);
-    ASSERT_EQ(u64At(raw, 8), 0u);
-    putU64At(raw, 8, 1);
-    writeFile(seg1, test::rebuiltRecord(
-                        file, 0,
-                        slice(file, recordImageAt(0),
-                              payload_at - recordImageAt(0)),
-                        codec.compress(raw), raw.size()));
-    // Keep the clean-close index consistent with the new file size.
-    test::syncRingIndex(dir);
-
-    const RingArchiveReader ring = RingArchiveReader::open(dir);
-    ASSERT_TRUE(ring.recovery().clean);
-    expectArchiveErrorNaming([&ring] { ring.readAll(); },
-                             "has-masks flag 1 is not 0");
-    expectArchiveErrorNaming([&ring] { ring.readInterval(0, 1); },
-                             "has-masks flag 1 is not 0");
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -281,8 +192,8 @@ TEST(Ring, CleanRoundTripMatchesBatchArchiveAllModes)
 {
     // With a budget large enough to evict nothing, a cleanly closed
     // ring is just the `.dla` archive in directory clothing: readAll
-    // and every interval view must be byte-identical to writeArchive's
-    // container of the same recording.
+    // and every interval view must be byte-identical to saveRecording's
+    // `.dla` of the same recording.
     for (const auto &[mode_name, mode] : allModes()) {
         const std::string dir = ringDir("clean_" + mode_name);
         RingOptions opts;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Recording persistence tests: save/load round trips, replay of a
- * recording that went through disk, pinned hashes of the .dlrec and
- * .dla byte images and of a ring directory, format v1/v2 loading, and
- * typed rejection of the two constant v2 fields (arbiter count 1, PI
- * has-masks flag 0).
+ * Recording persistence tests: save/load round trips through the one
+ * recording file (a `.dla`), of whole runs and of interval views,
+ * replay of a recording that went through disk, pinned hashes of the
+ * `.dla` bytes and of ring directories, and typed rejection of other
+ * format versions.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
-#include "core/serialize_detail.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
 
@@ -40,12 +39,24 @@ machine(unsigned procs = 4)
     return m;
 }
 
+std::string
+serialized(const Recording &rec)
+{
+    std::ostringstream out;
+    saveRecording(rec, out);
+    return std::move(out).str();
+}
+
+Recording
+load(const std::string &bytes)
+{
+    return ArchiveReader::fromBytes({bytes.begin(), bytes.end()}).readAll();
+}
+
 Recording
 roundTrip(const Recording &rec)
 {
-    std::stringstream buffer;
-    saveRecording(rec, buffer);
-    return loadRecording(buffer);
+    return load(serialized(rec));
 }
 
 TEST(Serialize, RoundTripPreservesLogsAndFingerprint)
@@ -142,26 +153,81 @@ TEST(Serialize, FileRoundTrip)
     MachineConfig m = machine(2);
     const Recording rec =
         Recorder(ModeConfig::orderOnly(), m).record(w, 1);
-    const std::string path = "/tmp/delorean_test_recording.bin";
+    const std::string path = testing::TempDir() + "delorean_test_recording.dla";
     saveRecordingFile(rec, path);
-    const Recording copy = loadRecordingFile(path);
+    const Recording copy = ArchiveReader::fromFile(path).readAll();
     EXPECT_TRUE(copy.fingerprint.matchesExact(rec.fingerprint));
     std::remove(path.c_str());
 }
 
 TEST(Serialize, RejectsGarbage)
 {
-    std::stringstream buffer;
-    buffer << "this is not a recording at all, sorry";
-    EXPECT_THROW(loadRecording(buffer), std::runtime_error);
+    EXPECT_THROW(load("this is not a recording at all, sorry"),
+                 RecordingFormatError);
 }
 
-std::string
-serialized(const Recording &rec)
+/**
+ * Every view a reader hands out is itself a recording, saved and
+ * loaded through the same one file: readAll(), each bounded
+ * readInterval(i, i + 1) and an open-ended readInterval(i) load back
+ * to the bytes they were saved as and replay to their recorded
+ * (interval) fingerprint, in all four mode configurations.
+ */
+TEST(Serialize, ViewsRoundTripThroughTheOneFile)
 {
-    std::ostringstream out;
-    saveRecording(rec, out);
-    return std::move(out).str();
+    ModeConfig strat = ModeConfig::orderOnly();
+    strat.stratifyChunksPerProc = 3;
+    for (const char *app : {"fft", "ocean", "sjbb2k"}) {
+        for (const ModeConfig &mode :
+             {ModeConfig::orderAndSize(), ModeConfig::orderOnly(), strat,
+              ModeConfig::picoLog()}) {
+            const std::string label =
+                std::string(app) + " " + modeConfigName(mode);
+            Workload w(app, 4, 3, WorkloadScale::tiny());
+            const Recording rec =
+                Recorder(mode, machine()).record(w, 1, true, {}, 25);
+            ASSERT_GE(rec.checkpoints.size(), 2u) << label;
+            const ArchiveReader reader =
+                ArchiveReader::fromBytes([&rec] {
+                    const std::string bytes = serialized(rec);
+                    return std::vector<std::uint8_t>(bytes.begin(),
+                                                     bytes.end());
+                }());
+            const auto deterministic = [&rec](const ReplayOutcome &out) {
+                return rec.stratified() ? out.deterministicPerProc
+                                        : out.deterministicExact;
+            };
+            // Saved, loaded back, saved again: the same bytes.
+            const auto through = [&label](const Recording &view,
+                                          const std::string &what) {
+                const std::string bytes = serialized(view);
+                Recording loaded = load(bytes);
+                EXPECT_EQ(serialized(loaded), bytes) << label << " " << what;
+                return loaded;
+            };
+
+            const Recording whole = through(reader.readAll(), "readAll");
+            EXPECT_TRUE(deterministic(Replayer().replay(whole, 5)))
+                << label;
+            for (std::size_t i = 0; i + 1 < reader.checkpointCount(); ++i) {
+                const std::string what =
+                    "readInterval(" + std::to_string(i) + ", "
+                    + std::to_string(i + 1) + ")";
+                const Recording view =
+                    through(reader.readInterval(i, i + 1), what);
+                ASSERT_EQ(view.checkpoints.size(), 2u) << label << what;
+                EXPECT_TRUE(deterministic(Replayer().replayInterval(
+                    view, 0, w, 7, {}, &view.checkpoints[1])))
+                    << label << " " << what;
+            }
+            const std::size_t from = reader.checkpointCount() / 2;
+            const Recording tail = through(reader.readInterval(from),
+                                           "readInterval(" + std::to_string(from) + ")");
+            ASSERT_EQ(tail.checkpoints.size(), 1u) << label;
+            EXPECT_TRUE(deterministic(Replayer().replayInterval(tail, 0, w, 7)))
+                << label << " open-ended view";
+        }
+    }
 }
 
 /**
@@ -177,8 +243,7 @@ ringHash(const std::string &dir)
 TEST(Serialize, GoldenBytesArePinned)
 {
     // One small fixed run per mode configuration. The hashes pin the
-    // .dlrec and .dla byte images and the files of two ring
-    // directories (ring.meta, every seg-* and ring.index): the ring of
+    // recording's `.dla` bytes and the files of two ring directories (ring.meta, every seg-* and ring.index): the ring of
     // the same run, and an evicting ring of the run recorded with
     // twice as many checkpoints. Any drift in the wire formats, the
     // recorder's logs, the fingerprints or the ring's eviction fails
@@ -187,7 +252,6 @@ TEST(Serialize, GoldenBytesArePinned)
     {
         const char *label;
         ModeConfig mode;
-        std::uint64_t recordingHash;
         std::uint64_t archiveHash;
         std::uint64_t ringHash;
         std::uint64_t evictingRingHash;
@@ -232,19 +296,28 @@ TEST(Serialize, GoldenBytesArePinned)
     //   order-only       0x503329936e71be29  0x0cd14c25c0ed7851
     //   order-only-strat 0x7aba783a4078a03d  0x833888b36a267827
     //   picolog          0x649ad1c291cd1dbe  0x68a1fdb57862aa1e
+    // With `.dla` v6 and ring v5 (the machine header's arbiter count
+    // and every PI slice's has-masks flag gone) every pin moved once
+    // more, and the `.dlrec` pin went with its format. The `.dlrec` v4
+    // / `.dla` v5 / ring v4 / evicting ring v4 pins were, per mode:
+    //   order-and-size   0x5d863ee3f8cc7ef2  0xc5c4a1570ed241cd
+    //                    0x67cfacaf0475436d  0x8f0205b306a62c33
+    //   order-only       0x949ebc321f72e5fb  0xa0f3922737766f92
+    //                    0xc5e0196ed03766aa  0xca767e7e4410fbd1
+    //   order-only-strat 0xc2c9b7b7b9115650  0x70de607ca5785988
+    //                    0x2119a16b3053d246  0x74f73f865437054d
+    //   picolog          0x6f2d04740d1179b9  0x1e3a986cc44bce4d
+    //                    0xa5d07c65531befcf  0x7fc81c189776118e
     const Golden goldens[] = {
         {"order-and-size", ModeConfig::orderAndSize(),
-         0x5d863ee3f8cc7ef2ull, 0xc5c4a1570ed241cdull,
-         0x67cfacaf0475436dull, 0x8f0205b306a62c33ull},
-        {"order-only", ModeConfig::orderOnly(), 0x949ebc321f72e5fbull,
-         0xa0f3922737766f92ull, 0xc5e0196ed03766aaull,
-         0xca767e7e4410fbd1ull},
-        {"order-only-strat", strat, 0xc2c9b7b7b9115650ull,
-         0x70de607ca5785988ull, 0x2119a16b3053d246ull,
-         0x74f73f865437054dull},
-        {"picolog", ModeConfig::picoLog(), 0x6f2d04740d1179b9ull,
-         0x1e3a986cc44bce4dull, 0xa5d07c65531befcfull,
-         0x7fc81c189776118eull},
+         0xef57f285e05d4170ull, 0xb98fb59099956117ull,
+         0x0a3daa3efeb33b56ull},
+        {"order-only", ModeConfig::orderOnly(), 0x0a2779e9cfc7291full,
+         0xad0e671ebeb8908eull, 0x373e81d039616691ull},
+        {"order-only-strat", strat, 0x16ba170f3cb655b9ull,
+         0x98d9b0c2c75795f4ull, 0xa6c5b8efa325161cull},
+        {"picolog", ModeConfig::picoLog(), 0xfa7138e8b2efa6eaull,
+         0x7f34d706f8d9bce8ull, 0x4d0f1b8ab97c0104ull},
     };
     const auto chainHeads = [](const RingArchiveReader &ring) {
         return std::count_if(
@@ -256,14 +329,9 @@ TEST(Serialize, GoldenBytesArePinned)
         const Recording rec =
             Recorder(g.mode, machine()).record(w, 1, true, {}, 40);
         ASSERT_FALSE(rec.checkpoints.empty()) << g.label;
-        std::ostringstream dla;
-        writeArchive(rec, dla);
-        EXPECT_EQ(hashBytes(serialized(rec)), g.recordingHash)
-            << g.label << std::hex << " recording hash 0x"
-            << hashBytes(serialized(rec));
-        EXPECT_EQ(hashBytes(dla.str()), g.archiveHash)
+        EXPECT_EQ(hashBytes(serialized(rec)), g.archiveHash)
             << g.label << std::hex << " archive hash 0x"
-            << hashBytes(dla.str());
+            << hashBytes(serialized(rec));
 
         RingOptions opts;
         opts.budgetBytes = 50000;
@@ -332,20 +400,6 @@ putU64At(std::string &bytes, std::size_t off, std::uint64_t v)
         bytes[off + i] = static_cast<char>(v >> (8 * i));
 }
 
-/// Stream layout: magic, version, 12 machine u64s (the arbiter count
-/// last, at byte 104), 7 mode u64s, appName, seed, iterations, PI
-/// count, PI entries, then the has-masks flag.
-constexpr std::size_t kArbiterCountOffset = 104;
-
-std::size_t
-hasMasksOffset(const std::string &bytes)
-{
-    const std::size_t pi_count_off =
-        21 * 8 + 8 + static_cast<std::size_t>(u64At(bytes, 21 * 8)) + 16;
-    return pi_count_off + 8
-           + static_cast<std::size_t>(u64At(bytes, pi_count_off)) * 8;
-}
-
 Recording
 recordFft()
 {
@@ -354,23 +408,24 @@ recordFft()
 }
 
 /**
- * Only format v4 loads. v1 and v2 (full images), v3 (chain images with
- * fixed-width words and contexts) and any later version are rejected
- * with the typed version error.
+ * Only the current `.dla` version, 6, loads. Versions 1 to 5 (full
+ * images, the two constant fields, a footer of images) and any later
+ * version are rejected with the typed version error.
  */
 TEST(Serialize, RejectsUnsupportedVersions)
 {
-    const std::string v4 = serialized(recordFft());
-    for (const std::uint64_t version : {1, 2, 3, 5}) {
-        std::string bad = v4;
+    const std::string v6 = serialized(recordFft());
+    ASSERT_EQ(u64At(v6, 8), 6u);
+    for (const std::uint64_t version : {1, 2, 3, 4, 5, 7}) {
+        std::string bad = v6;
         putU64At(bad, 8, version);
-        std::istringstream in(bad);
         try {
-            loadRecording(in);
+            load(bad);
             ADD_FAILURE() << "a v" << version << " recording was accepted";
-        } catch (const RecordingFormatError &e) {
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFileHeader);
             EXPECT_NE(std::string(e.what()).find(
-                          "unsupported recording version "
+                          "unsupported archive version "
                           + std::to_string(version)),
                       std::string::npos)
                 << e.what();
@@ -378,36 +433,14 @@ TEST(Serialize, RejectsUnsupportedVersions)
     }
 }
 
-TEST(Serialize, RejectsArbiterCountOtherThanOne)
-{
-    const std::string good = serialized(recordFft());
-    for (const std::uint64_t arbiters : {0ull, 2ull, 4ull, ~0ull}) {
-        std::string bad = good;
-        putU64At(bad, kArbiterCountOffset, arbiters);
-        std::istringstream in(bad);
-        EXPECT_THROW(loadRecording(in), RecordingFormatError)
-            << "arbiters " << arbiters;
-    }
-}
-
-TEST(Serialize, RejectsPiHasMasksFlag)
-{
-    std::string bad = serialized(recordFft());
-    putU64At(bad, hasMasksOffset(bad), 1);
-    std::istringstream in(bad);
-    EXPECT_THROW(loadRecording(in), RecordingFormatError);
-}
-
 TEST(Serialize, RejectsTruncated)
 {
     Workload w("lu", 2, 3, WorkloadScale::tiny());
     const Recording rec =
         Recorder(ModeConfig::orderOnly(), machine(2)).record(w, 1);
-    std::stringstream buffer;
-    saveRecording(rec, buffer);
-    const std::string full = buffer.str();
-    std::stringstream cut(full.substr(0, full.size() / 2));
-    EXPECT_THROW(loadRecording(cut), std::runtime_error);
+    const std::string full = serialized(rec);
+    EXPECT_THROW(load(full.substr(0, full.size() / 2)),
+                 RecordingFormatError);
 }
 
 } // namespace

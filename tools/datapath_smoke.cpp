@@ -6,8 +6,8 @@
  * codec and the zero-copy mmap read path — are invisible in the
  * bytes:
  *
- *   - writeArchive with ioThreads 1, 2 and 4 emits byte-identical
- *     containers,
+ *   - saveRecording with ioThreads 1, 2 and 4 emits byte-identical
+ *     files,
  *   - fromFile (mmap) and fromBytes (in memory) reassemble the same
  *     recording (byte-identical under saveRecording),
  *   - readInterval off both read paths agrees,
@@ -44,10 +44,10 @@ constexpr std::uint64_t kSeed = 20080621;
 constexpr std::uint64_t kCheckpointPeriod = 20;
 
 std::string
-saved(const Recording &rec)
+saved(const Recording &rec, unsigned io_threads = 0)
 {
     std::ostringstream out(std::ios::binary);
-    saveRecording(rec, out);
+    saveRecording(rec, out, ArchiveIoOptions{io_threads});
     return std::move(out).str();
 }
 
@@ -56,14 +56,6 @@ fail(const char *what)
 {
     std::fprintf(stderr, "datapath_smoke: %s\n", what);
     return false;
-}
-
-std::string
-archivedWith(const Recording &rec, unsigned io_threads)
-{
-    std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out, ArchiveIoOptions{io_threads});
-    return std::move(out).str();
 }
 
 bool
@@ -81,9 +73,8 @@ smoke()
         return fail("record took no checkpoints");
 
     // Writer: the codec worker count must be invisible in the bytes.
-    const std::string serial = archivedWith(rec, 1);
-    if (archivedWith(rec, 2) != serial
-        || archivedWith(rec, 4) != serial)
+    const std::string serial = saved(rec, 1);
+    if (saved(rec, 2) != serial || saved(rec, 4) != serial)
         return fail("parallel-codec container differs from serial");
 
     // The production LZ77 must equal the reference scalar scan on the
@@ -105,7 +96,7 @@ smoke()
     path = "/tmp/datapath_smoke." + std::to_string(::getpid())
            + ".dla";
 #endif
-    writeArchiveFile(rec, path, par);
+    saveRecordingFile(rec, path, par);
     bool ok = true;
     {
         const ArchiveReader mapped =

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "serve/service.hpp"
@@ -107,11 +108,11 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--ring-dir") == 0) {
             opts.ringDir = value();
         } else if (std::strcmp(arg, "--ring-budget") == 0) {
-            char *end = nullptr;
-            const char *v = value();
-            opts.ringBudgetBytes = std::strtoull(v, &end, 10);
-            if (end == v || *end != '\0' || opts.ringBudgetBytes == 0)
+            const std::optional<std::uint64_t> v = delorean::parseCount(
+                value(), std::numeric_limits<std::uint64_t>::max());
+            if (!v || *v == 0)
                 return usage(argv[0]);
+            opts.ringBudgetBytes = *v;
         } else if (std::strcmp(arg, "--checkpoint-period") == 0) {
             if (!parseUnsigned(value(), n, UINT_MAX))
                 return usage(argv[0]);

@@ -3,9 +3,9 @@
  * delorean_sim — command-line driver for the simulator.
  *
  * Usage:
- *   delorean_sim record  <app> [options] -o rec.bin
- *   delorean_sim replay  rec.bin [options]
- *   delorean_sim inspect rec.bin
+ *   delorean_sim record  <app> [options] -o rec.dla
+ *   delorean_sim replay  rec.dla [options]
+ *   delorean_sim inspect rec.dla
  *   delorean_sim compare <app> [options]        # RC vs SC vs modes
  *
  * Options:
@@ -20,8 +20,9 @@
  *                    (default 4)
  *   --perturb        enable replay perturbation
  *   --checkpoint-period N   system checkpoint every N global commits
- *   --archive-out FILE      write a segmented archive (.dla) too;
- *                           implies --checkpoint-period 50 if unset
+ *   -o FILE                 save the recording: a `.dla` archive, one
+ *                           segment per checkpoint interval (one
+ *                           segment without checkpoints)
  *   --ring-out DIR          stream into a ring archive directory while
  *                           recording (always-on recorder); implies
  *                           --checkpoint-period 50 if unset
@@ -29,23 +30,22 @@
  *   --io-threads N   archive segment codec pool size
  *                    (default: DELOREAN_JOBS, else hw concurrency)
  *
- * Numeric options take a decimal number; anything else (or a flag the
+ * Numeric options take a decimal number that fits the option's type;
+ * anything else (a sign, a value past the type's range, or a flag the
  * command does not know) prints the usage and exits 2.
  *
- * replay/inspect accept a serialized recording, an archive (detected
- * by magic) or a ring directory (detected by ring.meta); containers
- * are reassembled via readAll() — a ring must be cleanly closed with
- * nothing evicted for that. Time-travel into a partial ring window
- * lives in replay_check (--ring --at).
+ * replay/inspect accept a recording's `.dla` or a ring directory
+ * (detected by ring.meta), reassembled via readAll() — a ring must be
+ * cleanly closed with nothing evicted for that. Time-travel into a
+ * partial ring window lives in replay_check (--ring --at).
  * --io-threads never changes the bytes written or read — container
  * output is byte-identical at any setting.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,7 +74,6 @@ struct Args
     std::uint64_t env = 1;
     unsigned stratify = 4;
     bool perturb = false;
-    std::string archiveFile;
     std::string ringDir;
     std::uint64_t ringBudget = 0;
     std::uint64_t checkpointPeriod = 0;
@@ -88,7 +87,7 @@ usage()
                  "usage: delorean_sim record <app> [--mode M] [--procs N]"
                  " [--chunk N] [--scale P] [--seed S] [--env S]"
                  " [--stratify N] [--checkpoint-period N]"
-                 " [-o FILE] [--archive-out FILE]"
+                 " [-o FILE]"
                  " [--ring-out DIR [--ring-budget BYTES]]"
                  " [--io-threads N]\n"
                  "       delorean_sim replay <FILE> [--env S] [--perturb]"
@@ -135,46 +134,45 @@ parse(int argc, char **argv)
                 usage();
             return argv[i];
         };
-        // A numeric value: all decimal digits, else the usage exit.
-        auto number = [&]() -> std::uint64_t {
+        // A numeric value: decimal digits that fit the option's type,
+        // else the usage exit.
+        auto number = [&]<typename T>(T &out) {
             const char *v = next();
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long n = std::strtoull(v, &end, 10);
-            if (!std::isdigit(static_cast<unsigned char>(v[0]))
-                || *end != '\0' || errno == ERANGE) {
+            const std::optional<std::uint64_t> n =
+                parseCount(v, std::numeric_limits<T>::max());
+            if (!n) {
                 std::fprintf(stderr,
                              "delorean_sim: %s needs a number, got "
-                             "\"%s\"\n",
-                             flag.c_str(), v);
+                             "\"%s\" (at most %llu)\n",
+                             flag.c_str(), v,
+                             static_cast<unsigned long long>(
+                                 std::numeric_limits<T>::max()));
                 usage();
             }
-            return n;
+            out = static_cast<T>(*n);
         };
         if (flag == "--mode")
             args.mode = next();
         else if (flag == "--procs")
-            args.procs = static_cast<unsigned>(number());
+            number(args.procs);
         else if (flag == "--chunk")
-            args.chunk = static_cast<InstrCount>(number());
+            number(args.chunk);
         else if (flag == "--scale")
-            args.scale = static_cast<unsigned>(number());
+            number(args.scale);
         else if (flag == "--seed")
-            args.seed = number();
+            number(args.seed);
         else if (flag == "--env")
-            args.env = number();
+            number(args.env);
         else if (flag == "--stratify")
-            args.stratify = static_cast<unsigned>(number());
+            number(args.stratify);
         else if (flag == "-o")
             args.file = next();
-        else if (flag == "--archive-out")
-            args.archiveFile = next();
         else if (flag == "--ring-out")
             args.ringDir = next();
         else if (flag == "--ring-budget")
-            args.ringBudget = number();
+            number(args.ringBudget);
         else if (flag == "--checkpoint-period")
-            args.checkpointPeriod = number();
+            number(args.checkpointPeriod);
         else if (flag == "--perturb")
             args.perturb = true;
         else if (flag == "--io-threads") {
@@ -230,11 +228,10 @@ cmdRecord(const Args &args)
     machine.numProcs = args.procs;
     Workload workload(args.app, args.procs, args.seed,
                       WorkloadScale{args.scale});
-    // Archiving needs checkpoints to cut segments at; default a
-    // period when the user asked for a container but no cadence.
+    // A ring needs checkpoints to cut segments at; default a period
+    // when the user asked for one but no cadence.
     std::uint64_t period = args.checkpointPeriod;
-    if ((!args.archiveFile.empty() || !args.ringDir.empty())
-        && period == 0)
+    if (!args.ringDir.empty() && period == 0)
         period = 50;
 
     // The ring writer runs *during* the recording: its onCheckpoint
@@ -282,14 +279,9 @@ cmdRecord(const Args &args)
                     image_bytes);
     }
     if (!args.file.empty()) {
-        saveRecordingFile(rec, args.file);
-        std::printf("  saved to:         %s\n", args.file.c_str());
-    }
-    if (!args.archiveFile.empty()) {
-        writeArchiveFile(rec, args.archiveFile, args.archiveIo);
-        std::printf("  archived to:      %s (%zu segments)\n",
-                    args.archiveFile.c_str(),
-                    rec.checkpoints.size() + 1);
+        saveRecordingFile(rec, args.file, args.archiveIo);
+        std::printf("  saved to:         %s (%zu segments)\n",
+                    args.file.c_str(), rec.checkpoints.size() + 1);
     }
     if (ring) {
         ring->close(rec);
@@ -307,19 +299,16 @@ cmdRecord(const Args &args)
 }
 
 /**
- * Loads any container: ring directory (by ring.meta), archive (by
- * magic sniff) or serialized recording. A ring must be cleanly closed
- * with nothing evicted for readAll(); anything else raises the
- * reader's typed error.
+ * Loads a ring directory (by ring.meta) or a recording's `.dla`. A
+ * ring must be cleanly closed with nothing evicted for readAll();
+ * anything else raises the reader's typed error.
  */
 Recording
 loadAny(const std::string &path, const ArchiveIoOptions &io)
 {
     if (RingArchiveReader::looksLikeRing(path))
         return RingArchiveReader::open(path, io).readAll();
-    if (ArchiveReader::fileLooksLikeArchive(path))
-        return ArchiveReader::fromFile(path, io).readAll();
-    return loadRecordingFile(path);
+    return ArchiveReader::fromFile(path, io).readAll();
 }
 
 int

@@ -3,7 +3,7 @@
  * replay_check: command-line front end of the validation subsystem.
  *
  *   replay_check --record <app> <mode> <file>   record an execution
- *                                               and serialize it
+ *                                               and save it (.dla)
  *   replay_check <file>                         load + checked replay,
  *                                               print a DivergenceReport
  *   replay_check --differential [<app>|all]     cross-mode differential
@@ -39,10 +39,10 @@
  * replay — overriding DELOREAN_JOBS. Checked file replays always
  * cross-check the chunk-parallel replayer against the serial engine.
  *
- * Archive (.dla) loads honor one data-plane knob (anywhere on the
- * command line): `--io-threads <n>` sizes the segment codec pool
- * (default: the --jobs / DELOREAN_JOBS resolution). It changes no
- * byte of what is read — only how fast.
+ * A recording's file is a `.dla` archive. Its loads honor one
+ * data-plane knob (anywhere on the command line): `--io-threads <n>`
+ * sizes the segment codec pool (default: the --jobs / DELOREAN_JOBS
+ * resolution). It changes no byte of what is read — only how fast.
  *
  * Knobs (environment): DELOREAN_JOBS worker count, DELOREAN_SCALE
  * workload scale percent, DELOREAN_NUM_PROCS processor count.
@@ -51,16 +51,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/errors.hpp"
 #include "core/recorder.hpp"
 #include "core/serialize.hpp"
-#include "core/serialize_detail.hpp"
 #include "sim/campaign.hpp"
 #include "store/archive.hpp"
 #include "store/ring.hpp"
@@ -121,12 +119,11 @@ usage()
         "       replay_check --fault-sweep <app> [<mutants-per-kind>]\n"
         "       replay_check --ring <dir> [--at <cycle>]\n"
         "modes: order-and-size order-only order-only-strat picolog\n"
-        "<file> may be a serialized recording (.dlr) or an archive\n"
-        "(.dla, auto-detected by magic). --from/--to replay only the\n"
-        "interval between the named checkpoint GCCs (Appendix B); use\n"
-        "--list-checkpoints to see the seekable GCCs.\n"
-        "archive loads also accept --io-threads <n> (segment codec\n"
-        "pool size); it never changes what is read, only how fast.\n"
+        "<file> is a recording's .dla archive. --from/--to replay only\n"
+        "the interval between the named checkpoint GCCs (Appendix B);\n"
+        "use --list-checkpoints to see the seekable GCCs.\n"
+        "loads also accept --io-threads <n> (segment codec pool\n"
+        "size); it never changes what is read, only how fast.\n"
         "--detect-races runs the happens-before race detector during\n"
         "the checked replay and prints its report (full-run file\n"
         "replays only; serial and parallel reports must match).\n"
@@ -155,13 +152,7 @@ doRecord(const std::string &app, const std::string &mode_name,
                           WorkloadScale{job.scalePercent});
         const Recording rec =
             Recorder(mode, machine).record(workload, kRecordEnvSeed);
-        std::ofstream out(path, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "replay_check: cannot write %s\n",
-                         path.c_str());
-            return 2;
-        }
-        saveRecording(rec, out);
+        saveRecordingFile(rec, path, archive_io);
         std::printf("recorded %s (%s): %zu commits, %llu PI bits, "
                     "%llu CS bits -> %s\n",
                     app.c_str(), mode_name.c_str(),
@@ -203,8 +194,8 @@ checkpointIndexFor(const std::vector<std::uint64_t> &gccs,
 }
 
 /**
- * One line per checkpoint of a container or .dlrec, from the records
- * that end at one (a tail record ends at none): its GCC and how it is
+ * One line per checkpoint of a container, from the records that end
+ * at one (a tail record ends at none): its GCC and how it is
  * stored — a keyframe heading a chain, or a delta on the checkpoint
  * at the record's start GCC — with its stored bytes; then the totals.
  */
@@ -258,58 +249,21 @@ doListCheckpoints(const std::string &path)
             printCheckpointImages(ring.segments());
             return 0;
         }
-        if (ArchiveReader::fileLooksLikeArchive(path)) {
-            const ArchiveReader reader = ArchiveReader::fromFile(path, archive_io);
-            std::printf("%s: archive, %s, %u procs, %zu segment(s), "
-                        "%zu checkpoint(s)\n",
-                        path.c_str(), reader.appName().c_str(),
-                        reader.machine().numProcs,
-                        reader.segments().size(),
-                        reader.checkpointCount());
-            for (std::size_t i = 0; i < reader.segments().size();
-                 ++i) {
-                const ArchiveSegmentInfo &seg = reader.segments()[i];
-                std::printf("  segment %zu: gcc <= %llu, %llu -> %llu "
-                            "bytes%s\n",
-                            i,
-                            static_cast<unsigned long long>(
-                                seg.endGcc),
-                            static_cast<unsigned long long>(
-                                seg.rawBytes),
-                            static_cast<unsigned long long>(
-                                seg.compBytes),
-                            seg.hasCheckpoint
-                                ? ", checkpoint at end"
-                                : " (tail)");
-            }
-            printCheckpointImages(reader.segments());
-            return 0;
-        }
-        const Recording rec = loadRecordingFile(path);
-        std::printf("%s: recording, %s (%s), %u procs, "
+        const ArchiveReader reader = ArchiveReader::fromFile(path, archive_io);
+        std::printf("%s: archive, %s, %u procs, %zu segment(s), "
                     "%zu checkpoint(s)\n",
-                    path.c_str(), rec.appName.c_str(),
-                    modeConfigName(rec.mode),
-                    rec.machine.numProcs, rec.checkpoints.size());
-        // Each checkpoint as the record a container would store for
-        // the segment that ends at it.
-        std::vector<ArchiveSegmentInfo> records;
-        for (std::size_t i = 0; i < rec.checkpoints.size(); ++i) {
-            const SystemCheckpoint *prev =
-                i ? &rec.checkpoints[i - 1] : nullptr;
-            const SystemCheckpoint &ckpt = rec.checkpoints[i];
-            ArchiveSegmentInfo info;
-            info.startGcc = prev ? prev->gcc : 0;
-            info.endGcc = ckpt.gcc;
-            info.hasCheckpoint = true;
-            info.keyframe = serialize_detail::storedAsKeyframe(prev, ckpt);
-            info.imageBytes =
-                info.keyframe
-                    ? serialize_detail::encodeKeyframe(ckpt).size()
-                    : serialize_detail::encodeDelta(*prev, ckpt).size();
-            records.push_back(info);
+                    path.c_str(), reader.appName().c_str(),
+                    reader.machine().numProcs, reader.segments().size(),
+                    reader.checkpointCount());
+        for (std::size_t i = 0; i < reader.segments().size(); ++i) {
+            const ArchiveSegmentInfo &seg = reader.segments()[i];
+            std::printf("  segment %zu: gcc <= %llu, %llu -> %llu bytes%s\n",
+                        i, static_cast<unsigned long long>(seg.endGcc),
+                        static_cast<unsigned long long>(seg.rawBytes),
+                        static_cast<unsigned long long>(seg.compBytes),
+                        seg.hasCheckpoint ? ", checkpoint at end" : " (tail)");
         }
-        printCheckpointImages(records);
+        printCheckpointImages(reader.segments());
         return 0;
     } catch (const RecordingFormatError &e) {
         std::printf("%s: rejected at load\n  %s\n", path.c_str(),
@@ -323,10 +277,9 @@ doListCheckpoints(const std::string &path)
 }
 
 /**
- * Interval check (--from/--to). For an archive, only the covering
- * segments are decoded (ArchiveReader::readInterval); for a plain
- * recording the interval options select the checkpoint slice of the
- * already-loaded log. Classification compares against the expected
+ * Interval check (--from/--to). Only the segments covering the
+ * interval are decoded (ArchiveReader::readInterval). Classification
+ * compares against the expected
  * interval fingerprint, so exit status 0 means the interval replay
  * reproduced the recorded execution over exactly I(from, to).
  */
@@ -340,45 +293,22 @@ doCheckInterval(const std::string &path, std::uint64_t from_gcc,
     // with a structured report (the detector needs the full history).
     opts.detectRaces = detect_races;
     try {
-        if (ArchiveReader::fileLooksLikeArchive(path)) {
-            const ArchiveReader reader = ArchiveReader::fromFile(path, archive_io);
-            const std::vector<std::uint64_t> gccs =
-                reader.checkpointGccs();
-            const auto from =
-                checkpointIndexFor(gccs, from_gcc, "--from");
-            if (!from)
+        const ArchiveReader reader = ArchiveReader::fromFile(path, archive_io);
+        const std::vector<std::uint64_t> gccs = reader.checkpointGccs();
+        const auto from = checkpointIndexFor(gccs, from_gcc, "--from");
+        if (!from)
+            return 2;
+        std::optional<std::size_t> to;
+        if (to_gcc) {
+            to = checkpointIndexFor(gccs, *to_gcc, "--to");
+            if (!to)
                 return 2;
-            std::optional<std::size_t> to;
-            if (to_gcc) {
-                to = checkpointIndexFor(gccs, *to_gcc, "--to");
-                if (!to)
-                    return 2;
-            }
-            rec = reader.readInterval(*from, to ? *to
-                                                : ArchiveReader::kToEnd);
-            // readInterval puts the start checkpoint at index 0 and
-            // the stop (when bounded) at index 1.
-            opts.startCheckpoint = 0;
-            opts.stopCheckpoint =
-                to ? 1 : ReplayCheckOptions::kFullRun;
-        } else {
-            rec = loadRecordingFile(path);
-            std::vector<std::uint64_t> gccs;
-            for (const SystemCheckpoint &c : rec.checkpoints)
-                gccs.push_back(c.gcc);
-            const auto from =
-                checkpointIndexFor(gccs, from_gcc, "--from");
-            if (!from)
-                return 2;
-            opts.startCheckpoint = *from;
-            if (to_gcc) {
-                const auto to =
-                    checkpointIndexFor(gccs, *to_gcc, "--to");
-                if (!to)
-                    return 2;
-                opts.stopCheckpoint = *to;
-            }
         }
+        rec = reader.readInterval(*from, to ? *to : ArchiveReader::kToEnd);
+        // readInterval puts the start checkpoint at index 0 and the
+        // stop (when bounded) at index 1.
+        opts.startCheckpoint = 0;
+        opts.stopCheckpoint = to ? 1 : ReplayCheckOptions::kFullRun;
     } catch (const RecordingFormatError &e) {
         std::printf("%s: rejected at load\n  %s\n", path.c_str(),
                     e.what());
@@ -508,24 +438,17 @@ doCheckRing(const std::string &path,
 int
 doCheckFile(const std::string &path, unsigned jobs)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "replay_check: cannot read %s\n",
-                     path.c_str());
-        return 2;
-    }
-
     Recording rec;
-    const bool is_archive = ArchiveReader::fileLooksLikeArchive(path);
     try {
-        if (is_archive)
-            rec = ArchiveReader::fromFile(path, archive_io).readAll();
-        else
-            rec = loadRecording(in);
+        rec = ArchiveReader::fromFile(path, archive_io).readAll();
     } catch (const RecordingFormatError &e) {
         std::printf("%s: rejected at load\n  %s\n", path.c_str(),
                     e.what());
         return 1;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "replay_check: cannot read %s: %s\n",
+                     path.c_str(), e.what());
+        return 2;
     }
 
     ReplayCheckOptions copts;
@@ -578,9 +501,8 @@ doCheckFile(const std::string &path, unsigned jobs)
     }
 
     std::printf("%s: replay deterministic, serial == parallel "
-                "(%s%s, %s, %u procs, %zu commits)\n",
-                path.c_str(), is_archive ? "archive, " : "",
-                rec.appName.c_str(), modeConfigName(rec.mode),
+                "(archive, %s, %s, %u procs, %zu commits)\n",
+                path.c_str(), rec.appName.c_str(), modeConfigName(rec.mode),
                 rec.machine.numProcs,
                 rec.fingerprint.commits.size());
     return 0;
@@ -704,12 +626,11 @@ main(int argc, char **argv)
                 continue;
             if (i + 1 >= args.size())
                 return usage();
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(args[i + 1].c_str(), &end, 10);
-            if (end == args[i + 1].c_str() || *end != '\0')
+            const std::optional<std::uint64_t> v = parseCount(
+                args[i + 1], std::numeric_limits<std::uint64_t>::max());
+            if (!v)
                 return usage();
-            (std::strcmp(flag, "--from") == 0 ? from_gcc : to_gcc) = v;
+            (std::strcmp(flag, "--from") == 0 ? from_gcc : to_gcc) = *v;
             args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                        args.begin() + static_cast<std::ptrdiff_t>(i)
                            + 2);
@@ -726,12 +647,10 @@ main(int argc, char **argv)
             continue;
         if (i + 1 >= args.size())
             return usage();
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(args[i + 1].c_str(), &end, 10);
-        if (end == args[i + 1].c_str() || *end != '\0')
+        at_cycle = parseCount(args[i + 1],
+                              std::numeric_limits<std::uint64_t>::max());
+        if (!at_cycle)
             return usage();
-        at_cycle = v;
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                    args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
         break;

@@ -127,7 +127,7 @@ smokeMode(const char *name, const ModeConfig &mode,
     // so the salvaged view carries zeroed finals; patch those from
     // the `.dla` view, everything else must match exactly.
     std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out);
+    saveRecording(rec, out);
     const std::string blob = std::move(out).str();
     const ArchiveReader batch = ArchiveReader::fromBytes(
         std::vector<std::uint8_t>(blob.begin(), blob.end()));

@@ -4,7 +4,7 @@
  * `store_smoke` (tier-1). In a few seconds, for every recording mode
  * it runs the full durable-storage loop:
  *
- *   record (with periodic checkpoints) -> archive -> sniff + parse ->
+ *   record (with periodic checkpoints) -> save (.dla) -> parse ->
  *   seek (footer index sanity) -> readAll byte-identity ->
  *   interval replay from every checkpoint -> fingerprint check,
  *
@@ -74,11 +74,9 @@ smokeMode(const char *name, const ModeConfig &mode)
         return fail(name, "record took no checkpoints");
 
     std::ostringstream out(std::ios::binary);
-    writeArchive(rec, out);
+    saveRecording(rec, out);
     const std::string blob = std::move(out).str();
     std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
-    if (!ArchiveReader::looksLikeArchive(bytes.data(), bytes.size()))
-        return fail(name, "archive magic sniff failed");
 
     const ArchiveReader reader = ArchiveReader::fromBytes(bytes);
 
