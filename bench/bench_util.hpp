@@ -23,6 +23,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,18 +40,19 @@ constexpr std::uint64_t kSeed = 20080621; // ISCA 2008
 
 /**
  * Scale (percent) for bench runs; override with DELOREAN_SCALE.
- * An unparsable or zero value (e.g. a typo like DELOREAN_SCALE=x,
- * which strtoul turns into 0) falls back to the harness default
- * instead of silently degenerating every run to zero iterations.
+ * A value that is not plain digits, is zero, or does not fit an
+ * unsigned (DELOREAN_SCALE=x, or 4294967301, which would wrap to 5)
+ * warns and falls back to the harness default instead of silently
+ * running some other scale.
  */
 inline unsigned
 benchScale(unsigned default_percent)
 {
     if (const char *env = std::getenv("DELOREAN_SCALE")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
+        const std::optional<std::uint64_t> v = delorean::parseCount(
+            env, std::numeric_limits<unsigned>::max());
+        if (v && *v > 0)
+            return static_cast<unsigned>(*v);
         std::fprintf(stderr,
                      "bench: ignoring invalid DELOREAN_SCALE=\"%s\" "
                      "(using %u%%)\n",

@@ -198,7 +198,7 @@ saveRecordingFile(const Recording &rec, const std::string &path,
     std::ofstream out(path, std::ios::binary);
     if (!out)
         throw std::runtime_error("cannot open " + path + " for write");
-    saveRecording(rec, out, io);
+    StreamingArchiveWriter(out, io, path).close(rec);
     // Close before checking: the last buffer is flushed only here.
     out.close();
     if (!out)

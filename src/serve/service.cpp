@@ -353,7 +353,7 @@ ServeService::run(const std::vector<ServeJob> &jobs)
                         throw std::runtime_error("cannot open " + tmp
                                                  + " for write");
                     writer = std::make_unique<StreamingArchiveWriter>(
-                        out, opts_.archiveIo);
+                        out, opts_.archiveIo, tmp);
                 }
 
                 std::function<void(const Recording &)> hook;

@@ -1,5 +1,6 @@
 #include "sim/parallel_replay.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -240,8 +241,24 @@ executeBody(const ThreadProgram &prog, const IoLog &io,
         }
 
         prog.observe(ctx, in, value);
-        ++i;
-        if (++unflushed == kBudgetFlush) {
+        // A spin load repeats until the body ends: the body runs in
+        // isolation, so the word it spins on cannot change under it.
+        // Retire the repeats at once, capped so the budget is still
+        // charged at every kBudgetFlush instructions.
+        InstrCount steps = 1;
+        if (in.op == Op::kLoad) {
+            steps += prog.repeatSpin(
+                ctx, in, value,
+                std::min<InstrCount>(b.target - i - 1,
+                                     kBudgetFlush - unflushed - 1));
+            if (tracing && steps > 1) {
+                const MemAccess a = b.trace.back();
+                b.trace.insert(b.trace.end(), steps - 1, a);
+            }
+        }
+        i += steps;
+        unflushed += steps;
+        if (unflushed == kBudgetFlush) {
             chargeBudget(executed, unflushed, budget);
             unflushed = 0;
         }

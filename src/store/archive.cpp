@@ -771,12 +771,14 @@ CheckpointOutOfRangeError::CheckpointOutOfRangeError(
 struct StreamingArchiveWriter::Impl
 {
     std::ostream *out;
+    std::string name; ///< named by write errors
     std::uint64_t offset = 0;
     std::vector<RecordIndex::Entry> records; ///< (offset, bytes), in order
     SegmentPipeline<Impl> pipeline;          ///< last: see its doc
 
-    Impl(std::ostream &o, const ArchiveIoOptions &io)
-        : out(&o), pipeline(*this, "StreamingArchiveWriter", io)
+    Impl(std::ostream &o, const ArchiveIoOptions &io, std::string n)
+        : out(&o), name(std::move(n)),
+          pipeline(*this, "StreamingArchiveWriter", io)
     {
     }
 
@@ -797,7 +799,7 @@ struct StreamingArchiveWriter::Impl
             offset += bytes;
         }
         if (!*out)
-            throw std::runtime_error("failed to write archive");
+            throw std::runtime_error("failed to write " + name);
     }
 
     /**
@@ -824,14 +826,14 @@ struct StreamingArchiveWriter::Impl
                         bytes.size()));
         serialize_detail::putU64(*out, kArchiveEndMagic);
         if (!*out)
-            throw std::runtime_error("failed to write archive");
+            throw std::runtime_error("failed to write " + name);
         out->flush();
     }
 };
 
 StreamingArchiveWriter::StreamingArchiveWriter(
-    std::ostream &out, const ArchiveIoOptions &io)
-    : impl_(std::make_unique<Impl>(out, io))
+    std::ostream &out, const ArchiveIoOptions &io, std::string name)
+    : impl_(std::make_unique<Impl>(out, io, std::move(name)))
 {
 }
 

@@ -206,13 +206,16 @@ struct ArchiveSegmentInfo
  * The bytes are identical at any ioThreads. Checkpoints must arrive
  * in ascending GCC order (the recorder emits them that way);
  * violations throw RecordingFormatError. A flusher failure is
- * rethrown from the next onCheckpoint()/close() call.
+ * rethrown from the next onCheckpoint()/close() call. A failed write
+ * throws std::runtime_error("failed to write <name>"), @p name being
+ * the stream's file path when it has one.
  */
 class StreamingArchiveWriter
 {
   public:
     explicit StreamingArchiveWriter(std::ostream &out,
-                                    const ArchiveIoOptions &io = {});
+                                    const ArchiveIoOptions &io = {},
+                                    std::string name = "archive");
     ~StreamingArchiveWriter();
 
     StreamingArchiveWriter(const StreamingArchiveWriter &) = delete;

@@ -460,6 +460,33 @@ ThreadProgram::observe(ThreadContext &ctx, const Instr &instr,
     }
 }
 
+InstrCount
+ThreadProgram::repeatSpin(ThreadContext &ctx, const Instr &instr,
+                          std::uint64_t load_value, InstrCount max) const
+{
+    if (instr.op != Op::kLoad || ctx.handlerRemaining > 0
+        || ctx.trapRemaining > 0 || ctx.hasPendingAccess
+        || ctx.raceRemaining > 0)
+        return 0;
+    // generate() emits these two loads without touching ctx.rng, and
+    // observe() leaves the state where it was for these values.
+    const bool spinning =
+        (ctx.state == ThreadState::kBarSpin
+         && instr.addr == AddressLayout::barrierGen()
+         && load_value == ctx.barrierGenSeen)
+        || (ctx.state == ThreadState::kLockTest
+            && instr.addr == AddressLayout::lockWord(ctx.lockId)
+            && load_value != 0);
+    if (!spinning)
+        return 0;
+    std::uint64_t acc = ctx.acc;
+    for (InstrCount k = 0; k < max; ++k)
+        acc = mix64(acc ^ load_value);
+    ctx.acc = acc;
+    ctx.retired += max;
+    return max;
+}
+
 void
 ThreadProgram::deliverInterrupt(ThreadContext &ctx, std::uint8_t type,
                                 std::uint64_t data) const

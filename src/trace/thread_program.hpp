@@ -7,12 +7,21 @@
  *   Instr in = program.generate(ctx);       // may step ctx.rng
  *   value = <executor performs the access>;
  *   program.observe(ctx, in, value);        // control flow reacts
+ *   k = program.repeatSpin(ctx, in, value, max);  // optional, loads
  *
- * Both calls are deterministic functions of ctx (and, for observe, the
- * loaded value), so replaying the same interleaving reproduces the
- * same dynamic instruction stream — and a different interleaving
- * genuinely produces a different one (spin counts, lock hand-offs and
- * barrier release orders all depend on observed values).
+ * All calls are deterministic functions of ctx (and, for observe and
+ * repeatSpin, the loaded value), so replaying the same interleaving
+ * reproduces the same dynamic instruction stream — and a different
+ * interleaving genuinely produces a different one (spin counts, lock
+ * hand-offs and barrier release orders all depend on observed values).
+ *
+ * repeatSpin is for an executor that runs a chunk in isolation: when
+ * the load just observed left the thread spinning on a barrier or a
+ * lock, its next k instructions are that same load, and in isolation
+ * the word cannot change under it, so repeatSpin retires k of them at
+ * once (each one's effect on ctx applied) and the executor counts k
+ * more copies of the load. An executor that lets other processors'
+ * stores land between two instructions must not call it.
  */
 
 #ifndef DELOREAN_TRACE_THREAD_PROGRAM_HPP_
@@ -54,6 +63,20 @@ class ThreadProgram
      */
     void observe(ThreadContext &ctx, const Instr &instr,
                  std::uint64_t load_value) const;
+
+    /**
+     * Called right after observe(ctx, @p instr, @p load_value). If
+     * that load left the thread spinning — a barrier spin that read
+     * the generation it already holds, or a lock test that read the
+     * lock taken — with no interrupt handler, trap, stashed access or
+     * race burst in progress, the next @p max instructions would each
+     * be @p instr reading @p load_value again (the word is unchanged
+     * while the chunk runs in isolation). Retires those @p max loads
+     * exactly as @p max generate()/observe() rounds would and returns
+     * @p max. Otherwise returns 0 and leaves @p ctx untouched.
+     */
+    InstrCount repeatSpin(ThreadContext &ctx, const Instr &instr,
+                          std::uint64_t load_value, InstrCount max) const;
 
     /**
      * Deliver an interrupt at a chunk boundary: the thread executes a

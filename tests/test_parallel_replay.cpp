@@ -324,6 +324,30 @@ TEST(ParallelReplay, ChunkParallelInstrBudgetFences)
     EXPECT_FALSE(out.ok);
     EXPECT_FALSE(out.replayRan);
     EXPECT_EQ(out.report.kind, DivergenceKind::kReplayError);
+
+    // Spin-heavy: most of ocean's instructions are barrier spins,
+    // retired in runs by the fast-forward, and every one of them is
+    // charged. A budget one below the recorded work cannot suffice.
+    const Recording ocean = recordOne(ModeConfig::orderOnly(), "ocean");
+    std::uint64_t recorded = 0;
+    for (const CommitRecord &c : ocean.fingerprint.commits)
+        recorded += c.size;
+    popts.maxInstrs = recorded - 1;
+    const ReplayCheckResult spin = checkedParallelReplay(ocean, popts);
+    EXPECT_FALSE(spin.ok);
+    EXPECT_FALSE(spin.replayRan);
+    EXPECT_EQ(spin.report.kind, DivergenceKind::kReplayError);
+
+    // ... and a budget of exactly the instructions a clean replay
+    // executes suffices: the charge counts each instruction once.
+    popts.maxInstrs = 0;
+    const ReplayCheckResult clean = checkedParallelReplay(ocean, popts);
+    ASSERT_TRUE(clean.ok) << clean.report.describe();
+    popts.maxInstrs = clean.outcome.stats.executedInstrs;
+    EXPECT_TRUE(checkedParallelReplay(ocean, popts).ok);
+    popts.maxInstrs = clean.outcome.stats.executedInstrs - 1;
+    EXPECT_EQ(checkedParallelReplay(ocean, popts).report.kind,
+              DivergenceKind::kReplayError);
 }
 
 TEST(ParallelReplay, DefaultInstrBudgetCoversRecordedWork)

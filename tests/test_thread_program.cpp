@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "memory/memory_state.hpp"
@@ -296,6 +299,167 @@ TEST(ThreadProgram, PrivateAccessesStayInOwnRegion)
         }
         prog.observe(ctx, in, perform(mem, in));
     }
+}
+
+/** A thread whose last load left it spinning, with that load. */
+struct SpinPoint
+{
+    ThreadContext ctx;
+    Instr in;
+    std::uint64_t value = 0;
+};
+
+using SpinTest =
+    std::function<bool(const ThreadContext &, const Instr &, std::uint64_t)>;
+
+/**
+ * Round-robin run of @p w until a thread's load leaves its context in
+ * a state @p accept takes; that context, copied byte for byte. A
+ * thread whose context @p park takes is not scheduled again.
+ */
+std::optional<SpinPoint>
+runUntil(const Workload &w, const SpinTest &accept,
+         const std::function<bool(const ThreadContext &)> &park = {})
+{
+    MemoryState mem;
+    w.initializeMemory(mem);
+    const ThreadProgram &prog = w.program();
+    std::vector<ThreadContext> ctxs(w.numProcs());
+    for (ProcId p = 0; p < w.numProcs(); ++p)
+        prog.initContext(ctxs[p], p);
+    std::vector<bool> parked(w.numProcs(), false);
+    bool progress = true;
+    while (progress) {
+        progress = false;
+        for (ProcId p = 0; p < w.numProcs(); ++p) {
+            if (prog.done(ctxs[p]) || parked[p])
+                continue;
+            progress = true;
+            const Instr in = prog.generate(ctxs[p]);
+            const std::uint64_t value = perform(mem, in);
+            prog.observe(ctxs[p], in, value);
+            parked[p] = park && park(ctxs[p]);
+            if (in.op == Op::kLoad && accept(ctxs[p], in, value)) {
+                SpinPoint sp;
+                std::memcpy(&sp.ctx, &ctxs[p], sizeof sp.ctx);
+                sp.in = in;
+                sp.value = value;
+                return sp;
+            }
+        }
+    }
+    return std::nullopt;
+}
+
+/** A byte-for-byte copy of @p ctx, padding included. */
+ThreadContext
+byteCopy(const ThreadContext &ctx)
+{
+    ThreadContext out;
+    std::memcpy(&out, &ctx, sizeof out);
+    return out;
+}
+
+bool
+sameBytes(const ThreadContext &a, const ThreadContext &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** repeatSpin declines @p sp's load read as @p value; ctx untouched. */
+void
+expectDeclined(const ThreadProgram &prog, const SpinPoint &sp,
+               std::uint64_t value, const char *why)
+{
+    ThreadContext ctx = byteCopy(sp.ctx);
+    EXPECT_EQ(prog.repeatSpin(ctx, sp.in, value, 4096), 0u) << why;
+    EXPECT_TRUE(sameBytes(ctx, sp.ctx)) << why;
+}
+
+TEST(ThreadProgram, RepeatSpinMatchesStepping)
+{
+    const SpinTest barrier_spin = [](const ThreadContext &ctx,
+                                     const Instr &in, std::uint64_t value) {
+        return ctx.state == ThreadState::kBarSpin
+               && in.addr == AddressLayout::barrierGen()
+               && value == ctx.barrierGenSeen;
+    };
+    const SpinTest lock_spin = [](const ThreadContext &ctx, const Instr &in,
+                                  std::uint64_t value) {
+        return ctx.state == ThreadState::kLockTest
+               && in.addr == AddressLayout::lockWord(ctx.lockId)
+               && value != 0;
+    };
+    struct Case
+    {
+        const char *app;
+        bool lock;
+    };
+    // ocean spins on barriers, raytrace (lockPerMille 260) on locks,
+    // and fft~r4 on barriers between its seeded-race bursts. A raytrace
+    // thread that takes a lock is parked holding it, so the others
+    // soon test a taken lock.
+    for (const Case &c : {Case{"ocean", false}, Case{"raytrace", true},
+                          Case{"fft~r4", false}}) {
+        SCOPED_TRACE(c.app);
+        const Workload w(c.app, 4, 5, WorkloadScale::tiny());
+        const ThreadProgram &prog = w.program();
+        const std::optional<SpinPoint> sp =
+            c.lock ? runUntil(w, lock_spin,
+                              [](const ThreadContext &ctx) {
+                                  return ctx.state == ThreadState::kCritical;
+                              })
+                   : runUntil(w, barrier_spin);
+        ASSERT_TRUE(sp.has_value());
+
+        for (const InstrCount k : {InstrCount{1}, InstrCount{7},
+                                   InstrCount{4096}}) {
+            ThreadContext fast = byteCopy(sp->ctx);
+            EXPECT_EQ(prog.repeatSpin(fast, sp->in, sp->value, k), k);
+            ThreadContext stepped = byteCopy(sp->ctx);
+            for (InstrCount i = 0; i < k; ++i) {
+                const Instr in = prog.generate(stepped);
+                ASSERT_EQ(in.op, sp->in.op);
+                ASSERT_EQ(in.addr, sp->in.addr);
+                prog.observe(stepped, in, sp->value);
+            }
+            EXPECT_TRUE(sameBytes(fast, stepped)) << "k " << k;
+        }
+
+        if (c.lock) {
+            expectDeclined(prog, *sp, 0, "lock reads free");
+        } else {
+            expectDeclined(prog, *sp, sp->ctx.barrierGenSeen + 1,
+                           "barrier generation moved");
+        }
+        const auto declinedWith =
+            [&](const std::function<void(ThreadContext &)> &edit,
+                const char *why) {
+                SpinPoint live = *sp;
+                live.ctx = byteCopy(sp->ctx);
+                edit(live.ctx);
+                expectDeclined(prog, live, sp->value, why);
+            };
+        declinedWith([](ThreadContext &x) { x.handlerRemaining = 1; },
+                     "handler live");
+        declinedWith([](ThreadContext &x) { x.trapRemaining = 1; },
+                     "trap live");
+        declinedWith([](ThreadContext &x) { x.hasPendingAccess = true; },
+                     "pending access live");
+        declinedWith([](ThreadContext &x) { x.raceRemaining = 1; },
+                     "race burst live");
+        declinedWith([](ThreadContext &x) { x.state = ThreadState::kWork; },
+                     "not a spin state");
+    }
+
+    // A load in the work loop is not a spin.
+    const Workload w("fft~r4", 4, 5, WorkloadScale::tiny());
+    const std::optional<SpinPoint> work = runUntil(
+        w, [](const ThreadContext &ctx, const Instr &, std::uint64_t) {
+            return ctx.state == ThreadState::kWork;
+        });
+    ASSERT_TRUE(work.has_value());
+    expectDeclined(w.program(), *work, work->value, "work load");
 }
 
 TEST(AppTable, HasThirteenApplications)

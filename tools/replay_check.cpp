@@ -89,10 +89,10 @@ unsigned
 envUnsigned(const char *name, unsigned fallback)
 {
     if (const char *env = std::getenv(name)) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
+        const std::optional<std::uint64_t> v =
+            parseCount(env, std::numeric_limits<unsigned>::max());
+        if (v && *v > 0)
+            return static_cast<unsigned>(*v);
     }
     return fallback;
 }
