@@ -33,10 +33,9 @@ namespace
  * entry holds the committed value the body's first load saw (when
  * its first access was a load; own-store forwards cannot go stale, so
  * nothing else is validated) and the word's last stored value (when
- * the body wrote it). A repeated access is served by one probe (a
- * compare when it repeats the previous access's word, as spin loops
- * do), and retire validates and writes each word once. Cleared in
- * O(1) per body; the capacity is kept across a processor's bodies.
+ * the body wrote it). A repeated access is served by one probe, and
+ * retire validates and writes each word once. Cleared in O(1) per
+ * body; the capacity is kept across a processor's bodies.
  */
 class Footprint
 {
@@ -110,20 +109,16 @@ class Footprint
     Entry &
     entryFor(Addr word)
     {
-        if (last_ < entries_.size() && entries_[last_].word == word)
-            return entries_[last_];
         std::uint64_t &slot = index_[word];
         if (!slot) {
             entries_.push_back(Entry{word});
             slot = entries_.size();
         }
-        last_ = slot - 1;
-        return entries_[last_];
+        return entries_[slot - 1];
     }
 
     WordMap index_; ///< word -> 1 + its index in entries_
     std::vector<Entry> entries_;
-    std::size_t last_ = 0; ///< entry of the previous access
 };
 
 /** One speculatively executed chunk body. */
