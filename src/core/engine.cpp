@@ -495,6 +495,26 @@ ChunkEngine::accessCost(ProcId p, Op op, Addr line, EngineChunk &chunk)
 }
 
 void
+ChunkEngine::repeatSpinAccesses(ProcId p, InstrCount k, double &cost)
+{
+    // Each repeat re-reads the line the spin load just brought into
+    // the L1: an L1 hit on the last way, no fill, nothing new for the
+    // L2, the directory, the signatures or the line sets. It still
+    // draws the perturbation RNG and adds its cost to @p cost, one
+    // add at a time: k * cost, or a separate sum, would round
+    // differently.
+    caches_.l1(p).repeatLast(k);
+    for (InstrCount r = 0; r < k; ++r) {
+        HitLevel level = HitLevel::kL1;
+        if (opts_.perturb.enabled
+            && perturb_rng_.chancePerMille(
+                   opts_.perturb.hitMissSwapPerMille))
+            level = HitLevel::kL2;
+        cost += timing_.memCost(Op::kLoad, level);
+    }
+}
+
+void
 ChunkEngine::buildChunk(ProcId p, Cycle now)
 {
     ProcState &ps = procs_[p];
@@ -651,11 +671,15 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
             cost += accessCost(p, in.op, line, c);
             if (returnsValue(in.op)) {
                 value = chunkLoad(p, c, word);
+                // The signature insert and the sharer bit are
+                // idempotent within a build, so they run once per
+                // line, when the line is new to the chunk.
                 if (line != last_read) {
                     last_read = line;
-                    c.sigs.read.insert(line);
-                    c.extra.linesRead.insert(line);
-                    dir_.addSharer(p, line);
+                    if (c.extra.linesRead.insert(line)) {
+                        c.sigs.read.insert(line);
+                        dir_.addSharer(p, line);
+                    }
                 }
             }
             if (writesMemory(in.op)) {
@@ -718,6 +742,22 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
         prog.observe(ps.ctx, in, value);
         ++i;
         ++generated_instrs_;
+        if (in.op == Op::kLoad) {
+            // A spin load repeats until the chunk ends: the chunk runs
+            // in isolation, so the word it spins on cannot change
+            // under it. Retire the repeats at once, with every
+            // per-access effect of stepping them.
+            const InstrCount k =
+                prog.repeatSpin(ps.ctx, in, value, target - i);
+            if (k != 0) {
+                repeatSpinAccesses(p, k, cost);
+                if (tracing)
+                    c.extra.trace.insert(c.extra.trace.end(), k,
+                                         c.extra.trace.back());
+                i += k;
+                generated_instrs_ += k;
+            }
+        }
         if (truncatesChunk(in.op)) {
             reason = ChunkEnd::kHardInstr;
             break;

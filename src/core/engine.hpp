@@ -288,6 +288,8 @@ class ChunkEngine
     std::uint64_t chunkLoad(ProcId p, const EngineChunk &chunk,
                             Addr word) const;
     double accessCost(ProcId p, Op op, Addr line, EngineChunk &chunk);
+    /** Per-access effects of @p k repeats of proc @p p's last load. */
+    void repeatSpinAccesses(ProcId p, InstrCount k, double &cost);
 
     /** Does a committing write set conflict with @p running? */
     bool conflictsWith(const EngineChunk &running,

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/errors.hpp"
+#include "memory/cache.hpp"
 #include "trace/app_profile.hpp"
 
 namespace delorean
@@ -36,8 +37,9 @@ require(bool cond, What &&what)
  * Field-range checks for the machine/mode headers. Run before the
  * loader allocates anything sized by these fields, so a corrupted
  * header cannot drive a huge allocation, a division by zero in the
- * cache geometry, or an out-of-range shift in the directory's 64-bit
- * sharer masks.
+ * cache geometry, a set-index mask that simulates a different cache
+ * from the one the header names, or an out-of-range shift in the
+ * directory's 64-bit sharer masks.
  */
 void
 validateConfigs(const MachineConfig &m, const ModeConfig &mode)
@@ -46,12 +48,10 @@ validateConfigs(const MachineConfig &m, const ModeConfig &mode)
         return "numProcs " + std::to_string(m.numProcs)
                + " outside [1, 64]";
     });
-    require(m.mem.l1Ways >= 1 && m.mem.l2Ways >= 1,
-            "cache associativity must be at least 1");
-    require(m.mem.l1SizeBytes / kLineBytes / m.mem.l1Ways >= 1,
-            "L1 smaller than one set");
-    require(m.mem.l2SizeBytes / kLineBytes / m.mem.l2Ways >= 1,
-            "L2 smaller than one set");
+    const char *l1 = cacheGeometryError(m.mem.l1SizeBytes, m.mem.l1Ways);
+    require(!l1, [&] { return std::string("L1 ") + l1; });
+    const char *l2 = cacheGeometryError(m.mem.l2SizeBytes, m.mem.l2Ways);
+    require(!l2, [&] { return std::string("L2 ") + l2; });
     require(m.bulk.maxConcurrentCommits >= 1
                 && m.bulk.maxConcurrentCommits <= 1024,
             "maxConcurrentCommits outside [1, 1024]");

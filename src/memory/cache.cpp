@@ -1,9 +1,28 @@
 #include "memory/cache.hpp"
 
+#include <bit>
 #include <cassert>
+#include <string>
+
+#include "common/errors.hpp"
 
 namespace delorean
 {
+
+const char *
+cacheGeometryError(unsigned size_bytes, unsigned ways)
+{
+    if (ways < 1)
+        return "associativity must be at least 1";
+    const unsigned sets = size_bytes / kLineBytes / ways;
+    if (sets < 1)
+        return "smaller than one set";
+    if (size_bytes % (static_cast<std::uint64_t>(kLineBytes) * ways) != 0)
+        return "size is not a whole number of sets";
+    if (!std::has_single_bit(sets))
+        return "set count is not a power of two";
+    return nullptr;
+}
 
 namespace
 {
@@ -11,11 +30,11 @@ namespace
 unsigned
 setsFor(unsigned size_bytes, unsigned ways)
 {
-    const unsigned lines = size_bytes / kLineBytes;
-    assert(lines % ways == 0);
-    const unsigned sets = lines / ways;
-    assert((sets & (sets - 1)) == 0 && "set count must be a power of two");
-    return sets;
+    if (const char *why = cacheGeometryError(size_bytes, ways))
+        throw ConfigError("cache of " + std::to_string(size_bytes)
+                          + " bytes at " + std::to_string(ways)
+                          + " ways: " + why);
+    return size_bytes / kLineBytes / ways;
 }
 
 } // namespace

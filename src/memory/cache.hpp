@@ -30,6 +30,15 @@ enum class HitLevel : std::uint8_t
     kMemory,
 };
 
+/**
+ * Why @p size_bytes at @p ways ways is not a geometry the cache model
+ * can simulate, or nullptr if it is. It needs at least one way, a
+ * whole number of sets, at least one set, and a power-of-two set
+ * count (the set index is a mask of the line address). Cache's
+ * constructor and the recording loaders both check this.
+ */
+const char *cacheGeometryError(unsigned size_bytes, unsigned ways);
+
 /** One set-associative tag array with LRU replacement. */
 class Cache
 {
@@ -37,6 +46,7 @@ class Cache
     /**
      * @param size_bytes total capacity
      * @param ways associativity
+     * @throws ConfigError unless cacheGeometryError() accepts them
      */
     Cache(unsigned size_bytes, unsigned ways);
 
@@ -53,7 +63,7 @@ class Cache
     {
         ++use_clock_;
         Way &mru = ways_storage_[mru_];
-        if (mru.valid && mru.line == line) {
+        if (mru.lastUse != 0 && mru.line == line) {
             mru.lastUse = use_clock_;
             ++hits_;
             return true;
@@ -61,26 +71,38 @@ class Cache
         const std::size_t base =
             static_cast<std::size_t>(indexOf(line)) * ways_;
         Way *set = &ways_storage_[base];
+        // The victim is the last invalid way in scan order, else the
+        // least recently used: an invalid way's lastUse of 0 is below
+        // every valid one.
         Way *victim = &set[0];
         for (unsigned w = 0; w < ways_; ++w) {
-            if (set[w].valid && set[w].line == line) {
+            if (set[w].lastUse != 0 && set[w].line == line) {
                 set[w].lastUse = use_clock_;
                 ++hits_;
                 mru_ = base + w;
                 return true;
             }
-            if (!set[w].valid) {
+            if (set[w].lastUse == 0 || set[w].lastUse < victim->lastUse)
                 victim = &set[w];
-            } else if (victim->valid && set[w].lastUse < victim->lastUse) {
-                victim = &set[w];
-            }
         }
         ++misses_;
-        victim->valid = true;
         victim->line = line;
         victim->lastUse = use_clock_;
         mru_ = static_cast<std::size_t>(victim - ways_storage_.data());
         return false;
+    }
+
+    /**
+     * Record @p k more accesses to the line the last access() touched:
+     * the k hits those calls would take on the last way, in one step.
+     * The caller guarantees nothing touched the cache in between.
+     */
+    void
+    repeatLast(std::uint64_t k)
+    {
+        use_clock_ += k;
+        ways_storage_[mru_].lastUse = use_clock_;
+        hits_ += k;
     }
 
     /** Look up without filling or touching LRU state. */
@@ -90,7 +112,7 @@ class Cache
         const Way *set =
             &ways_storage_[static_cast<std::size_t>(indexOf(line)) * ways_];
         for (unsigned w = 0; w < ways_; ++w)
-            if (set[w].valid && set[w].line == line)
+            if (set[w].lastUse != 0 && set[w].line == line)
                 return true;
         return false;
     }
@@ -102,8 +124,8 @@ class Cache
         Way *set =
             &ways_storage_[static_cast<std::size_t>(indexOf(line)) * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
-            if (set[w].valid && set[w].line == line) {
-                set[w].valid = false;
+            if (set[w].lastUse != 0 && set[w].line == line) {
+                set[w].lastUse = 0;
                 return true;
             }
         }
@@ -118,17 +140,22 @@ class Cache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
+    /** LRU clock: one tick per access, reset() sets it back to 0. */
+    std::uint64_t useClock() const { return use_clock_; }
 
     /** Drop all contents and statistics. */
     void reset();
 
   private:
+    /// 16 bytes: a way is valid iff lastUse != 0. The clock is
+    /// incremented before every stamp, so a stamped way is never 0;
+    /// invalidate() and reset() write 0.
     struct Way
     {
         Addr line = 0;
-        bool valid = false;
         std::uint64_t lastUse = 0;
     };
+    static_assert(sizeof(Way) == 16);
 
     unsigned indexOf(Addr line) const { return line & (num_sets_ - 1); }
 

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/errors.hpp"
 #include "common/rng.hpp"
 #include "memory/cache.hpp"
 
@@ -179,10 +181,13 @@ TEST(Cache, MruWayMatchesReferenceLru)
     // Seeded random access/contains/invalidate/reset sequences, half
     // the accesses repeating the previous line so the last-way check
     // serves them: every result, every eviction and the hit/miss
-    // counters match a naive per-set LRU. Halfway through, the run
-    // continues on a copy while the original is reset and reused, so
-    // a last-way kept as a pointer into the original's storage would
-    // answer from the wrong cache.
+    // counters match a naive per-set LRU. Some accesses are followed
+    // by repeatLast(k), k in {1, 7, 4096}, which must equal k more
+    // accesses of that line: the reference steps them, and the clock
+    // must count every one. Halfway through, the run continues on a
+    // copy while the original is reset and reused, so a last-way kept
+    // as a pointer into the original's storage would answer from the
+    // wrong cache.
     struct Geometry
     {
         unsigned bytes, ways;
@@ -197,6 +202,7 @@ TEST(Cache, MruWayMatchesReferenceLru)
             constexpr unsigned kSteps = 4000;
             std::optional<Cache> copy;
             Addr last = 0;
+            std::uint64_t clock = 0; // accesses since the last reset
             for (unsigned step = 0; step < kSteps; ++step) {
                 if (step == kSteps / 2) {
                     copy.emplace(original);
@@ -212,6 +218,16 @@ TEST(Cache, MruWayMatchesReferenceLru)
                     const bool want = ref.access(line, evicted);
                     ASSERT_EQ(c.access(line), want)
                         << "seed " << seed << " step " << step;
+                    ++clock;
+                    if (op < 10) {
+                        const std::uint64_t k =
+                            std::array<std::uint64_t, 3>{1, 7, 4096}[op % 3];
+                        c.repeatLast(k);
+                        std::optional<Addr> none;
+                        for (std::uint64_t r = 0; r < k; ++r)
+                            ASSERT_TRUE(ref.access(line, none));
+                        clock += k;
+                    }
                     if (evicted) {
                         ASSERT_FALSE(c.contains(*evicted))
                             << "seed " << seed << " step " << step;
@@ -228,13 +244,53 @@ TEST(Cache, MruWayMatchesReferenceLru)
                 } else {
                     c.reset();
                     ref.reset();
+                    clock = 0;
                 }
                 last = line;
                 ASSERT_EQ(c.hits(), ref.hits());
                 ASSERT_EQ(c.misses(), ref.misses());
+                ASSERT_EQ(c.useClock(), clock);
             }
         }
     }
+}
+
+TEST(Cache, InvalidatedWayOfAFullSetIsRefilledFirst)
+{
+    // A way is invalid iff its LRU stamp is 0. Invalidating lines of a
+    // full set must free exactly their ways: refills take them, in any
+    // order, and evict none of the lines still resident.
+    Cache c(1024, 4); // 8 sets, 4 ways
+    const Addr sets = c.numSets();
+    const Addr a = 0, b = sets, d = 2 * sets, e = 3 * sets;
+    for (const Addr line : {a, b, d, e})
+        EXPECT_FALSE(c.access(line));
+    EXPECT_TRUE(c.invalidate(b));
+    EXPECT_FALSE(c.contains(b));
+    EXPECT_FALSE(c.invalidate(b));
+    EXPECT_TRUE(c.invalidate(d));
+    const Addr f = 4 * sets, g = 5 * sets;
+    EXPECT_FALSE(c.access(f));
+    EXPECT_FALSE(c.access(g));
+    for (const Addr line : {a, e, f, g})
+        EXPECT_TRUE(c.contains(line)) << line;
+    // Full again: the next miss evicts the least recently used, a.
+    EXPECT_FALSE(c.access(b));
+    EXPECT_FALSE(c.contains(a));
+    for (const Addr line : {e, f, g, b})
+        EXPECT_TRUE(c.contains(line)) << line;
+}
+
+TEST(Cache, GeometryIsValidated)
+{
+    EXPECT_EQ(cacheGeometryError(32 * 1024, 4), nullptr);
+    EXPECT_EQ(cacheGeometryError(8 * 1024 * 1024, 8), nullptr);
+    EXPECT_NE(cacheGeometryError(1024, 0), nullptr);
+    EXPECT_NE(cacheGeometryError(16, 1), nullptr);   // below one set
+    EXPECT_NE(cacheGeometryError(32 * 1024, 3), nullptr); // partial set
+    EXPECT_NE(cacheGeometryError(6 * 1024 * 1024, 8), nullptr); // 24576 sets
+    EXPECT_THROW(Cache(6 * 1024 * 1024, 8), ConfigError);
+    EXPECT_THROW(Cache(32 * 1024, 3), ConfigError);
 }
 
 TEST(CacheHierarchy, MissFillsBothLevels)

@@ -197,5 +197,21 @@ TEST(EngineRecord, TrafficIsAccounted)
     EXPECT_GT(rec.stats.traffic.dataBytes, 0u);
 }
 
+TEST(EngineRecord, RejectsCacheGeometryTheModelCannotSimulate)
+{
+    // 6 MiB at 8 ways is 24,576 sets, not a power of two; 32 KiB at 3
+    // ways is not a whole number of sets. Either would be simulated
+    // through a set-index mask as some other cache.
+    Workload w("fft", 4, 7, WorkloadScale::tiny());
+    MachineConfig l2 = machine();
+    l2.mem.l2SizeBytes = 6u << 20;
+    EXPECT_THROW(ChunkEngine(w, l2, ModeConfig::orderOnly(), {}),
+                 ConfigError);
+    MachineConfig l1 = machine();
+    l1.mem.l1Ways = 3;
+    EXPECT_THROW(Recorder(ModeConfig::orderOnly(), l1).record(w, 1),
+                 ConfigError);
+}
+
 } // namespace
 } // namespace delorean

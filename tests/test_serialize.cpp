@@ -433,6 +433,71 @@ TEST(Serialize, RejectsUnsupportedVersions)
     }
 }
 
+/**
+ * A header naming a cache the model cannot simulate (a set count that
+ * is not a power of two, or a size that is not a whole number of
+ * sets) is a typed rejection when a `.dla` footer or a ring.meta is
+ * loaded: the set-index mask would silently simulate another cache.
+ * The forged fields sit in the machine header, past numProcs: L1
+ * ways at byte 16, L2 bytes at byte 24.
+ */
+TEST(Serialize, RejectsCacheGeometryTheModelCannotSimulate)
+{
+    const Recording rec = recordFft();
+    const std::string good = serialized(rec);
+    const std::vector<std::uint8_t> bytes(good.begin(), good.end());
+    const std::size_t footer_off = test::footerOffset(bytes);
+    const std::vector<std::uint8_t> footer = test::rawFooter(bytes);
+    ASSERT_EQ(test::u64At(footer, 16), rec.machine.mem.l1Ways);
+    ASSERT_EQ(test::u64At(footer, 24), rec.machine.mem.l2SizeBytes);
+
+    const std::string ring = testing::TempDir() + "ring_bad_geometry";
+    std::filesystem::remove_all(ring);
+    writeRing(rec, ring, RingOptions{});
+    const std::vector<std::uint8_t> meta =
+        test::readFile(ring + "/ring.meta");
+    constexpr std::size_t kMetaBlob = 40; // ring.meta preamble bytes
+
+    struct Forgery
+    {
+        std::size_t field;
+        std::uint64_t value;
+        const char *why;
+    };
+    for (const Forgery &f :
+         {Forgery{24, 6u << 20, "L2 set count is not a power of two"},
+          Forgery{16, 3, "L1 size is not a whole number of sets"}}) {
+        std::vector<std::uint8_t> forged_footer = footer;
+        test::putU64At(forged_footer, f.field, f.value);
+        std::vector<std::uint8_t> dla = bytes;
+        test::rewriteFooter(dla, footer_off, forged_footer);
+        try {
+            ArchiveReader::fromBytes(dla);
+            ADD_FAILURE() << f.why << ": the .dla was accepted";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFooter);
+            EXPECT_NE(std::string(e.what()).find(f.why), std::string::npos)
+                << e.what();
+        }
+
+        std::vector<std::uint8_t> forged_meta = meta;
+        test::putU64At(forged_meta, kMetaBlob + f.field, f.value);
+        test::putU64At(forged_meta, 32,
+                       crc32(forged_meta.data() + kMetaBlob,
+                             forged_meta.size() - kMetaBlob));
+        test::writeFile(ring + "/ring.meta", forged_meta);
+        try {
+            RingArchiveReader::open(ring);
+            ADD_FAILURE() << f.why << ": the ring was accepted";
+        } catch (const ArchiveError &e) {
+            EXPECT_EQ(e.section(), ArchiveSection::kFileHeader);
+            EXPECT_NE(std::string(e.what()).find(f.why), std::string::npos)
+                << e.what();
+        }
+    }
+    std::filesystem::remove_all(ring);
+}
+
 TEST(Serialize, RejectsTruncated)
 {
     Workload w("lu", 2, 3, WorkloadScale::tiny());
