@@ -7,7 +7,7 @@
  *
  * Unlike the figure harnesses, this bench measures *host* throughput,
  * so its stdout carries only deterministic facts (counts, rates,
- * identity checks); every wall-clock number goes to stderr and to
+ * identity checks); every host time goes to stderr and to
  * BENCH_hotpath.json (path overridable with DELOREAN_HOTPATH_JSON).
  */
 
@@ -15,6 +15,7 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -81,18 +82,38 @@ chunkLines(Xoshiro256ss &rng, unsigned count)
     return lines;
 }
 
-/** Record @p workload once, timing the record. */
+/** Process CPU time in seconds (every thread of this process). */
+double
+cpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+/**
+ * Record @p workload @p runs times; @p best_cpu_seconds gets the
+ * fastest record's process CPU time. A single wall-clock record swings
+ * by about a third on a shared host; the best CPU time of several
+ * records does not count the time the host ran other work.
+ */
 Recording
-recordOnce(const Workload &workload, double *wall_seconds)
+recordBestOf(const Workload &workload, unsigned runs,
+             double *best_cpu_seconds)
 {
     // Signature disambiguation (not the exact-set default) so commit
     // sweeps go through the summary-filtered signature path.
     MachineConfig machine;
     machine.bulk.exactDisambiguation = false;
     Recorder recorder(ModeConfig::orderOnly(), machine);
-    const Clock::time_point t0 = Clock::now();
-    Recording rec = recorder.record(workload, /*env_seed=*/7);
-    *wall_seconds = secondsSince(t0);
+    Recording rec;
+    for (unsigned r = 0; r < runs; ++r) {
+        const double t0 = cpuSeconds();
+        rec = recorder.record(workload, /*env_seed=*/7);
+        const double s = cpuSeconds() - t0;
+        if (r == 0 || s < *best_cpu_seconds)
+            *best_cpu_seconds = s;
+    }
     return rec;
 }
 
@@ -245,14 +266,17 @@ main()
     }
 
     // ---- 4. End-to-end record through the commit fast path --------
-    // Only the counters and wall clock are reported; the recording
-    // itself is pinned by the golden-bytes and fast-path tests.
+    // Only the counters and the record's CPU time are reported; the
+    // recording itself is pinned by the golden-bytes and fast-path
+    // tests. record_seconds is the best of kRecordRuns records in
+    // process CPU seconds, and commits_per_sec divides by it.
+    constexpr unsigned kRecordRuns = 5;
     Recording rec_on;
     {
         const Workload workload("radix", 8, kSeed,
                                 WorkloadScale{scale});
         double record_s = 0.0;
-        rec_on = recordOnce(workload, &record_s);
+        rec_on = recordBestOf(workload, kRecordRuns, &record_s);
         const EngineStats &st = rec_on.stats;
         std::printf("engine: commits=%" PRIu64 " squashes=%" PRIu64
                     " summary_rejects=%" PRIu64
@@ -264,8 +288,10 @@ main()
                     st.sigSummaryRejects, st.unionSweepSkips,
                     st.conflictSweeps, st.arbiterWakeupsCoalesced,
                     st.logWordFlushes);
-        std::fprintf(stderr, "engine: record %.3fs (%.0f commits/s)\n",
-                     record_s, st.committedChunks / record_s);
+        std::fprintf(stderr,
+                     "engine: record %.3f CPU s, best of %u"
+                     " (%.0f commits/s)\n",
+                     record_s, kRecordRuns, st.committedChunks / record_s);
 
         json.section("engine");
         json.field("commits", st.committedChunks);

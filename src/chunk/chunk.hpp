@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/line_set.hpp"
 #include "common/types.hpp"
 #include "common/word_map.hpp"
 #include "signature/signature.hpp"
@@ -81,8 +82,10 @@ struct Chunk
     Cycle finishTime = 0;
     unsigned squashCount = 0; ///< times this chunk has been squashed
 
-    /// Lines written (for spec-line tracking release on squash/commit).
-    std::vector<Addr> writtenLines;
+    /// Lines written, in first-write order: exact disambiguation, the
+    /// commit's invalidations and the spec-line release on squash or
+    /// commit all read it.
+    LineSet writtenLines;
 
     /**
      * Return the chunk to its just-constructed state, keeping the

@@ -14,6 +14,8 @@
 #ifndef DELOREAN_COMMON_RNG_HPP_
 #define DELOREAN_COMMON_RNG_HPP_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -36,6 +38,22 @@ mix64(std::uint64_t x)
 {
     std::uint64_t s = x;
     return splitMix64(s);
+}
+
+/**
+ * Home slot of @p key in a table of @p slots slots (a power of two,
+ * at least 2) by multiply-shift (Fibonacci) hashing: the top bits of
+ * key * 2^64/phi. One multiply, where mix64 takes two and three
+ * xor-shifts; it spreads the strided word and line addresses the
+ * engine's tables hold. Only for table indices: no stored byte
+ * depends on it.
+ */
+inline std::size_t
+tableSlot(std::uint64_t key, std::size_t slots)
+{
+    return static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ull)
+        >> (std::countl_zero(static_cast<std::uint64_t>(slots)) + 1));
 }
 
 /**

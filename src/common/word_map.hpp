@@ -139,8 +139,7 @@ class WordMap
     std::size_t
     indexOf(Addr key) const
     {
-        return static_cast<std::size_t>(mix64(key))
-               & (slots_.size() - 1);
+        return tableSlot(key, slots_.size());
     }
 
     /** First slot holding @p key, or the first free slot for it. */

@@ -29,6 +29,10 @@ constexpr std::size_t kCtxRollbackBytes =
 static_assert(kCtxRollbackBytes + sizeof(std::bitset<2048>)
               == sizeof(ThreadContext));
 
+/// Cache ways hold 32-bit line tags. Every cached access lies below
+/// the uncached I/O region, the layout's highest, so its line fits.
+static_assert(lineOf(AddressLayout::kIoBase - 1) <= kMaxCachedLine);
+
 } // namespace
 
 ChunkEngine::ChunkEngine(const Workload &workload,
@@ -646,7 +650,7 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
             const Addr word = wordOf(in.addr);
             const Addr line = lineOf(in.addr);
             if (writesMemory(in.op) && line != last_written
-                && !c.extra.linesWritten.contains(line)
+                && !c.writtenLines.contains(line)
                 && spec_[p].wouldOverflow(line)) {
                 // Undo this generate() call: restore the small fields,
                 // and if it fired the first-touch trap (the only path
@@ -691,10 +695,8 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
                 if (line != last_written) {
                     last_written = line;
                     c.sigs.write.insert(line);
-                    if (c.extra.linesWritten.insert(line)) {
+                    if (c.writtenLines.insert(line))
                         spec_[p].insert(line);
-                        c.writtenLines.push_back(line);
-                    }
                 }
             }
             if (tracing) {
@@ -907,7 +909,7 @@ ChunkEngine::squashFrom(ProcId p, std::size_t idx, Cycle now)
     ps.ctx = oldest.startCtx;
 
     for (std::size_t k = idx; k < ps.inflight.size(); ++k) {
-        spec_[p].removeAll(ps.inflight[k]->writtenLines);
+        spec_[p].removeAll(ps.inflight[k]->writtenLines.members());
         recycleChunk(std::move(ps.inflight[k]));
     }
     ps.inflight.erase(ps.inflight.begin() + static_cast<long>(idx),
@@ -937,7 +939,7 @@ ChunkEngine::conflictsWith(const EngineChunk &running,
     if (machine_.bulk.exactDisambiguation) {
         for (const Addr line : write_lines) {
             if (running.extra.linesRead.contains(line)
-                || running.extra.linesWritten.contains(line))
+                || running.writtenLines.contains(line))
                 return true;
         }
         return false;
@@ -1284,7 +1286,7 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
             if (stratifier_) {
                 if (machine_.bulk.exactDisambiguation) {
                     stratifier_->onCommitLines(p, c.extra.linesRead,
-                                               c.extra.linesWritten);
+                                               c.writtenLines);
                 } else {
                     Signature s = c.sigs.read;
                     s.unionWith(c.sigs.write);
@@ -1355,7 +1357,7 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
         }
     }
     dir_.countSignatureMessage(machine_.bulk.signatureBits);
-    spec_[p].removeAll(c.writtenLines);
+    spec_[p].removeAll(c.writtenLines.members());
 
     stats_.retiredInstrs += c.size;
 
@@ -1421,7 +1423,8 @@ ChunkEngine::grantChunk(ProcId p, Cycle now)
     // being copied, and the buffers are recycled afterwards.
     auto committed = std::move(ps.inflight.front());
     ps.inflight.pop_front();
-    sweepConflicts(p, committed->writtenLines, committed->sigs.write, now);
+    sweepConflicts(p, committed->writtenLines.members(),
+                   committed->sigs.write, now);
     recycleChunk(std::move(committed));
     rebuildProcUnion(p);
 

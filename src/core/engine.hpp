@@ -34,7 +34,7 @@
 #include "chunk/chunk.hpp"
 #include "chunk/spec_tracker.hpp"
 #include "common/config.hpp"
-#include "common/flat_set.hpp"
+#include "common/line_set.hpp"
 #include "core/checkpoint.hpp"
 #include "core/recording.hpp"
 #include "core/replay_observer.hpp"
@@ -192,10 +192,9 @@ class ChunkEngine
         bool requestArrived = false;
         Cycle requestTime = kNoCycle;
         bool remainderAfter = false; ///< replay split: pieces follow
-        /// Chunks touch tens of lines, so flat sorted-vector sets beat
-        /// hashing on every access and recycle their storage.
-        FlatSet<Addr> linesWritten;
-        FlatSet<Addr> linesRead; ///< exact disambiguation
+        /// Lines read: exact disambiguation and the exact stratifier
+        /// (the written lines are Chunk::writtenLines).
+        LineSet linesRead;
         /// Cache fills this chunk performed (miss level per line), in
         /// access order. On a mid-execution squash the unreached tail
         /// is rolled back so eager chunk generation cannot act as a
@@ -222,7 +221,6 @@ class ChunkEngine
             extra.requestArrived = false;
             extra.requestTime = kNoCycle;
             extra.remainderAfter = false;
-            extra.linesWritten.clear();
             extra.linesRead.clear();
             extra.fills.clear();
             extra.trace.clear();

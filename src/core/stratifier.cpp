@@ -74,8 +74,8 @@ Stratifier::onCommit(ProcId proc, const Signature &sig)
 }
 
 void
-Stratifier::onCommitLines(ProcId proc, const FlatSet<Addr> &reads,
-                          const FlatSet<Addr> &writes)
+Stratifier::onCommitLines(ProcId proc, const LineSet &reads,
+                          const LineSet &writes)
 {
     assert(proc < num_procs_);
 

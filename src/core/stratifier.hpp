@@ -26,7 +26,7 @@
 
 #include "common/bitstream.hpp"
 #include "common/errors.hpp"
-#include "common/flat_set.hpp"
+#include "common/line_set.hpp"
 #include "common/types.hpp"
 #include "signature/signature.hpp"
 
@@ -62,8 +62,8 @@ class Stratifier
      * exact disambiguation. Cuts a stratum on a true cross-processor
      * conflict: W_new vs (R|W)_other or R_new vs W_other.
      */
-    void onCommitLines(ProcId proc, const FlatSet<Addr> &reads,
-                       const FlatSet<Addr> &writes);
+    void onCommitLines(ProcId proc, const LineSet &reads,
+                       const LineSet &writes);
 
     /** Feed a DMA commit: cuts the stratum and emits a DMA marker. */
     void onDmaCommit();
@@ -103,8 +103,8 @@ class Stratifier
     unsigned counter_bits_;
     std::vector<std::uint8_t> counters_;
     std::vector<Signature> srs_;
-    std::vector<FlatSet<Addr>> sr_reads_;
-    std::vector<FlatSet<Addr>> sr_writes_;
+    std::vector<LineSet> sr_reads_;
+    std::vector<LineSet> sr_writes_;
     bool any_pending_ = false;
     std::vector<Stratum> strata_;
 };

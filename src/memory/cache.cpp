@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <string>
+#include <vector>
 
 #include "common/errors.hpp"
 
@@ -51,9 +52,34 @@ Cache::reset()
 {
     for (auto &way : ways_storage_)
         way = Way{};
-    use_clock_ = 0;
+    stamp_ = 0;
     hits_ = 0;
     misses_ = 0;
+}
+
+void
+Cache::renormalize()
+{
+    // A set's valid stamps are distinct, so ranking them keeps every
+    // later hit, miss and victim choice: each compares stamps of one
+    // set only, and every later stamp is above ways_.
+    std::vector<Way *> order(ways_);
+    for (std::size_t base = 0; base < ways_storage_.size(); base += ways_) {
+        Way *set = &ways_storage_[base];
+        unsigned valid = 0;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (set[w].lastUse == 0)
+                continue;
+            // Insertion sort by stamp: a set has a handful of ways.
+            unsigned k = valid++;
+            for (; k > 0 && order[k - 1]->lastUse > set[w].lastUse; --k)
+                order[k] = order[k - 1];
+            order[k] = &set[w];
+        }
+        for (unsigned r = 0; r < valid; ++r)
+            order[r]->lastUse = r + 1;
+    }
+    stamp_ = ways_;
 }
 
 CacheHierarchy::CacheHierarchy(const MachineConfig &config)

@@ -12,8 +12,10 @@
 #ifndef DELOREAN_MEMORY_CACHE_HPP_
 #define DELOREAN_MEMORY_CACHE_HPP_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/config.hpp"
@@ -39,6 +41,13 @@ enum class HitLevel : std::uint8_t
  */
 const char *cacheGeometryError(unsigned size_bytes, unsigned ways);
 
+/**
+ * Highest line address a Cache can hold: ways store 32-bit tags. The
+ * engine asserts at compile time that every cached region of the
+ * address layout fits (core/engine.cpp).
+ */
+constexpr Addr kMaxCachedLine = std::numeric_limits<std::uint32_t>::max();
+
 /** One set-associative tag array with LRU replacement. */
 class Cache
 {
@@ -61,10 +70,11 @@ class Cache
     bool
     access(Addr line)
     {
-        ++use_clock_;
+        const std::uint32_t now = nextStamp();
+        const std::uint32_t tag = tagOf(line);
         Way &mru = ways_storage_[mru_];
-        if (mru.lastUse != 0 && mru.line == line) {
-            mru.lastUse = use_clock_;
+        if (mru.lastUse != 0 && mru.tag == tag) {
+            mru.lastUse = now;
             ++hits_;
             return true;
         }
@@ -76,8 +86,8 @@ class Cache
         // every valid one.
         Way *victim = &set[0];
         for (unsigned w = 0; w < ways_; ++w) {
-            if (set[w].lastUse != 0 && set[w].line == line) {
-                set[w].lastUse = use_clock_;
+            if (set[w].lastUse != 0 && set[w].tag == tag) {
+                set[w].lastUse = now;
                 ++hits_;
                 mru_ = base + w;
                 return true;
@@ -86,8 +96,8 @@ class Cache
                 victim = &set[w];
         }
         ++misses_;
-        victim->line = line;
-        victim->lastUse = use_clock_;
+        victim->tag = tag;
+        victim->lastUse = now;
         mru_ = static_cast<std::size_t>(victim - ways_storage_.data());
         return false;
     }
@@ -95,15 +105,11 @@ class Cache
     /**
      * Record @p k more accesses to the line the last access() touched:
      * the k hits those calls would take on the last way, in one step.
-     * The caller guarantees nothing touched the cache in between.
+     * The caller guarantees nothing touched the cache in between, so
+     * that way still holds the newest stamp and LRU order is already
+     * what the k hits would leave.
      */
-    void
-    repeatLast(std::uint64_t k)
-    {
-        use_clock_ += k;
-        ways_storage_[mru_].lastUse = use_clock_;
-        hits_ += k;
-    }
+    void repeatLast(std::uint64_t k) { hits_ += k; }
 
     /** Look up without filling or touching LRU state. */
     bool
@@ -112,7 +118,7 @@ class Cache
         const Way *set =
             &ways_storage_[static_cast<std::size_t>(indexOf(line)) * ways_];
         for (unsigned w = 0; w < ways_; ++w)
-            if (set[w].lastUse != 0 && set[w].line == line)
+            if (set[w].lastUse != 0 && set[w].tag == tagOf(line))
                 return true;
         return false;
     }
@@ -124,7 +130,7 @@ class Cache
         Way *set =
             &ways_storage_[static_cast<std::size_t>(indexOf(line)) * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
-            if (set[w].lastUse != 0 && set[w].line == line) {
+            if (set[w].lastUse != 0 && set[w].tag == tagOf(line)) {
                 set[w].lastUse = 0;
                 return true;
             }
@@ -140,24 +146,62 @@ class Cache
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
-    /** LRU clock: one tick per access, reset() sets it back to 0. */
-    std::uint64_t useClock() const { return use_clock_; }
+    /** Accesses since construction or reset(), repeats included. */
+    std::uint64_t useClock() const { return hits_ + misses_; }
+
+    /** The last LRU stamp handed out (0 after reset()). */
+    std::uint32_t stamp() const { return stamp_; }
+
+    /**
+     * TEST ONLY: jump the stamp clock forward to @p stamp (at least
+     * stamp()) so the renormalization at its wrap can be exercised
+     * without 2^32 accesses.
+     */
+    void
+    forceStampForTest(std::uint32_t stamp)
+    {
+        assert(stamp >= stamp_);
+        stamp_ = stamp;
+    }
 
     /** Drop all contents and statistics. */
     void reset();
 
   private:
-    /// 16 bytes: a way is valid iff lastUse != 0. The clock is
-    /// incremented before every stamp, so a stamped way is never 0;
-    /// invalidate() and reset() write 0.
+    /// 8 bytes: a 32-bit line tag and a 32-bit LRU stamp. A way is
+    /// valid iff lastUse != 0; invalidate() and reset() write 0.
+    /// Stamps only order the ways of one set, so before the stamp
+    /// clock wraps, renormalize() rewrites each set's stamps as their
+    /// ranks (1..ways) and the clock continues above them.
     struct Way
     {
-        Addr line = 0;
-        std::uint64_t lastUse = 0;
+        std::uint32_t tag = 0;
+        std::uint32_t lastUse = 0;
     };
-    static_assert(sizeof(Way) == 16);
+    static_assert(sizeof(Way) == 8);
 
     unsigned indexOf(Addr line) const { return line & (num_sets_ - 1); }
+
+    /// The tag is the line's low 32 bits: every simulated line fits
+    /// (kMaxCachedLine), so no two lines share one.
+    static std::uint32_t
+    tagOf(Addr line)
+    {
+        assert(line <= kMaxCachedLine);
+        return static_cast<std::uint32_t>(line);
+    }
+
+    /** The next LRU stamp; never 0 (the invalid mark). */
+    std::uint32_t
+    nextStamp()
+    {
+        if (stamp_ == std::numeric_limits<std::uint32_t>::max())
+            renormalize();
+        return ++stamp_;
+    }
+
+    /** Rank each set's stamps 1..ways and restart the clock above. */
+    void renormalize();
 
     unsigned num_sets_;
     unsigned ways_;
@@ -165,7 +209,7 @@ class Cache
     /// Index into ways_storage_ of the last accessed way (an index,
     /// not a pointer, so a copied cache checks its own storage).
     std::size_t mru_ = 0;
-    std::uint64_t use_clock_ = 0;
+    std::uint32_t stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -228,8 +228,7 @@ class MemoryState
     std::size_t
     indexOf(Addr key) const
     {
-        return static_cast<std::size_t>(mix64(key))
-               & (slots_.size() - 1);
+        return tableSlot(key, slots_.size());
     }
 
     /** Remove @p key, keeping probe chains gap-free (backward shift). */

@@ -255,6 +255,94 @@ TEST(Cache, MruWayMatchesReferenceLru)
     }
 }
 
+TEST(Cache, StampWrapMatchesReferenceLru)
+{
+    // Ways carry 32-bit LRU stamps; before the clock wraps, each set's
+    // stamps are renormalized to their ranks. Every 50 steps the clock
+    // is pushed to just below 2^32, so the run crosses the wrap
+    // dozens of times, with sets full, partly invalidated and empty,
+    // and with repeatLast(k) right before and after a crossing: hits,
+    // misses, victims and residency must still equal the reference
+    // LRU's.
+    struct Geometry
+    {
+        unsigned bytes, ways;
+    };
+    constexpr std::uint32_t kTop = 0xFFFFFFFFu;
+    for (const Geometry g : {Geometry{1024, 4}, Geometry{512, 1},
+                             Geometry{2048, 8}}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            Cache c(g.bytes, g.ways);
+            ReferenceLru ref(c.numSets(), g.ways);
+            Xoshiro256ss rng(seed);
+            const Addr pool = 3 * c.numSets() * g.ways;
+            Addr last = 0;
+            unsigned wraps = 0;
+            for (unsigned step = 0; step < 3000; ++step) {
+                if (step % 50 == 49)
+                    c.forceStampForTest(kTop - rng.below(4));
+                const std::uint32_t before = c.stamp();
+                const std::uint64_t op = rng.below(100);
+                const Addr line = rng.below(2) ? last : rng.below(pool);
+                if (op < 80) {
+                    std::optional<Addr> evicted;
+                    const bool want = ref.access(line, evicted);
+                    ASSERT_EQ(c.access(line), want)
+                        << "seed " << seed << " step " << step;
+                    if (op < 15) {
+                        const std::uint64_t k =
+                            std::array<std::uint64_t, 3>{1, 7, 4096}[op % 3];
+                        c.repeatLast(k);
+                        std::optional<Addr> none;
+                        for (std::uint64_t r = 0; r < k; ++r)
+                            ASSERT_TRUE(ref.access(line, none));
+                    }
+                    if (evicted) {
+                        ASSERT_FALSE(c.contains(*evicted))
+                            << "seed " << seed << " step " << step;
+                    }
+                    for (const Addr resident : ref.linesInSetOf(line))
+                        ASSERT_TRUE(c.contains(resident))
+                            << "seed " << seed << " step " << step;
+                } else if (op < 99) {
+                    ASSERT_EQ(c.invalidate(line), ref.invalidate(line))
+                        << "seed " << seed << " step " << step;
+                } else {
+                    c.reset();
+                    ref.reset();
+                }
+                if (c.stamp() < before && c.stamp() != 0)
+                    ++wraps;
+                last = line;
+                ASSERT_EQ(c.hits(), ref.hits());
+                ASSERT_EQ(c.misses(), ref.misses());
+            }
+            EXPECT_GE(wraps, 20u) << "seed " << seed;
+        }
+    }
+}
+
+TEST(Cache, StampWrapKeepsEachSetsLruOrder)
+{
+    // One full 4-way set touched in the order a, b, d, e, then a again
+    // across the wrap: renormalization must keep b as the LRU way, so
+    // the next miss evicts b, then d.
+    Cache c(1024, 4); // 8 sets
+    const Addr sets = c.numSets();
+    const Addr a = 0, b = sets, d = 2 * sets, e = 3 * sets;
+    for (const Addr line : {a, b, d, e})
+        EXPECT_FALSE(c.access(line));
+    c.forceStampForTest(0xFFFFFFFFu);
+    EXPECT_TRUE(c.access(a)); // the access that wraps the clock
+    EXPECT_LE(c.stamp(), 5u);
+    EXPECT_FALSE(c.access(4 * sets));
+    EXPECT_FALSE(c.contains(b));
+    EXPECT_FALSE(c.access(5 * sets));
+    EXPECT_FALSE(c.contains(d));
+    for (const Addr line : {a, e, 4 * sets, 5 * sets})
+        EXPECT_TRUE(c.contains(line)) << line;
+}
+
 TEST(Cache, InvalidatedWayOfAFullSetIsRefilledFirst)
 {
     // A way is invalid iff its LRU stamp is 0. Invalidating lines of a

@@ -225,8 +225,9 @@ TEST_P(CheckpointFieldSweep, MutantsNeverCrashHangOrLie)
             } catch (const std::exception &e) {
                 ADD_FAILURE() << what << ": untyped " << e.what();
             }
-            if (must_reject && read_by_replayer)
+            if (must_reject && read_by_replayer) {
                 EXPECT_TRUE(threw) << what;
+            }
         }
     }
     EXPECT_EQ(total, kMutantsPerKind * static_cast<unsigned>(Field::kCount));
