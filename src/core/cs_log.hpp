@@ -16,6 +16,7 @@
 #define DELOREAN_CORE_CS_LOG_HPP_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bitstream.hpp"
@@ -32,6 +33,25 @@ struct CsEntry
     InstrCount size = 0; ///< committed size in instructions
     bool maxSize = false; ///< Order&Size: chunk hit the size limit
 };
+
+/** A processor's CS entries, by logical chunk number. */
+using CsBySeq = std::unordered_map<ChunkSeq, CsEntry>;
+
+/**
+ * Replay size target of logical chunk @p seq: its logged size, or the
+ * standard chunk size when the log has no entry for it (OrderOnly and
+ * PicoLog log only truncated chunks) or, in Order&Size, when its entry
+ * marks a maximum-size chunk.
+ */
+inline InstrCount
+replayChunkTarget(const ModeConfig &mode, const CsBySeq &cs, ChunkSeq seq)
+{
+    const auto it = cs.find(seq);
+    if (it == cs.end()
+        || (mode.mode == ExecMode::kOrderAndSize && it->second.maxSize))
+        return mode.chunkSize;
+    return it->second.size;
+}
 
 /** Per-processor CS log. */
 class CsLog

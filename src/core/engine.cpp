@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "chunk/body_runner.hpp"
 #include "common/errors.hpp"
 #include "trace/layout.hpp"
 
@@ -158,8 +159,7 @@ ChunkEngine::replay(const Recording &prior)
 
     if (opts_.observer
         && (opts_.startCheckpoint || opts_.stopCheckpoint))
-        throw ConfigError("replay observers require a full-run replay; "
-                          "combine with interval replay is not supported");
+        throw ConfigError(kObserverNeedsFullRun);
     obs_hub_ = std::make_unique<ObserverHub>(opts_.observer);
     if (obs_hub_->enabled() && prior.stratified())
         strata_order_ = std::make_unique<StrataCanonicalOrder>(
@@ -468,55 +468,151 @@ ChunkEngine::tryStartChunk(ProcId p, Cycle now)
     buildChunk(p, now);
 }
 
-std::uint64_t
-ChunkEngine::chunkLoad(ProcId p, const EngineChunk &chunk, Addr word) const
+/**
+ * What the DES adds to a chunk body: the cache model and its cost, the
+ * store buffer, signatures, line sets and speculative lines, the I/O
+ * device (record) or log (replay), and the undo of a store whose line
+ * would overflow the cache.
+ */
+struct ChunkEngine::BodyPolicy
 {
-    std::uint64_t value = 0;
-    if (chunk.forward(word, value))
-        return value;
-    // Older in-flight chunks of the same processor, youngest first.
-    const auto &inflight = procs_[p].inflight;
-    for (auto it = inflight.rbegin(); it != inflight.rend(); ++it) {
-        if ((*it)->forward(word, value))
+    ChunkEngine &e;
+    ProcId p;
+    EngineChunk &c;
+    double cost = 0.0; ///< the body's cycles, added in program order
+    // Lines of this build's previous load and previous store. As in
+    // Bulk, a repeated access to a line adds nothing to the chunk's
+    // signatures, line sets, speculative lines or directory sharers,
+    // and cannot overflow the cache, so that work is done once.
+    Addr lastRead = ~Addr{0};
+    Addr lastWritten = ~Addr{0};
+    /// Pre-instruction rollback snapshot. generate() can touch any
+    /// small field but at most SETS one mappedSegs bit (first-touch
+    /// trap), so the snapshot covers only the prefix before
+    /// mappedSegs and the rollback clears that single bit — not a
+    /// 256-byte bitset copy per instruction.
+    ThreadContext pre;
+
+    void
+    beforeGenerate(const ThreadContext &ctx)
+    {
+        std::memcpy(static_cast<void *>(&pre),
+                    static_cast<const void *>(&ctx), kCtxRollbackBytes);
+    }
+
+    bool
+    access(ThreadContext &ctx, Op op, Addr line)
+    {
+        if (writesMemory(op) && line != lastWritten
+            && !c.writtenLines.contains(line)
+            && e.spec_[p].wouldOverflow(line)) {
+            // Undo this generate() call: restore the small fields,
+            // and if it fired the first-touch trap (the only path
+            // that writes mappedSegs), clear the one bit it set.
+            const bool trap_fired =
+                pre.trapRemaining == 0 && ctx.trapRemaining > 0;
+            const Addr trap_addr = ctx.pendingAccess.addr;
+            std::memcpy(static_cast<void *>(&ctx),
+                        static_cast<const void *>(&pre), kCtxRollbackBytes);
+            if (trap_fired)
+                ctx.mappedSegs.reset(AddressLayout::privateSegment(trap_addr));
+            return false;
+        }
+        HitLevel level = e.caches_.access(p, line);
+        if (level != HitLevel::kL1) {
+            e.dir_.countLineTransfer();
+            c.extra.fills.emplace_back(line, level);
+        }
+        if (e.opts_.perturb.enabled
+            && e.perturb_rng_.chancePerMille(
+                   e.opts_.perturb.hitMissSwapPerMille)) {
+            level = (level == HitLevel::kL1) ? HitLevel::kL2 : HitLevel::kL1;
+        }
+        cost += e.timing_.memCost(op, level);
+        return true;
+    }
+
+    std::uint64_t
+    load(Addr word, Addr line)
+    {
+        // The signature insert and the sharer bit are idempotent
+        // within a build, so they run once per line, when the line is
+        // new to the chunk.
+        if (line != lastRead) {
+            lastRead = line;
+            if (c.extra.linesRead.insert(line)) {
+                c.sigs.read.insert(line);
+                e.dir_.addSharer(p, line);
+            }
+        }
+        std::uint64_t value = 0;
+        if (c.forward(word, value))
             return value;
+        // Older in-flight chunks of the same processor, youngest first.
+        const auto &inflight = e.procs_[p].inflight;
+        for (auto it = inflight.rbegin(); it != inflight.rend(); ++it) {
+            if ((*it)->forward(word, value))
+                return value;
+        }
+        return e.mem_.load(word);
     }
-    return mem_.load(word);
-}
 
-double
-ChunkEngine::accessCost(ProcId p, Op op, Addr line, EngineChunk &chunk)
-{
-    HitLevel level = caches_.access(p, line);
-    if (level != HitLevel::kL1) {
-        dir_.countLineTransfer();
-        chunk.extra.fills.emplace_back(line, level);
+    void
+    store(Addr word, Addr line, std::uint64_t value)
+    {
+        c.writes.emplace_back(word, value);
+        c.writeMap[word] = value;
+        if (line != lastWritten) {
+            lastWritten = line;
+            c.sigs.write.insert(line);
+            if (c.writtenLines.insert(line))
+                e.spec_[p].insert(line);
+        }
     }
-    if (opts_.perturb.enabled
-        && perturb_rng_.chancePerMille(opts_.perturb.hitMissSwapPerMille)) {
-        level = (level == HitLevel::kL1) ? HitLevel::kL2 : HitLevel::kL1;
-    }
-    return timing_.memCost(op, level);
-}
 
-void
-ChunkEngine::repeatSpinAccesses(ProcId p, InstrCount k, double &cost)
-{
-    // Each repeat re-reads the line the spin load just brought into
-    // the L1: an L1 hit on the last way, no fill, nothing new for the
-    // L2, the directory, the signatures or the line sets. It still
-    // draws the perturbation RNG and adds its cost to @p cost, one
-    // add at a time: k * cost, or a separate sum, would round
-    // differently.
-    caches_.l1(p).repeatLast(k);
-    for (InstrCount r = 0; r < k; ++r) {
-        HitLevel level = HitLevel::kL1;
-        if (opts_.perturb.enabled
-            && perturb_rng_.chancePerMille(
-                   opts_.perturb.hitMissSwapPerMille))
-            level = HitLevel::kL2;
-        cost += timing_.memCost(Op::kLoad, level);
+    std::uint64_t
+    ioLoad(Addr addr, const ThreadContext &ctx)
+    {
+        cost += e.timing_.memCost(Op::kIoLoad, HitLevel::kMemory);
+        const std::uint64_t value =
+            e.opts_.replay ? loggedIoValue(e.prior_->io, p, ctx)
+                           : e.io_dev_.read(addr);
+        c.ioValues.push_back(value);
+        return value;
     }
-}
+
+    void
+    nonMemory(Op op)
+    {
+        cost += op == Op::kIoStore ? e.timing_.memCost(op, HitLevel::kMemory)
+                : op == Op::kSpecialSys
+                    ? e.timing_.computeCost() + kSpecialSysCost
+                    : e.timing_.computeCost();
+    }
+
+    InstrCount spinCap(InstrCount left) const { return left; }
+
+    /// Each repeat re-reads the line the spin load just brought into
+    /// the L1: an L1 hit on the last way, no fill, nothing new for the
+    /// L2, the directory, the signatures or the line sets. It still
+    /// draws the perturbation RNG and adds its cost, one add at a
+    /// time: k * cost, or a separate sum, would round differently.
+    void
+    repeatLoads(InstrCount k)
+    {
+        e.caches_.l1(p).repeatLast(k);
+        for (InstrCount r = 0; r < k; ++r) {
+            HitLevel level = HitLevel::kL1;
+            if (e.opts_.perturb.enabled
+                && e.perturb_rng_.chancePerMille(
+                       e.opts_.perturb.hitMissSwapPerMille))
+                level = HitLevel::kL2;
+            cost += e.timing_.memCost(Op::kLoad, level);
+        }
+    }
+
+    void retired(InstrCount n) { e.generated_instrs_ += n; }
+};
 
 void
 ChunkEngine::buildChunk(ProcId p, Cycle now)
@@ -573,16 +669,7 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
 
             // Target size.
             if (opts_.replay) {
-                const auto it = cs_lookup_[p].find(seq);
-                if (it != cs_lookup_[p].end()) {
-                    const CsEntry &e = it->second;
-                    target = (mode_.mode == ExecMode::kOrderAndSize
-                              && e.maxSize)
-                                 ? mode_.chunkSize
-                                 : e.size;
-                } else {
-                    target = mode_.chunkSize;
-                }
+                target = replayChunkTarget(mode_, cs_lookup_[p], seq);
             } else {
                 target = mode_.chunkSize;
                 if (mode_.mode == ExecMode::kOrderAndSize
@@ -613,170 +700,19 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
     c.extra.pieceTarget = target;
     c.extra.collisionReduced = collision_reduced;
 
-    double cost = 0.0;
-    InstrCount i = 0;
-    ChunkEnd reason = ChunkEnd::kSizeLimit;
-    bool blocked = false;
-    const bool tracing = obs_hub_ && obs_hub_->enabled();
-    // Lines of this build's previous load and previous store. As in
-    // Bulk, a repeated access to a line adds nothing to the chunk's
-    // signatures, line sets, speculative lines or directory sharers,
-    // and cannot overflow the cache, so that work is done once.
-    constexpr Addr kNoLine = ~Addr{0};
-    Addr last_read = kNoLine;
-    Addr last_written = kNoLine;
+    BodyPolicy body{*this, p, c};
+    const auto [i, reason] = runChunkBody(
+        prog, ps.ctx, target,
+        obs_hub_ && obs_hub_->enabled() ? &c.extra.trace : nullptr, body);
 
-    while (i < target) {
-        if (prog.done(ps.ctx)) {
-            reason = ChunkEnd::kProgramEnd;
-            break;
-        }
-        // Pre-instruction rollback snapshot. generate() can touch any
-        // small field but at most SETS one mappedSegs bit (first-touch
-        // trap), so the snapshot covers only the prefix before
-        // mappedSegs and the rollback clears that single bit — not a
-        // 256-byte bitset copy per instruction.
-        std::memcpy(static_cast<void *>(&scratch_pre_ctx_),
-                    static_cast<const void *>(&ps.ctx),
-                    kCtxRollbackBytes);
-        const Instr in = prog.generate(ps.ctx);
-        std::uint64_t value = 0;
-
-        switch (in.op) {
-          case Op::kLoad:
-          case Op::kStore:
-          case Op::kAmoSwap:
-          case Op::kAmoFetchAdd: {
-            const Addr word = wordOf(in.addr);
-            const Addr line = lineOf(in.addr);
-            if (writesMemory(in.op) && line != last_written
-                && !c.writtenLines.contains(line)
-                && spec_[p].wouldOverflow(line)) {
-                // Undo this generate() call: restore the small fields,
-                // and if it fired the first-touch trap (the only path
-                // that writes mappedSegs), clear the one bit it set.
-                const bool trap_fired = scratch_pre_ctx_.trapRemaining == 0
-                                        && ps.ctx.trapRemaining > 0;
-                const unsigned trap_seg =
-                    trap_fired ? AddressLayout::privateSegment(
-                                     ps.ctx.pendingAccess.addr)
-                               : 0;
-                std::memcpy(static_cast<void *>(&ps.ctx),
-                            static_cast<const void *>(&scratch_pre_ctx_),
-                            kCtxRollbackBytes);
-                if (trap_fired)
-                    ps.ctx.mappedSegs.reset(trap_seg);
-                if (i == 0)
-                    blocked = true;
-                else
-                    reason = ChunkEnd::kCacheOverflow;
-                goto chunk_end;
-            }
-            cost += accessCost(p, in.op, line, c);
-            if (returnsValue(in.op)) {
-                value = chunkLoad(p, c, word);
-                // The signature insert and the sharer bit are
-                // idempotent within a build, so they run once per
-                // line, when the line is new to the chunk.
-                if (line != last_read) {
-                    last_read = line;
-                    if (c.extra.linesRead.insert(line)) {
-                        c.sigs.read.insert(line);
-                        dir_.addSharer(p, line);
-                    }
-                }
-            }
-            if (writesMemory(in.op)) {
-                std::uint64_t stored = in.value;
-                if (in.op == Op::kAmoFetchAdd)
-                    stored = value + in.value;
-                c.writes.emplace_back(word, stored);
-                c.writeMap[word] = stored;
-                if (line != last_written) {
-                    last_written = line;
-                    c.sigs.write.insert(line);
-                    if (c.writtenLines.insert(line))
-                        spec_[p].insert(line);
-                }
-            }
-            if (tracing) {
-                MemAccess a;
-                a.addr = in.addr;
-                a.kind = in.op == Op::kLoad      ? AccessKind::kLoad
-                         : in.op == Op::kStore   ? AccessKind::kStore
-                         : in.op == Op::kAmoSwap ? AccessKind::kAmoSwap
-                                                 : AccessKind::kAmoFetchAdd;
-                // Loads and atomics report the observed value (a lock
-                // acquire is an AmoSwap observing 0), stores the
-                // stored one.
-                a.value = returnsValue(in.op) ? value : in.value;
-                c.extra.trace.push_back(a);
-            }
-            break;
-          }
-          case Op::kIoLoad:
-            cost += timing_.memCost(in.op, HitLevel::kMemory);
-            if (!opts_.replay) {
-                value = io_dev_.read(in.addr);
-            } else {
-                if (ps.ctx.ioLoadCount >= prior_->io.countFor(p))
-                    throw ReplayLogExhausted(
-                        "I/O log for proc " + std::to_string(p)
-                        + " has only "
-                        + std::to_string(prior_->io.countFor(p))
-                        + " values");
-                value = prior_->io.valueAt(p, ps.ctx.ioLoadCount);
-            }
-            c.ioValues.push_back(value);
-            ++ps.ctx.ioLoadCount;
-            break;
-          case Op::kIoStore:
-            cost += timing_.memCost(in.op, HitLevel::kMemory);
-            break;
-          case Op::kSpecialSys:
-            cost += timing_.computeCost() + kSpecialSysCost;
-            break;
-          case Op::kCompute:
-            cost += timing_.computeCost();
-            break;
-        }
-
-        prog.observe(ps.ctx, in, value);
-        ++i;
-        ++generated_instrs_;
-        if (in.op == Op::kLoad) {
-            // A spin load repeats until the chunk ends: the chunk runs
-            // in isolation, so the word it spins on cannot change
-            // under it. Retire the repeats at once, with every
-            // per-access effect of stepping them.
-            const InstrCount k =
-                prog.repeatSpin(ps.ctx, in, value, target - i);
-            if (k != 0) {
-                repeatSpinAccesses(p, k, cost);
-                if (tracing)
-                    c.extra.trace.insert(c.extra.trace.end(), k,
-                                         c.extra.trace.back());
-                i += k;
-                generated_instrs_ += k;
-            }
-        }
-        if (truncatesChunk(in.op)) {
-            reason = ChunkEnd::kHardInstr;
-            break;
-        }
-    }
-  chunk_end:
-
-    if (blocked) {
-        // i == 0: no spec lines inserted by this chunk yet; wait until
-        // one of this processor's chunks commits and frees ways.
-        ps.blockedOnOverflow = true;
-        recycleChunk(std::move(chunk));
-        return;
-    }
     if (i == 0) {
-        // Program ended exactly at a chunk boundary.
-        if (ps.inflight.empty())
+        // Either the first store's line would overflow the cache (no
+        // spec lines inserted by this chunk yet; wait until one of
+        // this processor's chunks commits and frees ways), or the
+        // program ended exactly at a chunk boundary.
+        if (reason == ChunkEnd::kCacheOverflow)
+            ps.blockedOnOverflow = true;
+        else if (ps.inflight.empty())
             ps.finished = true;
         recycleChunk(std::move(chunk));
         return;
@@ -801,7 +737,7 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
     // Environment timing jitter (DRAM refresh, bank conflicts, ...):
     // non-architectural, so two recordings of the same workload have
     // genuinely different timing — which determinism must survive.
-    cost *= 0.98 + 0.04 * env_rng_.uniform();
+    body.cost *= 0.98 + 0.04 * env_rng_.uniform();
 
     // Wrong-path noise: cache pollution and spurious signature bits,
     // driven by the (non-architectural) environment RNG.
@@ -819,7 +755,7 @@ ChunkEngine::buildChunk(ProcId p, Cycle now)
     }
 
     const Cycle duration =
-        std::max<Cycle>(1, static_cast<Cycle>(cost + 0.5));
+        std::max<Cycle>(1, static_cast<Cycle>(body.cost + 0.5));
     c.finishTime = now + duration;
     schedule(now + duration, EvKind::kChunkDone, p, c.extra.uid);
     noteChunkInflight(p, c);

@@ -282,12 +282,8 @@ class ChunkEngine
     void recycleChunk(std::unique_ptr<EngineChunk> chunk);
     std::vector<std::unique_ptr<EngineChunk>> chunk_pool_;
 
-    // ----- memory access helpers ----------------------------------------
-    std::uint64_t chunkLoad(ProcId p, const EngineChunk &chunk,
-                            Addr word) const;
-    double accessCost(ProcId p, Op op, Addr line, EngineChunk &chunk);
-    /** Per-access effects of @p k repeats of proc @p p's last load. */
-    void repeatSpinAccesses(ProcId p, InstrCount k, double &cost);
+    /// The DES policy of the chunk-body runner (chunk/body_runner.hpp).
+    struct BodyPolicy;
 
     /** Does a committing write set conflict with @p running? */
     bool conflictsWith(const EngineChunk &running,
@@ -353,7 +349,6 @@ class ChunkEngine
 
     std::vector<ProcState> procs_;
     std::vector<SpecTracker> spec_; ///< one per processor
-    ThreadContext scratch_pre_ctx_; ///< reusable pre-instruction snapshot
 
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         events_;
@@ -411,7 +406,7 @@ class ChunkEngine
     /// Replay: per-processor CS entries keyed by logical chunk number.
     /// Chunks are built ahead of commits, so a sequential cursor would
     /// misalign; lookup by seq is also squash-rebuild safe.
-    std::vector<std::unordered_map<ChunkSeq, CsEntry>> cs_lookup_;
+    std::vector<CsBySeq> cs_lookup_;
 
     ExecutionFingerprint fp_;
     EngineStats stats_;

@@ -43,6 +43,7 @@
 
 #include "common/types.hpp"
 #include "core/stratifier.hpp"
+#include "trace/instr.hpp"
 
 namespace delorean
 {
@@ -50,27 +51,10 @@ namespace delorean
 struct Recording;
 struct DmaTransfer;
 
-/** Kind of one traced memory access (cached ops only). */
-enum class AccessKind : std::uint8_t
-{
-    kLoad,
-    kStore,
-    kAmoSwap,     ///< test-and-set; value is the *observed* (pre-swap) word
-    kAmoFetchAdd, ///< value is the *observed* (pre-add) word
-};
-
-/**
- * One traced access, in program order within its chunk. @p value is
- * the stored value for plain stores and the observed (loaded) value
- * for loads and atomics — the datum a happens-before analysis needs to
- * recognize lock acquires (AmoSwap observing 0) and barrier phases.
- */
-struct MemAccess
-{
-    Addr addr = 0;
-    std::uint64_t value = 0;
-    AccessKind kind = AccessKind::kLoad;
-};
+/** ConfigError text for an observer attached to an interval replay. */
+inline constexpr char kObserverNeedsFullRun[] =
+    "replay observers require a full-run replay; they cannot be "
+    "attached to an interval replay";
 
 /** One committed chunk, delivered in canonical commit order. */
 struct ChunkObservation

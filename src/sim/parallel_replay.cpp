@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "chunk/body_runner.hpp"
 #include "common/errors.hpp"
 #include "common/word_map.hpp"
 #include "core/pi_log.hpp"
@@ -147,7 +148,7 @@ struct ProcReplay
     bool finished = false;
     bool hasPending = false;
     ChunkBody pending;
-    std::unordered_map<ChunkSeq, CsEntry> cs;
+    CsBySeq cs;
     std::unordered_map<ChunkSeq, InterruptRecord> irq;
 };
 
@@ -155,118 +156,67 @@ struct ProcReplay
 /// counter (keeps the atomic off the per-instruction path).
 constexpr std::uint64_t kBudgetFlush = 8192;
 
-void
-chargeBudget(std::atomic<std::uint64_t> &executed, std::uint64_t amount,
-             std::uint64_t budget)
-{
-    if (executed.fetch_add(amount, std::memory_order_relaxed) + amount
-        > budget) {
-        throw ReplayBudgetExceeded(
-            "chunk-parallel replay exceeded its "
-            + std::to_string(budget) + "-instruction budget");
-    }
-}
-
 /**
- * Execute one chunk body read-only against @p mem. Mirrors the
- * architectural effects of ChunkEngine::buildChunk's replay path:
- * loads forward from the body's own stores first, I/O loads come
- * from the recorded log, AMOs load-then-store, and the body ends at
- * its CS target, at a hard (chunk-truncating) instruction, or at
- * program end. Safe to run concurrently with other bodies: @p mem is
- * only read, and all mutation is confined to @p b and its contexts.
+ * What the functional replayer adds to a chunk body: loads and stores
+ * go through the body's footprint over committed memory, I/O loads
+ * come from the recorded log, and the shared instruction budget is
+ * charged every kBudgetFlush instructions (a spin fast-forward is
+ * capped so it never steps over a charge).
  */
-void
-executeBody(const ThreadProgram &prog, const IoLog &io,
-            const MemoryState &mem, ProcId p, ChunkBody &b,
-            std::atomic<std::uint64_t> &executed, std::uint64_t budget,
-            bool tracing)
+struct FunctionalBody
 {
-    ThreadContext ctx = b.startCtx;
-    b.footprint.clear();
-    b.trace.clear();
-
-    InstrCount i = 0;
+    const IoLog &io;
+    const MemoryState &mem;
+    ProcId p;
+    Footprint &footprint;
+    std::atomic<std::uint64_t> &executed;
+    std::uint64_t budget;
     std::uint64_t unflushed = 0;
-    while (i < b.target) {
-        if (prog.done(ctx))
-            break;
-        const Instr in = prog.generate(ctx);
-        std::uint64_t value = 0;
 
-        switch (in.op) {
-          case Op::kLoad:
-          case Op::kStore:
-          case Op::kAmoSwap:
-          case Op::kAmoFetchAdd: {
-            const Addr word = wordOf(in.addr);
-            if (returnsValue(in.op))
-                value = b.footprint.load(mem, word);
-            if (writesMemory(in.op)) {
-                std::uint64_t stored = in.value;
-                if (in.op == Op::kAmoFetchAdd)
-                    stored = value + in.value;
-                b.footprint.store(word, stored);
-            }
-            if (tracing) {
-                MemAccess a;
-                a.addr = in.addr;
-                a.kind = in.op == Op::kLoad      ? AccessKind::kLoad
-                         : in.op == Op::kStore   ? AccessKind::kStore
-                         : in.op == Op::kAmoSwap ? AccessKind::kAmoSwap
-                                                 : AccessKind::kAmoFetchAdd;
-                a.value = returnsValue(in.op) ? value : in.value;
-                b.trace.push_back(a);
-            }
-            break;
-          }
-          case Op::kIoLoad:
-            if (ctx.ioLoadCount >= io.countFor(p))
-                throw ReplayLogExhausted(
-                    "I/O log for proc " + std::to_string(p)
-                    + " has only " + std::to_string(io.countFor(p))
-                    + " values");
-            value = io.valueAt(p, ctx.ioLoadCount);
-            ++ctx.ioLoadCount;
-            break;
-          case Op::kIoStore:
-          case Op::kSpecialSys:
-          case Op::kCompute:
-            break;
-        }
+    void beforeGenerate(const ThreadContext &) {}
+    bool access(ThreadContext &, Op, Addr) { return true; }
+    std::uint64_t load(Addr word, Addr) { return footprint.load(mem, word); }
+    void store(Addr word, Addr, std::uint64_t v) { footprint.store(word, v); }
 
-        prog.observe(ctx, in, value);
-        // A spin load repeats until the body ends: the body runs in
-        // isolation, so the word it spins on cannot change under it.
-        // Retire the repeats at once, capped so the budget is still
-        // charged at every kBudgetFlush instructions.
-        InstrCount steps = 1;
-        if (in.op == Op::kLoad) {
-            steps += prog.repeatSpin(
-                ctx, in, value,
-                std::min<InstrCount>(b.target - i - 1,
-                                     kBudgetFlush - unflushed - 1));
-            if (tracing && steps > 1) {
-                const MemAccess a = b.trace.back();
-                b.trace.insert(b.trace.end(), steps - 1, a);
-            }
-        }
-        i += steps;
-        unflushed += steps;
-        if (unflushed == kBudgetFlush) {
-            chargeBudget(executed, unflushed, budget);
-            unflushed = 0;
-        }
-        if (truncatesChunk(in.op))
-            break;
+    std::uint64_t
+    ioLoad(Addr, const ThreadContext &ctx)
+    {
+        return loggedIoValue(io, p, ctx);
     }
-    if (unflushed)
-        chargeBudget(executed, unflushed, budget);
 
-    b.size = i;
-    b.endCtx = ctx;
-    b.valid = true;
-}
+    void nonMemory(Op) {}
+
+    InstrCount
+    spinCap(InstrCount left) const
+    {
+        return std::min<InstrCount>(left, kBudgetFlush - unflushed - 1);
+    }
+
+    void repeatLoads(InstrCount) {}
+
+    void
+    retired(InstrCount n)
+    {
+        unflushed += n;
+        if (unflushed == kBudgetFlush)
+            flush();
+    }
+
+    /** Charge the instructions retired since the last charge. */
+    void
+    flush()
+    {
+        if (unflushed != 0
+            && executed.fetch_add(unflushed, std::memory_order_relaxed)
+                       + unflushed
+                   > budget) {
+            throw ReplayBudgetExceeded(
+                "chunk-parallel replay exceeded its "
+                + std::to_string(budget) + "-instruction budget");
+        }
+        unflushed = 0;
+    }
+};
 
 /**
  * Reject an interval the recording cannot back, with a typed
@@ -358,8 +308,7 @@ ParallelReplayer::replay(const Recording &rec,
                           + " CS logs for " + std::to_string(n)
                           + " processors");
     if (opts_.observer && (start || stop))
-        throw ConfigError("replay observers require a full-run replay; "
-                          "combine with interval replay is not supported");
+        throw ConfigError(kObserverNeedsFullRun);
     checkInterval(rec, start, stop);
 
     MemoryState mem;
@@ -423,6 +372,24 @@ ParallelReplayer::replay(const Recording &rec,
     std::atomic<std::uint64_t> executed{0};
     EngineStats stats;
     ExecutionFingerprint fp;
+
+    // Execute processor p's pending body read-only against mem: it
+    // ends at its CS target, at a hard (chunk-truncating) instruction
+    // or at program end. Bodies of different processors run
+    // concurrently: mem is only read, and all mutation is confined to
+    // the body and its contexts.
+    const auto executeBody = [&](ProcId p) {
+        ChunkBody &b = procs[p].pending;
+        b.footprint.clear();
+        b.trace.clear();
+        b.endCtx = b.startCtx;
+        FunctionalBody body{rec.io, mem, p, b.footprint, executed, budget};
+        b.size = runChunkBody(prog, b.endCtx, b.target,
+                              tracing ? &b.trace : nullptr, body)
+                     .size;
+        body.flush();
+        b.valid = true;
+    };
 
     const auto allFinished = [&] {
         for (const ProcReplay &pr : procs)
@@ -493,8 +460,7 @@ ParallelReplayer::replay(const Recording &rec,
         // retire turn — the software analogue of squash-and-replay.
         if (b.footprint.stale(mem)) {
             ++stats.squashes;
-            executeBody(prog, rec.io, mem, p, b, executed, budget,
-                        tracing);
+            executeBody(p);
         }
         b.footprint.commit(mem);
         fp.commits.push_back(CommitRecord{p, b.seq, b.size, b.endCtx.acc});
@@ -650,16 +616,7 @@ ParallelReplayer::replay(const Recording &rec,
                 progress = true;
                 continue;
             }
-            const auto cs_it = pr.cs.find(seq);
-            if (cs_it != pr.cs.end()) {
-                const CsEntry &e = cs_it->second;
-                body.target = (rec.mode.mode == ExecMode::kOrderAndSize
-                               && e.maxSize)
-                                  ? rec.mode.chunkSize
-                                  : e.size;
-            } else {
-                body.target = rec.mode.chunkSize;
-            }
+            body.target = replayChunkTarget(rec.mode, pr.cs, seq);
             if (body.target == 0) {
                 // A zero-size CS entry can only come from a corrupt
                 // log; the engine discards such a chunk too.
@@ -675,10 +632,7 @@ ParallelReplayer::replay(const Recording &rec,
         if (!to_run.empty()) {
             tasks.clear();
             for (const ProcId p : to_run) {
-                tasks.push_back([&, p] {
-                    executeBody(prog, rec.io, mem, p, procs[p].pending,
-                                executed, budget, tracing);
-                });
+                tasks.push_back([&, p] { executeBody(p); });
             }
             pool.runBatch(tasks);
             stats.replayWindowOccupancy.add(

@@ -75,6 +75,38 @@ struct Instr
     std::uint64_t value = 0; ///< store value / AMO operand
 };
 
+/** Kind of one traced memory access (cached ops only). */
+enum class AccessKind : std::uint8_t
+{
+    kLoad,
+    kStore,
+    kAmoSwap,     ///< test-and-set; value is the *observed* (pre-swap) word
+    kAmoFetchAdd, ///< value is the *observed* (pre-add) word
+};
+
+/** The traced kind of cached op @p op. */
+constexpr AccessKind
+accessKindOf(Op op)
+{
+    return op == Op::kLoad      ? AccessKind::kLoad
+           : op == Op::kStore   ? AccessKind::kStore
+           : op == Op::kAmoSwap ? AccessKind::kAmoSwap
+                                : AccessKind::kAmoFetchAdd;
+}
+
+/**
+ * One traced access, in program order within its chunk. @p value is
+ * the stored value for plain stores and the observed (loaded) value
+ * for loads and atomics — the datum a happens-before analysis needs to
+ * recognize lock acquires (AmoSwap observing 0) and barrier phases.
+ */
+struct MemAccess
+{
+    Addr addr = 0;
+    std::uint64_t value = 0;
+    AccessKind kind = AccessKind::kLoad;
+};
+
 } // namespace delorean
 
 #endif // DELOREAN_TRACE_INSTR_HPP_

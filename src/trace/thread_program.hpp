@@ -15,13 +15,16 @@
  * interleaving genuinely produces a different one (spin counts, lock
  * hand-offs and barrier release orders all depend on observed values).
  *
- * repeatSpin is for an executor that runs a chunk in isolation: when
- * the load just observed left the thread spinning on a barrier or a
- * lock, its next k instructions are that same load, and in isolation
- * the word cannot change under it, so repeatSpin retires k of them at
- * once (each one's effect on ctx applied) and the executor counts k
- * more copies of the load. An executor that lets other processors'
- * stores land between two instructions must not call it.
+ * Two executors drive the protocol. runChunkBody
+ * (chunk/body_runner.hpp) runs a chunk body in isolation for both the
+ * DES and the functional replayer; it is the only caller of
+ * repeatSpin. When the load just observed left the thread spinning on
+ * a barrier or a lock, its next k instructions are that same load,
+ * and in isolation the word cannot change under it, so repeatSpin
+ * retires k of them at once (each one's effect on ctx applied) and
+ * the runner counts k more copies of the load. The
+ * InterleavedExecutor lets other processors' stores land between two
+ * instructions, so it steps every load and must not call repeatSpin.
  */
 
 #ifndef DELOREAN_TRACE_THREAD_PROGRAM_HPP_

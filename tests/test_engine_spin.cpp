@@ -18,30 +18,14 @@
 #include "common/rng.hpp"
 #include "core/delorean.hpp"
 #include "core/serialize.hpp"
+#include "trace_digest.hpp"
 
 namespace delorean
 {
 namespace
 {
 
-/** Counts every observed access and folds them into a digest. */
-class TraceDigest : public ReplayObserver
-{
-  public:
-    void
-    onChunkRetire(const ChunkObservation &obs) override
-    {
-        hash = mix64(hash ^ obs.proc ^ (obs.seq << 8) ^ (obs.size << 32));
-        for (const MemAccess &a : *obs.accesses) {
-            hash = mix64(hash ^ a.addr
-                         ^ (static_cast<std::uint64_t>(a.kind) << 60));
-            hash = mix64(hash ^ a.value);
-        }
-        accesses += obs.accesses->size();
-    }
-    std::uint64_t hash = 0;
-    std::uint64_t accesses = 0;
-};
+using test::TraceDigest;
 
 /**
  * One run's counts: total cycles, generated instructions, executed

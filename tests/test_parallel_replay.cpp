@@ -620,12 +620,35 @@ TEST(IntervalReplay, RejectsIntervalWithObserverOrRaceDetection)
     EXPECT_FALSE(par.ok);
     EXPECT_EQ(par.report.kind, DivergenceKind::kFormatError);
 
+    // Both replayers refuse an observer on an interval replay, with
+    // the same message.
+    const auto configErrorOf = [](const auto &replay) -> std::string {
+        try {
+            replay();
+        } catch (const ConfigError &e) {
+            return e.what();
+        }
+        return "no ConfigError";
+    };
+    const std::string want =
+        std::string("config error: ") + kObserverNeedsFullRun;
     RaceDetector detector;
     ParallelReplayOptions popts;
     popts.jobs = 1;
     popts.observer = &detector;
     popts.startCheckpoint = &rec.checkpoints[1];
-    EXPECT_THROW(ParallelReplayer(popts).replay(rec), ConfigError);
+    EXPECT_EQ(configErrorOf([&] { ParallelReplayer(popts).replay(rec); }),
+              want);
+
+    const Workload w = workloadOf(rec);
+    EngineOptions eopts;
+    eopts.replay = true;
+    eopts.observer = &detector;
+    eopts.startCheckpoint = &rec.checkpoints[1];
+    EXPECT_EQ(configErrorOf([&] {
+                  ChunkEngine(w, rec.machine, rec.mode, eopts).replay(rec);
+              }),
+              want);
 }
 
 TEST(IntervalReplay, MalformedCheckpointsRaiseTypedReplayErrors)

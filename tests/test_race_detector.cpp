@@ -24,6 +24,7 @@
 #include "trace/app_profile.hpp"
 #include "trace/layout.hpp"
 #include "validate/replay_check.hpp"
+#include "trace_digest.hpp"
 
 namespace delorean
 {
@@ -31,11 +32,12 @@ namespace
 {
 
 Recording
-recordOne(const ModeConfig &mode, const char *app)
+recordOne(const ModeConfig &mode, const char *app,
+          WorkloadScale scale = WorkloadScale::tiny())
 {
     MachineConfig m;
     m.numProcs = 4;
-    Workload w(app, m.numProcs, 7, WorkloadScale::tiny());
+    Workload w(app, m.numProcs, 7, scale);
     return Recorder(mode, m).record(w, 1);
 }
 
@@ -187,52 +189,63 @@ TEST(ObserverHub, ResequencesOutOfOrderRetires)
     EXPECT_EQ(probe.positions.size(), 4u);
 }
 
-/** Observer that digests every retired chunk and its access trace. */
-class TraceDigest : public ReplayObserver
-{
-  public:
-    void
-    onChunkRetire(const ChunkObservation &obs) override
-    {
-        hash = mix64(hash ^ obs.proc ^ (obs.seq << 8) ^ (obs.size << 32));
-        for (const MemAccess &a : *obs.accesses) {
-            hash = mix64(hash ^ a.addr
-                         ^ (static_cast<std::uint64_t>(a.kind) << 60));
-            hash = mix64(hash ^ a.value);
-        }
-        accesses += obs.accesses->size();
-    }
-    std::uint64_t hash = 0;
-    std::uint64_t accesses = 0;
-};
-
 TEST(ObserverHub, ChunkParallelTracesMatchTheDesOnSpins)
 {
     // Most of ocean's traced accesses are barrier spin reloads, which
-    // the chunk-parallel replayer fast-forwards. Its traces must still
-    // list every one, in program order, exactly as the DES's do.
-    const Recording rec = recordOne(ModeConfig::orderOnly(), "ocean");
-    const Workload w(rec.appName, rec.machine.numProcs, rec.workloadSeed,
-                     WorkloadScale{rec.iterationsPercent});
+    // both replayers fast-forward; sjbb2k adds I/O loads, interrupts
+    // and DMA (it needs a longer run for its interrupts), and fft~r4
+    // seeded races. The chunk-parallel replayer's traces must list
+    // every access, in program order, exactly as the DES's do, in
+    // every mode.
+    struct Run
+    {
+        const char *app;
+        ModeConfig mode;
+        unsigned scale;
+    };
+    const std::vector<Run> runs = {
+        {"ocean", ModeConfig::orderOnly(), 10},
+        {"sjbb2k", ModeConfig::orderAndSize(), 40},
+        {"sjbb2k", ModeConfig::orderOnly(), 40},
+        {"sjbb2k", ModeConfig::picoLog(), 40},
+        {"fft~r4", ModeConfig::orderAndSize(), 10},
+        {"fft~r4", ModeConfig::orderOnly(), 10},
+        {"fft~r4", ModeConfig::picoLog(), 10},
+    };
+    for (const Run &run : runs) {
+        const std::string app = run.app;
+        SCOPED_TRACE(app + " " + execModeName(run.mode.mode));
+        const Recording rec =
+            recordOne(run.mode, run.app, WorkloadScale{run.scale});
+        if (app == "sjbb2k") {
+            EXPECT_GT(rec.io.totalEntries(), 0u);
+            EXPECT_GT(rec.interrupts.totalEntries(), 0u);
+            EXPECT_GT(rec.dma.count(), 0u);
+        }
+        const Workload w(rec.appName, rec.machine.numProcs,
+                         rec.workloadSeed,
+                         WorkloadScale{rec.iterationsPercent});
 
-    TraceDigest des;
-    EngineOptions eopts;
-    eopts.replay = true;
-    eopts.observer = &des;
-    ASSERT_TRUE(ChunkEngine(w, rec.machine, rec.mode, eopts)
-                    .replay(rec)
-                    .deterministicExact);
+        test::TraceDigest des;
+        EngineOptions eopts;
+        eopts.replay = true;
+        eopts.observer = &des;
+        ASSERT_TRUE(ChunkEngine(w, rec.machine, rec.mode, eopts)
+                        .replay(rec)
+                        .deterministicExact);
 
-    TraceDigest par;
-    ParallelReplayOptions popts;
-    popts.jobs = 2;
-    popts.window = 8;
-    popts.observer = &par;
-    ASSERT_TRUE(ParallelReplayer(popts).replay(rec, w).deterministicExact);
+        test::TraceDigest par;
+        ParallelReplayOptions popts;
+        popts.jobs = 2;
+        popts.window = 8;
+        popts.observer = &par;
+        ASSERT_TRUE(
+            ParallelReplayer(popts).replay(rec, w).deterministicExact);
 
-    EXPECT_GT(des.accesses, 0u);
-    EXPECT_EQ(par.accesses, des.accesses);
-    EXPECT_EQ(par.hash, des.hash);
+        EXPECT_GT(des.accesses, 0u);
+        EXPECT_EQ(par.accesses, des.accesses);
+        EXPECT_EQ(par.hash, des.hash);
+    }
 }
 
 TEST(ObserverHub, DisabledHubIsInert)
